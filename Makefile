@@ -13,7 +13,7 @@ EMU_BENCH_REPORT ?= BENCH_emu.json
 ALLOC_BUDGET ?= alloc_budget.json
 ALLOC_DRIFT ?= alloc_drift.json
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives vet bench-smoke bench-json faults-smoke alloccheck alloccheck-update verify
+.PHONY: build test race race-short debug lint fuzz fuzz-directives vet bench-smoke bench-json bench bench-selftest faults-smoke alloccheck alloccheck-update verify
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,16 @@ bench-json:
 	@$(GO) run ./cmd/r2c2-benchjson -emu $(EMU_BENCH_REPORT) < $(BENCH_REPORT).txt > $(BENCH_REPORT)
 	@rm -f $(BENCH_REPORT).txt
 	@echo "bench-json: wrote $(BENCH_REPORT) and $(EMU_BENCH_REPORT)"
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): every workload's
+# end-to-end metrics, untraced. Builds into .bench_build/, writes bench/out/.
+bench:
+	bash bench/run.sh --workload all --trace 0
+
+# The benchmark's own tests (bench/ is a module of its own): BENCHMARK.json
+# and the workload tables agree, digests repeat, the ladder runs.
+bench-selftest:
+	$(GO) test -C bench ./...
 
 # Compiler escape-analysis gate for the zero-alloc roadmap (DESIGN.md §11):
 # rebuilds the hot packages with -gcflags=-m and fails on any per-function

@@ -565,16 +565,24 @@ func BenchmarkShardedEventThroughput(b *testing.B) {
 			run.Shards = workers
 			b.ReportAllocs()
 			b.ResetTimer()
-			events, handoffs := uint64(0), uint64(0)
+			var events, handoffs, epochs, active uint64
 			for i := 0; i < b.N; i++ {
 				res := sim.Run(run)
 				events += res.Events
 				for _, st := range res.ShardStats {
 					handoffs += st.Handoffs
+					active += st.ActiveEpochs
+				}
+				if len(res.ShardStats) > 0 {
+					epochs += res.ShardStats[0].Epochs
 				}
 			}
 			b.ReportMetric(float64(events)/float64(b.N), "events/run")
 			b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs/run")
+			b.ReportMetric(float64(epochs)/float64(b.N), "epochs/run")
+			if epochs > 0 {
+				b.ReportMetric(float64(active)/float64(epochs), "active-shards/epoch")
+			}
 		})
 	}
 }

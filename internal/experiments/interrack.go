@@ -200,14 +200,16 @@ func (r *InterRackResult) MixTable() *Table {
 // ShardUtilTable reports per-shard execution statistics for every sharded
 // run of the sweep — the CI smoke's utilisation artifact. busy_ms,
 // ctrl_ms and ctrl_us_tick are wall-clock measurements and legitimately
-// vary run to run; nodes, events and handoffs are deterministic. ctrl_ms
+// vary run to run; nodes, events, handoffs, epochs (the run's lookahead
+// windows in which any shard held an event) and active_epochs (those in
+// which this shard did) are deterministic. ctrl_ms
 // is each shard's total control-plane time (ticks, reduction merges and
 // the allocator run, attributed to the shard that executed them), and
 // ctrl_us_tick divides it across the run's recomputation rounds.
 func (r *InterRackResult) ShardUtilTable() *Table {
 	t := &Table{
 		Title:  "per-shard utilisation",
-		Header: []string{"mix", "shard", "nodes", "events", "handoffs", "busy_ms", "busy_share", "ctrl_ms", "ctrl_us_tick"},
+		Header: []string{"mix", "shard", "nodes", "events", "handoffs", "epochs", "active_epochs", "busy_ms", "busy_share", "ctrl_ms", "ctrl_us_tick"},
 	}
 	for _, run := range r.Runs {
 		total := int64(0)
@@ -230,6 +232,8 @@ func (r *InterRackResult) ShardUtilTable() *Table {
 				strconv.Itoa(st.Nodes),
 				strconv.FormatUint(st.Events, 10),
 				strconv.FormatUint(st.Handoffs, 10),
+				strconv.FormatUint(st.Epochs, 10),
+				strconv.FormatUint(st.ActiveEpochs, 10),
 				f3(float64(st.BusyNs)/1e6),
 				f3(share),
 				f3(float64(st.CtrlNs)/1e6),

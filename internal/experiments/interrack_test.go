@@ -41,7 +41,7 @@ func TestInterRackMixTableShardInvariant(t *testing.T) {
 	}
 	want := stripHandoffs(t, serial.MixTable().CSV())
 
-	var full []string
+	var full, counters []string
 	for _, shards := range []int{2, 8} {
 		cfg.Shards = shards
 		res := InterRack(cfg)
@@ -57,6 +57,14 @@ func TestInterRackMixTableShardInvariant(t *testing.T) {
 		if want := len(cfg.Mixes) * cfg.Racks; len(util.Rows) != want {
 			t.Fatalf("shards=%d: utilisation table has %d rows, want %d", shards, len(util.Rows), want)
 		}
+		var det strings.Builder // mix … active_epochs: everything left of the wall-clock columns
+		for _, row := range util.Rows {
+			det.WriteString(strings.Join(row[:7], ",") + "\n")
+		}
+		counters = append(counters, det.String())
+	}
+	if counters[0] != counters[1] {
+		t.Fatalf("per-shard counters (nodes, events, handoffs, epochs, active_epochs) differ between worker counts\n--- shards=2 ---\n%s--- shards=8 ---\n%s", counters[0], counters[1])
 	}
 	if full[0] != full[1] {
 		t.Fatalf("mix table differs between worker counts\n--- shards=2 ---\n%s--- shards=8 ---\n%s", full[0], full[1])

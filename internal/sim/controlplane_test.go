@@ -44,13 +44,18 @@ func controlPlaneWorkload(t testing.TB, racks, shards int) RunConfig {
 // summary over — so the tree keeps reducing while the physical path it
 // mirrors is dark (the tree is orchestration structure, not traffic;
 // reduction.go documents the independence this pins). The ring keeps the
-// fabric connected through racks 3 and 2.
+// fabric connected through racks 3 and 2. One cable is restored while the
+// other is still down and then fails again, so the run crosses four reroute
+// generations — the last the same failure set as the second — each built
+// once in the shards' shared fabric cache and taken by all four shards, in
+// whatever order the workers reach it.
 func controlPlaneFaults(racks int) faults.Schedule {
 	if racks == 4 {
 		return faults.Schedule{Events: []faults.Event{
 			{At: 2 * time.Millisecond, Kind: faults.LinkDown, A: 0, B: 13, Detect: 200 * time.Microsecond},
 			{At: 3 * time.Millisecond, Kind: faults.LinkDown, A: 5, B: 10, Detect: 200 * time.Microsecond},
-			{At: 8 * time.Millisecond, Kind: faults.LinkRepair, A: 0, B: 13, Detect: 200 * time.Microsecond},
+			{At: 4 * time.Millisecond, Kind: faults.LinkRepair, A: 0, B: 13, Detect: 200 * time.Microsecond},
+			{At: 5 * time.Millisecond, Kind: faults.LinkDown, A: 0, B: 13, Detect: 200 * time.Microsecond},
 		}}
 	}
 	// 2 racks: four bridge cables join them; failing one leaves the
@@ -70,6 +75,7 @@ func controlPlaneFaults(racks int) faults.Schedule {
 // the reduction, the convergence fallback, or the tick pause/resume
 // sequencing shows up as a byte diff here.
 func TestShardedControlPlaneOracle(t *testing.T) {
+	fanOutEveryPhase(t)
 	for _, racks := range []int{2, 4} {
 		for _, withFaults := range []bool{false, true} {
 			name := fmt.Sprintf("racks=%d/faults=%v", racks, withFaults)

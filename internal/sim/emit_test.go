@@ -67,7 +67,7 @@ func TestCrossShardEmissionTieBreak(t *testing.T) {
 	}
 	assign := part.ShardAssignment()
 	S := part.Shards()
-	sr := &shardedRun{workers: 1}
+	sr := &shardedRun{inbox: make([][]*boundaryQueue, S)}
 	for s := 0; s < S; s++ {
 		ctx := &shardCtx{self: int32(s), shardOf: assign, out: make([]*boundaryQueue, S)}
 		for d := 0; d < S; d++ {
@@ -101,7 +101,7 @@ func TestCrossShardEmissionTieBreak(t *testing.T) {
 	dst.eng.schedule(T, event{kind: evArrive, node: 0, pkt: local})
 
 	push := func(src int, emit simtime.Time, flow wire.FlowID) {
-		h := sr.shards[src].ctx.out[0].push()
+		h := sr.shards[src].ctx.export(0)
 		h.at = T
 		h.emit = emit
 		h.node = 0
@@ -113,6 +113,7 @@ func TestCrossShardEmissionTieBreak(t *testing.T) {
 	push(1, 3000, flowLate)
 	push(2, 1000, flowEarly)
 
+	sr.active = sr.shards // the exporters ran this epoch
 	sr.drain()
 	dst.eng.Run(T)
 

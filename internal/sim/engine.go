@@ -287,6 +287,15 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 	return e.count - start
 }
 
+// advanceTo moves the clock of an engine with no event at or before t
+// forward to t: what Run(t) would do, without looking at the schedule. The
+// sharded engine's epoch loop uses it for shards idle through a window.
+func (e *Engine) advanceTo(t simtime.Time) {
+	if e.now < t {
+		e.now = t
+	}
+}
+
 // requestStop makes the current Run call return once the event being
 // dispatched completes, without advancing the clock to its until bound.
 // Calling it outside a dispatch is meaningless and therefore a bug.

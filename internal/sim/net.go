@@ -573,7 +573,7 @@ func (n *Network) transmitDone(p *port, pkt *Packet) {
 //
 //r2c2:boundary
 func (n *Network) exportPacket(dst int32, at simtime.Time, to topology.NodeID, pkt *Packet) {
-	h := n.sh.out[dst].push()
+	h := n.sh.export(dst)
 	h.at = at
 	h.emit = n.Eng.now // serial runs would schedule the arrival right here
 	h.node = to
@@ -594,7 +594,6 @@ func (n *Network) exportPacket(dst int32, at simtime.Time, to topology.NodeID, p
 		//lint:ignore alloc-hotpath handoff path buffers recycle with their slots; growth is amortised across epochs
 		h.path = append(h.path, pkt.Path[pkt.Hop:]...)
 	}
-	n.sh.handoffs++
 	n.freePacket(pkt)
 }
 
@@ -606,14 +605,13 @@ func (n *Network) exportPacket(dst int32, at simtime.Time, to topology.NodeID, p
 //
 //r2c2:boundary
 func (n *Network) exportReflood(dst int32, at simtime.Time, origin topology.NodeID, b *wire.Broadcast, retries uint8) {
-	h := n.sh.out[dst].push()
+	h := n.sh.export(dst)
 	h.at = at
 	h.emit = n.Eng.now // the drop instant: serial runs arm the reflood timer here
 	h.node = origin
 	h.ctrl = true
 	h.bcast = b
 	h.retries = retries
-	n.sh.handoffs++
 }
 
 // pfqPick selects the next flow in round-robin order whose head packet can

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"time"
+	"sync"
 
 	"r2c2/internal/core"
 	"r2c2/internal/routing"
@@ -78,6 +78,11 @@ type R2C2 struct {
 	// events (recomputation ticks, fault injections, reroutes) tick its
 	// counter so the merged Results can subtract the duplicates.
 	sh *shardCtx
+
+	// fabrics builds the degraded fabric of each reroute generation once for
+	// every R2C2 instance of the run (one per shard; a serial run's cache
+	// has a single user).
+	fabrics *fabricCache
 
 	// gen is the route generation: interned per-flow routes and ack paths
 	// tagged with an older generation are recomputed (a reroute swapped in a
@@ -229,19 +234,71 @@ type reorderState struct {
 	ackGen  uint64
 }
 
+// fabric is the routing state derived from one fabric generation's graph:
+// the routing table (with its φ cache and minimal DAGs), the broadcast FIB,
+// and the translation of a degraded graph's link IDs back to physical ports
+// (nil while the fabric is intact). Table and FIB fill lazily behind their
+// own synchronisation and are otherwise immutable, so every shard of a
+// sharded run reads the same instances.
+type fabric struct {
+	tab     *routing.Table
+	fib     *topology.BroadcastFIB
+	linkMap []topology.LinkID
+}
+
+// fabricCache hands each reroute generation's fabric to the run's R2C2
+// instances: the first to reach a generation builds it, the rest reuse it,
+// and the entry is dropped once all of them hold it. Shards replicate the
+// fault schedule in lockstep, so the n-th reroute sees the same failure
+// state in every shard.
+type fabricCache struct {
+	mu    sync.Mutex
+	users int // R2C2 instances sharing the cache
+	gens  map[uint64]*cachedFabric
+}
+
+type cachedFabric struct {
+	fabric
+	taken int
+}
+
+func (c *fabricCache) get(gen uint64, build func() fabric) fabric {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.gens[gen]
+	if e == nil {
+		if c.gens == nil {
+			c.gens = make(map[uint64]*cachedFabric)
+		}
+		e = &cachedFabric{fabric: build()}
+		c.gens[gen] = e
+	}
+	if e.taken++; e.taken == c.users {
+		delete(c.gens, gen)
+	}
+	return e.fabric
+}
+
 // NewR2C2 wires the transport into a network. It installs the Deliver and
 // broadcast-FIB hooks, so one Network hosts exactly one transport.
 func NewR2C2(net *Network, tab *routing.Table, cfg R2C2Config) *R2C2 {
 	cfg.defaults()
+	fib := topology.NewBroadcastFIB(net.G, cfg.TreesPerSource, cfg.Seed)
+	return newR2C2(net, fabric{tab: tab, fib: fib}, &fabricCache{users: 1}, cfg)
+}
+
+// newR2C2 is NewR2C2 over a caller-built intact fabric and reroute cache
+// (the sharded engine passes the same two to every shard's instance); cfg
+// already has its defaults applied.
+func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2C2 {
 	r := &R2C2{
-		Net:    net,
-		Tab:    tab,
-		Fib:    topology.NewBroadcastFIB(net.G, cfg.TreesPerSource, cfg.Seed),
-		Cfg:    cfg,
-		rc:     core.NewRateComputer(tab, net.Cfg.LinkGbps*1e9, cfg.Headroom),
-		ledger: newFlowLedger(),
-		sh:     net.sh,
+		Net:     net,
+		Cfg:     cfg,
+		ledger:  newFlowLedger(),
+		sh:      net.sh,
+		fabrics: fabrics,
 	}
+	r.install(fab)
 	r.nodes = make([]*r2c2Node, net.G.Nodes())
 	for i := range r.nodes {
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
@@ -346,14 +403,23 @@ func (r *R2C2) physInPlace(path []topology.LinkID) {
 	}
 }
 
-// degradedFabric recomputes the degraded fabric from the CURRENT failure
+// degradedGraph recomputes the degraded graph from the CURRENT failure
 // state. Called at injection (to validate connectivity before committing)
 // and at detection-fire time (never from a stale snapshot).
-func (r *R2C2) degradedFabric() (*topology.Graph, []topology.LinkID, error) {
+func (r *R2C2) degradedGraph() (*topology.Graph, []topology.LinkID, error) {
 	if len(r.failedLinks) == 0 && len(r.deadNodes) == 0 {
 		return r.Net.G, nil, nil
 	}
 	return r.Net.G.WithoutLinksAndNodes(r.failedLinks, r.deadNodes)
+}
+
+// install swaps in a fabric generation's routing state. The rate computers
+// derive their φ-vectors from the table, so they restart with it (agg is
+// recreated lazily by computeGlobal).
+func (r *R2C2) install(f fabric) {
+	r.Tab, r.Fib, r.linkMap = f.tab, f.fib, f.linkMap
+	r.rc = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
+	r.agg = nil
 }
 
 // FailLink fails both directions of the cable between a and b. Packets in
@@ -378,7 +444,7 @@ func (r *R2C2) FailLink(a, b topology.NodeID, detection simtime.Time) error {
 	// Validate connectivity before killing anything. Only the union is
 	// checked here; connectivity is monotone in the failed set, so every
 	// later fire-time recompute over a subset-or-equal state succeeds too.
-	if _, _, err := r.degradedFabric(); err != nil {
+	if _, _, err := r.degradedGraph(); err != nil {
 		for _, lid := range added {
 			delete(r.failedLinks, lid)
 		}
@@ -415,7 +481,7 @@ func (r *R2C2) FailNode(dead topology.NodeID, detection simtime.Time) error {
 			}
 		}
 	}
-	if _, _, err := r.degradedFabric(); err != nil {
+	if _, _, err := r.degradedGraph(); err != nil {
 		delete(r.deadNodes, dead)
 		for _, lid := range added {
 			delete(r.failedLinks, lid)
@@ -477,18 +543,24 @@ func (r *R2C2) rerouteNow() {
 	if r.reroutedSeq >= r.failSeq {
 		return // a newer reroute already covers this injection
 	}
-	sub, mapping, err := r.degradedFabric()
-	if err != nil {
-		// Every injection validated the union it created, and connectivity
-		// is monotone in the failed set.
-		panic(fmt.Sprintf("sim: degraded fabric invalid at detection time: %v", err))
-	}
 	r.reroutedSeq = r.failSeq
-	r.reroute(sub, mapping)
+	r.reroute(r.fabrics.get(r.FailureReroutes, func() fabric {
+		sub, mapping, err := r.degradedGraph()
+		if err != nil {
+			// Every injection validated the union it created, and connectivity
+			// is monotone in the failed set.
+			panic(fmt.Sprintf("sim: degraded fabric invalid at detection time: %v", err))
+		}
+		return fabric{
+			tab:     routing.NewTable(sub),
+			fib:     topology.NewBroadcastFIB(sub, r.Cfg.TreesPerSource, r.Cfg.Seed),
+			linkMap: mapping,
+		}
+	}))
 }
 
 // reroute swaps in the degraded fabric and re-announces every live flow.
-func (r *R2C2) reroute(sub *topology.Graph, mapping []topology.LinkID) {
+func (r *R2C2) reroute(f fabric) {
 	r.FailureReroutes++
 	r.gen++ // invalidate interned routes computed over the old fabric
 	// Purge flows involving dead nodes BEFORE rebuilding, so the
@@ -507,11 +579,7 @@ func (r *R2C2) reroute(sub *topology.Graph, mapping []topology.LinkID) {
 			}
 		}
 	}
-	r.Tab = routing.NewTable(sub)
-	r.Fib = topology.NewBroadcastFIB(sub, r.Cfg.TreesPerSource, r.Cfg.Seed)
-	r.linkMap = mapping
-	r.rc = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
-	r.agg = nil // recreated lazily over the new Tab (computeGlobal)
+	r.install(f)
 	// "Upon detecting a failure, nodes broadcast information about all
 	// their ongoing flows" (§3.2).
 	for _, node := range r.nodes {
@@ -952,15 +1020,13 @@ func (r *R2C2) recomputeTick() {
 		r.replicatedTick()
 		return
 	}
-	//lint:ignore no-wallclock control-plane cost accounting only; excluded from Results byte-identity
-	t0 := time.Now()
+	t0 := wallNs() // control-plane cost accounting, like phaseShard's
 	if r.sh.replicated {
 		r.replicatedTick()
 	} else {
 		r.aggregateTick()
 	}
-	//lint:ignore no-wallclock,unit-taint control-plane cost accounting in wall nanoseconds; excluded from Results byte-identity
-	r.sh.ctrlNs += time.Since(t0).Nanoseconds()
+	r.sh.ctrlNs += wallNs() - t0
 }
 
 // replicatedTick recomputes every local node's rates from its own view:

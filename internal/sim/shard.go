@@ -2,18 +2,25 @@ package sim
 
 // Sharded simulation engine (DESIGN.md §14–15): the fabric is partitioned
 // by rack (topology.NewPartition), every rack shard runs its own Engine,
-// Network and R2C2 instance over the full graph but owns only its rack's
-// node/port state, and the shards execute in parallel under a conservative-
-// lookahead epoch barrier. Intra-rack events never leave their shard;
-// packets whose next hop belongs to another shard cross through per-pair
-// boundary queues that the orchestrator drains serially at every epoch
-// boundary, in deterministic (at, emission time, source shard, emission
-// index) order. The R2C2 control plane is aggregated by default: each ρ
-// tick, every shard summarises the flows its racks source, the summaries
-// tree-reduce into one global view (topology.ReductionTree), and the
-// resulting allocation distributes back — per-shard control work stops
-// scaling with the total flow count (RunConfig.ReplicatedControlPlane
-// restores the replicated oracle).
+// Network and R2C2 instance and owns only its rack's node/port state, while
+// the state derived from the topology alone — routing table, φ cache,
+// broadcast FIB, and their degraded successors after a fault — is built
+// once per run and read by all of them (fabric, r2c2.go). Shards advance
+// under a conservative-lookahead epoch barrier, and an epoch costs only the
+// shards that hold an event inside its window: the rest get a clock
+// advance, and the phase runs inline on the orchestrator unless its active
+// shards hold enough work to repay spreading it over the helper goroutines
+// (fanout.go), which spin briefly on an atomic counter before they park.
+// Intra-rack events never leave their shard; packets whose next hop belongs
+// to another shard cross through per-pair boundary queues, and the
+// orchestrator drains the non-empty ones serially at every epoch boundary,
+// in deterministic (at, emission time, source shard, emission index) order.
+// The R2C2 control plane is aggregated by default: each ρ tick, every shard
+// summarises the flows its racks source, the summaries tree-reduce into one
+// global view (topology.ReductionTree), and the resulting allocation
+// distributes back — per-shard control work stops scaling with the total
+// flow count (RunConfig.ReplicatedControlPlane restores the replicated
+// oracle).
 //
 // The lookahead window Δ is the minimum latency any cross-shard interaction
 // can have: the smallest boundary-link propagation delay, additionally
@@ -26,10 +33,11 @@ package sim
 // the same role UseLegacyHeap plays for the timer wheel.
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"r2c2/internal/core"
@@ -79,7 +87,6 @@ type boundaryQueue struct {
 //r2c2:boundary
 func (q *boundaryQueue) push() *handoff {
 	if q.n == len(q.slots) {
-		//lint:ignore alloc-hotpath slot growth is amortised: the queue retains capacity across epochs
 		q.slots = append(q.slots, handoff{})
 	}
 	h := &q.slots[q.n]
@@ -105,6 +112,9 @@ type shardCtx struct {
 	self    int32
 	shardOf []int32          // partition assignment, shared read-only
 	out     []*boundaryQueue // out[d]: handoffs bound for shard d (out[self] nil)
+	// dirty lists the destinations whose out queue turned non-empty this
+	// epoch, in first-export order; drain visits only these and clears it.
+	dirty []int32
 
 	// ctrl counts replicated control events (recompute ticks, fault
 	// injections, reroute firings) that run once in EVERY shard but once
@@ -148,9 +158,21 @@ type shardCtx struct {
 	ctrlNs int64
 }
 
+// export returns a zeroed handoff slot in the mailbox for shard dst.
+//
+//r2c2:boundary
+func (c *shardCtx) export(dst int32) *handoff {
+	q := c.out[dst]
+	if q.n == 0 {
+		c.dirty = append(c.dirty, dst)
+	}
+	c.handoffs++
+	return q.push()
+}
+
 // shardState bundles one shard's engine stack. It is driven by exactly one
-// worker goroutine per phase (the work-stealing counter hands a shard to a
-// single worker; the WaitGroup barrier orders phases).
+// goroutine per phase: a worker claims a shard off the phase's atomic
+// counter, and the completion count orders phases.
 //
 //r2c2:shardowned
 type shardState struct {
@@ -159,31 +181,23 @@ type shardState struct {
 	net *Network
 	r2  *R2C2
 
-	busyNs int64 // wall-clock time spent inside run phases
+	busyNs       int64  // wall-clock time spent inside run phases
+	activeEpochs uint64 // epochs in which the shard held an event inside the window
+	lastRun      uint64 // events its latest run phase processed: the next one's work estimate
 }
 
-// run advances the shard's engine to `until`, accounting busy time.
-// The wall clock here is deliberate: busyNs measures real execution time
-// for the per-shard utilisation report (ShardStat.BusyNs), which is
-// documented as nondeterministic and excluded from byte-identity — no
-// simulation decision ever reads it.
-func (st *shardState) run(until simtime.Time) {
-	//lint:ignore no-wallclock utilisation accounting only; excluded from Results byte-identity
-	t0 := time.Now()
-	st.eng.Run(until)
+// wallEpoch anchors wallNs; reading the clock relative to it costs one
+// monotonic read instead of time.Now's wall + monotonic pair.
+//
+//lint:ignore no-wallclock utilisation accounting only; excluded from Results byte-identity
+var wallEpoch = time.Now()
+
+// wallNs reads the wall clock for the per-shard utilisation report
+// (ShardStat.BusyNs, CtrlNs), which is documented as nondeterministic and
+// excluded from byte-identity — no simulation decision ever reads it.
+func wallNs() int64 {
 	//lint:ignore no-wallclock,unit-taint utilisation accounting in wall nanoseconds; excluded from Results byte-identity
-	st.busyNs += time.Since(t0).Nanoseconds()
-}
-
-// applyTick runs the apply half of an aggregated recomputation tick: the
-// shard re-arms its own senders from the published global allocation.
-// Control-plane time is accounted like run's busy time.
-func (st *shardState) applyTick() {
-	//lint:ignore no-wallclock control-plane cost accounting only; excluded from Results byte-identity
-	t0 := time.Now()
-	st.r2.applyAggregatedTick()
-	//lint:ignore no-wallclock,unit-taint control-plane cost accounting in wall nanoseconds; excluded from Results byte-identity
-	st.ctx.ctrlNs += time.Since(t0).Nanoseconds()
+	return time.Since(wallEpoch).Nanoseconds()
 }
 
 // ingest files one drained handoff into this (destination) shard's engine.
@@ -217,7 +231,6 @@ func (st *shardState) ingest(h *handoff) {
 	if h.kind == KindBroadcast {
 		pkt.Bcast = h.bcast
 	} else {
-		//lint:ignore alloc-hotpath scratch growth is amortised: packets recycle their route buffers through the arena
 		pkt.scratch = append(pkt.scratch[:0], h.path...)
 		pkt.Path = pkt.scratch
 	}
@@ -225,47 +238,76 @@ func (st *shardState) ingest(h *handoff) {
 }
 
 // ShardStat reports one shard's execution statistics (Results.ShardStats).
+// Every field but BusyNs and CtrlNs is deterministic for a configuration.
 type ShardStat struct {
 	Shard    int
 	Nodes    int    // vertices owned by the shard
 	Events   uint64 // events processed by the shard's engine
 	Handoffs uint64 // boundary handoffs exported to other shards
-	BusyNs   int64  // wall-clock nanoseconds inside run phases
-	CtrlNs   int64  // wall-clock nanoseconds in control-plane work (ticks, reduction, apply)
+	// Epochs counts the run's lookahead windows in which any shard held an
+	// event (the same in every entry); ActiveEpochs those in which this
+	// shard did, and so was run rather than clock-advanced.
+	Epochs       uint64
+	ActiveEpochs uint64
+	// BusyNs is wall-clock nanoseconds inside run phases. Routing table, φ
+	// cache and broadcast trees are shared by all shards and built on first
+	// use, so each such build is charged to whichever shard triggers it.
+	BusyNs int64
+	CtrlNs int64 // wall-clock nanoseconds in control-plane work (ticks, reduction, apply)
 }
 
-// Phase kinds the persistent workers execute (phaseKind).
+// Phase kinds the workers execute (phaseKind).
 const (
 	phaseRun      = iota // advance each claimed shard's engine to phaseUntil
-	phaseApplyRun        // applyTick, then resume the engine to phaseUntil
+	phaseApplyRun        // applyAggregatedTick, then resume the engine to phaseUntil
 )
 
-// shardedRun is the orchestrator. It is deliberately NOT marked
-// //r2c2:shardowned: workers are spawned as methods on it (the documented
-// escape hatch for fan-out), and each shard's owned state is only ever
-// touched by the single worker that claimed it off the atomic counter.
-type shardedRun struct {
-	cfg     RunConfig
-	part    *topology.Partition
-	shards  []*shardState
-	delta   simtime.Time
-	workers int
-	tree    *topology.ReductionTree // nil when ReplicatedControlPlane is set
+// fanoutMinEvents is the work below which a phase runs inline even with
+// several active shards, estimated as the events those shards processed in
+// their previous windows. Publishing a phase to another CPU and collecting
+// it costs a few cache-line round trips plus the migration of the shard
+// state, so the ~10-event windows of shard8x64 (Δ = 100 ns) run ~10 % slower
+// fanned out than in place, while the 10,240-node sweep, whose windows hold
+// hundreds to thousands of events, runs ~35 % slower without the fan-out.
+// DESIGN.md §14 has the sweep over 32…2048 on both that placed the value. It
+// is a variable only so that the byte-identity oracles, whose small fabrics
+// never reach it, can lower it and run their phases concurrently under -race.
+var fanoutMinEvents uint64 = 256
 
-	// Persistent worker pool: spawned once per run, parked on startCh
-	// between phases (spawning per epoch churned ~1.5M goroutines per
-	// benchmark run at 8 workers). The orchestrator writes phaseKind and
-	// phaseUntil, then sends one token per worker — the channel send is
-	// the happens-before edge publishing the phase parameters — and
-	// wg.Wait is the barrier closing the phase. Closing startCh retires
-	// the pool.
+// shardedRun is the orchestrator. It is deliberately NOT marked
+// //r2c2:shardowned: the fan-out's helper goroutines reach the shards
+// through it (the documented escape hatch for fan-out), and each shard's
+// owned state is only ever touched by the single worker that claimed its
+// index for the phase.
+type shardedRun struct {
+	cfg    RunConfig
+	part   *topology.Partition
+	shards []*shardState
+	delta  simtime.Time
+	tree   *topology.ReductionTree // nil when ReplicatedControlPlane is set
+
+	// Active set of the current epoch: nextAt[s] is shard s's earliest
+	// pending event (noEvent when its schedule is empty), refreshed by
+	// nextEventAt; active lists the shards with an event inside the window,
+	// in shard order. epochs counts the windows with a non-empty active set.
+	nextAt []simtime.Time
+	active []*shardState
+	epochs uint64
+
+	// Phase execution. A phase over several active shards with enough work
+	// to repay it (wide) is spread over the orchestrator and the helper
+	// goroutines of workers; any other runs inline and wakes nobody.
 	phaseKind  int
 	phaseUntil simtime.Time
-	startCh    chan struct{}
+	wide       bool
+	workers    fanout // job i: the current phase on active[i]
 
-	next   atomic.Int32 // work-stealing shard cursor for the current phase
-	wg     sync.WaitGroup
-	gather []*handoff // drain scratch, reused across epochs
+	// Drain scratch, reused across epochs: inbox[d] collects the non-empty
+	// mailboxes bound for shard d in source-shard order, dirtyDst the
+	// destinations that have any, gather the handoffs being ordered.
+	inbox    [][]*boundaryQueue
+	dirtyDst []int32
+	gather   []*handoff
 
 	// Folded Recomputations accounting: foldTicks unions each tick's
 	// distinct view hashes across shards at every barrier and accumulates
@@ -275,6 +317,9 @@ type shardedRun struct {
 	ticksFolded    uint64
 	seen           map[uint64]bool // fold scratch, reused
 }
+
+// noEvent is nextAt's value for a shard with an empty schedule.
+const noEvent = simtime.Time(math.MaxInt64)
 
 // lookahead computes the conservative window Δ: the minimum boundary-link
 // propagation delay, clamped by the fastest cross-shard drop notification
@@ -323,10 +368,6 @@ func runSharded(cfg RunConfig) *Results {
 		panic(fmt.Sprintf("sim: sharded run needs a rack-partitioned fabric: %v", err))
 	}
 	S := part.Shards()
-	workers := cfg.Shards
-	if workers > S {
-		workers = S
-	}
 
 	maxTime := cfg.MaxTime
 	if maxTime == 0 {
@@ -334,10 +375,11 @@ func runSharded(cfg RunConfig) *Results {
 	}
 
 	sr := &shardedRun{
-		cfg:     cfg,
-		part:    part,
-		delta:   lookahead(cfg.Graph, cfg.Net, part),
-		workers: workers,
+		cfg:    cfg,
+		part:   part,
+		delta:  lookahead(cfg.Graph, cfg.Net, part),
+		nextAt: make([]simtime.Time, S),
+		inbox:  make([][]*boundaryQueue, S),
 	}
 	if !cfg.ReplicatedControlPlane {
 		tree, err := topology.NewReductionTree(cfg.Graph, part)
@@ -346,6 +388,13 @@ func runSharded(cfg RunConfig) *Results {
 		}
 		sr.tree = tree
 	}
+	// Topology-derived state is built once and read by every shard.
+	cfg.R2C2.defaults()
+	intact := fabric{
+		tab: routing.NewTable(cfg.Graph),
+		fib: topology.NewBroadcastFIB(cfg.Graph, cfg.R2C2.TreesPerSource, cfg.R2C2.Seed),
+	}
+	fabrics := &fabricCache{users: S}
 	assign := part.ShardAssignment()
 	for s := 0; s < S; s++ {
 		ctx := &shardCtx{self: int32(s), shardOf: assign, out: make([]*boundaryQueue, S),
@@ -357,8 +406,8 @@ func runSharded(cfg RunConfig) *Results {
 		}
 		eng := &Engine{}
 		net := NewNetwork(cfg.Graph, eng, cfg.Net)
-		net.sh = ctx // before NewR2C2: the transport mirrors it
-		r2 := NewR2C2(net, routing.NewTable(cfg.Graph), cfg.R2C2)
+		net.sh = ctx // before newR2C2: the transport mirrors it
+		r2 := newR2C2(net, intact, fabrics, cfg.R2C2)
 		if cfg.Faults.Len() > 0 {
 			// The whole schedule is replicated into every shard: each must
 			// observe the same degraded fabric (ctrl subtracts duplicates).
@@ -376,15 +425,8 @@ func runSharded(cfg RunConfig) *Results {
 		sr.shards = append(sr.shards, &shardState{ctx: ctx, eng: eng, net: net, r2: r2})
 	}
 
-	if workers > 1 {
-		// Persistent worker pool: spawned once, parked on startCh between
-		// phases, retired when the run returns.
-		sr.startCh = make(chan struct{})
-		for w := 0; w < workers; w++ {
-			go sr.workerLoop()
-		}
-		defer close(sr.startCh)
-	}
+	sr.workers.start(min(cfg.Shards, S)-1, func(i int) { sr.phaseShard(sr.active[i], wallNs()) })
+	defer sr.workers.stop()
 
 	// Epoch loop, nested inside the serial engine's completion-check slices
 	// so early termination happens at the very same boundaries.
@@ -404,9 +446,9 @@ func runSharded(cfg RunConfig) *Results {
 			// Idle jump: nothing can execute before the earliest pending
 			// event T*, and events at T* export handoffs at ≥ T*+Δ, so the
 			// epoch may end at max(now+Δ, T*) without losing causality.
-			tstar, any := sr.nextEventAt()
+			tstar := sr.nextEventAt()
 			next := now + sr.delta
-			if any && tstar > next {
+			if tstar != noEvent && tstar > next {
 				next = tstar
 			}
 			if sr.tree != nil {
@@ -414,22 +456,32 @@ func runSharded(cfg RunConfig) *Results {
 				// tick, so every shard's engine pauses at the tick together
 				// and the reduction runs at the barrier. The tick is itself
 				// a pending event in every engine, so tstar ≤ tickAt and
-				// the clamp never starves the inline idle jump below.
+				// the clamp never starves the idle jump.
 				if tickAt := sr.shards[0].r2.nextTick; next > tickAt {
 					next = tickAt
 				}
 			}
-			if !any || next > sliceEnd {
+			if tstar == noEvent || next > sliceEnd {
 				next = sliceEnd
 			}
-			if !any || tstar > next {
-				// No shard has work in this window: advance clocks inline
-				// instead of paying the fan-out barrier.
-				for _, st := range sr.shards {
-					st.eng.Run(next)
+			// Only shards with an event inside the window run; the others'
+			// clocks jump to its end. The epoch's phases fan out when the
+			// active shards have recently been busy enough to repay it.
+			sr.active = sr.active[:0]
+			work := uint64(0)
+			for s, st := range sr.shards {
+				if sr.nextAt[s] <= next {
+					sr.active = append(sr.active, st)
+					st.activeEpochs++
+					work += st.lastRun
+				} else {
+					st.eng.advanceTo(next)
 				}
-			} else {
-				sr.runPhase(next)
+			}
+			if len(sr.active) > 0 {
+				sr.epochs++
+				sr.wide = work >= fanoutMinEvents
+				sr.runPhase(phaseRun, next)
 				if sr.tree != nil && sr.shards[0].ctx.tickPending {
 					sr.reduceTick(next)
 				}
@@ -462,82 +514,62 @@ func runSharded(cfg RunConfig) *Results {
 	return sr.merge(end)
 }
 
-// nextEventAt returns the earliest scheduled event across all shards.
-func (sr *shardedRun) nextEventAt() (simtime.Time, bool) {
-	var min simtime.Time
-	any := false
-	for _, st := range sr.shards {
-		if at, ok := st.eng.NextEventAt(); ok && (!any || at < min) {
-			min, any = at, true
+// nextEventAt refreshes every shard's next-event time and returns the
+// earliest (noEvent when every schedule is empty).
+func (sr *shardedRun) nextEventAt() simtime.Time {
+	min := noEvent
+	for s, st := range sr.shards {
+		at, ok := st.eng.NextEventAt()
+		if !ok {
+			at = noEvent
+		}
+		sr.nextAt[s] = at
+		if at < min {
+			min = at
 		}
 	}
-	return min, any
+	return min
 }
 
-// runPhase executes one parallel epoch: every shard advances to `until`.
-// Workers claim shards off the atomic cursor, so each shard is driven by
-// exactly one goroutine; the WaitGroup is the epoch barrier (and the
-// happens-before edge for the orchestrator's serial drain).
-func (sr *shardedRun) runPhase(until simtime.Time) {
-	sr.phaseKind = phaseRun
-	sr.phaseUntil = until
-	sr.barrier()
-}
-
-// applyRunPhase re-arms every shard's senders from the published global
-// allocation and resumes the interrupted run window, as one fused parallel
-// phase. Fusing is safe: the apply schedules only shard-local events, the
-// epoch clamp pins the tick to the window's end (until == tick time), so
-// the resume only processes the tick instant's remaining same-timestamp
+// runPhase executes one phase over the active shards and returns when all
+// of them have finished it (the happens-before edge for the orchestrator's
+// serial drain). A phase over a single shard, one too small to repay a
+// fan-out, or a run without helpers executes inline and wakes nobody; any
+// other is published to the helpers — at most one per shard beyond the
+// orchestrator's own — and the orchestrator claims shards alongside them.
+//
+// phaseApplyRun re-arms every shard's senders from the published global
+// allocation and resumes the interrupted run window, as one fused phase.
+// Fusing is safe: the apply schedules only shard-local events, the epoch
+// clamp pins the tick to the window's end (until == tick time), so the
+// resume only processes the tick instant's remaining same-timestamp
 // events, whose cross-shard effects land ≥ Δ past the barrier anyway.
-func (sr *shardedRun) applyRunPhase(until simtime.Time) {
-	sr.phaseKind = phaseApplyRun
-	sr.phaseUntil = until
-	sr.barrier()
-}
-
-// barrier runs the current phase over all shards and waits for completion.
-// With one worker the phase runs inline; otherwise the parked pool is
-// woken with one token per worker.
-func (sr *shardedRun) barrier() {
-	if sr.workers <= 1 {
-		for _, st := range sr.shards {
-			sr.phaseShard(st)
-		}
+func (sr *shardedRun) runPhase(kind int, until simtime.Time) {
+	sr.phaseKind, sr.phaseUntil = kind, until
+	if n := len(sr.active); n > 1 && sr.wide && sr.workers.helpers > 0 {
+		sr.workers.do(n)
 		return
 	}
-	sr.next.Store(0)
-	n := sr.workers
-	sr.wg.Add(n)
-	for w := 0; w < n; w++ {
-		sr.startCh <- struct{}{}
+	t := wallNs()
+	for _, st := range sr.active {
+		t = sr.phaseShard(st, t)
 	}
-	sr.wg.Wait()
 }
 
-// phaseShard executes the current phase on one shard.
-func (sr *shardedRun) phaseShard(st *shardState) {
+// phaseShard executes the current phase on one shard. t is the worker's
+// latest clock reading: the shard is charged from there and the new reading
+// returned, so running k shards reads the clock k+1 times.
+func (sr *shardedRun) phaseShard(st *shardState, t int64) int64 {
 	if sr.phaseKind == phaseApplyRun {
-		st.applyTick()
+		st.r2.applyAggregatedTick()
+		now := wallNs()
+		st.ctx.ctrlNs += now - t
+		t = now
 	}
-	st.run(sr.phaseUntil)
-}
-
-// workerLoop is one persistent pool worker: it parks on startCh, and on
-// each wake-up claims shards off the atomic cursor until the phase is
-// exhausted. The loop exits when the orchestrator closes startCh at the
-// end of the run.
-func (sr *shardedRun) workerLoop() {
-	for range sr.startCh {
-		for {
-			i := int(sr.next.Add(1)) - 1
-			if i >= len(sr.shards) {
-				break
-			}
-			sr.phaseShard(sr.shards[i])
-		}
-		sr.wg.Done()
-	}
+	st.lastRun = st.eng.Run(sr.phaseUntil)
+	now := wallNs()
+	st.busyNs += now - t
+	return now
 }
 
 // reduceTick runs the cross-shard half of an aggregated recomputation tick:
@@ -561,22 +593,18 @@ func (sr *shardedRun) reduceTick(until simtime.Time) {
 		if parent < 0 {
 			continue // the root
 		}
-		//lint:ignore no-wallclock control-plane cost accounting only; excluded from Results byte-identity
-		t0 := time.Now()
+		t0 := wallNs()
 		sr.shards[parent].ctx.summary.Merge(&sr.shards[child].ctx.summary)
-		//lint:ignore no-wallclock,unit-taint control-plane cost accounting in wall nanoseconds; excluded from Results byte-identity
-		sr.shards[parent].ctx.ctrlNs += time.Since(t0).Nanoseconds()
+		sr.shards[parent].ctx.ctrlNs += wallNs() - t0
 	}
 	root := sr.shards[sr.tree.Root()]
-	//lint:ignore no-wallclock control-plane cost accounting only; excluded from Results byte-identity
-	t0 := time.Now()
+	t0 := wallNs()
 	global := root.r2.computeGlobal(&root.ctx.summary)
-	//lint:ignore no-wallclock,unit-taint control-plane cost accounting in wall nanoseconds; excluded from Results byte-identity
-	root.ctx.ctrlNs += time.Since(t0).Nanoseconds()
+	root.ctx.ctrlNs += wallNs() - t0
 	for _, st := range sr.shards {
 		st.ctx.globalAlloc = global
 	}
-	sr.applyRunPhase(until)
+	sr.runPhase(phaseApplyRun, until) // every shard paused at the tick, so all are active
 }
 
 // foldTicks folds the shards' per-tick view-hash logs into the running
@@ -614,46 +642,58 @@ func (sr *shardedRun) foldTicks() {
 	}
 }
 
-// drain moves every epoch's boundary handoffs into their destination
-// shards, serially and deterministically: per destination, handoffs are
-// gathered in source-shard order and stably sorted by (fire time, emission
-// time), so the ingest order — and with it the destination engine's FIFO
-// tie-break — is (at, emission time, source shard, emission index)
-// regardless of worker count. Ordering by emission time matches the serial
-// engine's schedule-order tie-break whenever the emission instants differ;
-// only simultaneous emissions from different shards retain the
-// (source shard, emission index) policy (see DESIGN.md §15).
+// drain moves the epoch's boundary handoffs into their destination shards,
+// serially and deterministically. Only shards that ran can have exported,
+// and each lists the mailboxes it made non-empty, so an epoch without
+// crossings costs one pass over the active set. Per destination, handoffs
+// are gathered in source-shard order and ordered by orderHandoffs, so the
+// ingest order — and with it the destination engine's FIFO tie-break — is
+// (at, emission time, source shard, emission index) regardless of worker
+// count. Ordering by emission time matches the serial engine's
+// schedule-order tie-break whenever the emission instants differ; only
+// simultaneous emissions from different shards retain the (source shard,
+// emission index) policy (see DESIGN.md §15).
 //
 //r2c2:boundary
 func (sr *shardedRun) drain() {
 	sr.foldTicks() // every shard is at the barrier: fold this epoch's ticks
-	for d := range sr.shards {
-		buf := sr.gather[:0]
-		for s := range sr.shards {
-			if s == d {
-				continue
+	for _, st := range sr.active {
+		for _, d := range st.ctx.dirty {
+			if len(sr.inbox[d]) == 0 {
+				sr.dirtyDst = append(sr.dirtyDst, d)
 			}
-			q := sr.shards[s].ctx.out[d]
+			sr.inbox[d] = append(sr.inbox[d], st.ctx.out[d])
+		}
+		st.ctx.dirty = st.ctx.dirty[:0]
+	}
+	for _, d := range sr.dirtyDst {
+		buf := sr.gather[:0]
+		for _, q := range sr.inbox[d] {
 			for i := 0; i < q.n; i++ {
 				buf = append(buf, &q.slots[i])
 			}
+			q.reset() // the slots stay valid until the source's next epoch
 		}
-		sort.SliceStable(buf, func(i, j int) bool {
-			if buf[i].at != buf[j].at {
-				return buf[i].at < buf[j].at
-			}
-			return buf[i].emit < buf[j].emit
-		})
+		sr.inbox[d] = sr.inbox[d][:0]
+		orderHandoffs(buf)
 		for _, h := range buf {
 			sr.shards[d].ingest(h)
 		}
-		for s := range sr.shards {
-			if s != d {
-				sr.shards[s].ctx.out[d].reset()
-			}
-		}
 		sr.gather = buf[:0]
 	}
+	sr.dirtyDst = sr.dirtyDst[:0]
+}
+
+// orderHandoffs stably sorts one destination's gathered handoffs by (fire
+// time, emission time), in place and without allocating: equal keys keep
+// their gather order, which is (source shard, emission index).
+func orderHandoffs(buf []*handoff) {
+	slices.SortStableFunc(buf, func(a, b *handoff) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
+		}
+		return cmp.Compare(a.emit, b.emit)
+	})
 }
 
 // merge assembles serial-identical Results from the shard set.
@@ -738,20 +778,20 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 	}
 	res.MaxQueue.AddAll(maxq)
 
+	nodes := make([]int, S)
+	for _, s := range sr.part.ShardAssignment() {
+		nodes[s]++
+	}
 	for s, st := range sr.shards {
-		nodes := 0
-		for _, a := range sr.part.ShardAssignment() {
-			if a == int32(s) {
-				nodes++
-			}
-		}
 		res.ShardStats = append(res.ShardStats, ShardStat{
-			Shard:    s,
-			Nodes:    nodes,
-			Events:   st.eng.Processed(),
-			Handoffs: st.ctx.handoffs,
-			BusyNs:   st.busyNs,
-			CtrlNs:   st.ctx.ctrlNs,
+			Shard:        s,
+			Nodes:        nodes[s],
+			Events:       st.eng.Processed(),
+			Handoffs:     st.ctx.handoffs,
+			Epochs:       sr.epochs,
+			ActiveEpochs: st.activeEpochs,
+			BusyNs:       st.busyNs,
+			CtrlNs:       st.ctx.ctrlNs,
 		})
 	}
 	return res

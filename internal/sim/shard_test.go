@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -16,10 +19,16 @@ import (
 // smallest fabric with a non-trivial rack partition and multiple boundary
 // links per shard pair.
 func multiRack(t testing.TB, racks int) *topology.Graph {
+	return rackRing(t, racks, 3, 2, [2]topology.NodeID{0, 4}, [2]topology.NodeID{5, 1})
+}
+
+// rackRing joins `racks` k-ary dims-cubes in a ring, each to its successor
+// by two cables: node a[0] to the successor's a[1], and b[0] to its b[1].
+func rackRing(t testing.TB, racks, k, dims int, a, b [2]topology.NodeID) *topology.Graph {
 	t.Helper()
 	subs := make([]*topology.Graph, racks)
 	for i := range subs {
-		g, err := topology.NewTorus(3, 2)
+		g, err := topology.NewTorus(k, dims)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,8 +38,8 @@ func multiRack(t testing.TB, racks int) *topology.Graph {
 	for i := 0; i < racks; i++ {
 		j := (i + 1) % racks
 		bridges = append(bridges,
-			topology.Bridge{RackA: i, RackB: j, NodeA: 0, NodeB: 4},
-			topology.Bridge{RackA: i, RackB: j, NodeA: 5, NodeB: 1},
+			topology.Bridge{RackA: i, RackB: j, NodeA: a[0], NodeB: a[1]},
+			topology.Bridge{RackA: i, RackB: j, NodeA: b[0], NodeB: b[1]},
 		)
 	}
 	g, err := topology.ConnectRacks(subs, bridges)
@@ -67,11 +76,22 @@ func shardWorkload(t testing.TB, shards int) RunConfig {
 	}
 }
 
+// fanOutEveryPhase lowers the fan-out threshold for the test's duration so
+// that every phase with two or more active shards runs on the helper
+// goroutines: the oracle fabrics are too small to reach the default, and an
+// oracle whose shards never run concurrently proves nothing under -race.
+func fanOutEveryPhase(t *testing.T) {
+	old := fanoutMinEvents
+	fanoutMinEvents = 0
+	t.Cleanup(func() { fanoutMinEvents = old })
+}
+
 // TestShardedByteIdentical is the sharded engine's differential oracle: the
 // serial engine (Shards ≤ 1) and the sharded engine at several worker
 // counts must produce byte-identical Results dumps. The logical partition
 // is fixed (per rack), so the worker count must be invisible.
 func TestShardedByteIdentical(t *testing.T) {
+	fanOutEveryPhase(t)
 	serial := Run(shardWorkload(t, 1))
 	if serial.Completed == 0 {
 		t.Fatal("workload completed no flows; the comparison would be vacuous")
@@ -118,6 +138,7 @@ func firstDiffLine(a, b []byte) int {
 // fabric reroute and §3.2 re-announce broadcasts must all stay in lockstep
 // across shards.
 func TestShardedFaultsByteIdentical(t *testing.T) {
+	fanOutEveryPhase(t)
 	sched := faults.Schedule{Events: []faults.Event{
 		// Rack 0's node 0 bridges to rack 1's node 4 (vertex 13): kill the
 		// boundary cable itself, then repair it.
@@ -185,4 +206,85 @@ func TestShardedRejectsUnshardableConfigs(t *testing.T) {
 		Nodes: g.Nodes(), MeanInterval: 200 * simtime.Microsecond, Count: 10, Seed: 7,
 	}, 64<<10)
 	expectPanic("single-rack", single)
+}
+
+// TestOrderHandoffsMatchesStableSort holds the drain's allocation-free
+// ordering against the reflective stable sort it replaced, kept here as the
+// reference: random per-destination gathers from 3–6 source shards, each
+// source's run in clock order, with fire and emission times drawn from a
+// handful of values so exact (at, emit) ties within and across sources are
+// the common case. Tied handoffs must keep gather order — (source shard,
+// emission index).
+func TestOrderHandoffsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		sources := 3 + rng.Intn(4)
+		var slots []handoff
+		for s := 0; s < sources; s++ {
+			emit := simtime.Time(0)
+			for i, n := 0, rng.Intn(60); i < n; i++ {
+				emit += simtime.Time(rng.Intn(3)) // nondecreasing: a source exports in clock order
+				slots = append(slots, handoff{
+					at:   emit + simtime.Time(1+rng.Intn(4))*100, // per-link delays differ: not sorted by at
+					emit: emit,
+					src:  topology.NodeID(s),
+					seq:  uint32(i),
+				})
+			}
+		}
+		got := make([]*handoff, len(slots))
+		for i := range slots {
+			got[i] = &slots[i]
+		}
+		want := append([]*handoff(nil), got...)
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].at != want[j].at {
+				return want[i].at < want[j].at
+			}
+			return want[i].emit < want[j].emit
+		})
+		orderHandoffs(got)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (%d handoffs from %d sources): position %d holds source %d #%d (at %d, emit %d), stable sort puts source %d #%d (at %d, emit %d) there",
+					trial, len(slots), sources, i, got[i].src, got[i].seq, got[i].at, got[i].emit,
+					want[i].src, want[i].seq, want[i].at, want[i].emit)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { orderHandoffs(nil) }); allocs != 0 {
+		t.Fatalf("orderHandoffs allocates %v objects per call", allocs)
+	}
+}
+
+// TestShardedAllocationsWithinTwiceSerial is ROADMAP item 2's allocation
+// exit criterion as a gate: on BenchmarkShardedEventThroughput's fabric
+// (8 racks of 4-ary 3-cubes in a ring) at a reduced flow count, the sharded
+// engine may allocate at most twice the objects the serial engine does for
+// the same inputs. Per-shard routing tables, FIBs and φ caches, or a drain
+// that allocates per epoch, each break it by a wide margin.
+func TestShardedAllocationsWithinTwiceSerial(t *testing.T) {
+	g := rackRing(t, 8, 4, 3, [2]topology.NodeID{0, 7}, [2]topology.NodeID{11, 4})
+	cfg := shardWorkload(t, 1)
+	cfg.Graph = g
+	cfg.Arrivals = trafficgen.FixedSize(trafficgen.PoissonConfig{
+		Nodes: g.Nodes(), MeanInterval: 50 * simtime.Microsecond, Count: 60, Seed: 5,
+	}, 128<<10)
+	cfg.MaxTime = 50 * simtime.Millisecond
+	mallocs := func(shards int) uint64 {
+		run := cfg
+		run.Shards = shards
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if res := Run(run); res.Completed != len(run.Arrivals) {
+			t.Fatalf("shards=%d: %d of %d flows completed", shards, res.Completed, len(run.Arrivals))
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	serial, sharded := mallocs(1), mallocs(2)
+	t.Logf("serial %d objects, sharded %d (%.2fx)", serial, sharded, float64(sharded)/float64(serial))
+	if sharded > 2*serial {
+		t.Fatalf("sharded run allocated %d objects, more than twice the serial run's %d", sharded, serial)
+	}
 }

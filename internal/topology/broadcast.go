@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 )
 
 // BroadcastTree is a shortest-path spanning tree rooted at Root, used to
@@ -162,51 +163,60 @@ func buildOneTree(g *Graph, src NodeID, id uint8, rng *rand.Rand, sc *treeScratc
 // multi-rack scale where only the sources that actually broadcast need
 // trees. A source's trees are seeded by rngSeed+src independent of build
 // order, so a lazy FIB forwards byte-identically to the old eager one.
-// Lookups are guarded by an RWMutex (read-locked on the hit path) because
-// the emulator's node goroutines share one FIB; the simulator's per-shard
-// FIBs see only uncontended locks.
+//
+// A FIB is safe for concurrent use and its hit path takes no lock: the
+// emulator's node goroutines and the sharded simulator's workers all share
+// one. Each source owns a dense slot published with an atomic pointer once
+// its trees are built; the mutex serialises first builds only, so a lookup
+// of a built source — hit or miss — neither locks nor builds again.
 type BroadcastFIB struct {
-	mu             sync.RWMutex
-	trees          map[fibKey]*BroadcastTree
 	g              *Graph
 	treesPerSource int
 	rngSeed        int64
-}
 
-type fibKey struct {
-	src  NodeID
-	tree uint8
+	mu    sync.Mutex                         // first build of a source's trees
+	slots []atomic.Pointer[[]*BroadcastTree] // per source; nil until built, immutable after
 }
 
 // NewBroadcastFIB prepares a FIB serving treesPerSource broadcast trees for
 // every endpoint node; trees are built per source on first use.
 func NewBroadcastFIB(g *Graph, treesPerSource int, rngSeed int64) *BroadcastFIB {
 	return &BroadcastFIB{
-		trees:          make(map[fibKey]*BroadcastTree),
 		g:              g,
 		treesPerSource: treesPerSource,
 		rngSeed:        rngSeed,
+		slots:          make([]atomic.Pointer[[]*BroadcastTree], g.Nodes()),
 	}
 }
 
 // lookup returns the tree for <src, treeID>, building src's trees on first
 // access.
 func (f *BroadcastFIB) lookup(src NodeID, treeID uint8) (*BroadcastTree, bool) {
-	f.mu.RLock()
-	t, ok := f.trees[fibKey{src: src, tree: treeID}]
-	f.mu.RUnlock()
-	if ok || int(src) < 0 || int(src) >= f.g.Nodes() {
-		return t, ok
+	if int(src) < 0 || int(src) >= len(f.slots) {
+		return nil, false
 	}
+	trees := f.slots[src].Load()
+	if trees == nil {
+		trees = f.build(src)
+	}
+	if int(treeID) >= len(*trees) {
+		return nil, false
+	}
+	return (*trees)[treeID], true
+}
+
+// build constructs and publishes src's trees, once: concurrent first
+// lookups of one source serialise on the mutex and all but the first find
+// the slot filled.
+func (f *BroadcastFIB) build(src NodeID) *[]*BroadcastTree {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if t, ok = f.trees[fibKey{src: src, tree: 0}]; !ok {
-		for _, bt := range BuildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src)) {
-			f.trees[fibKey{src: src, tree: bt.ID}] = bt
-		}
+	if trees := f.slots[src].Load(); trees != nil {
+		return trees
 	}
-	t, ok = f.trees[fibKey{src: src, tree: treeID}]
-	return t, ok
+	trees := BuildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src))
+	f.slots[src].Store(&trees)
+	return &trees
 }
 
 // NextHops returns the links on which node `at` must forward a broadcast

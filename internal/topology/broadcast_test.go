@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -168,4 +171,55 @@ func TestBuildBroadcastTreesPanicsOnBadCount(t *testing.T) {
 		}
 	}()
 	BuildBroadcastTrees(g, 0, 0, 1)
+}
+
+// The sharded simulator's workers and the emulator's node goroutines share
+// one FIB: hits, misses (unknown tree, out-of-range source) and racing
+// first builds from 8 goroutines must agree with a FIB built eagerly on one
+// goroutine, and every goroutine must see the same tree objects — a source
+// is built exactly once, and a miss on a built source never rebuilds it.
+// Run with -race.
+func TestBroadcastFIBConcurrent(t *testing.T) {
+	g, err := NewTorus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trees, seed, workers = 3, 7, 8
+	eager := NewBroadcastFIB(g, trees, seed)
+	for src := 0; src < g.Nodes(); src++ {
+		eager.Tree(NodeID(src), 0)
+	}
+	fib := NewBroadcastFIB(g, trees, seed)
+	seen := make([][]*BroadcastTree, workers) // per worker: tree object per <src, id>
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			seen[w] = make([]*BroadcastTree, g.Nodes()*trees)
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 4000; i++ {
+				src := NodeID(rng.Intn(g.Nodes()+2) - 1) // -1 and Nodes() miss
+				id := uint8(rng.Intn(trees + 2))         // trees, trees+1 miss
+				at := NodeID(rng.Intn(g.Nodes()))
+				got, ok := fib.NextHops(src, id, at)
+				want, wantOK := eager.NextHops(src, id, at)
+				if ok != wantOK || !reflect.DeepEqual(got, want) {
+					t.Errorf("NextHops(%d, %d, %d) = %v, %v; eager FIB says %v, %v", src, id, at, got, ok, want, wantOK)
+					return
+				}
+				if ok {
+					seen[w][int(src)*trees+int(id)], _ = fib.Tree(src, id)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range seen {
+		for i, tree := range seen[w] {
+			if final, _ := fib.Tree(NodeID(i/trees), uint8(i%trees)); tree != nil && tree != final {
+				t.Fatalf("worker %d was served a tree object for src %d tree %d that the FIB no longer holds: the source was built twice", w, i/trees, i%trees)
+			}
+		}
+	}
 }
