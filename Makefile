@@ -25,7 +25,9 @@ race:
 	$(GO) test -race ./...
 
 # The CI race job: the full suite under the race detector with the
-# packet-level sweeps and GA searches at reduced scale.
+# packet-level sweeps and GA searches at reduced scale. Nothing in
+# internal/sim but the selector sweep shortens under -short, so the port
+# state machine, tie-break, record-size and reference-heap tests all run.
 race-short:
 	$(GO) test -race -short ./...
 

@@ -12,7 +12,7 @@ const sampleOutput = `goos: linux
 goarch: amd64
 pkg: r2c2
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
-BenchmarkSimulatorEventThroughput 	      30	  38674206 ns/op	     74008 events/run	 3076612 B/op	   54502 allocs/op
+BenchmarkSimulatorEventThroughput 	      30	  38674206 ns/op	     74008 events/run	     61250 hops/run	       631.4 ns/hop	 3076612 B/op	   54502 allocs/op
 BenchmarkIncrementalChurn/incremental-8 	  120000	      9000 ns/op	     120 B/op	       3 allocs/op
 BenchmarkEmuDataPath-8 	      50	  21000000 ns/op	  49.92 MB/s	  2048 B/op	      12 allocs/op
 PASS
@@ -32,7 +32,8 @@ func TestRunParsesBenchOutput(t *testing.T) {
 	if ev == nil {
 		t.Fatalf("missing event-throughput entry: %v", got)
 	}
-	if ev["ns/op"] != 38674206 || ev["allocs/op"] != 54502 || ev["events/run"] != 74008 {
+	if ev["ns/op"] != 38674206 || ev["allocs/op"] != 54502 || ev["events/run"] != 74008 ||
+		ev["hops/run"] != 61250 || ev["ns/hop"] != 631.4 {
 		t.Fatalf("wrong metrics: %v", ev)
 	}
 	// The -GOMAXPROCS suffix is stripped, sub-benchmark names kept.

@@ -45,10 +45,13 @@ func controlPlaneWorkload(t testing.TB, racks, shards int) RunConfig {
 // mirrors is dark (the tree is orchestration structure, not traffic;
 // reduction.go documents the independence this pins). The ring keeps the
 // fabric connected through racks 3 and 2. One cable is restored while the
-// other is still down and then fails again, so the run crosses four reroute
-// generations — the last the same failure set as the second — each built
-// once in the shards' shared fabric cache and taken by all four shards, in
-// whatever order the workers reach it.
+// other is still down, fails again and is restored again, so the run crosses
+// five reroute generations — the fourth the same failure set as the second,
+// the fifth as the third — each built once in the shards' shared fabric
+// cache and taken by all four shards, in whatever order the workers reach
+// it. (The last repair is the event that used to make serial and sharded
+// runs differ in the Reorder sample, through an exact-picosecond arrival tie
+// between shards that only the link key resolves the serial way.)
 func controlPlaneFaults(racks int) faults.Schedule {
 	if racks == 4 {
 		return faults.Schedule{Events: []faults.Event{
@@ -56,6 +59,7 @@ func controlPlaneFaults(racks int) faults.Schedule {
 			{At: 3 * time.Millisecond, Kind: faults.LinkDown, A: 5, B: 10, Detect: 200 * time.Microsecond},
 			{At: 4 * time.Millisecond, Kind: faults.LinkRepair, A: 0, B: 13, Detect: 200 * time.Microsecond},
 			{At: 5 * time.Millisecond, Kind: faults.LinkDown, A: 0, B: 13, Detect: 200 * time.Microsecond},
+			{At: 7 * time.Millisecond, Kind: faults.LinkRepair, A: 0, B: 13, Detect: 200 * time.Microsecond},
 		}}
 	}
 	// 2 racks: four bridge cables join them; failing one leaves the

@@ -19,8 +19,8 @@ import (
 // Two runs of the same configuration must produce equal dumps.
 func dumpResults(res *Results) []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "transport=%v completed=%d incomplete=%d events=%d end=%d\n",
-		res.Transport, res.Completed, res.Incomplete, res.Events, res.EndTime)
+	fmt.Fprintf(&b, "transport=%v completed=%d incomplete=%d events=%d hops=%d end=%d\n",
+		res.Transport, res.Completed, res.Incomplete, res.Events, res.Hops, res.EndTime)
 	fmt.Fprintf(&b, "reroutes=%d drops=%d retx=%d bcast=%d recomp=%d rounds=%d\n",
 		res.FailureReroutes, res.Drops, res.Retransmissions, res.BcastBytes,
 		res.Recomputations, res.RecomputeRounds)

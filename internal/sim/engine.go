@@ -17,60 +17,68 @@ import (
 )
 
 // eventKind discriminates the typed event records of the hot path. The
-// per-packet events (transmit completion, arrival, pacing) carry their
-// receiver and packet as plain struct fields and are dispatched through a
-// switch, so scheduling them allocates nothing; rare control-plane events
-// (recomputation ticks, failure detection, drop notifications) still use
-// evFunc closures.
+// per-packet events (arrival, port wake-up, pacing, timeouts) carry their
+// receiver in the record itself and are dispatched through a switch, so
+// scheduling them allocates nothing; rare control-plane events
+// (recomputation ticks, failure detection, drop notifications) are evFunc
+// closures.
 type eventKind uint8
 
 const (
 	evFunc   eventKind = iota // generic callback (cold path)
-	evTxDone                  // a port finished serialising pkt
-	evArrive                  // pkt reaches node after propagation
-	evSend                    // R2C2 token-bucket pacing: transmit sf's next packet
-	evRTO    eventKind = 4    // R2C2 reliability retransmission timeout (u64 = timer generation)
-	evTCPRTO eventKind = 5    // TCP retransmission timeout (u64 = timer generation)
+	evTxDone                  // a port's serialisation ended with packets queued behind it
+	evArrive                  // a packet reaches node after serialisation + propagation
+	evSend                    // R2C2 token-bucket pacing: transmit the flow's next packet
+	evRTO                     // R2C2 reliability retransmission timeout
+	evTCPRTO                  // TCP retransmission timeout
 )
 
-// event is one scheduled typed record. Only the fields its kind names are
-// meaningful; events are stored by value in the engine's heap, so pushing
-// one never boxes through an interface or captures a closure.
+// event is one scheduled typed record, 48 bytes: it is written in place
+// into the wheel's arena node by arm and copied out once, at pop. Dispatch
+// order is ascending (at, emit, tie, seq).
 type event struct {
-	at  simtime.Time
-	seq uint64 // FIFO tie-break for equal timestamps: determinism
+	at simtime.Time
 
-	// emit is the simulated time the event was scheduled at — the engine
-	// clock when schedule() ran, or the source shard's clock for a
-	// cross-shard handoff (scheduleHandoff). The comparator orders equal
-	// timestamps by (emit, seq) instead of seq alone. For any one engine
-	// emit is monotone in seq (the clock never runs backwards between
-	// schedule calls), so serial dispatch order is unchanged; the stamp
-	// only matters for ingested handoffs, whose fresh ingest-time seq
-	// would otherwise misplace them among equal-timestamp local events —
-	// carrying the emission time restores the serial engine's global
-	// emission order on exact-picosecond cross-shard ties.
+	// emit is the simulated time the event was emitted at: the engine clock
+	// when it was scheduled, except that an arrival is stamped with the end
+	// of its serialisation and a port wake-up with the start of it — the
+	// instants the two would have been scheduled at, had the transmission
+	// been stepped through event by event. Stamps travel verbatim through
+	// the sharded engine's boundary queues, so equal timestamps order the
+	// same way in every shard as in a serial run.
 	emit simtime.Time
 
-	kind eventKind
+	seq uint64 // schedule order: the last tie-break, and the cancel handle's check
+
 	node topology.NodeID // evArrive: receiving node
-	u64  uint64          // evRTO/evTCPRTO: timer generation
-	pkt  *Packet         // evTxDone, evArrive
-	port *port           // evTxDone
-	rn   *r2c2Node       // evSend, evRTO
-	sf   *senderFlow     // evSend, evRTO
-	ts   *tcpSender      // evTCPRTO
-	fn   func()          // evFunc
+
+	// tk packs the tie key (upper 24 bits) over the kind (low 8). The tie
+	// key is link+1 on events emitted by a link — arrivals, and the
+	// reflood a dropped broadcast triggers — and 0 on all others: what
+	// orders two events that tie on (at, emit) must not be seq when either
+	// may have crossed a shard boundary, because ingest assigns seq anew.
+	// A link serialises, so it never ties with itself.
+	tk uint32
+
+	// recv is the kind's receiver: *Packet (evArrive), *port (evTxDone),
+	// *senderFlow (evSend, evRTO), *tcpSender (evTCPRTO), func() (evFunc).
+	// All are pointer-shaped, so the conversion never allocates.
+	recv any
+}
+
+func (ev *event) kind() eventKind { return eventKind(ev.tk) }
+func (ev *event) tie() uint32     { return ev.tk >> 8 }
+
+// tieKey is the tk of an event of the given kind emitted by link lid.
+func tieKey(lid topology.LinkID, kind eventKind) uint32 {
+	return uint32(lid+1)<<8 | uint32(kind)
 }
 
 // Engine is a deterministic discrete-event scheduler with a picosecond
-// clock. The zero value is ready to use and schedules through the
-// hierarchical timer wheel (wheel.go); UseLegacyHeap switches a fresh
-// engine back to the value min-heap, kept as the differential oracle for
-// the wheel (scheduler_oracle_test.go). Typed events dispatch through
-// receivers registered by NewNetwork / NewR2C2 / NewTCP. One engine per
-// simulation goroutine: the sharded engine (ROADMAP) depends on no other
-// goroutine reaching it.
+// clock, built on a hierarchical timer wheel (wheel.go). The zero value is
+// ready to use. Typed events dispatch through receivers registered by
+// NewNetwork / NewR2C2 / NewTCP. One engine per simulation goroutine: the
+// sharded engine depends on no other goroutine reaching it.
 //
 //r2c2:shardowned — created and driven by one goroutine
 type Engine struct {
@@ -88,26 +96,11 @@ type Engine struct {
 	// reduction has published the global allocation back.
 	stopReq bool
 
-	legacyHeap bool
-	events     []event // legacy binary min-heap by (at, seq)
-
 	// Typed-event receivers, registered at construction time by the
 	// same-package wiring (one Network and at most one transport per run).
 	net *Network
 	r2  *R2C2
 	tcp *TCP
-}
-
-// UseLegacyHeap switches the engine to the value min-heap scheduler that
-// predates the timer wheel. The heap keeps superseded timers as
-// generation-guarded tombstones (cancelTimer becomes a no-op), so
-// Processed() counts their no-op fires; live-event dispatch order is
-// byte-identical to the wheel's. Must be called before any scheduling.
-func (e *Engine) UseLegacyHeap() {
-	if e.nextID != 0 {
-		panic("sim: UseLegacyHeap after events were scheduled")
-	}
-	e.legacyHeap = true
 }
 
 // Now returns the current simulated time.
@@ -119,7 +112,7 @@ func (e *Engine) Processed() uint64 { return e.count }
 // Schedule runs fn at the given absolute time. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) Schedule(at simtime.Time, fn func()) {
-	e.schedule(at, event{kind: evFunc, fn: fn})
+	e.arm(at, e.now, uint32(evFunc), 0, fn)
 }
 
 // After schedules fn delay from now. A delay that would overflow
@@ -127,50 +120,35 @@ func (e *Engine) Schedule(at simtime.Time, fn func()) {
 // would otherwise surface as a misleading scheduled-in-the-past panic —
 // or, were the past-check ever relaxed, silently corrupt event order).
 func (e *Engine) After(delay simtime.Time, fn func()) {
-	e.after(delay, event{kind: evFunc, fn: fn})
+	e.after(delay, evFunc, fn)
 }
 
-// schedule files a typed event record at an absolute time and returns its
-// cancellation handle. Under the legacy heap the handle is inert:
-// cancelTimer no-ops and callers fall back to generation guards.
-func (e *Engine) schedule(at simtime.Time, ev event) timerHandle {
-	return e.scheduleHandoff(at, e.now, ev)
-}
-
-// scheduleHandoff is schedule with an explicit emission stamp: the sharded
-// engine's ingest path files boundary handoffs with the source shard's
-// emission time, so equal-timestamp ties against local events resolve by
-// global emission order exactly as they would have in a serial run. All
-// local scheduling goes through schedule(), which stamps the current clock.
-func (e *Engine) scheduleHandoff(at, emit simtime.Time, ev event) timerHandle {
+// arm files an event and returns its cancellation handle. The record is
+// written straight into the wheel's arena; nothing is passed or copied by
+// value on the way.
+func (e *Engine) arm(at, emit simtime.Time, tk uint32, node topology.NodeID, recv any) timerHandle {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	ev.at = at
-	ev.emit = emit
-	ev.seq = e.nextID
+	seq := e.nextID
 	e.nextID++
-	if e.legacyHeap {
-		e.push(ev)
-		return timerHandle{}
-	}
-	return e.wheel.schedule(ev)
+	return timerHandle{idx: e.wheel.arm(at, emit, seq, tk, node, recv), seq: seq}
 }
 
-// after files a typed event record delay from now.
-func (e *Engine) after(delay simtime.Time, ev event) timerHandle {
+// after files an untied event of the given kind delay from now.
+func (e *Engine) after(delay simtime.Time, kind eventKind, recv any) timerHandle {
 	at := e.now + delay
 	if delay >= 0 && at < e.now {
 		panic("sim: delay overflows simulated time")
 	}
-	return e.schedule(at, ev)
+	return e.arm(at, e.now, uint32(kind), 0, recv)
 }
 
 // cancelTimer removes a scheduled event by handle. Stale or zero handles
-// (already fired, already cancelled, or issued by the legacy heap) are
-// ignored, so callers may cancel unconditionally.
+// (already fired, already cancelled) are ignored, so callers may cancel
+// unconditionally and a cancelled timer can never fire.
 func (e *Engine) cancelTimer(h timerHandle) {
-	if h.idx != 0 && !e.legacyHeap {
+	if h.idx != 0 {
 		e.wheel.cancel(h)
 	}
 }
@@ -180,70 +158,7 @@ func (e *Engine) cancelTimer(h timerHandle) {
 // it to jump idle shards across event-free stretches instead of stepping
 // fixed lookahead windows through them.
 func (e *Engine) NextEventAt() (simtime.Time, bool) {
-	if e.legacyHeap {
-		if len(e.events) == 0 {
-			return 0, false
-		}
-		return e.events[0].at, true
-	}
 	return e.wheel.peekAt()
-}
-
-// less orders the heap by timestamp, then emission time, then insertion
-// sequence. Locally scheduled events have emit monotone in seq, so the
-// emission key is a no-op for serial runs (the order is exactly the old
-// (at, seq)); it only separates ingested cross-shard handoffs from local
-// events at the same picosecond — by the global emission order the serial
-// engine would have used.
-func (e *Engine) less(i, j int) bool {
-	a, b := &e.events[i], &e.events[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.emit != b.emit {
-		return a.emit < b.emit
-	}
-	return a.seq < b.seq
-}
-
-// push appends ev and restores the heap by sifting it up.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	i := len(e.events) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !e.less(i, parent) {
-			break
-		}
-		e.events[i], e.events[parent] = e.events[parent], e.events[i]
-		i = parent
-	}
-}
-
-// pop removes and returns the minimum event. The vacated slot is zeroed so
-// the heap does not retain packets or closures past their dispatch.
-func (e *Engine) pop() event {
-	top := e.events[0]
-	n := len(e.events) - 1
-	e.events[0] = e.events[n]
-	e.events[n] = event{}
-	e.events = e.events[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && e.less(l, min) {
-			min = l
-		}
-		if r < n && e.less(r, min) {
-			min = r
-		}
-		if min == i {
-			return top
-		}
-		e.events[i], e.events[min] = e.events[min], e.events[i]
-		i = min
-	}
 }
 
 // Run processes events until the queue is empty or the clock passes until.
@@ -252,30 +167,40 @@ func (e *Engine) pop() event {
 // processed by this call.
 //
 // Run is the simulator's hot loop: the annotation puts the whole typed
-// dispatch tree — heap ops, Network forwarding, both transports — under
+// dispatch tree — wheel ops, Network forwarding, both transports — under
 // the allocation budget. evFunc closures dispatch dynamically and escape
 // the static call graph, so cold control-plane callbacks stay off-budget
 // by construction; anything per-packet must use a typed event.
 //
 //r2c2:hotpath
 func (e *Engine) Run(until simtime.Time) uint64 {
-	if e.legacyHeap {
-		return e.runHeap(until)
-	}
 	start := e.count
 	for {
 		idx := e.wheel.peek()
 		if idx == 0 || e.wheel.nodes[idx-1].ev.at > until {
 			break
 		}
-		ev := e.wheel.pop()
+		ev := e.wheel.take(idx)
 		if invariantsEnabled {
 			//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
 			assertInvariant(ev.at >= e.now, "stale event pop: event at %v behind clock %v (clock must never go backwards)", ev.at, e.now)
 		}
 		e.now = ev.at
 		e.count++
-		e.dispatch(ev)
+		switch ev.kind() {
+		case evFunc:
+			ev.recv.(func())()
+		case evTxDone:
+			e.net.txDone(ev.recv.(*port))
+		case evArrive:
+			e.net.arrive(ev.node, ev.recv.(*Packet))
+		case evSend:
+			e.r2.sendNext(ev.recv.(*senderFlow))
+		case evRTO:
+			e.r2.onRTO(ev.recv.(*senderFlow))
+		case evTCPRTO:
+			e.tcp.onRTO(ev.recv.(*tcpSender))
+		}
 		if e.stopReq {
 			e.stopReq = false
 			return e.count - start
@@ -301,69 +226,11 @@ func (e *Engine) advanceTo(t simtime.Time) {
 // Calling it outside a dispatch is meaningless and therefore a bug.
 func (e *Engine) requestStop() { e.stopReq = true }
 
-// dispatch routes one popped event to its typed receiver.
-//
-//r2c2:hotpath
-func (e *Engine) dispatch(ev event) {
-	switch ev.kind {
-	case evFunc:
-		ev.fn()
-	case evTxDone:
-		e.net.transmitDone(ev.port, ev.pkt)
-	case evArrive:
-		e.net.arrive(ev.node, ev.pkt)
-	case evSend:
-		e.r2.sendNext(ev.rn, ev.sf)
-	case evRTO:
-		e.r2.onRTO(ev.rn, ev.sf, ev.u64)
-	case evTCPRTO:
-		e.tcp.onRTO(ev.ts, ev.u64)
-	}
-}
+// Pending reports whether any events remain scheduled (cancelled timers do
+// not count).
+func (e *Engine) Pending() bool { return e.wheel.count > 0 }
 
-// runHeap is Run under the legacy min-heap scheduler.
-func (e *Engine) runHeap(until simtime.Time) uint64 {
-	start := e.count
-	for len(e.events) > 0 {
-		if e.events[0].at > until {
-			break
-		}
-		ev := e.pop()
-		if invariantsEnabled {
-			//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
-			assertInvariant(ev.at >= e.now, "stale event pop: event at %v behind clock %v (clock must never go backwards)", ev.at, e.now)
-		}
-		e.now = ev.at
-		e.count++
-		e.dispatch(ev)
-		if e.stopReq {
-			e.stopReq = false
-			return e.count - start
-		}
-	}
-	if e.now < until {
-		e.now = until
-	}
-	return e.count - start
-}
-
-// Pending reports whether any events remain scheduled. Under the wheel,
-// cancelled timers do not count; under the legacy heap their tombstones do
-// (they still occupy the schedule until their no-op fire).
-func (e *Engine) Pending() bool {
-	if e.legacyHeap {
-		return len(e.events) > 0
-	}
-	return e.wheel.count > 0
-}
-
-// PendingEvents returns how many events are currently scheduled — live
-// events only under the wheel, tombstones included under the legacy heap.
-// The RTO-cancellation regression test uses this to assert the schedule
-// stays O(in-flight timers) rather than O(acks).
-func (e *Engine) PendingEvents() int {
-	if e.legacyHeap {
-		return len(e.events)
-	}
-	return e.wheel.count
-}
+// PendingEvents returns how many live events are currently scheduled. The
+// RTO-cancellation regression test uses this to assert the schedule stays
+// O(in-flight timers) rather than O(acks).
+func (e *Engine) PendingEvents() int { return e.wheel.count }

@@ -124,13 +124,22 @@ type PortStats struct {
 	SentBytes     uint64
 }
 
-// port is one output port: the transmit side of a directed link.
+// port is one output port: the transmit side of a directed link. It is
+// serialising a packet while the clock is before freeAt, and it schedules an
+// event for the end of a serialisation (evTxDone, the wake-up) only when a
+// packet waits behind the one on the wire: a lone packet costs its arrival
+// event and nothing else. PFQ ports always take the wake-up, because the
+// end of a serialisation is also where the packet's buffer credit returns.
 type port struct {
 	id     topology.LinkID
 	to     topology.NodeID
-	busy   bool
 	dead   bool // failed link: everything sent here is lost
+	wake   bool // an evTxDone is scheduled at freeAt
 	queued int  // bytes across all queues
+
+	freeAt  simtime.Time // end of the latest serialisation
+	txStart simtime.Time // start of it: the wake-up's emission stamp
+	txFlow  wire.FlowID  // PFQ: flow of the packet being serialised (its credit is released at freeAt)
 
 	fifo pktQueue // FIFO discipline
 
@@ -206,6 +215,9 @@ type Network struct {
 	Kick func(at topology.NodeID, flow wire.FlowID)
 
 	totalDrops uint64
+	// PktHops counts link traversals begun (every kind of packet): with the
+	// port wake-ups, what Engine.Processed is made of on a packet workload.
+	PktHops uint64
 	// BcastBytesOnWire accumulates broadcast bytes across all link
 	// traversals — the §3.2 / Figure 9 overhead metric.
 	BcastBytesOnWire uint64
@@ -270,6 +282,9 @@ func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
 		panic("sim: engine already drives another network")
 	}
 	eng.net = n
+	if g.NumLinks() >= 1<<24 {
+		panic("sim: more links than an event's 24-bit tie key can name")
+	}
 	n.ports = make([]*port, g.NumLinks())
 	backing := make([]port, g.NumLinks()) // one slab for all port structs
 	for lid := 0; lid < g.NumLinks(); lid++ {
@@ -434,8 +449,13 @@ func (n *Network) SetLinkDropProb(lid topology.LinkID, p float64) {
 	n.lossProb[lid] = p
 }
 
+// idle reports whether the port can start a transmission right now: nothing
+// on the wire, and no wake-up about to pick the next packet itself.
+func (p *port) idle(now simtime.Time) bool { return !p.wake && now >= p.freeAt }
+
 // enqueue appends pkt to the drop-tail queue of the given output port and
-// starts transmission if the port is idle.
+// starts transmission if the port is idle; behind a serialisation in
+// progress it makes sure the port wakes up when that ends.
 func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) bool {
 	p := n.ports[lid]
 	if n.G.Link(lid).From != at {
@@ -497,16 +517,38 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 	if p.queued > p.stats.MaxQueueBytes {
 		p.stats.MaxQueueBytes = p.queued
 	}
-	if !p.busy {
+	if p.wake {
+		return true
+	}
+	if n.Eng.now >= p.freeAt {
 		n.transmit(p)
+	} else {
+		n.armWake(p)
 	}
 	return true
 }
 
-// transmit picks the next eligible packet on the port and starts its
-// serialisation. In PFQ mode a flow whose next-hop node has no buffer room
-// is skipped (back-pressure); if every queued flow is blocked the port
-// idles until a Kick.
+// armWake schedules the port's wake-up for the end of the serialisation in
+// progress, stamped with its start: wake-ups of transmissions that end in
+// the same picosecond fire in the order the transmissions began, whenever
+// each came to be armed.
+func (n *Network) armWake(p *port) {
+	p.wake = true
+	n.Eng.arm(p.freeAt, p.txStart, uint32(evTxDone), 0, p)
+}
+
+// transmit picks the next eligible packet on the port and puts it on the
+// wire: the port is taken until freeAt, and the packet's arrival at the far
+// end — after serialisation and propagation — is the one event the hop
+// costs. In PFQ mode a flow whose next-hop node has no buffer room is
+// skipped (back-pressure); if every queued flow is blocked the port idles
+// until a Kick.
+//
+// In a sharded run a packet bound for another shard's node is exported
+// through the boundary queue instead of being scheduled locally — its
+// arrival time is more than one epoch ahead (the lookahead window is the
+// minimum boundary-link propagation delay), so the destination shard files
+// it before its epoch begins.
 func (n *Network) transmit(p *port) {
 	var pkt *Packet
 	if p.flowQ != nil {
@@ -515,17 +557,27 @@ func (n *Network) transmit(p *port) {
 		pkt = p.fifo.pop()
 	}
 	if pkt == nil {
-		p.busy = false
 		return
 	}
 	if invariantsEnabled {
 		//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
 		assertInvariant(!pkt.pooled, "transmit of pooled packet: kind %d flow %v seq %d", pkt.Kind, pkt.Flow, pkt.Seq)
 	}
-	p.busy = true
 	p.queued -= pkt.SizeBytes
-	txTime := simtime.TransmitTime(pkt.SizeBytes, n.Cfg.LinkGbps)
-	n.Eng.after(txTime, event{kind: evTxDone, port: p, pkt: pkt})
+	p.stats.SentBytes += uint64(pkt.SizeBytes)
+	n.PktHops++
+	p.txStart = n.Eng.now
+	p.freeAt = p.txStart + simtime.TransmitTime(pkt.SizeBytes, n.Cfg.LinkGbps)
+	p.txFlow = pkt.Flow
+	at := p.freeAt + n.propDelay(p.id)
+	if n.sh != nil && n.sh.shardOf[p.to] != n.sh.self {
+		n.exportPacket(n.sh.shardOf[p.to], at, p, pkt)
+	} else {
+		n.Eng.arm(at, p.freeAt, tieKey(p.id, evArrive), p.to, pkt)
+	}
+	if p.flowQ != nil || p.fifo.len() > 0 {
+		n.armWake(p)
+	}
 }
 
 // propDelay returns the propagation latency of a directed link: the
@@ -538,30 +590,21 @@ func (n *Network) propDelay(lid topology.LinkID) simtime.Time {
 	return n.Cfg.PropDelay
 }
 
-// transmitDone fires when a port finishes serialising pkt: the packet goes
-// onto the wire (arrival after propagation delay) and the port picks its
-// next packet. In a sharded run a packet bound for another shard's node is
-// exported through the boundary queue instead of being scheduled locally —
-// its arrival time is at least one epoch ahead (the lookahead window is the
-// minimum boundary-link propagation delay), so the destination shard files
-// it before its epoch begins.
-func (n *Network) transmitDone(p *port, pkt *Packet) {
-	p.stats.SentBytes += uint64(pkt.SizeBytes)
+// txDone is the port's wake-up at the end of a serialisation: in PFQ mode
+// the packet has left this node, so its credit returns, and the port picks
+// its next packet. The port still counts as taken while the credit's
+// kick runs, so a sender resumed by it queues behind the round-robin order
+// instead of jumping it.
+func (n *Network) txDone(p *port) {
 	if p.flowQ != nil {
-		// Credit released: the packet has left this node.
 		from := n.G.Link(p.id).From
-		n.buf[from][pkt.Flow]--
-		if n.buf[from][pkt.Flow] == 0 {
-			delete(n.buf[from], pkt.Flow)
+		n.buf[from][p.txFlow]--
+		if n.buf[from][p.txFlow] == 0 {
+			delete(n.buf[from], p.txFlow)
 		}
-		n.kickUpstream(from, pkt.Flow)
+		n.kickUpstream(from, p.txFlow)
 	}
-	prop := n.propDelay(p.id)
-	if n.sh != nil && n.sh.shardOf[p.to] != n.sh.self {
-		n.exportPacket(n.sh.shardOf[p.to], n.Eng.now+prop, p.to, pkt)
-	} else {
-		n.Eng.after(prop, event{kind: evArrive, node: p.to, pkt: pkt})
-	}
+	p.wake = false
 	n.transmit(p)
 }
 
@@ -572,11 +615,12 @@ func (n *Network) transmitDone(p *port, pkt *Packet) {
 // packet itself returns to this shard's arena.
 //
 //r2c2:boundary
-func (n *Network) exportPacket(dst int32, at simtime.Time, to topology.NodeID, pkt *Packet) {
+func (n *Network) exportPacket(dst int32, at simtime.Time, p *port, pkt *Packet) {
 	h := n.sh.export(dst)
 	h.at = at
-	h.emit = n.Eng.now // serial runs would schedule the arrival right here
-	h.node = to
+	h.emit = p.freeAt // the arrival's stamp in a serial run
+	h.link = p.id
+	h.node = p.to
 	h.kind = pkt.Kind
 	h.size = pkt.SizeBytes
 	h.flow = pkt.Flow
@@ -604,10 +648,11 @@ func (n *Network) exportPacket(dst int32, at simtime.Time, to topology.NodeID, p
 // the accesses).
 //
 //r2c2:boundary
-func (n *Network) exportReflood(dst int32, at simtime.Time, origin topology.NodeID, b *wire.Broadcast, retries uint8) {
+func (n *Network) exportReflood(dst int32, at simtime.Time, lid topology.LinkID, origin topology.NodeID, b *wire.Broadcast, retries uint8) {
 	h := n.sh.export(dst)
 	h.at = at
 	h.emit = n.Eng.now // the drop instant: serial runs arm the reflood timer here
+	h.link = lid
 	h.node = origin
 	h.ctrl = true
 	h.bcast = b
@@ -652,7 +697,7 @@ func (n *Network) pfqPick(p *port) *Packet {
 func (n *Network) kickUpstream(node topology.NodeID, flow wire.FlowID) {
 	for _, lid := range n.G.In(node) {
 		p := n.ports[lid]
-		if !p.busy && p.queued > 0 {
+		if p.queued > 0 && p.idle(n.Eng.now) {
 			n.transmit(p)
 		}
 	}

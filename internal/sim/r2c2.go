@@ -128,6 +128,17 @@ type R2C2 struct {
 	// periodic recomputation stays off the per-tick allocation budget.
 	tickCache map[uint64]*core.Allocation
 
+	// finished remembers, per finished flow, which of this instance's nodes
+	// have applied the finish event, so that a §3.2-retransmitted start
+	// broadcast arriving after the finish cannot resurrect a dead flow in
+	// that node's view. One entry per flow — the offset of a nodeBits-word
+	// bitset in finishedBits, indexed by r2c2Node.bit — rather than one map
+	// per node: a flow's finish reaches every node, so per-node maps held
+	// flows × nodes entries by the end of a run.
+	finished     map[wire.FlowID]int32
+	finishedBits []uint64
+	nodeBits     int // words per bitset: one bit per node this instance owns
+
 	// flowIDScratch is the reusable key buffer for sorted iteration over a
 	// node's flow map: recomputeTick and rerouteNow schedule events per
 	// flow, and scheduling order assigns the (at,seq) FIFO tie-break, so
@@ -156,6 +167,7 @@ func (r *R2C2) sortedFlowIDs(flows map[wire.FlowID]*senderFlow) []wire.FlowID {
 //r2c2:shardowned — per-node state is mutated only by the engine goroutine.
 type r2c2Node struct {
 	id       topology.NodeID
+	bit      int32 // this node's position in the finished-flow bitsets
 	view     *core.View
 	flows    map[wire.FlowID]*senderFlow
 	nextSeq  uint16
@@ -166,13 +178,10 @@ type r2c2Node struct {
 	// independent of global event interleaving, so the sharded engine draws
 	// the same routes as the serial one.
 	rng *rand.Rand
-	// tombstones remembers finish events so that a §3.2-retransmitted
-	// start broadcast arriving after the finish cannot resurrect a dead
-	// flow in this node's view.
-	tombstones map[wire.FlowID]bool
 }
 
 type senderFlow struct {
+	node      *r2c2Node // the source: where pacing and timeout events run
 	info      core.FlowInfo
 	remaining int64
 	rate      float64 // bits/s, as allocated
@@ -190,9 +199,8 @@ type senderFlow struct {
 	totalPkts uint32
 	nextChunk uint32 // next chunk to transmit (pulled back on RTO)
 	cumAcked  uint32 // chunks acknowledged in order
-	rtoSeq    uint64 // invalidates stale RTO timers (legacy-heap guard)
 	rtoArmed  bool
-	rtoTimer  timerHandle // wheel handle: cancels the pending timer outright
+	rtoTimer  timerHandle // cancels the pending timer outright
 
 	// route is the flow's interned source route when its protocol is
 	// deterministic (DOR): computed once, shared by reference across all the
@@ -300,18 +308,22 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 	}
 	r.install(fab)
 	r.nodes = make([]*r2c2Node, net.G.Nodes())
+	owned := int32(0)
 	for i := range r.nodes {
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
 			continue // another shard owns this node's state
 		}
 		r.nodes[i] = &r2c2Node{
-			id:         topology.NodeID(i),
-			view:       core.NewView(),
-			flows:      make(map[wire.FlowID]*senderFlow),
-			recv:       make(map[wire.FlowID]*reorderState),
-			tombstones: make(map[wire.FlowID]bool),
+			id:    topology.NodeID(i),
+			bit:   owned,
+			view:  core.NewView(),
+			flows: make(map[wire.FlowID]*senderFlow),
+			recv:  make(map[wire.FlowID]*reorderState),
 		}
+		owned++
 	}
+	r.finished = make(map[wire.FlowID]int32)
+	r.nodeBits = (int(owned) + 63) / 64
 	r.failedLinks = make(map[topology.LinkID]bool)
 	r.deadNodes = make(map[topology.NodeID]bool)
 	net.Deliver = r.deliver
@@ -356,10 +368,14 @@ func (r *R2C2) onDrop(pkt *Packet, at topology.LinkID) {
 		// elsewhere: hand the retransmission request across the boundary.
 		// notify ≥ 2·Diameter·(prop+transmit) ≥ the lookahead window, so the
 		// control handoff is always inside the conservative-sync horizon.
-		r.Net.exportReflood(r.sh.shardOf[origin], r.Net.Eng.now+notify, origin, &b, retries)
+		r.Net.exportReflood(r.sh.shardOf[origin], r.Net.Eng.now+notify, at, origin, &b, retries)
 		return
 	}
-	r.Net.Eng.After(notify, func() { r.reflood(origin, &b, retries) })
+	// Keyed by the dropping link like an arrival: notifications of drops in
+	// the same picosecond then reach the origin in link order wherever the
+	// drops happened, not in an order only a serial run has.
+	eng := r.Net.Eng
+	eng.arm(eng.now+notify, eng.now, tieKey(at, evFunc), 0, func() { r.reflood(origin, &b, retries) })
 }
 
 // reflood retransmits a dropped broadcast from its origin on the origin's
@@ -650,6 +666,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 		initial = demandBits
 	}
 	sf := &senderFlow{
+		node: node,
 		info: info, remaining: sizeBytes, rate: initial, demand: demandBits,
 		size:      sizeBytes,
 		started:   r.Net.Eng.Now(),
@@ -659,7 +676,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 	node.view.AddFlow(info)
 	r.ledger.open(id, src, dst, sizeBytes, r.Net.Eng.Now())
 	r.broadcast(node, info.StartBroadcast(r.pickTree(node)))
-	r.armSender(node, sf)
+	r.armSender(sf)
 	return id
 }
 
@@ -733,7 +750,7 @@ func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID 
 
 // armSender schedules the flow's next packet transmission according to its
 // token-bucket rate.
-func (r *R2C2) armSender(node *r2c2Node, sf *senderFlow) {
+func (r *R2C2) armSender(sf *senderFlow) {
 	if sf.armed || sf.rate <= 0 {
 		return
 	}
@@ -745,7 +762,7 @@ func (r *R2C2) armSender(node *r2c2Node, sf *senderFlow) {
 		return
 	}
 	sf.armed = true
-	r.Net.Eng.after(0, event{kind: evSend, rn: node, sf: sf})
+	r.Net.Eng.after(0, evSend, sf)
 }
 
 // fillPath sets pkt.Path to the flow's source route, already translated to
@@ -767,7 +784,8 @@ func (r *R2C2) fillPath(node *r2c2Node, pkt *Packet, sf *senderFlow) {
 	pkt.Path = pkt.scratch
 }
 
-func (r *R2C2) sendNext(node *r2c2Node, sf *senderFlow) {
+func (r *R2C2) sendNext(sf *senderFlow) {
+	node := sf.node
 	sf.armed = false
 	if _, live := node.flows[sf.info.ID]; !live {
 		return // abandoned (node failure purge) or already finished
@@ -819,7 +837,7 @@ func (r *R2C2) sendNext(node *r2c2Node, sf *senderFlow) {
 	r.Net.Inject(pkt)
 
 	if r.Cfg.Reliable {
-		r.armRTO(node, sf)
+		r.armRTO(sf)
 		if sf.nextChunk >= sf.totalPkts {
 			return // everything in flight; completion is ack-driven
 		}
@@ -834,7 +852,7 @@ func (r *R2C2) sendNext(node *r2c2Node, sf *senderFlow) {
 		gap = 1
 	}
 	sf.armed = true
-	r.Net.Eng.after(gap, event{kind: evSend, rn: node, sf: sf})
+	r.Net.Eng.after(gap, evSend, sf)
 }
 
 // finishSender retires a flow at its source and broadcasts the finish.
@@ -846,38 +864,32 @@ func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
 }
 
 // armRTO starts the retransmission timer for a reliable flow.
-func (r *R2C2) armRTO(node *r2c2Node, sf *senderFlow) {
+func (r *R2C2) armRTO(sf *senderFlow) {
 	if sf.rtoArmed {
 		return
 	}
 	sf.rtoArmed = true
-	sf.rtoSeq++
-	sf.rtoTimer = r.Net.Eng.after(r.Cfg.RTO, event{kind: evRTO, rn: node, sf: sf, u64: sf.rtoSeq})
+	sf.rtoTimer = r.Net.Eng.after(r.Cfg.RTO, evRTO, sf)
 }
 
-// disarmRTO invalidates a pending retransmission timer. Under the wheel
-// the event leaves the schedule immediately; under the legacy heap the
-// handle is inert and the rtoSeq bump tombstones it until its no-op fire.
+// disarmRTO removes a pending retransmission timer from the schedule.
 func (r *R2C2) disarmRTO(sf *senderFlow) {
 	sf.rtoArmed = false
-	sf.rtoSeq++
 	r.Net.Eng.cancelTimer(sf.rtoTimer)
 	sf.rtoTimer = timerHandle{}
 }
 
 // onRTO pulls the send pointer back to the cumulative-ack point: go-back-N
 // retransmission, paced at the flow's allocated rate like any other data.
-func (r *R2C2) onRTO(node *r2c2Node, sf *senderFlow, seq uint64) {
-	if sf.rtoSeq != seq || !sf.rtoArmed {
-		return
-	}
+func (r *R2C2) onRTO(sf *senderFlow) {
+	node := sf.node
 	sf.rtoArmed = false
 	if _, live := node.flows[sf.info.ID]; !live || sf.cumAcked >= sf.totalPkts {
 		return
 	}
 	sf.nextChunk = sf.cumAcked
-	r.armRTO(node, sf)
-	r.armSender(node, sf)
+	r.armRTO(sf)
+	r.armSender(sf)
 }
 
 // receiveAck advances a reliable sender's cumulative ack state.
@@ -897,7 +909,7 @@ func (r *R2C2) receiveAck(pkt *Packet) {
 			r.finishSender(node, sf)
 			return
 		}
-		r.armRTO(node, sf)
+		r.armRTO(sf)
 	}
 }
 
@@ -927,9 +939,9 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 		node := r.nodes[at]
 		switch pkt.Bcast.Event {
 		case wire.EventFlowFinish:
-			node.tombstones[pkt.Bcast.Flow()] = true
+			r.markFinished(pkt.Bcast.Flow(), node)
 		case wire.EventFlowStart:
-			if node.tombstones[pkt.Bcast.Flow()] {
+			if r.sawFinish(pkt.Bcast.Flow(), node) {
 				return // a retransmitted start racing its own finish
 			}
 		}
@@ -941,6 +953,32 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 	case KindAck:
 		r.receiveAck(pkt)
 	}
+}
+
+// markFinished records that node has applied the flow's finish event.
+func (r *R2C2) markFinished(id wire.FlowID, node *r2c2Node) {
+	off, ok := r.finished[id]
+	if !ok {
+		off = int32(len(r.finishedBits))
+		r.finished[id] = off
+		for i := 0; i < r.nodeBits; i++ {
+			r.finishedBits = append(r.finishedBits, 0) // a doubling slab: one growth per many flows
+		}
+	}
+	word, mask := node.finishBit()
+	r.finishedBits[int(off)+word] |= mask
+}
+
+// sawFinish reports whether node has applied the flow's finish event.
+func (r *R2C2) sawFinish(id wire.FlowID, node *r2c2Node) bool {
+	off, ok := r.finished[id]
+	word, mask := node.finishBit()
+	return ok && r.finishedBits[int(off)+word]&mask != 0
+}
+
+// finishBit locates the node's bit within a finished-flow bitset.
+func (n *r2c2Node) finishBit() (word int, mask uint64) {
+	return int(n.bit >> 6), 1 << (uint(n.bit) & 63)
 }
 
 func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
@@ -1137,7 +1175,7 @@ func (r *R2C2) rearmFromViews(global *core.Allocation) {
 				assertInvariant(sf.rate <= injBits*(1+1e-9),
 					"flow %v paced at %v bits/s above source injection bandwidth %v bits/s", id, sf.rate, injBits)
 			}
-			r.armSender(node, sf)
+			r.armSender(sf)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"r2c2/internal/stats"
 	"r2c2/internal/topology"
 	"r2c2/internal/trafficgen"
+	"r2c2/internal/wire"
 )
 
 // Transport selects which stack a run uses.
@@ -58,21 +59,14 @@ type RunConfig struct {
 	// such. Zero means 100 ms after the last arrival.
 	MaxTime simtime.Time
 
-	// LegacyHeapScheduler runs the engine on the pre-wheel value min-heap
-	// instead of the hierarchical timer wheel. The two produce byte-identical
-	// Results apart from Events (the heap fires superseded RTO tombstones as
-	// no-ops and counts them); scheduler_oracle_test.go holds them equal.
-	LegacyHeapScheduler bool
-
 	// Shards > 1 runs the experiment on the sharded engine (shard.go): the
 	// fabric is partitioned by rack, each rack shard drives its own engine,
 	// and up to Shards worker goroutines execute the shards in parallel
 	// under a conservative-lookahead epoch barrier. The logical partition is
 	// always the rack partition — Shards only caps the worker count — so
-	// Results are identical at every value. Requires TransportR2C2, the
-	// timer-wheel scheduler, and a rack-structured graph (ConnectRacks or
-	// NewFoldedClos). 0 or 1 selects the serial engine, the sharded
-	// engine's differential oracle.
+	// Results are identical at every value. Requires TransportR2C2 and a
+	// rack-structured graph (ConnectRacks or NewFoldedClos). 0 or 1 selects
+	// the serial engine, the sharded engine's differential oracle.
 	Shards int
 
 	// ReplicatedControlPlane makes every shard of a sharded run recompute
@@ -107,8 +101,13 @@ type Results struct {
 	BcastBytes      uint64 // broadcast bytes on the wire (R2C2 only)
 	Recomputations  uint64 // allocator invocations (R2C2 only)
 	RecomputeRounds uint64
-	Events          uint64
-	EndTime         simtime.Time
+	// Events counts engine events; Hops counts link traversals (data, ack
+	// and broadcast packets alike). A hop costs one event, its arrival, plus
+	// a port wake-up when another packet waited behind it, so on a packet
+	// workload Events ≈ Hops + wake-ups + pacing events.
+	Events  uint64
+	Hops    uint64
+	EndTime simtime.Time
 
 	// ShardStats reports per-shard execution statistics of a sharded run
 	// (RunConfig.Shards > 1); nil for serial runs. Deliberately excluded
@@ -153,13 +152,22 @@ func Run(cfg RunConfig) *Results {
 	if cfg.Faults.Len() > 0 && cfg.Transport != TransportR2C2 {
 		panic(fmt.Sprintf("sim: fault schedules require TransportR2C2, got %v", cfg.Transport))
 	}
+	// A flow's ID is its source plus a 16-bit per-source sequence number
+	// (wire.FlowID): one more flow and the sequence wraps onto the first
+	// flow's ID, whose ledger record it would overwrite and whose finish
+	// every other node has already seen.
+	if len(cfg.Arrivals) > wire.MaxFlowsPerSource {
+		perSrc := make(map[topology.NodeID]int)
+		for _, a := range cfg.Arrivals {
+			if perSrc[a.Src]++; perSrc[a.Src] > wire.MaxFlowsPerSource {
+				panic(fmt.Sprintf("sim: more than %d arrivals from node %d: its flow sequence numbers would wrap", wire.MaxFlowsPerSource, a.Src))
+			}
+		}
+	}
 	if cfg.Shards > 1 {
 		return runSharded(cfg)
 	}
 	eng := &Engine{}
-	if cfg.LegacyHeapScheduler {
-		eng.UseLegacyHeap()
-	}
 	net := NewNetwork(cfg.Graph, eng, cfg.Net)
 	tab := routing.NewTable(cfg.Graph)
 
@@ -235,6 +243,7 @@ func Run(cfg RunConfig) *Results {
 	res.addFlows(ledger.order)
 	res.MaxQueue.AddAll(net.MaxQueueSample())
 	res.Drops = net.TotalDrops()
+	res.Hops = net.PktHops
 	res.BcastBytes = net.BcastBytesOnWire
 	if r2c2 != nil {
 		res.Reorder = r2c2.Reorder

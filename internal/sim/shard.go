@@ -14,7 +14,7 @@ package sim
 // Intra-rack events never leave their shard; packets whose next hop belongs
 // to another shard cross through per-pair boundary queues, and the
 // orchestrator drains the non-empty ones serially at every epoch boundary,
-// in deterministic (at, emission time, source shard, emission index) order.
+// in deterministic (at, emission time, emitting link) order.
 // The R2C2 control plane is aggregated by default: each ρ tick, every shard
 // summarises the flows its racks source, the summaries tree-reduce into one
 // global view (topology.ReductionTree), and the resulting allocation
@@ -29,8 +29,7 @@ package sim
 // produce cross-shard work at t' ≥ t+Δ > E+Δ, so running every shard
 // independently through (E, E+Δ] and exchanging handoffs at the barrier
 // preserves exact causality. Results are byte-identical to the serial
-// engine (RunConfig.Shards ≤ 1), which is kept as the differential oracle —
-// the same role UseLegacyHeap plays for the timer wheel.
+// engine (RunConfig.Shards ≤ 1), which is kept as the differential oracle.
 
 import (
 	"cmp"
@@ -54,7 +53,8 @@ import (
 // are immutable after publication and the epoch barrier orders the accesses.
 type handoff struct {
 	at   simtime.Time
-	emit simtime.Time    // source shard's clock at export: global emission stamp
+	emit simtime.Time    // the event's emission stamp (event.emit), carried verbatim
+	link topology.LinkID // the link the packet crosses / that dropped the broadcast: the tie key
 	node topology.NodeID // arrival node / reflood origin
 	ctrl bool            // reflood request rather than a packet
 
@@ -200,20 +200,20 @@ func wallNs() int64 {
 	return time.Since(wallEpoch).Nanoseconds()
 }
 
-// ingest files one drained handoff into this (destination) shard's engine.
-// The engine assigns a fresh sequence number at ingest, but the handoff
-// carries its source shard's emission stamp into the event, so exact-
-// timestamp ties against local events (and other handoffs) resolve by
-// global emission order — the serial engine's tie-break — rather than by
-// ingest order.
+// ingest files one drained handoff into this (destination) shard's engine
+// under the keys the serial engine would have given the same event: its
+// timestamp, its emission stamp and the link that emitted it. The sequence
+// number is assigned afresh here, but it only orders events that agree on
+// all three, and two such events come off one link — out of one shard, in
+// its emission order.
 //
 //r2c2:boundary
 func (st *shardState) ingest(h *handoff) {
 	if h.ctrl {
 		origin, b, retries := h.node, h.bcast, h.retries
-		st.eng.scheduleHandoff(h.at, h.emit, event{kind: evFunc, fn: func() {
+		st.eng.arm(h.at, h.emit, tieKey(h.link, evFunc), 0, func() {
 			st.r2.reflood(origin, b, retries)
-		}})
+		})
 		return
 	}
 	pkt := st.net.newPacket()
@@ -234,7 +234,7 @@ func (st *shardState) ingest(h *handoff) {
 		pkt.scratch = append(pkt.scratch[:0], h.path...)
 		pkt.Path = pkt.scratch
 	}
-	st.eng.scheduleHandoff(h.at, h.emit, event{kind: evArrive, node: h.node, pkt: pkt})
+	st.eng.arm(h.at, h.emit, tieKey(h.link, evArrive), h.node, pkt)
 }
 
 // ShardStat reports one shard's execution statistics (Results.ShardStats).
@@ -350,15 +350,11 @@ func lookahead(g *topology.Graph, netCfg NetConfig, part *topology.Partition) si
 
 // runSharded executes one experiment on the sharded engine. The logical
 // partition is always the rack partition — cfg.Shards only sets the worker
-// count — so Results are byte-identical at every worker count, and
-// identical to the serial engine up to exact-timestamp cross-shard ties
-// (see DESIGN.md §14).
+// count — so Results are byte-identical at every worker count, and to the
+// serial engine's (DESIGN.md §14).
 func runSharded(cfg RunConfig) *Results {
 	if cfg.Transport != TransportR2C2 {
 		panic(fmt.Sprintf("sim: sharded runs require TransportR2C2, got %v (the PFQ back-pressure fabric and TCP baseline are serial-only)", cfg.Transport))
-	}
-	if cfg.LegacyHeapScheduler {
-		panic("sim: sharded runs require the timer-wheel scheduler (LegacyHeapScheduler is the serial oracle's knob)")
 	}
 	if cfg.Net.PerFlowQueues {
 		panic("sim: per-flow-queue back-pressure cannot be sharded (hop-by-hop credits cross shards with zero lookahead)")
@@ -647,12 +643,8 @@ func (sr *shardedRun) foldTicks() {
 // and each lists the mailboxes it made non-empty, so an epoch without
 // crossings costs one pass over the active set. Per destination, handoffs
 // are gathered in source-shard order and ordered by orderHandoffs, so the
-// ingest order — and with it the destination engine's FIFO tie-break — is
-// (at, emission time, source shard, emission index) regardless of worker
-// count. Ordering by emission time matches the serial engine's
-// schedule-order tie-break whenever the emission instants differ; only
-// simultaneous emissions from different shards retain the (source shard,
-// emission index) policy (see DESIGN.md §15).
+// ingest order — and with it the destination engine's sequence numbers — is
+// (at, emission time, link, emission index) regardless of worker count.
 //
 //r2c2:boundary
 func (sr *shardedRun) drain() {
@@ -684,15 +676,19 @@ func (sr *shardedRun) drain() {
 	sr.dirtyDst = sr.dirtyDst[:0]
 }
 
-// orderHandoffs stably sorts one destination's gathered handoffs by (fire
-// time, emission time), in place and without allocating: equal keys keep
-// their gather order, which is (source shard, emission index).
+// orderHandoffs stably sorts one destination's gathered handoffs by the
+// engine's dispatch keys (fire time, emission time, link), in place and
+// without allocating. Equal keys keep their gather order, and since they
+// share a link they share a source shard: that order is emission order.
 func orderHandoffs(buf []*handoff) {
 	slices.SortStableFunc(buf, func(a, b *handoff) int {
 		if a.at != b.at {
 			return cmp.Compare(a.at, b.at)
 		}
-		return cmp.Compare(a.emit, b.emit)
+		if a.emit != b.emit {
+			return cmp.Compare(a.emit, b.emit)
+		}
+		return cmp.Compare(a.link, b.link)
 	})
 }
 
@@ -751,6 +747,7 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 	for _, st := range sr.shards {
 		res.Events += st.eng.Processed()
 		res.Drops += st.net.TotalDrops()
+		res.Hops += st.net.PktHops
 		res.BcastBytes += st.net.BcastBytesOnWire
 		res.Reorder.AddAll(st.r2.Reorder.Values())
 	}

@@ -175,8 +175,8 @@ func TestShardedFaultsByteIdentical(t *testing.T) {
 }
 
 // TestShardedRejectsUnshardableConfigs pins the scope gate: the sharded
-// engine refuses transports and schedulers whose semantics cannot be
-// partitioned, and fabrics without a rack structure.
+// engine refuses transports whose semantics cannot be partitioned, and
+// fabrics without a rack structure.
 func TestShardedRejectsUnshardableConfigs(t *testing.T) {
 	expectPanic := func(name string, cfg RunConfig) {
 		t.Helper()
@@ -191,10 +191,6 @@ func TestShardedRejectsUnshardableConfigs(t *testing.T) {
 	cfg := shardWorkload(t, 2)
 	cfg.Transport = TransportTCP
 	expectPanic("tcp", cfg)
-
-	cfg = shardWorkload(t, 2)
-	cfg.LegacyHeapScheduler = true
-	expectPanic("legacy-heap", cfg)
 
 	single := shardWorkload(t, 2)
 	g, err := topology.NewTorus(3, 2)
@@ -211,10 +207,10 @@ func TestShardedRejectsUnshardableConfigs(t *testing.T) {
 // TestOrderHandoffsMatchesStableSort holds the drain's allocation-free
 // ordering against the reflective stable sort it replaced, kept here as the
 // reference: random per-destination gathers from 3–6 source shards, each
-// source's run in clock order, with fire and emission times drawn from a
-// handful of values so exact (at, emit) ties within and across sources are
-// the common case. Tied handoffs must keep gather order — (source shard,
-// emission index).
+// source's run in clock order, with fire times, emission times and links
+// drawn from a handful of values so exact (at, emit) and (at, emit, link)
+// ties within and across sources are the common case. Handoffs tied on all
+// three must keep gather order.
 func TestOrderHandoffsMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 500; trial++ {
@@ -227,6 +223,7 @@ func TestOrderHandoffsMatchesStableSort(t *testing.T) {
 				slots = append(slots, handoff{
 					at:   emit + simtime.Time(1+rng.Intn(4))*100, // per-link delays differ: not sorted by at
 					emit: emit,
+					link: topology.LinkID(rng.Intn(3)),
 					src:  topology.NodeID(s),
 					seq:  uint32(i),
 				})
@@ -241,14 +238,17 @@ func TestOrderHandoffsMatchesStableSort(t *testing.T) {
 			if want[i].at != want[j].at {
 				return want[i].at < want[j].at
 			}
-			return want[i].emit < want[j].emit
+			if want[i].emit != want[j].emit {
+				return want[i].emit < want[j].emit
+			}
+			return want[i].link < want[j].link
 		})
 		orderHandoffs(got)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (%d handoffs from %d sources): position %d holds source %d #%d (at %d, emit %d), stable sort puts source %d #%d (at %d, emit %d) there",
-					trial, len(slots), sources, i, got[i].src, got[i].seq, got[i].at, got[i].emit,
-					want[i].src, want[i].seq, want[i].at, want[i].emit)
+				t.Fatalf("trial %d (%d handoffs from %d sources): position %d holds source %d #%d (at %d, emit %d, link %d), stable sort puts source %d #%d (at %d, emit %d, link %d) there",
+					trial, len(slots), sources, i, got[i].src, got[i].seq, got[i].at, got[i].emit, got[i].link,
+					want[i].src, want[i].seq, want[i].at, want[i].emit, want[i].link)
 			}
 		}
 	}

@@ -64,8 +64,7 @@ type tcpSender struct {
 	srtt     simtime.Time
 	sent     map[uint32]simtime.Time // outstanding packet send times
 	rtoArmed bool
-	rtoSeq   uint64      // invalidates stale timeouts (legacy-heap guard)
-	rtoTimer timerHandle // wheel handle: cancels the pending timeout outright
+	rtoTimer timerHandle // cancels the pending timeout outright
 	done     bool
 }
 
@@ -164,26 +163,22 @@ func (t *TCP) armRTO(s *tcpSender) {
 		return
 	}
 	s.rtoArmed = true
-	s.rtoSeq++
 	rto := 4 * s.srtt
 	if rto < t.Cfg.MinRTO {
 		rto = t.Cfg.MinRTO
 	}
-	s.rtoTimer = t.Net.Eng.after(rto, event{kind: evTCPRTO, ts: s, u64: s.rtoSeq})
+	s.rtoTimer = t.Net.Eng.after(rto, evTCPRTO, s)
 }
 
-// disarmRTO invalidates a pending timeout: the wheel removes the event
-// outright; under the legacy heap the handle is inert and the rtoSeq bump
-// tombstones it until its no-op fire.
+// disarmRTO removes a pending timeout from the schedule.
 func (t *TCP) disarmRTO(s *tcpSender) {
 	s.rtoArmed = false
-	s.rtoSeq++
 	t.Net.Eng.cancelTimer(s.rtoTimer)
 	s.rtoTimer = timerHandle{}
 }
 
-func (t *TCP) onRTO(s *tcpSender, seq uint64) {
-	if s.rtoSeq != seq || s.done {
+func (t *TCP) onRTO(s *tcpSender) {
+	if s.done {
 		return
 	}
 	s.rtoArmed = false

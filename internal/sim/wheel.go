@@ -1,22 +1,15 @@
 package sim
 
-// Hierarchical timer wheel — the engine's default scheduler (DESIGN.md
-// §12). The value min-heap it replaces kept superseded timers as
-// generation-guarded tombstones: every R2C2/TCP ack re-arm pushed a fresh
-// RTO event while the dead one stayed in the heap until expiry, so
-// ack-heavy runs dragged one no-op record per ack through every sift. The
-// wheel gives every scheduled event an O(1) arm/cancel handle, so a
-// superseded timer leaves the schedule instead of being tombstoned.
+// Hierarchical timer wheel — the engine's scheduler (DESIGN.md §12). Every
+// scheduled event gets an O(1) arm/cancel handle, so a superseded timer
+// (an RTO re-armed on every ack) leaves the schedule instead of waiting
+// out its timestamp as a no-op.
 //
-// Determinism contract: dispatch order is byte-identical to the heap's —
-// ascending (at, seq), FIFO among equal timestamps. The wheel only buckets
-// events by time range; the events of the current level-0 slot are ordered
-// exactly by (at, seq) in a small staging heap before any of them fires.
-// seq assignment (one per schedule call) is unchanged, so the relative
-// order of live events matches the heap scheduler event for event; the
-// only observable difference is that cancelled timers never fire their
-// no-op, so Engine.Processed() is legitimately lower (see the differential
-// oracle in scheduler_oracle_test.go).
+// Determinism contract: dispatch order is ascending (at, emit, tie, seq) —
+// exactly a binary heap's over the same keys, which wheel_test.go holds it
+// to on randomised schedules. The wheel only buckets events by time range;
+// the events of the current level-0 slot are ordered by the full comparator
+// in a small staging heap before any of them fires.
 //
 // Layout (trex-emu's timer framework uses the same shape to sustain
 // multi-MPPS event rates): wheelLevels levels of wheelSlots slots; a
@@ -32,6 +25,7 @@ import (
 	"math/bits"
 
 	"r2c2/internal/simtime"
+	"r2c2/internal/topology"
 )
 
 const (
@@ -57,9 +51,9 @@ const (
 
 // evDead marks a staged node whose timer was cancelled after staging: it
 // cannot be unlinked from the middle of the staging heap in O(1), so it is
-// tombstoned (kept only for its (at, seq) heap position) and freed when it
-// surfaces. Unlike the legacy heap's tombstones this is transient — a node
-// is only ever staged within one level-0 slot of firing.
+// tombstoned (kept only for its heap position) and freed when it surfaces.
+// This is transient — a node is only ever staged within one level-0 slot of
+// firing.
 const evDead eventKind = 0xff
 
 // timerNode is one scheduled event in the wheel's node arena. Slot
@@ -76,7 +70,7 @@ type timerNode struct {
 // event's globally unique schedule sequence: a stale handle (the timer
 // already fired, was cancelled, or its node was recycled) fails the seq
 // check and cancel becomes a no-op, so holders never need to race their
-// own expiry. The zero handle (and any heap-scheduler handle) is inert.
+// own expiry. The zero handle is inert.
 type timerHandle struct {
 	idx int32 // 1-based arena index; 0 = no timer
 	seq uint64
@@ -98,7 +92,7 @@ type timerWheel struct {
 	occ  [wheelLevels][wheelSlots / 64]uint64
 
 	// staged is a binary min-heap of 1-based node indices ordered by
-	// (at, seq): the events of the current level-0 slot, dispatched in
+	// stageLess: the events of the current level-0 slot, dispatched in
 	// exact heap order.
 	staged []int32
 }
@@ -132,23 +126,24 @@ func (w *timerWheel) grow() {
 	}
 }
 
-// free zeroes a node (dropping packet/closure references, like the heap's
-// pop did) and returns it to the free list.
+// free zeroes a node (dropping its packet/closure reference) and returns it
+// to the free list.
 func (w *timerWheel) free(idx int32) {
 	n := &w.nodes[idx-1]
 	*n = timerNode{next: w.freeHead, level: freeLevel}
 	w.freeHead = idx
 }
 
-// schedule files an event (at and seq already assigned) and returns its
-// cancellation handle.
-func (w *timerWheel) schedule(ev event) timerHandle {
+// arm files an event, writing its record field by field into a free arena
+// node, and returns the node's index.
+func (w *timerWheel) arm(at, emit simtime.Time, seq uint64, tk uint32, node topology.NodeID, recv any) int32 {
 	idx := w.alloc()
 	n := &w.nodes[idx-1]
-	n.ev = ev
+	n.ev.at, n.ev.emit, n.ev.seq = at, emit, seq
+	n.ev.node, n.ev.tk, n.ev.recv = node, tk, recv
 	w.place(idx, n)
 	w.count++
-	return timerHandle{idx: idx, seq: ev.seq}
+	return idx
 }
 
 // place files a node relative to the current cursor: into staging when its
@@ -203,15 +198,15 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 		return false
 	}
 	n := &w.nodes[h.idx-1]
-	if n.level == freeLevel || n.ev.seq != h.seq || n.ev.kind == evDead {
+	if n.level == freeLevel || n.ev.seq != h.seq || n.ev.kind() == evDead {
 		return false
 	}
 	w.count--
 	if n.level == stagedLevel {
 		// Mid-heap removal is not O(1); tombstone the node in place. Only
-		// the ordering keys survive — references are dropped immediately.
-		at, emit, seq := n.ev.at, n.ev.emit, n.ev.seq
-		n.ev = event{at: at, emit: emit, seq: seq, kind: evDead}
+		// the ordering keys survive — the reference is dropped immediately.
+		n.ev.tk = n.ev.tk&^0xff | uint32(evDead)
+		n.ev.recv = nil
 		return true
 	}
 	w.unlink(h.idx, n)
@@ -219,19 +214,21 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 	return true
 }
 
-// stageLess orders the staging heap by (at, emit, seq) — the heap
-// scheduler's exact comparator. Slots bucket by timestamp range only, so
-// refining the within-slot order is safe; see Engine.less for why the
-// emission key leaves serial dispatch order untouched.
+// stageLess orders the staging heap by (at, emit, tie, seq): the engine's
+// dispatch order (see event). Slots bucket by timestamp range only, so
+// refining the within-slot order is safe.
 func (w *timerWheel) stageLess(a, b int32) bool {
-	na, nb := &w.nodes[a-1], &w.nodes[b-1]
-	if na.ev.at != nb.ev.at {
-		return na.ev.at < nb.ev.at
+	na, nb := &w.nodes[a-1].ev, &w.nodes[b-1].ev
+	if na.at != nb.at {
+		return na.at < nb.at
 	}
-	if na.ev.emit != nb.ev.emit {
-		return na.ev.emit < nb.ev.emit
+	if na.emit != nb.emit {
+		return na.emit < nb.emit
 	}
-	return na.ev.seq < nb.ev.seq
+	if na.tie() != nb.tie() {
+		return na.tie() < nb.tie()
+	}
+	return na.seq < nb.seq
 }
 
 func (w *timerWheel) stagePush(idx int32) {
@@ -282,7 +279,7 @@ func (w *timerWheel) stagePop() int32 {
 func (w *timerWheel) dropDeadStaged() {
 	for len(w.staged) > 0 {
 		top := w.staged[0]
-		if w.nodes[top-1].ev.kind != evDead {
+		if w.nodes[top-1].ev.kind() != evDead {
 			return
 		}
 		w.stagePop()
@@ -390,12 +387,11 @@ func (w *timerWheel) peek() int32 {
 	}
 }
 
-// pop removes and returns the next event (the wheel must be non-empty).
-// The node is freed before the event is returned, exactly like the heap's
-// pop zeroed its vacated slot.
-func (w *timerWheel) pop() event {
-	w.peek() // idempotent: ensures the next live event is staged
-	idx := w.stagePop()
+// take removes the event peek just surfaced (idx is peek's result) and
+// returns its record — the one copy an event's life makes. The node is
+// freed before the event runs, so whatever it schedules can reuse it.
+func (w *timerWheel) take(idx int32) event {
+	w.stagePop()
 	ev := w.nodes[idx-1].ev
 	w.free(idx)
 	w.count--
@@ -403,7 +399,7 @@ func (w *timerWheel) pop() event {
 }
 
 // peekAt returns the timestamp of the next live event (and whether one
-// exists) — the wheel's replacement for reading the heap's root.
+// exists).
 func (w *timerWheel) peekAt() (simtime.Time, bool) {
 	idx := w.peek()
 	if idx == 0 {

@@ -1,19 +1,28 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"math/bits"
+	"math/rand"
 	"testing"
 
 	"r2c2/internal/simtime"
 )
 
-// wheelHarness schedules raw events straight into a timerWheel and drains
-// them, recording dispatch order.
+// armAt files a bare event (no tie, no receiver) straight into a timerWheel.
+func armAt(w *timerWheel, at simtime.Time, seq uint64) timerHandle {
+	return timerHandle{idx: w.arm(at, 0, seq, 0, 0, nil), seq: seq}
+}
+
+// popNext removes and returns the wheel's next event (it must have one).
+func popNext(w *timerWheel) event { return w.take(w.peek()) }
+
+// drainWheel empties the wheel, recording dispatch order.
 func drainWheel(w *timerWheel) []event {
 	var out []event
 	for w.peek() != 0 {
-		out = append(out, w.pop())
+		out = append(out, popNext(w))
 	}
 	return out
 }
@@ -35,7 +44,7 @@ func TestWheelOrdersLikeHeap(t *testing.T) {
 		if i%7 == 0 {
 			at = simtime.Time(rng % 64) // force same-slot collisions
 		}
-		w.schedule(event{at: at, seq: seq})
+		armAt(&w, at, seq)
 		want = append(want, key{at, seq})
 		seq++
 	}
@@ -66,7 +75,7 @@ func TestWheelInterleavedScheduleAndPop(t *testing.T) {
 	var w timerWheel
 	var seq uint64
 	sched := func(at simtime.Time) {
-		w.schedule(event{at: at, seq: seq})
+		armAt(&w, at, seq)
 		seq++
 	}
 	sched(100 << wheelShift)
@@ -74,7 +83,7 @@ func TestWheelInterleavedScheduleAndPop(t *testing.T) {
 	if ev := w.nodes[w.peek()-1].ev; ev.at != 50<<wheelShift {
 		t.Fatalf("peek at=%d, want %d", ev.at, simtime.Time(50)<<wheelShift)
 	}
-	got := w.pop()
+	got := popNext(&w)
 	if got.at != 50<<wheelShift {
 		t.Fatalf("pop at=%d, want %d", got.at, simtime.Time(50)<<wheelShift)
 	}
@@ -82,22 +91,22 @@ func TestWheelInterleavedScheduleAndPop(t *testing.T) {
 	// directly) and into a later slot; same-slot event fires first.
 	sched(50<<wheelShift + 1)
 	sched(60 << wheelShift)
-	if got := w.pop(); got.at != 50<<wheelShift+1 {
+	if got := popNext(&w); got.at != 50<<wheelShift+1 {
 		t.Fatalf("pop at=%d, want same-slot event first", got.at)
 	}
-	if got := w.pop(); got.at != 60<<wheelShift {
+	if got := popNext(&w); got.at != 60<<wheelShift {
 		t.Fatalf("pop at=%d, want 60<<shift", got.at)
 	}
-	if got := w.pop(); got.at != 100<<wheelShift {
+	if got := popNext(&w); got.at != 100<<wheelShift {
 		t.Fatalf("pop at=%d, want 100<<shift", got.at)
 	}
 }
 
 func TestWheelCancel(t *testing.T) {
 	var w timerWheel
-	h1 := w.schedule(event{at: 1 << 30, seq: 0})
-	h2 := w.schedule(event{at: 2 << 30, seq: 1})
-	h3 := w.schedule(event{at: 3 << 30, seq: 2})
+	h1 := armAt(&w, 1<<30, 0)
+	h2 := armAt(&w, 2<<30, 1)
+	h3 := armAt(&w, 3<<30, 2)
 	if !w.cancel(h2) {
 		t.Fatal("cancel of live filed timer returned false")
 	}
@@ -121,9 +130,9 @@ func TestWheelCancelStaged(t *testing.T) {
 	// Cancelling an event that is already staged in the current slot
 	// tombstones it; it must neither fire nor break heap order.
 	var w timerWheel
-	w.schedule(event{at: 10, seq: 0})
-	h := w.schedule(event{at: 11, seq: 1})
-	w.schedule(event{at: 12, seq: 2})
+	armAt(&w, 10, 0)
+	h := armAt(&w, 11, 1)
+	armAt(&w, 12, 2)
 	if w.peek() == 0 {
 		t.Fatal("peek returned empty wheel")
 	}
@@ -144,9 +153,9 @@ func TestWheelCancelRecycledNode(t *testing.T) {
 	// A handle whose node was freed and recycled for a new timer must not
 	// cancel the new occupant: the seq check rejects it.
 	var w timerWheel
-	h := w.schedule(event{at: 5, seq: 0})
+	h := armAt(&w, 5, 0)
 	drainWheel(&w)
-	w.schedule(event{at: 7, seq: 1}) // reuses the freed node
+	armAt(&w, 7, 1) // reuses the freed node
 	if w.cancel(h) {
 		t.Fatal("stale handle cancelled the node's new occupant")
 	}
@@ -168,7 +177,7 @@ func TestWheelFarFutureCascade(t *testing.T) {
 		1 << 62,
 	}
 	for i, at := range ats {
-		w.schedule(event{at: at, seq: uint64(i)})
+		armAt(&w, at, uint64(i))
 	}
 	got := drainWheel(&w)
 	if len(got) != len(ats) {
@@ -226,45 +235,100 @@ func TestAfterOverflowPanics(t *testing.T) {
 	eng.After(simtime.Time(math.MaxInt64-50), func() {})
 }
 
-func TestEngineSchedulersAgreeOnRandomWorkload(t *testing.T) {
-	// Drive wheel and legacy-heap engines with an identical closure
-	// workload (nested scheduling, timestamp collisions) and require the
-	// exact same fire order.
-	run := func(legacy bool) []int {
-		eng := &Engine{}
-		if legacy {
-			eng.UseLegacyHeap()
+// refHeap is the reference scheduler the wheel is held to: a plain binary
+// min-heap over the engine's dispatch keys (at, emit, tie, seq), the order
+// container/heap gives with no wheel, no staging and no cancellation
+// shortcuts — a cancelled event is found by its seq and removed.
+type refHeap []event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	a, b := &h[i], &h[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.emit != b.emit {
+		return a.emit < b.emit
+	}
+	if a.tie() != b.tie() {
+		return a.tie() < b.tie()
+	}
+	return a.seq < b.seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return ev
+}
+
+// TestWheelMatchesReferenceHeap drives the wheel and the reference heap with
+// one randomised schedule — arms, cancels (of filed, staged, fired and
+// already-cancelled timers) and pops interleaved, timestamps spanning
+// several wheel levels, and every key drawn from a handful of values so that
+// ties on at, on (at, emit) and on (at, emit, tie) are all common — and
+// requires the same event out of both at every pop.
+func TestWheelMatchesReferenceHeap(t *testing.T) {
+	for trial := int64(0); trial < 20; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		var w timerWheel
+		var ref refHeap
+		var handles []timerHandle
+		now, seq := simtime.Time(0), uint64(0)
+		pop := func() {
+			got, want := popNext(&w), heap.Pop(&ref).(event)
+			if got != want {
+				t.Fatalf("trial %d: wheel popped (at %d emit %d tie %d seq %d), reference heap (at %d emit %d tie %d seq %d)",
+					trial, got.at, got.emit, got.tie(), got.seq, want.at, want.emit, want.tie(), want.seq)
+			}
+			now = got.at
 		}
-		var order []int
-		id := 0
-		rng := uint64(99)
-		var sched func(depth int)
-		sched = func(depth int) {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			at := eng.Now() + simtime.Time(rng%(1<<30))
-			me := id
-			id++
-			eng.Schedule(at, func() {
-				order = append(order, me)
-				if depth < 3 {
-					sched(depth + 1)
-					sched(depth + 1)
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Intn(10); {
+			case r < 6: // arm
+				at := now + simtime.Time(rng.Intn(4))<<uint(rng.Intn(34))
+				if rng.Intn(3) == 0 {
+					at = now + simtime.Time(rng.Intn(3)) // same slot, often the same picosecond
 				}
-			})
+				emit := simtime.Time(rng.Intn(3))
+				tk := uint32(rng.Intn(3))<<8 | uint32(evArrive)
+				idx := w.arm(at, emit, seq, tk, 0, nil)
+				heap.Push(&ref, event{at: at, emit: emit, seq: seq, tk: tk})
+				handles = append(handles, timerHandle{idx: idx, seq: seq})
+				seq++
+			case r < 8: // cancel any handle ever issued
+				if len(handles) == 0 {
+					continue
+				}
+				h := handles[rng.Intn(len(handles))]
+				live := -1
+				for i := range ref {
+					if ref[i].seq == h.seq {
+						live = i
+					}
+				}
+				if w.cancel(h) != (live >= 0) {
+					t.Fatalf("trial %d: cancel of seq %d returned %v, reference says live=%v", trial, h.seq, live < 0, live >= 0)
+				}
+				if live >= 0 {
+					heap.Remove(&ref, live)
+				}
+			default:
+				if len(ref) > 0 {
+					pop()
+				}
+			}
+			if w.count != len(ref) {
+				t.Fatalf("trial %d: wheel holds %d live events, reference %d", trial, w.count, len(ref))
+			}
 		}
-		for i := 0; i < 50; i++ {
-			sched(0)
+		for len(ref) > 0 {
+			pop()
 		}
-		eng.Run(1 << 62)
-		return order
-	}
-	wheel, heap := run(false), run(true)
-	if len(wheel) != len(heap) {
-		t.Fatalf("wheel fired %d events, heap %d", len(wheel), len(heap))
-	}
-	for i := range wheel {
-		if wheel[i] != heap[i] {
-			t.Fatalf("fire order diverges at %d: wheel=%d heap=%d", i, wheel[i], heap[i])
+		if w.peek() != 0 {
+			t.Fatalf("trial %d: wheel still holds events after the reference drained", trial)
 		}
 	}
 }

@@ -75,8 +75,14 @@ var (
 
 // FlowID identifies a flow rack-wide: the 16-bit source address in the high
 // half and a per-source 16-bit sequence number in the low half, giving the
-// 4-byte flow identifier of §3.4.
+// 4-byte flow identifier of §3.4. Sequence numbers are not recycled, so a
+// source that started more than MaxFlowsPerSource flows would reuse a live or
+// remembered ID: the simulator rejects such a workload up front (sim.Run).
 type FlowID uint32
+
+// MaxFlowsPerSource is how many flows one source can start before its
+// 16-bit sequence number wraps.
+const MaxFlowsPerSource = 1<<16 - 1
 
 // MakeFlowID builds a FlowID from a source address and per-source sequence.
 func MakeFlowID(src uint16, seq uint16) FlowID {
