@@ -6,14 +6,14 @@ BENCH_REPORT ?= BENCH_sim.json
 # The hot-path micro-benchmark suite recorded in $(BENCH_REPORT); the
 # figure-harness benchmarks are excluded because they measure whole
 # experiments, not code paths.
-MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
+MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
 
 FAULTS_REPORT ?= faultsweep.csv
 EMU_BENCH_REPORT ?= BENCH_emu.json
 ALLOC_BUDGET ?= alloc_budget.json
 ALLOC_DRIFT ?= alloc_drift.json
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives vet bench-smoke bench-json bench bench-selftest faults-smoke alloccheck alloccheck-update verify
+.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view vet bench-smoke bench-json bench bench-selftest faults-smoke alloccheck alloccheck-update verify
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,13 @@ fuzz:
 # must produce a deterministic error, never a silently skipped rule.
 fuzz-directives:
 	$(GO) test -run=^$$ -fuzz FuzzParseDirective -fuzztime $(FUZZTIME) ./internal/analysis/
+
+# core.View's open-addressing table against the map it replaced, on
+# arbitrary event streams (collisions, wrap-around deletes, growth). An input
+# is thousands of four-byte events, so minimising each coverage-increasing
+# one byte by byte (the default: up to a minute apiece) would be the whole run.
+fuzz-view:
+	$(GO) test -run=^$$ -fuzz FuzzViewApply -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
 
 # One iteration of every benchmark: catches bitrot in the benchmark
 # harnesses (they cover each figure of the paper) without paying for a

@@ -854,6 +854,107 @@ func BenchmarkTimerWheel(b *testing.B) {
 	b.ReportMetric(float64(fires), "events/op")
 }
 
+// The wheel under a lock-step flood: bursts of 128 events tied on one
+// timestamp (and on emit and tie key, so every comparison runs to seq), which
+// is what a 512-node broadcast wave looks like to the staging heap — where
+// BenchmarkTimerWheel's spread periods rarely stage two events together.
+func BenchmarkTimerWheelSameInstant(b *testing.B) {
+	const (
+		burst  = 128
+		bursts = 800
+	)
+	eng := &sim.Engine{}
+	fired := 0
+	fn := func() { fired++ }
+	wave := func() {
+		at := eng.Now() + 200*simtime.Nanosecond
+		for k := 0; k < burst; k++ {
+			eng.Schedule(at, fn)
+		}
+		eng.Run(at)
+	}
+	wave() // sizes the arena and the staging heap
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < bursts; j++ {
+			wave()
+		}
+	}
+	if want := (b.N*bursts + 1) * burst; fired != want {
+		b.Fatalf("%d events fired, want %d", fired, want)
+	}
+	b.ReportMetric(burst*bursts, "events/op")
+}
+
+// View.Apply as a flood drives it: one start/finish stream applied to 512
+// views in turn, so each view is touched once per event and has left the
+// cache by the next — a single hot view (the bench/ ladder's
+// core.view_apply_ns) hides exactly that. One op is one Apply; every view
+// holds a sliding window of 48 live flows.
+func BenchmarkViewApplyCold(b *testing.B) {
+	const (
+		views = 512
+		live  = 48
+	)
+	vs := make([]*core.View, views)
+	for i := range vs {
+		vs[i] = core.NewView()
+	}
+	// Flow k is sourced round-robin; event 2k starts it, event 2k+1 finishes
+	// flow k-live. The one broadcast struct is rewritten between events.
+	var bc wire.Broadcast
+	event := func(e int) {
+		k := e / 2
+		bc = wire.Broadcast{Event: wire.EventFlowStart, Weight: 1, DemandKbps: core.UnlimitedDemand}
+		if e%2 == 1 {
+			k -= live
+			bc.Event = wire.EventFlowFinish
+		}
+		bc.Src, bc.FlowSeq, bc.Dst = uint16(k%views), uint16(k/views), uint16((k+1)%views)
+	}
+	apply := func(e int) {
+		event(e)
+		for _, v := range vs {
+			if err := v.Apply(&bc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	e := 0
+	for ; e < 4*live; e++ { // fill the window (finishes of flows that never started are no-ops)
+		apply(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n += views {
+		apply(e)
+		e++
+	}
+}
+
+// Building the paper-scale broadcast FIB: 512 sources × 4 trees on the 8-ary
+// 3-cube, every source's trees forced through a lookup. bytes/op is what the
+// trees retain plus the per-source RNG.
+func BenchmarkBroadcastFIBBuild(b *testing.B) {
+	g, err := topology.NewTorus(8, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const trees = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fib := topology.NewBroadcastFIB(g, trees, 1)
+		for src := 0; src < g.Nodes(); src++ {
+			if _, ok := fib.Tree(topology.NodeID(src), trees-1); !ok {
+				b.Fatalf("no tree for source %d", src)
+			}
+		}
+	}
+	b.ReportMetric(float64(g.Nodes()*trees), "trees/op")
+}
+
 // Mbuf-pool churn on the emulated rack: 2 KB flows are dominated by the
 // control plane — every one carves start/finish broadcast chains and a
 // handful of data segments out of the pool, fans the broadcasts out with

@@ -12,8 +12,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"r2c2/internal/routing"
@@ -35,8 +36,8 @@ type FlowInfo struct {
 	Src, Dst   topology.NodeID
 	Weight     uint8
 	Priority   uint8
-	DemandKbps uint32 // UnlimitedDemand if network-limited
 	Protocol   routing.Protocol
+	DemandKbps uint32 // UnlimitedDemand if network-limited
 }
 
 // DemandBits returns the demand in bits/s, or waterfill.Unlimited.
@@ -93,18 +94,35 @@ func (f *FlowInfo) broadcast(ev wire.EventKind, tree uint8) *wire.Broadcast {
 // callers (the simulator's recomputation scheduler) can cheaply detect
 // that two nodes hold identical views and share one rate computation.
 type View struct {
-	flows   map[wire.FlowID]FlowInfo
+	// slots is an open-addressing hash table with the entries stored inline:
+	// a power-of-two number of slots, a flow's home slot the top bits of a
+	// multiplicative hash of its ID, collisions resolved by linear probing,
+	// removal by backward shift (no tombstones), at most three quarters full.
+	// One delivery touches one view out of hundreds, so the slot an event
+	// needs is cold: keeping it one probe — usually one cache line — away is
+	// what the layout is for.
+	slots   []viewSlot
+	shift   uint8 // 32 - log2(len(slots)): hash bits to discard
+	n       int   // occupied slots
 	version uint64
 	hash    uint64
 }
 
+type viewSlot struct {
+	info FlowInfo
+	used bool
+}
+
+// viewMinBits is log2 of an empty view's table size.
+const viewMinBits = 3
+
 // NewView returns an empty view.
 func NewView() *View {
-	return &View{flows: make(map[wire.FlowID]FlowInfo)}
+	return &View{slots: make([]viewSlot, 1<<viewMinBits), shift: 32 - viewMinBits}
 }
 
 // Len returns the number of flows in the view.
-func (v *View) Len() int { return len(v.flows) }
+func (v *View) Len() int { return v.n }
 
 // Version returns a counter incremented on every mutation.
 func (v *View) Version() uint64 { return v.version }
@@ -113,10 +131,25 @@ func (v *View) Version() uint64 { return v.version }
 // views with equal flow sets have equal hashes.
 func (v *View) Hash() uint64 { return v.hash }
 
+// home returns the slot a flow's probe sequence starts at. Flow IDs are a
+// source address over a per-source counter, so both halves vary slowly; the
+// Fibonacci multiplier spreads them across the top bits.
+func (v *View) home(id wire.FlowID) int { return int(uint32(id) * 0x9E3779B1 >> v.shift) }
+
+// find returns the slot holding id, or the free slot its insertion would
+// take. The load bound keeps at least one slot free, so the probe ends.
+func (v *View) find(id wire.FlowID) (slot int, found bool) {
+	for i := v.home(id); ; i = (i + 1) & (len(v.slots) - 1) {
+		if s := &v.slots[i]; !s.used || s.info.ID == id {
+			return i, s.used
+		}
+	}
+}
+
 // Get returns the view's entry for a flow.
 func (v *View) Get(id wire.FlowID) (FlowInfo, bool) {
-	f, ok := v.flows[id]
-	return f, ok
+	i, ok := v.find(id)
+	return v.slots[i].info, ok
 }
 
 // Apply folds one broadcast event into the view. Duplicate starts and
@@ -139,7 +172,7 @@ func (v *View) Apply(b *wire.Broadcast) error {
 	case wire.EventFlowFinish:
 		v.remove(id)
 	case wire.EventDemandUpdate, wire.EventRouteChange:
-		old, ok := v.flows[id]
+		old, ok := v.Get(id)
 		if !ok {
 			// An update racing a finish; drop it.
 			return nil
@@ -165,21 +198,54 @@ func (v *View) AddFlow(info FlowInfo) { v.upsert(info) }
 func (v *View) RemoveFlow(id wire.FlowID) { v.remove(id) }
 
 func (v *View) upsert(info FlowInfo) {
-	if old, ok := v.flows[info.ID]; ok {
-		v.hash ^= flowHash(old)
+	i, ok := v.find(info.ID)
+	if ok {
+		v.hash ^= flowHash(v.slots[i].info)
+	} else {
+		if (v.n+1)*4 > len(v.slots)*3 {
+			v.grow()
+			i, _ = v.find(info.ID)
+		}
+		v.n++
 	}
-	v.flows[info.ID] = info
+	v.slots[i] = viewSlot{info: info, used: true}
 	v.hash ^= flowHash(info)
 	v.version++
 }
 
+// grow doubles the table and re-files every entry.
+func (v *View) grow() {
+	old := v.slots
+	//lint:ignore alloc-hotpath doubling growth, amortised over the insertions that filled the table
+	v.slots = make([]viewSlot, 2*len(old))
+	v.shift--
+	for _, s := range old {
+		if s.used {
+			i, _ := v.find(s.info.ID)
+			v.slots[i] = s
+		}
+	}
+}
+
 func (v *View) remove(id wire.FlowID) {
-	old, ok := v.flows[id]
+	i, ok := v.find(id)
 	if !ok {
 		return
 	}
-	v.hash ^= flowHash(old)
-	delete(v.flows, id)
+	v.hash ^= flowHash(v.slots[i].info)
+	// Backward-shift delete: walk the cluster after the hole and pull back
+	// every entry whose probe sequence passes through it — one whose home is
+	// cyclically no later than the hole — so no lookup ever needs to step over
+	// an empty slot, and the table carries no tombstones.
+	mask := len(v.slots) - 1
+	for j := (i + 1) & mask; v.slots[j].used; j = (j + 1) & mask {
+		if (j-v.home(v.slots[j].info.ID))&mask >= (j-i)&mask {
+			v.slots[i] = v.slots[j]
+			i = j
+		}
+	}
+	v.slots[i] = viewSlot{}
+	v.n--
 	v.version++
 }
 
@@ -187,11 +253,13 @@ func (v *View) remove(id wire.FlowID) {
 // enumerates an identical view in an identical order — a requirement for
 // all nodes converging on the same allocation (§3.3).
 func (v *View) Flows() []FlowInfo {
-	out := make([]FlowInfo, 0, len(v.flows))
-	for _, f := range v.flows {
-		out = append(out, f)
+	out := make([]FlowInfo, 0, v.n)
+	for i := range v.slots {
+		if v.slots[i].used {
+			out = append(out, v.slots[i].info)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b FlowInfo) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

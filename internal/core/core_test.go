@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
@@ -392,4 +393,185 @@ func TestComputeViewHashShortcut(t *testing.T) {
 	if c := rc.Compute(v); c == a {
 		t.Fatal("mutated view must recompute")
 	}
+}
+
+// mapView is the view core.View used to be — a Go map from flow ID to entry —
+// kept here as the oracle for the open-addressing table that replaced it.
+type mapView struct {
+	flows   map[wire.FlowID]FlowInfo
+	version uint64
+}
+
+func (m *mapView) apply(b *wire.Broadcast) {
+	id := b.Flow()
+	f, live := m.flows[id]
+	switch b.Event {
+	case wire.EventFlowStart:
+		f = FlowInfo{ID: id, Src: topology.NodeID(b.Src), Dst: topology.NodeID(b.Dst), Weight: b.Weight,
+			Priority: b.Priority, DemandKbps: b.DemandKbps, Protocol: routing.Protocol(b.RP)}
+	case wire.EventFlowFinish:
+		if live {
+			delete(m.flows, id)
+			m.version++
+		}
+		return
+	case wire.EventDemandUpdate:
+		f.DemandKbps = b.DemandKbps
+	case wire.EventRouteChange:
+		f.Protocol = routing.Protocol(b.RP)
+	}
+	if live || b.Event == wire.EventFlowStart {
+		m.flows[id] = f
+		m.version++
+	}
+}
+
+// requireSame compares everything a View exposes against the reference, and
+// returns the flows they agree on.
+func (m *mapView) requireSame(t *testing.T, v *View, step int, probes ...wire.FlowID) []FlowInfo {
+	t.Helper()
+	// Flows() must be the map's entries in ascending ID order: as many, each
+	// one the map's, each ID above the one before.
+	got, hash := v.Flows(), uint64(0)
+	for i, f := range got {
+		if ref, ok := m.flows[f.ID]; !ok || f != ref || (i > 0 && got[i-1].ID >= f.ID) {
+			t.Fatalf("step %d: Flows()[%d] = %+v after ID %v; reference entry %+v (present %v)", step, i, f, got[max(i, 1)-1].ID, ref, ok)
+		}
+		hash ^= flowHash(f)
+	}
+	if len(got) != len(m.flows) || v.Len() != len(m.flows) || v.Hash() != hash || v.Version() != m.version {
+		t.Fatalf("step %d: view lists %d flows, has len %d hash %#x version %d; reference len %d hash %#x version %d",
+			step, len(got), v.Len(), v.Hash(), v.Version(), len(m.flows), hash, m.version)
+	}
+	for _, id := range probes {
+		m.requireGet(t, v, step, id)
+	}
+	return got
+}
+
+// requireGet is the part of requireSame that costs nothing: one lookup, and
+// the counters.
+func (m *mapView) requireGet(t *testing.T, v *View, step int, id wire.FlowID) {
+	got, ok := v.Get(id)
+	if ref, refOK := m.flows[id]; ok != refOK || got != ref || v.Len() != len(m.flows) || v.Version() != m.version {
+		t.Fatalf("step %d: Get(%v) = %+v, %v, len %d, version %d; reference %+v, %v, len %d, version %d",
+			step, id, got, ok, v.Len(), v.Version(), ref, refOK, len(m.flows), m.version)
+	}
+}
+
+// TestViewSlotSize holds the table's slot to the bound the emulator's leaking
+// views set (DESIGN.md §4, "View layout"): 28 bytes, entry included.
+func TestViewSlotSize(t *testing.T) {
+	if sz := unsafe.Sizeof(viewSlot{}); sz > 28 {
+		t.Fatalf("view slot is %d bytes, budget 28", sz)
+	}
+}
+
+// TestViewMatchesMapReference drives a View and the map reference with one
+// randomised event stream — starts (duplicates included), finishes and
+// demand/route updates (of unknown flows too) — and requires Len, Hash,
+// Version, Get and Flows() to agree after every event. A third of the IDs
+// hash to the table's last slot at every size the run reaches, so clusters
+// wrap the table end and backward-shift deletes pull entries across it; the
+// live-set target swings so the table doubles at least four times.
+func TestViewMatchesMapReference(t *testing.T) {
+	steps := 100_000
+	if testing.Short() {
+		steps = 30_000
+	}
+	rng := rand.New(rand.NewSource(1))
+	atEnd := &View{shift: 32 - 12} // a 4096-slot table's hash: top bits all set = last slot at every smaller size too
+	var pool, endPool []wire.FlowID
+	for id := wire.FlowID(0); len(endPool) < 300; id++ {
+		if atEnd.home(id) == 1<<12-1 {
+			endPool = append(endPool, id)
+		}
+	}
+	for i := 0; i < 600; i++ {
+		pool = append(pool, wire.MakeFlowID(uint16(rng.Intn(512)), uint16(rng.Intn(8)))) // random, with repeats
+	}
+	pool = append(pool, endPool...)
+
+	v, ref := NewView(), &mapView{flows: map[wire.FlowID]FlowInfo{}}
+	targets := []int{6, 40, 100, 12, 200, 3, 30}
+	wrapped, maxSlots := 0, 0
+	var live []FlowInfo
+	for step := 0; step < steps; step++ {
+		id := pool[rng.Intn(len(pool))]
+		switch r := rng.Intn(6); {
+		case r < 2:
+			id = endPool[rng.Intn(len(endPool))]
+		case r < 4 && len(live) > 0:
+			id = live[rng.Intn(len(live))].ID // so that finishes and updates mostly hit
+		}
+		f := FlowInfo{ID: id, Src: topology.NodeID(id.Src()), Dst: topology.NodeID(rng.Intn(512)), Weight: uint8(1 + rng.Intn(3)),
+			Priority: uint8(rng.Intn(2)), DemandKbps: uint32(rng.Intn(4)), Protocol: routing.Protocol(rng.Intn(4))}
+		var b *wire.Broadcast
+		switch r := rng.Intn(20); {
+		case r < 2:
+			b = f.DemandBroadcast(0)
+		case r < 4:
+			b = f.RouteChangeBroadcast(0)
+		case (r < 15) == (v.Len() < targets[step*len(targets)/steps]): // 11 in 16 toward the current target size
+			b = f.StartBroadcast(0)
+		default:
+			b = f.FinishBroadcast(0)
+			if _, live := ref.flows[id]; live && v.slots[len(v.slots)-1].used && v.slots[0].used && v.home(id) == len(v.slots)-1 {
+				wrapped++
+			}
+		}
+		ref.apply(b)
+		switch {
+		case b.Event == wire.EventFlowStart && step%2 == 0:
+			v.AddFlow(f) // the sender's own path
+		case b.Event == wire.EventFlowFinish && step%2 == 0:
+			v.RemoveFlow(id)
+		default:
+			if err := v.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live = ref.requireSame(t, v, step, id, pool[rng.Intn(len(pool))])
+		maxSlots = max(maxSlots, len(v.slots))
+	}
+	if maxSlots < 1<<(viewMinBits+4) {
+		t.Errorf("table peaked at %d slots: fewer than four doublings from %d", maxSlots, 1<<viewMinBits)
+	}
+	if wrapped < 100 {
+		t.Errorf("only %d finishes hit a cluster wrapped around the table end", wrapped)
+	}
+}
+
+// FuzzViewApply decodes arbitrary bytes into an event stream — four bytes an
+// event: kind, source, sequence, demand and protocol — over a small ID space,
+// and holds the View to the map reference.
+func FuzzViewApply(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2, 3, 1, 1, 2, 0, 2, 1, 2, 9, 3, 1, 2, 1, 1, 1, 2, 0})
+	seq := make([]byte, 0, 4*64)
+	for i := byte(0); i < 64; i++ { // fill past three doublings, then drain in another order
+		seq = append(seq, 0, i, i*7, i)
+	}
+	for i := byte(0); i < 64; i++ {
+		seq = append(seq, 1, i*5%64, i*5%64*7, 0)
+	}
+	f.Add(seq)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 4*4096)] // the mutator grows inputs to a megabyte; 4,096 events say as much
+		v, ref := NewView(), &mapView{flows: map[wire.FlowID]FlowInfo{}}
+		for step := 0; len(data) >= 4; step, data = step+1, data[4:] {
+			src, seq := uint16(data[1]%16), uint16(data[2]%64) // 1,024 IDs: finishes and updates hit, tables reach 2,048 slots
+			info := FlowInfo{ID: wire.MakeFlowID(src, seq), Src: topology.NodeID(src), Dst: 1,
+				Weight: 1, DemandKbps: uint32(data[3]), Protocol: routing.Protocol(data[3] % 4)}
+			b := info.broadcast(wire.EventFlowStart+wire.EventKind(data[0]%4), 0)
+			ref.apply(b)
+			if err := v.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+			ref.requireGet(t, v, step, info.ID)
+			if step%16 == 0 || len(data) < 8 { // the full comparison sorts the view: every 16th event, and the last
+				ref.requireSame(t, v, step)
+			}
+		}
+	})
 }

@@ -58,7 +58,7 @@ func (t *Table) sprayPath(src, dst topology.NodeID, rng *rand.Rand, path []topol
 	succ := t.successors(dst)
 	at := src
 	for at != dst {
-		links := succ[at]
+		links := succ.At(at)
 		lid := links[rng.Intn(len(links))]
 		path = append(path, lid)
 		at = t.g.Link(lid).To
@@ -143,7 +143,7 @@ func (t *Table) ECMPPath(src, dst topology.NodeID, flow wire.FlowID) []topology.
 	h := uint64(flow)*0x9E3779B97F4A7C15 + 0x7F4A7C15
 	hop := 0
 	for at != dst {
-		links := succ[at]
+		links := succ.At(at)
 		h ^= h >> 33
 		h *= 0xFF51AFD7ED558CCD
 		h ^= uint64(hop) * 0xC4CEB9FE1A85EC53

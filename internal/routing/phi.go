@@ -31,7 +31,7 @@ func (t *Table) sprayMass(src, dst topology.NodeID, mass float64, dense map[topo
 		seen := make(map[topology.NodeID]bool)
 		for _, v := range frontier {
 			m := nodeMass[v]
-			links := succ[v]
+			links := succ.At(v)
 			share := m / float64(len(links))
 			for _, lid := range links {
 				dense[lid] += share
@@ -115,7 +115,7 @@ func (t *Table) dorNext(v, dst topology.NodeID) topology.LinkID {
 		panic("routing: dorNext called with v == dst")
 	}
 	// General graph: deterministic minimal successor with smallest link ID.
-	succ := t.successors(dst)[v]
+	succ := t.successors(dst).At(v)
 	if len(succ) == 0 {
 		panic("routing: no minimal successor")
 	}
@@ -219,7 +219,7 @@ func (t *Table) vlbDstVec(d topology.NodeID) []float64 {
 			if m == 0 {
 				continue
 			}
-			links := succ[v]
+			links := succ.At(v)
 			share := m / float64(len(links))
 			for _, lid := range links {
 				vec[lid] += share

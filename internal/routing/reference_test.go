@@ -10,12 +10,12 @@ import (
 // enumerate walks every minimal path from v to dst, carrying the
 // probability of per-hop uniform spraying, and accumulates exact per-link
 // probabilities — an independent reference for the φ dynamic program.
-func enumerate(g *topology.Graph, succ [][]topology.LinkID, v, dst topology.NodeID,
+func enumerate(g *topology.Graph, succ *topology.LinkCSR, v, dst topology.NodeID,
 	prob float64, acc map[topology.LinkID]float64) {
 	if v == dst {
 		return
 	}
-	links := succ[v]
+	links := succ.At(v)
 	share := prob / float64(len(links))
 	for _, lid := range links {
 		acc[lid] += share

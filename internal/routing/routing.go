@@ -23,6 +23,7 @@ package routing
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"r2c2/internal/topology"
 )
@@ -83,8 +84,12 @@ func (p Phi) Len() int { return len(p.Links) }
 type Table struct {
 	g *topology.Graph
 
+	// succ holds the minimal DAG toward each destination vertex: a dense slot
+	// published once built, so the per-packet samplers read it without a lock
+	// (mu serialises first builds only).
+	succ []atomic.Pointer[topology.LinkCSR]
+
 	mu       sync.RWMutex
-	succ     map[topology.NodeID][][]topology.LinkID // minimal DAG per destination
 	phiCache map[phiKey]Phi
 	vlbSrc   map[topology.NodeID][]float64 // dense per-link: (1/N)·Σ_w φRPS(s,w)
 	vlbDst   map[topology.NodeID][]float64 // dense per-link: (1/N)·Σ_w φRPS(w,d)
@@ -99,7 +104,7 @@ type phiKey struct {
 func NewTable(g *topology.Graph) *Table {
 	return &Table{
 		g:        g,
-		succ:     make(map[topology.NodeID][][]topology.LinkID),
+		succ:     make([]atomic.Pointer[topology.LinkCSR], g.Vertices()),
 		phiCache: make(map[phiKey]Phi),
 		vlbSrc:   make(map[topology.NodeID][]float64),
 		vlbDst:   make(map[topology.NodeID][]float64),
@@ -110,17 +115,17 @@ func NewTable(g *topology.Graph) *Table {
 func (t *Table) Graph() *topology.Graph { return t.g }
 
 // successors returns (caching) the minimal-route DAG toward dst.
-func (t *Table) successors(dst topology.NodeID) [][]topology.LinkID {
-	t.mu.RLock()
-	s, ok := t.succ[dst]
-	t.mu.RUnlock()
-	if ok {
+func (t *Table) successors(dst topology.NodeID) *topology.LinkCSR {
+	if s := t.succ[dst].Load(); s != nil {
 		return s
 	}
-	s = t.g.MinimalSuccessors(dst)
 	t.mu.Lock()
-	t.succ[dst] = s
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	s := t.succ[dst].Load()
+	if s == nil {
+		s = t.g.MinimalSuccessors(dst)
+		t.succ[dst].Store(s)
+	}
 	return s
 }
 

@@ -3,9 +3,11 @@ package sim
 import (
 	"testing"
 
+	"r2c2/internal/core"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
+	"r2c2/internal/wire"
 )
 
 func TestWithoutLinks(t *testing.T) {
@@ -378,5 +380,55 @@ func TestRepairLinkReexpandsFabric(t *testing.T) {
 	}
 	if err := r.RepairLink(10, 11, simtime.Microsecond); err == nil {
 		t.Fatal("repairing a dead node's cable should error")
+	}
+}
+
+// Once a fault has degraded the fabric, every broadcast hop list is translated
+// from the degraded graph's link IDs to physical ports, for the rest of the
+// run. That translation used to allocate a slice per delivery; it must cost
+// nothing once the trees are built and the buffers sized.
+func TestDegradedFloodDoesNotAllocate(t *testing.T) {
+	g := torus(t, 4, 3)
+	// ρ far beyond the test: recomputation ticks stay out of the measurement.
+	eng, net, r := newR2C2Net(t, g, R2C2Config{Protocol: routing.RPS, Recompute: simtime.Second})
+	if err := r.FailLink(0, 1, 10*simtime.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run(20 * simtime.Microsecond)
+	if r.linkMap == nil {
+		t.Fatal("fabric not degraded after the detection delay")
+	}
+	// One start broadcast per tree of node 0, a neighbour of the dead link;
+	// re-flooding them is idempotent in every view.
+	info := core.FlowInfo{ID: wire.MakeFlowID(0, 0), Src: 0, Dst: 9, Weight: 1,
+		DemandKbps: core.UnlimitedDemand, Protocol: routing.RPS}
+	var bcasts []*wire.Broadcast
+	for tree := 0; tree < r.Cfg.TreesPerSource; tree++ {
+		bcasts = append(bcasts, info.StartBroadcast(uint8(tree)))
+	}
+	flood := func() {
+		for _, b := range bcasts {
+			r.broadcast(r.nodes[0], b)
+			eng.Run(eng.Now() + 100*simtime.Microsecond)
+		}
+	}
+	// Steady state: the trees built, the arenas and the hop buffer sized, and
+	// every port's queue past the last growth of its backing array, which
+	// comes with its 65th packet (pktQueue.pop compacts from then on).
+	for i := 0; i < 80; i++ {
+		flood()
+	}
+	before := net.BcastBytesOnWire
+	flood()
+	deliveries := (net.BcastBytesOnWire - before) / BroadcastBytes
+	if want := uint64(len(bcasts) * (g.Nodes() - 1)); deliveries != want {
+		t.Fatalf("a round of floods made %d deliveries, want %d", deliveries, want)
+	}
+	// (The debug build's assertions box their arguments on every packet touch.)
+	if allocs := testing.AllocsPerRun(10, flood); allocs != 0 && !invariantsEnabled {
+		t.Fatalf("%v allocations per round of %d deliveries on a degraded fabric, want 0", allocs, deliveries)
+	}
+	if got := r.View(63).Len(); got != 1 {
+		t.Fatalf("far node's view holds %d flows after the floods, want 1", got)
 	}
 }

@@ -172,7 +172,8 @@ func TestPortStateMachine(t *testing.T) {
 
 // TestEventRecordSize keeps the event record within the budget the engine's
 // per-event cost was sized for (keys 24 B, node + tie/kind 8 B, receiver
-// 16 B), and the wheel's arena node within one cache line.
+// 16 B), the wheel's arena node within one cache line, and a staging-heap
+// entry (keys, tie, arena index) at half of one.
 func TestEventRecordSize(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz > 56 {
 		t.Fatalf("event record is %d bytes, budget 56", sz)
@@ -180,11 +181,16 @@ func TestEventRecordSize(t *testing.T) {
 	if sz := unsafe.Sizeof(timerNode{}); sz > 64 {
 		t.Fatalf("timer-wheel node is %d bytes, more than a cache line", sz)
 	}
+	if sz := unsafe.Sizeof(stagedEntry{}); sz > 32 {
+		t.Fatalf("staging-heap entry is %d bytes, budget 32 (two to a cache line)", sz)
+	}
 }
 
-// TestFinishTombstonesPerFlow checks the finished-flow memory: one entry per
-// finished flow however many nodes saw the finish, and a late start
-// broadcast rejected at exactly the nodes that did.
+// TestFinishTombstonesPerFlow checks the finished-flow memory: one bitset per
+// finished flow however many nodes saw the finish, found through the flow's
+// (source, sequence) row entry; a late start broadcast rejected at exactly the
+// nodes that saw the finish; and a sequence number that never finished, between
+// two that did, still open.
 func TestFinishTombstonesPerFlow(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng := &Engine{}
@@ -200,32 +206,61 @@ func TestFinishTombstonesPerFlow(t *testing.T) {
 			t.Fatalf("flow %v incomplete", id)
 		}
 	}
-	if len(r.finished) != flows {
-		t.Fatalf("%d finished-flow entries for %d finished flows", len(r.finished), flows)
+	// entries counts the row entries in use; each must name its own bitset.
+	entries := func() int {
+		n, seen := 0, map[int32]bool{}
+		for src, row := range r.finished {
+			for seq, off := range row {
+				if off == 0 {
+					continue
+				}
+				if off < 1 || (int(off)-1)%r.nodeBits != 0 || int(off)-1+r.nodeBits > len(r.finishedBits) || seen[off] {
+					t.Fatalf("flow %d.%d: bitset offset %d (of %d words, %d per flow) is out of range, misaligned or shared", src, seq, off-1, len(r.finishedBits), r.nodeBits)
+				}
+				seen[off] = true
+				n++
+			}
+		}
+		return n
+	}
+	if n := entries(); n != flows {
+		t.Fatalf("%d finished-flow entries for %d finished flows", n, flows)
 	}
 	if want := flows * r.nodeBits; len(r.finishedBits) != want {
 		t.Fatalf("finished-flow bitsets take %d words, want %d", len(r.finishedBits), want)
 	}
 
-	// A flow nobody has heard of: its finish reaches nodes 1 and 2 only, then
-	// a retransmitted start reaches 1, 2 and 3.
-	ghost := core.FlowInfo{ID: wire.MakeFlowID(9, 77), Src: 9, Dst: 4, Weight: 1,
-		DemandKbps: core.UnlimitedDemand, Protocol: routing.RPS}
+	// Flows nobody has heard of, from node 9, past the end of its row: the
+	// finishes of seq 76 and 78 reach nodes 1 and 2 only, seq 77 never
+	// finishes, then retransmitted starts of all three reach 1, 2 and 3.
+	ghost := func(seq uint16) core.FlowInfo {
+		return core.FlowInfo{ID: wire.MakeFlowID(9, seq), Src: 9, Dst: 4, Weight: 1,
+			DemandKbps: core.UnlimitedDemand, Protocol: routing.RPS}
+	}
 	deliver := func(at topology.NodeID, b *wire.Broadcast) {
 		r.deliver(at, &Packet{Kind: KindBroadcast, SizeBytes: BroadcastBytes, Flow: b.Flow(), Src: 9, Bcast: b})
 	}
 	for _, at := range []topology.NodeID{1, 2} {
-		deliver(at, ghost.FinishBroadcast(0))
+		for _, seq := range []uint16{78, 76} {
+			f := ghost(seq)
+			deliver(at, f.FinishBroadcast(0))
+		}
 	}
 	for _, at := range []topology.NodeID{1, 2, 3} {
-		deliver(at, ghost.StartBroadcast(0))
+		for seq := uint16(76); seq <= 78; seq++ {
+			f := ghost(seq)
+			deliver(at, f.StartBroadcast(0))
+		}
 	}
-	if len(r.finished) != flows+1 {
-		t.Fatalf("%d finished-flow entries after one more finish seen at two nodes, want %d", len(r.finished), flows+1)
+	if n := entries(); n != flows+2 {
+		t.Fatalf("%d finished-flow entries after two more finishes seen at two nodes each, want %d", n, flows+2)
 	}
-	for at, want := range map[topology.NodeID]bool{1: false, 2: false, 3: true} {
-		if _, has := r.View(at).Get(ghost.ID); has != want {
-			t.Errorf("node %d: late start applied = %v, want %v", at, has, want)
+	for seq := uint16(76); seq <= 78; seq++ {
+		for _, at := range []topology.NodeID{1, 2, 3} {
+			want := at == 3 || seq == 77 // rejected only where the finish was seen
+			if _, has := r.View(at).Get(ghost(seq).ID); has != want {
+				t.Errorf("node %d, flow 9.%d: late start applied = %v, want %v", at, seq, has, want)
+			}
 		}
 	}
 }

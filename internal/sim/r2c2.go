@@ -131,13 +131,17 @@ type R2C2 struct {
 	// finished remembers, per finished flow, which of this instance's nodes
 	// have applied the finish event, so that a §3.2-retransmitted start
 	// broadcast arriving after the finish cannot resurrect a dead flow in
-	// that node's view. One entry per flow — the offset of a nodeBits-word
-	// bitset in finishedBits, indexed by r2c2Node.bit — rather than one map
-	// per node: a flow's finish reaches every node, so per-node maps held
-	// flows × nodes entries by the end of a run.
-	finished     map[wire.FlowID]int32
+	// that node's view. A flow ID is its source and a per-source sequence
+	// number, so the memory is indexed, not hashed: finished[src][seq] is 1 +
+	// the offset in finishedBits of the flow's nodeBits-word bitset (indexed
+	// by r2c2Node.bit), 0 while no node here has seen the flow finish. Rows
+	// span every source of the fabric, the bitsets only this instance's nodes.
+	finished     [][]int32
 	finishedBits []uint64
 	nodeBits     int // words per bitset: one bit per node this instance owns
+
+	// bcastHops is broadcastHops' translation buffer on a degraded fabric.
+	bcastHops []topology.LinkID
 
 	// flowIDScratch is the reusable key buffer for sorted iteration over a
 	// node's flow map: recomputeTick and rerouteNow schedule events per
@@ -322,7 +326,7 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 		}
 		owned++
 	}
-	r.finished = make(map[wire.FlowID]int32)
+	r.finished = make([][]int32, net.G.Nodes())
 	r.nodeBits = (int(owned) + 63) / 64
 	r.failedLinks = make(map[topology.LinkID]bool)
 	r.deadNodes = make(map[topology.NodeID]bool)
@@ -394,22 +398,10 @@ func (r *R2C2) reflood(origin topology.NodeID, b *wire.Broadcast, retries uint8)
 	r.Net.InjectBroadcast(origin, cp)
 }
 
-// phys translates a path expressed in the current fabric's link IDs to
-// physical port IDs. Identity while the fabric is intact.
-func (r *R2C2) phys(path []topology.LinkID) []topology.LinkID {
-	if r.linkMap == nil {
-		return path
-	}
-	out := make([]topology.LinkID, len(path))
-	for i, lid := range path {
-		out[i] = r.linkMap[lid]
-	}
-	return out
-}
-
-// physInPlace is phys overwriting the slice itself: only for buffers the
-// caller owns (a packet's sampling scratch or an interned copy), never for
-// cached Phi or successor paths.
+// physInPlace translates a path expressed in the current fabric's link IDs
+// to physical port IDs (identity while the fabric is intact), overwriting the
+// slice itself: only for buffers the caller owns (a packet's sampling scratch
+// or an interned copy), never for cached Phi or successor paths.
 func (r *R2C2) physInPlace(path []topology.LinkID) {
 	if r.linkMap == nil {
 		return
@@ -745,7 +737,17 @@ func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID 
 		// that missed it).
 		return nil
 	}
-	return r.phys(hops)
+	if r.linkMap == nil {
+		return hops
+	}
+	// Degraded fabric: translate to physical ports in a buffer reused across
+	// lookups. forwardBroadcast consumes the hops before the next lookup, and
+	// a drop on the way only arms or exports a reflood (onDrop).
+	r.bcastHops = r.bcastHops[:0]
+	for _, lid := range hops {
+		r.bcastHops = append(r.bcastHops, r.linkMap[lid]) // grows to the widest fan-out, once
+	}
+	return r.bcastHops
 }
 
 // armSender schedules the flow's next packet transmission according to its
@@ -955,25 +957,43 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 	}
 }
 
+// presizeFinished sizes every source's tombstone row for the flows it will
+// start (perSrc[src], from the arrival list), carving the rows from one
+// array. Without it — or past it — markFinished grows a row by doubling.
+func (r *R2C2) presizeFinished(perSrc []int) {
+	total := 0
+	for _, n := range perSrc {
+		total += n
+	}
+	backing := make([]int32, total)
+	for src, n := range perSrc {
+		r.finished[src], backing = backing[:n:n], backing[n:]
+	}
+}
+
 // markFinished records that node has applied the flow's finish event.
 func (r *R2C2) markFinished(id wire.FlowID, node *r2c2Node) {
-	off, ok := r.finished[id]
-	if !ok {
-		off = int32(len(r.finishedBits))
-		r.finished[id] = off
-		for i := 0; i < r.nodeBits; i++ {
-			r.finishedBits = append(r.finishedBits, 0) // a doubling slab: one growth per many flows
-		}
+	row, seq := r.finished[id.Src()], int(id.Seq())
+	if seq >= len(row) {
+		row = append(row, make([]int32, seq+1-len(row))...) // doubles: one growth per many flows
+		r.finished[id.Src()] = row
+	}
+	if row[seq] == 0 {
+		row[seq] = int32(len(r.finishedBits)) + 1
+		r.finishedBits = append(r.finishedBits, make([]uint64, r.nodeBits)...) // a doubling slab, likewise
 	}
 	word, mask := node.finishBit()
-	r.finishedBits[int(off)+word] |= mask
+	r.finishedBits[int(row[seq])-1+word] |= mask
 }
 
 // sawFinish reports whether node has applied the flow's finish event.
 func (r *R2C2) sawFinish(id wire.FlowID, node *r2c2Node) bool {
-	off, ok := r.finished[id]
+	row, seq := r.finished[id.Src()], int(id.Seq())
+	if seq >= len(row) || row[seq] == 0 {
+		return false
+	}
 	word, mask := node.finishBit()
-	return ok && r.finishedBits[int(off)+word]&mask != 0
+	return r.finishedBits[int(row[seq])-1+word]&mask != 0
 }
 
 // finishBit locates the node's bit within a finished-flow bitset.

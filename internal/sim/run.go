@@ -155,17 +155,16 @@ func Run(cfg RunConfig) *Results {
 	// A flow's ID is its source plus a 16-bit per-source sequence number
 	// (wire.FlowID): one more flow and the sequence wraps onto the first
 	// flow's ID, whose ledger record it would overwrite and whose finish
-	// every other node has already seen.
-	if len(cfg.Arrivals) > wire.MaxFlowsPerSource {
-		perSrc := make(map[topology.NodeID]int)
-		for _, a := range cfg.Arrivals {
-			if perSrc[a.Src]++; perSrc[a.Src] > wire.MaxFlowsPerSource {
-				panic(fmt.Sprintf("sim: more than %d arrivals from node %d: its flow sequence numbers would wrap", wire.MaxFlowsPerSource, a.Src))
-			}
+	// every other node has already seen. The per-source counts also size
+	// R2C2's finished-flow rows.
+	perSrc := make([]int, cfg.Graph.Nodes())
+	for _, a := range cfg.Arrivals {
+		if perSrc[a.Src]++; perSrc[a.Src] > wire.MaxFlowsPerSource {
+			panic(fmt.Sprintf("sim: more than %d arrivals from node %d: its flow sequence numbers would wrap", wire.MaxFlowsPerSource, a.Src))
 		}
 	}
 	if cfg.Shards > 1 {
-		return runSharded(cfg)
+		return runSharded(cfg, perSrc)
 	}
 	eng := &Engine{}
 	net := NewNetwork(cfg.Graph, eng, cfg.Net)
@@ -182,6 +181,7 @@ func Run(cfg RunConfig) *Results {
 	switch cfg.Transport {
 	case TransportR2C2:
 		r2c2 = NewR2C2(net, tab, cfg.R2C2)
+		r2c2.presizeFinished(perSrc)
 		ledger = r2c2.ledger
 		if cfg.Faults.Len() > 0 {
 			r2c2.ApplyFaults(cfg.Faults)

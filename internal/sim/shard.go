@@ -352,7 +352,7 @@ func lookahead(g *topology.Graph, netCfg NetConfig, part *topology.Partition) si
 // partition is always the rack partition — cfg.Shards only sets the worker
 // count — so Results are byte-identical at every worker count, and to the
 // serial engine's (DESIGN.md §14).
-func runSharded(cfg RunConfig) *Results {
+func runSharded(cfg RunConfig, perSrc []int) *Results {
 	if cfg.Transport != TransportR2C2 {
 		panic(fmt.Sprintf("sim: sharded runs require TransportR2C2, got %v (the PFQ back-pressure fabric and TCP baseline are serial-only)", cfg.Transport))
 	}
@@ -404,6 +404,7 @@ func runSharded(cfg RunConfig) *Results {
 		net := NewNetwork(cfg.Graph, eng, cfg.Net)
 		net.sh = ctx // before newR2C2: the transport mirrors it
 		r2 := newR2C2(net, intact, fabrics, cfg.R2C2)
+		r2.presizeFinished(perSrc)
 		if cfg.Faults.Len() > 0 {
 			// The whole schedule is replicated into every shard: each must
 			// observe the same degraded fabric (ctrl subtracts duplicates).

@@ -91,10 +91,21 @@ type timerWheel struct {
 	head [wheelLevels][wheelSlots]uint32
 	occ  [wheelLevels][wheelSlots / 64]uint64
 
-	// staged is a binary min-heap of 1-based node indices ordered by
-	// stageLess: the events of the current level-0 slot, dispatched in
-	// exact heap order.
-	staged []int32
+	// staged is a binary min-heap ordered by stageLess: the events of the
+	// current level-0 slot, dispatched in exact heap order.
+	staged []stagedEntry
+}
+
+// stagedEntry is one staging-heap element: the node's 1-based arena index
+// under a copy of its event's ordering keys. The keys are duplicated so that
+// sifting compares within the heap's own contiguous memory: a lock-step flood
+// stages ~100 events on one timestamp, and ordering them through the arena
+// cost a scattered 64-byte node load per comparison.
+type stagedEntry struct {
+	at, emit simtime.Time
+	seq      uint64
+	tie      uint32
+	idx      int32
 }
 
 // alloc takes a node off the free list, growing the arena by a chunk when
@@ -152,8 +163,7 @@ func (w *timerWheel) arm(at, emit simtime.Time, seq uint64, tk uint32, node topo
 func (w *timerWheel) place(idx int32, n *timerNode) {
 	s0 := int64(n.ev.at) >> wheelShift
 	if s0 <= w.cur {
-		n.level = stagedLevel
-		w.stagePush(idx)
+		w.stagePush(idx, n)
 		return
 	}
 	// Highest differing bit picks the level, so the slot position is
@@ -217,68 +227,76 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 // stageLess orders the staging heap by (at, emit, tie, seq): the engine's
 // dispatch order (see event). Slots bucket by timestamp range only, so
 // refining the within-slot order is safe.
-func (w *timerWheel) stageLess(a, b int32) bool {
-	na, nb := &w.nodes[a-1].ev, &w.nodes[b-1].ev
-	if na.at != nb.at {
-		return na.at < nb.at
+func stageLess(a, b *stagedEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if na.emit != nb.emit {
-		return na.emit < nb.emit
+	if a.emit != b.emit {
+		return a.emit < b.emit
 	}
-	if na.tie() != nb.tie() {
-		return na.tie() < nb.tie()
+	if a.tie != b.tie {
+		return a.tie < b.tie
 	}
-	return na.seq < nb.seq
+	return a.seq < b.seq
 }
 
-func (w *timerWheel) stagePush(idx int32) {
-	if w.staged == nil {
-		// Pre-size the staging heap once; it keeps its capacity across
-		// slots, so a wheel that never stages more than 64 same-slot events
-		// at a time performs exactly one staging allocation per run.
-		//lint:ignore alloc-hotpath one-time staging-heap backing allocation, reused across every slot
-		w.staged = make([]int32, 0, 64)
+// stagePush moves a node into the staging heap. Both sifts carry the moving
+// entry in a local and shift the others into the hole it leaves — one store
+// per level instead of a swap's two — and write it once, where it settles.
+func (w *timerWheel) stagePush(idx int32, n *timerNode) {
+	n.level = stagedLevel
+	e := stagedEntry{at: n.ev.at, emit: n.ev.emit, seq: n.ev.seq, tie: n.ev.tie(), idx: idx}
+	i := len(w.staged)
+	if i == cap(w.staged) {
+		// The heap keeps its capacity across slots, so a wheel that never
+		// stages more than 64 same-slot events at a time performs exactly one
+		// staging allocation per run.
+		//lint:ignore alloc-hotpath staging-heap backing array: allocated once, doubled rarely, reused across every slot
+		w.staged = append(make([]stagedEntry, 0, max(64, 2*i)), w.staged...)
 	}
-	w.staged = append(w.staged, idx)
-	i := len(w.staged) - 1
+	w.staged = w.staged[:i+1]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !w.stageLess(w.staged[i], w.staged[parent]) {
+		if !stageLess(&e, &w.staged[parent]) {
 			break
 		}
-		w.staged[i], w.staged[parent] = w.staged[parent], w.staged[i]
+		w.staged[i] = w.staged[parent]
 		i = parent
 	}
+	w.staged[i] = e
 }
 
-func (w *timerWheel) stagePop() int32 {
-	top := w.staged[0]
+// stagePop removes the heap's top entry.
+func (w *timerWheel) stagePop() {
 	n := len(w.staged) - 1
-	w.staged[0] = w.staged[n]
+	e := w.staged[n] // re-filed from the root down
 	w.staged = w.staged[:n]
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < n && w.stageLess(w.staged[l], w.staged[min]) {
-			min = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && w.stageLess(w.staged[r], w.staged[min]) {
-			min = r
+		if r := c + 1; r < n && stageLess(&w.staged[r], &w.staged[c]) {
+			c = r
 		}
-		if min == i {
-			return top
+		if !stageLess(&w.staged[c], &e) {
+			break
 		}
-		w.staged[i], w.staged[min] = w.staged[min], w.staged[i]
-		i = min
+		w.staged[i] = w.staged[c]
+		i = c
 	}
+	w.staged[i] = e
 }
 
 // dropDeadStaged frees cancelled tombstones off the top of the staging
 // heap so peek always surfaces a live event.
 func (w *timerWheel) dropDeadStaged() {
 	for len(w.staged) > 0 {
-		top := w.staged[0]
+		top := w.staged[0].idx
 		if w.nodes[top-1].ev.kind() != evDead {
 			return
 		}
@@ -330,8 +348,7 @@ func (w *timerWheel) advance() bool {
 			for idx != 0 {
 				n := &w.nodes[idx-1]
 				next := n.next
-				n.level = stagedLevel
-				w.stagePush(idx)
+				w.stagePush(idx, n)
 				idx = next
 			}
 			return true
@@ -379,7 +396,7 @@ func (w *timerWheel) peek() int32 {
 	for {
 		w.dropDeadStaged()
 		if len(w.staged) > 0 {
-			return w.staged[0]
+			return w.staged[0].idx
 		}
 		if !w.advance() {
 			return 0

@@ -269,7 +269,8 @@ func (h *refHeap) Pop() any {
 // already-cancelled timers) and pops interleaved, timestamps spanning
 // several wheel levels, and every key drawn from a handful of values so that
 // ties on at, on (at, emit) and on (at, emit, tie) are all common — and
-// requires the same event out of both at every pop.
+// requires the same event out of both at every pop. A second, flood-shaped
+// schedule then puts everything on one timestamp.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(trial))
@@ -330,5 +331,54 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 		if w.peek() != 0 {
 			t.Fatalf("trial %d: wheel still holds events after the reference drained", trial)
 		}
+	}
+
+	// Flood shape: a lock-step broadcast lands hundreds of arrivals on one
+	// timestamp, so the staging heap holds them all at once and every
+	// comparison falls through at — to emit, to the tie key, to seq. A fifth
+	// are cancelled after staging (tombstoned mid-heap), and more arrive on
+	// the same timestamp while the slot drains.
+	rng := rand.New(rand.NewSource(99))
+	var w timerWheel
+	var ref refHeap
+	var handles []timerHandle
+	at, seq := simtime.Time(7)<<wheelShift+3, uint64(0)
+	arm := func() {
+		emit, tk := simtime.Time(rng.Intn(3)), uint32(rng.Intn(4))<<8|uint32(evArrive)
+		handles = append(handles, timerHandle{idx: w.arm(at, emit, seq, tk, 0, nil), seq: seq})
+		heap.Push(&ref, event{at: at, emit: emit, seq: seq, tk: tk})
+		seq++
+	}
+	for i := 0; i < 320; i++ {
+		arm()
+	}
+	if w.peek() == 0 || len(w.staged) != 320 {
+		t.Fatalf("flood: %d events staged after peek, want all 320", len(w.staged))
+	}
+	for i, h := range handles {
+		if i%5 != 0 {
+			continue
+		}
+		if !w.cancel(h) {
+			t.Fatalf("flood: cancel of staged seq %d failed", h.seq)
+		}
+		for j := range ref {
+			if ref[j].seq == h.seq {
+				heap.Remove(&ref, j)
+				break
+			}
+		}
+	}
+	for len(ref) > 0 {
+		if got, want := popNext(&w), heap.Pop(&ref).(event); got != want {
+			t.Fatalf("flood: wheel popped (emit %d tie %d seq %d), reference heap (emit %d tie %d seq %d)",
+				got.emit, got.tie(), got.seq, want.emit, want.tie(), want.seq)
+		}
+		if seq < 400 {
+			arm() // lands in the slot being drained: staged directly
+		}
+	}
+	if w.peek() != 0 || w.count != 0 {
+		t.Fatalf("flood: wheel still holds %d events after the reference drained", w.count)
 	}
 }

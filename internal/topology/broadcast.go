@@ -8,35 +8,31 @@ import (
 )
 
 // BroadcastTree is a shortest-path spanning tree rooted at Root, used to
-// broadcast flow events across the rack (§3.2). Children[v] lists the
-// links on which v forwards a copy of a broadcast packet; leaves have no
-// entries. Depth is the maximum hop count from Root to any node, i.e. the
-// broadcast time the construction minimises.
+// broadcast flow events across the rack (§3.2). Children(v) lists the links
+// on which v forwards a copy of a broadcast packet; leaves have none. Depth
+// is the maximum hop count from Root to any node, i.e. the broadcast time
+// the construction minimises.
 type BroadcastTree struct {
-	Root     NodeID
-	ID       uint8 // tree identifier, carried in the broadcast header
-	Children [][]LinkID
-	Depth    int
+	Root  NodeID
+	ID    uint8 // tree identifier, carried in the broadcast header
+	Depth int
+
+	kids LinkCSR // a window of the arrays all of Root's trees share
 }
 
+// Children returns the links v forwards a broadcast on (read-only).
+func (t *BroadcastTree) Children(v NodeID) []LinkID { return t.kids.At(v) }
+
 // TotalEdges returns the number of tree edges (n-1 for a spanning tree).
-func (t *BroadcastTree) TotalEdges() int {
-	total := 0
-	for _, c := range t.Children {
-		total += len(c)
-	}
-	return total
-}
+func (t *BroadcastTree) TotalEdges() int { return len(t.kids.links) }
 
 // LinkLoad returns, per directed link, how many copies of one broadcast
 // packet traverse it (0 or 1 for a tree). Used to study broadcast load
 // balance across trees.
 func (t *BroadcastTree) LinkLoad(numLinks int) []int {
 	load := make([]int, numLinks)
-	for _, children := range t.Children {
-		for _, lid := range children {
-			load[lid]++
-		}
+	for _, lid := range t.kids.links {
+		load[lid]++
 	}
 	return load
 }
@@ -51,106 +47,93 @@ func (t *BroadcastTree) LinkLoad(numLinks int) []int {
 // It panics if count is outside [1, 256) since the wire format carries the
 // tree ID in one byte.
 func BuildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64) []*BroadcastTree {
+	return buildBroadcastTrees(g, src, count, rngSeed, new(treeScratch))
+}
+
+// treeScratch is the build's working memory. The FIB keeps one across its
+// sources, so a build allocates only what the trees retain.
+type treeScratch struct {
+	cand  LinkCSR  // per vertex, the in-links from a vertex one hop nearer src
+	picks []LinkID // the tree being built: chosen parent link per vertex, -1 = none
+	next  []int32  // per parent, where its next child link goes
+}
+
+// buildBroadcastTrees finds every vertex's shortest-path parent candidates
+// once — they depend on the source alone — and then draws each tree from
+// them: one rng.Intn per reachable non-root vertex, in vertex order, tree
+// after tree. That draw sequence defines the trees (a source's trees are a
+// function of rngSeed only), so it must not change. All trees of the source
+// are windows of one offset array and one link array.
+func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *treeScratch) []*BroadcastTree {
 	if count < 1 || count > 255 {
 		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
 	}
 	rng := rand.New(rand.NewSource(rngSeed))
+	nv := g.Vertices()
 	// The FIB builds a source's trees lazily on first lookup, which makes
 	// this function reachable from the emulator's data-path hotpath root —
 	// but only on the once-per-source miss path; the steady-state hit path
 	// never gets here, so the construction allocations below are amortised.
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	trees := make([]*BroadcastTree, count)
-	// Scratch shared by every tree of this source: per-vertex parent picks,
-	// per-parent child counts, and the candidate buffer. Building a FIB
-	// constructs sources × count trees, so per-vertex slice churn here
-	// dominated the simulator's setup allocations.
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	scratch := &treeScratch{
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		picks: make([]LinkID, g.Vertices()),
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		counts: make([]int, g.Vertices()),
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		candidates: make([]LinkID, 0, 8),
+	if sc.picks == nil {
+		//lint:ignore alloc-hotpath once-per-FIB scratch, reused by every later source
+		sc.cand.off, sc.picks, sc.next = make([]int32, nv+1), make([]LinkID, nv), make([]int32, nv)
 	}
-	for i := 0; i < count; i++ {
-		trees[i] = buildOneTree(g, src, uint8(i), rng, scratch)
-	}
-	return trees
-}
-
-type treeScratch struct {
-	picks      []LinkID // chosen parent link per vertex; -1 = not in tree
-	counts     []int    // children per parent vertex
-	candidates []LinkID
-}
-
-func buildOneTree(g *Graph, src NodeID, id uint8, rng *rand.Rand, sc *treeScratch) *BroadcastTree {
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	t := &BroadcastTree{
-		Root: src,
-		ID:   id,
-		//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-		Children: make([][]LinkID, g.Vertices()),
-	}
-	for v := range sc.picks {
-		sc.picks[v] = -1
-		sc.counts[v] = 0
-	}
-	// For each non-root vertex pick a random parent among its predecessors
-	// at distance-1; this yields a shortest-path tree with randomised shape.
-	depth := 0
-	total := 0
-	for v := 0; v < g.Vertices(); v++ {
-		if NodeID(v) == src {
-			continue
-		}
-		dv := g.Dist(src, NodeID(v))
-		if dv < 0 {
-			continue // unreachable vertices stay out of the tree
-		}
-		if dv > depth {
-			depth = dv
-		}
-		candidates := sc.candidates[:0]
-		for _, lid := range g.In(NodeID(v)) {
-			p := g.Link(lid).From
-			if g.Dist(src, p) == dv-1 {
-				candidates = append(candidates, lid)
+	dist := g.dist[src]
+	sc.cand.links = sc.cand.links[:0]
+	depth, edges := 0, 0
+	for v := 0; v < nv; v++ {
+		// dv is 0 at the root and negative at unreachable vertices: both stay
+		// out of the tree, with no candidates.
+		if dv := dist[v]; dv > 0 {
+			if int(dv) > depth {
+				depth = int(dv)
+			}
+			edges++
+			for _, lid := range g.in[v] {
+				if dist[g.links[lid].From] == dv-1 {
+					sc.cand.links = append(sc.cand.links, lid)
+				}
+			}
+			if len(sc.cand.links) == int(sc.cand.off[v]) {
+				panic("topology: BFS invariant violated: reachable node without shortest-path parent")
 			}
 		}
-		sc.candidates = candidates[:0]
-		if len(candidates) == 0 {
-			panic("topology: BFS invariant violated: reachable node without shortest-path parent")
-		}
-		pick := candidates[rng.Intn(len(candidates))]
-		sc.picks[v] = pick
-		sc.counts[g.Link(pick).From]++
-		total++
+		sc.cand.off[v+1] = int32(len(sc.cand.links))
 	}
-	// Bucket the picks into child lists carved out of one backing array
-	// instead of growing each parent's slice separately. Iterating vertices
-	// in ascending order preserves the original per-parent link order.
+
 	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
-	flat := make([]LinkID, 0, total)
-	off := 0
-	for p := 0; p < g.Vertices(); p++ {
-		if sc.counts[p] == 0 {
-			continue
+	off, links := make([]int32, count*(nv+1)), make([]LinkID, count*edges)
+	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
+	trees, out := make([]BroadcastTree, count), make([]*BroadcastTree, count)
+	picks, next := sc.picks, sc.next
+	for i := range trees {
+		kids := LinkCSR{off: off[i*(nv+1) : (i+1)*(nv+1)], links: links[i*edges : (i+1)*edges]}
+		// Pick parents and count each parent's children into off[parent+1] ...
+		for v := range picks {
+			picks[v] = -1
+			if c := sc.cand.At(NodeID(v)); len(c) > 0 {
+				picks[v] = c[rng.Intn(len(c))]
+				kids.off[g.links[picks[v]].From+1]++
+			}
 		}
-		t.Children[p] = flat[off : off : off+sc.counts[p]]
-		off += sc.counts[p]
-	}
-	for v := 0; v < g.Vertices(); v++ {
-		if sc.picks[v] < 0 {
-			continue
+		// ... turn the counts into offsets ...
+		for p := range next {
+			next[p] = kids.off[p]
+			kids.off[p+1] += kids.off[p]
 		}
-		p := g.Link(sc.picks[v]).From
-		t.Children[p] = append(t.Children[p], sc.picks[v])
+		// ... and file the picks under their parents. Ascending vertex order
+		// is the order of a parent's links.
+		for _, pick := range picks {
+			if pick >= 0 {
+				p := g.links[pick].From
+				kids.links[next[p]] = pick
+				next[p]++
+			}
+		}
+		trees[i] = BroadcastTree{Root: src, ID: uint8(i), Depth: depth, kids: kids}
+		out[i] = &trees[i]
 	}
-	t.Depth = depth
-	return t
+	return out
 }
 
 // BroadcastFIB is the broadcast forwarding information base of §3.2: a
@@ -174,8 +157,9 @@ type BroadcastFIB struct {
 	treesPerSource int
 	rngSeed        int64
 
-	mu    sync.Mutex                         // first build of a source's trees
-	slots []atomic.Pointer[[]*BroadcastTree] // per source; nil until built, immutable after
+	mu      sync.Mutex                         // first build of a source's trees
+	scratch treeScratch                        // the builds' working memory, under mu
+	slots   []atomic.Pointer[[]*BroadcastTree] // per source; nil until built, immutable after
 }
 
 // NewBroadcastFIB prepares a FIB serving treesPerSource broadcast trees for
@@ -214,20 +198,20 @@ func (f *BroadcastFIB) build(src NodeID) *[]*BroadcastTree {
 	if trees := f.slots[src].Load(); trees != nil {
 		return trees
 	}
-	trees := BuildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src))
+	trees := buildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src), &f.scratch)
 	f.slots[src].Store(&trees)
 	return &trees
 }
 
 // NextHops returns the links on which node `at` must forward a broadcast
-// packet originated by src on tree treeID. It returns nil (forward nowhere)
-// for leaves, and ok=false for an unknown <src, tree> pair.
+// packet originated by src on tree treeID. It returns an empty slice (forward
+// nowhere) for leaves, and ok=false for an unknown <src, tree> pair.
 func (f *BroadcastFIB) NextHops(src NodeID, treeID uint8, at NodeID) ([]LinkID, bool) {
 	t, ok := f.lookup(src, treeID)
 	if !ok {
 		return nil, false
 	}
-	return t.Children[at], true
+	return t.Children(at), true
 }
 
 // Tree returns the broadcast tree for <src, treeID>.
@@ -237,12 +221,8 @@ func (f *BroadcastFIB) Tree(src NodeID, treeID uint8) (*BroadcastTree, bool) {
 
 // TreesPerSource reports how many trees exist for src.
 func (f *BroadcastFIB) TreesPerSource(src NodeID) int {
-	n := 0
-	for id := 0; id < 256; id++ {
-		if _, ok := f.lookup(src, uint8(id)); !ok {
-			break
-		}
-		n++
+	if int(src) < 0 || int(src) >= len(f.slots) {
+		return 0
 	}
-	return n
+	return f.treesPerSource
 }

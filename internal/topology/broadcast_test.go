@@ -3,6 +3,7 @@ package topology
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -51,7 +52,7 @@ func walkTree(t *testing.T, g *Graph, tree *BroadcastTree) int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, lid := range tree.Children[v] {
+		for _, lid := range tree.Children(v) {
 			l := g.Link(lid)
 			if l.From != v {
 				t.Fatalf("tree child link %v not rooted at %d", l, v)
@@ -85,17 +86,8 @@ func TestBroadcastTreesDiffer(t *testing.T) {
 	trees := BuildBroadcastTrees(g, 0, 8, 1)
 	distinct := false
 	for i := 1; i < len(trees) && !distinct; i++ {
-		for v := 0; v < g.Vertices(); v++ {
-			if len(trees[0].Children[v]) != len(trees[i].Children[v]) {
-				distinct = true
-				break
-			}
-			for j := range trees[0].Children[v] {
-				if trees[0].Children[v][j] != trees[i].Children[v][j] {
-					distinct = true
-					break
-				}
-			}
+		for v := 0; v < g.Vertices() && !distinct; v++ {
+			distinct = !slices.Equal(trees[0].Children(NodeID(v)), trees[i].Children(NodeID(v)))
 		}
 	}
 	if !distinct {
@@ -219,6 +211,86 @@ func TestBroadcastFIBConcurrent(t *testing.T) {
 		for i, tree := range seen[w] {
 			if final, _ := fib.Tree(NodeID(i/trees), uint8(i%trees)); tree != nil && tree != final {
 				t.Fatalf("worker %d was served a tree object for src %d tree %d that the FIB no longer holds: the source was built twice", w, i/trees, i%trees)
+			}
+		}
+	}
+}
+
+// refBuildOneTree is the per-tree construction BuildBroadcastTrees used before
+// it shared one parent search among a source's trees: every tree repeats the
+// search for itself and keeps a child slice per vertex. Kept as the oracle —
+// the shared-search build must draw from rng exactly as this does.
+func refBuildOneTree(g *Graph, src NodeID, rng *rand.Rand) (children [][]LinkID, depth int) {
+	children = make([][]LinkID, g.Vertices())
+	for v := 0; v < g.Vertices(); v++ {
+		dv := g.Dist(src, NodeID(v))
+		if NodeID(v) == src || dv < 0 {
+			continue // the root, and unreachable vertices, have no parent
+		}
+		if dv > depth {
+			depth = dv
+		}
+		var candidates []LinkID
+		for _, lid := range g.In(NodeID(v)) {
+			if g.Dist(src, g.Link(lid).From) == dv-1 {
+				candidates = append(candidates, lid)
+			}
+		}
+		pick := candidates[rng.Intn(len(candidates))]
+		p := g.Link(pick).From
+		children[p] = append(children[p], pick)
+	}
+	return children, depth
+}
+
+// TestBroadcastTreesMatchPerTreeReference holds the CSR trees to the per-tree
+// reference link for link — every vertex of every tree of every source — on
+// the paper-scale torus, the sharded benchmark's rack ring, and a degraded
+// torus with a dead node (a vertex no tree reaches).
+func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
+	torus512, err := NewTorus(8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	racks := make([]*Graph, 8)
+	var bridges []Bridge
+	for i := range racks {
+		if racks[i], err = NewTorus(4, 3); err != nil {
+			t.Fatal(err)
+		}
+		bridges = append(bridges,
+			Bridge{RackA: i, RackB: (i + 1) % len(racks), NodeA: 0, NodeB: 7},
+			Bridge{RackA: i, RackB: (i + 1) % len(racks), NodeA: 11, NodeB: 4})
+	}
+	ring, err := ConnectRacks(racks, bridges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	degraded, _, err := racks[0].WithoutNode(21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trees, seed = 4, 11
+	for name, g := range map[string]*Graph{"torus 8x8x8": torus512, "8-rack ring": ring, "dead node": degraded} {
+		fib := NewBroadcastFIB(g, trees, seed) // one scratch across all sources, as in a run
+		for src := 0; src < g.Nodes(); src++ {
+			rng := rand.New(rand.NewSource(seed + int64(src)))
+			for id := 0; id < trees; id++ {
+				want, depth := refBuildOneTree(g, NodeID(src), rng)
+				got, ok := fib.Tree(NodeID(src), uint8(id))
+				if !ok || got.Root != NodeID(src) || got.ID != uint8(id) || got.Depth != depth {
+					t.Fatalf("%s src %d tree %d: got %+v (ok=%v), want depth %d", name, src, id, got, ok, depth)
+				}
+				edges := 0
+				for v := range want {
+					if !slices.Equal(got.Children(NodeID(v)), want[v]) {
+						t.Fatalf("%s src %d tree %d: Children(%d) = %v, reference %v", name, src, id, v, got.Children(NodeID(v)), want[v])
+					}
+					edges += len(want[v])
+				}
+				if got.TotalEdges() != edges {
+					t.Fatalf("%s src %d tree %d: %d edges, reference %d", name, src, id, got.TotalEdges(), edges)
+				}
 			}
 		}
 	}

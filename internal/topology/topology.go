@@ -251,34 +251,54 @@ func (g *Graph) computeDistances() {
 	}
 }
 
+// LinkCSR holds one list of links per vertex in compressed-sparse-row form:
+// vertex v's list is links[off[v]:off[v+1]]. Two flat arrays replace a slice
+// header per vertex, so a structure kept per source or per destination
+// (broadcast trees, minimal-route DAGs) costs what its links cost.
+type LinkCSR struct {
+	off   []int32
+	links []LinkID
+}
+
+// At returns v's links. The slice aliases the CSR's storage and is read-only;
+// its capacity is clipped so that an append cannot reach the next vertex's.
+func (c *LinkCSR) At(v NodeID) []LinkID { return c.links[c.off[v]:c.off[v+1]:c.off[v+1]] }
+
 // MinimalSuccessors returns, for destination dst, the successor link sets of
-// the minimal-route DAG: succ[v] lists the outgoing links of v that lie on
-// some shortest path from v to dst. succ[dst] is empty. Random packet
+// the minimal-route DAG: At(v) lists the outgoing links of v that lie on
+// some shortest path from v to dst. At(dst) is empty. Random packet
 // spraying picks uniformly among these at every hop (§2.2.1).
-func (g *Graph) MinimalSuccessors(dst NodeID) [][]LinkID {
-	// The per-vertex lists are carved out of one backing array: a directed
-	// link qualifies for at most one (v, dst) list, so len(g.links) bounds
-	// the total and append below never reallocates (the full-capacity slice
-	// expressions keep the windows disjoint).
+func (g *Graph) MinimalSuccessors(dst NodeID) *LinkCSR {
+	// One strided walk down the distance matrix's column for dst, so that the
+	// passes below — which look up both ends of every link — read one array.
 	//lint:ignore alloc-hotpath computed once per destination and cached by routing.Table.successors
-	succ := make([][]LinkID, g.total)
-	//lint:ignore alloc-hotpath single backing array per destination, cached as above
-	flat := make([]LinkID, 0, len(g.links))
-	for v := 0; v < g.total; v++ {
-		dv := g.dist[v][dst]
-		if dv <= 0 {
-			continue
-		}
-		start := len(flat)
-		for _, lid := range g.out[v] {
-			u := g.links[lid].To
-			if g.dist[u][dst] == dv-1 {
-				flat = append(flat, lid)
-			}
-		}
-		succ[v] = flat[start:len(flat):len(flat)]
+	toDst := make([]int32, g.total)
+	for v := range toDst {
+		toDst[v] = g.dist[v][dst]
 	}
-	return succ
+	//lint:ignore alloc-hotpath as above: the offsets the cache keeps
+	c := &LinkCSR{off: make([]int32, g.total+1)}
+	// Two passes over the same predicate, count then fill, so the link array
+	// is sized exactly.
+	for pass := 0; pass < 2; pass++ {
+		n := int32(0)
+		for v, dv := range toDst {
+			for _, lid := range g.out[v] {
+				if dv > 0 && toDst[g.links[lid].To] == dv-1 {
+					if pass == 1 {
+						c.links[n] = lid
+					}
+					n++
+				}
+			}
+			c.off[v+1] = n
+		}
+		if pass == 0 {
+			//lint:ignore alloc-hotpath as above: the links the cache keeps
+			c.links = make([]LinkID, n)
+		}
+	}
+	return c
 }
 
 // WithoutLinks returns the graph with the given directed links removed —

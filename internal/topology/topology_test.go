@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -167,21 +168,25 @@ func TestMinimalSuccessors(t *testing.T) {
 	for _, g := range testGraphs(t) {
 		for dst := 0; dst < g.Nodes(); dst += 7 {
 			succ := g.MinimalSuccessors(NodeID(dst))
-			if len(succ[dst]) != 0 {
+			if len(succ.At(NodeID(dst))) != 0 {
 				t.Fatalf("%v: destination has successors", g.Kind())
 			}
 			for v := 0; v < g.Vertices(); v++ {
 				if v == dst || g.Dist(NodeID(v), NodeID(dst)) < 0 {
 					continue
 				}
-				if len(succ[v]) == 0 {
+				// Exactly the out-links that reduce the distance, in port order.
+				var want []LinkID
+				for _, lid := range g.Out(NodeID(v)) {
+					if g.Dist(g.Link(lid).To, NodeID(dst)) == g.Dist(NodeID(v), NodeID(dst))-1 {
+						want = append(want, lid)
+					}
+				}
+				if len(want) == 0 {
 					t.Fatalf("%v: node %d has no minimal successor towards %d", g.Kind(), v, dst)
 				}
-				for _, lid := range succ[v] {
-					l := g.Link(lid)
-					if g.Dist(l.To, NodeID(dst)) != g.Dist(NodeID(v), NodeID(dst))-1 {
-						t.Fatalf("%v: successor %v does not reduce distance", g.Kind(), l)
-					}
+				if got := succ.At(NodeID(v)); !slices.Equal(got, want) {
+					t.Fatalf("%v: successors of %d towards %d = %v, want %v", g.Kind(), v, dst, got, want)
 				}
 			}
 		}
