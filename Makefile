@@ -1,19 +1,14 @@
 GO ?= go
 FUZZTIME ?= 30s
 LINT_REPORT ?= r2c2-lint.json
-OWNERSHIP_REPORT ?= shard_ownership.json
-BENCH_REPORT ?= BENCH_sim.json
-# The hot-path micro-benchmark suite recorded in $(BENCH_REPORT); the
+# The hot-path micro-benchmark suite `make microbench` measures; the
 # figure-harness benchmarks are excluded because they measure whole
 # experiments, not code paths.
 MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
 
 FAULTS_REPORT ?= faultsweep.csv
-EMU_BENCH_REPORT ?= BENCH_emu.json
-ALLOC_BUDGET ?= alloc_budget.json
-ALLOC_DRIFT ?= alloc_drift.json
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view vet bench-smoke bench-json bench bench-selftest faults-smoke alloccheck alloccheck-update verify
+.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -42,14 +37,12 @@ vet:
 
 # The repo's own static-analysis rules; see DESIGN.md "Determinism &
 # concurrency invariants" (§13 for the ownership model) and
-# `go run ./cmd/r2c2-lint -list`. Two reports are always written and CI
-# uploads both: $(LINT_REPORT) is {analyzer_version, rules, findings};
-# $(OWNERSHIP_REPORT) records the declared //r2c2:shardowned types and
-# //r2c2:boundary functions. Any surviving finding fails the build.
+# `go run ./cmd/r2c2-lint -list`. The report CI uploads, $(LINT_REPORT), is
+# {analyzer_version, rules, findings}. Any surviving finding fails the build.
 lint:
-	@$(GO) run ./cmd/r2c2-lint -json -ownership $(OWNERSHIP_REPORT) ./... > $(LINT_REPORT) \
+	@$(GO) run ./cmd/r2c2-lint -json ./... > $(LINT_REPORT) \
 		|| { cat $(LINT_REPORT); echo "lint: findings (report: $(LINT_REPORT))"; exit 1; }
-	@echo "lint: clean (reports: $(LINT_REPORT), $(OWNERSHIP_REPORT))"
+	@echo "lint: clean (report: $(LINT_REPORT))"
 
 fuzz:
 	$(GO) test -run=^$$ -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME) ./internal/wire/
@@ -72,18 +65,11 @@ fuzz-view:
 bench-smoke:
 	$(GO) test -run=^$$ -bench . -benchtime=1x ./...
 
-# Real measurement of the micro-benchmark suite, recorded as JSON
-# (benchmark name -> ns/op, allocs/op, events/run, ...) so the perf
-# trajectory is tracked per commit; CI uploads $(BENCH_REPORT) and
-# $(EMU_BENCH_REPORT) as artifacts. The emulator benchmarks are split into
-# their own report because they measure wall-clock goroutine scheduling and
-# move with machine load, while the simulator numbers are deterministic.
-bench-json:
-	@$(GO) test -run='^$$' -bench '$(MICROBENCH)' -benchmem . > $(BENCH_REPORT).txt \
-		|| { cat $(BENCH_REPORT).txt; rm -f $(BENCH_REPORT).txt; exit 1; }
-	@$(GO) run ./cmd/r2c2-benchjson -emu $(EMU_BENCH_REPORT) < $(BENCH_REPORT).txt > $(BENCH_REPORT)
-	@rm -f $(BENCH_REPORT).txt
-	@echo "bench-json: wrote $(BENCH_REPORT) and $(EMU_BENCH_REPORT)"
+# Real measurement of the micro-benchmark suite, as the benchstat-readable
+# text `go test -bench` prints. For looking while you work: the ledger that
+# is recorded and compared is the repository benchmark below.
+microbench:
+	$(GO) test -run='^$$' -bench '$(MICROBENCH)' -benchmem .
 
 # The repository benchmark (BENCHMARK.json, bench/README.md): every workload's
 # end-to-end metrics, untraced. Builds into .bench_build/, writes bench/out/.
@@ -95,17 +81,6 @@ bench:
 bench-selftest:
 	$(GO) test -C bench ./...
 
-# Compiler escape-analysis gate for the zero-alloc roadmap (DESIGN.md §11):
-# rebuilds the hot packages with -gcflags=-m and fails on any per-function
-# escape count above the checked-in $(ALLOC_BUDGET). The drift report is
-# always written; CI uploads it as an artifact. Regenerate the baseline
-# with `make alloccheck-update` after deliberate changes.
-alloccheck:
-	$(GO) run ./cmd/r2c2-allocheck -baseline $(ALLOC_BUDGET) -drift $(ALLOC_DRIFT)
-
-alloccheck-update:
-	$(GO) run ./cmd/r2c2-allocheck -baseline $(ALLOC_BUDGET) -update
-
 # Sim-vs-emu fault-injection cross-validation on a seeded schedule (link
 # flaps + a node crash, DESIGN.md §10). The CSV comparing completed-flow
 # counts and FCT percentiles goes to $(FAULTS_REPORT); CI uploads it as an
@@ -116,5 +91,17 @@ faults-smoke:
 	@cat $(FAULTS_REPORT)
 	@echo "faults-smoke: wrote $(FAULTS_REPORT)"
 
-verify: build vet lint test race debug alloccheck bench-smoke faults-smoke
+# Non-test and test lines of Go per top-level package and in total (the root
+# package included), bench/ — a module of its own — excluded: what
+# ROADMAP.md's size paragraph is computed with.
+loc:
+	@count() { find "$$@" -name '*.go' | xargs cat | wc -l; }; \
+	for d in internal/* cmd examples; do \
+		printf '%7d %7d  %s\n' "$$(count $$d ! -name '*_test.go')" "$$(count $$d -name '*_test.go')" $$d; \
+	done; \
+	printf '%7d %7d  total\n' \
+		"$$(count . ! -path './bench/*' ! -path './.*' ! -name '*_test.go')" \
+		"$$(count . ! -path './bench/*' ! -path './.*' -name '*_test.go')"
+
+verify: build vet lint test race debug bench-smoke faults-smoke
 	@echo verify: OK

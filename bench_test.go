@@ -533,7 +533,7 @@ func reportEventsAndHops(b *testing.B, events, hops uint64) {
 // parallel speedup of the conservative-lookahead epoch loop. workers=1 is
 // the serial engine (the sharded engine's differential oracle), so the
 // workers=2 ratio also exposes the sharding overhead itself: epoch
-// barriers, boundary drains and the replicated control events.
+// barriers, boundary drains and the control events every shard repeats.
 func BenchmarkShardedEventThroughput(b *testing.B) {
 	const racks = 8
 	subs := make([]*topology.Graph, racks)
@@ -601,21 +601,18 @@ func BenchmarkShardedEventThroughput(b *testing.B) {
 	}
 }
 
-// Per-tick control-plane cost (DESIGN.md §15): one multi-rack workload run
-// with the replicated control plane (every shard recomputes the global
-// allocation each tick) versus the aggregated tree-reduced one (each shard
-// summarises only its sourced flows; one allocator run at the root), at
-// two live-flow populations. The workload is a persistent bulk population
+// Per-tick control-plane cost (DESIGN.md §15): one multi-rack workload on
+// the sharded engine's tree-reduced control plane (each shard summarises
+// only its sourced flows; one allocator run at the root), at two live-flow
+// populations. The workload is a persistent bulk population
 // (arrives in the first 0.5 ms, outlives the run) plus one long-lived flow
 // arriving 50 µs after every tick — far enough from the next tick that its
 // broadcast usually converges, so most ticks see a changed-but-agreed view
 // and the allocator must actually run. ctrl-ns/tick sums the shards'
 // control-plane time per recomputation round; root-ns/tick is shard 0's
 // slice (the reduction root), nonroot-ns/tick the busiest other shard's.
-// Replicated mode runs the allocator once per shard per tick, so every
-// shard's cost scales with the TOTAL population; aggregated mode runs it
-// once at the root, so nonroot-ns/tick stays flat as flows quadruple —
-// the acceptance comparison.
+// The allocator runs once per tick, at the root, so nonroot-ns/tick should
+// stay flat as flows quadruple while root-ns/tick grows with them.
 func BenchmarkControlPlaneTick(b *testing.B) {
 	const racks = 4
 	const tick = simtime.Millisecond
@@ -647,7 +644,7 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 			src := topology.NodeID(k % g.Nodes())
 			dst := topology.NodeID((k + g.Nodes()/2) % g.Nodes())
 			arrivals = append(arrivals, trafficgen.Arrival{
-				At: simtime.Time(k)*tick + 50*simtime.Microsecond,
+				At:  simtime.Time(k)*tick + 50*simtime.Microsecond,
 				Src: src, Dst: dst, SizeBytes: 64 << 20, Weight: 1,
 			})
 		}
@@ -656,7 +653,7 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 			Graph: g,
 			// Shallow ports (vs the 1 MB default) bound broadcast queueing so
 			// views converge well inside a tick; divergent views fall back to
-			// per-shard computes and would measure the oracle path instead.
+			// per-shard computes and would measure that fallback instead.
 			Net:       sim.NetConfig{LinkGbps: 10, PropDelay: 100 * simtime.Nanosecond, QueueBytes: 64 << 10},
 			Transport: sim.TransportR2C2,
 			R2C2: sim.R2C2Config{
@@ -669,39 +666,31 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 			MaxTime:  20 * simtime.Millisecond,
 			Shards:   racks,
 		}
-		for _, replicated := range []bool{true, false} {
-			mode := "aggregated"
-			if replicated {
-				mode = "replicated"
-			}
-			b.Run(fmt.Sprintf("flows=%d/mode=%s", flows, mode), func(b *testing.B) {
-				run := cfg
-				run.ReplicatedControlPlane = replicated
-				b.ReportAllocs()
-				b.ResetTimer()
-				var ctrlNs, rootNs, nonRootNs int64
-				var rounds uint64
-				for i := 0; i < b.N; i++ {
-					res := sim.Run(run)
-					rounds += res.RecomputeRounds
-					iterMax := int64(0)
-					for _, st := range res.ShardStats {
-						ctrlNs += st.CtrlNs
-						if st.Shard == 0 {
-							rootNs += st.CtrlNs
-						} else if st.CtrlNs > iterMax {
-							iterMax = st.CtrlNs
-						}
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			var ctrlNs, rootNs, nonRootNs int64
+			var rounds uint64
+			for i := 0; i < b.N; i++ {
+				res := sim.Run(cfg)
+				rounds += res.RecomputeRounds
+				iterMax := int64(0)
+				for _, st := range res.ShardStats {
+					ctrlNs += st.CtrlNs
+					if st.Shard == 0 {
+						rootNs += st.CtrlNs
+					} else if st.CtrlNs > iterMax {
+						iterMax = st.CtrlNs
 					}
-					nonRootNs += iterMax
 				}
-				if rounds > 0 {
-					b.ReportMetric(float64(ctrlNs)/float64(rounds), "ctrl-ns/tick")
-					b.ReportMetric(float64(rootNs)/float64(rounds), "root-ns/tick")
-					b.ReportMetric(float64(nonRootNs)/float64(rounds), "nonroot-ns/tick")
-				}
-			})
-		}
+				nonRootNs += iterMax
+			}
+			if rounds > 0 {
+				b.ReportMetric(float64(ctrlNs)/float64(rounds), "ctrl-ns/tick")
+				b.ReportMetric(float64(rootNs)/float64(rounds), "root-ns/tick")
+				b.ReportMetric(float64(nonRootNs)/float64(rounds), "nonroot-ns/tick")
+			}
+		})
 	}
 }
 

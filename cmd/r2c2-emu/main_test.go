@@ -45,3 +45,23 @@ func TestRunFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsHostileFlags: out-of-range sizes come back as a one-line
+// error before any topology or workload is built, never as a panic.
+func TestRunRejectsHostileFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-flows", "0"},
+		{"-interval", "0"},
+		{"-bytes", "0"},
+		{"-mbps", "0"},
+		{"-k", "1"},
+		{"-faults", "gen:7", "-flows", "0"},
+		{"-faults", "gen:7", "-interval", "0"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("run(%v) = %v, want a one-line error", args, err)
+		}
+	}
+}

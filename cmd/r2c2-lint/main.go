@@ -8,13 +8,9 @@
 //	r2c2-lint -json ./...                  # machine-readable report
 //	r2c2-lint -rules alloc-hotpath ./...   # run only the named rules
 //	r2c2-lint -list                        # list the rules and their scope
-//	r2c2-lint -ownership out.json ./...    # also write the ownership report
 //
 // -json emits an object {analyzer_version, rules, findings}: the version
 // and the rule set pin down what a clean report actually attests to.
-// -ownership writes a second report (shard_ownership.json in CI) listing
-// the //r2c2:shardowned types, the //r2c2:boundary functions and any
-// surviving shard-ownership findings.
 //
 // //lint:ignore directives are always validated against the full rule
 // set, even under -rules, so a filtered run never misreports a directive
@@ -55,7 +51,6 @@ func run(args []string, stdout io.Writer) error {
 	jsonOut := fs.Bool("json", false, "emit a JSON report {analyzer_version, rules, findings}")
 	listRules := fs.Bool("list", false, "list the rules and exit")
 	ruleFilter := fs.String("rules", "", "comma-separated rule names to run (default: every rule)")
-	ownershipOut := fs.String("ownership", "", "write the shard-ownership report (owned types, boundary funcs, findings) to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -112,19 +107,6 @@ func run(args []string, stdout io.Writer) error {
 	diags, err := analysis.RunAllKnown(root, rules, moduleRules, known)
 	if err != nil {
 		return err
-	}
-	if *ownershipOut != "" {
-		rep, err := analysis.BuildOwnershipReport(root, known)
-		if err != nil {
-			return err
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*ownershipOut, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
 	}
 	if *jsonOut {
 		if diags == nil {

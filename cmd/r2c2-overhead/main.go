@@ -57,6 +57,9 @@ func run(args []string, stdout io.Writer) error {
 		s := experiments.TestScale()
 		s.Flows = *flows
 		s.Parallel = *parallel
+		if err := s.Validate(); err != nil {
+			return err
+		}
 		res := experiments.Fig8(s, s.Tau, sweep, *ticks)
 		render(stdout, res.Table(), *csv)
 		fmt.Fprintln(stdout, "(full-* columns rebuild the allocation from scratch each tick; inc-* replay only the")

@@ -51,6 +51,10 @@ func run(args []string, stdout io.Writer) error {
 	s := experiments.TestScale()
 	s.K, s.Dims, s.Flows, s.Seed = *k, *dims, *flows, *seed
 	tau := simtime.FromSeconds(*tauUs * 1e-6)
+	s.Tau = tau
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "topology: %d-ary %d-cube (%d nodes), %d flows, tau=%v\n\n",
 		s.K, s.Dims, s.Torus().Nodes(), s.Flows, tau)
 

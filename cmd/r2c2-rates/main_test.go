@@ -22,3 +22,20 @@ func TestRunBadFlag(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
+
+// TestRunRejectsHostileFlags: out-of-range sizes come back as a one-line
+// error before any topology or workload is built, never as a panic.
+func TestRunRejectsHostileFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-k", "0"},
+		{"-dims", "0"},
+		{"-flows", "0"},
+		{"-tau", "0"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("run(%v) = %v, want a one-line error", args, err)
+		}
+	}
+}

@@ -86,6 +86,10 @@ func run(args []string, stdout io.Writer) error {
 	s.Reliable = *reliable
 	s.Parallel = *parallel
 	tau := simtime.FromSeconds(*tauUs * 1e-6)
+	s.Tau = tau
+	if err := s.Validate(); err != nil {
+		return err
+	}
 	fmt.Fprintf(stdout, "topology: %d-ary %d-cube (%d nodes), %d flows, tau=%v\n\n",
 		s.K, s.Dims, s.Torus().Nodes(), s.Flows, tau)
 
@@ -176,6 +180,9 @@ func runInterRack(stdout io.Writer, a interRackArgs) error {
 			return fmt.Errorf("-mixes: bad fraction %q", f)
 		}
 		cfg.Mixes = append(cfg.Mixes, mix)
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	fmt.Fprintf(stdout, "interrack sweep: %v, horizon=%v\n\n", cfg, a.horizon)
 	res := experiments.InterRack(cfg)

@@ -47,3 +47,27 @@ func TestRunFaultsBadSchedule(t *testing.T) {
 		t.Fatal("schedule with out-of-range node accepted")
 	}
 }
+
+// TestRunRejectsHostileFlags: out-of-range sizes come back as a one-line
+// error before any topology or workload is built, never as a panic.
+func TestRunRejectsHostileFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-interrack", "-racks", "0"},
+		{"-interrack", "-racks", "1"},
+		{"-interrack", "-bridges", "0"},
+		{"-interrack", "-bridges", "17"},
+		{"-interrack", "-flows", "0"},
+		{"-k", "0"},
+		{"-k", "1"},
+		{"-dims", "0"},
+		{"-flows", "0"},
+		{"-tau", "0"},
+		{"-tau", "-1"},
+	} {
+		var out bytes.Buffer
+		err := run(args, &out)
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("run(%v) = %v, want a one-line error", args, err)
+		}
+	}
+}

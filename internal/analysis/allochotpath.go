@@ -13,16 +13,17 @@ import (
 // module-internal calls — must not contain allocating constructs: the
 // ROADMAP's zero-alloc milestone (mbuf arenas, timer wheel) is only
 // landable if the event loop, the packet pool and the emulator data path
-// stay allocation-free between perf PRs, and BENCH_sim.json only notices
-// a regression after it has shipped.
+// stay allocation-free between perf PRs, and a benchmark only notices a
+// regression after it has shipped.
 //
 // The rule is deliberately an over-approximation of the compiler's escape
 // analysis: `&T{}` that provably stays on the stack, a `make` with a
 // constant bound, an interface conversion the inliner devirtualises — all
 // still flagged. A construct the rule flags either gets rewritten or gets
-// an explicit `//lint:ignore alloc-hotpath <why it is fine>`; the
-// compiler's actual verdict is cross-checked by cmd/r2c2-allocheck
-// against alloc_budget.json. What it will not do is silently drift.
+// an explicit `//lint:ignore alloc-hotpath <why it is fine>`; what the
+// running code actually allocates is measured by the testing.AllocsPerRun
+// gates in internal/sim (DESIGN.md §11). What it will not do is silently
+// drift.
 //
 // Collect gathers per-function facts (the annotation, allocation sites,
 // named callees); Resolve walks the call graph from every annotated root

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// checkModule runs module analyzers over in-memory packages and returns
+// the surviving findings.
+func checkModule(t *testing.T, pkgs map[string]map[string]string, as ...ModuleAnalyzer) []Diagnostic {
+	t.Helper()
+	diags, err := CheckSourceModule(pkgs, as)
+	if err != nil {
+		t.Fatalf("CheckSourceModule: %v", err)
+	}
+	return diags
+}
+
+// onePkg wraps a single file as a one-package module.
+func onePkg(path, src string) map[string]map[string]string {
+	return map[string]map[string]string{path: {"src.go": src}}
+}
+
 // countRule tallies findings for one rule, failing the test on any
 // lint-directive findings (a fixture with a bad ignore is a broken test).
 func countRule(t *testing.T, diags []Diagnostic, rule string) int {

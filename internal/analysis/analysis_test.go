@@ -124,48 +124,6 @@ func f(rng *rand.Rand, n int) int { return rng.Intn(n) }`, 0},
 	}
 }
 
-func TestMutexByValue(t *testing.T) {
-	a := NewMutexByValue()
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"violating-value-receiver", `package p
-import "sync"
-type Rack struct{ mu sync.Mutex }
-func (r Rack) Touch() {}`, 1},
-		{"violating-param", `package p
-import "sync"
-func f(mu sync.Mutex) {}`, 1},
-		{"violating-transitive", `package p
-import "sync"
-type inner struct{ wg sync.WaitGroup }
-type outer struct{ in inner }
-func f(o outer) {}`, 1},
-		{"violating-embedded", `package p
-import "sync"
-type guarded struct{ sync.RWMutex }
-func f() guarded { return guarded{} }`, 1},
-		{"conforming-pointer", `package p
-import "sync"
-type Rack struct{ mu sync.Mutex }
-func (r *Rack) Touch() {}
-func f(r *Rack, mu *sync.Mutex) {}`, 0},
-		{"conforming-no-lock", `package p
-type Plain struct{ n int }
-func (p Plain) N() int { return p.n }`, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := checkOne(t, a, "r2c2/internal/p", tc.src)
-			if len(diags) != tc.want {
-				t.Fatalf("got %d findings, want %d: %v", len(diags), tc.want, diags)
-			}
-		})
-	}
-}
-
 func TestGoroutineLeak(t *testing.T) {
 	a := NewGoroutineLeak("internal/emu")
 	cases := []struct {
@@ -374,10 +332,22 @@ func f() {
 }
 
 func TestDefaultRuleSetScoping(t *testing.T) {
-	// Every rule in the default set must have a unique name (ignore
-	// directives address rules by name).
-	seen := map[string]bool{}
+	// Every rule in the default sets must have a unique name (ignore
+	// directives address rules by name), and the two sets together are
+	// exactly the eight rules DESIGN.md §6 lists.
+	type rule interface {
+		Name() string
+		Doc() string
+	}
+	var rules []rule
 	for _, a := range Default() {
+		rules = append(rules, a)
+	}
+	for _, a := range DefaultModule() {
+		rules = append(rules, a)
+	}
+	seen := map[string]bool{}
+	for _, a := range rules {
 		if seen[a.Name()] {
 			t.Errorf("duplicate rule name %q", a.Name())
 		}
@@ -386,9 +356,14 @@ func TestDefaultRuleSetScoping(t *testing.T) {
 			t.Errorf("rule %q has no doc", a.Name())
 		}
 	}
-	for _, rule := range []string{"no-wallclock", "no-global-rand", "mutex-by-value", "goroutine-leak", "unit-suffix"} {
-		if !seen[rule] {
-			t.Errorf("default rule set is missing %q", rule)
+	want := []string{"no-wallclock", "no-global-rand", "goroutine-leak", "unit-suffix",
+		"alloc-hotpath", "det-map-iter", "shard-ownership", "atomic-plain-mix"}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("default rule set is missing %q", name)
 		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("default rule sets hold %d rules, want %d", len(seen), len(want))
 	}
 }

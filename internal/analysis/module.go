@@ -11,12 +11,13 @@ import (
 
 // ModuleAnalyzer is a two-phase, type-aware rule. Phase one (Collect)
 // runs once per package with full type information and returns that
-// package's facts — whatever the rule needs to remember: unit seeds and
-// dataflow edges, lock acquisitions, channel endpoints. Phase two
-// (Resolve) sees every package's facts at once and reports the findings
-// that only exist module-wide: a Kbps value crossing into a bits/s
-// expression two packages away, a lock cycle spanning call chains, a send
-// whose only receiver lives elsewhere.
+// package's facts — whatever the rule needs to remember: hot-path roots
+// and call edges, owned types and the sites that move them, which fields
+// are touched atomically. Phase two (Resolve) sees every package's facts
+// at once and reports the findings that only exist module-wide: an
+// allocation two calls below a hot path in another package, an owned type
+// escaping in a package that only imports it, a plain write to a field
+// another package updates atomically.
 //
 // The split mirrors how the findings are actually computed: facts are
 // local and cheap, the judgement needs the whole program.
@@ -42,19 +43,9 @@ type PackageFacts struct {
 }
 
 // DefaultModule returns the R2C2 module-wide rule set (run alongside the
-// syntactic rules of Default by RunAll).
+// syntactic rules of Default by RunAllKnown).
 func DefaultModule() []ModuleAnalyzer {
 	return []ModuleAnalyzer{
-		// Kbps wire fields, bits/s water-filling and byte-denominated flow
-		// sizes meet in almost every package; a silent unit crossing is a
-		// 1000x result error.
-		NewUnitTaint(),
-		// The emulator's mutexes stand in for the paper's RDMA links;
-		// a lock-order inversion is a rack-wide deadlock.
-		NewLockOrder(),
-		// A send on a channel with no live receiver wedges a goroutine
-		// forever; Stop() then never returns.
-		NewChanBlock(),
 		// The zero-alloc roadmap item is only landable if the annotated
 		// hot paths stay allocation-free between perf PRs.
 		NewAllocHotpath(),
@@ -94,20 +85,15 @@ func runModule(mod *Module, analyzers []ModuleAnalyzer) []Diagnostic {
 	return all
 }
 
-// RunAll is the full lint entry point: the per-package syntactic rules
-// (test files included), the module-wide type-aware rules (non-test
+// RunAllKnown is the full lint entry point: the per-package syntactic
+// rules (test files included), the module-wide type-aware rules (non-test
 // files), //lint:ignore filtering across both, and validation of every
-// directive's rule names against the combined rule set — a directive
-// naming an unknown rule is itself a finding, never a silent suppression.
-func RunAll(root string, syntactic []Analyzer, module []ModuleAnalyzer) ([]Diagnostic, error) {
-	return RunAllKnown(root, syntactic, module, knownRules(syntactic, module))
-}
-
-// RunAllKnown is RunAll with an explicit known-rule set for directive
-// validation. A caller running a filtered subset of rules (r2c2-lint
-// -rules alloc-hotpath) must still validate //lint:ignore directives
-// against the full rule set, or every directive naming an unselected rule
-// would misreport as unknown.
+// directive's rule names against known — a directive naming an unknown
+// rule is itself a finding, never a silent suppression. known is explicit
+// because a caller running a filtered subset of rules (r2c2-lint -rules
+// alloc-hotpath) must still validate directives against the full rule set
+// (KnownRules), or every directive naming an unselected rule would
+// misreport as unknown.
 func RunAllKnown(root string, syntactic []Analyzer, module []ModuleAnalyzer, known map[string]bool) ([]Diagnostic, error) {
 	diags, ignores, err := runSyntactic(root, syntactic, known)
 	if err != nil {
@@ -129,12 +115,6 @@ func RunAllKnown(root string, syntactic []Analyzer, module []ModuleAnalyzer, kno
 // KnownRules builds the set of rule names a //lint:ignore directive may
 // legally address for the given rule sets.
 func KnownRules(syntactic []Analyzer, module []ModuleAnalyzer) map[string]bool {
-	return knownRules(syntactic, module)
-}
-
-// knownRules builds the set of rule names a //lint:ignore directive may
-// legally address.
-func knownRules(syntactic []Analyzer, module []ModuleAnalyzer) map[string]bool {
 	known := map[string]bool{"*": true, "lint-directive": true}
 	for _, a := range syntactic {
 		known[a.Name()] = true
@@ -148,7 +128,7 @@ func knownRules(syntactic []Analyzer, module []ModuleAnalyzer) map[string]bool {
 // CheckSourceModule type-checks a set of in-memory packages (import path
 // -> filename -> content, type-checked in dependency order) and applies
 // the module analyzers. This is the unit-test entry point for two-phase
-// rules; //lint:ignore filtering matches RunAll's.
+// rules; //lint:ignore filtering matches RunAllKnown's.
 func CheckSourceModule(pkgs map[string]map[string]string, analyzers []ModuleAnalyzer) ([]Diagnostic, error) {
 	fset := token.NewFileSet()
 	imp := &moduleImporter{
@@ -203,7 +183,7 @@ func CheckSourceModule(pkgs map[string]map[string]string, analyzers []ModuleAnal
 
 	mod := &Module{Fset: fset}
 	ignores := ignoreSet{}
-	known := knownRules(nil, analyzers)
+	known := KnownRules(nil, analyzers)
 	var diags []Diagnostic
 	for _, path := range order {
 		info := &types.Info{

@@ -17,7 +17,7 @@ import (
 // are skipped. //lint:ignore directives naming a rule outside the given
 // analyzer set are reported, not honoured.
 func Run(root string, analyzers []Analyzer) ([]Diagnostic, error) {
-	diags, _, err := runSyntactic(root, analyzers, knownRules(analyzers, nil))
+	diags, _, err := runSyntactic(root, analyzers, KnownRules(analyzers, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +26,7 @@ func Run(root string, analyzers []Analyzer) ([]Diagnostic, error) {
 }
 
 // runSyntactic runs the per-package (syntactic) engine and additionally
-// returns the module-wide ignore set, so RunAll can filter the module
+// returns the module-wide ignore set, so RunAllKnown can filter the module
 // analyzers' findings through the same directives.
 func runSyntactic(root string, analyzers []Analyzer, known map[string]bool) ([]Diagnostic, ignoreSet, error) {
 	module, err := modulePath(filepath.Join(root, "go.mod"))
@@ -109,7 +109,7 @@ func CheckSource(pkgPath string, sources map[string]string, analyzers []Analyzer
 		}
 		pass.Files = append(pass.Files, f)
 	}
-	diags, _ := check(pass, analyzers, knownRules(analyzers, nil))
+	diags, _ := check(pass, analyzers, KnownRules(analyzers, nil))
 	return diags, nil
 }
 

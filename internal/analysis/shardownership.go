@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -323,60 +322,6 @@ func directiveOn(doc *ast.CommentGroup) string {
 		}
 	}
 	return "?"
-}
-
-// OwnershipReport summarises a module's declared ownership model for the
-// shard_ownership.json CI artifact: which types are shard-owned, which
-// functions are declared crossing points, and the shard-ownership
-// findings that survive //lint:ignore suppression.
-type OwnershipReport struct {
-	AnalyzerVersion int          `json:"analyzer_version"`
-	OwnedTypes      []string     `json:"owned_types"`
-	BoundaryFuncs   []string     `json:"boundary_funcs"`
-	Findings        []Diagnostic `json:"findings"`
-}
-
-// BuildOwnershipReport loads the module under root and builds its
-// OwnershipReport. known is the full rule set for directive validation;
-// directive-error findings belong to the main lint run, not this report.
-// All slices are sorted (and non-nil) so the encoded report is
-// byte-identical across runs.
-func BuildOwnershipReport(root string, known map[string]bool) (*OwnershipReport, error) {
-	_, ignores, err := runSyntactic(root, nil, known)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := LoadModule(root)
-	if err != nil {
-		return nil, err
-	}
-	so := &shardOwnership{}
-	rep := &OwnershipReport{
-		AnalyzerVersion: Version,
-		OwnedTypes:      []string{},
-		BoundaryFuncs:   []string{},
-		Findings:        []Diagnostic{},
-	}
-	var pfs []PackageFacts
-	for _, pass := range mod.Passes {
-		f := so.Collect(pass)
-		if f == nil {
-			continue
-		}
-		sf := f.(*soFacts)
-		rep.OwnedTypes = append(rep.OwnedTypes, sf.owned...)
-		rep.BoundaryFuncs = append(rep.BoundaryFuncs, sf.boundary...)
-		pfs = append(pfs, PackageFacts{Path: pass.Path, Facts: f})
-	}
-	for _, d := range so.Resolve(pfs) {
-		if !ignores.covers(d) {
-			rep.Findings = append(rep.Findings, d)
-		}
-	}
-	sort.Strings(rep.OwnedTypes)
-	sort.Strings(rep.BoundaryFuncs)
-	sortDiagnostics(rep.Findings)
-	return rep, nil
 }
 
 // Resolve joins the module-wide owned and boundary sets and reports every

@@ -19,10 +19,10 @@ import (
 // (two-phase) analyzers need to see a value's declared type and the
 // objects an identifier resolves to, not just its spelling.
 //
-// Typed passes cover the non-test files of a package: the dataflow
-// invariants (unit taint, lock order, channel blocking) live in
-// production code, and excluding _test.go keeps every package a single
-// type-checkable unit.
+// Typed passes cover the non-test files of a package: the invariants the
+// module rules guard (hot-path allocation, map-order determinism, shard
+// ownership) live in production code, and excluding _test.go keeps every
+// package a single type-checkable unit.
 type TypedPass struct {
 	Pass
 	Pkg  *types.Package

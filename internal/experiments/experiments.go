@@ -47,7 +47,24 @@ func TestScale() Scale {
 		Flows: 1200, Tau: 4 * simtime.Microsecond, Seed: 1}
 }
 
-// Torus builds the scale's topology.
+// Validate rejects a scale no harness can run, so that the cmd tools report
+// a bad flag as an error where the topology and traffic generators (whose
+// callers inside the module pass known-good sizes) would panic on it.
+func (s Scale) Validate() error {
+	switch {
+	case s.K < 2 || s.Dims < 1:
+		return fmt.Errorf("torus needs k >= 2 and dims >= 1 (got k=%d dims=%d)", s.K, s.Dims)
+	case s.Flows < 1:
+		return fmt.Errorf("need at least one flow (got %d)", s.Flows)
+	case s.Tau <= 0:
+		return fmt.Errorf("mean flow inter-arrival time must be positive (got %v)", s.Tau)
+	case !(s.LinkGbps > 0):
+		return fmt.Errorf("link rate must be positive (got %v Gbps)", s.LinkGbps)
+	}
+	return nil
+}
+
+// Torus builds the scale's topology; the scale must be Validate-clean.
 func (s Scale) Torus() *topology.Graph {
 	g, err := topology.NewTorus(s.K, s.Dims)
 	if err != nil {

@@ -57,6 +57,9 @@ type FaultSweepResult struct {
 // graphAndArrivals expands the config into the shared topology and the
 // seeded workload both backends replay.
 func (cfg FaultSweepConfig) graphAndArrivals() (*topology.Graph, []trafficgen.Arrival, error) {
+	if err := validateEmuWorkload(cfg.Flows, cfg.FlowBytes, cfg.MeanInterval, cfg.LinkMbps); err != nil {
+		return nil, nil, err
+	}
 	g, err := topology.NewTorus(cfg.K, 2)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"r2c2/internal/emu"
@@ -40,8 +41,28 @@ type Fig7Result struct {
 	EmuDrops, SimDrops           uint64
 }
 
+// validateEmuWorkload rejects the workload sizes of a sim-vs-emu comparison
+// (Fig7, the fault sweep) that the traffic generator would panic on or that
+// no link could carry; the torus radix is checked by topology.NewTorus.
+func validateEmuWorkload(flows int, flowBytes int64, interval time.Duration, linkMbps float64) error {
+	switch {
+	case flows < 1:
+		return fmt.Errorf("need at least one flow (got %d)", flows)
+	case interval <= 0:
+		return fmt.Errorf("mean flow inter-arrival must be positive (got %v)", interval)
+	case flowBytes <= 0:
+		return fmt.Errorf("flow size must be positive (got %d bytes)", flowBytes)
+	case !(linkMbps > 0):
+		return fmt.Errorf("link rate must be positive (got %v Mbps)", linkMbps)
+	}
+	return nil
+}
+
 // Fig7 replays the identical flow sequence on both platforms (§5.1).
 func Fig7(cfg Fig7Config) (*Fig7Result, error) {
+	if err := validateEmuWorkload(cfg.Flows, cfg.FlowBytes, cfg.MeanInterval, cfg.LinkMbps); err != nil {
+		return nil, err
+	}
 	g, err := topology.NewTorus(cfg.K, 2)
 	if err != nil {
 		return nil, err

@@ -55,8 +55,26 @@ func DefaultInterRack() InterRackConfig {
 	}
 }
 
+// Validate rejects a sweep Fabric or the traffic generator cannot build: the
+// Scale checks on the per-rack torus and the workload, a ring of at least
+// two racks, and between one bridge and one per rack node (Fabric spreads
+// them over distinct nodes).
+func (c InterRackConfig) Validate() error {
+	if err := (Scale{K: c.K, Dims: 2, LinkGbps: c.LinkGbps, Flows: c.Flows, Tau: c.Tau}).Validate(); err != nil {
+		return err
+	}
+	if c.Racks < 2 {
+		return fmt.Errorf("interrack sweep needs at least two racks (got %d)", c.Racks)
+	}
+	if c.Bridges < 1 || c.Bridges > c.K*c.K {
+		return fmt.Errorf("bridges per rack pair must be between 1 and k*k = %d (got %d)", c.K*c.K, c.Bridges)
+	}
+	return nil
+}
+
 // Fabric builds the multi-rack ring: Racks K×K tori, each joined to its
-// ring successor by Bridges cables spread around the rack perimeter.
+// ring successor by Bridges cables spread around the rack perimeter. The
+// config must be Validate-clean.
 func (c InterRackConfig) Fabric() *topology.Graph {
 	subs := make([]*topology.Graph, c.Racks)
 	for i := range subs {

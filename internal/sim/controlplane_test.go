@@ -70,23 +70,22 @@ func controlPlaneFaults(racks int) faults.Schedule {
 	}}
 }
 
-// TestShardedControlPlaneOracle is the aggregated control plane's
-// differential oracle: for each rack count and fault schedule, the serial
-// engine, the replicated-control sharded engine, and the aggregated
-// (tree-reduced) sharded engine must produce byte-identical Results at
-// every worker count. The aggregated path shares one global allocator run
-// per tick where the replicated path recomputes per shard, so any drift in
-// the reduction, the convergence fallback, or the tick pause/resume
-// sequencing shows up as a byte diff here.
+// TestShardedControlPlaneOracle is the sharded control plane's differential
+// oracle: for each rack count and fault schedule, the tree-reduced sharded
+// engine must produce Results byte-identical to the serial engine's at every
+// worker count. A sharded tick shares one global allocator run where the
+// serial tick recomputes per distinct view, so any drift in the reduction,
+// the convergence fallback, or the tick pause/resume sequencing shows up as
+// a byte diff here. Shards ≤ 1 selects the serial engine itself, so the
+// sweep starts at two workers.
 func TestShardedControlPlaneOracle(t *testing.T) {
 	fanOutEveryPhase(t)
 	for _, racks := range []int{2, 4} {
 		for _, withFaults := range []bool{false, true} {
 			name := fmt.Sprintf("racks=%d/faults=%v", racks, withFaults)
 			t.Run(name, func(t *testing.T) {
-				mk := func(shards int, replicated bool) RunConfig {
+				mk := func(shards int) RunConfig {
 					cfg := controlPlaneWorkload(t, racks, shards)
-					cfg.ReplicatedControlPlane = replicated
 					if withFaults {
 						sched := controlPlaneFaults(racks)
 						if err := sched.Validate(cfg.Graph); err != nil {
@@ -96,7 +95,7 @@ func TestShardedControlPlaneOracle(t *testing.T) {
 					}
 					return cfg
 				}
-				serial := Run(mk(1, false))
+				serial := Run(mk(1))
 				if serial.Completed == 0 {
 					t.Fatal("workload completed no flows; the comparison would be vacuous")
 				}
@@ -104,19 +103,13 @@ func TestShardedControlPlaneOracle(t *testing.T) {
 					t.Fatal("fault schedule never triggered a reroute")
 				}
 				want := dumpResults(serial)
-				for _, workers := range []int{1, 2, 4, 8} {
-					for _, replicated := range []bool{false, true} {
-						mode := "aggregated"
-						if replicated {
-							mode = "replicated"
-						}
-						res := Run(mk(workers, replicated))
-						res.ShardStats = nil // wall-clock fields are legitimately nondeterministic
-						got := dumpResults(res)
-						if !bytes.Equal(want, got) {
-							t.Fatalf("workers=%d %s control plane diverged from serial (first differing line %d)\n--- serial ---\n%s\n--- sharded ---\n%s",
-								workers, mode, firstDiffLine(want, got), want, got)
-						}
+				for _, workers := range []int{2, 4, 8} {
+					res := Run(mk(workers))
+					res.ShardStats = nil // wall-clock fields are legitimately nondeterministic
+					got := dumpResults(res)
+					if !bytes.Equal(want, got) {
+						t.Fatalf("workers=%d sharded control plane diverged from serial (first differing line %d)\n--- serial ---\n%s\n--- sharded ---\n%s",
+							workers, firstDiffLine(want, got), want, got)
 					}
 				}
 			})

@@ -22,9 +22,9 @@ func (r *R2C2) ApplyFaults(sched faults.Schedule) {
 		ev := e
 		r.Net.Eng.Schedule(simAt(ev.At), func() {
 			if r.sh != nil {
-				// The whole schedule is replicated into every shard so each
-				// sees the same degraded fabric; tick the replicated-control
-				// counter so merged event totals subtract the duplicates.
+				// Every shard runs the whole schedule so each sees the same
+				// degraded fabric; tick the control counter so merged event
+				// totals subtract the duplicates.
 				r.sh.ctrl++
 			}
 			det := simtime.Time(ev.Detect.Nanoseconds()) * simtime.Nanosecond

@@ -68,15 +68,14 @@ type R2C2 struct {
 	agg *core.RateComputer
 
 	// nextTick is the absolute time of the next scheduled recomputation
-	// tick. The sharded orchestrator clamps its epochs to it in aggregated
-	// mode so every shard's engine pauses at the tick together (shard.go);
-	// unread in serial and replicated runs.
+	// tick of a sharded run: the orchestrator clamps its epochs to it so
+	// every shard's engine pauses at the tick together (shard.go).
 	nextTick simtime.Time
 
 	// sh is the shard context when this R2C2 instance drives one shard of
-	// a sharded run (shard.go): nil in serial runs. Replicated control
-	// events (recomputation ticks, fault injections, reroutes) tick its
-	// counter so the merged Results can subtract the duplicates.
+	// a sharded run (shard.go): nil in serial runs. Control events that fire
+	// in every shard (recomputation ticks, fault injections, reroutes) tick
+	// its counter so the merged Results can subtract the duplicates.
 	sh *shardCtx
 
 	// fabrics builds the degraded fabric of each reroute generation once for
@@ -546,7 +545,7 @@ func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
 // were already covered by a later-injected, earlier-firing reroute no-op.
 func (r *R2C2) rerouteNow() {
 	if r.sh != nil {
-		r.sh.ctrl++ // replicated control event: fires once in every shard
+		r.sh.ctrl++ // control event: fires once in every shard
 	}
 	if r.reroutedSeq >= r.failSeq {
 		return // a newer reroute already covers this injection
@@ -1068,53 +1067,35 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 	}
 }
 
-// recomputeTick is the periodic batch recomputation (§3.3.2). Serial runs
-// and replicated-control sharded runs recompute every node's rates from its
-// own view right here; aggregated sharded runs instead summarise the
-// shard's sourced flows and pause for the cross-shard tree reduction
-// (DESIGN.md §15) — the allocation comes back through applyAggregatedTick.
+// recomputeTick is the periodic batch recomputation (§3.3.2). A serial run
+// recomputes every node's rates from its own view right here: nodes whose
+// views are identical (the common case once broadcasts settle) share a
+// single allocator run, keyed by the view hash. A shard of a sharded run
+// instead summarises its sourced flows and pauses for the cross-shard tree
+// reduction (DESIGN.md §15) — the allocation comes back through
+// applyAggregatedTick.
 func (r *R2C2) recomputeTick() {
-	if r.sh == nil {
-		r.replicatedTick()
+	if r.sh != nil {
+		t0 := wallNs() // control-plane cost accounting, like phaseShard's
+		r.aggregateTick()
+		r.sh.ctrlNs += wallNs() - t0
 		return
 	}
-	t0 := wallNs() // control-plane cost accounting, like phaseShard's
-	if r.sh.replicated {
-		r.replicatedTick()
-	} else {
-		r.aggregateTick()
-	}
-	r.sh.ctrlNs += wallNs() - t0
-}
-
-// replicatedTick recomputes every local node's rates from its own view:
-// nodes whose views are identical (the common case once broadcasts settle)
-// share a single allocator run, keyed by the view hash.
-func (r *R2C2) replicatedTick() {
 	r.RecomputeRounds++
-	if r.sh != nil {
-		r.sh.ctrl++ // replicated control event: ticks fire in every shard
-		// Log this tick's distinct view hashes so the merge can reproduce
-		// the serial Recomputations count (per-tick union across shards).
-		r.sh.tickHashes = append(r.sh.tickHashes, nil)
-	}
 	r.rearmFromViews(nil)
-	r.nextTick = r.Net.Eng.Now() + r.Cfg.Recompute
 	r.Net.Eng.After(r.Cfg.Recompute, r.recomputeTick)
 }
 
-// aggregateTick is the local half of an aggregated-control tick: it
-// summarises the flows this shard's nodes source (ascending node order,
-// flows sorted by ID — with source-prefixed flow IDs that is exactly
-// ascending global flow order) and pauses the engine AT the tick. Events
-// at the tick timestamp with later sequence numbers must not run until the
-// reduction publishes the global allocation back: in a serial run they
-// would execute after the tick's own scheduling, which happens in
-// applyAggregatedTick here.
+// aggregateTick is the local half of a sharded run's tick: it summarises
+// the flows this shard's nodes source (ascending node order, flows sorted by
+// ID — with source-prefixed flow IDs that is exactly ascending global flow
+// order) and pauses the engine AT the tick. Events at the tick timestamp
+// with later sequence numbers must not run until the reduction publishes the
+// global allocation back: in a serial run they would execute after the
+// tick's own scheduling, which happens in applyAggregatedTick here.
 func (r *R2C2) aggregateTick() {
 	r.RecomputeRounds++
-	r.sh.ctrl++ // the tick event itself still fires once in every shard
-	r.sh.tickHashes = append(r.sh.tickHashes, nil)
+	r.sh.ctrl++ // the tick event fires once in every shard
 	s := &r.sh.summary
 	s.Reset()
 	for _, node := range r.nodes {
@@ -1140,24 +1121,24 @@ func (r *R2C2) computeGlobal(s *core.DemandSummary) *core.Allocation {
 	return r.agg.ComputeSummary(s)
 }
 
-// applyAggregatedTick is the apply half of an aggregated-control tick: the
+// applyAggregatedTick is the apply half of a sharded run's tick: the
 // orchestrator has published the global allocation to r.sh, and this shard
 // re-arms its own senders from it. Nodes whose views converged to the
 // global flow set (hash match) share the global allocation outright; a
 // node whose view diverged (broadcasts still in flight) falls back to the
-// shard-local computer over its own view — exactly the replicated path,
-// so the fallback preserves the oracle's semantics. The tick re-arms HERE,
-// after the senders, so event sequence numbers are assigned in the same
-// relative order the serial tick assigns them.
+// shard-local computer over its own view — exactly what the serial tick
+// does for that node, so the fallback preserves its semantics. The tick
+// re-arms HERE, after the senders, so event sequence numbers are assigned in
+// the same relative order the serial tick assigns them.
 func (r *R2C2) applyAggregatedTick() {
 	r.rearmFromViews(r.sh.globalAlloc)
 	r.Net.Eng.After(r.Cfg.Recompute, r.recomputeTick)
 }
 
 // rearmFromViews re-arms every local sender from this tick's allocations,
-// deduplicating allocator runs by view hash. global is the aggregated
-// tick's reduced allocation (nil on the replicated/serial path): views
-// hashing to it adopt it without touching the shard-local computer.
+// deduplicating allocator runs by view hash. global is a sharded tick's
+// reduced allocation (nil in a serial run): views hashing to it adopt it
+// without touching the shard-local computer.
 func (r *R2C2) rearmFromViews(global *core.Allocation) {
 	if r.tickCache == nil {
 		r.tickCache = make(map[uint64]*core.Allocation)
@@ -1178,8 +1159,7 @@ func (r *R2C2) rearmFromViews(global *core.Allocation) {
 			r.tickCache[h] = alloc
 			r.Recomputations++
 			if r.sh != nil {
-				last := len(r.sh.tickHashes) - 1
-				r.sh.tickHashes[last] = append(r.sh.tickHashes[last], h)
+				r.sh.tickHashes = append(r.sh.tickHashes, h)
 			}
 		}
 		// Sorted iteration: armSender schedules the pacing events, and

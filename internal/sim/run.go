@@ -66,20 +66,11 @@ type RunConfig struct {
 	// always the rack partition — Shards only caps the worker count — so
 	// Results are identical at every value. Requires TransportR2C2 and a
 	// rack-structured graph (ConnectRacks or NewFoldedClos). 0 or 1 selects
-	// the serial engine, the sharded engine's differential oracle.
+	// the serial engine, the sharded engine's differential oracle. The one
+	// control plane is held to it too: each ρ tick a sharded run summarises
+	// every shard's sourced flows, tree-reduces the summaries into one global
+	// view and distributes the allocation back (DESIGN.md §15).
 	Shards int
-
-	// ReplicatedControlPlane makes every shard of a sharded run recompute
-	// rates from its own nodes' views at each ρ tick — the pre-aggregation
-	// control plane, where per-shard allocator work scales with the TOTAL
-	// flow count because every view spans the whole fabric. Off (the
-	// default), each shard instead summarises only the flows its racks
-	// source, the summaries tree-reduce into one global view per tick, and
-	// the resulting allocation is distributed back (DESIGN.md §15). The two
-	// modes produce byte-identical Results; the replicated path is kept as
-	// the aggregated control plane's differential oracle. Ignored by serial
-	// runs, which hold all views in one engine anyway.
-	ReplicatedControlPlane bool
 }
 
 // Results aggregates everything the §5 figures need from one run.

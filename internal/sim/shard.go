@@ -15,12 +15,10 @@ package sim
 // to another shard cross through per-pair boundary queues, and the
 // orchestrator drains the non-empty ones serially at every epoch boundary,
 // in deterministic (at, emission time, emitting link) order.
-// The R2C2 control plane is aggregated by default: each ρ tick, every shard
-// summarises the flows its racks source, the summaries tree-reduce into one
-// global view (topology.ReductionTree), and the resulting allocation
-// distributes back — per-shard control work stops scaling with the total
-// flow count (RunConfig.ReplicatedControlPlane restores the replicated
-// oracle).
+// The R2C2 control plane is aggregated: each ρ tick, every shard summarises
+// the flows its racks source, the summaries tree-reduce into one global view
+// (topology.ReductionTree), and the resulting allocation distributes back —
+// per-shard control work does not scale with the total flow count.
 //
 // The lookahead window Δ is the minimum latency any cross-shard interaction
 // can have: the smallest boundary-link propagation delay, additionally
@@ -116,10 +114,10 @@ type shardCtx struct {
 	// epoch, in first-export order; drain visits only these and clears it.
 	dirty []int32
 
-	// ctrl counts replicated control events (recompute ticks, fault
-	// injections, reroute firings) that run once in EVERY shard but once
-	// total in a serial run: the merge subtracts the S-1 duplicates from
-	// the event total and asserts the count is identical across shards.
+	// ctrl counts control events (recompute ticks, fault injections,
+	// reroute firings) that run once in EVERY shard but once total in a
+	// serial run: the merge subtracts the S-1 duplicates from the event
+	// total and asserts the count is identical across shards.
 	ctrl uint64
 	// doneFlows counts Done transitions observed by this shard's receiver
 	// logic; every flow completes in exactly one shard, so the sum across
@@ -128,21 +126,16 @@ type shardCtx struct {
 	// handoffs counts exported boundary crossings (per-shard utilisation
 	// statistic).
 	handoffs uint64
-	// tickHashes logs, per recomputation tick, the distinct view hashes
-	// this shard ran the allocator for; foldTicks unions them per tick
-	// across shards at every barrier to reproduce the serial
-	// Recomputations count, then truncates them — the log never grows
-	// beyond the ticks of one epoch.
-	tickHashes [][]uint64
+	// tickHashes holds the distinct view hashes this shard settled an
+	// allocation for in the current recomputation tick; reduceTick unions
+	// them across shards to reproduce the serial Recomputations count, then
+	// empties them.
+	tickHashes []uint64
 
-	// Aggregated control plane (DESIGN.md §15). replicated mirrors
-	// RunConfig.ReplicatedControlPlane: when set, each shard recomputes
-	// from its own views every tick (the differential oracle) and the
-	// fields below stay idle.
-	replicated bool
-	// tickPending is set by aggregateTick when the shard's engine pauses
-	// at a recomputation tick; the orchestrator asserts every shard agrees
-	// and clears it during the reduction.
+	// Control plane (DESIGN.md §15): tickPending is set by aggregateTick
+	// when the shard's engine pauses at a recomputation tick; the
+	// orchestrator asserts every shard agrees and clears it during the
+	// reduction.
 	tickPending bool
 	// summary holds the shard's sourced-flow demand summary for the
 	// pending tick; the orchestrator tree-reduces the summaries bottom-up,
@@ -152,9 +145,8 @@ type shardCtx struct {
 	// orchestrator before the apply phase. Immutable after publication.
 	globalAlloc *core.Allocation
 	// ctrlNs accumulates wall-clock nanoseconds spent in control-plane
-	// work (tick aggregation or replicated recompute, reduction merges,
-	// apply). Reported per shard (ShardStat.CtrlNs), excluded from
-	// byte-identity like BusyNs.
+	// work (tick aggregation, reduction merges, apply). Reported per shard
+	// (ShardStat.CtrlNs), excluded from byte-identity like BusyNs.
 	ctrlNs int64
 }
 
@@ -196,7 +188,7 @@ var wallEpoch = time.Now()
 // (ShardStat.BusyNs, CtrlNs), which is documented as nondeterministic and
 // excluded from byte-identity — no simulation decision ever reads it.
 func wallNs() int64 {
-	//lint:ignore no-wallclock,unit-taint utilisation accounting in wall nanoseconds; excluded from Results byte-identity
+	//lint:ignore no-wallclock utilisation accounting in wall nanoseconds; excluded from Results byte-identity
 	return time.Since(wallEpoch).Nanoseconds()
 }
 
@@ -284,7 +276,7 @@ type shardedRun struct {
 	part   *topology.Partition
 	shards []*shardState
 	delta  simtime.Time
-	tree   *topology.ReductionTree // nil when ReplicatedControlPlane is set
+	tree   *topology.ReductionTree // the control plane's summary reduction order
 
 	// Active set of the current epoch: nextAt[s] is shard s's earliest
 	// pending event (noEvent when its schedule is empty), refreshed by
@@ -309,13 +301,10 @@ type shardedRun struct {
 	dirtyDst []int32
 	gather   []*handoff
 
-	// Folded Recomputations accounting: foldTicks unions each tick's
-	// distinct view hashes across shards at every barrier and accumulates
-	// the count here, so no shard's tickHashes log ever holds more than one
-	// epoch's ticks (the log was O(ticks) memory for the whole run before).
+	// recomputations accumulates, tick by tick, the size of the union of
+	// the shards' tickHashes (reduceTick); seen is its reusable scratch.
 	recomputations uint64
-	ticksFolded    uint64
-	seen           map[uint64]bool // fold scratch, reused
+	seen           map[uint64]bool
 }
 
 // noEvent is nextAt's value for a shard with an empty schedule.
@@ -370,19 +359,18 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 		maxTime = cfg.Arrivals[len(cfg.Arrivals)-1].At + 100*simtime.Millisecond
 	}
 
+	tree, err := topology.NewReductionTree(cfg.Graph, part)
+	if err != nil {
+		panic(fmt.Sprintf("sim: aggregated control plane needs a connected rack quotient: %v", err))
+	}
 	sr := &shardedRun{
 		cfg:    cfg,
 		part:   part,
 		delta:  lookahead(cfg.Graph, cfg.Net, part),
+		tree:   tree,
 		nextAt: make([]simtime.Time, S),
 		inbox:  make([][]*boundaryQueue, S),
-	}
-	if !cfg.ReplicatedControlPlane {
-		tree, err := topology.NewReductionTree(cfg.Graph, part)
-		if err != nil {
-			panic(fmt.Sprintf("sim: aggregated control plane needs a connected rack quotient: %v", err))
-		}
-		sr.tree = tree
+		seen:   make(map[uint64]bool),
 	}
 	// Topology-derived state is built once and read by every shard.
 	cfg.R2C2.defaults()
@@ -393,8 +381,7 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 	fabrics := &fabricCache{users: S}
 	assign := part.ShardAssignment()
 	for s := 0; s < S; s++ {
-		ctx := &shardCtx{self: int32(s), shardOf: assign, out: make([]*boundaryQueue, S),
-			replicated: cfg.ReplicatedControlPlane}
+		ctx := &shardCtx{self: int32(s), shardOf: assign, out: make([]*boundaryQueue, S)}
 		for d := 0; d < S; d++ {
 			if d != s {
 				ctx.out[d] = &boundaryQueue{}
@@ -406,8 +393,8 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 		r2 := newR2C2(net, intact, fabrics, cfg.R2C2)
 		r2.presizeFinished(perSrc)
 		if cfg.Faults.Len() > 0 {
-			// The whole schedule is replicated into every shard: each must
-			// observe the same degraded fabric (ctrl subtracts duplicates).
+			// Every shard runs the whole schedule: each must observe the
+			// same degraded fabric (ctrl subtracts duplicates).
 			r2.ApplyFaults(cfg.Faults)
 		}
 		for _, a := range cfg.Arrivals {
@@ -448,15 +435,13 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 			if tstar != noEvent && tstar > next {
 				next = tstar
 			}
-			if sr.tree != nil {
-				// Aggregated control: no epoch may span a recomputation
-				// tick, so every shard's engine pauses at the tick together
-				// and the reduction runs at the barrier. The tick is itself
-				// a pending event in every engine, so tstar ≤ tickAt and
-				// the clamp never starves the idle jump.
-				if tickAt := sr.shards[0].r2.nextTick; next > tickAt {
-					next = tickAt
-				}
+			// No epoch may span a recomputation tick, so every shard's
+			// engine pauses at the tick together and the reduction runs at
+			// the barrier. The tick is itself a pending event in every
+			// engine, so tstar ≤ tickAt and the clamp never starves the
+			// idle jump.
+			if tickAt := sr.shards[0].r2.nextTick; next > tickAt {
+				next = tickAt
 			}
 			if tstar == noEvent || next > sliceEnd {
 				next = sliceEnd
@@ -479,7 +464,7 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 				sr.epochs++
 				sr.wide = work >= fanoutMinEvents
 				sr.runPhase(phaseRun, next)
-				if sr.tree != nil && sr.shards[0].ctx.tickPending {
+				if sr.shards[0].ctx.tickPending {
 					sr.reduceTick(next)
 				}
 				sr.drain()
@@ -569,13 +554,15 @@ func (sr *shardedRun) phaseShard(st *shardState, t int64) int64 {
 	return now
 }
 
-// reduceTick runs the cross-shard half of an aggregated recomputation tick:
-// every shard's engine has paused at the tick with its sourced-flow summary
-// built; the summaries merge bottom-up along the reduction tree (children
-// into parents, reverse BFS order), the root turns the global summary into
-// the tick's allocation, the allocation is published to every shard, and a
-// single fused parallel phase re-arms the senders and resumes the run
-// window the tick interrupted.
+// reduceTick runs the cross-shard half of a recomputation tick: every
+// shard's engine has paused at the tick with its sourced-flow summary built;
+// the summaries merge bottom-up along the reduction tree (children into
+// parents, reverse BFS order), the root turns the global summary into the
+// tick's allocation, the allocation is published to every shard, and a
+// single fused parallel phase re-arms the senders and resumes the run window
+// the tick interrupted. The serial engine dedups a tick's allocator runs by
+// view hash across ALL nodes, so the union of the hashes the shards settled
+// in that phase reproduces its Recomputations count exactly.
 func (sr *shardedRun) reduceTick(until simtime.Time) {
 	for _, st := range sr.shards {
 		if !st.ctx.tickPending {
@@ -602,41 +589,15 @@ func (sr *shardedRun) reduceTick(until simtime.Time) {
 		st.ctx.globalAlloc = global
 	}
 	sr.runPhase(phaseApplyRun, until) // every shard paused at the tick, so all are active
-}
 
-// foldTicks folds the shards' per-tick view-hash logs into the running
-// Recomputations count — the serial engine dedups allocator runs per tick
-// by view hash across ALL nodes, so the union of the shards' distinct hash
-// sets reproduces its count exactly. Called at every drain (and once more
-// at merge), so the logs stay bounded by one epoch's ticks instead of
-// growing O(ticks) for the run.
-func (sr *shardedRun) foldTicks() {
-	n := len(sr.shards[0].ctx.tickHashes)
+	clear(sr.seen)
 	for _, st := range sr.shards {
-		if len(st.ctx.tickHashes) != n {
-			panic(fmt.Sprintf("sim: shard %d logged %d recomputation ticks, shard 0 logged %d",
-				st.ctx.self, len(st.ctx.tickHashes), n))
+		for _, h := range st.ctx.tickHashes {
+			sr.seen[h] = true
 		}
-	}
-	if n == 0 {
-		return
-	}
-	if sr.seen == nil {
-		sr.seen = make(map[uint64]bool)
-	}
-	for t := 0; t < n; t++ {
-		clear(sr.seen)
-		for _, st := range sr.shards {
-			for _, h := range st.ctx.tickHashes[t] {
-				sr.seen[h] = true
-			}
-		}
-		sr.recomputations += uint64(len(sr.seen))
-	}
-	sr.ticksFolded += uint64(n)
-	for _, st := range sr.shards {
 		st.ctx.tickHashes = st.ctx.tickHashes[:0]
 	}
+	sr.recomputations += uint64(len(sr.seen))
 }
 
 // drain moves the epoch's boundary handoffs into their destination shards,
@@ -649,7 +610,6 @@ func (sr *shardedRun) foldTicks() {
 //
 //r2c2:boundary
 func (sr *shardedRun) drain() {
-	sr.foldTicks() // every shard is at the barrier: fold this epoch's ticks
 	for _, st := range sr.active {
 		for _, d := range st.ctx.dirty {
 			if len(sr.inbox[d]) == 0 {
@@ -730,8 +690,8 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 	res := &Results{Transport: cfg.Transport, EndTime: end}
 	res.addFlows(order)
 
-	// Replicated-control correction: every shard must have executed the
-	// identical control sequence; subtract the S-1 duplicates of each.
+	// Control events fire in every shard: each must have executed the
+	// identical sequence; subtract the S-1 duplicates of each.
 	ctrl := sr.shards[0].ctx.ctrl
 	rounds := sr.shards[0].r2.RecomputeRounds
 	reroutes := sr.shards[0].r2.FailureReroutes
@@ -753,14 +713,6 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 		res.Reorder.AddAll(st.r2.Reorder.Values())
 	}
 	res.Events -= uint64(S-1) * ctrl
-
-	// Recomputations were folded at every drain; pick up ticks processed
-	// since the last barrier (replicated-mode inline advances can tick
-	// without draining) and cross-check the fold saw every round.
-	sr.foldTicks()
-	if sr.ticksFolded != rounds {
-		panic(fmt.Sprintf("sim: folded %d recomputation ticks, shards ran %d rounds", sr.ticksFolded, rounds))
-	}
 	res.Recomputations = sr.recomputations
 
 	// Per-port peaks live with the port's transmitting shard (the owner of
