@@ -4,11 +4,11 @@ LINT_REPORT ?= r2c2-lint.json
 # The hot-path micro-benchmark suite `make microbench` measures; the
 # figure-harness benchmarks are excluded because they measure whole
 # experiments, not code paths.
-MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
+MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view fuzz-reorder vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,12 @@ fuzz-directives:
 # one byte by byte (the default: up to a minute apiece) would be the whole run.
 fuzz-view:
 	$(GO) test -run=^$$ -fuzz FuzzViewApply -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
+
+# The reorder-window bitmap against the map it replaced, on arbitrary packet
+# streams (duplicates, late packets, gaps across ring doublings). An input is
+# thousands of two-byte packets: minimise by count, as fuzz-view does.
+fuzz-reorder:
+	$(GO) test -run=^$$ -fuzz FuzzReorderWindow -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sim/
 
 # One iteration of every benchmark: catches bitrot in the benchmark
 # harnesses (they cover each figure of the paper) without paying for a

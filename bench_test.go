@@ -514,6 +514,40 @@ func BenchmarkSimulatorEventThroughput(b *testing.B) {
 	reportEventsAndHops(b, events, hops)
 }
 
+// BenchmarkBulkDataPath is the bench's bulk64 workload in miniature: 64
+// one-MiB flows sprayed packet by packet (RPS) over a 4×4×4 torus, so nearly
+// all the work is per data packet — pacing, path sampling, three or so port
+// hops, and the receiver's flow-table slot, reorder window and reorder
+// counters — and little of it per flow or per tick. ns/pkt is the whole run
+// over the data packets delivered.
+func BenchmarkBulkDataPath(b *testing.B) {
+	g, err := topology.NewTorus(4, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := trafficgen.FixedSize(trafficgen.PoissonConfig{
+		Nodes: g.Nodes(), MeanInterval: 40 * simtime.Microsecond, Count: 64, Seed: 5,
+	}, 1<<20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pkts int
+	for i := 0; i < b.N; i++ {
+		res := sim.Run(sim.RunConfig{
+			Graph:     g,
+			Net:       sim.NetConfig{LinkGbps: 10},
+			Transport: sim.TransportR2C2,
+			R2C2:      sim.R2C2Config{Headroom: 0.05, Protocol: routing.RPS},
+			Arrivals:  arrivals,
+			MaxTime:   arrivals[len(arrivals)-1].At + simtime.Second,
+		})
+		if res.Completed != len(arrivals) {
+			b.Fatalf("%d of %d flows completed", res.Completed, len(arrivals))
+		}
+		pkts += res.Reorder.Len() // one occupancy observation per data packet delivered
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
+}
+
 // reportEventsAndHops reports a packet simulation's two units of work. A
 // packet-hop is what the workload asks for and does not depend on how the
 // engine steps a port through it; an engine event is what the engine spends

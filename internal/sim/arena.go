@@ -1,5 +1,7 @@
 package sim
 
+import "r2c2/internal/topology"
+
 // Slab arena for simulated packets (DESIGN.md §12), replacing the
 // unbounded per-run free list. Packets are carved from fixed-size slabs —
 // the mbuf-pool idiom DPDK and trex-emu use, adapted to a single-threaded
@@ -48,6 +50,11 @@ type pktArena struct {
 	partial []*pktSlab
 	idle    []*pktSlab
 
+	// pathCap is how many links the route-sampling buffer of each packet of
+	// a new slab holds: the longest path any routing protocol draws on the
+	// intact fabric, so that no pooled packet ever regrows its buffer.
+	pathCap int
+
 	live     int // packets currently allocated
 	slabs    int // slabs currently owned (partial + idle + full)
 	peak     int // high-water mark of slabs
@@ -75,15 +82,19 @@ func (a *pktArena) stats() ArenaStats {
 }
 
 // newSlab allocates and initialises one segment: every slot free, every
-// packet tagged pooled and back-linked to its slab.
+// packet tagged pooled, back-linked to its slab and given its window of the
+// slab's one array of route-sampling buffers.
 func (a *pktArena) newSlab() *pktSlab {
 	//lint:ignore alloc-hotpath one slab per 64-packet pool-capacity step, amortised across the run
 	s := &pktSlab{nfree: pktSlabSize}
+	//lint:ignore alloc-hotpath the slab's sampling buffers, one array per slab
+	scratch := make([]topology.LinkID, pktSlabSize*a.pathCap)
 	for i := 0; i < pktSlabSize; i++ {
 		s.freeIdx[i] = uint8(i)
 		s.pkts[i].slab = s
 		s.pkts[i].slabIdx = uint8(i)
 		s.pkts[i].pooled = true
+		s.pkts[i].scratch = scratch[i*a.pathCap : i*a.pathCap : (i+1)*a.pathCap]
 	}
 	a.slabs++
 	if a.slabs > a.peak {

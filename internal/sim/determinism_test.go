@@ -9,7 +9,6 @@ import (
 	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
-	"r2c2/internal/stats"
 	"r2c2/internal/topology"
 	"r2c2/internal/trafficgen"
 )
@@ -29,7 +28,10 @@ func dumpResults(res *Results) []byte {
 			rec.ID, rec.Src, rec.Dst, rec.SizeBytes, rec.Started, rec.Finished,
 			rec.Done, rec.BytesRcvd, rec.SenderDone)
 	}
-	sample := func(name string, s *stats.Sample) {
+	sample := func(name string, s interface {
+		Len() int
+		Values() []float64
+	}) {
 		fmt.Fprintf(&b, "%s n=%d %v\n", name, s.Len(), s.Values())
 	}
 	sample("shortFCT", &res.ShortFCT)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
 	"r2c2/internal/wire"
@@ -37,33 +39,93 @@ func (r *FlowRecord) Throughput() float64 {
 	return float64(r.SizeBytes*8) / (r.Finished - r.Started).Seconds()
 }
 
-// flowLedger indexes FlowRecords by ID. order preserves creation order so
-// results assembly is deterministic (map iteration is not).
-type flowLedger struct {
-	records map[wire.FlowID]*FlowRecord
-	order   []*FlowRecord
+// flowSlot is what a transport keeps per flow: the flow's record and the
+// transport's own send and receive state (st), found together by one indexed
+// load. A slot whose rec is nil names a flow this instance has not heard of.
+type flowSlot[T any] struct {
+	rec *FlowRecord
+	st  T
 }
 
-func newFlowLedger() *flowLedger {
-	return &flowLedger{records: make(map[wire.FlowID]*FlowRecord)}
+// flowTable is a transport instance's per-flow state, indexed rather than
+// hashed: a flow ID is its source and a per-source sequence number counting
+// from zero, so rows[src][seq] is the flow's slot. Rows are sized up front
+// from the arrival list's per-source counts (carveRows) and double past
+// that. opened[src] is how many flows src has started here, its next
+// sequence number; order keeps those flows' records in creation order, which
+// is what results are assembled from.
+type flowTable[T any] struct {
+	rows   [][]flowSlot[T]
+	opened []int
+	order  []*FlowRecord
 }
 
-func (l *flowLedger) open(id wire.FlowID, src, dst topology.NodeID, size int64, at simtime.Time) *FlowRecord {
-	r := &FlowRecord{ID: id, Src: src, Dst: dst, SizeBytes: size, Started: at}
-	l.records[id] = r
-	l.order = append(l.order, r)
-	return r
+func newFlowTable[T any](sources int) *flowTable[T] {
+	return &flowTable[T]{rows: make([][]flowSlot[T], sources), opened: make([]int, sources)}
 }
 
-func (l *flowLedger) get(id wire.FlowID) *FlowRecord { return l.records[id] }
+// carveRows sizes rows[src] for the perSrc[src] flows the source will start
+// (from the arrival list), all rows from one array.
+func carveRows[E any](rows [][]E, perSrc []int) {
+	total := 0
+	for _, n := range perSrc {
+		total += n
+	}
+	backing := make([]E, total)
+	for src, n := range perSrc {
+		rows[src], backing = backing[:n:n], backing[n:]
+	}
+}
+
+// get returns the flow's slot, or nil for a flow this instance never opened.
+// The pointer is good until the next open.
+func (t *flowTable[T]) get(id wire.FlowID) *flowSlot[T] {
+	if src := int(id.Src()); src < len(t.rows) {
+		if row, seq := t.rows[src], int(id.Seq()); seq < len(row) && row[seq].rec != nil {
+			return &row[seq]
+		}
+	}
+	return nil
+}
+
+// open starts src's next flow under the source's next sequence number and
+// files its record in creation order.
+func (t *flowTable[T]) open(src, dst topology.NodeID, size int64, at simtime.Time) *flowSlot[T] {
+	seq := t.opened[src]
+	if seq >= wire.MaxFlowsPerSource {
+		panic(fmt.Sprintf("sim: node %d started more than %d flows: its flow sequence numbers would wrap", src, wire.MaxFlowsPerSource))
+	}
+	t.opened[src]++
+	slot := t.openRecv(wire.MakeFlowID(uint16(src), uint16(seq)), src, dst, size, at)
+	t.order = append(t.order, slot.rec)
+	return slot
+}
 
 // openRecv creates a receive-side record for a flow whose authoritative
-// record lives in another shard's ledger (the source shard opened it). It
-// is indexed for lookups but deliberately kept OUT of order: the merge
+// record lives in another shard's table (the source shard opened it). It is
+// indexed for lookups but deliberately kept OUT of order: the merge
 // (shard.go) folds its delivery fields into the source-shard record, which
 // alone represents the flow in Results.
-func (l *flowLedger) openRecv(id wire.FlowID, src, dst topology.NodeID, size int64, at simtime.Time) *FlowRecord {
-	r := &FlowRecord{ID: id, Src: src, Dst: dst, SizeBytes: size, Started: at}
-	l.records[id] = r
-	return r
+func (t *flowTable[T]) openRecv(id wire.FlowID, src, dst topology.NodeID, size int64, at simtime.Time) *flowSlot[T] {
+	row, seq := t.rows[id.Src()], int(id.Seq())
+	if seq >= len(row) {
+		row = append(row, make([]flowSlot[T], seq+1-len(row))...) // doubles: one growth per many flows
+		t.rows[id.Src()] = row
+	}
+	row[seq].rec = &FlowRecord{ID: id, Src: src, Dst: dst, SizeBytes: size, Started: at}
+	return &row[seq]
+}
+
+// ledger builds the ID-keyed map of every record the table holds, for
+// inspection after a run (the Ledger methods): nothing per packet reads it.
+func (t *flowTable[T]) ledger() map[wire.FlowID]*FlowRecord {
+	m := make(map[wire.FlowID]*FlowRecord, len(t.order))
+	for _, row := range t.rows {
+		for i := range row {
+			if rec := row[i].rec; rec != nil {
+				m[rec.ID] = rec
+			}
+		}
+	}
+	return m
 }

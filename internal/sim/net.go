@@ -159,15 +159,19 @@ type pktQueue struct {
 
 func (q *pktQueue) len() int { return len(q.pkts) - q.head }
 
-func (q *pktQueue) push(p *Packet) {
+// ready sizes the backing array for a plausible burst on the queue's first
+// use. A queue starts over at the front of the array whenever it drains
+// (pop), so this is the only allocation a queue that stays under 32 deep
+// ever makes (versus ~6 doubling steps from nil).
+func (q *pktQueue) ready() {
 	if q.pkts == nil {
-		// First use: size the backing array for a plausible burst up front.
-		// Queues keep their capacity across the head-compaction in pop, so
-		// this is the only allocation a queue that stays under 32 deep ever
-		// makes (versus ~6 doubling steps from nil).
 		//lint:ignore alloc-hotpath one-time per-queue backing allocation, amortised across the run
 		q.pkts = make([]*Packet, 0, 32)
 	}
+}
+
+func (q *pktQueue) push(p *Packet) {
+	q.ready()
 	q.pkts = append(q.pkts, p)
 }
 
@@ -177,7 +181,9 @@ func (q *pktQueue) pop() *Packet {
 	p := q.pkts[q.head]
 	q.pkts[q.head] = nil
 	q.head++
-	if q.head > 64 && q.head*2 >= len(q.pkts) {
+	if q.head == len(q.pkts) {
+		q.pkts, q.head = q.pkts[:0], 0 // drained: start over at the front
+	} else if q.head > 64 && q.head*2 >= len(q.pkts) {
 		n := copy(q.pkts, q.pkts[q.head:])
 		q.pkts = q.pkts[:n]
 		q.head = 0
@@ -282,6 +288,9 @@ func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
 		panic("sim: engine already drives another network")
 	}
 	eng.net = n
+	// A minimal path is at most the diameter, a Valiant detour (VLB) or WLB's
+	// long way round a ring at most twice that.
+	n.arena.pathCap = 2 * g.Diameter()
 	if g.NumLinks() >= 1<<24 {
 		panic("sim: more links than an event's 24-bit tie key can name")
 	}
@@ -487,6 +496,7 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 		n.freePacket(pkt)
 		return false
 	}
+	var direct *Packet // pkt, when it can go on the wire without passing through a queue
 	if p.flowQ != nil {
 		// PFQ mode: per-flow queue. The buffer charge was taken at
 		// injection (source) or reservation (upstream transmission start).
@@ -510,7 +520,18 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 			n.freePacket(pkt)
 			return false
 		}
-		p.fifo.push(pkt)
+		if p.idle(n.Eng.now) {
+			// Nothing on the wire and nothing queued (a FIFO port with a packet
+			// waiting has its wake-up armed). The port's first packet still
+			// sizes the queue, so that the first to wait allocates nothing.
+			if invariantsEnabled {
+				assertInvariant(p.queued == 0, "idle FIFO port holds queued bytes")
+			}
+			p.fifo.ready()
+			direct = pkt
+		} else {
+			p.fifo.push(pkt)
+		}
 	}
 	p.queued += pkt.SizeBytes
 	p.stats.EnqueuedPkts++
@@ -521,7 +542,7 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 		return true
 	}
 	if n.Eng.now >= p.freeAt {
-		n.transmit(p)
+		n.transmit(p, direct)
 	} else {
 		n.armWake(p)
 	}
@@ -537,27 +558,28 @@ func (n *Network) armWake(p *port) {
 	n.Eng.arm(p.freeAt, p.txStart, uint32(evTxDone), 0, p)
 }
 
-// transmit picks the next eligible packet on the port and puts it on the
-// wire: the port is taken until freeAt, and the packet's arrival at the far
-// end — after serialisation and propagation — is the one event the hop
-// costs. In PFQ mode a flow whose next-hop node has no buffer room is
-// skipped (back-pressure); if every queued flow is blocked the port idles
-// until a Kick.
+// transmit puts pkt — or, given nil, the next eligible packet queued on the
+// port — on the wire: the port is taken until freeAt, and the packet's
+// arrival at the far end — after serialisation and propagation — is the one
+// event the hop costs. In PFQ mode a flow whose next-hop node has no buffer
+// room is skipped (back-pressure); if every queued flow is blocked the port
+// idles until a Kick.
 //
 // In a sharded run a packet bound for another shard's node is exported
 // through the boundary queue instead of being scheduled locally — its
 // arrival time is more than one epoch ahead (the lookahead window is the
 // minimum boundary-link propagation delay), so the destination shard files
 // it before its epoch begins.
-func (n *Network) transmit(p *port) {
-	var pkt *Packet
-	if p.flowQ != nil {
-		pkt = n.pfqPick(p)
-	} else if p.fifo.len() > 0 {
-		pkt = p.fifo.pop()
-	}
+func (n *Network) transmit(p *port, pkt *Packet) {
 	if pkt == nil {
-		return
+		if p.flowQ != nil {
+			pkt = n.pfqPick(p)
+		} else if p.fifo.len() > 0 {
+			pkt = p.fifo.pop()
+		}
+		if pkt == nil {
+			return
+		}
 	}
 	if invariantsEnabled {
 		//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
@@ -605,7 +627,7 @@ func (n *Network) txDone(p *port) {
 		n.kickUpstream(from, p.txFlow)
 	}
 	p.wake = false
-	n.transmit(p)
+	n.transmit(p, nil)
 }
 
 // exportPacket hands a packet crossing a shard boundary to the destination
@@ -698,7 +720,7 @@ func (n *Network) kickUpstream(node topology.NodeID, flow wire.FlowID) {
 	for _, lid := range n.G.In(node) {
 		p := n.ports[lid]
 		if p.queued > 0 && p.idle(n.Eng.now) {
-			n.transmit(p)
+			n.transmit(p, nil)
 		}
 	}
 	if n.Kick != nil {
@@ -746,11 +768,4 @@ func (n *Network) MaxQueueSample() []float64 {
 		out[i] = float64(p.stats.MaxQueueBytes)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

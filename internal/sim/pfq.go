@@ -20,15 +20,12 @@ type PFQ struct {
 	Net *Network
 	Tab *routing.Table
 
-	rng     *rand.Rand
-	ledger  *flowLedger
-	sources map[wire.FlowID]*pfqSource
-	bySrc   map[topology.NodeID][]*pfqSource
-	nextSeq map[topology.NodeID]uint16
+	rng   *rand.Rand
+	flows *flowTable[*pfqSource]
 }
 
 type pfqSource struct {
-	id        wire.FlowID
+	rec       *FlowRecord
 	src, dst  topology.NodeID
 	remaining int64
 	seq       uint32
@@ -42,21 +39,19 @@ func NewPFQ(net *Network, tab *routing.Table, seed int64) *PFQ {
 		panic("sim: PFQ requires a network with PerFlowQueues enabled")
 	}
 	p := &PFQ{
-		Net:     net,
-		Tab:     tab,
-		rng:     rand.New(rand.NewSource(seed)),
-		ledger:  newFlowLedger(),
-		sources: make(map[wire.FlowID]*pfqSource),
-		bySrc:   make(map[topology.NodeID][]*pfqSource),
-		nextSeq: make(map[topology.NodeID]uint16),
+		Net:   net,
+		Tab:   tab,
+		rng:   rand.New(rand.NewSource(seed)),
+		flows: newFlowTable[*pfqSource](net.G.Nodes()),
 	}
 	net.Deliver = p.deliver
 	net.Kick = p.kick
 	return p
 }
 
-// Ledger exposes the flow records for results collection.
-func (p *PFQ) Ledger() map[wire.FlowID]*FlowRecord { return p.ledger.records }
+// Ledger returns the flow records by ID, for inspection and results
+// collection. The map is built on every call.
+func (p *PFQ) Ledger() map[wire.FlowID]*FlowRecord { return p.flows.ledger() }
 
 // StartFlow begins a flow of sizeBytes; injection is driven entirely by
 // back-pressure credits.
@@ -64,20 +59,16 @@ func (p *PFQ) StartFlow(src, dst topology.NodeID, sizeBytes int64) wire.FlowID {
 	if src == dst || sizeBytes <= 0 {
 		panic("sim: degenerate flow")
 	}
-	seq := p.nextSeq[src]
-	p.nextSeq[src] = seq + 1
-	id := wire.MakeFlowID(uint16(src), seq)
-	s := &pfqSource{id: id, src: src, dst: dst, remaining: sizeBytes}
-	p.sources[id] = s
-	p.bySrc[src] = append(p.bySrc[src], s)
-	p.ledger.open(id, src, dst, sizeBytes, p.Net.Eng.Now())
+	slot := p.flows.open(src, dst, sizeBytes, p.Net.Eng.Now())
+	s := &pfqSource{rec: slot.rec, src: src, dst: dst, remaining: sizeBytes}
+	slot.st = s
 	p.fill(s)
-	return id
+	return s.rec.ID
 }
 
 // fill injects packets while the source node has buffer room for the flow.
 func (p *PFQ) fill(s *pfqSource) {
-	for !s.done && s.remaining > 0 && p.Net.HasRoom(s.src, s.id) {
+	for !s.done && s.remaining > 0 && p.Net.HasRoom(s.src, s.rec.ID) {
 		payload := int64(MaxPayload)
 		if s.remaining < payload {
 			payload = s.remaining
@@ -85,7 +76,7 @@ func (p *PFQ) fill(s *pfqSource) {
 		pkt := p.Net.newPacket()
 		pkt.Kind = KindData
 		pkt.SizeBytes = int(payload) + DataHeaderBytes
-		pkt.Flow = s.id
+		pkt.Flow = s.rec.ID
 		pkt.Src = s.src
 		pkt.Dst = s.dst
 		pkt.Seq = s.seq
@@ -98,14 +89,14 @@ func (p *PFQ) fill(s *pfqSource) {
 	}
 	if s.remaining <= 0 && !s.done {
 		s.done = true
-		p.ledger.get(s.id).SenderDone = true
+		s.rec.SenderDone = true
 	}
 }
 
 // kick resumes blocked sources at a node when buffer space frees.
 func (p *PFQ) kick(at topology.NodeID, flow wire.FlowID) {
-	if s, ok := p.sources[flow]; ok && s.src == at {
-		p.fill(s)
+	if slot := p.flows.get(flow); slot != nil && slot.st.src == at {
+		p.fill(slot.st)
 	}
 }
 
@@ -113,7 +104,7 @@ func (p *PFQ) deliver(at topology.NodeID, pkt *Packet) {
 	if pkt.Kind != KindData {
 		panic("sim: PFQ network saw unexpected packet kind")
 	}
-	rec := p.ledger.get(pkt.Flow)
+	rec := p.flows.get(pkt.Flow).rec
 	rec.BytesRcvd += int64(pkt.Payload)
 	if !rec.Done && rec.BytesRcvd >= rec.SizeBytes {
 		rec.Done = true

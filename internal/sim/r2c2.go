@@ -57,9 +57,9 @@ type R2C2 struct {
 	Fib *topology.BroadcastFIB
 	Cfg R2C2Config
 
-	rc     *core.RateComputer
-	nodes  []*r2c2Node
-	ledger *flowLedger
+	rc    *core.RateComputer
+	nodes []*r2c2Node
+	flows *flowTable[r2c2Flow]
 
 	// agg is the aggregated control plane's global rate computer, created
 	// lazily on the reduction-tree root shard's R2C2 only (computeGlobal).
@@ -111,7 +111,7 @@ type R2C2 struct {
 
 	// Reorder tracks the receive-side reorder-buffer occupancy observed at
 	// every data-packet arrival (§5.2's reordering analysis).
-	Reorder stats.Sample
+	Reorder stats.Counts
 
 	// Recomputations counts allocator invocations; RecomputeRounds counts
 	// periodic ticks. Their ratio shows the view-cache amortisation.
@@ -141,41 +141,31 @@ type R2C2 struct {
 
 	// bcastHops is broadcastHops' translation buffer on a degraded fabric.
 	bcastHops []topology.LinkID
-
-	// flowIDScratch is the reusable key buffer for sorted iteration over a
-	// node's flow map: recomputeTick and rerouteNow schedule events per
-	// flow, and scheduling order assigns the (at,seq) FIFO tie-break, so
-	// walking the map in Go's randomised order would make two identically
-	// seeded runs diverge (det-map-iter). Persisting the buffer keeps the
-	// per-tick sort off the allocation budget.
-	flowIDScratch []wire.FlowID
 }
 
-// sortedFlowIDs fills the scratch buffer with the map's keys in ascending
-// order, giving every per-flow side effect a canonical sequence.
-func (r *R2C2) sortedFlowIDs(flows map[wire.FlowID]*senderFlow) []wire.FlowID {
-	ids := r.flowIDScratch[:0]
-	for id := range flows {
-		//lint:ignore alloc-hotpath scratch growth is amortised: the buffer persists across ticks and reroutes
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	r.flowIDScratch = ids
-	return ids
+// r2c2Flow is a flow's slot in the transport's flow table: its sender while
+// the flow is live at its source, its receive state from the first data
+// packet until the flow is delivered (Reliable: until its finish broadcast).
+// In a sharded run the two ends may sit in different instances' tables.
+type r2c2Flow struct {
+	send *senderFlow
+	recv *reorderState
 }
 
-// r2c2Node is one node's protocol state: its flow table, tree cursor and
-// receive bookkeeping.
+// r2c2Node is one node's protocol state: its view, live flows and tree
+// cursor.
 //
 //r2c2:shardowned — per-node state is mutated only by the engine goroutine.
 type r2c2Node struct {
-	id       topology.NodeID
-	bit      int32 // this node's position in the finished-flow bitsets
-	view     *core.View
-	flows    map[wire.FlowID]*senderFlow
-	nextSeq  uint16
+	id   topology.NodeID
+	bit  int32 // this node's position in the finished-flow bitsets
+	view *core.View
+	// flows lists the node's live flows in creation order, which is ascending
+	// flow-ID order: recomputation ticks and reroutes schedule events flow by
+	// flow, and scheduling order is the (at, seq) FIFO tie-break, so the walk
+	// has to be the same in every run.
+	flows    []*senderFlow
 	nextTree uint8
-	recv     map[wire.FlowID]*reorderState
 	// rng is the node's private route-sampling stream (rng.go), created on
 	// the node's first sourced flow. Per-node streams keep route sampling
 	// independent of global event interleaving, so the sharded engine draws
@@ -185,6 +175,7 @@ type r2c2Node struct {
 
 type senderFlow struct {
 	node      *r2c2Node // the source: where pacing and timeout events run
+	live      bool      // still on node.flows: not finished, not abandoned to a failure
 	info      core.FlowInfo
 	remaining int64
 	rate      float64 // bits/s, as allocated
@@ -233,8 +224,7 @@ func (sf *senderFlow) paceRate() float64 {
 }
 
 type reorderState struct {
-	next uint32          // next in-order packet sequence expected
-	oob  map[uint32]bool // out-of-order packets buffered
+	reorderWindow
 
 	// ackPath is the interned reverse DOR route for reliability acks,
 	// shared by reference across the flow's acks (a private copy, because
@@ -305,7 +295,7 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 	r := &R2C2{
 		Net:     net,
 		Cfg:     cfg,
-		ledger:  newFlowLedger(),
+		flows:   newFlowTable[r2c2Flow](net.G.Nodes()),
 		sh:      net.sh,
 		fabrics: fabrics,
 	}
@@ -316,13 +306,7 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
 			continue // another shard owns this node's state
 		}
-		r.nodes[i] = &r2c2Node{
-			id:    topology.NodeID(i),
-			bit:   owned,
-			view:  core.NewView(),
-			flows: make(map[wire.FlowID]*senderFlow),
-			recv:  make(map[wire.FlowID]*reorderState),
-		}
+		r.nodes[i] = &r2c2Node{id: topology.NodeID(i), bit: owned, view: core.NewView()}
 		owned++
 	}
 	r.finished = make([][]int32, net.G.Nodes())
@@ -499,11 +483,12 @@ func (r *R2C2) FailNode(dead topology.NodeID, detection simtime.Time) error {
 		r.Net.FailLink(lid)
 	}
 	// The dead node stops sending instantly: drop its sender state so
-	// armed pacing events become no-ops. (Audited for det-map-iter: the
-	// range-and-delete shape is order-free, but clear() says it directly.)
-	// In a sharded run only the dead node's owner shard holds its state.
+	// armed pacing events become no-ops. In a sharded run only the dead
+	// node's owner shard holds its state.
 	if node := r.nodes[dead]; node != nil {
-		clear(node.flows)
+		for len(node.flows) > 0 {
+			r.retire(node.flows[0])
+		}
 	}
 	r.failSeq++
 	r.Net.Eng.After(detection, r.rerouteNow)
@@ -581,7 +566,9 @@ func (r *R2C2) reroute(f fabric) {
 			for _, info := range n.view.Flows() {
 				if r.deadNodes[info.Src] || r.deadNodes[info.Dst] {
 					n.view.RemoveFlow(info.ID)
-					delete(n.flows, info.ID) // abandon senders to dead nodes
+					if sf := r.sender(info.ID); sf != nil && sf.node == n {
+						r.retire(sf) // abandon senders to dead nodes
+					}
 				}
 			}
 		}
@@ -593,17 +580,35 @@ func (r *R2C2) reroute(f fabric) {
 		if node == nil || r.deadNodes[node.id] {
 			continue
 		}
-		// Sorted iteration: each re-announce broadcast schedules events,
-		// and scheduling order is the FIFO tie-break (det-map-iter).
-		for _, id := range r.sortedFlowIDs(node.flows) {
-			sf := node.flows[id]
+		for _, sf := range node.flows {
 			r.broadcast(node, sf.info.StartBroadcast(r.pickTree(node)))
 		}
 	}
 }
 
-// Ledger exposes the flow records for results collection.
-func (r *R2C2) Ledger() map[wire.FlowID]*FlowRecord { return r.ledger.records }
+// Ledger returns the flow records by ID, for inspection and results
+// collection. The map is built on every call.
+func (r *R2C2) Ledger() map[wire.FlowID]*FlowRecord { return r.flows.ledger() }
+
+// sender returns the sender of a flow that is live at one of this instance's
+// nodes, nil for any other flow.
+func (r *R2C2) sender(id wire.FlowID) *senderFlow {
+	if slot := r.flows.get(id); slot != nil {
+		return slot.st.send
+	}
+	return nil
+}
+
+// retire takes a flow off its source node: it has finished, or a failure
+// abandoned it. Pacing and timeout events still scheduled for it find it
+// dead.
+func (r *R2C2) retire(sf *senderFlow) {
+	sf.live = false
+	node := sf.node
+	i := slices.Index(node.flows, sf)
+	node.flows = slices.Delete(node.flows, i, i+1)
+	r.flows.get(sf.info.ID).st.send = nil
+}
 
 // View returns a node's traffic-matrix view (for tests and inspection).
 func (r *R2C2) View(node topology.NodeID) *core.View { return r.nodes[node].view }
@@ -633,13 +638,12 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 	if node.rng == nil {
 		node.rng = newNodeRng(r.Cfg.Seed, src) // private route-sampling stream
 	}
-	id := wire.MakeFlowID(uint16(src), node.nextSeq)
-	node.nextSeq++
+	slot := r.flows.open(src, dst, sizeBytes, r.Net.Eng.Now())
+	id := slot.rec.ID
 	if r.deadNodes[src] || r.deadNodes[dst] {
 		// Abandoned at birth: a crashed endpoint can neither send nor
-		// receive. The ledger records the flow (it stays incomplete) so
+		// receive. The flow keeps its record (it stays incomplete) so
 		// workload replays account for it.
-		r.ledger.open(id, src, dst, sizeBytes, r.Net.Eng.Now())
 		return id
 	}
 	demand := core.UnlimitedDemand
@@ -657,15 +661,15 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 		initial = demandBits
 	}
 	sf := &senderFlow{
-		node: node,
+		node: node, live: true,
 		info: info, remaining: sizeBytes, rate: initial, demand: demandBits,
 		size:      sizeBytes,
 		started:   r.Net.Eng.Now(),
 		totalPkts: uint32((sizeBytes + MaxPayload - 1) / MaxPayload),
 	}
-	node.flows[id] = sf
+	slot.st.send = sf
+	node.flows = append(node.flows, sf)
 	node.view.AddFlow(info)
-	r.ledger.open(id, src, dst, sizeBytes, r.Net.Eng.Now())
 	r.broadcast(node, info.StartBroadcast(r.pickTree(node)))
 	r.armSender(sf)
 	return id
@@ -675,14 +679,11 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 // of §3.3.2 Eq. (1) would drive this) so all nodes allocate demand-aware.
 // Unknown or finished flows are ignored.
 func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
-	if int(id.Src()) >= len(r.nodes) {
+	sf := r.sender(id)
+	if sf == nil {
 		return
 	}
-	node := r.nodes[id.Src()]
-	sf, ok := node.flows[id]
-	if !ok {
-		return
-	}
+	node := sf.node
 	sf.demand = demandBits
 	if demandBits > 0 {
 		sf.info.DemandKbps = core.KbpsDemand(demandBits)
@@ -696,14 +697,11 @@ func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
 // SetProtocol re-assigns a live flow's routing protocol (the §3.4 selection
 // mechanism) and broadcasts the change. Unknown flows are ignored.
 func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
-	if int(id.Src()) >= len(r.nodes) {
+	sf := r.sender(id)
+	if sf == nil {
 		return
 	}
-	node := r.nodes[id.Src()]
-	sf, ok := node.flows[id]
-	if !ok {
-		return
-	}
+	node := sf.node
 	sf.info.Protocol = p
 	node.view.AddFlow(sf.info)
 	r.broadcast(node, sf.info.RouteChangeBroadcast(r.pickTree(node)))
@@ -788,7 +786,7 @@ func (r *R2C2) fillPath(node *r2c2Node, pkt *Packet, sf *senderFlow) {
 func (r *R2C2) sendNext(sf *senderFlow) {
 	node := sf.node
 	sf.armed = false
-	if _, live := node.flows[sf.info.ID]; !live {
+	if !sf.live {
 		return // abandoned (node failure purge) or already finished
 	}
 	if sf.rate <= 0 {
@@ -858,9 +856,9 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 
 // finishSender retires a flow at its source and broadcasts the finish.
 func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
-	r.ledger.get(sf.info.ID).SenderDone = true
+	r.flows.get(sf.info.ID).rec.SenderDone = true
 	node.view.RemoveFlow(sf.info.ID)
-	delete(node.flows, sf.info.ID)
+	r.retire(sf)
 	r.broadcast(node, sf.info.FinishBroadcast(r.pickTree(node)))
 }
 
@@ -883,9 +881,8 @@ func (r *R2C2) disarmRTO(sf *senderFlow) {
 // onRTO pulls the send pointer back to the cumulative-ack point: go-back-N
 // retransmission, paced at the flow's allocated rate like any other data.
 func (r *R2C2) onRTO(sf *senderFlow) {
-	node := sf.node
 	sf.rtoArmed = false
-	if _, live := node.flows[sf.info.ID]; !live || sf.cumAcked >= sf.totalPkts {
+	if !sf.live || sf.cumAcked >= sf.totalPkts {
 		return
 	}
 	sf.nextChunk = sf.cumAcked
@@ -895,9 +892,8 @@ func (r *R2C2) onRTO(sf *senderFlow) {
 
 // receiveAck advances a reliable sender's cumulative ack state.
 func (r *R2C2) receiveAck(pkt *Packet) {
-	node := r.nodes[pkt.Dst]
-	sf, ok := node.flows[pkt.Flow]
-	if !ok {
+	sf := r.sender(pkt.Flow)
+	if sf == nil {
 		return // flow already fully acked
 	}
 	if pkt.Seq > sf.cumAcked {
@@ -907,7 +903,7 @@ func (r *R2C2) receiveAck(pkt *Packet) {
 		}
 		r.disarmRTO(sf)
 		if sf.cumAcked >= sf.totalPkts {
-			r.finishSender(node, sf)
+			r.finishSender(sf.node, sf)
 			return
 		}
 		r.armRTO(sf)
@@ -929,8 +925,8 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 			// queued data packets (it is sent when the sender finishes, and
 			// in reliable mode only after full acking, but stray orderings
 			// must not wipe live receive state).
-			if rec := r.ledger.get(pkt.Bcast.Flow()); rec != nil && rec.Done {
-				delete(r.nodes[at].recv, pkt.Bcast.Flow())
+			if slot := r.flows.get(pkt.Bcast.Flow()); slot != nil && slot.rec.Done {
+				slot.st.recv = nil
 			}
 		}
 		if topology.NodeID(pkt.Bcast.Src) == at {
@@ -956,18 +952,11 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 	}
 }
 
-// presizeFinished sizes every source's tombstone row for the flows it will
-// start (perSrc[src], from the arrival list), carving the rows from one
-// array. Without it — or past it — markFinished grows a row by doubling.
-func (r *R2C2) presizeFinished(perSrc []int) {
-	total := 0
-	for _, n := range perSrc {
-		total += n
-	}
-	backing := make([]int32, total)
-	for src, n := range perSrc {
-		r.finished[src], backing = backing[:n:n], backing[n:]
-	}
+// presize sizes every source's flow-table and tombstone rows for the flows
+// it will start. Without it — or past it — a row grows by doubling.
+func (r *R2C2) presize(perSrc []int) {
+	carveRows(r.flows.rows, perSrc)
+	carveRows(r.finished, perSrc)
 }
 
 // markFinished records that node has applied the flow's finish event.
@@ -1001,8 +990,8 @@ func (n *r2c2Node) finishBit() (word int, mask uint64) {
 }
 
 func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
-	rec := r.ledger.get(pkt.Flow)
-	if rec == nil {
+	slot := r.flows.get(pkt.Flow)
+	if slot == nil {
 		if r.sh == nil || pkt.flowSize <= 0 {
 			return // not a flow of this stack (stray traffic)
 		}
@@ -1010,29 +999,18 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 		// record; this shard opens a receive-side record from the
 		// packet-carried metadata. The merge (shard.go) folds its
 		// delivery fields back into the source record.
-		rec = r.ledger.openRecv(pkt.Flow, pkt.Src, pkt.Dst, pkt.flowSize, pkt.flowStart)
+		slot = r.flows.openRecv(pkt.Flow, pkt.Src, pkt.Dst, pkt.flowSize, pkt.flowStart)
 	}
-	node := r.nodes[at]
-	rs, ok := node.recv[pkt.Flow]
-	if !ok {
-		rs = &reorderState{oob: make(map[uint32]bool)}
-		node.recv[pkt.Flow] = rs
+	rec, rs := slot.rec, slot.st.recv
+	if rs == nil {
+		rs = &reorderState{}
+		slot.st.recv = rs
 	}
-	isNew := pkt.Seq >= rs.next && !rs.oob[pkt.Seq]
-	if pkt.Seq == rs.next {
-		rs.next++
-		for rs.oob[rs.next] {
-			delete(rs.oob, rs.next)
-			rs.next++
-		}
-	} else if pkt.Seq > rs.next {
-		rs.oob[pkt.Seq] = true
-	}
-	r.Reorder.Add(float64(len(rs.oob)))
-
-	if isNew {
+	if rs.accept(pkt.Seq) {
 		rec.BytesRcvd += int64(pkt.Payload)
 	}
+	r.Reorder.Add(rs.buffered)
+
 	if !rec.Done && rec.BytesRcvd >= rec.SizeBytes {
 		rec.Done = true
 		rec.Finished = r.Net.Eng.Now()
@@ -1040,7 +1018,7 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 			r.sh.doneFlows++ // each flow completes in exactly one shard
 		}
 		if !r.Cfg.Reliable {
-			delete(node.recv, pkt.Flow)
+			slot.st.recv = nil
 		}
 	}
 	if r.Cfg.Reliable {
@@ -1102,8 +1080,8 @@ func (r *R2C2) aggregateTick() {
 		if node == nil || len(node.flows) == 0 {
 			continue
 		}
-		for _, id := range r.sortedFlowIDs(node.flows) {
-			s.Add(node.flows[id].info)
+		for _, sf := range node.flows {
+			s.Add(sf.info)
 		}
 	}
 	r.nextTick = r.Net.Eng.Now() + r.Cfg.Recompute
@@ -1162,10 +1140,8 @@ func (r *R2C2) rearmFromViews(global *core.Allocation) {
 				r.sh.tickHashes = append(r.sh.tickHashes, h)
 			}
 		}
-		// Sorted iteration: armSender schedules the pacing events, and
-		// scheduling order assigns their sequence numbers (det-map-iter).
-		for _, id := range r.sortedFlowIDs(node.flows) {
-			sf := node.flows[id]
+		for _, sf := range node.flows {
+			id := sf.info.ID
 			sf.rate = alloc.Rate(id)
 			if invariantsEnabled {
 				// A multipath flow may exceed one link's rate (its φ sums

@@ -94,8 +94,8 @@ func TestReliableReceiverCleanup(t *testing.T) {
 	if !r.Ledger()[id].Done {
 		t.Fatal("flow incomplete")
 	}
-	if got := len(r.nodes[5].recv); got != 0 {
-		t.Fatalf("receiver retains %d flow states after finish broadcast", got)
+	if r.flows.get(id).st.recv != nil {
+		t.Fatal("receiver retains the flow's state after the finish broadcast")
 	}
 }
 
@@ -121,7 +121,7 @@ func TestReliableAckRebuildPreservesInFlightRoute(t *testing.T) {
 		net.freePacket(pkt)
 	}
 	deliver(0) // interns the ack route on the receive state
-	rs := r.nodes[3].recv[id]
+	rs := r.flows.get(id).st.recv
 	inFlight := rs.ackPath // what an in-flight ack references
 	snapshot := append([]topology.LinkID(nil), inFlight...)
 

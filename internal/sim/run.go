@@ -85,7 +85,7 @@ type Results struct {
 	AllFCT         stats.Sample // seconds, all completed flows
 	MaxQueue       stats.Sample // bytes, per output port
 
-	Reorder         stats.Sample // reorder-buffer occupancy (R2C2 only)
+	Reorder         stats.Counts // reorder-buffer occupancy, packets (R2C2 only)
 	FailureReroutes uint64       // fabric rebuilds after faults (R2C2 only)
 	Drops           uint64
 	Retransmissions uint64 // TCP only
@@ -166,14 +166,14 @@ func Run(cfg RunConfig) *Results {
 		maxTime = cfg.Arrivals[len(cfg.Arrivals)-1].At + 100*simtime.Millisecond
 	}
 
-	var ledger *flowLedger
+	var order *[]*FlowRecord // the transport's records, in creation order
 	var r2c2 *R2C2
 	var tcp *TCP
 	switch cfg.Transport {
 	case TransportR2C2:
 		r2c2 = NewR2C2(net, tab, cfg.R2C2)
-		r2c2.presizeFinished(perSrc)
-		ledger = r2c2.ledger
+		r2c2.presize(perSrc)
+		order = &r2c2.flows.order
 		if cfg.Faults.Len() > 0 {
 			r2c2.ApplyFaults(cfg.Faults)
 		}
@@ -185,14 +185,16 @@ func Run(cfg RunConfig) *Results {
 		}
 	case TransportTCP:
 		tcp = NewTCP(net, tab, cfg.TCP)
-		ledger = tcp.ledger
+		carveRows(tcp.flows.rows, perSrc)
+		order = &tcp.flows.order
 		for _, a := range cfg.Arrivals {
 			arr := a
 			eng.Schedule(arr.At, func() { tcp.StartFlow(arr.Src, arr.Dst, arr.SizeBytes) })
 		}
 	case TransportPFQ:
 		pfq := NewPFQ(net, tab, cfg.PFQSeed)
-		ledger = pfq.ledger
+		carveRows(pfq.flows.rows, perSrc)
+		order = &pfq.flows.order
 		for _, a := range cfg.Arrivals {
 			arr := a
 			eng.Schedule(arr.At, func() { pfq.StartFlow(arr.Src, arr.Dst, arr.SizeBytes) })
@@ -214,9 +216,9 @@ func Run(cfg RunConfig) *Results {
 			next = maxTime
 		}
 		eng.Run(next)
-		if len(ledger.order) == total {
+		if len(*order) == total {
 			done := 0
-			for _, rec := range ledger.order {
+			for _, rec := range *order {
 				if rec.Done {
 					done++
 				}
@@ -231,7 +233,7 @@ func Run(cfg RunConfig) *Results {
 	}
 
 	res := &Results{Transport: cfg.Transport, EndTime: eng.Now(), Events: eng.Processed()}
-	res.addFlows(ledger.order)
+	res.addFlows(*order)
 	res.MaxQueue.AddAll(net.MaxQueueSample())
 	res.Drops = net.TotalDrops()
 	res.Hops = net.PktHops

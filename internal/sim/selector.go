@@ -58,14 +58,21 @@ type Selector struct {
 	Reassignments uint64
 	LastGain      float64
 
-	flowAge map[wire.FlowID]simtime.Time
+	// seen lists the flows of the latest round's view with the time the
+	// selector first saw each, in the view's order: ascending flow ID.
+	seen []seenFlow
+}
+
+type seenFlow struct {
+	id    wire.FlowID
+	first simtime.Time
 }
 
 // NewSelector attaches a routing selector to a running R2C2 stack. Call
 // Start to arm it.
 func NewSelector(r *R2C2, cfg SelectorConfig) *Selector {
 	cfg.defaults()
-	return &Selector{r: r, cfg: cfg, flowAge: make(map[wire.FlowID]simtime.Time)}
+	return &Selector{r: r, cfg: cfg}
 }
 
 // Start arms the periodic selection.
@@ -88,12 +95,20 @@ func (s *Selector) selectOnce() {
 	var flows []routing.Demand
 	var ids []wire.FlowID
 	var current []uint8
+	// One merge of the view with the previous round's list, both in flow-ID
+	// order: a flow new to the view starts ageing now, and the age of one
+	// that has left it (finished) is dropped with it.
+	prev, seen := s.seen, make([]seenFlow, 0, view.Len())
 	for _, info := range view.Flows() {
-		first, seen := s.flowAge[info.ID]
-		if !seen {
-			s.flowAge[info.ID] = now
+		for len(prev) > 0 && prev[0].id < info.ID {
+			prev = prev[1:]
+		}
+		if len(prev) == 0 || prev[0].id != info.ID {
+			seen = append(seen, seenFlow{info.ID, now})
 			continue
 		}
+		first := prev[0].first
+		seen = append(seen, prev[0])
 		if now-first < s.cfg.MinAge {
 			continue
 		}
@@ -111,12 +126,7 @@ func (s *Selector) selectOnce() {
 		ids = append(ids, info.ID)
 		current = append(current, uint8(gene))
 	}
-	// Garbage-collect ages of finished flows.
-	for id := range s.flowAge {
-		if _, ok := view.Get(id); !ok {
-			delete(s.flowAge, id)
-		}
-	}
+	s.seen = seen
 	if len(flows) < 2 {
 		return
 	}

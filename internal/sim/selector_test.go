@@ -121,8 +121,8 @@ func TestSelectorHandlesChurn(t *testing.T) {
 	if sel.Runs < 5 {
 		t.Fatalf("selector ran only %d times", sel.Runs)
 	}
-	// All flows finished; the age map must not leak.
-	if len(sel.flowAge) != 0 {
-		t.Fatalf("selector leaked %d flow-age entries", len(sel.flowAge))
+	// All flows finished; their ages must not leak.
+	if len(sel.seen) != 0 {
+		t.Fatalf("selector leaked %d flow-age entries", len(sel.seen))
 	}
 }

@@ -391,7 +391,7 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 		net := NewNetwork(cfg.Graph, eng, cfg.Net)
 		net.sh = ctx // before newR2C2: the transport mirrors it
 		r2 := newR2C2(net, intact, fabrics, cfg.R2C2)
-		r2.presizeFinished(perSrc)
+		r2.presize(perSrc)
 		if cfg.Faults.Len() > 0 {
 			// Every shard runs the whole schedule: each must observe the
 			// same degraded fabric (ctrl subtracts duplicates).
@@ -473,7 +473,7 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 		}
 		opened, done := 0, 0
 		for _, st := range sr.shards {
-			opened += len(st.r2.ledger.order)
+			opened += len(st.r2.flows.order)
 			done += st.ctx.doneFlows
 		}
 		if opened == total && done == total {
@@ -671,17 +671,17 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 	order := make([]*FlowRecord, 0, len(cfg.Arrivals))
 	for _, i := range idx {
 		s := sr.part.ShardOf(cfg.Arrivals[i].Src)
-		srcLedger := sr.shards[s].r2.ledger
-		if cursors[s] >= len(srcLedger.order) {
+		opened := sr.shards[s].r2.flows.order
+		if cursors[s] >= len(opened) {
 			break // the run stopped before this arrival fired
 		}
-		rec := srcLedger.order[cursors[s]]
+		rec := opened[cursors[s]]
 		cursors[s]++
 		if d := sr.part.ShardOf(rec.Dst); d != s {
-			if rrec := sr.shards[d].r2.ledger.get(rec.ID); rrec != nil {
-				rec.BytesRcvd = rrec.BytesRcvd
-				rec.Done = rrec.Done
-				rec.Finished = rrec.Finished
+			if rslot := sr.shards[d].r2.flows.get(rec.ID); rslot != nil {
+				rec.BytesRcvd = rslot.rec.BytesRcvd
+				rec.Done = rslot.rec.Done
+				rec.Finished = rslot.rec.Finished
 			}
 		}
 		order = append(order, rec)
@@ -710,7 +710,7 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 		res.Drops += st.net.TotalDrops()
 		res.Hops += st.net.PktHops
 		res.BcastBytes += st.net.BcastBytesOnWire
-		res.Reorder.AddAll(st.r2.Reorder.Values())
+		res.Reorder.Merge(&st.r2.Reorder)
 	}
 	res.Events -= uint64(S-1) * ctrl
 	res.Recomputations = sr.recomputations

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/bits"
+
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
@@ -39,10 +41,7 @@ type TCP struct {
 	Tab *routing.Table
 	Cfg TCPConfig
 
-	ledger  *flowLedger
-	senders map[wire.FlowID]*tcpSender
-	recvs   map[wire.FlowID]*tcpReceiver
-	nextSeq map[topology.NodeID]uint16
+	flows *flowTable[*tcpSender] // a slot empties when the flow's last ack arrives
 
 	// Retransmissions counts retransmitted data packets.
 	Retransmissions uint64
@@ -62,28 +61,76 @@ type tcpSender struct {
 	cumAcked uint32 // packets acknowledged in order
 	dupAcks  int
 	srtt     simtime.Time
-	sent     map[uint32]simtime.Time // outstanding packet send times
 	rtoArmed bool
 	rtoTimer timerHandle // cancels the pending timeout outright
 	done     bool
+
+	// recv is the receiving end's reorder buffer. It lives here because the
+	// two ends of a flow are created and released together.
+	recv reorderWindow
+
+	// Send times of the outstanding packets, for the RTT samples: a ring in
+	// which cell seq&(len-1) holds 1 + the time seq was last sent, 0 once it
+	// is acknowledged. The ring has a cell for each packet the window cap
+	// lets be outstanding, so every cell in use belongs to one sequence in
+	// [cumAcked, cumAcked+len). outstanding counts the packets sent and
+	// neither acknowledged nor written off by a timeout; that includes any
+	// sent below cumAcked (a timeout pulls nextSend back, and an ack for a
+	// packet already in flight can then overtake it), which no ack will look
+	// up again and so need no cell.
+	sentAt      []simtime.Time
+	outstanding int
 }
 
-type tcpReceiver struct {
-	next uint32
-	oob  map[uint32]bool
+// sentCell returns seq's cell in the send-time ring.
+func (s *tcpSender) sentCell(seq uint32) *simtime.Time {
+	return &s.sentAt[int(seq)&(len(s.sentAt)-1)]
+}
+
+// stamp records that seq goes on the wire now.
+func (s *tcpSender) stamp(seq uint32, now simtime.Time) {
+	if seq < s.cumAcked {
+		s.outstanding++
+		return
+	}
+	if invariantsEnabled {
+		assertInvariant(int(seq-s.cumAcked) < len(s.sentAt), "TCP packet sent further past the ack point than the window cap")
+	}
+	cell := s.sentCell(seq)
+	if *cell == 0 {
+		s.outstanding++
+	}
+	*cell = now + 1
+}
+
+// ackTo advances the cumulative ack point to cum: every outstanding packet
+// below it leaves the ring, its round trip folded into the smoothed RTT.
+func (s *tcpSender) ackTo(cum uint32, now simtime.Time) {
+	for seq, end := s.cumAcked, min(cum, s.cumAcked+uint32(len(s.sentAt))); seq < end; seq++ {
+		if cell := s.sentCell(seq); *cell != 0 {
+			rtt := now - (*cell - 1)
+			s.srtt = (7*s.srtt + rtt) / 8
+			*cell = 0
+			s.outstanding--
+		}
+	}
+	s.cumAcked = cum
+}
+
+// forgetSent writes every outstanding packet off (a timeout).
+func (s *tcpSender) forgetSent() {
+	clear(s.sentAt)
+	s.outstanding = 0
 }
 
 // NewTCP wires the TCP baseline into a network.
 func NewTCP(net *Network, tab *routing.Table, cfg TCPConfig) *TCP {
 	cfg.defaults()
 	t := &TCP{
-		Net:     net,
-		Tab:     tab,
-		Cfg:     cfg,
-		ledger:  newFlowLedger(),
-		senders: make(map[wire.FlowID]*tcpSender),
-		recvs:   make(map[wire.FlowID]*tcpReceiver),
-		nextSeq: make(map[topology.NodeID]uint16),
+		Net:   net,
+		Tab:   tab,
+		Cfg:   cfg,
+		flows: newFlowTable[*tcpSender](net.G.Nodes()),
 	}
 	net.Deliver = t.deliver
 	if net.Eng.tcp != nil && net.Eng.tcp != t {
@@ -93,17 +140,17 @@ func NewTCP(net *Network, tab *routing.Table, cfg TCPConfig) *TCP {
 	return t
 }
 
-// Ledger exposes the flow records for results collection.
-func (t *TCP) Ledger() map[wire.FlowID]*FlowRecord { return t.ledger.records }
+// Ledger returns the flow records by ID, for inspection and results
+// collection. The map is built on every call.
+func (t *TCP) Ledger() map[wire.FlowID]*FlowRecord { return t.flows.ledger() }
 
 // StartFlow begins a TCP flow of sizeBytes.
 func (t *TCP) StartFlow(src, dst topology.NodeID, sizeBytes int64) wire.FlowID {
 	if src == dst || sizeBytes <= 0 {
 		panic("sim: degenerate flow")
 	}
-	seq := t.nextSeq[src]
-	t.nextSeq[src] = seq + 1
-	id := wire.MakeFlowID(uint16(src), seq)
+	slot := t.flows.open(src, dst, sizeBytes, t.Net.Eng.Now())
+	id := slot.rec.ID
 	pkts := uint32((sizeBytes + MaxPayload - 1) / MaxPayload)
 	last := int(sizeBytes - int64(pkts-1)*MaxPayload)
 	s := &tcpSender{
@@ -115,11 +162,11 @@ func (t *TCP) StartFlow(src, dst topology.NodeID, sizeBytes int64) wire.FlowID {
 		cwnd:      float64(t.Cfg.InitCwnd),
 		ssthresh:  float64(t.Cfg.InitSSTh),
 		srtt:      t.Cfg.MinRTO / 2,
-		sent:      make(map[uint32]simtime.Time),
+		// Everything from cumAcked up to nextSend is outstanding, and pump
+		// keeps that under the cap: a power of two of cells covers the span.
+		sentAt: make([]simtime.Time, 1<<bits.Len(uint(min(int(pkts), t.Cfg.MaxInFlict)-1))),
 	}
-	t.senders[id] = s
-	t.recvs[id] = &tcpReceiver{oob: make(map[uint32]bool)}
-	t.ledger.open(id, src, dst, sizeBytes, t.Net.Eng.Now())
+	slot.st = s
 	t.pump(s)
 	return id
 }
@@ -129,7 +176,7 @@ func (t *TCP) pump(s *tcpSender) {
 	if s.done {
 		return
 	}
-	for s.nextSend < s.totalPkts && len(s.sent) < int(s.cwnd) && len(s.sent) < t.Cfg.MaxInFlict {
+	for s.nextSend < s.totalPkts && s.outstanding < int(s.cwnd) && s.outstanding < t.Cfg.MaxInFlict {
 		t.sendPacket(s, s.nextSend, false)
 		s.nextSend++
 	}
@@ -154,12 +201,12 @@ func (t *TCP) sendPacket(s *tcpSender, seq uint32, retx bool) {
 	if retx {
 		t.Retransmissions++
 	}
-	s.sent[seq] = t.Net.Eng.Now()
+	s.stamp(seq, t.Net.Eng.Now())
 	t.Net.Inject(pkt) // drops are recovered by timeout/fast-retransmit
 }
 
 func (t *TCP) armRTO(s *tcpSender) {
-	if s.rtoArmed || len(s.sent) == 0 || s.done {
+	if s.rtoArmed || s.outstanding == 0 || s.done {
 		return
 	}
 	s.rtoArmed = true
@@ -182,7 +229,7 @@ func (t *TCP) onRTO(s *tcpSender) {
 		return
 	}
 	s.rtoArmed = false
-	if len(s.sent) == 0 {
+	if s.outstanding == 0 {
 		return
 	}
 	// Timeout: multiplicative decrease to a window of 1 and go-back-N from
@@ -193,8 +240,7 @@ func (t *TCP) onRTO(s *tcpSender) {
 	}
 	s.cwnd = 1
 	s.dupAcks = 0
-	clear(s.sent) // reuse the map's buckets: go-back-N retransmits refill it
-
+	s.forgetSent() // go-back-N retransmits everything from the ack point
 	s.nextSend = s.cumAcked
 	t.pump(s)
 }
@@ -212,28 +258,22 @@ func (t *TCP) deliver(at topology.NodeID, pkt *Packet) {
 }
 
 func (t *TCP) receiveData(at topology.NodeID, pkt *Packet) {
-	r := t.recvs[pkt.Flow]
-	if r == nil {
+	slot := t.flows.get(pkt.Flow)
+	if slot == nil || slot.st == nil {
 		return // flow already completed; stale retransmission
 	}
-	rec := t.ledger.get(pkt.Flow)
-	if pkt.Seq >= r.next && !r.oob[pkt.Seq] {
-		r.oob[pkt.Seq] = true
+	rec, s := slot.rec, slot.st
+	if s.recv.accept(pkt.Seq) {
 		rec.BytesRcvd += int64(pkt.Payload)
-		for r.oob[r.next] {
-			delete(r.oob, r.next)
-			r.next++
-		}
 	}
 	// Cumulative ack (per packet, 16 bytes on the wire).
-	s := t.senders[pkt.Flow]
 	ack := t.Net.newPacket()
 	ack.Kind = KindAck
 	ack.SizeBytes = AckBytes
 	ack.Flow = pkt.Flow
 	ack.Src = pkt.Dst
 	ack.Dst = pkt.Src
-	ack.Seq = r.next
+	ack.Seq = s.recv.next
 	ack.Path = s.ackPath // per-flow reverse route, shared by reference
 	t.Net.Inject(ack)
 	if !rec.Done && rec.BytesRcvd >= rec.SizeBytes {
@@ -243,21 +283,15 @@ func (t *TCP) receiveData(at topology.NodeID, pkt *Packet) {
 }
 
 func (t *TCP) receiveAck(pkt *Packet) {
-	s := t.senders[pkt.Flow]
-	if s == nil || s.done {
-		return
+	slot := t.flows.get(pkt.Flow)
+	if slot == nil || slot.st == nil {
+		return // flow already fully acked; late ack
 	}
+	s := slot.st
 	cum := pkt.Seq // receiver's next expected packet
 	if cum > s.cumAcked {
 		newlyAcked := float64(cum - s.cumAcked)
-		for seq := s.cumAcked; seq < cum; seq++ {
-			if sentAt, ok := s.sent[seq]; ok {
-				rtt := t.Net.Eng.Now() - sentAt
-				s.srtt = (7*s.srtt + rtt) / 8
-				delete(s.sent, seq)
-			}
-		}
-		s.cumAcked = cum
+		s.ackTo(cum, t.Net.Eng.Now())
 		s.dupAcks = 0
 		if s.cwnd < s.ssthresh {
 			s.cwnd += newlyAcked // slow start: exponential growth
@@ -267,9 +301,8 @@ func (t *TCP) receiveAck(pkt *Packet) {
 		t.disarmRTO(s)
 		if s.cumAcked >= s.totalPkts {
 			s.done = true
-			rec := t.ledger.get(pkt.Flow)
-			rec.SenderDone = true
-			delete(t.recvs, pkt.Flow)
+			slot.rec.SenderDone = true
+			slot.st = nil // both ends, their two routes and the send times
 			return
 		}
 	} else {

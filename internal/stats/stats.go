@@ -48,24 +48,30 @@ func (s *Sample) ensureSorted() {
 // Percentile returns the p-th percentile (p in [0,100]) using linear
 // interpolation between closest ranks. It returns NaN for an empty sample.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
+	s.ensureSorted()
+	return percentile(len(s.values), func(i int) float64 { return s.values[i] }, p)
+}
+
+// percentile is the interpolation rule of every sample in the package: the
+// p-th percentile of n observations of which at(i) is the i-th smallest.
+func percentile(n int, at func(i int) float64, p float64) float64 {
+	if n == 0 {
 		return math.NaN()
 	}
-	s.ensureSorted()
 	if p <= 0 {
-		return s.values[0]
+		return at(0)
 	}
 	if p >= 100 {
-		return s.values[len(s.values)-1]
+		return at(n - 1)
 	}
-	rank := p / 100 * float64(len(s.values)-1)
+	rank := p / 100 * float64(n-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return s.values[lo]
+		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return s.values[lo]*(1-frac) + s.values[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
 }
 
 // Median returns the 50th percentile.
@@ -216,4 +222,71 @@ func (c *Counter) Mean() float64 {
 		return 0
 	}
 	return float64(c.Sum) / float64(c.N)
+}
+
+// Counts is an exact sample of small non-negative integers — reorder-buffer
+// occupancies, one per data packet — kept as one counter per value instead
+// of one element per observation. Every query answers what a Sample fed the
+// same integers would, bit for bit: the observations are a multiset, so how
+// many of each value there are is all a percentile, a maximum or the sorted
+// values can depend on. Nothing depends on the order observations arrived
+// in, and merging two samples is adding their counters.
+type Counts struct {
+	n     []uint64 // n[v]: observations equal to v
+	total int
+}
+
+// Add records one observation. A negative one is a bug in the caller.
+func (c *Counts) Add(v int) {
+	c.grow(v + 1)
+	c.n[v]++
+	c.total++
+}
+
+// grow extends the counters to at least n values.
+func (c *Counts) grow(n int) {
+	if n > len(c.n) {
+		c.n = append(c.n, make([]uint64, n-len(c.n))...) // doubles: a new maximum is rare
+	}
+}
+
+// Merge adds every observation of o.
+func (c *Counts) Merge(o *Counts) {
+	c.grow(len(o.n))
+	for v, k := range o.n {
+		c.n[v] += k
+	}
+	c.total += o.total
+}
+
+// Len reports the number of recorded observations.
+func (c *Counts) Len() int { return c.total }
+
+// at returns the i-th smallest observation, 0 <= i < Len.
+func (c *Counts) at(i int) float64 {
+	below := 0
+	for v, k := range c.n {
+		if below += int(k); i < below {
+			return float64(v)
+		}
+	}
+	panic("stats: Counts rank out of range")
+}
+
+// Percentile returns the p-th percentile (p in [0,100]) by Sample's rule:
+// linear interpolation between closest ranks, NaN for an empty sample.
+func (c *Counts) Percentile(p float64) float64 { return percentile(c.total, c.at, p) }
+
+// Max returns the largest observation, or NaN for an empty sample.
+func (c *Counts) Max() float64 { return c.Percentile(100) }
+
+// Values returns the observations in ascending order, as Sample.Values does.
+func (c *Counts) Values() []float64 {
+	out := make([]float64, 0, c.total)
+	for v, k := range c.n {
+		for ; k > 0; k-- {
+			out = append(out, float64(v))
+		}
+	}
+	return out
 }

@@ -210,3 +210,74 @@ func TestCounter(t *testing.T) {
 		t.Errorf("Mean = %v", c.Mean())
 	}
 }
+
+// requireSameAsSample compares every query of a Counts with a Sample holding
+// the same integers, bit for bit: percentiles at the ends, at the usual
+// quantiles and at ranks that fall between two observations.
+func requireSameAsSample(t *testing.T, c *Counts, s *Sample) {
+	t.Helper()
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	if c.Len() != s.Len() {
+		t.Fatalf("Len = %d, want %d", c.Len(), s.Len())
+	}
+	if !same(c.Max(), s.Max()) {
+		t.Fatalf("Max = %v, want %v", c.Max(), s.Max())
+	}
+	for _, p := range []float64{-1, 0, 0.1, 12.5, 33.3, 50, 66.7, 90, 95, 99, 99.9, 100, 101} {
+		if got, want := c.Percentile(p), s.Percentile(p); !same(got, want) {
+			t.Fatalf("n=%d: Percentile(%v) = %v, want %v", c.Len(), p, got, want)
+		}
+	}
+	got, want := c.Values(), s.Values()
+	if len(got) != len(want) {
+		t.Fatalf("Values has %d elements, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("Values[%d] = %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestCountsMatchesSample holds the counted sample to the Sample it replaced
+// for reorder-buffer occupancies: the same integers into both, compared as
+// they grow from empty, and a merge of three parts in every order against one
+// Sample of everything.
+func TestCountsMatchesSample(t *testing.T) {
+	var c Counts
+	var s Sample
+	requireSameAsSample(t, &c, &s) // empty: NaN everywhere
+
+	rng := rand.New(rand.NewSource(1))
+	draw := func() int {
+		if rng.Intn(4) > 0 {
+			return 0 // in-order arrivals dominate
+		}
+		return int(rng.ExpFloat64() * 12)
+	}
+	for n := 1; n <= 3000; n++ {
+		v := draw()
+		c.Add(v)
+		s.Add(float64(v))
+		if n < 40 || n%97 == 0 { // small samples interpolate between distant values
+			requireSameAsSample(t, &c, &s)
+		}
+	}
+
+	var parts [3]Counts
+	var all Sample
+	for i := range parts {
+		for n := 0; n < 100*(i+1); n++ {
+			v := draw() + 5*i // the parts' ranges differ: merging has to grow the receiver
+			parts[i].Add(v)
+			all.Add(float64(v))
+		}
+	}
+	for _, order := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		var merged Counts
+		for _, i := range order {
+			merged.Merge(&parts[i])
+		}
+		requireSameAsSample(t, &merged, &all)
+	}
+}

@@ -53,9 +53,10 @@ func BuildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64) []*Broa
 // treeScratch is the build's working memory. The FIB keeps one across its
 // sources, so a build allocates only what the trees retain.
 type treeScratch struct {
-	cand  LinkCSR  // per vertex, the in-links from a vertex one hop nearer src
-	picks []LinkID // the tree being built: chosen parent link per vertex, -1 = none
-	next  []int32  // per parent, where its next child link goes
+	cand  LinkCSR    // per vertex, the in-links from a vertex one hop nearer src
+	picks []LinkID   // the tree being built: chosen parent link per vertex, -1 = none
+	next  []int32    // per parent, where its next child link goes
+	rng   *rand.Rand // reseeded per source: Seed(s) restarts the stream rand.NewSource(s) would
 }
 
 // buildBroadcastTrees finds every vertex's shortest-path parent candidates
@@ -68,7 +69,6 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 	if count < 1 || count > 255 {
 		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
 	}
-	rng := rand.New(rand.NewSource(rngSeed))
 	nv := g.Vertices()
 	// The FIB builds a source's trees lazily on first lookup, which makes
 	// this function reachable from the emulator's data-path hotpath root —
@@ -77,7 +77,11 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 	if sc.picks == nil {
 		//lint:ignore alloc-hotpath once-per-FIB scratch, reused by every later source
 		sc.cand.off, sc.picks, sc.next = make([]int32, nv+1), make([]LinkID, nv), make([]int32, nv)
+		sc.rng = rand.New(rand.NewSource(rngSeed))
+	} else {
+		sc.rng.Seed(rngSeed)
 	}
+	rng := sc.rng
 	dist := g.dist[src]
 	sc.cand.links = sc.cand.links[:0]
 	depth, edges := 0, 0

@@ -73,7 +73,8 @@ type Graph struct {
 	linkIndex map[Link]LinkID
 	degraded  bool // built by WithoutLinks: coordinate routing is unsafe
 
-	dist [][]int32 // all-pairs hop distance over all vertices
+	dist     [][]int32 // all-pairs hop distance over all vertices
+	diameter int       // largest finite distance between endpoint nodes
 
 	// Rack metadata, set by the constructors that know it (ConnectRacks,
 	// NewFoldedClos): rackOf[v] is the rack (or Clos leaf group) a vertex
@@ -193,17 +194,7 @@ func (g *Graph) Degree(v NodeID) int { return len(g.out[v]) }
 func (g *Graph) Dist(a, b NodeID) int { return int(g.dist[a][b]) }
 
 // Diameter returns the maximum finite distance between endpoint nodes.
-func (g *Graph) Diameter() int {
-	d := 0
-	for a := 0; a < g.n; a++ {
-		for b := 0; b < g.n; b++ {
-			if int(g.dist[a][b]) > d {
-				d = int(g.dist[a][b])
-			}
-		}
-	}
-	return d
-}
+func (g *Graph) Diameter() int { return g.diameter }
 
 // MeanNodeDistance returns the average hop distance between distinct
 // endpoint pairs — the "average path length" figure used for broadcast
@@ -248,6 +239,11 @@ func (g *Graph) computeDistances() {
 			}
 		}
 		g.dist[s] = d
+		if s < g.n {
+			for _, hops := range d[:g.n] {
+				g.diameter = max(g.diameter, int(hops))
+			}
+		}
 	}
 }
 
