@@ -47,11 +47,6 @@ type Config struct {
 	// preserves all rate-allocation behaviour (everything scales with
 	// capacity). Default 200.
 	LinkMbps float64
-	// QueuePackets is the per-port queue depth in packets. Default 1024
-	// (~1.5 MB at MTU, matching the simulator's default drop-tail limit):
-	// the emulator has no end-to-end retransmission, so queues must absorb
-	// the line-rate bursts of newly started flows (§3.3.2) without loss.
-	QueuePackets int
 	// Headroom is the §3.3.2 bandwidth headroom. Default 0.05.
 	Headroom float64
 	// Recompute is the wall-clock rate recomputation interval ρ.
@@ -63,6 +58,12 @@ type Config struct {
 	TreesPerSource int
 	Seed           int64
 }
+
+// queuePackets is the per-port queue depth in packets (~1.5 MB at MTU,
+// matching the simulator's default drop-tail limit): the emulator has no
+// end-to-end retransmission, so queues must absorb the line-rate bursts of
+// newly started flows (§3.3.2) without loss.
+const queuePackets = 1024
 
 // maxBurst bounds how far a paced sender may fall behind its schedule
 // before credit stops accumulating: oversleeps inside the window are
@@ -76,9 +77,6 @@ var zeroPayload [1500]byte
 func (c *Config) defaults() {
 	if c.LinkMbps == 0 {
 		c.LinkMbps = 200
-	}
-	if c.QueuePackets == 0 {
-		c.QueuePackets = 1024
 	}
 	if c.Recompute == 0 {
 		// 4ρ: the paper's 500 µs assumes a dedicated rack; a wall-clock
@@ -321,7 +319,7 @@ func New(cfg Config) (*Rack, error) {
 	})
 	r.ports = make([]*emuPort, cfg.Graph.NumLinks())
 	for i := range r.ports {
-		r.ports[i] = &emuPort{ch: make(chan emuPkt, cfg.QueuePackets)}
+		r.ports[i] = &emuPort{ch: make(chan emuPkt, queuePackets)}
 	}
 	r.nodes = make([]*emuNode, cfg.Graph.Nodes())
 	for i := range r.nodes {

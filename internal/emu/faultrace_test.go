@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,17 +92,62 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	r.ApplyFaults(sched)
 
+	// The schedule has settled once every event has been injected and a
+	// swap has covered the last injection. How many swaps that took is the
+	// host scheduler's business: a starved detection timer fires after the
+	// next injection and one swap covers both, a starved injector runs late
+	// and a wave the schedule fires together takes two. Only the bounds and
+	// the failure state the swaps end on are promised.
+	events := sched.Sorted()
+	want := uint64(len(events)) // Generate emits flaps, repairs and a crash: every event reroutes
+	settled := func() (injected, covered uint64) {
+		r.faultMu.Lock()
+		defer r.faultMu.Unlock()
+		return r.faultSeq, r.coveredSeq
+	}
 	deadline := time.Now().Add(10 * time.Second)
-	want := uint64(sched.Waves())
-	for time.Now().Before(deadline) && r.Reroutes() < want {
+	for time.Now().Before(deadline) {
+		if injected, covered := settled(); injected == want && covered == want {
+			break
+		}
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	if got := r.Reroutes(); got < want {
-		t.Fatalf("reroutes = %d, want >= %d (schedule waves)\nschedule:\n%s", got, want, sched)
+	if injected, covered := settled(); injected != want || covered != want {
+		t.Fatalf("schedule did not settle: %d events injected, %d covered by a swap, want %d of each (%d injection errors)\nschedule:\n%s",
+			injected, covered, want, r.FaultErrors(), sched)
 	}
+	if got := r.Reroutes(); got < 1 || got > want {
+		t.Fatalf("reroutes = %d, want between 1 and %d (one per event at most)\nschedule:\n%s", got, want, sched)
+	}
+	wantLinks, wantDead := map[topology.LinkID]bool{}, map[topology.NodeID]bool{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case faults.LinkDown:
+			for _, lid := range r.cableLinks(ev.A, ev.B) {
+				wantLinks[lid] = true
+			}
+		case faults.LinkRepair:
+			for _, lid := range r.cableLinks(ev.A, ev.B) {
+				delete(wantLinks, lid)
+			}
+		case faults.NodeDown:
+			wantDead[ev.Node] = true
+			for _, lid := range slices.Concat(g.Out(ev.Node), g.In(ev.Node)) {
+				wantLinks[lid] = true
+			}
+		default:
+			t.Fatalf("schedule event %v does not reroute; count it out of want", ev)
+		}
+	}
+	r.faultMu.Lock()
+	if !maps.Equal(r.failedLinks, wantLinks) || !maps.Equal(r.deadNodes, wantDead) {
+		t.Errorf("failure state after the schedule: links %v nodes %v, want links %v nodes %v",
+			r.failedLinks, r.deadNodes, wantLinks, wantDead)
+	}
+	r.faultMu.Unlock()
 	if completed.Load() == 0 {
 		t.Fatal("no flow completed while the schedule replayed")
 	}

@@ -32,9 +32,9 @@ type InterRackConfig struct {
 	Seed      int64
 	Reliable  bool
 
-	// Shards is sim.RunConfig.Shards: ≤ 1 runs the serial engine, > 1 the
-	// sharded engine with up to Shards workers. The mix table is identical
-	// at every value; only ShardUtilTable needs a sharded run.
+	// Shards is sim.RunConfig.Shards: ≤ 1 runs one shard owning the whole
+	// fabric, > 1 the rack partition with up to Shards workers. The mix table
+	// is identical at every value; only ShardUtilTable needs the partition.
 	Shards int
 	// Horizon hard-stops each run (sim.RunConfig.MaxTime).
 	Horizon simtime.Time

@@ -42,8 +42,11 @@ type fanout struct {
 }
 
 // start spawns the helpers that will run job beside the caller; stop
-// retires them.
+// retires them. A negative count would leave stop waiting for ever.
 func (f *fanout) start(helpers int, job func(i int)) {
+	if helpers < 0 {
+		panic("sim: fanout started with a negative helper count")
+	}
 	f.helpers, f.job = helpers, job
 	f.cond.L = &f.mu
 	for w := 0; w < helpers; w++ {

@@ -52,12 +52,27 @@ type flowSlot[T any] struct {
 // from zero, so rows[src][seq] is the flow's slot. Rows are sized up front
 // from the arrival list's per-source counts (carveRows) and double past
 // that. opened[src] is how many flows src has started here, its next
-// sequence number; order keeps those flows' records in creation order, which
-// is what results are assembled from.
+// sequence number.
 type flowTable[T any] struct {
 	rows   [][]flowSlot[T]
 	opened []int
-	order  []*FlowRecord
+	flowLog
+}
+
+// flowLog is the part of a flow table the run loop reads, whatever the
+// transport: order keeps the records of the flows started here in creation
+// order — results are assembled from it — and done counts the flows whose last
+// byte arrived here, so completion is a comparison per slice, not a scan.
+type flowLog struct {
+	order []*FlowRecord
+	done  int
+}
+
+// finish records that the flow's last byte arrived at time at. Every flow
+// finishes once, in the table of the shard that owns its destination.
+func (l *flowLog) finish(rec *FlowRecord, at simtime.Time) {
+	rec.Done, rec.Finished = true, at
+	l.done++
 }
 
 func newFlowTable[T any](sources int) *flowTable[T] {

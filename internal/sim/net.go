@@ -90,8 +90,8 @@ type NetConfig struct {
 	// lossy-link runs reproducible. Each lossy link draws from its own
 	// stream (created on first use, so loss-free runs stay untouched):
 	// per-link streams make a link's drop sequence independent of global
-	// event interleaving, which is what lets the sharded engine reproduce
-	// the serial engine's drops exactly.
+	// event interleaving, which is what lets the rack partition reproduce
+	// one shard's drops exactly.
 	LossSeed int64
 	// InterRackPropDelay, when non-zero, is the propagation latency of
 	// inter-rack links (ConnectRacks bridge cables, Clos leaf-spine
@@ -244,7 +244,7 @@ type Network struct {
 	// sh is the shard context when this Network is one shard of a sharded
 	// run (shard.go): packets whose next hop belongs to another shard are
 	// exported through its boundary queues instead of being scheduled
-	// locally. nil in serial runs.
+	// locally. nil when one shard owns the whole fabric.
 	sh *shardCtx
 }
 

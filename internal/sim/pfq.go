@@ -107,7 +107,6 @@ func (p *PFQ) deliver(at topology.NodeID, pkt *Packet) {
 	rec := p.flows.get(pkt.Flow).rec
 	rec.BytesRcvd += int64(pkt.Payload)
 	if !rec.Done && rec.BytesRcvd >= rec.SizeBytes {
-		rec.Done = true
-		rec.Finished = p.Net.Eng.Now()
+		p.flows.finish(rec, p.Net.Eng.Now())
 	}
 }

@@ -73,14 +73,13 @@ type R2C2 struct {
 	nextTick simtime.Time
 
 	// sh is the shard context when this R2C2 instance drives one shard of
-	// a sharded run (shard.go): nil in serial runs. Control events that fire
+	// a rack partition (shard.go): nil when one shard owns the whole fabric. Control events that fire
 	// in every shard (recomputation ticks, fault injections, reroutes) tick
 	// its counter so the merged Results can subtract the duplicates.
 	sh *shardCtx
 
 	// fabrics builds the degraded fabric of each reroute generation once for
-	// every R2C2 instance of the run (one per shard; a serial run's cache
-	// has a single user).
+	// every R2C2 instance of the run (one per shard, so possibly a single user).
 	fabrics *fabricCache
 
 	// gen is the route generation: interned per-flow routes and ack paths
@@ -952,13 +951,6 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 	}
 }
 
-// presize sizes every source's flow-table and tombstone rows for the flows
-// it will start. Without it — or past it — a row grows by doubling.
-func (r *R2C2) presize(perSrc []int) {
-	carveRows(r.flows.rows, perSrc)
-	carveRows(r.finished, perSrc)
-}
-
 // markFinished records that node has applied the flow's finish event.
 func (r *R2C2) markFinished(id wire.FlowID, node *r2c2Node) {
 	row, seq := r.finished[id.Src()], int(id.Seq())
@@ -1012,11 +1004,7 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 	r.Reorder.Add(rs.buffered)
 
 	if !rec.Done && rec.BytesRcvd >= rec.SizeBytes {
-		rec.Done = true
-		rec.Finished = r.Net.Eng.Now()
-		if r.sh != nil {
-			r.sh.doneFlows++ // each flow completes in exactly one shard
-		}
+		r.flows.finish(rec, r.Net.Eng.Now())
 		if !r.Cfg.Reliable {
 			slot.st.recv = nil
 		}
@@ -1045,10 +1033,10 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 	}
 }
 
-// recomputeTick is the periodic batch recomputation (§3.3.2). A serial run
+// recomputeTick is the periodic batch recomputation (§3.3.2). A lone shard
 // recomputes every node's rates from its own view right here: nodes whose
 // views are identical (the common case once broadcasts settle) share a
-// single allocator run, keyed by the view hash. A shard of a sharded run
+// single allocator run, keyed by the view hash. A shard of the rack partition
 // instead summarises its sourced flows and pauses for the cross-shard tree
 // reduction (DESIGN.md §15) — the allocation comes back through
 // applyAggregatedTick.

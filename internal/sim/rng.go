@@ -6,9 +6,9 @@ import (
 	"r2c2/internal/topology"
 )
 
-// Per-entity RNG streams. The sharded engine gives every shard its own
-// deterministic randomness, and the serial engine must draw the very same
-// numbers for Results to stay byte-identical between the two — so both run
+// Per-entity RNG streams. A rack partition gives every shard its own
+// deterministic randomness, and one shard owning the whole fabric must draw
+// the very same numbers for Results to stay byte-identical — so both run
 // one independent stream per consuming entity (per source node for route
 // sampling, per link for loss rolls) instead of one global stream whose
 // interleaving would depend on global event order.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"r2c2/internal/faults"
-	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/stats"
 	"r2c2/internal/topology"
@@ -48,7 +47,6 @@ type RunConfig struct {
 	Net       NetConfig
 	Transport Transport
 	R2C2      R2C2Config
-	TCP       TCPConfig
 	PFQSeed   int64
 
 	Arrivals []trafficgen.Arrival
@@ -59,17 +57,18 @@ type RunConfig struct {
 	// such. Zero means 100 ms after the last arrival.
 	MaxTime simtime.Time
 
-	// Shards > 1 runs the experiment on the sharded engine (shard.go): the
-	// fabric is partitioned by rack, each rack shard drives its own engine,
-	// and up to Shards worker goroutines execute the shards in parallel
-	// under a conservative-lookahead epoch barrier. The logical partition is
-	// always the rack partition — Shards only caps the worker count — so
-	// Results are identical at every value. Requires TransportR2C2 and a
-	// rack-structured graph (ConnectRacks or NewFoldedClos). 0 or 1 selects
-	// the serial engine, the sharded engine's differential oracle. The one
-	// control plane is held to it too: each ρ tick a sharded run summarises
-	// every shard's sourced flows, tree-reduces the summaries into one global
-	// view and distributes the allocation back (DESIGN.md §15).
+	// Shards > 1 partitions the fabric by rack (shard.go): each rack shard
+	// drives its own engine, and up to Shards worker goroutines execute the
+	// shards in parallel under a conservative-lookahead epoch barrier. The
+	// logical partition is always the rack partition — Shards only caps the
+	// worker count — so Results are identical at every value. Requires
+	// TransportR2C2 and a rack-structured graph (ConnectRacks or
+	// NewFoldedClos). 0 or 1 runs one shard that owns the whole fabric,
+	// through the same loop: the reference the rack partition's results are
+	// held to. The one control plane is held to it too: each ρ tick a
+	// partitioned run summarises every shard's sourced flows, tree-reduces
+	// the summaries into one global view and distributes the allocation back
+	// (DESIGN.md §15), where one shard recomputes from every node's own view.
 	Shards int
 }
 
@@ -100,36 +99,17 @@ type Results struct {
 	Hops    uint64
 	EndTime simtime.Time
 
-	// ShardStats reports per-shard execution statistics of a sharded run
-	// (RunConfig.Shards > 1); nil for serial runs. Deliberately excluded
-	// from byte-identity comparisons: wall-clock fields vary run to run.
+	// ShardStats reports per-shard execution statistics of a run over the
+	// rack partition (RunConfig.Shards > 1); nil for a run of one shard.
+	// Deliberately excluded from byte-identity comparisons: wall-clock
+	// fields vary run to run.
 	ShardStats []ShardStat
-}
-
-// addFlows folds a creation-ordered flow-record list into the results —
-// the aggregation shared by the serial and sharded engines (order included:
-// FCT sample order must be identical across runs of one configuration).
-func (res *Results) addFlows(order []*FlowRecord) {
-	for _, rec := range order {
-		res.Flows = append(res.Flows, rec)
-		if !rec.Done {
-			res.Incomplete++
-			continue
-		}
-		res.Completed++
-		fct := rec.FCT().Seconds()
-		res.AllFCT.Add(fct)
-		if rec.SizeBytes < ShortFlowMax {
-			res.ShortFCT.Add(fct)
-		}
-		if rec.SizeBytes > LongFlowMin {
-			res.LongThroughput.Add(rec.Throughput())
-		}
-	}
 }
 
 // Run executes one experiment: it replays the arrival list over the chosen
 // transport and collects the statistics every figure of §5 is built from.
+// Every run is a set of shards stepped through one epoch loop (shard.go);
+// without RunConfig.Shards the set is a single shard owning the whole fabric.
 func Run(cfg RunConfig) *Results {
 	if cfg.Graph == nil {
 		panic("sim: RunConfig.Graph is required")
@@ -147,105 +127,14 @@ func Run(cfg RunConfig) *Results {
 	// (wire.FlowID): one more flow and the sequence wraps onto the first
 	// flow's ID, whose ledger record it would overwrite and whose finish
 	// every other node has already seen. The per-source counts also size
-	// R2C2's finished-flow rows.
+	// the flow-table rows and R2C2's finished-flow rows.
 	perSrc := make([]int, cfg.Graph.Nodes())
 	for _, a := range cfg.Arrivals {
 		if perSrc[a.Src]++; perSrc[a.Src] > wire.MaxFlowsPerSource {
 			panic(fmt.Sprintf("sim: more than %d arrivals from node %d: its flow sequence numbers would wrap", wire.MaxFlowsPerSource, a.Src))
 		}
 	}
-	if cfg.Shards > 1 {
-		return runSharded(cfg, perSrc)
-	}
-	eng := &Engine{}
-	net := NewNetwork(cfg.Graph, eng, cfg.Net)
-	tab := routing.NewTable(cfg.Graph)
-
-	maxTime := cfg.MaxTime
-	if maxTime == 0 {
-		maxTime = cfg.Arrivals[len(cfg.Arrivals)-1].At + 100*simtime.Millisecond
-	}
-
-	var order *[]*FlowRecord // the transport's records, in creation order
-	var r2c2 *R2C2
-	var tcp *TCP
-	switch cfg.Transport {
-	case TransportR2C2:
-		r2c2 = NewR2C2(net, tab, cfg.R2C2)
-		r2c2.presize(perSrc)
-		order = &r2c2.flows.order
-		if cfg.Faults.Len() > 0 {
-			r2c2.ApplyFaults(cfg.Faults)
-		}
-		for _, a := range cfg.Arrivals {
-			arr := a
-			eng.Schedule(arr.At, func() {
-				r2c2.StartFlow(arr.Src, arr.Dst, arr.SizeBytes, arr.Weight, arr.Priority)
-			})
-		}
-	case TransportTCP:
-		tcp = NewTCP(net, tab, cfg.TCP)
-		carveRows(tcp.flows.rows, perSrc)
-		order = &tcp.flows.order
-		for _, a := range cfg.Arrivals {
-			arr := a
-			eng.Schedule(arr.At, func() { tcp.StartFlow(arr.Src, arr.Dst, arr.SizeBytes) })
-		}
-	case TransportPFQ:
-		pfq := NewPFQ(net, tab, cfg.PFQSeed)
-		carveRows(pfq.flows.rows, perSrc)
-		order = &pfq.flows.order
-		for _, a := range cfg.Arrivals {
-			arr := a
-			eng.Schedule(arr.At, func() { pfq.StartFlow(arr.Src, arr.Dst, arr.SizeBytes) })
-		}
-	default:
-		panic(fmt.Sprintf("sim: unknown transport %v", cfg.Transport))
-	}
-
-	// Run in slices so completion can stop the clock early (the R2C2
-	// recomputation tick re-arms itself forever).
-	total := len(cfg.Arrivals)
-	slice := maxTime / 64
-	if slice < simtime.Microsecond {
-		slice = simtime.Microsecond
-	}
-	for eng.Now() < maxTime {
-		next := eng.Now() + slice
-		if next > maxTime {
-			next = maxTime
-		}
-		eng.Run(next)
-		if len(*order) == total {
-			done := 0
-			for _, rec := range *order {
-				if rec.Done {
-					done++
-				}
-			}
-			if done == total {
-				break
-			}
-		}
-		if !eng.Pending() {
-			break
-		}
-	}
-
-	res := &Results{Transport: cfg.Transport, EndTime: eng.Now(), Events: eng.Processed()}
-	res.addFlows(*order)
-	res.MaxQueue.AddAll(net.MaxQueueSample())
-	res.Drops = net.TotalDrops()
-	res.Hops = net.PktHops
-	res.BcastBytes = net.BcastBytesOnWire
-	if r2c2 != nil {
-		res.Reorder = r2c2.Reorder
-		res.Recomputations = r2c2.Recomputations
-		res.RecomputeRounds = r2c2.RecomputeRounds
-		res.FailureReroutes = r2c2.FailureReroutes
-	}
-	if tcp != nil {
-		res.Retransmissions = tcp.Retransmissions
-	}
-	return res
+	sr := newShardedRun(cfg, perSrc)
+	defer sr.workers.stop()
+	return sr.merge(sr.run())
 }

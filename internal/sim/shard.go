@@ -1,24 +1,29 @@
 package sim
 
-// Sharded simulation engine (DESIGN.md §14–15): the fabric is partitioned
-// by rack (topology.NewPartition), every rack shard runs its own Engine,
-// Network and R2C2 instance and owns only its rack's node/port state, while
-// the state derived from the topology alone — routing table, φ cache,
-// broadcast FIB, and their degraded successors after a fault — is built
-// once per run and read by all of them (fabric, r2c2.go). Shards advance
-// under a conservative-lookahead epoch barrier, and an epoch costs only the
-// shards that hold an event inside its window: the rest get a clock
-// advance, and the phase runs inline on the orchestrator unless its active
-// shards hold enough work to repay spreading it over the helper goroutines
-// (fanout.go), which spin briefly on an atomic counter before they park.
-// Intra-rack events never leave their shard; packets whose next hop belongs
-// to another shard cross through per-pair boundary queues, and the
-// orchestrator drains the non-empty ones serially at every epoch boundary,
-// in deterministic (at, emission time, emitting link) order.
-// The R2C2 control plane is aggregated: each ρ tick, every shard summarises
-// the flows its racks source, the summaries tree-reduce into one global view
-// (topology.ReductionTree), and the resulting allocation distributes back —
-// per-shard control work does not scale with the total flow count.
+// The run loop (DESIGN.md §14–15). Every run is a set of shards, each with
+// its own Engine, Network and transport instance, stepped through one epoch
+// loop and folded into one Results by one merge. RunConfig.Shards > 1
+// partitions the fabric by rack (topology.NewPartition): a rack shard owns
+// only its rack's node/port state, while the state derived from the topology
+// alone — routing table, φ cache, broadcast FIB, and their degraded
+// successors after a fault — is built once per run and read by all of them
+// (fabric, r2c2.go). Otherwise the set is one shard owning the whole fabric,
+// for which nothing below that speaks of boundaries ever runs.
+// Shards advance under a conservative-lookahead epoch barrier, and an epoch
+// costs only the shards that hold an event inside its window: the rest get a
+// clock advance, and the phase runs inline on the orchestrator unless its
+// active shards hold enough work to repay spreading it over the helper
+// goroutines (fanout.go), which spin briefly on an atomic counter before
+// they park. Intra-rack events never leave their shard; packets whose next
+// hop belongs to another shard cross through per-pair boundary queues, and
+// the orchestrator drains the non-empty ones serially at every epoch
+// boundary, in deterministic (at, emission time, emitting link) order.
+// The R2C2 control plane of a partitioned run is aggregated: each ρ tick,
+// every shard summarises the flows its racks source, the summaries
+// tree-reduce into one global view (topology.ReductionTree), and the
+// resulting allocation distributes back — per-shard control work does not
+// scale with the total flow count. One shard recomputes from every node's own
+// view instead (its net.sh stays nil): the reference the aggregation is held to.
 //
 // The lookahead window Δ is the minimum latency any cross-shard interaction
 // can have: the smallest boundary-link propagation delay, additionally
@@ -26,8 +31,9 @@ package sim
 // cross-shard effect). An event executing at time t > E can therefore only
 // produce cross-shard work at t' ≥ t+Δ > E+Δ, so running every shard
 // independently through (E, E+Δ] and exchanging handoffs at the barrier
-// preserves exact causality. Results are byte-identical to the serial
-// engine (RunConfig.Shards ≤ 1), which is kept as the differential oracle.
+// preserves exact causality. One shard has nothing to bound Δ, so its epochs
+// are the loop's completion-check slices. Results over the rack partition
+// are byte-identical to one shard's, which the oracles compare them with.
 
 import (
 	"cmp"
@@ -41,6 +47,7 @@ import (
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
+	"r2c2/internal/trafficgen"
 	"r2c2/internal/wire"
 )
 
@@ -100,10 +107,11 @@ func (q *boundaryQueue) push() *handoff {
 func (q *boundaryQueue) reset() { q.n = 0 }
 
 // shardCtx is one shard's boundary interface, referenced by its Network and
-// R2C2 so the hot path can test ownership and export handoffs without
-// reaching back into the orchestrator. It is written only by the shard's
-// goroutine during run phases; the orchestrator reads it between phases,
-// ordered by the epoch barrier.
+// R2C2 (net.sh) so the hot path can test ownership and export handoffs
+// without reaching back into the orchestrator. It is written only by the
+// shard's goroutine during run phases; the orchestrator reads it between
+// phases, ordered by the epoch barrier. A shard that owns the whole fabric
+// has one too, which only the orchestrator holds: it stays zero.
 //
 //r2c2:shardowned
 type shardCtx struct {
@@ -115,20 +123,16 @@ type shardCtx struct {
 	dirty []int32
 
 	// ctrl counts control events (recompute ticks, fault injections,
-	// reroute firings) that run once in EVERY shard but once total in a
-	// serial run: the merge subtracts the S-1 duplicates from the event
-	// total and asserts the count is identical across shards.
+	// reroute firings) that run once in EVERY shard but once in all on one
+	// shard: the merge subtracts the S-1 duplicates from the event total and
+	// asserts the count is identical across shards.
 	ctrl uint64
-	// doneFlows counts Done transitions observed by this shard's receiver
-	// logic; every flow completes in exactly one shard, so the sum across
-	// shards matches the serial engine's completed-flow count.
-	doneFlows int
 	// handoffs counts exported boundary crossings (per-shard utilisation
 	// statistic).
 	handoffs uint64
 	// tickHashes holds the distinct view hashes this shard settled an
 	// allocation for in the current recomputation tick; reduceTick unions
-	// them across shards to reproduce the serial Recomputations count, then
+	// them across shards to reproduce one shard's Recomputations count, then
 	// empties them.
 	tickHashes []uint64
 
@@ -171,7 +175,11 @@ type shardState struct {
 	ctx *shardCtx
 	eng *Engine
 	net *Network
-	r2  *R2C2
+
+	// The transport: its flow table's log, and the instance itself when it is
+	// R2C2 (the engine knows a TCP instance, which the merge reads once).
+	flows *flowLog
+	r2    *R2C2
 
 	busyNs       int64  // wall-clock time spent inside run phases
 	activeEpochs uint64 // epochs in which the shard held an event inside the window
@@ -193,7 +201,7 @@ func wallNs() int64 {
 }
 
 // ingest files one drained handoff into this (destination) shard's engine
-// under the keys the serial engine would have given the same event: its
+// under the keys the same event has on one shard: its
 // timestamp, its emission stamp and the link that emitted it. The sequence
 // number is assigned afresh here, but it only orders events that agree on
 // all three, and two such events come off one link — out of one shard, in
@@ -272,11 +280,14 @@ var fanoutMinEvents uint64 = 256
 // owned state is only ever touched by the single worker that claimed its
 // index for the phase.
 type shardedRun struct {
-	cfg    RunConfig
-	part   *topology.Partition
-	shards []*shardState
-	delta  simtime.Time
-	tree   *topology.ReductionTree // the control plane's summary reduction order
+	cfg     RunConfig
+	maxTime simtime.Time
+	shards  []*shardState
+	delta   simtime.Time
+	// The rack partition and the control plane's summary reduction order over
+	// it; both nil when one shard owns the whole fabric.
+	part *topology.Partition
+	tree *topology.ReductionTree
 
 	// Active set of the current epoch: nextAt[s] is shard s's earliest
 	// pending event (noEvent when its schedule is empty), refreshed by
@@ -337,49 +348,82 @@ func lookahead(g *topology.Graph, netCfg NetConfig, part *topology.Partition) si
 	return minProp
 }
 
-// runSharded executes one experiment on the sharded engine. The logical
-// partition is always the rack partition — cfg.Shards only sets the worker
-// count — so Results are byte-identical at every worker count, and to the
-// serial engine's (DESIGN.md §14).
-func runSharded(cfg RunConfig, perSrc []int) *Results {
-	if cfg.Transport != TransportR2C2 {
-		panic(fmt.Sprintf("sim: sharded runs require TransportR2C2, got %v (the PFQ back-pressure fabric and TCP baseline are serial-only)", cfg.Transport))
+// newShardedRun builds the run's shard set, transports attached and arrivals
+// scheduled. More than one worker asks for the rack partition — cfg.Shards
+// only sets the worker count, so Results are byte-identical at every value
+// above one; anything else gets one shard owning the whole fabric, its window
+// bounded by nothing but the end of the run (DESIGN.md §14).
+func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
+	sr := &shardedRun{cfg: cfg, maxTime: cfg.MaxTime}
+	if sr.maxTime == 0 {
+		sr.maxTime = cfg.Arrivals[len(cfg.Arrivals)-1].At + 100*simtime.Millisecond
 	}
-	if cfg.Net.PerFlowQueues {
-		panic("sim: per-flow-queue back-pressure cannot be sharded (hop-by-hop credits cross shards with zero lookahead)")
+	S, workers := 1, max(cfg.Shards, 1)
+	var assign []int32 // nil: one shard owns every node
+	sr.delta = sr.maxTime
+	if workers > 1 {
+		if cfg.Transport != TransportR2C2 {
+			panic(fmt.Sprintf("sim: sharded runs require TransportR2C2, got %v (the PFQ back-pressure fabric and TCP baseline are serial-only)", cfg.Transport))
+		}
+		if cfg.Net.PerFlowQueues {
+			panic("sim: per-flow-queue back-pressure cannot be sharded (hop-by-hop credits cross shards with zero lookahead)")
+		}
+		var err error
+		if sr.part, err = topology.NewPartition(cfg.Graph); err != nil {
+			panic(fmt.Sprintf("sim: sharded run needs a rack-partitioned fabric: %v", err))
+		}
+		if sr.tree, err = topology.NewReductionTree(cfg.Graph, sr.part); err != nil {
+			panic(fmt.Sprintf("sim: aggregated control plane needs a connected rack quotient: %v", err))
+		}
+		S, assign = sr.part.Shards(), sr.part.ShardAssignment()
+		sr.delta = lookahead(cfg.Graph, cfg.Net, sr.part)
+		sr.seen = make(map[uint64]bool)
 	}
-	part, err := topology.NewPartition(cfg.Graph)
-	if err != nil {
-		panic(fmt.Sprintf("sim: sharded run needs a rack-partitioned fabric: %v", err))
-	}
-	S := part.Shards()
+	sr.nextAt = make([]simtime.Time, S)
+	sr.inbox = make([][]*boundaryQueue, S)
 
-	maxTime := cfg.MaxTime
-	if maxTime == 0 {
-		maxTime = cfg.Arrivals[len(cfg.Arrivals)-1].At + 100*simtime.Millisecond
+	// attach wires the run's transport into one shard and returns what
+	// starts one of its flows. Topology-derived state is built once, here,
+	// and read by every shard.
+	var attach func(st *shardState) func(trafficgen.Arrival)
+	tab := routing.NewTable(cfg.Graph)
+	switch cfg.Transport {
+	case TransportR2C2:
+		cfg.R2C2.defaults()
+		intact := fabric{tab: tab, fib: topology.NewBroadcastFIB(cfg.Graph, cfg.R2C2.TreesPerSource, cfg.R2C2.Seed)}
+		fabrics := &fabricCache{users: S}
+		attach = func(st *shardState) func(trafficgen.Arrival) {
+			r2 := newR2C2(st.net, intact, fabrics, cfg.R2C2)
+			carveRows(r2.flows.rows, perSrc)
+			carveRows(r2.finished, perSrc) // tombstone rows: past these sizes a row grows by doubling
+			if cfg.Faults.Len() > 0 {
+				// Every shard runs the whole schedule: each must observe the
+				// same degraded fabric (ctrl subtracts duplicates).
+				r2.ApplyFaults(cfg.Faults)
+			}
+			st.r2, st.flows = r2, &r2.flows.flowLog
+			return func(arr trafficgen.Arrival) {
+				r2.StartFlow(arr.Src, arr.Dst, arr.SizeBytes, arr.Weight, arr.Priority)
+			}
+		}
+	case TransportTCP:
+		attach = func(st *shardState) func(trafficgen.Arrival) {
+			tcp := NewTCP(st.net, tab, TCPConfig{})
+			carveRows(tcp.flows.rows, perSrc)
+			st.flows = &tcp.flows.flowLog
+			return func(arr trafficgen.Arrival) { tcp.StartFlow(arr.Src, arr.Dst, arr.SizeBytes) }
+		}
+	case TransportPFQ:
+		attach = func(st *shardState) func(trafficgen.Arrival) {
+			pfq := NewPFQ(st.net, tab, cfg.PFQSeed)
+			carveRows(pfq.flows.rows, perSrc)
+			st.flows = &pfq.flows.flowLog
+			return func(arr trafficgen.Arrival) { pfq.StartFlow(arr.Src, arr.Dst, arr.SizeBytes) }
+		}
+	default:
+		panic(fmt.Sprintf("sim: unknown transport %v", cfg.Transport))
 	}
 
-	tree, err := topology.NewReductionTree(cfg.Graph, part)
-	if err != nil {
-		panic(fmt.Sprintf("sim: aggregated control plane needs a connected rack quotient: %v", err))
-	}
-	sr := &shardedRun{
-		cfg:    cfg,
-		part:   part,
-		delta:  lookahead(cfg.Graph, cfg.Net, part),
-		tree:   tree,
-		nextAt: make([]simtime.Time, S),
-		inbox:  make([][]*boundaryQueue, S),
-		seen:   make(map[uint64]bool),
-	}
-	// Topology-derived state is built once and read by every shard.
-	cfg.R2C2.defaults()
-	intact := fabric{
-		tab: routing.NewTable(cfg.Graph),
-		fib: topology.NewBroadcastFIB(cfg.Graph, cfg.R2C2.TreesPerSource, cfg.R2C2.Seed),
-	}
-	fabrics := &fabricCache{users: S}
-	assign := part.ShardAssignment()
 	for s := 0; s < S; s++ {
 		ctx := &shardCtx{self: int32(s), shardOf: assign, out: make([]*boundaryQueue, S)}
 		for d := 0; d < S; d++ {
@@ -388,44 +432,36 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 			}
 		}
 		eng := &Engine{}
-		net := NewNetwork(cfg.Graph, eng, cfg.Net)
-		net.sh = ctx // before newR2C2: the transport mirrors it
-		r2 := newR2C2(net, intact, fabrics, cfg.R2C2)
-		r2.presize(perSrc)
-		if cfg.Faults.Len() > 0 {
-			// Every shard runs the whole schedule: each must observe the
-			// same degraded fabric (ctrl subtracts duplicates).
-			r2.ApplyFaults(cfg.Faults)
+		st := &shardState{ctx: ctx, eng: eng, net: NewNetwork(cfg.Graph, eng, cfg.Net)}
+		if S > 1 {
+			st.net.sh = ctx // before attach: the transport mirrors it
 		}
-		for _, a := range cfg.Arrivals {
-			if assign[a.Src] != int32(s) {
+		start := attach(st)
+		for _, arr := range cfg.Arrivals {
+			if S > 1 && assign[arr.Src] != int32(s) {
 				continue // the source's owner starts the flow
 			}
-			arr := a
-			eng.Schedule(arr.At, func() {
-				r2.StartFlow(arr.Src, arr.Dst, arr.SizeBytes, arr.Weight, arr.Priority)
-			})
+			eng.Schedule(arr.At, func() { start(arr) })
 		}
-		sr.shards = append(sr.shards, &shardState{ctx: ctx, eng: eng, net: net, r2: r2})
+		sr.shards = append(sr.shards, st)
 	}
+	sr.workers.start(min(workers, S)-1, func(i int) { sr.phaseShard(sr.active[i], wallNs()) })
+	return sr
+}
 
-	sr.workers.start(min(cfg.Shards, S)-1, func(i int) { sr.phaseShard(sr.active[i], wallNs()) })
-	defer sr.workers.stop()
-
-	// Epoch loop, nested inside the serial engine's completion-check slices
-	// so early termination happens at the very same boundaries.
-	total := len(cfg.Arrivals)
-	slice := maxTime / 64
+// run steps the shard set through the run and returns the time it stopped
+// at: epochs of at most Δ, nested inside the slices at whose ends completion
+// is checked (the R2C2 recomputation tick re-arms itself for ever), so that
+// the clock stops at the same boundary whatever the partition.
+func (sr *shardedRun) run() simtime.Time {
+	total := len(sr.cfg.Arrivals)
+	slice := sr.maxTime / 64
 	if slice < simtime.Microsecond {
 		slice = simtime.Microsecond
 	}
 	now := simtime.Time(0)
-	end := maxTime
-	for now < maxTime {
-		sliceEnd := now + slice
-		if sliceEnd > maxTime {
-			sliceEnd = maxTime
-		}
+	for now < sr.maxTime {
+		sliceEnd := min(now+slice, sr.maxTime)
 		for now < sliceEnd {
 			// Idle jump: nothing can execute before the earliest pending
 			// event T*, and events at T* export handoffs at ≥ T*+Δ, so the
@@ -435,13 +471,15 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 			if tstar != noEvent && tstar > next {
 				next = tstar
 			}
-			// No epoch may span a recomputation tick, so every shard's
-			// engine pauses at the tick together and the reduction runs at
-			// the barrier. The tick is itself a pending event in every
-			// engine, so tstar ≤ tickAt and the clamp never starves the
-			// idle jump.
-			if tickAt := sr.shards[0].r2.nextTick; next > tickAt {
-				next = tickAt
+			// No epoch of a partitioned run may span a recomputation tick, so
+			// every shard's engine pauses at the tick together and the
+			// reduction runs at the barrier. The tick is itself a pending
+			// event in every engine, so tstar ≤ tickAt and the clamp never
+			// starves the idle jump.
+			if sr.tree != nil {
+				if tickAt := sr.shards[0].r2.nextTick; next > tickAt {
+					next = tickAt
+				}
 			}
 			if tstar == noEvent || next > sliceEnd {
 				next = sliceEnd
@@ -471,29 +509,19 @@ func runSharded(cfg RunConfig, perSrc []int) *Results {
 			}
 			now = next
 		}
-		opened, done := 0, 0
+		// Every flow finishes in exactly one shard's table, so the counts add
+		// up to the arrival list's length when all have started and finished.
+		opened, done, pending := 0, 0, false
 		for _, st := range sr.shards {
-			opened += len(st.r2.flows.order)
-			done += st.ctx.doneFlows
+			opened += len(st.flows.order)
+			done += st.flows.done
+			pending = pending || st.eng.Pending()
 		}
-		if opened == total && done == total {
-			end = sliceEnd
-			break
-		}
-		pending := false
-		for _, st := range sr.shards {
-			if st.eng.Pending() {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			end = sliceEnd
+		if !pending || (opened == total && done == total) {
 			break
 		}
 	}
-
-	return sr.merge(end)
+	return now
 }
 
 // nextEventAt refreshes every shard's next-event time and returns the
@@ -560,7 +588,7 @@ func (sr *shardedRun) phaseShard(st *shardState, t int64) int64 {
 // parents, reverse BFS order), the root turns the global summary into the
 // tick's allocation, the allocation is published to every shard, and a
 // single fused parallel phase re-arms the senders and resumes the run window
-// the tick interrupted. The serial engine dedups a tick's allocator runs by
+// the tick interrupted. One shard dedups a tick's allocator runs by
 // view hash across ALL nodes, so the union of the hashes the shards settled
 // in that phase reproduces its Recomputations count exactly.
 func (sr *shardedRun) reduceTick(until simtime.Time) {
@@ -653,25 +681,23 @@ func orderHandoffs(buf []*handoff) {
 	})
 }
 
-// merge assembles serial-identical Results from the shard set.
-func (sr *shardedRun) merge(end simtime.Time) *Results {
-	cfg, S := sr.cfg, len(sr.shards)
-
-	// Flow records, in the serial engine's creation order: arrivals sorted
-	// stably by time (Schedule's FIFO tie-break preserves list order), each
-	// pulled from its source shard's ledger via a per-shard cursor. Records
-	// of cross-shard flows get their delivery fields folded in from the
-	// receive-side record the destination shard opened lazily.
-	idx := make([]int, len(cfg.Arrivals))
+// mergedOrder lists the rack partition's flow records in the order one shard
+// creates them: arrivals sorted stably by time (Schedule's FIFO tie-break
+// preserves list order), each pulled from its source shard's log via a
+// per-shard cursor. Records of cross-shard flows get their delivery fields
+// folded in from the receive-side record the destination shard opened lazily.
+func (sr *shardedRun) mergedOrder() []*FlowRecord {
+	arrivals := sr.cfg.Arrivals
+	idx := make([]int, len(arrivals))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return cfg.Arrivals[idx[a]].At < cfg.Arrivals[idx[b]].At })
-	cursors := make([]int, S)
-	order := make([]*FlowRecord, 0, len(cfg.Arrivals))
+	sort.SliceStable(idx, func(a, b int) bool { return arrivals[idx[a]].At < arrivals[idx[b]].At })
+	cursors := make([]int, len(sr.shards))
+	order := make([]*FlowRecord, 0, len(arrivals))
 	for _, i := range idx {
-		s := sr.part.ShardOf(cfg.Arrivals[i].Src)
-		opened := sr.shards[s].r2.flows.order
+		s := sr.part.ShardOf(arrivals[i].Src)
+		opened := sr.shards[s].flows.order
 		if cursors[s] >= len(opened) {
 			break // the run stopped before this arrival fired
 		}
@@ -686,47 +712,84 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 		}
 		order = append(order, rec)
 	}
+	return order
+}
 
-	res := &Results{Transport: cfg.Transport, EndTime: end}
-	res.addFlows(order)
+// merge assembles the Results of a run that stopped at end from the shard
+// set: what one shard counted, or the rack partition's counts folded into
+// what one shard would have counted.
+func (sr *shardedRun) merge(end simtime.Time) *Results {
+	cfg, S, first := sr.cfg, len(sr.shards), sr.shards[0]
 
-	// Control events fire in every shard: each must have executed the
-	// identical sequence; subtract the S-1 duplicates of each.
-	ctrl := sr.shards[0].ctx.ctrl
-	rounds := sr.shards[0].r2.RecomputeRounds
-	reroutes := sr.shards[0].r2.FailureReroutes
-	for _, st := range sr.shards {
-		if st.ctx.ctrl != ctrl || st.r2.RecomputeRounds != rounds ||
-			st.r2.FailureReroutes != reroutes {
-			panic(fmt.Sprintf("sim: shard control divergence: ctrl %d/%d rounds %d/%d reroutes %d/%d",
-				st.ctx.ctrl, ctrl, st.r2.RecomputeRounds, rounds,
-				st.r2.FailureReroutes, reroutes))
+	res := &Results{Transport: cfg.Transport, EndTime: end, Flows: first.flows.order}
+	if sr.part != nil {
+		res.Flows = sr.mergedOrder()
+	}
+	// Creation order is also sample order: the FCT samples of one
+	// configuration must read the same whatever the shard count.
+	for _, rec := range res.Flows {
+		if !rec.Done {
+			res.Incomplete++
+			continue
+		}
+		res.Completed++
+		fct := rec.FCT().Seconds()
+		res.AllFCT.Add(fct)
+		if rec.SizeBytes < ShortFlowMax {
+			res.ShortFCT.Add(fct)
+		}
+		if rec.SizeBytes > LongFlowMin {
+			res.LongThroughput.Add(rec.Throughput())
 		}
 	}
-	res.RecomputeRounds = rounds
-	res.FailureReroutes = reroutes
 	for _, st := range sr.shards {
 		res.Events += st.eng.Processed()
 		res.Drops += st.net.TotalDrops()
 		res.Hops += st.net.PktHops
 		res.BcastBytes += st.net.BcastBytesOnWire
-		res.Reorder.Merge(&st.r2.Reorder)
 	}
-	res.Events -= uint64(S-1) * ctrl
-	res.Recomputations = sr.recomputations
+	if tcp := first.eng.tcp; tcp != nil {
+		res.Retransmissions = tcp.Retransmissions
+	}
 
 	// Per-port peaks live with the port's transmitting shard (the owner of
 	// the link's From node); other shards never enqueue on that port.
-	maxq := make([]float64, cfg.Graph.NumLinks())
-	samples := make([][]float64, S)
-	for s, st := range sr.shards {
-		samples[s] = st.net.MaxQueueSample()
-	}
-	for lid := range maxq {
-		owner := sr.part.ShardOf(cfg.Graph.Link(topology.LinkID(lid)).From)
-		maxq[lid] = samples[owner][lid]
+	maxq := first.net.MaxQueueSample()
+	for s := 1; s < S; s++ {
+		for lid, peak := range sr.shards[s].net.MaxQueueSample() {
+			if sr.part.ShardOf(cfg.Graph.Link(topology.LinkID(lid)).From) == int32(s) {
+				maxq[lid] = peak
+			}
+		}
 	}
 	res.MaxQueue.AddAll(maxq)
+
+	if first.r2 != nil {
+		// Control events fire in every shard: each must have executed the
+		// identical sequence; subtract the S-1 duplicates of each.
+		ctrl := first.ctx.ctrl
+		res.RecomputeRounds = first.r2.RecomputeRounds
+		res.FailureReroutes = first.r2.FailureReroutes
+		for _, st := range sr.shards {
+			if st.ctx.ctrl != ctrl || st.r2.RecomputeRounds != res.RecomputeRounds ||
+				st.r2.FailureReroutes != res.FailureReroutes {
+				panic(fmt.Sprintf("sim: shard control divergence: ctrl %d/%d rounds %d/%d reroutes %d/%d",
+					st.ctx.ctrl, ctrl, st.r2.RecomputeRounds, res.RecomputeRounds,
+					st.r2.FailureReroutes, res.FailureReroutes))
+			}
+			res.Reorder.Merge(&st.r2.Reorder)
+		}
+		res.Events -= uint64(S-1) * ctrl
+		// One shard dedups a tick's allocator runs by view hash across all
+		// nodes itself; reduceTick has counted the partition's unions.
+		res.Recomputations = first.r2.Recomputations
+		if sr.part != nil {
+			res.Recomputations = sr.recomputations
+		}
+	}
+	if sr.part == nil {
+		return res
+	}
 
 	nodes := make([]int, S)
 	for _, s := range sr.part.ShardAssignment() {

@@ -288,3 +288,81 @@ func TestShardedAllocationsWithinTwiceSerial(t *testing.T) {
 		t.Fatalf("sharded run allocated %d objects, more than twice the serial run's %d", sharded, serial)
 	}
 }
+
+// arrivalsPerSource is the per-source flow count Run hands the shard-set
+// builder.
+func arrivalsPerSource(cfg RunConfig) []int {
+	perSrc := make([]int, cfg.Graph.Nodes())
+	for _, a := range cfg.Arrivals {
+		perSrc[a.Src]++
+	}
+	return perSrc
+}
+
+// TestOneShardSeam pins what a shard set of one is. On a fabric that could
+// be partitioned, Shards 0 and 1 both run one shard owning everything — same
+// bytes, no ShardStats — with no helper goroutine (a helper count of −1, what
+// min(Shards, S)−1 gives for Shards = 0, would hang stop for ever, so
+// fanout.start panics on it) and no shard context on the network, so the tick
+// stays per node. Nothing bounds the one shard's window but the completion-check
+// slice: a run that is busy to its time limit makes exactly 64 Engine.Run
+// calls, one that completes early fewer, whatever the transport.
+func TestOneShardSeam(t *testing.T) {
+	done := make(chan *Results, 1)
+	go func() { done <- Run(shardWorkload(t, 0)) }()
+	var zero *Results
+	select {
+	case zero = <-done:
+	case <-time.After(time.Minute):
+		t.Fatal("Run with Shards = 0 did not return")
+	}
+	one := Run(shardWorkload(t, 1))
+	if zero.ShardStats != nil || one.ShardStats != nil {
+		t.Fatalf("one-shard runs report ShardStats: Shards=0 %v, Shards=1 %v", zero.ShardStats, one.ShardStats)
+	}
+	if a, b := dumpResults(zero), dumpResults(one); !bytes.Equal(a, b) {
+		t.Fatalf("Shards=0 and Shards=1 diverged (first differing line %d)", firstDiffLine(a, b))
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("fanout.start accepted a negative helper count")
+			}
+		}()
+		new(fanout).start(-1, func(int) {})
+	}()
+
+	g := torus(t, 4, 2)
+	busy := RunConfig{Graph: g, Transport: TransportTCP, MaxTime: 3 * simtime.Millisecond,
+		Arrivals: trafficgen.FixedSize(trafficgen.PoissonConfig{
+			Nodes: g.Nodes(), MeanInterval: 20 * simtime.Microsecond, Count: 40, Seed: 7,
+		}, 1<<20)}
+	early := busy
+	early.MaxTime = simtime.Second
+	rack := shardWorkload(t, 0)
+	for _, c := range []struct {
+		name   string
+		cfg    RunConfig
+		epochs func(n uint64) bool
+	}{
+		{"tcp to the time limit", busy, func(n uint64) bool { return n == 64 }},
+		{"tcp completing early", early, func(n uint64) bool { return n >= 1 && n < 64 }},
+		{"r2c2 on a rack fabric", rack, func(n uint64) bool { return n >= 1 && n < 64 }},
+	} {
+		sr := newShardedRun(c.cfg, arrivalsPerSource(c.cfg))
+		end := sr.run()
+		sr.workers.stop()
+		st := sr.shards[0]
+		if len(sr.shards) != 1 || sr.workers.helpers != 0 || st.net.sh != nil || sr.part != nil {
+			t.Fatalf("%s: %d shards, %d helpers, net.sh %v, partition %v; want one bare shard",
+				c.name, len(sr.shards), sr.workers.helpers, st.net.sh, sr.part)
+		}
+		slice := sr.maxTime / 64
+		if end%slice != 0 || !c.epochs(sr.epochs) || st.activeEpochs != sr.epochs {
+			t.Errorf("%s: stopped at %v (slice %v) after %d epochs, %d of them active", c.name, end, slice, sr.epochs, st.activeEpochs)
+		}
+		if c.cfg.Transport == TransportTCP && (st.eng.tcp == nil || st.r2 != nil) {
+			t.Errorf("%s: transport not attached as TCP", c.name)
+		}
+	}
+}

@@ -14,11 +14,15 @@ import (
 // ("packets belonging to the same flow are routed onto the same path as
 // required by TCP", with different flows hashed onto different paths).
 type TCPConfig struct {
-	InitCwnd   int          // initial congestion window, packets (default 10)
-	InitSSTh   int          // initial slow-start threshold, packets (default 64)
-	MinRTO     simtime.Time // retransmission timeout floor (default 200 µs)
-	MaxInFlict int          // hard cap on cwnd, packets (default 1024)
+	InitCwnd int          // initial congestion window, packets (default 10)
+	InitSSTh int          // initial slow-start threshold, packets (default 64)
+	MinRTO   simtime.Time // retransmission timeout floor (default 200 µs)
 }
+
+// tcpMaxInFlight is the hard cap on a sender's outstanding packets, whatever
+// cwnd has grown to; it is also what bounds the send-time ring
+// (tcpSender.sentAt).
+const tcpMaxInFlight = 1024
 
 func (c *TCPConfig) defaults() {
 	if c.InitCwnd == 0 {
@@ -29,9 +33,6 @@ func (c *TCPConfig) defaults() {
 	}
 	if c.MinRTO == 0 {
 		c.MinRTO = 200 * simtime.Microsecond
-	}
-	if c.MaxInFlict == 0 {
-		c.MaxInFlict = 1024
 	}
 }
 
@@ -164,7 +165,7 @@ func (t *TCP) StartFlow(src, dst topology.NodeID, sizeBytes int64) wire.FlowID {
 		srtt:      t.Cfg.MinRTO / 2,
 		// Everything from cumAcked up to nextSend is outstanding, and pump
 		// keeps that under the cap: a power of two of cells covers the span.
-		sentAt: make([]simtime.Time, 1<<bits.Len(uint(min(int(pkts), t.Cfg.MaxInFlict)-1))),
+		sentAt: make([]simtime.Time, 1<<bits.Len(uint(min(int(pkts), tcpMaxInFlight)-1))),
 	}
 	slot.st = s
 	t.pump(s)
@@ -176,7 +177,7 @@ func (t *TCP) pump(s *tcpSender) {
 	if s.done {
 		return
 	}
-	for s.nextSend < s.totalPkts && s.outstanding < int(s.cwnd) && s.outstanding < t.Cfg.MaxInFlict {
+	for s.nextSend < s.totalPkts && s.outstanding < int(s.cwnd) && s.outstanding < tcpMaxInFlight {
 		t.sendPacket(s, s.nextSend, false)
 		s.nextSend++
 	}
@@ -277,8 +278,7 @@ func (t *TCP) receiveData(at topology.NodeID, pkt *Packet) {
 	ack.Path = s.ackPath // per-flow reverse route, shared by reference
 	t.Net.Inject(ack)
 	if !rec.Done && rec.BytesRcvd >= rec.SizeBytes {
-		rec.Done = true
-		rec.Finished = t.Net.Eng.Now()
+		t.flows.finish(rec, t.Net.Eng.Now())
 	}
 }
 
