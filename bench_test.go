@@ -548,6 +548,41 @@ func BenchmarkBulkDataPath(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
 }
 
+// BenchmarkPFQDataPath is the PFQ half of the bench's baselines64 workload at
+// an eighth of its flows: Pareto-sized flows arriving every 4 µs on average
+// over a 4×4×4 torus under the per-flow-queue baseline, so the work is PFQ's
+// per packet — the ports' round-robin rings, the nodes' credit lists, a
+// wake-up per hop — with no broadcasts and no allocator.
+func BenchmarkPFQDataPath(b *testing.B) {
+	g, err := topology.NewTorus(4, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrivals := trafficgen.Poisson(trafficgen.PoissonConfig{
+		Nodes: g.Nodes(), MeanInterval: 4 * simtime.Microsecond, Count: 2000,
+		MaxFlowBytes: 2 << 20, Seed: 5,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events, hops uint64
+	for i := 0; i < b.N; i++ {
+		res := sim.Run(sim.RunConfig{
+			Graph:     g,
+			Net:       sim.NetConfig{LinkGbps: 10},
+			Transport: sim.TransportPFQ,
+			PFQSeed:   5,
+			Arrivals:  arrivals,
+			MaxTime:   arrivals[len(arrivals)-1].At + simtime.Second,
+		})
+		if res.Completed != len(arrivals) {
+			b.Fatalf("%d of %d flows completed", res.Completed, len(arrivals))
+		}
+		events += res.Events
+		hops += res.Hops
+	}
+	reportEventsAndHops(b, events, hops)
+}
+
 // reportEventsAndHops reports a packet simulation's two units of work. A
 // packet-hop is what the workload asks for and does not depend on how the
 // engine steps a port through it; an engine event is what the engine spends

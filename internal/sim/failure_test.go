@@ -147,39 +147,118 @@ func TestBroadcastAfterFailure(t *testing.T) {
 // Failing a link under PFQ drains its per-flow queues and releases the
 // buffer credits so upstream senders do not deadlock.
 func TestFailLinkPFQDrains(t *testing.T) {
-	g := torus(t, 4, 2)
-	eng := &Engine{}
-	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true, PFQBufferPackets: 4})
-	tab := routing.NewTable(g)
-	pfq := NewPFQ(net, tab, 3)
-	id := pfq.StartFlow(0, 2, 1<<20)  // DOR-free: RPS spray over the quadrant
-	eng.Run(10 * simtime.Microsecond) // queues primed
-	// Kill one of the first-hop links the flow is using.
-	var victim topology.LinkID
-	found := false
-	for _, lid := range g.Out(0) {
-		if net.QueuedBytes(lid) > 0 {
-			victim, found = lid, true
-			break
+	t.Run("sprayed flow keeps its credits exact", func(t *testing.T) {
+		g := torus(t, 4, 2)
+		eng := &Engine{}
+		net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true, PFQBufferPackets: 4})
+		tab := routing.NewTable(g)
+		pfq := NewPFQ(net, tab, 3)
+		id := pfq.StartFlow(0, 2, 1<<20)  // DOR-free: RPS spray over the quadrant
+		eng.Run(10 * simtime.Microsecond) // queues primed
+		// Kill one of the first-hop links the flow is using.
+		var victim topology.LinkID
+		found := false
+		for _, lid := range g.Out(0) {
+			if net.QueuedBytes(lid) > 0 {
+				victim, found = lid, true
+				break
+			}
+		}
+		if !found {
+			t.Skip("no queued first-hop packets at probe time")
+		}
+		net.FailLink(victim)
+		if net.QueuedBytes(victim) != 0 {
+			t.Fatal("PFQ drain left bytes behind")
+		}
+		if !net.LinkFailed(victim) {
+			t.Fatal("link not marked failed")
+		}
+		// The source's credits are the packets it still holds, before and
+		// after the sprayed packets that draw the dead link are dropped there.
+		if c, h := net.BufCount(0, id), pfqHeld(net, 0, id); c != h {
+			t.Fatalf("after the failure the source is charged %d credits for the %d packets it holds", c, h)
+		}
+		// The flow loses packets (no retransmit in raw PFQ) but the fabric
+		// must not deadlock: remaining packets keep flowing on other paths.
+		before := pfq.Ledger()[id].BytesRcvd
+		eng.Run(10 * simtime.Millisecond)
+		if after := pfq.Ledger()[id].BytesRcvd; after <= before {
+			t.Fatalf("no forward progress after PFQ link failure: %d -> %d", before, after)
+		}
+		if c, h := net.BufCount(0, id), pfqHeld(net, 0, id); c != h {
+			t.Fatalf("the source is charged %d credits for the %d packets it holds", c, h)
+		}
+		if !pfq.Ledger()[id].SenderDone {
+			t.Fatal("the source stalled: credits taken by packets dropped at the dead port never came back")
+		}
+	})
+
+	// Line 0 — 1 — 2 — 3. Flow f (0 → 3) shares port 2→3 with flow g (2 → 3),
+	// so round robin halves f's rate there and f backs up through nodes 2 and
+	// 1 until port 0→1 idles, blocked on node 1's credits. Failing 1→2 while
+	// it too idles must hand node 1's credits back and restart 0→1: no other
+	// packet reaches node 1 to do it (g's traffic only kicks node 2's upstream).
+	t.Run("blocked upstream port resumes", func(t *testing.T) {
+		g, err := topology.NewMesh(4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := &Engine{}
+		net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true, PFQBufferPackets: 2})
+		pfq := NewPFQ(net, routing.NewTable(g), 3)
+		f := pfq.StartFlow(0, 3, 1<<20)
+		pfq.StartFlow(2, 3, 1<<20)
+		l01, _ := g.LinkBetween(0, 1)
+		l12, _ := g.LinkBetween(1, 2)
+		p01, p12 := net.ports[l01], net.ports[l12]
+		blocked := func() bool {
+			now := eng.Now()
+			return p12.idle(now) && p12.queued > 0 && p01.idle(now) && p01.queued > 0 &&
+				!net.HasRoom(1, f)
+		}
+		for !blocked() {
+			at, ok := eng.NextEventAt()
+			if !ok || at > simtime.Millisecond {
+				t.Fatal("flow f never backed up to an idle, blocked port 0→1")
+			}
+			eng.Run(at)
+		}
+		net.FailLink(l12)
+		sent := net.PortStats(l01).SentBytes
+		eng.Run(simtime.Second)
+		if net.PortStats(l01).SentBytes == sent || !pfq.Ledger()[f].SenderDone {
+			t.Fatalf("port 0→1 stayed blocked after node 1's buffers were released (sent %d → %d bytes)",
+				sent, net.PortStats(l01).SentBytes)
+		}
+		for node := topology.NodeID(0); node < 3; node++ {
+			if c := net.BufCount(node, f); c != 0 {
+				t.Errorf("node %d still charged %d credits for f once the fabric is quiet", node, c)
+			}
+		}
+	})
+}
+
+// pfqHeld counts the packets of a flow a PFQ node holds: queued at its output
+// ports, or on the wire from one of them until the serialisation ends — the
+// packets whose credits the node has not yet returned, when none of the
+// flow's packets is on its way to the node.
+func pfqHeld(net *Network, node topology.NodeID, flow wire.FlowID) int {
+	held := 0
+	for _, lid := range net.G.Out(node) {
+		p := net.ports[lid]
+		for _, ri := range p.rr {
+			if net.pfq[ri].id == flow {
+				for pkt := net.pfq[ri].q.head; pkt != nil; pkt = pkt.next {
+					held++
+				}
+			}
+		}
+		if p.txFlow == flow && net.Eng.Now() < p.freeAt {
+			held++
 		}
 	}
-	if !found {
-		t.Skip("no queued first-hop packets at probe time")
-	}
-	net.FailLink(victim)
-	if net.QueuedBytes(victim) != 0 {
-		t.Fatal("PFQ drain left bytes behind")
-	}
-	if !net.LinkFailed(victim) {
-		t.Fatal("link not marked failed")
-	}
-	// The flow loses packets (no retransmit in raw PFQ) but the fabric
-	// must not deadlock: remaining packets keep flowing on other paths.
-	before := pfq.Ledger()[id].BytesRcvd
-	eng.Run(10 * simtime.Millisecond)
-	if after := pfq.Ledger()[id].BytesRcvd; after <= before {
-		t.Fatalf("no forward progress after PFQ link failure: %d -> %d", before, after)
-	}
+	return held
 }
 
 // Node failure (§3.2): the dead node's flows are purged from every

@@ -47,6 +47,8 @@ type Packet struct {
 	Path []topology.LinkID // source route (data/ack); read-only once injected
 	Hop  int               // index of the next link in Path
 
+	next *Packet // the packet behind this one in its port queue; nil outside one
+
 	Bcast *wire.Broadcast // event payload (broadcast)
 	Retx  bool            // retransmission marker (TCP accounting)
 	// Retries counts how many times this broadcast has been re-flooded
@@ -143,52 +145,46 @@ type port struct {
 
 	fifo pktQueue // FIFO discipline
 
-	// PFQ discipline.
-	flowQ  map[wire.FlowID]*pktQueue
-	rr     []wire.FlowID // round-robin order of flows with queued packets
+	// PFQ discipline: the round-robin ring of the flows with packets queued
+	// here, as indices into Network.pfq.
+	rr     []int32
 	rrNext int
 
 	stats PortStats
 }
 
-// pktQueue is a simple FIFO of packets backed by a slice with a head index.
-type pktQueue struct {
-	pkts []*Packet
-	head int
-}
-
-func (q *pktQueue) len() int { return len(q.pkts) - q.head }
-
-// ready sizes the backing array for a plausible burst on the queue's first
-// use. A queue starts over at the front of the array whenever it drains
-// (pop), so this is the only allocation a queue that stays under 32 deep
-// ever makes (versus ~6 doubling steps from nil).
-func (q *pktQueue) ready() {
-	if q.pkts == nil {
-		//lint:ignore alloc-hotpath one-time per-queue backing allocation, amortised across the run
-		q.pkts = make([]*Packet, 0, 32)
-	}
-}
+// pktQueue is a FIFO of packets linked through Packet.next.
+type pktQueue struct{ head, tail *Packet }
 
 func (q *pktQueue) push(p *Packet) {
-	q.ready()
-	q.pkts = append(q.pkts, p)
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.next = p
+	}
+	q.tail = p
 }
 
-func (q *pktQueue) peek() *Packet { return q.pkts[q.head] }
-
 func (q *pktQueue) pop() *Packet {
-	p := q.pkts[q.head]
-	q.pkts[q.head] = nil
-	q.head++
-	if q.head == len(q.pkts) {
-		q.pkts, q.head = q.pkts[:0], 0 // drained: start over at the front
-	} else if q.head > 64 && q.head*2 >= len(q.pkts) {
-		n := copy(q.pkts, q.pkts[q.head:])
-		q.pkts = q.pkts[:n]
-		q.head = 0
+	p := q.head
+	q.head, p.next = p.next, nil
+	if q.head == nil {
+		q.tail = nil
 	}
 	return p
+}
+
+// pfqFlow is one flow's queue at one PFQ port. It is on the port's ring
+// while the queue holds packets and on Network.pfqFree once it drains.
+type pfqFlow struct {
+	id wire.FlowID
+	q  pktQueue
+}
+
+// pfqCredit is one flow's packet count charged to a node.
+type pfqCredit struct {
+	flow wire.FlowID
+	n    int32
 }
 
 // Network simulates the fabric: forwarding, queueing and link timing.
@@ -211,11 +207,15 @@ type Network struct {
 	// OnDrop, if set, observes drop-tail losses.
 	OnDrop func(pkt *Packet, at topology.LinkID)
 
-	// PFQ back-pressure state: per node, per flow, packets charged to the
-	// node — those in its output queues plus those already in flight
+	// PFQ back-pressure state: per node, the flows with packets charged to
+	// the node — those in its output queues plus those already in flight
 	// toward it (credits are reserved when the upstream port begins
-	// transmission, so concurrent senders cannot overshoot the bound).
-	buf []map[wire.FlowID]int
+	// transmission, so concurrent senders cannot overshoot the bound). A
+	// flow leaves the list at zero, so it is short and scanned.
+	credits [][]pfqCredit
+	// The ports' per-flow queue records, and those no ring holds.
+	pfq     []pfqFlow
+	pfqFree []int32
 	// Kick is invoked when PFQ buffer space frees at a node, so blocked
 	// senders located there can resume injection.
 	Kick func(at topology.NodeID, flow wire.FlowID)
@@ -300,16 +300,10 @@ func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
 		p := &backing[lid]
 		p.id = topology.LinkID(lid)
 		p.to = g.Link(topology.LinkID(lid)).To
-		if cfg.PerFlowQueues {
-			p.flowQ = make(map[wire.FlowID]*pktQueue)
-		}
 		n.ports[lid] = p
 	}
 	if cfg.PerFlowQueues {
-		n.buf = make([]map[wire.FlowID]int, g.Vertices())
-		for i := range n.buf {
-			n.buf[i] = make(map[wire.FlowID]int)
-		}
+		n.credits = make([][]pfqCredit, g.Vertices())
 	}
 	return n
 }
@@ -325,19 +319,52 @@ func (n *Network) QueuedBytes(lid topology.LinkID) int { return n.ports[lid].que
 
 // BufCount returns the PFQ per-node buffer occupancy for a flow.
 func (n *Network) BufCount(node topology.NodeID, flow wire.FlowID) int {
-	if n.buf == nil {
-		return 0
+	if c := n.credit(node, flow); c != nil {
+		return int(c.n)
 	}
-	return n.buf[node][flow]
+	return 0
 }
 
 // HasRoom reports whether node has PFQ buffer space for another packet of
 // the flow. Always true in FIFO mode.
 func (n *Network) HasRoom(node topology.NodeID, flow wire.FlowID) bool {
-	if n.buf == nil {
-		return true
+	return n.credits == nil || n.BufCount(node, flow) < n.Cfg.PFQBufferPackets
+}
+
+// credit returns the flow's entry in node's PFQ credit list, nil if the node
+// holds none of its packets (or the network is FIFO).
+func (n *Network) credit(node topology.NodeID, flow wire.FlowID) *pfqCredit {
+	if n.credits != nil {
+		for i := range n.credits[node] {
+			if c := &n.credits[node][i]; c.flow == flow {
+				return c
+			}
+		}
 	}
-	return n.buf[node][flow] < n.Cfg.PFQBufferPackets
+	return nil
+}
+
+// charge takes one of node's PFQ credits for the flow.
+func (n *Network) charge(node topology.NodeID, flow wire.FlowID) {
+	if c := n.credit(node, flow); c != nil {
+		c.n++
+	} else {
+		n.credits[node] = append(n.credits[node], pfqCredit{flow: flow, n: 1})
+	}
+}
+
+// release returns k of node's PFQ credits for the flow — its packets there
+// left on the wire, were dropped, or were lost with a failed port — and
+// kicks the node's upstream ports and local senders, which may have been
+// blocked on them. An entry whose count reaches zero leaves the list.
+func (n *Network) release(node topology.NodeID, flow wire.FlowID, k int) {
+	c := n.credit(node, flow)
+	if c.n -= int32(k); c.n == 0 {
+		cs := n.credits[node]
+		*c = cs[len(cs)-1]
+		n.credits[node] = cs[:len(cs)-1]
+	}
+	n.kickUpstream(node, flow)
 }
 
 // Inject places a packet into the output-port queue of the node it starts
@@ -360,10 +387,10 @@ func (n *Network) Inject(pkt *Packet) bool {
 		panic("sim: packet path does not start at its source")
 	}
 	pkt.Hop = 1 // Path[0] is consumed here; arrivals consume Path[Hop]
-	if n.buf != nil {
+	if n.credits != nil {
 		// PFQ: the injected packet is charged to the source node; the
 		// caller must have checked HasRoom.
-		n.buf[from][pkt.Flow]++
+		n.charge(from, pkt.Flow)
 	}
 	return n.enqueue(from, pkt.Path[0], pkt)
 }
@@ -406,27 +433,29 @@ func (n *Network) FailLink(lid topology.LinkID) {
 		return
 	}
 	p.dead = true
-	lost := uint64(0)
-	if p.flowQ != nil {
-		from := n.G.Link(lid).From
-		for fid, q := range p.flowQ {
-			for q.len() > 0 {
-				n.freePacket(q.pop())
-				n.buf[from][fid]--
-				lost++
-			}
-		}
-		p.flowQ = make(map[wire.FlowID]*pktQueue)
-		p.rr = nil
-	} else {
-		for p.fifo.len() > 0 {
-			n.freePacket(p.fifo.pop())
-			lost++
-		}
-	}
 	p.queued = 0
-	p.stats.DroppedPkts += lost
-	n.totalDrops += lost
+	lost := 0
+	for p.fifo.head != nil {
+		n.freePacket(p.fifo.pop())
+		lost++
+	}
+	// PFQ: the flows' queues go in ring order, each flow's credits at this
+	// node with them. A dead port queues nothing, so the kicks the releases
+	// make cannot touch its ring.
+	from := n.G.Link(lid).From
+	for _, ri := range p.rr {
+		q, k := &n.pfq[ri].q, 0
+		for q.head != nil {
+			n.freePacket(q.pop())
+			k++
+		}
+		lost += k
+		n.pfqFree = append(n.pfqFree, ri)
+		n.release(from, n.pfq[ri].id, k)
+	}
+	p.rr = p.rr[:0]
+	p.stats.DroppedPkts += uint64(lost)
+	n.totalDrops += uint64(lost)
 }
 
 // RepairLink brings a failed directed link back into service: packets
@@ -470,68 +499,29 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 	if n.G.Link(lid).From != at {
 		panic("sim: enqueue at wrong node")
 	}
-	if p.dead {
+	// A failed port, a lossy cable's roll (fault injection) or a full FIFO
+	// queue loses the packet, and in PFQ mode the credit it held here —
+	// taken at injection or reserved by the upstream transmission — with it.
+	if p.dead || n.lossProb != nil && n.lossProb[lid] > 0 && n.lossRng[lid].Float64() < n.lossProb[lid] ||
+		!n.Cfg.PerFlowQueues && p.queued+pkt.SizeBytes > n.Cfg.QueueBytes {
 		p.stats.DroppedPkts++
 		n.totalDrops++
 		if n.OnDrop != nil {
 			n.OnDrop(pkt, lid)
 		}
+		flow := pkt.Flow
 		n.freePacket(pkt)
+		if n.Cfg.PerFlowQueues {
+			n.release(at, flow, 1)
+		}
 		return false
 	}
-	if n.lossProb != nil && n.lossProb[lid] > 0 && n.lossRng[lid].Float64() < n.lossProb[lid] {
-		// Random loss on a lossy cable (fault injection). The PFQ charge
-		// taken at injection/reservation is released with the packet.
-		if n.buf != nil {
-			n.buf[at][pkt.Flow]--
-			if n.buf[at][pkt.Flow] == 0 {
-				delete(n.buf[at], pkt.Flow)
-			}
-		}
-		p.stats.DroppedPkts++
-		n.totalDrops++
-		if n.OnDrop != nil {
-			n.OnDrop(pkt, lid)
-		}
-		n.freePacket(pkt)
-		return false
-	}
-	var direct *Packet // pkt, when it can go on the wire without passing through a queue
-	if p.flowQ != nil {
-		// PFQ mode: per-flow queue. The buffer charge was taken at
-		// injection (source) or reservation (upstream transmission start).
-		q, ok := p.flowQ[pkt.Flow]
-		if !ok {
-			//lint:ignore alloc-hotpath one queue per (port, flow) pair on first use, not per packet
-			q = &pktQueue{}
-			p.flowQ[pkt.Flow] = q
-		}
-		if q.len() == 0 {
-			p.rr = append(p.rr, pkt.Flow)
-		}
-		q.push(pkt)
+	if n.Cfg.PerFlowQueues {
+		// The buffer charge was taken at injection (source) or reservation
+		// (upstream transmission start).
+		n.pfqPush(p, pkt)
 	} else {
-		if p.queued+pkt.SizeBytes > n.Cfg.QueueBytes {
-			p.stats.DroppedPkts++
-			n.totalDrops++
-			if n.OnDrop != nil {
-				n.OnDrop(pkt, lid)
-			}
-			n.freePacket(pkt)
-			return false
-		}
-		if p.idle(n.Eng.now) {
-			// Nothing on the wire and nothing queued (a FIFO port with a packet
-			// waiting has its wake-up armed). The port's first packet still
-			// sizes the queue, so that the first to wait allocates nothing.
-			if invariantsEnabled {
-				assertInvariant(p.queued == 0, "idle FIFO port holds queued bytes")
-			}
-			p.fifo.ready()
-			direct = pkt
-		} else {
-			p.fifo.push(pkt)
-		}
+		p.fifo.push(pkt)
 	}
 	p.queued += pkt.SizeBytes
 	p.stats.EnqueuedPkts++
@@ -542,11 +532,32 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 		return true
 	}
 	if n.Eng.now >= p.freeAt {
-		n.transmit(p, direct)
+		n.transmit(p)
 	} else {
 		n.armWake(p)
 	}
 	return true
+}
+
+// pfqPush queues pkt behind its flow's earlier packets at PFQ port p. A flow
+// with nothing queued there joins the end of the port's ring with a record
+// from the free list.
+func (n *Network) pfqPush(p *port, pkt *Packet) {
+	for _, ri := range p.rr {
+		if n.pfq[ri].id == pkt.Flow {
+			n.pfq[ri].q.push(pkt)
+			return
+		}
+	}
+	if len(n.pfqFree) == 0 {
+		n.pfqFree = append(n.pfqFree, int32(len(n.pfq)))
+		n.pfq = append(n.pfq, pfqFlow{})
+	}
+	ri := n.pfqFree[len(n.pfqFree)-1]
+	n.pfqFree = n.pfqFree[:len(n.pfqFree)-1]
+	n.pfq[ri].id = pkt.Flow
+	n.pfq[ri].q.push(pkt)
+	p.rr = append(p.rr, ri)
 }
 
 // armWake schedules the port's wake-up for the end of the serialisation in
@@ -558,28 +569,27 @@ func (n *Network) armWake(p *port) {
 	n.Eng.arm(p.freeAt, p.txStart, uint32(evTxDone), 0, p)
 }
 
-// transmit puts pkt — or, given nil, the next eligible packet queued on the
-// port — on the wire: the port is taken until freeAt, and the packet's
-// arrival at the far end — after serialisation and propagation — is the one
-// event the hop costs. In PFQ mode a flow whose next-hop node has no buffer
-// room is skipped (back-pressure); if every queued flow is blocked the port
-// idles until a Kick.
+// transmit puts the next eligible packet queued on the port on the wire: the
+// port is taken until freeAt, and the packet's arrival at the far end — after
+// serialisation and propagation — is the one event the hop costs. In PFQ
+// mode a flow whose next-hop node has no buffer room is skipped
+// (back-pressure); if every queued flow is blocked the port idles until a
+// Kick.
 //
 // In a sharded run a packet bound for another shard's node is exported
 // through the boundary queue instead of being scheduled locally — its
 // arrival time is more than one epoch ahead (the lookahead window is the
 // minimum boundary-link propagation delay), so the destination shard files
 // it before its epoch begins.
-func (n *Network) transmit(p *port, pkt *Packet) {
+func (n *Network) transmit(p *port) {
+	var pkt *Packet
+	if n.Cfg.PerFlowQueues {
+		pkt = n.pfqPick(p)
+	} else if p.fifo.head != nil {
+		pkt = p.fifo.pop()
+	}
 	if pkt == nil {
-		if p.flowQ != nil {
-			pkt = n.pfqPick(p)
-		} else if p.fifo.len() > 0 {
-			pkt = p.fifo.pop()
-		}
-		if pkt == nil {
-			return
-		}
+		return
 	}
 	if invariantsEnabled {
 		//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
@@ -597,7 +607,7 @@ func (n *Network) transmit(p *port, pkt *Packet) {
 	} else {
 		n.Eng.arm(at, p.freeAt, tieKey(p.id, evArrive), p.to, pkt)
 	}
-	if p.flowQ != nil || p.fifo.len() > 0 {
+	if n.Cfg.PerFlowQueues || p.fifo.head != nil {
 		n.armWake(p)
 	}
 }
@@ -618,16 +628,11 @@ func (n *Network) propDelay(lid topology.LinkID) simtime.Time {
 // kick runs, so a sender resumed by it queues behind the round-robin order
 // instead of jumping it.
 func (n *Network) txDone(p *port) {
-	if p.flowQ != nil {
-		from := n.G.Link(p.id).From
-		n.buf[from][p.txFlow]--
-		if n.buf[from][p.txFlow] == 0 {
-			delete(n.buf[from], p.txFlow)
-		}
-		n.kickUpstream(from, p.txFlow)
+	if n.Cfg.PerFlowQueues {
+		n.release(n.G.Link(p.id).From, p.txFlow, 1)
 	}
 	p.wake = false
-	n.transmit(p, nil)
+	n.transmit(p)
 }
 
 // exportPacket hands a packet crossing a shard boundary to the destination
@@ -686,24 +691,19 @@ func (n *Network) exportReflood(dst int32, at simtime.Time, lid topology.LinkID,
 func (n *Network) pfqPick(p *port) *Packet {
 	for scanned := 0; scanned < len(p.rr); scanned++ {
 		i := (p.rrNext + scanned) % len(p.rr)
-		fid := p.rr[i]
-		q := p.flowQ[fid]
-		if q == nil || q.len() == 0 {
-			continue
-		}
-		head := q.peek()
+		f := &n.pfq[p.rr[i]]
 		// The next-hop node must have room unless it is the destination;
 		// the credit is reserved NOW, so concurrent upstreams cannot
 		// collectively overshoot the bound.
-		nextNode := n.G.Link(p.id).To
-		if nextNode != head.Dst {
-			if !n.HasRoom(nextNode, fid) {
+		if p.to != f.q.head.Dst {
+			if !n.HasRoom(p.to, f.id) {
 				continue
 			}
-			n.buf[nextNode][fid]++
+			n.charge(p.to, f.id)
 		}
-		pkt := q.pop()
-		if q.len() == 0 {
+		pkt := f.q.pop()
+		if f.q.head == nil {
+			n.pfqFree = append(n.pfqFree, p.rr[i])
 			p.rr = append(p.rr[:i], p.rr[i+1:]...)
 			p.rrNext = i % max(1, len(p.rr))
 		} else {
@@ -720,7 +720,7 @@ func (n *Network) kickUpstream(node topology.NodeID, flow wire.FlowID) {
 	for _, lid := range n.G.In(node) {
 		p := n.ports[lid]
 		if p.queued > 0 && p.idle(n.Eng.now) {
-			n.transmit(p, nil)
+			n.transmit(p)
 		}
 	}
 	if n.Kick != nil {

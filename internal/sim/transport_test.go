@@ -389,12 +389,30 @@ func TestFlowRecordAccessors(t *testing.T) {
 // measurement. Nothing does: a DOR flow reuses its one interned path, an RPS
 // or VLB packet samples into the buffer its slab carved for it, sized for the
 // longest path the protocol can draw; flow-table slots, reorder windows and
-// the reorder counters are indexed in place.
+// the reorder counters are indexed in place, and port queues link packets
+// through the packets themselves. The PFQ baseline's rings, credit lists and
+// queue records are reused once they have reached the working size.
 func TestSteadyDataPathDoesNotAllocate(t *testing.T) {
 	if invariantsEnabled {
 		t.Skip("the debug build's assertions box their arguments on every packet touch")
 	}
 	const step = 200 * simtime.Microsecond
+	steady := func(t *testing.T, eng *Engine, net *Network) {
+		run := func() { eng.Run(eng.Now() + step) }
+		// Warm: the start floods over; the arenas, the wheel, the reorder
+		// windows and PFQ's rings, credit lists and records at their working size.
+		run()
+		const runs = 5
+		before := net.PktHops
+		allocs := testing.AllocsPerRun(runs, run)
+		hops := (net.PktHops - before) / (runs + 1) // AllocsPerRun adds a warm-up call
+		if hops < 3900 {
+			t.Fatalf("a step made %d hops, want ~4000 for the bound to mean anything", hops)
+		}
+		if allocs != 0 {
+			t.Fatalf("%v allocations per %d-hop step, want 0", allocs, hops)
+		}
+	}
 	for _, proto := range []routing.Protocol{routing.DOR, routing.RPS, routing.VLB} {
 		t.Run(proto.String(), func(t *testing.T) {
 			g := torus(t, 4, 3)
@@ -403,20 +421,18 @@ func TestSteadyDataPathDoesNotAllocate(t *testing.T) {
 				src := topology.NodeID(8 * i)
 				r.StartFlow(src, (src+21)%topology.NodeID(g.Nodes()), 1<<30, 1, 0)
 			}
-			run := func() { eng.Run(eng.Now() + step) }
-			// Warm: the start floods over; the arenas, the wheel, the queues of
-			// the ports that queue and the reorder windows at their working size.
-			run()
-			const runs = 5
-			before := net.PktHops
-			allocs := testing.AllocsPerRun(runs, run)
-			hops := (net.PktHops - before) / (runs + 1) // AllocsPerRun adds a warm-up call
-			if hops < 3900 {
-				t.Fatalf("a step made %d hops, want ~4000 for the bound to mean anything", hops)
-			}
-			if allocs != 0 {
-				t.Fatalf("%v allocations per %d-hop step, want 0", allocs, hops)
-			}
+			steady(t, eng, net)
 		})
 	}
+	t.Run("PFQ", func(t *testing.T) {
+		g := torus(t, 4, 3)
+		eng := &Engine{}
+		net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true})
+		pfq := NewPFQ(net, routing.NewTable(g), 1)
+		for i := 0; i < 8; i++ {
+			src := topology.NodeID(8 * i)
+			pfq.StartFlow(src, (src+21)%topology.NodeID(g.Nodes()), 1<<30)
+		}
+		steady(t, eng, net)
+	})
 }
