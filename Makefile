@@ -36,7 +36,7 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own static-analysis rules; see DESIGN.md "Determinism &
-# concurrency invariants" (§13 for the ownership model) and
+# concurrency invariants" (§6, with the audit of which rules stay) and
 # `go run ./cmd/r2c2-lint -list`. The report CI uploads, $(LINT_REPORT), is
 # {analyzer_version, rules, findings}. Any surviving finding fails the build.
 lint:

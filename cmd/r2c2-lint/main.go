@@ -1,6 +1,6 @@
 // Command r2c2-lint runs the repo's custom static-analysis rules (package
-// internal/analysis): the determinism and concurrency invariants that keep
-// the simulator bit-reproducible and the emulator race-free.
+// internal/analysis): the determinism and allocation invariants that keep
+// the simulator bit-reproducible and its hot paths allocation-free.
 //
 // Usage:
 //

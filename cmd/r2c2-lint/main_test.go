@@ -14,14 +14,13 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, rule := range []string{"no-wallclock", "no-global-rand", "goroutine-leak", "unit-suffix",
-		"alloc-hotpath", "det-map-iter", "shard-ownership", "atomic-plain-mix"} {
+	for _, rule := range []string{"no-wallclock", "unit-suffix", "alloc-hotpath", "det-map-iter"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Fatalf("rule listing missing %q:\n%s", rule, out.String())
 		}
 	}
-	if n := strings.Count(out.String(), "\n"); n != 8 {
-		t.Fatalf("rule listing has %d lines, want the 8 rules:\n%s", n, out.String())
+	if n := strings.Count(out.String(), "\n"); n != 4 {
+		t.Fatalf("rule listing has %d lines, want the 4 rules:\n%s", n, out.String())
 	}
 }
 
@@ -43,12 +42,11 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// multiPkgFixture trips several rules across three packages: a wall-clock
-// read and hot-path allocations in internal/sim, global rand in
-// internal/routing, and — for the module-wide rules — an order-sensitive
-// map iteration in internal/sim plus an owned-state escape and an
-// atomic/plain mix in internal/emu. The ignore directive names a rule
-// outside any -rules filter, exercising full-set directive validation.
+// multiPkgFixture trips every rule across two packages: a wall-clock read,
+// a hot-path allocation and an order-sensitive map iteration in
+// internal/sim, and unit-less exported quantities in internal/routing. The
+// ignore directive names a rule outside any -rules filter, exercising
+// full-set directive validation.
 func multiPkgFixture(t *testing.T) string {
 	return writeTree(t, map[string]string{
 		"internal/sim/clock.go": `package sim
@@ -73,29 +71,12 @@ func emit(flows map[uint32]*flow, ch chan float64) {
 	}
 }
 `,
-		"internal/emu/state.go": `package emu
+		"internal/routing/rate.go": `package routing
 
-import "sync/atomic"
+//lint:ignore unit-suffix fixture exercises directive validation
+func Pick(rate float64) {}
 
-//r2c2:shardowned — fixture engine state
-type Node struct{ seq uint64 }
-
-func (n *Node) advance() { atomic.AddUint64(&n.seq, 1) }
-
-func (n *Node) peek() uint64 { return n.seq }
-
-func spawn(n *Node) {
-	go func() { n.advance() }()
-}
-`,
-		"internal/routing/rand.go": `package routing
-
-import "math/rand"
-
-//lint:ignore no-global-rand fixture exercises directive validation
-func pick(n int) int { return rand.Intn(n) }
-
-func pick2(n int) int { return rand.Intn(n) }
+func Pick2(rate float64) {}
 `,
 	})
 }
@@ -134,7 +115,7 @@ func TestRunRuleFilter(t *testing.T) {
 	if !strings.Contains(got, "alloc-hotpath") || !strings.Contains(got, "make allocates") {
 		t.Errorf("filtered run missing the alloc-hotpath finding:\n%s", got)
 	}
-	for _, absent := range []string{"no-wallclock", "no-global-rand", "unknown rule"} {
+	for _, absent := range []string{"no-wallclock", "unit-suffix", "unknown rule"} {
 		if strings.Contains(got, absent) {
 			t.Errorf("filtered run should not mention %q:\n%s", absent, got)
 		}
@@ -146,23 +127,19 @@ func TestRunRuleFilter(t *testing.T) {
 	}
 }
 
-// TestRunNewRules: the three type-aware rules run together under -rules
-// and each finds its fixture violation.
+// TestRunNewRules: the type-aware det-map-iter rule runs alone under
+// -rules and finds its fixture violation.
 func TestRunNewRules(t *testing.T) {
 	root := multiPkgFixture(t)
 	var out bytes.Buffer
-	err := run([]string{"-rules", "det-map-iter,shard-ownership,atomic-plain-mix", root + "/..."}, &out)
+	err := run([]string{"-rules", "det-map-iter", root + "/..."}, &out)
 	if _, ok := err.(errFindings); !ok {
 		t.Fatalf("want errFindings, got %T: %v", err, err)
 	}
 	got := out.String()
-	for _, want := range []string{
-		"det-map-iter", "channel send",
-		"shard-ownership", "captures shard-owned",
-		"atomic-plain-mix", "mixes plain and sync/atomic",
-	} {
+	for _, want := range []string{"det-map-iter", "channel send"} {
 		if !strings.Contains(got, want) {
-			t.Errorf("combined run missing %q:\n%s", want, got)
+			t.Errorf("filtered run missing %q:\n%s", want, got)
 		}
 	}
 }
@@ -185,8 +162,8 @@ func TestRunJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
 		t.Fatalf("decode report: %v\n%s", err, out.String())
 	}
-	if rep.AnalyzerVersion < 3 {
-		t.Errorf("analyzer_version = %d, want >= 3", rep.AnalyzerVersion)
+	if rep.AnalyzerVersion < 4 {
+		t.Errorf("analyzer_version = %d, want >= 4", rep.AnalyzerVersion)
 	}
 	if len(rep.Rules) != 1 || rep.Rules[0] != "det-map-iter" {
 		t.Errorf("rules = %v, want [det-map-iter]", rep.Rules)

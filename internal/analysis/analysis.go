@@ -1,13 +1,15 @@
 // Package analysis is a stdlib-only static-analysis engine enforcing the
-// determinism and concurrency invariants the R2C2 evaluation rests on.
+// determinism invariants the R2C2 evaluation rests on.
 //
 // The headline claim of the paper — packet-level simulation and rack
 // emulation agree (§5, Figure 7) — only holds if the simulator is
-// bit-for-bit deterministic (seeded RNGs, virtual clock, no wall-clock
-// leakage) and the emulator is race-free. Those properties are invisible
-// to the type system, so this package checks them syntactically: a small
-// analyzer framework (built on go/ast and go/parser only, keeping go.mod
-// dependency-free) plus the R2C2-specific rules wired up in Default.
+// bit-for-bit deterministic (virtual clock, no wall-clock leakage, no
+// effect ordered by map iteration). Seeded randomness and race-freedom are
+// held by the golden, byte-identity and -race tests; what those miss is
+// invisible to the type system too, so this package checks it statically:
+// a small analyzer framework (built on go/ast, go/parser and go/types only,
+// keeping go.mod dependency-free) plus the R2C2-specific rules wired up in
+// Default and DefaultModule.
 //
 // Findings are suppressed with a `//lint:ignore rule reason` comment on
 // the offending line or the line directly above it. The reason is
@@ -29,8 +31,9 @@ import (
 // 1: syntactic rules + alloc-hotpath. 2: adds det-map-iter,
 // shard-ownership and atomic-plain-mix; reports become objects carrying
 // the rule set. 3: retires the four rules that never produced a fixed
-// finding (DESIGN.md §6 has the audit); eight remain.
-const Version = 3
+// finding (DESIGN.md §6 has the audit); eight remain. 4: retires the four
+// rules whose bug classes the golden, byte-identity and -race tests catch.
+const Version = 4
 
 // Diagnostic is one finding: a rule violation at a position.
 type Diagnostic struct {
@@ -108,13 +111,6 @@ func Default() []Analyzer {
 		// else in the package the rule applies with full force (the FCT
 		// timestamps once leaked absolute host time this way).
 		NewNoWallclock("internal/sim", "internal/fluid", "internal/waterfill", "internal/emu"),
-		// Deterministic packages must thread a seeded *rand.Rand; the global
-		// math/rand source is shared, racy and unseeded.
-		NewNoGlobalRand("internal/sim", "internal/routing", "internal/waterfill",
-			"internal/genetic", "internal/trafficgen", "internal/fluid"),
-		// Every goroutine in the emulator must have a tracked exit path, or
-		// Stop() leaks pacing loops that keep mutating shared state.
-		NewGoroutineLeak("internal/emu"),
 		// Rates and sizes cross Gbps/Mbps/Kbps/bytes boundaries constantly;
 		// exported quantities must carry their unit in the name.
 		NewUnitSuffix(),

@@ -94,77 +94,6 @@ func start() *Flow { return &Flow{started: time.Now()} }`
 	wantFindings(t, diags, 0, "")
 }
 
-func TestNoGlobalRand(t *testing.T) {
-	a := NewNoGlobalRand("internal/trafficgen")
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"violating-global-intn", `package trafficgen
-import "math/rand"
-func f(n int) int { return rand.Intn(n) }`, 1},
-		{"violating-global-shuffle-perm", `package trafficgen
-import "math/rand"
-func f(n int) []int { rand.Shuffle(n, func(i, j int) {}); return rand.Perm(n) }`, 2},
-		{"conforming-seeded", `package trafficgen
-import "math/rand"
-func f(seed int64, n int) int { rng := rand.New(rand.NewSource(seed)); return rng.Intn(n) }`, 0},
-		{"conforming-threaded", `package trafficgen
-import "math/rand"
-func f(rng *rand.Rand, n int) int { return rng.Intn(n) }`, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := checkOne(t, a, "r2c2/internal/trafficgen", tc.src)
-			if len(diags) != tc.want {
-				t.Fatalf("got %d findings, want %d: %v", len(diags), tc.want, diags)
-			}
-		})
-	}
-}
-
-func TestGoroutineLeak(t *testing.T) {
-	a := NewGoroutineLeak("internal/emu")
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{"violating-bare-go", `package emu
-func f() { go work() }
-func work() {}`, 1},
-		{"violating-bare-literal", `package emu
-func f() { go func() { for {} }() }`, 1},
-		{"conforming-waitgroup", `package emu
-import "sync"
-type r struct{ wg sync.WaitGroup }
-func (x *r) f() { x.wg.Add(1); go x.loop() }
-func (x *r) loop() {}`, 0},
-		{"conforming-ctx-arg", `package emu
-import "context"
-func f(ctx context.Context) { go loop(ctx) }
-func loop(ctx context.Context) {}`, 0},
-		{"conforming-done-in-literal", `package emu
-func f(done chan struct{}) { go func() { <-done }() }`, 0},
-		{"conforming-defer-done", `package emu
-import "sync"
-func f(wg *sync.WaitGroup) { wg.Add(1); go func() { defer wg.Done() }() }`, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := checkOne(t, a, "r2c2/internal/emu", tc.src)
-			if len(diags) != tc.want {
-				t.Fatalf("got %d findings, want %d: %v", len(diags), tc.want, diags)
-			}
-		})
-	}
-	// Out of scope: other packages may use bare goroutines.
-	if diags := checkOne(t, a, "r2c2/internal/stats", "package stats\nfunc f() { go work() }\nfunc work() {}"); len(diags) != 0 {
-		t.Fatalf("out-of-scope package flagged: %v", diags)
-	}
-}
-
 func TestUnitSuffix(t *testing.T) {
 	a := NewUnitSuffix()
 	cases := []struct {
@@ -234,13 +163,13 @@ func f() {
 		src := `package sim
 import "time"
 func f() {
-	//lint:ignore no-global-rand wrong rule
+	//lint:ignore unit-suffix wrong rule
 	time.Sleep(time.Second)
 }`
-		// no-global-rand is a known rule here, so the directive is legal —
+		// unit-suffix is a known rule here, so the directive is legal —
 		// but it must not suppress a different rule's finding.
 		diags, err := CheckSource("r2c2/internal/sim", map[string]string{"src.go": src},
-			[]Analyzer{NewNoWallclock("internal/sim"), NewNoGlobalRand("internal/sim")})
+			[]Analyzer{NewNoWallclock("internal/sim"), NewUnitSuffix()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,16 +184,11 @@ func f() {
 	})
 	t.Run("multi-rule", func(t *testing.T) {
 		src := `package sim
-import (
-	"math/rand"
-	"time"
-)
-func f() {
-	//lint:ignore no-wallclock,no-global-rand deliberate nondeterminism
-	time.Sleep(time.Duration(rand.Intn(3)))
-}`
+import "time"
+//lint:ignore no-wallclock,unit-suffix one line tripping both rules
+func Pace(delay int64) { time.Sleep(time.Duration(delay)) }`
 		diags, err := CheckSource("r2c2/internal/sim", map[string]string{"src.go": src},
-			[]Analyzer{NewNoWallclock("internal/sim"), NewNoGlobalRand("internal/sim")})
+			[]Analyzer{NewNoWallclock("internal/sim"), NewUnitSuffix()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +258,7 @@ func f() {
 func TestDefaultRuleSetScoping(t *testing.T) {
 	// Every rule in the default sets must have a unique name (ignore
 	// directives address rules by name), and the two sets together are
-	// exactly the eight rules DESIGN.md §6 lists.
+	// exactly the four rules DESIGN.md §6 lists.
 	type rule interface {
 		Name() string
 		Doc() string
@@ -356,8 +280,7 @@ func TestDefaultRuleSetScoping(t *testing.T) {
 			t.Errorf("rule %q has no doc", a.Name())
 		}
 	}
-	want := []string{"no-wallclock", "no-global-rand", "goroutine-leak", "unit-suffix",
-		"alloc-hotpath", "det-map-iter", "shard-ownership", "atomic-plain-mix"}
+	want := []string{"no-wallclock", "unit-suffix", "alloc-hotpath", "det-map-iter"}
 	for _, name := range want {
 		if !seen[name] {
 			t.Errorf("default rule set is missing %q", name)

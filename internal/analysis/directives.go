@@ -8,29 +8,17 @@ import (
 
 // This file is the single parser for every comment directive the analyzer
 // understands. Directives are load-bearing: a //lint:ignore suppresses a
-// finding, a //r2c2:hotpath pulls a call tree into the allocation budget,
-// a //r2c2:shardowned puts a type under the ownership rules. A malformed
-// directive must therefore surface as a deterministic error — never as a
-// comment that silently stops doing its job (the rule would simply not
-// fire, which is exactly the failure mode directives exist to prevent).
-// FuzzParseDirective locks in that contract.
+// finding, a //r2c2:hotpath pulls a call tree into the allocation budget.
+// A malformed directive must therefore surface as a deterministic error —
+// never as a comment that silently stops doing its job (the rule would
+// simply not fire, which is exactly the failure mode directives exist to
+// prevent). FuzzParseDirective locks in that contract.
 
 // Directive kinds. LintIgnore carries rule names and a mandatory reason;
-// the //r2c2: marker directives carry an optional trailing note.
+// the //r2c2:hotpath marker carries an optional trailing note.
 const (
-	KindIgnore     = "ignore"     // //lint:ignore rule[,rule...] reason
-	KindHotpath    = "hotpath"    // //r2c2:hotpath [note]
-	KindShardOwned = "shardowned" // //r2c2:shardowned [note]
-	KindBoundary   = "boundary"   // //r2c2:boundary [note]
-)
-
-// ShardOwnedDirective marks a type whose instances belong to a single
-// goroutine (the shard that created them); BoundaryDirective marks a
-// function that executes on behalf of another goroutine, so passing owned
-// state into it leaks ownership. See the shard-ownership rule.
-const (
-	ShardOwnedDirective = "//r2c2:" + KindShardOwned
-	BoundaryDirective   = "//r2c2:" + KindBoundary
+	KindIgnore  = "ignore"  // //lint:ignore rule[,rule...] reason
+	KindHotpath = "hotpath" // //r2c2:hotpath [note]
 )
 
 // Directive is one parsed comment directive.
@@ -80,13 +68,12 @@ func parseLint(rest string) (*Directive, error) {
 func parseR2C2(rest string) (*Directive, error) {
 	name, note, _ := strings.Cut(rest, " ")
 	switch name {
-	case KindHotpath, KindShardOwned, KindBoundary:
+	case KindHotpath:
 		return &Directive{Kind: name, Note: strings.TrimSpace(note)}, nil
 	case "":
 		return nil, fmt.Errorf("malformed //r2c2: directive: missing name")
 	}
-	return nil, fmt.Errorf("unknown //r2c2: directive %q (known: %s, %s, %s)",
-		name, KindHotpath, KindShardOwned, KindBoundary)
+	return nil, fmt.Errorf("unknown //r2c2: directive %q (known: %s)", name, KindHotpath)
 }
 
 // hasDirective reports whether a doc comment group carries the given

@@ -23,9 +23,8 @@ func TestParseDirective(t *testing.T) {
 		{"//lint:file-ignore foo whole-file suppression is not supported", "", nil, "unknown //lint: directive"},
 		{"//r2c2:hotpath", KindHotpath, nil, ""},
 		{"//r2c2:hotpath the event dispatch tree", KindHotpath, nil, ""},
-		{"//r2c2:shardowned", KindShardOwned, nil, ""},
-		{"//r2c2:shardowned one engine goroutine owns this", KindShardOwned, nil, ""},
-		{"//r2c2:boundary", KindBoundary, nil, ""},
+		{"//r2c2:shardowned", "", nil, "unknown //r2c2: directive"},
+		{"//r2c2:boundary epoch queue push", "", nil, "unknown //r2c2: directive"},
 		{"//r2c2:hotpath-annotated", "", nil, "unknown //r2c2: directive"},
 		{"//r2c2:shard-owned", "", nil, "unknown //r2c2: directive"},
 		{"//r2c2:", "", nil, "missing name"},
@@ -71,18 +70,21 @@ func TestParseDirective(t *testing.T) {
 // contract end to end: a comment that starts like a directive but does
 // not parse must surface as a lint-directive finding.
 func TestMalformedDirectiveIsReported(t *testing.T) {
-	src := `package p
-
-//r2c2:shardwoned typo in the marker name
-type Engine struct{ n int }
-`
-	diags, err := CheckSource("m/p", map[string]string{"src.go": src}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 1 || diags[0].Rule != "lint-directive" ||
-		!strings.Contains(diags[0].Message, "unknown //r2c2: directive") {
-		t.Fatalf("want one lint-directive finding for the typo, got %v", diags)
+	for _, marker := range []string{
+		"//r2c2:hotpth typo in the marker name",
+		// The retired ownership markers are no longer directives: one left
+		// behind must be reported, not read as an annotation still in force.
+		"//r2c2:shardowned stale ownership marker",
+	} {
+		src := "package p\n\n" + marker + "\ntype Engine struct{ n int }\n"
+		diags, err := CheckSource("m/p", map[string]string{"src.go": src}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(diags) != 1 || diags[0].Rule != "lint-directive" ||
+			!strings.Contains(diags[0].Message, "unknown //r2c2: directive") {
+			t.Fatalf("%s: want one lint-directive finding, got %v", marker, diags)
+		}
 	}
 }
 
@@ -101,8 +103,8 @@ func FuzzParseDirective(f *testing.F) {
 		"//lint:file-ignore x y",
 		"//r2c2:hotpath",
 		"//r2c2:hotpath note",
-		"//r2c2:shardowned",
-		"//r2c2:boundary epoch queue push",
+		"//r2c2:shardowned", // retired marker: an error now, like any unknown name
+		"//r2c2:hotpath-annotated",
 		"//r2c2:",
 		"//r2c2:bogus",
 		"//r2c2:hotpath\ttab note",
@@ -110,7 +112,7 @@ func FuzzParseDirective(f *testing.F) {
 		"//lint:",
 		"//",
 		"",
-		"//r2c2:shardowned nbsp",
+		"//r2c2:hotpath\u00a0nbsp",
 		"//lint:ignore rule reason",
 	}
 	for _, s := range seeds {

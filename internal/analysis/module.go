@@ -12,12 +12,11 @@ import (
 // ModuleAnalyzer is a two-phase, type-aware rule. Phase one (Collect)
 // runs once per package with full type information and returns that
 // package's facts — whatever the rule needs to remember: hot-path roots
-// and call edges, owned types and the sites that move them, which fields
-// are touched atomically. Phase two (Resolve) sees every package's facts
-// at once and reports the findings that only exist module-wide: an
-// allocation two calls below a hot path in another package, an owned type
-// escaping in a package that only imports it, a plain write to a field
-// another package updates atomically.
+// and call edges, map-order loops and the functions they call. Phase two
+// (Resolve) sees every package's facts at once and reports the findings
+// that only exist module-wide: an allocation two calls below a hot path in
+// another package, a map-order loop that schedules an event through a
+// helper in another package.
 //
 // The split mirrors how the findings are actually computed: facts are
 // local and cheap, the judgement needs the whole program.
@@ -55,14 +54,6 @@ func DefaultModule() []ModuleAnalyzer {
 		// sim/emu parity tests compare aggregate behaviour across runs).
 		NewDetMapIter("internal/sim", "internal/core", "internal/waterfill",
 			"internal/routing", "internal/topology", "internal/experiments", "internal/emu"),
-		// Annotated engine/network/per-node state must stay reachable only
-		// from its owning goroutine — the invariant the sharded engine
-		// will rely on instead of locks. Module-wide: a type owned in
-		// internal/sim is protected in internal/experiments too.
-		NewShardOwnership(),
-		// A plain write racing an atomic read is still a data race; mixing
-		// the two styles on one field defeats what the atomic sites bought.
-		NewAtomicPlainMix(),
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 // objects an identifier resolves to, not just its spelling.
 //
 // Typed passes cover the non-test files of a package: the invariants the
-// module rules guard (hot-path allocation, map-order determinism, shard
-// ownership) live in production code, and excluding _test.go keeps every
-// package a single type-checkable unit.
+// module rules guard (hot-path allocation, map-order determinism) live in
+// production code, and excluding _test.go keeps every package a single
+// type-checkable unit.
 type TypedPass struct {
 	Pass
 	Pkg  *types.Package

@@ -286,8 +286,8 @@ func flowHash(f FlowInfo) uint64 {
 // sourced sets are disjoint and the reduction is an exact sorted merge.
 //
 // A DemandSummary is plain data with no pointers into simulator state, so
-// it can cross a shard barrier by value semantics (//r2c2:boundary in the
-// sim package). It is not safe for concurrent mutation.
+// it can cross a shard barrier by value semantics, as the sim package's
+// boundary handoffs do. It is not safe for concurrent mutation.
 type DemandSummary struct {
 	Flows []FlowInfo // sorted by flow ID
 	Hash  uint64     // XOR of flowHash over Flows; equals View.Hash() of the same set

@@ -146,21 +146,8 @@ type fabricState struct {
 	dead    map[topology.NodeID]bool
 }
 
-// phys translates a path of fabric link IDs to physical link IDs, copying
-// when a translation is needed (FIB/Phi caches must stay pristine).
-func (st *fabricState) phys(path []topology.LinkID) []topology.LinkID {
-	if st.linkMap == nil {
-		return path
-	}
-	//lint:ignore alloc-hotpath only taken on a degraded fabric; the FIB/Phi caches the path aliases must stay pristine
-	out := make([]topology.LinkID, len(path))
-	for i, lid := range path {
-		out[i] = st.linkMap[lid]
-	}
-	return out
-}
-
-// physInPlace is phys overwriting a buffer the caller owns.
+// physInPlace translates a path of fabric link IDs to physical link IDs,
+// overwriting a buffer the caller owns.
 func (st *fabricState) physInPlace(path []topology.LinkID) {
 	if st.linkMap == nil {
 		return
@@ -530,7 +517,10 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt)
 		r.drops.Add(1)
 		return
 	}
-	for _, lid := range st.phys(hops) {
+	for _, lid := range hops {
+		if st.linkMap != nil { // hops alias the FIB's trees: translate, never rewrite
+			lid = st.linkMap[lid]
+		}
 		pkt.retain()
 		r.enqueue(lid, pkt)
 	}

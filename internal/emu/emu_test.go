@@ -2,9 +2,11 @@ package emu
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
+	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/topology"
 )
@@ -147,6 +149,46 @@ func TestEmuValidation(t *testing.T) {
 	}
 	if _, err := r.StartFlow(0, 1, 0, 1, 0); err == nil {
 		t.Error("zero size accepted")
+	}
+}
+
+// Stop must join every goroutine the rack launched: link and recompute
+// loops, flow senders, the fault replay and its detection timers. Both
+// fault goroutines are still blocked at Stop — the replay waits an hour
+// for its second event, the first event's detection timer an hour too.
+func TestRackStopJoinsGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	g, err := topology.NewTorus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Graph: g, LinkMbps: 200, Recompute: time.Millisecond, Protocol: routing.RPS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	for i := 0; i < 4; i++ {
+		if _, err := r.StartFlow(topology.NodeID(i), topology.NodeID(i+5), 8<<20, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.ApplyFaults(faults.Schedule{Events: []faults.Event{
+		{Kind: faults.LinkDown, A: 2, B: 3, Detect: time.Hour},
+		{At: time.Hour, Kind: faults.LinkRepair, A: 2, B: 3, Detect: time.Millisecond},
+	}})
+	down, _ := g.LinkBetween(2, 3)
+	for deadline := time.Now().Add(2 * time.Second); !r.ports[down].dead.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the schedule's first event never injected")
+		}
+	}
+	r.Stop()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Stop, %d before New:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 

@@ -83,6 +83,46 @@ func TestEmuFailAndRepairLink(t *testing.T) {
 	}
 }
 
+// Broadcast forwarding over a degraded fabric translates each tree hop to
+// its physical port as it goes: the FIB's hop list is read, never copied,
+// so a delivery costs no allocation however broken the rack is.
+func TestForwardBroadcastDegradedAllocFree(t *testing.T) {
+	g, err := topology.NewTorus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop) // joins FailLink's detection timer; the rack never starts
+	if err := r.FailLink(0, 1, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	r.swapFabric()
+	st := r.fabric.Load()
+	const src = topology.NodeID(0)
+	hops, ok := st.fib.NextHops(src, 0, src)
+	if st.linkMap == nil || !ok || len(hops) == 0 {
+		t.Fatalf("want a degraded fabric with tree hops at the root: linkMap %v, hops %v", st.linkMap, hops)
+	}
+	seg := r.pool.get()
+	pkt := emuPkt{buf: seg.data[:16], seg: seg}
+	before := make([]uint64, len(r.ports))
+	for i, p := range r.ports {
+		before[i] = p.enqueued.Load()
+	}
+	r.forwardBroadcast(src, src, 0, pkt)
+	for _, lid := range hops {
+		if phys := st.linkMap[lid]; r.ports[phys].enqueued.Load() != before[phys]+1 {
+			t.Fatalf("tree hop %d not forwarded on its physical port %d", lid, phys)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.forwardBroadcast(src, src, 0, pkt) }); allocs != 0 {
+		t.Fatalf("forwardBroadcast on a degraded fabric: %v allocations per delivery, want 0", allocs)
+	}
+}
+
 // Overlapping failures with interleaved detection windows — the emulator
 // side of the sim's headline regression: the later-firing detection must
 // not install a fabric computed before the second failure, and the epoch

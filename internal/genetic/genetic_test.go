@@ -48,19 +48,21 @@ func TestOptimizeNeverRegresses(t *testing.T) {
 	}
 }
 
+// The search stops three generations in, far from the optimum, so its result
+// depends on every draw of the seeded stream. A search run to the optimum
+// would hide an unseeded draw: both runs reach the same answer anyway.
 func TestOptimizeDeterministic(t *testing.T) {
-	n := 15
+	n := 30
 	fit := func(a []uint8) float64 {
 		s := 0.0
 		for i, g := range a {
-			if int(g) == i%2 {
-				s++
-			}
+			s += float64((i*7 + int(g)*13) % 11)
 		}
 		return s
 	}
-	r1 := Optimize(Config{Seed: 9}, n, 2, make([]uint8, n), fit)
-	r2 := Optimize(Config{Seed: 9}, n, 2, make([]uint8, n), fit)
+	cfg := Config{Seed: 9, MaxGens: 3}
+	r1 := Optimize(cfg, n, 3, make([]uint8, n), fit)
+	r2 := Optimize(cfg, n, 3, make([]uint8, n), fit)
 	if r1.Utility != r2.Utility {
 		t.Fatal("same seed, different result")
 	}

@@ -79,8 +79,6 @@ func tieKey(lid topology.LinkID, kind eventKind) uint32 {
 // ready to use. Typed events dispatch through receivers registered by
 // NewNetwork / NewR2C2 / NewTCP. One engine per simulation goroutine: the
 // sharded engine depends on no other goroutine reaching it.
-//
-//r2c2:shardowned — created and driven by one goroutine
 type Engine struct {
 	now    simtime.Time
 	nextID uint64

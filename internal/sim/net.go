@@ -189,8 +189,7 @@ type pfqCredit struct {
 
 // Network simulates the fabric: forwarding, queueing and link timing.
 // Transports plug in via the Deliver callback and inject via Inject.
-//
-//r2c2:shardowned — fabric state belongs to the engine's goroutine.
+// Fabric state belongs to the engine's goroutine.
 type Network struct {
 	G   *topology.Graph
 	Eng *Engine
@@ -640,8 +639,6 @@ func (n *Network) txDone(p *port) {
 // handoff slot (plain data — broadcast payloads are shared by pointer, but
 // they are immutable and the epoch barrier orders the accesses) and the
 // packet itself returns to this shard's arena.
-//
-//r2c2:boundary
 func (n *Network) exportPacket(dst int32, at simtime.Time, p *port, pkt *Packet) {
 	h := n.sh.export(dst)
 	h.at = at
@@ -673,8 +670,6 @@ func (n *Network) exportPacket(dst int32, at simtime.Time, p *port, pkt *Packet)
 // its node state, so the retransmission must execute over there. The
 // broadcast payload crosses by pointer (immutable; the epoch barrier orders
 // the accesses).
-//
-//r2c2:boundary
 func (n *Network) exportReflood(dst int32, at simtime.Time, lid topology.LinkID, origin topology.NodeID, b *wire.Broadcast, retries uint8) {
 	h := n.sh.export(dst)
 	h.at = at

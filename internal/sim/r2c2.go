@@ -152,9 +152,7 @@ type r2c2Flow struct {
 }
 
 // r2c2Node is one node's protocol state: its view, live flows and tree
-// cursor.
-//
-//r2c2:shardowned — per-node state is mutated only by the engine goroutine.
+// cursor. It is mutated only by its shard's engine goroutine.
 type r2c2Node struct {
 	id   topology.NodeID
 	bit  int32 // this node's position in the finished-flow bitsets

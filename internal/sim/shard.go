@@ -88,8 +88,6 @@ type boundaryQueue struct {
 }
 
 // push returns the next zeroed slot, retaining its recycled path buffer.
-//
-//r2c2:boundary
 func (q *boundaryQueue) push() *handoff {
 	if q.n == len(q.slots) {
 		q.slots = append(q.slots, handoff{})
@@ -102,8 +100,6 @@ func (q *boundaryQueue) push() *handoff {
 }
 
 // reset empties the queue, keeping the slots for reuse.
-//
-//r2c2:boundary
 func (q *boundaryQueue) reset() { q.n = 0 }
 
 // shardCtx is one shard's boundary interface, referenced by its Network and
@@ -112,8 +108,6 @@ func (q *boundaryQueue) reset() { q.n = 0 }
 // shard's goroutine during run phases; the orchestrator reads it between
 // phases, ordered by the epoch barrier. A shard that owns the whole fabric
 // has one too, which only the orchestrator holds: it stays zero.
-//
-//r2c2:shardowned
 type shardCtx struct {
 	self    int32
 	shardOf []int32          // partition assignment, shared read-only
@@ -155,8 +149,6 @@ type shardCtx struct {
 }
 
 // export returns a zeroed handoff slot in the mailbox for shard dst.
-//
-//r2c2:boundary
 func (c *shardCtx) export(dst int32) *handoff {
 	q := c.out[dst]
 	if q.n == 0 {
@@ -169,8 +161,6 @@ func (c *shardCtx) export(dst int32) *handoff {
 // shardState bundles one shard's engine stack. It is driven by exactly one
 // goroutine per phase: a worker claims a shard off the phase's atomic
 // counter, and the completion count orders phases.
-//
-//r2c2:shardowned
 type shardState struct {
 	ctx *shardCtx
 	eng *Engine
@@ -206,8 +196,6 @@ func wallNs() int64 {
 // number is assigned afresh here, but it only orders events that agree on
 // all three, and two such events come off one link — out of one shard, in
 // its emission order.
-//
-//r2c2:boundary
 func (st *shardState) ingest(h *handoff) {
 	if h.ctrl {
 		origin, b, retries := h.node, h.bcast, h.retries
@@ -274,11 +262,10 @@ const (
 // never reach it, can lower it and run their phases concurrently under -race.
 var fanoutMinEvents uint64 = 256
 
-// shardedRun is the orchestrator. It is deliberately NOT marked
-// //r2c2:shardowned: the fan-out's helper goroutines reach the shards
-// through it (the documented escape hatch for fan-out), and each shard's
-// owned state is only ever touched by the single worker that claimed its
-// index for the phase.
+// shardedRun is the orchestrator. The fan-out's helper goroutines reach the
+// shards through it, and each shard's state is only ever touched by the
+// single worker that claimed its index for the phase; the byte-identity
+// oracles run at fanoutMinEvents = 0 under -race to hold that.
 type shardedRun struct {
 	cfg     RunConfig
 	maxTime simtime.Time
@@ -635,8 +622,6 @@ func (sr *shardedRun) reduceTick(until simtime.Time) {
 // are gathered in source-shard order and ordered by orderHandoffs, so the
 // ingest order — and with it the destination engine's sequence numbers — is
 // (at, emission time, link, emission index) regardless of worker count.
-//
-//r2c2:boundary
 func (sr *shardedRun) drain() {
 	for _, st := range sr.active {
 		for _, d := range st.ctx.dirty {
