@@ -4,11 +4,11 @@ LINT_REPORT ?= r2c2-lint.json
 # The hot-path micro-benchmark suite `make microbench` measures; the
 # figure-harness benchmarks are excluded because they measure whole
 # experiments, not code paths.
-MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|BenchmarkPFQDataPath|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
+MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|BenchmarkPFQDataPath|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkTimerWheelCrowdedSlot|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view fuzz-reorder vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ fuzz-view:
 # thousands of two-byte packets: minimise by count, as fuzz-view does.
 fuzz-reorder:
 	$(GO) test -run=^$$ -fuzz FuzzReorderWindow -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sim/
+
+# The timer wheel against a reference binary heap on arbitrary arm/cancel/pop
+# streams whose keys crowd a few slots (every merge width of the run's sort,
+# cancels of staged entries, arms into the slot being drained). Inputs are
+# thousands of two-byte operations: minimise by count, as fuzz-view does.
+fuzz-wheel:
+	$(GO) test -run=^$$ -fuzz FuzzWheelOrder -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sim/
 
 # One iteration of every benchmark: catches bitrot in the benchmark
 # harnesses (they cover each figure of the paper) without paying for a

@@ -945,6 +945,47 @@ func BenchmarkTimerWheelSameInstant(b *testing.B) {
 	b.ReportMetric(burst*bursts, "events/op")
 }
 
+// The wheel on crowded slots: each burst puts 1,024 events at random
+// picoseconds of one level-0 slot (2^14 ps), armed in an order unrelated to
+// their timestamps, then drains the slot. A slot is sorted as a whole when
+// dispatch reaches it, so this is the case a quadratic within-slot order
+// would show up in; ns/event is the per-event cost of filing, ordering and
+// dispatching.
+func BenchmarkTimerWheelCrowdedSlot(b *testing.B) {
+	const (
+		burst  = 1024
+		bursts = 64
+		slotPs = simtime.Time(1) << 14
+	)
+	rng := rand.New(rand.NewSource(1))
+	offsets := make([]simtime.Time, burst)
+	for k := range offsets {
+		offsets[k] = simtime.Time(rng.Int63n(int64(slotPs)))
+	}
+	eng := &sim.Engine{}
+	fired := 0
+	fn := func() { fired++ }
+	slot := func() {
+		base := (eng.Now()/slotPs + 2) * slotPs
+		for _, off := range offsets {
+			eng.Schedule(base+off, fn)
+		}
+		eng.Run(base + slotPs - 1)
+	}
+	slot() // sizes the arena and the run
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < bursts; j++ {
+			slot()
+		}
+	}
+	if want := (b.N*bursts + 1) * burst; fired != want {
+		b.Fatalf("%d events fired, want %d", fired, want)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bursts*burst), "ns/event")
+}
+
 // View.Apply as a flood drives it: one start/finish stream applied to 512
 // views in turn, so each view is touched once per event and has left the
 // cache by the next — a single hot view (the bench/ ladder's

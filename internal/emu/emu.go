@@ -183,6 +183,12 @@ type emuNode struct {
 	nextSeq  uint16
 	nextTree uint8
 	rcvd     map[wire.FlowID]int64 // bytes received (this node is dst)
+	// fin[src] has bit seq set once this node has applied the finish of
+	// flow (src, seq). A start arriving later lost the race on another
+	// broadcast tree and is ignored: the simulator's rule (sim.R2C2.deliver).
+	// Each start retires the record half the 16-bit sequence space away, so
+	// a wrapped-around sequence number starts clean.
+	fin [][]uint64
 }
 
 // Flow is a handle on one emulated flow.
@@ -316,6 +322,7 @@ func New(cfg Config) (*Rack, error) {
 			rc:    core.NewRateComputer(r.tab, cfg.LinkMbps*1e6, cfg.Headroom),
 			flows: make(map[wire.FlowID]*Flow),
 			rcvd:  make(map[wire.FlowID]int64),
+			fin:   make([][]uint64, cfg.Graph.Nodes()),
 		}
 	}
 	return r, nil
@@ -491,7 +498,9 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 		if topology.NodeID(bc.Src) != at {
 			n := r.nodes[at]
 			n.mu.Lock()
-			_ = n.view.Apply(bc)
+			if !n.lateStart(bc) {
+				_ = n.view.Apply(bc)
+			}
 			n.mu.Unlock()
 		}
 		r.forwardBroadcast(at, topology.NodeID(bc.Src), bc.Tree, pkt)
@@ -500,6 +509,25 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 		r.drops.Add(1)
 		r.release(pkt)
 	}
+}
+
+// lateStart records a finish in fin, and reports whether b is a start that
+// arrived after its own flow's finish. The caller holds n.mu.
+func (n *emuNode) lateStart(b *wire.Broadcast) bool {
+	row, w, bit := &n.fin[b.Src], int(b.FlowSeq>>6), uint64(1)<<(b.FlowSeq&63)
+	switch b.Event {
+	case wire.EventFlowFinish:
+		for len(*row) <= w {
+			*row = append(*row, 0)
+		}
+		(*row)[w] |= bit
+	case wire.EventFlowStart:
+		if old := int((b.FlowSeq ^ 0x8000) >> 6); old < len(*row) {
+			(*row)[old] &^= bit
+		}
+		return w < len(*row) && (*row)[w]&bit != 0
+	}
+	return false
 }
 
 // forwardBroadcast fans pkt out to the broadcast tree's children at this

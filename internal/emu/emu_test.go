@@ -9,6 +9,7 @@ import (
 	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/topology"
+	"r2c2/internal/wire"
 )
 
 func newRack(t *testing.T, cfg Config) *Rack {
@@ -93,6 +94,61 @@ func TestEmuGlobalVisibilityAndCleanup(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("views not drained after flow finish")
+}
+
+// A flow's start and finish go out on different broadcast trees, so at some
+// nodes the finish arrives first. The late start must not re-enter the view:
+// once every flow has finished and the fabric is quiet, no view holds
+// anything. Fast links keep each flow short, so the races are frequent.
+func TestRackViewsDrain(t *testing.T) {
+	r := newRack(t, Config{LinkMbps: 100_000, Protocol: routing.RPS})
+	nodes := r.cfg.Graph.Nodes()
+	for i := 0; i < 2000; i++ {
+		src := topology.NodeID(i % nodes)
+		f, err := r.StartFlow(src, (src+topology.NodeID(nodes/2))%topology.NodeID(nodes), 2<<10, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Wait(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.MbufStats().Live != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("fabric never went quiet: %+v", r.MbufStats())
+		}
+	}
+	stale := 0
+	for n := 0; n < nodes; n++ {
+		stale += r.ViewLen(topology.NodeID(n))
+	}
+	if stale != 0 || r.Drops() != 0 {
+		t.Fatalf("%d view entries outlive their flows, %d drops", stale, r.Drops())
+	}
+}
+
+// The finish record: a start after its own finish is late, a start half the
+// sequence space later retires the record, and the wrapped-around sequence
+// number then starts clean.
+func TestLateStartRecord(t *testing.T) {
+	n := &emuNode{fin: make([][]uint64, 4)}
+	bc := func(ev wire.EventKind, seq uint16) *wire.Broadcast {
+		return &wire.Broadcast{Event: ev, Src: 3, FlowSeq: seq}
+	}
+	if n.lateStart(bc(wire.EventFlowStart, 700)) {
+		t.Fatal("a start with no finish recorded is late")
+	}
+	n.lateStart(bc(wire.EventFlowFinish, 700))
+	if !n.lateStart(bc(wire.EventFlowStart, 700)) {
+		t.Fatal("a start after its finish is not late")
+	}
+	if n.lateStart(bc(wire.EventFlowStart, 701)) || len(n.fin[2]) != 0 {
+		t.Fatal("the record leaks to another flow or source")
+	}
+	n.lateStart(bc(wire.EventFlowStart, 700+0x8000))
+	if n.lateStart(bc(wire.EventFlowStart, 700)) {
+		t.Fatal("a start half the sequence space later did not retire the record")
+	}
 }
 
 func TestEmuFairness(t *testing.T) {

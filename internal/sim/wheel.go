@@ -8,8 +8,8 @@ package sim
 // Determinism contract: dispatch order is ascending (at, emit, tie, seq) —
 // exactly a binary heap's over the same keys, which wheel_test.go holds it
 // to on randomised schedules. The wheel only buckets events by time range;
-// the events of the current level-0 slot are ordered by the full comparator
-// in a small staging heap before any of them fires.
+// when dispatch reaches a level-0 slot, its events are sorted once by the
+// full comparator into a run that then pops from the head.
 //
 // Layout (trex-emu's timer framework uses the same shape to sustain
 // multi-MPPS event rates): wheelLevels levels of wheelSlots slots; a
@@ -23,6 +23,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
@@ -41,17 +42,20 @@ const (
 	// ≤ 2^49 (63-bit picoseconds >> 14), and 7 levels of 8 bits index
 	// 2^56 slots.
 	wheelLevels = 7
+	// stageBlock is the block length sortRun insertion-sorts before merging:
+	// BenchmarkStageSort's sweep over random-order runs (DESIGN.md §12).
+	stageBlock = 12
 )
 
 // Sentinel values for timerNode.level.
 const (
 	freeLevel   int8 = -1 // on the arena free list
-	stagedLevel int8 = -2 // in the staging heap of the current slot
+	stagedLevel int8 = -2 // in the current slot's run
 )
 
-// evDead marks a staged node whose timer was cancelled after staging: it
-// cannot be unlinked from the middle of the staging heap in O(1), so it is
-// tombstoned (kept only for its heap position) and freed when it surfaces.
+// evDead marks a staged node whose timer was cancelled after staging: its
+// entry cannot leave the middle of the run in O(1), so the node is
+// tombstoned (kept only for its run position) and freed when it surfaces.
 // This is transient — a node is only ever staged within one level-0 slot of
 // firing.
 const evDead eventKind = 0xff
@@ -85,20 +89,22 @@ type timerWheel struct {
 	count    int   // live scheduled events (cancelled excluded)
 
 	// cur is the level-0 slot number dispatch has reached: every event in
-	// slots <= cur sits in the staging heap, every filed event is ahead.
+	// slots <= cur sits in the run, every filed event is ahead.
 	cur int64
 
 	head [wheelLevels][wheelSlots]uint32
 	occ  [wheelLevels][wheelSlots / 64]uint64
 
-	// staged is a binary min-heap ordered by stageLess: the events of the
-	// current level-0 slot, dispatched in exact heap order.
-	staged []stagedEntry
+	// staged[top:] is the run: the current level-0 slot's undispatched
+	// events in ascending stageLess order, consumed by advancing top. spare
+	// is sortRun's merge buffer, with the run's capacity.
+	staged, spare []stagedEntry
+	top           int
 }
 
-// stagedEntry is one staging-heap element: the node's 1-based arena index
+// stagedEntry is one element of the run: the node's 1-based arena index
 // under a copy of its event's ordering keys. The keys are duplicated so that
-// sifting compares within the heap's own contiguous memory: a lock-step flood
+// sorting compares within the run's own contiguous memory: a lock-step flood
 // stages ~100 events on one timestamp, and ordering them through the arena
 // cost a scattered 64-byte node load per comparison.
 type stagedEntry struct {
@@ -153,17 +159,20 @@ func (w *timerWheel) arm(at, emit simtime.Time, seq uint64, tk uint32, node topo
 	n.ev.at, n.ev.emit, n.ev.seq = at, emit, seq
 	n.ev.node, n.ev.tk, n.ev.recv = node, tk, recv
 	w.place(idx, n)
+	if n.level == stagedLevel {
+		w.settleLast() // armed into the slot being drained
+	}
 	w.count++
 	return idx
 }
 
-// place files a node relative to the current cursor: into staging when its
-// slot has already been reached, else at the lowest wheel level whose slot
-// number still differs from the cursor's.
+// place files a node relative to the current cursor: appended to the run
+// (unsorted) when its slot has already been reached, else at the lowest
+// wheel level whose slot number still differs from the cursor's.
 func (w *timerWheel) place(idx int32, n *timerNode) {
 	s0 := int64(n.ev.at) >> wheelShift
 	if s0 <= w.cur {
-		w.stagePush(idx, n)
+		w.stage(idx, n)
 		return
 	}
 	// Highest differing bit picks the level, so the slot position is
@@ -213,7 +222,7 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 	}
 	w.count--
 	if n.level == stagedLevel {
-		// Mid-heap removal is not O(1); tombstone the node in place. Only
+		// Mid-run removal is not O(1); tombstone the node in place. Only
 		// the ordering keys survive — the reference is dropped immediately.
 		n.ev.tk = n.ev.tk&^0xff | uint32(evDead)
 		n.ev.recv = nil
@@ -224,9 +233,9 @@ func (w *timerWheel) cancel(h timerHandle) bool {
 	return true
 }
 
-// stageLess orders the staging heap by (at, emit, tie, seq): the engine's
-// dispatch order (see event). Slots bucket by timestamp range only, so
-// refining the within-slot order is safe.
+// stageLess orders the run by (at, emit, tie, seq): the engine's dispatch
+// order (see event). Slots bucket by timestamp range only, so refining the
+// within-slot order is safe.
 func stageLess(a, b *stagedEntry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -240,68 +249,110 @@ func stageLess(a, b *stagedEntry) bool {
 	return a.seq < b.seq
 }
 
-// stagePush moves a node into the staging heap. Both sifts carry the moving
-// entry in a local and shift the others into the hole it leaves — one store
-// per level instead of a swap's two — and write it once, where it settles.
-func (w *timerWheel) stagePush(idx int32, n *timerNode) {
+// stage appends a node's entry to the run unsorted: advance sorts a loaded
+// slot once (sortRun); arm settles one armed into it (settleLast).
+func (w *timerWheel) stage(idx int32, n *timerNode) {
 	n.level = stagedLevel
-	e := stagedEntry{at: n.ev.at, emit: n.ev.emit, seq: n.ev.seq, tie: n.ev.tie(), idx: idx}
-	i := len(w.staged)
-	if i == cap(w.staged) {
-		// The heap keeps its capacity across slots, so a wheel that never
-		// stages more than 64 same-slot events at a time performs exactly one
-		// staging allocation per run.
-		//lint:ignore alloc-hotpath staging-heap backing array: allocated once, doubled rarely, reused across every slot
-		w.staged = append(make([]stagedEntry, 0, max(64, 2*i)), w.staged...)
+	if len(w.staged) == cap(w.staged) {
+		w.growRun()
 	}
-	w.staged = w.staged[:i+1]
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !stageLess(&e, &w.staged[parent]) {
-			break
-		}
-		w.staged[i] = w.staged[parent]
-		i = parent
-	}
-	w.staged[i] = e
+	w.staged = append(w.staged, stagedEntry{at: n.ev.at, emit: n.ev.emit, seq: n.ev.seq, tie: n.ev.tie(), idx: idx})
 }
 
-// stagePop removes the heap's top entry.
-func (w *timerWheel) stagePop() {
-	n := len(w.staged) - 1
-	e := w.staged[n] // re-filed from the root down
-	w.staged = w.staged[:n]
-	if n == 0 {
+// growRun makes room in a full run: a run at least half consumed drops its
+// head, else run and spare double (64 at first). Capacity is kept across
+// slots, so a wheel never staging over 64 events at once allocates once.
+func (w *timerWheel) growRun() {
+	if w.top > 0 && w.top >= len(w.staged)/2 {
+		w.staged, w.top = w.staged[:copy(w.staged, w.staged[w.top:])], 0
 		return
 	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if r := c + 1; r < n && stageLess(&w.staged[r], &w.staged[c]) {
-			c = r
-		}
-		if !stageLess(&w.staged[c], &e) {
-			break
-		}
-		w.staged[i] = w.staged[c]
-		i = c
-	}
-	w.staged[i] = e
+	c := max(64, 2*cap(w.staged))
+	//lint:ignore alloc-hotpath run and merge buffer share one backing array: allocated once, doubled rarely, reused across every slot
+	buf := make([]stagedEntry, 2*c)
+	w.staged, w.spare = buf[:copy(buf, w.staged):c], buf[c:c]
 }
 
-// dropDeadStaged frees cancelled tombstones off the top of the staging
-// heap so peek always surfaces a live event.
+// settleLast moves the run's last entry, armed into the slot being drained,
+// to its place: a binary search over the unconsumed run, then one copy.
+func (w *timerWheel) settleLast() {
+	last := len(w.staged) - 1
+	e := w.staged[last]
+	lo, hi := w.top, last
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); stageLess(&e, &w.staged[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	copy(w.staged[lo+1:], w.staged[lo:last])
+	w.staged[lo] = e
+}
+
+// sortRun orders a freshly loaded slot: reversed into arm order (slot lists
+// are LIFO), insertion-sorted in blocks of stageBlock, then merged bottom-up,
+// run and spare trading places each pass. O(n log n), nothing allocated.
+func (w *timerWheel) sortRun() {
+	s := w.staged
+	slices.Reverse(s)
+	for lo := 0; lo < len(s); lo += stageBlock {
+		insertionSort(s[lo:min(lo+stageBlock, len(s))])
+	}
+	dst := w.spare[:len(s)]
+	for width := stageBlock; width < len(s); width *= 2 {
+		for lo := 0; lo < len(s); lo += 2 * width {
+			mid, hi := min(lo+width, len(s)), min(lo+2*width, len(s))
+			mergeRuns(dst[lo:hi], s[lo:mid], s[mid:hi])
+		}
+		s, dst = dst, s
+	}
+	w.staged, w.spare = s, dst[:0]
+}
+
+// insertionSort sorts a block in place, shifting larger entries into a hole.
+func insertionSort(s []stagedEntry) {
+	for i := 1; i < len(s); i++ {
+		e, j := s[i], i
+		for ; j > 0 && stageLess(&e, &s[j-1]); j-- {
+			s[j] = s[j-1]
+		}
+		s[j] = e
+	}
+}
+
+// mergeRuns merges the sorted runs a and b into dst, len(a)+len(b) long.
+func mergeRuns(dst, a, b []stagedEntry) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if stageLess(&b[j], &a[i]) {
+			dst[i+j], j = b[j], j+1
+		} else {
+			dst[i+j], i = a[i], i+1
+		}
+	}
+	copy(dst[i+j:], a[i:])
+	copy(dst[len(a)+j:], b[j:])
+}
+
+// stagePop consumes the run's head; a consumed run resets to empty.
+func (w *timerWheel) stagePop() {
+	w.top++
+	if w.top == len(w.staged) {
+		w.staged, w.top = w.staged[:0], 0
+	}
+}
+
+// dropDeadStaged frees cancelled tombstones off the head of the run so peek
+// always surfaces a live event.
 func (w *timerWheel) dropDeadStaged() {
-	for len(w.staged) > 0 {
-		top := w.staged[0].idx
-		if w.nodes[top-1].ev.kind() != evDead {
+	for w.top < len(w.staged) {
+		idx := w.staged[w.top].idx
+		if w.nodes[idx-1].ev.kind() != evDead {
 			return
 		}
 		w.stagePop()
-		w.free(top)
+		w.free(idx)
 	}
 }
 
@@ -331,7 +382,7 @@ func (w *timerWheel) scanAbove(level, pos int) (int, bool) {
 }
 
 // advance moves the cursor to the next slot holding events and loads it
-// into staging. It returns false when the wheel holds nothing at all.
+// into the run. It returns false when the wheel holds nothing at all.
 // Events at a level's current position were cascaded when the cursor got
 // there, so only positions strictly ahead need scanning; when a level's
 // aligned window is exhausted the next occupied higher-level slot is
@@ -345,12 +396,10 @@ func (w *timerWheel) advance() bool {
 			idx := int32(w.head[0][p])
 			w.head[0][p] = 0
 			w.occ[0][p>>6] &^= 1 << (uint(p) & 63)
-			for idx != 0 {
-				n := &w.nodes[idx-1]
-				next := n.next
-				w.stagePush(idx, n)
-				idx = next
+			for ; idx != 0; idx = w.nodes[idx-1].next {
+				w.stage(idx, &w.nodes[idx-1])
 			}
+			w.sortRun()
 			return true
 		}
 		// Window exhausted: cascade the next occupied slot of the lowest
@@ -385,18 +434,19 @@ func (w *timerWheel) advance() bool {
 		}
 		if len(w.staged) > 0 {
 			// Cascading landed events directly in the cursor's own slot.
+			w.sortRun()
 			return true
 		}
 	}
 }
 
 // peek returns the next event's node index without dispatching it, loading
-// the next slot into staging if needed. Returns 0 when the wheel is empty.
+// the next slot into the run if needed. Returns 0 when the wheel is empty.
 func (w *timerWheel) peek() int32 {
 	for {
 		w.dropDeadStaged()
-		if len(w.staged) > 0 {
-			return w.staged[0].idx
+		if w.top < len(w.staged) {
+			return w.staged[w.top].idx
 		}
 		if !w.advance() {
 			return 0

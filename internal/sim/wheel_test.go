@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -264,121 +265,243 @@ func (h *refHeap) Pop() any {
 	return ev
 }
 
+// wheelVsRef drives a timerWheel and the reference heap in lock step: every
+// arm and cancel goes to both, and every pop must return the same event.
+type wheelVsRef struct {
+	t       *testing.T
+	name    string
+	w       timerWheel
+	ref     refHeap
+	handles []timerHandle
+	seq     uint64
+	now     simtime.Time // the last popped event's timestamp
+}
+
+func (d *wheelVsRef) arm(at, emit simtime.Time, tie uint32) timerHandle {
+	tk := tie<<8 | uint32(evArrive)
+	h := timerHandle{idx: d.w.arm(at, emit, d.seq, tk, 0, nil), seq: d.seq}
+	heap.Push(&d.ref, event{at: at, emit: emit, seq: d.seq, tk: tk})
+	d.handles = append(d.handles, h)
+	d.seq++
+	return h
+}
+
+// cancel cancels any handle ever issued: filed, staged, fired or already
+// cancelled. The reference finds the event by its seq.
+func (d *wheelVsRef) cancel(h timerHandle) {
+	live := -1
+	for i := range d.ref {
+		if d.ref[i].seq == h.seq {
+			live = i
+		}
+	}
+	if d.w.cancel(h) != (live >= 0) {
+		d.t.Fatalf("%s: cancel of seq %d returned %v, reference says live=%v", d.name, h.seq, live < 0, live >= 0)
+	}
+	if live >= 0 {
+		heap.Remove(&d.ref, live)
+	}
+}
+
+func (d *wheelVsRef) pop() {
+	got, want := popNext(&d.w), heap.Pop(&d.ref).(event)
+	if got != want {
+		d.t.Fatalf("%s: wheel popped (at %d emit %d tie %d seq %d), reference heap (at %d emit %d tie %d seq %d)",
+			d.name, got.at, got.emit, got.tie(), got.seq, want.at, want.emit, want.tie(), want.seq)
+	}
+	d.now = got.at
+}
+
+func (d *wheelVsRef) drain() {
+	for len(d.ref) > 0 {
+		d.pop()
+	}
+	if d.w.peek() != 0 || d.w.count != 0 {
+		d.t.Fatalf("%s: wheel still holds %d events after the reference drained", d.name, d.w.count)
+	}
+}
+
 // TestWheelMatchesReferenceHeap drives the wheel and the reference heap with
 // one randomised schedule — arms, cancels (of filed, staged, fired and
 // already-cancelled timers) and pops interleaved, timestamps spanning
 // several wheel levels, and every key drawn from a handful of values so that
 // ties on at, on (at, emit) and on (at, emit, tie) are all common — and
-// requires the same event out of both at every pop. A second, flood-shaped
-// schedule then puts everything on one timestamp.
+// requires the same event out of both at every pop. Shaped schedules follow:
+// a flood on one timestamp, crowded slots that run every merge width, a
+// cascade into the cursor's own slot, and a slot armed into while it drains.
 func TestWheelMatchesReferenceHeap(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(trial))
-		var w timerWheel
-		var ref refHeap
-		var handles []timerHandle
-		now, seq := simtime.Time(0), uint64(0)
-		pop := func() {
-			got, want := popNext(&w), heap.Pop(&ref).(event)
-			if got != want {
-				t.Fatalf("trial %d: wheel popped (at %d emit %d tie %d seq %d), reference heap (at %d emit %d tie %d seq %d)",
-					trial, got.at, got.emit, got.tie(), got.seq, want.at, want.emit, want.tie(), want.seq)
-			}
-			now = got.at
-		}
+		d := &wheelVsRef{t: t, name: fmt.Sprintf("trial %d", trial)}
 		for step := 0; step < 4000; step++ {
 			switch r := rng.Intn(10); {
-			case r < 6: // arm
-				at := now + simtime.Time(rng.Intn(4))<<uint(rng.Intn(34))
+			case r < 6:
+				at := d.now + simtime.Time(rng.Intn(4))<<uint(rng.Intn(34))
 				if rng.Intn(3) == 0 {
-					at = now + simtime.Time(rng.Intn(3)) // same slot, often the same picosecond
+					at = d.now + simtime.Time(rng.Intn(3)) // same slot, often the same picosecond
 				}
-				emit := simtime.Time(rng.Intn(3))
-				tk := uint32(rng.Intn(3))<<8 | uint32(evArrive)
-				idx := w.arm(at, emit, seq, tk, 0, nil)
-				heap.Push(&ref, event{at: at, emit: emit, seq: seq, tk: tk})
-				handles = append(handles, timerHandle{idx: idx, seq: seq})
-				seq++
-			case r < 8: // cancel any handle ever issued
-				if len(handles) == 0 {
-					continue
-				}
-				h := handles[rng.Intn(len(handles))]
-				live := -1
-				for i := range ref {
-					if ref[i].seq == h.seq {
-						live = i
-					}
-				}
-				if w.cancel(h) != (live >= 0) {
-					t.Fatalf("trial %d: cancel of seq %d returned %v, reference says live=%v", trial, h.seq, live < 0, live >= 0)
-				}
-				if live >= 0 {
-					heap.Remove(&ref, live)
+				d.arm(at, simtime.Time(rng.Intn(3)), uint32(rng.Intn(3)))
+			case r < 8:
+				if len(d.handles) > 0 {
+					d.cancel(d.handles[rng.Intn(len(d.handles))])
 				}
 			default:
-				if len(ref) > 0 {
-					pop()
+				if len(d.ref) > 0 {
+					d.pop()
 				}
 			}
-			if w.count != len(ref) {
-				t.Fatalf("trial %d: wheel holds %d live events, reference %d", trial, w.count, len(ref))
+			if d.w.count != len(d.ref) {
+				t.Fatalf("trial %d: wheel holds %d live events, reference %d", trial, d.w.count, len(d.ref))
 			}
 		}
-		for len(ref) > 0 {
-			pop()
-		}
-		if w.peek() != 0 {
-			t.Fatalf("trial %d: wheel still holds events after the reference drained", trial)
-		}
+		d.drain()
 	}
 
 	// Flood shape: a lock-step broadcast lands hundreds of arrivals on one
-	// timestamp, so the staging heap holds them all at once and every
-	// comparison falls through at — to emit, to the tie key, to seq. A fifth
-	// are cancelled after staging (tombstoned mid-heap), and more arrive on
-	// the same timestamp while the slot drains.
+	// timestamp, so the run holds them all at once and every comparison falls
+	// through at — to emit, to the tie key, to seq. A fifth are cancelled
+	// after staging (tombstoned mid-run), and more arrive on the same
+	// timestamp while the slot drains.
 	rng := rand.New(rand.NewSource(99))
-	var w timerWheel
-	var ref refHeap
-	var handles []timerHandle
-	at, seq := simtime.Time(7)<<wheelShift+3, uint64(0)
-	arm := func() {
-		emit, tk := simtime.Time(rng.Intn(3)), uint32(rng.Intn(4))<<8|uint32(evArrive)
-		handles = append(handles, timerHandle{idx: w.arm(at, emit, seq, tk, 0, nil), seq: seq})
-		heap.Push(&ref, event{at: at, emit: emit, seq: seq, tk: tk})
-		seq++
-	}
+	d := &wheelVsRef{t: t, name: "flood"}
+	at := simtime.Time(7)<<wheelShift + 3
 	for i := 0; i < 320; i++ {
-		arm()
+		d.arm(at, simtime.Time(rng.Intn(3)), uint32(rng.Intn(4)))
 	}
-	if w.peek() == 0 || len(w.staged) != 320 {
-		t.Fatalf("flood: %d events staged after peek, want all 320", len(w.staged))
+	if d.w.peek() == 0 || len(d.w.staged) != 320 {
+		t.Fatalf("flood: %d events staged after peek, want all 320", len(d.w.staged))
 	}
-	for i, h := range handles {
-		if i%5 != 0 {
-			continue
+	for i := 0; i < 320; i += 5 {
+		d.cancel(d.handles[i])
+	}
+	for len(d.ref) > 0 {
+		d.pop()
+		if d.seq < 400 {
+			d.arm(at, simtime.Time(rng.Intn(3)), uint32(rng.Intn(4))) // staged directly
 		}
-		if !w.cancel(h) {
-			t.Fatalf("flood: cancel of staged seq %d failed", h.seq)
+	}
+	d.drain()
+
+	// Crowded slots: thousands of events spread over one slot's 16,384 ps,
+	// armed in descending key order, so every block reaches sortRun reversed
+	// and every merge width runs, a ragged last block included.
+	for _, n := range []int{3001, 4096} {
+		d := &wheelVsRef{t: t, name: fmt.Sprintf("crowded %d", n)}
+		base := simtime.Time(9) << wheelShift
+		for i := 0; i < n; i++ {
+			d.arm(base+simtime.Time((n-1-i)*(1<<wheelShift)/n), 0, 0)
 		}
-		for j := range ref {
-			if ref[j].seq == h.seq {
-				heap.Remove(&ref, j)
-				break
+		if d.w.peek(); len(d.w.staged) != n {
+			t.Fatalf("%s: %d events staged, want %d", d.name, len(d.w.staged), n)
+		}
+		d.drain()
+	}
+
+	// Cascade into the cursor's own slot: events filed at level 1 whose
+	// level-0 slot is the first of the cascaded window are staged by the
+	// cascade itself, not by a level-0 load.
+	rng = rand.New(rand.NewSource(7))
+	d = &wheelVsRef{t: t, name: "cascade"}
+	first := simtime.Time(wheelSlots) << wheelShift // level-0 slot 256: level 1, position 1
+	for i := 0; i < 300; i++ {
+		at := first + simtime.Time(rng.Intn(1<<wheelShift))
+		if i%3 == 0 {
+			at += simtime.Time(1+rng.Intn(8)) << wheelShift // later slots of the same window
+		}
+		d.arm(at, simtime.Time(rng.Intn(3)), uint32(rng.Intn(3)))
+	}
+	if d.w.peek(); len(d.w.staged) < 100 || d.w.cur != wheelSlots {
+		t.Fatalf("cascade: %d events staged at slot %d, want >= 100 at slot %d", len(d.w.staged), d.w.cur, wheelSlots)
+	}
+	d.drain()
+
+	// Arming into the slot while it drains: one event per pop keeps the run's
+	// length steady while its head advances (the consumed head is reclaimed),
+	// two per pop outgrow the run's capacity mid-slot, and every seventh
+	// staged event and every fifth new one is cancelled.
+	rng = rand.New(rand.NewSource(3))
+	d = &wheelVsRef{t: t, name: "drain-arm"}
+	base := simtime.Time(11) << wheelShift
+	end := base + 1<<wheelShift - 1
+	d.now = base
+	inSlot := func() {
+		h := d.arm(d.now+simtime.Time(rng.Int63n(int64(end-d.now)+1)), simtime.Time(rng.Intn(3)), uint32(rng.Intn(3)))
+		if h.seq%5 == 0 {
+			d.cancel(h)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		inSlot()
+	}
+	d.w.peek()
+	for i := 0; i < 60; i += 7 {
+		d.cancel(d.handles[i])
+	}
+	for i := 0; i < 600 && len(d.ref) > 0; i++ {
+		d.pop()
+		for k := 0; k <= i/300; k++ {
+			inSlot()
+		}
+		if int64(d.w.cur) != int64(base>>wheelShift) {
+			t.Fatalf("drain-arm: left slot %d for %d with the slot still arming", base>>wheelShift, d.w.cur)
+		}
+	}
+	d.drain()
+}
+
+// FuzzWheelOrder decodes arbitrary bytes into wheel operations — two bytes
+// an operation: arm, cancel or pop — and holds the wheel to the reference
+// heap. Arm delays come from a small set (same picosecond, same slot, the
+// next slot, levels 1 and 2) and emit and tie keys from four values each, so
+// slots crowd and ties reach every depth of the comparator.
+func FuzzWheelOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 0, 2, 3, 0, 3, 0, 3, 0})                   // three arms on one instant, three pops
+	f.Add([]byte{0, 0x45, 0, 0x46, 0, 0x47, 1, 1, 2, 0, 3, 0, 3, 0})    // one slot, a staged cancel, pops
+	f.Add([]byte{0, 6, 0, 7, 0, 5, 3, 0, 0, 1, 0, 2, 3, 0, 2, 3, 3, 0}) // levels 1 and 2, arms while draining
+	delays := [8]simtime.Time{0, 1, 100, 1<<wheelShift - 1, 1 << wheelShift,
+		1 << (wheelShift + wheelBits), 1<<(wheelShift+wheelBits) + 5<<wheelShift, 1 << (wheelShift + 2*wheelBits)}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 2*8192)]
+		d := &wheelVsRef{t: t, name: "fuzz"}
+		for ; len(data) >= 2; data = data[2:] {
+			op, v := data[0]%4, data[1]
+			switch {
+			case op <= 1:
+				d.arm(d.now+delays[v&7], simtime.Time(v>>3&3), uint32(v>>5&3))
+			case op == 2 && len(d.handles) > 0:
+				d.cancel(d.handles[int(v)%len(d.handles)])
+			case op == 3 && len(d.ref) > 0:
+				d.pop()
 			}
 		}
-	}
-	for len(ref) > 0 {
-		if got, want := popNext(&w), heap.Pop(&ref).(event); got != want {
-			t.Fatalf("flood: wheel popped (emit %d tie %d seq %d), reference heap (emit %d tie %d seq %d)",
-				got.emit, got.tie(), got.seq, want.emit, want.tie(), want.seq)
-		}
-		if seq < 400 {
-			arm() // lands in the slot being drained: staged directly
-		}
-	}
-	if w.peek() != 0 || w.count != 0 {
-		t.Fatalf("flood: wheel still holds %d events after the reference drained", w.count)
+		d.drain()
+	})
+}
+
+// BenchmarkStageSort times sortRun on runs of random-order entries, the shape
+// a crowded level-0 slot has: arm order says little about `at` within 16 ns.
+// ns/elem per run length is the sweep stageBlock was chosen on (DESIGN.md
+// §12); the run and spare are sized before the timer starts.
+func BenchmarkStageSort(b *testing.B) {
+	for _, n := range []int{18, 64, 256, 1024, 4096} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			src := make([]stagedEntry, n)
+			for i := range src {
+				src[i] = stagedEntry{at: simtime.Time(rng.Intn(1 << wheelShift)), seq: uint64(i), idx: int32(i + 1)}
+			}
+			var w timerWheel
+			for cap(w.staged) < n {
+				w.growRun()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.staged = append(w.staged[:0], src...)
+				w.sortRun()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/elem")
+		})
 	}
 }
