@@ -1,12 +1,12 @@
 // Command r2c2-lint runs the repo's custom static-analysis rules (package
-// internal/analysis): the determinism and allocation invariants that keep
-// the simulator bit-reproducible and its hot paths allocation-free.
+// internal/analysis): the determinism invariants that keep the simulator
+// bit-reproducible and that no test catches.
 //
 // Usage:
 //
 //	r2c2-lint ./...                        # lint the whole module
 //	r2c2-lint -json ./...                  # machine-readable report
-//	r2c2-lint -rules alloc-hotpath ./...   # run only the named rules
+//	r2c2-lint -rules det-map-iter ./...    # run only the named rules
 //	r2c2-lint -list                        # list the rules and their scope
 //
 // -json emits an object {analyzer_version, rules, findings}: the version

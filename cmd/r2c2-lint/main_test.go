@@ -14,13 +14,13 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &out); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, rule := range []string{"no-wallclock", "unit-suffix", "alloc-hotpath", "det-map-iter"} {
+	for _, rule := range []string{"no-wallclock", "unit-suffix", "det-map-iter"} {
 		if !strings.Contains(out.String(), rule) {
 			t.Fatalf("rule listing missing %q:\n%s", rule, out.String())
 		}
 	}
-	if n := strings.Count(out.String(), "\n"); n != 4 {
-		t.Fatalf("rule listing has %d lines, want the 4 rules:\n%s", n, out.String())
+	if n := strings.Count(out.String(), "\n"); n != 3 {
+		t.Fatalf("rule listing has %d lines, want the 3 rules:\n%s", n, out.String())
 	}
 }
 
@@ -42,9 +42,9 @@ func writeTree(t *testing.T, files map[string]string) string {
 	return root
 }
 
-// multiPkgFixture trips every rule across two packages: a wall-clock read,
-// a hot-path allocation and an order-sensitive map iteration in
-// internal/sim, and unit-less exported quantities in internal/routing. The
+// multiPkgFixture trips every rule across two packages: a wall-clock read
+// and an order-sensitive map iteration in internal/sim, and unit-less
+// exported quantities in internal/routing. The
 // ignore directive names a rule outside any -rules filter, exercising
 // full-set directive validation.
 func multiPkgFixture(t *testing.T) string {
@@ -54,12 +54,6 @@ func multiPkgFixture(t *testing.T) string {
 import "time"
 
 func now() int64 { return time.Now().UnixNano() }
-
-//r2c2:hotpath
-func dispatch(n int) []int {
-	xs := make([]int, n)
-	return xs
-}
 `,
 		"internal/sim/flows.go": `package sim
 
@@ -104,18 +98,18 @@ func TestRunDeterministicOutput(t *testing.T) {
 func TestRunRuleFilter(t *testing.T) {
 	root := multiPkgFixture(t)
 	var out bytes.Buffer
-	err := run([]string{"-rules", "alloc-hotpath", root + "/..."}, &out)
+	err := run([]string{"-rules", "no-wallclock", root + "/..."}, &out)
 	if err == nil {
-		t.Fatal("hot-path make should survive the filter and exit non-zero")
+		t.Fatal("the wall-clock read should survive the filter and exit non-zero")
 	}
 	if _, ok := err.(errFindings); !ok {
 		t.Fatalf("want errFindings, got %T: %v", err, err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "alloc-hotpath") || !strings.Contains(got, "make allocates") {
-		t.Errorf("filtered run missing the alloc-hotpath finding:\n%s", got)
+	if !strings.Contains(got, "no-wallclock") || !strings.Contains(got, "wall-clock time.Now") {
+		t.Errorf("filtered run missing the no-wallclock finding:\n%s", got)
 	}
-	for _, absent := range []string{"no-wallclock", "unit-suffix", "unknown rule"} {
+	for _, absent := range []string{"det-map-iter", "unit-suffix", "unknown rule"} {
 		if strings.Contains(got, absent) {
 			t.Errorf("filtered run should not mention %q:\n%s", absent, got)
 		}

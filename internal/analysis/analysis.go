@@ -28,12 +28,14 @@ import (
 // changes meaning, so a stale CI artifact can never be mistaken for a
 // current clean bill.
 //
-// 1: syntactic rules + alloc-hotpath. 2: adds det-map-iter,
+// 1: syntactic rules + the hot-path allocation rule. 2: adds det-map-iter,
 // shard-ownership and atomic-plain-mix; reports become objects carrying
 // the rule set. 3: retires the four rules that never produced a fixed
 // finding (DESIGN.md §6 has the audit); eight remain. 4: retires the four
 // rules whose bug classes the golden, byte-identity and -race tests catch.
-const Version = 4
+// 5: retires the hot-path allocation rule and its //r2c2: marker; runtime
+// allocation gates hold its invariant (DESIGN.md §11).
+const Version = 5
 
 // Diagnostic is one finding: a rule violation at a position.
 type Diagnostic struct {

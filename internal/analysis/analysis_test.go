@@ -30,6 +30,22 @@ func wantFindings(t *testing.T, diags []Diagnostic, n int, contains string) {
 	}
 }
 
+// checkModule runs module analyzers over in-memory packages and returns
+// the surviving findings.
+func checkModule(t *testing.T, pkgs map[string]map[string]string, as ...ModuleAnalyzer) []Diagnostic {
+	t.Helper()
+	diags, err := CheckSourceModule(pkgs, as)
+	if err != nil {
+		t.Fatalf("CheckSourceModule: %v", err)
+	}
+	return diags
+}
+
+// onePkg wraps a single file as a one-package module.
+func onePkg(path, src string) map[string]map[string]string {
+	return map[string]map[string]string{path: {"src.go": src}}
+}
+
 func TestNoWallclock(t *testing.T) {
 	a := NewNoWallclock("internal/sim")
 	cases := []struct {
@@ -258,7 +274,7 @@ func f() {
 func TestDefaultRuleSetScoping(t *testing.T) {
 	// Every rule in the default sets must have a unique name (ignore
 	// directives address rules by name), and the two sets together are
-	// exactly the four rules DESIGN.md §6 lists.
+	// exactly the three rules DESIGN.md §6 lists.
 	type rule interface {
 		Name() string
 		Doc() string
@@ -280,7 +296,7 @@ func TestDefaultRuleSetScoping(t *testing.T) {
 			t.Errorf("rule %q has no doc", a.Name())
 		}
 	}
-	want := []string{"no-wallclock", "unit-suffix", "alloc-hotpath", "det-map-iter"}
+	want := []string{"no-wallclock", "unit-suffix", "det-map-iter"}
 	for _, name := range want {
 		if !seen[name] {
 			t.Errorf("default rule set is missing %q", name)

@@ -622,3 +622,64 @@ func dedupStrings(s []string) []string {
 	}
 	return out
 }
+
+// builtinName returns the name of the builtin a call invokes, or "".
+func builtinName(pass *TypedPass, call *ast.CallExpr) string {
+	id, ok := call.Fun.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if _, ok := pass.Info.Uses[id].(*types.Builtin); ok {
+		return id.Name
+	}
+	return ""
+}
+
+// calleeFunc resolves a call's target to a named function, or nil for
+// dynamic calls (func values, field calls).
+func calleeFunc(pass *TypedPass, call *ast.CallExpr) *types.Func {
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := pass.Info.Uses[f].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pass.Info.Uses[f.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// stripSlices unwraps slice expressions: p.buf[:0] -> p.buf.
+func stripSlices(e ast.Expr) ast.Expr {
+	for {
+		s, ok := e.(*ast.SliceExpr)
+		if !ok {
+			return e
+		}
+		e = s.X
+	}
+}
+
+// isString reports a string-underlying type.
+func isString(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+// shortFuncName trims a FullName's package path to its last element,
+// preserving any "(*" / "(" receiver prefix:
+// "(*r2c2/internal/sim.Engine).Run" -> "(*sim.Engine).Run".
+func shortFuncName(full string) string {
+	i := strings.LastIndex(full, "/")
+	if i < 0 {
+		return full
+	}
+	j := 0
+	for j < len(full) && (full[j] == '(' || full[j] == '*') {
+		j++
+	}
+	return full[:j] + full[i+1:]
+}

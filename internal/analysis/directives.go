@@ -2,30 +2,24 @@ package analysis
 
 import (
 	"fmt"
-	"go/ast"
 	"strings"
 )
 
 // This file is the single parser for every comment directive the analyzer
 // understands. Directives are load-bearing: a //lint:ignore suppresses a
-// finding, a //r2c2:hotpath pulls a call tree into the allocation budget.
-// A malformed directive must therefore surface as a deterministic error —
+// finding. A malformed directive must therefore surface as a deterministic error —
 // never as a comment that silently stops doing its job (the rule would
 // simply not fire, which is exactly the failure mode directives exist to
 // prevent). FuzzParseDirective locks in that contract.
 
-// Directive kinds. LintIgnore carries rule names and a mandatory reason;
-// the //r2c2:hotpath marker carries an optional trailing note.
-const (
-	KindIgnore  = "ignore"  // //lint:ignore rule[,rule...] reason
-	KindHotpath = "hotpath" // //r2c2:hotpath [note]
-)
+// KindIgnore is the one directive kind: //lint:ignore rule[,rule...] reason.
+const KindIgnore = "ignore"
 
 // Directive is one parsed comment directive.
 type Directive struct {
 	Kind  string
-	Rules []string // KindIgnore: the rules being suppressed
-	Note  string   // KindIgnore: the mandatory reason; others: optional text
+	Rules []string // the rules being suppressed
+	Note  string   // the mandatory reason
 }
 
 // ParseDirective parses one comment's text. It returns (nil, nil) for a
@@ -63,30 +57,14 @@ func parseLint(rest string) (*Directive, error) {
 	return &Directive{Kind: KindIgnore, Rules: rules, Note: strings.Join(fields[1:], " ")}, nil
 }
 
-// parseR2C2 handles the //r2c2: namespace: a known marker name, optionally
-// followed by explanatory text after a space.
+// parseR2C2 handles the //r2c2: namespace, which holds no marker any more:
+// a retired allocation or ownership marker left behind, or anything else
+// written there, is reported rather than read as an annotation still
+// in force.
 func parseR2C2(rest string) (*Directive, error) {
-	name, note, _ := strings.Cut(rest, " ")
-	switch name {
-	case KindHotpath:
-		return &Directive{Kind: name, Note: strings.TrimSpace(note)}, nil
-	case "":
+	name, _, _ := strings.Cut(rest, " ")
+	if name == "" {
 		return nil, fmt.Errorf("malformed //r2c2: directive: missing name")
 	}
-	return nil, fmt.Errorf("unknown //r2c2: directive %q (known: %s)", name, KindHotpath)
-}
-
-// hasDirective reports whether a doc comment group carries the given
-// //r2c2: marker kind. Malformed directives are handled (reported) by
-// collectIgnores, which scans every comment; here they simply don't match.
-func hasDirective(doc *ast.CommentGroup, kind string) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if d, err := ParseDirective(c.Text); err == nil && d != nil && d.Kind == kind {
-			return true
-		}
-	}
-	return false
+	return nil, fmt.Errorf("unknown //r2c2: directive %q (the namespace has no markers)", name)
 }

@@ -21,8 +21,8 @@ func TestParseDirective(t *testing.T) {
 		{"//lint:ignore a,,b empty rule slot", "", nil, "empty rule name"},
 		{"//lint:ignore ,a leading comma", "", nil, "empty rule name"},
 		{"//lint:file-ignore foo whole-file suppression is not supported", "", nil, "unknown //lint: directive"},
-		{"//r2c2:hotpath", KindHotpath, nil, ""},
-		{"//r2c2:hotpath the event dispatch tree", KindHotpath, nil, ""},
+		{"//r2c2:hotpath", "", nil, "unknown //r2c2: directive"},
+		{"//r2c2:hotpath the event dispatch tree", "", nil, "unknown //r2c2: directive"},
 		{"//r2c2:shardowned", "", nil, "unknown //r2c2: directive"},
 		{"//r2c2:boundary epoch queue push", "", nil, "unknown //r2c2: directive"},
 		{"//r2c2:hotpath-annotated", "", nil, "unknown //r2c2: directive"},
@@ -72,9 +72,11 @@ func TestParseDirective(t *testing.T) {
 func TestMalformedDirectiveIsReported(t *testing.T) {
 	for _, marker := range []string{
 		"//r2c2:hotpth typo in the marker name",
-		// The retired ownership markers are no longer directives: one left
-		// behind must be reported, not read as an annotation still in force.
+		// The retired ownership and allocation markers are no longer
+		// directives: one left behind must be reported, not read as an
+		// annotation still in force.
 		"//r2c2:shardowned stale ownership marker",
+		"//r2c2:hotpath stale allocation marker",
 	} {
 		src := "package p\n\n" + marker + "\ntype Engine struct{ n int }\n"
 		diags, err := CheckSource("m/p", map[string]string{"src.go": src}, nil)
@@ -101,7 +103,7 @@ func FuzzParseDirective(f *testing.F) {
 		"//lint:ignore",
 		"//lint:ignore ,, reason",
 		"//lint:file-ignore x y",
-		"//r2c2:hotpath",
+		"//r2c2:hotpath", // retired marker, as below
 		"//r2c2:hotpath note",
 		"//r2c2:shardowned", // retired marker: an error now, like any unknown name
 		"//r2c2:hotpath-annotated",

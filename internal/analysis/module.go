@@ -11,12 +11,11 @@ import (
 
 // ModuleAnalyzer is a two-phase, type-aware rule. Phase one (Collect)
 // runs once per package with full type information and returns that
-// package's facts — whatever the rule needs to remember: hot-path roots
-// and call edges, map-order loops and the functions they call. Phase two
-// (Resolve) sees every package's facts at once and reports the findings
-// that only exist module-wide: an allocation two calls below a hot path in
-// another package, a map-order loop that schedules an event through a
-// helper in another package.
+// package's facts — whatever the rule needs to remember: map-order loops,
+// call edges, and which functions schedule events or publish across
+// goroutines. Phase two (Resolve) sees every package's facts at once and
+// reports the findings that only exist module-wide: a map-order loop that
+// schedules an event through a helper in another package.
 //
 // The split mirrors how the findings are actually computed: facts are
 // local and cheap, the judgement needs the whole program.
@@ -45,9 +44,6 @@ type PackageFacts struct {
 // syntactic rules of Default by RunAllKnown).
 func DefaultModule() []ModuleAnalyzer {
 	return []ModuleAnalyzer{
-		// The zero-alloc roadmap item is only landable if the annotated
-		// hot paths stay allocation-free between perf PRs.
-		NewAllocHotpath(),
 		// The sharded engine (ROADMAP) preserves byte-identical output
 		// only if no observable effect is ordered by Go's randomised map
 		// iteration. Scoped to the deterministic packages plus emu (the
@@ -82,7 +78,7 @@ func runModule(mod *Module, analyzers []ModuleAnalyzer) []Diagnostic {
 // directive's rule names against known — a directive naming an unknown
 // rule is itself a finding, never a silent suppression. known is explicit
 // because a caller running a filtered subset of rules (r2c2-lint -rules
-// alloc-hotpath) must still validate directives against the full rule set
+// det-map-iter) must still validate directives against the full rule set
 // (KnownRules), or every directive naming an unselected rule would
 // misreport as unknown.
 func RunAllKnown(root string, syntactic []Analyzer, module []ModuleAnalyzer, known map[string]bool) ([]Diagnostic, error) {

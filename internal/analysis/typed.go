@@ -19,9 +19,8 @@ import (
 // (two-phase) analyzers need to see a value's declared type and the
 // objects an identifier resolves to, not just its spelling.
 //
-// Typed passes cover the non-test files of a package: the invariants the
-// module rules guard (hot-path allocation, map-order determinism) live in
-// production code, and excluding _test.go keeps every package a single
+// Typed passes cover the non-test files of a package: the invariant the
+// module rule guards (map-order determinism) lives in production code, and excluding _test.go keeps every package a single
 // type-checkable unit.
 type TypedPass struct {
 	Pass

@@ -71,7 +71,6 @@ func (f *FlowInfo) RouteChangeBroadcast(tree uint8) *wire.Broadcast {
 }
 
 func (f *FlowInfo) broadcast(ev wire.EventKind, tree uint8) *wire.Broadcast {
-	//lint:ignore alloc-hotpath one header per flow event (start/finish/demand), never per data packet
 	return &wire.Broadcast{
 		Event:      ev,
 		Src:        uint16(f.Src),
@@ -184,7 +183,6 @@ func (v *View) Apply(b *wire.Broadcast) error {
 		}
 		v.upsert(old)
 	default:
-		//lint:ignore alloc-hotpath error path: unknown broadcast events are rejected, not processed
 		return fmt.Errorf("core: unknown broadcast event %v", b.Event)
 	}
 	return nil
@@ -216,7 +214,6 @@ func (v *View) upsert(info FlowInfo) {
 // grow doubles the table and re-files every entry.
 func (v *View) grow() {
 	old := v.slots
-	//lint:ignore alloc-hotpath doubling growth, amortised over the insertions that filled the table
 	v.slots = make([]viewSlot, 2*len(old))
 	v.shift--
 	for _, s := range old {
@@ -570,7 +567,6 @@ func NewDemandEstimator(period simtime.Time, alpha float64) *DemandEstimator {
 	if period <= 0 {
 		panic("core: non-positive demand estimation period")
 	}
-	//lint:ignore alloc-hotpath per-flow constructor, amortised over the flow's lifetime
 	return &DemandEstimator{period: period, ewma: stats.NewEWMA(alpha)}
 }
 

@@ -47,10 +47,10 @@ func (c rackClock) now() time.Time {
 }
 
 // after is time.After for the emulator's bounded pacing and backoff
-// sleeps, all of which race a ctx.Done() case.
+// sleeps, all of which race a ctx.Done() case: the channel of a timer no
+// one stops, which is how time.After builds it.
 func (c rackClock) after(d time.Duration) <-chan time.Time {
-	//lint:ignore no-wallclock,alloc-hotpath bounded pacing/backoff sleeps (>500us, batched), so the timer allocation is amortised; every caller selects on ctx.Done too
-	return time.After(d)
+	return hostTimer(d).C
 }
 
 // newTicker drives the periodic rate recomputation (the host-time
@@ -60,8 +60,9 @@ func (c rackClock) newTicker(d time.Duration) *time.Ticker {
 	return time.NewTicker(d)
 }
 
-// hostTimer is the one clock primitive not tied to a rack: Flow.Wait
-// offers its caller a host-time timeout on a flow that may belong to an
+// hostTimer is the one clock primitive not tied to a rack, and the
+// chokepoint's only timer: after takes its channel, and Flow.Wait offers
+// its caller a host-time timeout on a flow that may belong to an
 // already-stopped rack. It returns a Timer (not a bare channel) so the
 // caller can Stop it when the flow wins the race — time.After would leak
 // the timer until it fires.

@@ -364,8 +364,6 @@ func (r *Rack) MaxQueueBytes() []int64 {
 // linkLoop paces packets through one virtual link at the configured
 // bandwidth and hands them to the downstream node — the emu analogue of
 // Maze's outgoing-link machinery.
-//
-//r2c2:hotpath
 func (r *Rack) linkLoop(lid topology.LinkID) {
 	defer r.wg.Done()
 	p := r.ports[lid]
@@ -459,8 +457,6 @@ func (r *Rack) enqueue(lid topology.LinkID, pkt emuPkt) bool {
 // consumes the packet's reference: forwarding transfers it to the next
 // port's channel, every terminating path (delivery, corruption, flood end)
 // releases it.
-//
-//r2c2:hotpath
 func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 	b := pkt.buf
 	switch {
@@ -568,8 +564,6 @@ func (r *Rack) newBcastPkt(b *wire.Broadcast) emuPkt {
 // into a stack header (DecodeDataInto — one *DataHeader per packet here
 // used to be the receive path's biggest allocator), byte accounting, flow
 // completion.
-//
-//r2c2:hotpath
 func (r *Rack) deliverData(at topology.NodeID, pkt emuPkt) {
 	defer r.release(pkt) // payload is consumed before this frame returns
 	var h wire.DataHeader
@@ -601,7 +595,6 @@ func (r *Rack) deliverData(at topology.NodeID, pkt emuPkt) {
 
 // finishFlow marks a flow complete exactly once.
 func (r *Rack) finishFlow(n *emuNode, f *Flow, id wire.FlowID) {
-	//lint:ignore alloc-hotpath the completion closure runs once per flow, not per packet
 	f.doneOnce.Do(func() {
 		f.finished.Store(r.clk.nowNs())
 		close(f.done)
@@ -718,8 +711,6 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 // mbuf pool (released by whoever terminates the packet), and path
 // sampling, route encoding and the payload source all reuse per-sender or
 // shared buffers.
-//
-//r2c2:hotpath
 func (r *Rack) flowSender(n *emuNode, f *Flow) {
 	defer r.wg.Done()
 	rng := rand.New(rand.NewSource(r.cfg.Seed ^ int64(f.Info.ID)))

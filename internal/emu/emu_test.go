@@ -271,3 +271,54 @@ func TestEmuQueueStats(t *testing.T) {
 		t.Fatal("no port ever held a queued packet")
 	}
 }
+
+// TestEmuDataPathDoesNotAllocate gates the emulator's per-packet paths —
+// flowSender's path sampling, route encoding and header encoding, linkLoop's
+// pacing, receive's forwarding and deliverData's decode — by what the whole
+// process allocates while bulk flows cross a 4×4 torus one after another.
+// Links run at 100 Gbps, so no token bucket sleeps on a timer. Segments the
+// mbuf pool allocates on a miss are subtracted: the pool keeps at most
+// mbufPoolIdleCap idle segments, fewer than a bulk flow holds in flight, so
+// misses are steady-state churn that the pool's own counter accounts for.
+//
+// Each flow is 1,000 packets, fewer than a port queue holds, so no queue can
+// overflow however the host schedules the link goroutines. Unpaced, a longer
+// flow outruns its destination: the last hop's queues fill and drop (see
+// ROADMAP item 10). What remains is each flow's fixed cost (its handle,
+// goroutine and rng, two floods), about 0.013 per packet-hop; one
+// allocation per packet reads ≥ 0.25.
+func TestEmuDataPathDoesNotAllocate(t *testing.T) {
+	const packets = 1000
+	r := newRack(t, Config{LinkMbps: 100000, Protocol: routing.RPS})
+	hops := func() uint64 {
+		var n uint64
+		for _, p := range r.ports {
+			n += p.enqueued.Load()
+		}
+		return n
+	}
+	send := func() {
+		f, err := r.StartFlow(0, 10, packets*(1500-wire.DataHeaderSize), 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Wait(30 * time.Second); err != nil {
+			t.Fatalf("%v (%d drops)", err, r.Drops())
+		}
+	}
+	send() // warm: the pool, the views, the flow maps
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	segs, h := r.MbufStats().Allocs, hops()
+	for i := 0; i < 8; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	segs, h = r.MbufStats().Allocs-segs, hops()-h
+	if drops := r.Drops(); drops != 0 {
+		t.Fatalf("%d drops: not every packet crossed the fabric", drops)
+	}
+	if perHop := float64(after.Mallocs-before.Mallocs-segs) / float64(h); perHop > 0.05 {
+		t.Fatalf("%.4f allocations per packet-hop over %d hops, want ≤ 0.05", perHop, h)
+	}
+}

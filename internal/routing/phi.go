@@ -82,19 +82,24 @@ func (t *Table) dorPath(src, dst topology.NodeID) []topology.LinkID {
 func (t *Table) dorNext(v, dst topology.NodeID) topology.LinkID {
 	g := t.g
 	if g.Radix() > 0 && !g.Degraded() { // cube graph: dimension-order
-		cv := g.Coord(v)
-		var off []int
+		k, dims := g.Radix(), g.Dims()
+		// Scratch on the stack for up to eight dimensions: the emulator
+		// samples a DOR path per packet, from goroutines sharing the table.
+		var stack [3 * 8]int
+		scratch := stack[:]
+		if 3*dims > len(scratch) {
+			scratch = make([]int, 3*dims)
+		}
+		cv, off := g.CoordInto(scratch[:dims], v), scratch[dims:2*dims]
 		if g.Kind() == topology.KindTorus {
-			off = g.TorusOffset(v, dst)
+			g.TorusOffsetInto(off, v, dst)
 		} else {
-			cd := g.Coord(dst)
-			//lint:ignore alloc-hotpath dims-bounded mesh-offset scratch at route-build time; sim interns DOR routes per flow
-			off = make([]int, g.Dims())
+			cd := g.CoordInto(scratch[2*dims:3*dims], dst)
 			for d := range off {
 				off[d] = cd[d] - cv[d]
 			}
 		}
-		for d := 0; d < g.Dims(); d++ {
+		for d := 0; d < dims; d++ {
 			if off[d] == 0 {
 				continue
 			}
@@ -102,11 +107,8 @@ func (t *Table) dorNext(v, dst topology.NodeID) topology.LinkID {
 			if off[d] < 0 {
 				step = -1
 			}
-			//lint:ignore alloc-hotpath dims-bounded coordinate scratch at route-build time, not per forwarded packet
-			next := make([]int, g.Dims())
-			copy(next, cv)
-			next[d] = ((cv[d]+step)%g.Radix() + g.Radix()) % g.Radix()
-			lid, ok := g.LinkBetween(v, g.NodeAt(next))
+			cv[d] = ((cv[d]+step)%k + k) % k // cv becomes the next hop's coordinates
+			lid, ok := g.LinkBetween(v, g.NodeAt(cv))
 			if !ok {
 				panic("routing: missing cube link")
 			}

@@ -376,6 +376,53 @@ func TestPortRouteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendPathAllocFree: the emulator samples a path per data packet into
+// a per-sender buffer, so sampling must allocate nothing once the buffer has
+// grown, under every protocol a flow can use.
+func TestAppendPathAllocFree(t *testing.T) {
+	mesh, err := topology.NewMesh(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topology.Graph{torus(t, 4, 3), mesh} {
+		tab := NewTable(g)
+		dst := topology.NodeID(g.Nodes() - 1)
+		for _, p := range []Protocol{DOR, RPS, VLB, WLB} {
+			rng := rand.New(rand.NewSource(1))
+			buf := make([]topology.LinkID, 0, 64)
+			for i := 0; i < 1000; i++ { // VLB's waypoints fill the per-destination successor cache
+				buf = tab.AppendPath(buf[:0], p, 0, dst, rng)
+			}
+			allocs := testing.AllocsPerRun(100, func() { buf = tab.AppendPath(buf[:0], p, 0, dst, rng) })
+			if allocs != 0 {
+				t.Errorf("%v on %v: %v allocations per sampled path, want 0", p, g.Kind(), allocs)
+			}
+		}
+	}
+}
+
+// TestAppendPortRouteAllocFree: the emulator encodes a port route per data
+// packet into a per-sender buffer; once that buffer has grown to a route's
+// length, encoding allocates nothing.
+func TestAppendPortRouteAllocFree(t *testing.T) {
+	g := torus(t, 4, 3)
+	tab := NewTable(g)
+	path := tab.SamplePath(VLB, 0, 42, rand.New(rand.NewSource(1)))
+	buf := make(wire.Route, 0, wire.MaxRouteHops)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if buf, err = tab.AppendPortRoute(buf[:0], path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(buf) != len(path) {
+		t.Fatalf("route has %d ports for a %d-hop path", len(buf), len(path))
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per route encoding, want 0", allocs)
+	}
+}
+
 func TestWalkPortsRejectsBadPort(t *testing.T) {
 	g := torus(t, 3, 2)
 	tab := NewTable(g)

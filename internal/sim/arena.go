@@ -85,9 +85,7 @@ func (a *pktArena) stats() ArenaStats {
 // packet tagged pooled, back-linked to its slab and given its window of the
 // slab's one array of route-sampling buffers.
 func (a *pktArena) newSlab() *pktSlab {
-	//lint:ignore alloc-hotpath one slab per 64-packet pool-capacity step, amortised across the run
 	s := &pktSlab{nfree: pktSlabSize}
-	//lint:ignore alloc-hotpath the slab's sampling buffers, one array per slab
 	scratch := make([]topology.LinkID, pktSlabSize*a.pathCap)
 	for i := 0; i < pktSlabSize; i++ {
 		s.freeIdx[i] = uint8(i)
@@ -113,13 +111,11 @@ func (a *pktArena) alloc() *Packet {
 		a.idle = a.idle[:k-1]
 		s.list = slabPartial
 		s.pos = len(a.partial)
-		//lint:ignore alloc-hotpath list append is amortised and bounded by slab count, not packet count
 		a.partial = append(a.partial, s)
 	} else {
 		s = a.newSlab()
 		s.list = slabPartial
 		s.pos = len(a.partial)
-		//lint:ignore alloc-hotpath list append is amortised and bounded by slab count, not packet count
 		a.partial = append(a.partial, s)
 	}
 	s.nfree--
@@ -148,7 +144,6 @@ func (a *pktArena) free(p *Packet) {
 		// Was full: back onto the partial list.
 		s.list = slabPartial
 		s.pos = len(a.partial)
-		//lint:ignore alloc-hotpath list append is amortised and bounded by slab count, not packet count
 		a.partial = append(a.partial, s)
 	case s.nfree == pktSlabSize:
 		// Fully drained: off partial, onto idle or released to the GC.

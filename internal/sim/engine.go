@@ -164,13 +164,10 @@ func (e *Engine) NextEventAt() (simtime.Time, bool) {
 // early the clock is advanced to until. It returns the number of events
 // processed by this call.
 //
-// Run is the simulator's hot loop: the annotation puts the whole typed
-// dispatch tree — wheel ops, Network forwarding, both transports — under
-// the allocation budget. evFunc closures dispatch dynamically and escape
-// the static call graph, so cold control-plane callbacks stay off-budget
-// by construction; anything per-packet must use a typed event.
-//
-//r2c2:hotpath
+// Run is the simulator's hot loop. Anything per-packet must use a typed
+// event: an evFunc closure is allocated where it is scheduled, which only
+// cold control-plane callbacks can afford (DESIGN.md §11's gates measure
+// the per-packet paths).
 func (e *Engine) Run(until simtime.Time) uint64 {
 	start := e.count
 	for {
@@ -180,7 +177,6 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 		}
 		ev := e.wheel.take(idx)
 		if invariantsEnabled {
-			//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
 			assertInvariant(ev.at >= e.now, "stale event pop: event at %v behind clock %v (clock must never go backwards)", ev.at, e.now)
 		}
 		e.now = ev.at

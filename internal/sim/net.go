@@ -264,7 +264,6 @@ func (n *Network) newPacket() *Packet {
 // slab back-link stay with the packet.
 func (n *Network) freePacket(p *Packet) {
 	if invariantsEnabled {
-		//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
 		assertInvariant(!p.pooled, "packet double-free/use-after-free: kind %d flow %v seq %d", p.Kind, p.Flow, p.Seq)
 	}
 	scratch, slab, slabIdx := p.scratch, p.slab, p.slabIdx
@@ -591,7 +590,6 @@ func (n *Network) transmit(p *port) {
 		return
 	}
 	if invariantsEnabled {
-		//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
 		assertInvariant(!pkt.pooled, "transmit of pooled packet: kind %d flow %v seq %d", pkt.Kind, pkt.Flow, pkt.Seq)
 	}
 	p.queued -= pkt.SizeBytes
@@ -659,7 +657,6 @@ func (n *Network) exportPacket(dst int32, at simtime.Time, p *port, pkt *Packet)
 	if pkt.Kind == KindBroadcast {
 		h.bcast = pkt.Bcast
 	} else {
-		//lint:ignore alloc-hotpath handoff path buffers recycle with their slots; growth is amortised across epochs
 		h.path = append(h.path, pkt.Path[pkt.Hop:]...)
 	}
 	n.freePacket(pkt)
@@ -727,7 +724,6 @@ func (n *Network) kickUpstream(node topology.NodeID, flow wire.FlowID) {
 // forwarding along its source route.
 func (n *Network) arrive(node topology.NodeID, pkt *Packet) {
 	if invariantsEnabled {
-		//lint:ignore alloc-hotpath debug-only assertion args; invariantsEnabled is constant-false in release builds
 		assertInvariant(!pkt.pooled, "arrival of pooled packet: kind %d flow %v seq %d", pkt.Kind, pkt.Flow, pkt.Seq)
 	}
 	switch pkt.Kind {

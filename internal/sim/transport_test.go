@@ -381,46 +381,48 @@ func TestFlowRecordAccessors(t *testing.T) {
 	}
 }
 
-// TestSteadyDataPathDoesNotAllocate is the runtime half of the allocation
-// gate (DESIGN.md §11): what the data path allocates once the flows are
-// running, measured rather than inferred from the source. Eight long flows at
-// line rate on a 4×4×4 torus (167 packets × 3 hops each per 200 µs step, twice
-// the hops under VLB), ρ far beyond the test so no recomputation lands in the
-// measurement. Nothing does: a DOR flow reuses its one interned path, an RPS
-// or VLB packet samples into the buffer its slab carved for it, sized for the
-// longest path the protocol can draw; flow-table slots, reorder windows and
-// the reorder counters are indexed in place, and port queues link packets
-// through the packets themselves. The PFQ baseline's rings, credit lists and
-// queue records are reused once they have reached the working size.
+// TestSteadyDataPathDoesNotAllocate is the allocation gate of every
+// transport's per-packet path (DESIGN.md §11): what the data path allocates
+// once the flows are running, measured rather than inferred from the source.
+// Eight long flows at line rate on a 4×4×4 torus (167 packets × 3 hops each
+// per 200 µs step, twice the hops under VLB), ρ far beyond the test so no
+// recomputation lands in the measurement. Nothing does: a DOR flow reuses its
+// one interned path, an RPS, VLB or WLB packet samples into the buffer its
+// slab carved for it, sized for the longest path the protocol can draw;
+// flow-table slots, reorder windows and the reorder counters are indexed in
+// place, and port queues link packets through the packets themselves. The PFQ
+// baseline's rings, credit lists and queue records are reused once they have
+// reached the working size.
+//
+// TCP and reliable R2C2 add the receive paths, which the network reaches
+// through its Deliver callback: acks, reorder windows, the send-time ring
+// and, on lossy links, fast retransmit and R2C2's go-back-N timeouts.
 func TestSteadyDataPathDoesNotAllocate(t *testing.T) {
 	if invariantsEnabled {
 		t.Skip("the debug build's assertions box their arguments on every packet touch")
 	}
-	const step = 200 * simtime.Microsecond
+	// steady measures one step of a warmed run.
 	steady := func(t *testing.T, eng *Engine, net *Network) {
-		run := func() { eng.Run(eng.Now() + step) }
-		// Warm: the start floods over; the arenas, the wheel, the reorder
-		// windows and PFQ's rings, credit lists and records at their working size.
-		run()
 		const runs = 5
 		before := net.PktHops
-		allocs := testing.AllocsPerRun(runs, run)
+		allocs := testing.AllocsPerRun(runs, func() { runSteps(eng, 1) })
 		hops := (net.PktHops - before) / (runs + 1) // AllocsPerRun adds a warm-up call
 		if hops < 3900 {
-			t.Fatalf("a step made %d hops, want ~4000 for the bound to mean anything", hops)
+			t.Fatalf("a step made %d hops, want ~4000 or more for the bound to mean anything", hops)
 		}
 		if allocs != 0 {
 			t.Fatalf("%v allocations per %d-hop step, want 0", allocs, hops)
 		}
 	}
-	for _, proto := range []routing.Protocol{routing.DOR, routing.RPS, routing.VLB} {
+	// One step warms a run: the start floods over; the arenas, the wheel, the
+	// reorder windows and PFQ's rings, credit lists and records reach their
+	// working size.
+	for _, proto := range []routing.Protocol{routing.DOR, routing.RPS, routing.VLB, routing.WLB} {
 		t.Run(proto.String(), func(t *testing.T) {
 			g := torus(t, 4, 3)
 			eng, net, r := newR2C2Net(t, g, R2C2Config{Protocol: proto, Recompute: simtime.Second})
-			for i := 0; i < 8; i++ {
-				src := topology.NodeID(8 * i)
-				r.StartFlow(src, (src+21)%topology.NodeID(g.Nodes()), 1<<30, 1, 0)
-			}
+			startLongFlows(g, func(src, dst topology.NodeID) { r.StartFlow(src, dst, 1<<30, 1, 0) })
+			runSteps(eng, 1)
 			steady(t, eng, net)
 		})
 	}
@@ -429,10 +431,106 @@ func TestSteadyDataPathDoesNotAllocate(t *testing.T) {
 		eng := &Engine{}
 		net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true})
 		pfq := NewPFQ(net, routing.NewTable(g), 1)
-		for i := 0; i < 8; i++ {
-			src := topology.NodeID(8 * i)
-			pfq.StartFlow(src, (src+21)%topology.NodeID(g.Nodes()), 1<<30)
-		}
+		startLongFlows(g, func(src, dst topology.NodeID) { pfq.StartFlow(src, dst, 1<<30) })
+		runSteps(eng, 1)
 		steady(t, eng, net)
 	})
+	for _, loss := range []float64{0, 0.002} {
+		name := "lossless"
+		if loss > 0 {
+			name = "lossy"
+		}
+		// retransmits checks that a lossy run recovered from loss inside the
+		// measured steps, so the recovery path was measured too.
+		retransmits := func(t *testing.T, before, after uint64) {
+			if loss > 0 && after == before {
+				t.Fatal("no retransmission inside the measured steps: the recovery path went unmeasured")
+			}
+		}
+		t.Run("TCP/"+name, func(t *testing.T) {
+			g := torus(t, 4, 3)
+			eng, net := newLossyNet(g, loss)
+			tcp := NewTCP(net, routing.NewTable(g), TCPConfig{})
+			startLongFlows(g, func(src, dst topology.NodeID) { tcp.StartFlow(src, dst, 1<<30) })
+			runSteps(eng, 1)
+			before := tcp.Retransmissions
+			steady(t, eng, net)
+			retransmits(t, before, tcp.Retransmissions)
+		})
+		t.Run("Reliable/"+name, func(t *testing.T) {
+			g := torus(t, 4, 3)
+			eng, net := newLossyNet(g, loss)
+			r := NewR2C2(net, routing.NewTable(g), R2C2Config{Protocol: routing.RPS,
+				Recompute: simtime.Second, Reliable: true, RTO: 300 * simtime.Microsecond})
+			startLongFlows(g, func(src, dst topology.NodeID) { r.StartFlow(src, dst, 1<<30, 1, 0) })
+			// Lost packets hold up the reorder windows, which keep doubling
+			// for about the first ten steps.
+			if loss > 0 {
+				runSteps(eng, 20)
+			} else {
+				runSteps(eng, 1)
+			}
+			before := r.Retransmissions // only a timeout re-sends a chunk
+			steady(t, eng, net)
+			retransmits(t, before, r.Retransmissions)
+		})
+	}
+}
+
+// TestTCPTimeoutDoesNotAllocate gates TCP's timeout path, which random loss
+// never reaches: fast retransmit absorbs it. Once every link drops
+// everything, the only packets left on the wire are the retransmissions of
+// expiring timers, so the drop counter shows the timeouts firing inside the
+// measured steps.
+func TestTCPTimeoutDoesNotAllocate(t *testing.T) {
+	if invariantsEnabled {
+		t.Skip("the debug build's assertions box their arguments on every packet touch")
+	}
+	g := torus(t, 4, 3)
+	eng, net := newLossyNet(g, 0)
+	tcp := NewTCP(net, routing.NewTable(g), TCPConfig{})
+	startLongFlows(g, func(src, dst topology.NodeID) { tcp.StartFlow(src, dst, 1<<30) })
+	runSteps(eng, 5)
+	setLinkLoss(net, 1)
+	runSteps(eng, 5)
+	before := net.TotalDrops()
+	allocs := testing.AllocsPerRun(5, func() { runSteps(eng, 1) })
+	if drops := net.TotalDrops() - before; drops == 0 {
+		t.Fatal("no timeout fired inside the measured steps")
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per step of timeouts, want 0", allocs)
+	}
+}
+
+// runSteps advances a run by n of the allocation gates' 200 µs steps.
+func runSteps(eng *Engine, n int) {
+	for i := 0; i < n; i++ {
+		eng.Run(eng.Now() + 200*simtime.Microsecond)
+	}
+}
+
+// startLongFlows starts the allocation gates' eight long flows, each from
+// node 8i to 21 nodes on.
+func startLongFlows(g *topology.Graph, start func(src, dst topology.NodeID)) {
+	for i := 0; i < 8; i++ {
+		src := topology.NodeID(8 * i)
+		start(src, (src+21)%topology.NodeID(g.Nodes()))
+	}
+}
+
+// newLossyNet builds a 10 Gbps network whose every link drops a packet with
+// probability p (none when p is 0), from a fixed loss seed.
+func newLossyNet(g *topology.Graph, p float64) (*Engine, *Network) {
+	eng := &Engine{}
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PropDelay: 100 * simtime.Nanosecond, LossSeed: 1})
+	setLinkLoss(net, p)
+	return eng, net
+}
+
+// setLinkLoss makes every link drop a packet with probability p.
+func setLinkLoss(net *Network, p float64) {
+	for lid := 0; lid < net.G.NumLinks(); lid++ {
+		net.SetLinkDropProb(topology.LinkID(lid), p)
+	}
 }

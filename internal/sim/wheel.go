@@ -135,7 +135,6 @@ func (w *timerWheel) grow() {
 	if n < 64 {
 		n = 64
 	}
-	//lint:ignore alloc-hotpath arena growth is amortised: chunks recycle through the free list for the rest of the run
 	w.nodes = append(w.nodes, make([]timerNode, n)...)
 	for i := len(w.nodes); i > old; i-- {
 		w.nodes[i-1] = timerNode{next: w.freeHead, level: freeLevel}
@@ -268,7 +267,6 @@ func (w *timerWheel) growRun() {
 		return
 	}
 	c := max(64, 2*cap(w.staged))
-	//lint:ignore alloc-hotpath run and merge buffer share one backing array: allocated once, doubled rarely, reused across every slot
 	buf := make([]stagedEntry, 2*c)
 	w.staged, w.spare = buf[:copy(buf, w.staged):c], buf[c:c]
 }

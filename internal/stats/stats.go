@@ -179,7 +179,6 @@ func NewEWMA(alpha float64) *EWMA {
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("stats: EWMA alpha %v out of (0,1]", alpha))
 	}
-	//lint:ignore alloc-hotpath per-flow constructor (demand estimator), amortised over the flow's lifetime
 	return &EWMA{alpha: alpha}
 }
 

@@ -70,12 +70,11 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
 	}
 	nv := g.Vertices()
-	// The FIB builds a source's trees lazily on first lookup, which makes
-	// this function reachable from the emulator's data-path hotpath root —
-	// but only on the once-per-source miss path; the steady-state hit path
-	// never gets here, so the construction allocations below are amortised.
+	// The FIB builds a source's trees lazily on first lookup, so the
+	// emulator's data path reaches this function — but only on the
+	// once-per-source miss path; the steady-state hit path never gets here,
+	// so the construction allocations below are amortised.
 	if sc.picks == nil {
-		//lint:ignore alloc-hotpath once-per-FIB scratch, reused by every later source
 		sc.cand.off, sc.picks, sc.next = make([]int32, nv+1), make([]LinkID, nv), make([]int32, nv)
 		sc.rng = rand.New(rand.NewSource(rngSeed))
 	} else {
@@ -105,9 +104,7 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 		sc.cand.off[v+1] = int32(len(sc.cand.links))
 	}
 
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
 	off, links := make([]int32, count*(nv+1)), make([]LinkID, count*edges)
-	//lint:ignore alloc-hotpath once-per-source lazy tree construction; the FIB hit path is allocation-free
 	trees, out := make([]BroadcastTree, count), make([]*BroadcastTree, count)
 	picks, next := sc.picks, sc.next
 	for i := range trees {

@@ -267,12 +267,10 @@ func (c *LinkCSR) At(v NodeID) []LinkID { return c.links[c.off[v]:c.off[v+1]:c.o
 func (g *Graph) MinimalSuccessors(dst NodeID) *LinkCSR {
 	// One strided walk down the distance matrix's column for dst, so that the
 	// passes below — which look up both ends of every link — read one array.
-	//lint:ignore alloc-hotpath computed once per destination and cached by routing.Table.successors
 	toDst := make([]int32, g.total)
 	for v := range toDst {
 		toDst[v] = g.dist[v][dst]
 	}
-	//lint:ignore alloc-hotpath as above: the offsets the cache keeps
 	c := &LinkCSR{off: make([]int32, g.total+1)}
 	// Two passes over the same predicate, count then fill, so the link array
 	// is sized exactly.
@@ -290,7 +288,6 @@ func (g *Graph) MinimalSuccessors(dst NodeID) *LinkCSR {
 			c.off[v+1] = n
 		}
 		if pass == 0 {
-			//lint:ignore alloc-hotpath as above: the links the cache keeps
 			c.links = make([]LinkID, n)
 		}
 	}

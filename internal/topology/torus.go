@@ -124,12 +124,16 @@ func NewFoldedClos(leaves, spines, hostsPerLeaf int) (*Graph, error) {
 // Coord returns the coordinate vector of a torus/mesh node. It panics for
 // non-cube graphs.
 func (g *Graph) Coord(id NodeID) []int {
+	return g.CoordInto(make([]int, g.dims), id)
+}
+
+// CoordInto is Coord writing into the caller's slice, which must hold one
+// entry per dimension; it returns c.
+func (g *Graph) CoordInto(c []int, id NodeID) []int {
 	if g.k == 0 {
 		panic("topology: Coord on non-cube graph")
 	}
-	//lint:ignore alloc-hotpath dims-bounded coordinate vector; callers run at route-build time, not per forwarded packet
-	c := make([]int, g.dims)
-	idToCoord(int(id), g.k, c)
+	idToCoord(int(id), g.k, c[:g.dims])
 	return c
 }
 
@@ -152,18 +156,24 @@ func (g *Graph) NodeAt(coord []int) NodeID {
 // convention the destination-tag channel-load analysis of Figure 2 assumes.
 // Panics for non-torus graphs.
 func (g *Graph) TorusOffset(a, b NodeID) []int {
+	return g.TorusOffsetInto(make([]int, g.dims), a, b)
+}
+
+// TorusOffsetInto is TorusOffset writing into the caller's slice, which must
+// hold one entry per dimension; it returns off.
+func (g *Graph) TorusOffsetInto(off []int, a, b NodeID) []int {
 	if g.kind != KindTorus {
 		panic("topology: TorusOffset on non-torus graph")
 	}
-	ca, cb := g.Coord(a), g.Coord(b)
-	//lint:ignore alloc-hotpath dims-bounded offset vector; callers run at route-build time, not per forwarded packet
-	off := make([]int, g.dims)
-	for d := 0; d < g.dims; d++ {
-		delta := ((cb[d]-ca[d])%g.k + g.k) % g.k // forward distance in [0,k)
+	ia, ib := int(a), int(b)
+	for d := range off[:g.dims] {
+		ca, cb := ia%g.k, ib%g.k // the base-k digits idToCoord would write
+		ia, ib = ia/g.k, ib/g.k
+		delta := ((cb-ca)%g.k + g.k) % g.k // forward distance in [0,k)
 		switch {
 		case delta > g.k/2:
 			off[d] = delta - g.k // the ring is shorter going backwards
-		case 2*delta == g.k && ca[d]%2 == 1:
+		case 2*delta == g.k && ca%2 == 1:
 			off[d] = delta - g.k // tie: odd source coordinate goes backwards
 		default:
 			off[d] = delta

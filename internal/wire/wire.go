@@ -156,7 +156,6 @@ func EncodeData(buf []byte, h *DataHeader, payload []byte) ([]byte, error) {
 		return buf, ErrRouteTooLong
 	}
 	if len(payload) != int(h.PLen) {
-		//lint:ignore alloc-hotpath error path: encoder misuse, unreachable for well-formed senders
 		return buf, fmt.Errorf("wire: payload length %d != plen %d", len(payload), h.PLen)
 	}
 	off := len(buf)
@@ -202,8 +201,6 @@ func DecodeData(pkt []byte) (*DataHeader, []byte, error) {
 // destination decodes every payload packet, so the per-packet *DataHeader
 // of DecodeData would dominate the receive path's allocation budget. The
 // returned payload aliases pkt; on error *h is unspecified.
-//
-//r2c2:hotpath
 func DecodeDataInto(pkt []byte, h *DataHeader) ([]byte, error) {
 	if len(pkt) < DataHeaderSize {
 		return nil, ErrShortPacket
@@ -285,7 +282,6 @@ func DecodeBroadcast(pkt []byte) (*Broadcast, error) {
 	if checksum8(pkt[:15]) != pkt[15] {
 		return nil, ErrBadChecksum
 	}
-	//lint:ignore alloc-hotpath one header per received control broadcast; broadcasts are per flow event, not per data packet
 	return &Broadcast{
 		Event:      EventKind(pkt[0] & 0xF),
 		Src:        binary.BigEndian.Uint16(pkt[1:]),

@@ -116,6 +116,26 @@ func TestDataRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeDataIntoAllocFree: a destination decodes every data packet it
+// receives, into a header on its own stack.
+func TestDecodeDataIntoAllocFree(t *testing.T) {
+	payload := make([]byte, 1400)
+	pkt, err := EncodeData(nil, &DataHeader{RLen: 4, Flow: MakeFlowID(3, 7), Src: 3, Dst: 12,
+		Seq: 9, PLen: uint16(len(payload))}, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h DataHeader
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := DecodeDataInto(pkt, &h); err != nil || len(got) != len(payload) {
+			t.Fatalf("decode: %d payload bytes, %v", len(got), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per decode, want 0", allocs)
+	}
+}
+
 func TestDataChecksumDetectsCorruption(t *testing.T) {
 	h := &DataHeader{RLen: 3, Flow: MakeFlowID(1, 2), Src: 1, Dst: 2, PLen: 4}
 	pkt, err := EncodeData(nil, h, []byte{9, 9, 9, 9})
