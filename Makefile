@@ -4,7 +4,7 @@ LINT_REPORT ?= r2c2-lint.json
 # The hot-path micro-benchmark suite `make microbench` measures; the
 # figure-harness benchmarks are excluded because they measure whole
 # experiments, not code paths.
-MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|BenchmarkPFQDataPath|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkTimerWheelCrowdedSlot|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkIncrementalChurn|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
+MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|BenchmarkPFQDataPath|BenchmarkShardedEventThroughput|BenchmarkControlPlaneTick|BenchmarkTimerWheel|BenchmarkTimerWheelSameInstant|BenchmarkTimerWheelCrowdedSlot|BenchmarkViewApplyCold|BenchmarkBroadcastFIBBuild|BenchmarkWaterfillAllocate|BenchmarkEmuDataPath|BenchmarkEmuMbufPool|BenchmarkPhiRPS512|BenchmarkBroadcastEncodeDecode)$$
 
 FAULTS_REPORT ?= faultsweep.csv
 

@@ -404,67 +404,6 @@ func BenchmarkWaterfillAllocate(b *testing.B) {
 	}
 }
 
-// The delta-driven hot path against the from-scratch baseline on the same
-// single-flow churn: 512 flows at paper scale, one demand-update per op.
-// Most flows are demand-limited, the regime where a delta's ripple dies out
-// at the first ring of frozen neighbours instead of re-levelling the whole
-// fabric — exactly the common ρ-tick case the incremental allocator exists
-// for.
-func BenchmarkIncrementalChurn(b *testing.B) {
-	g, err := topology.NewTorus(8, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab := routing.NewTable(g)
-	rng := rand.New(rand.NewSource(7))
-	flows := make([]waterfill.Flow, 512)
-	for i := range flows {
-		src := topology.NodeID(rng.Intn(g.Nodes()))
-		dst := topology.NodeID(rng.Intn(g.Nodes()))
-		for dst == src {
-			dst = topology.NodeID(rng.Intn(g.Nodes()))
-		}
-		// Every flow host-limited well below its fair share, on single-path
-		// DOR routes. Both choices bound the delta's footprint: an unlimited
-		// flow's rate depends on the global water level (one elephant sharing
-		// links with the churned flow re-levels rack-wide), and a spraying
-		// protocol's φ-vector touches a large fraction of the fabric's links,
-		// so every flow would be a neighbour of every other.
-		flows[i] = waterfill.Flow{
-			Phi:    tab.Phi(routing.DOR, src, dst),
-			Weight: 1 + float64(rng.Intn(4)),
-			Demand: 50e6 + rng.Float64()*450e6,
-		}
-	}
-	cfg := waterfill.Config{NumLinks: g.NumLinks(), Capacity: 10e9, Headroom: 0.05}
-	// One delta per op: flow i bounces between two host-limited demands.
-	delta := func(i int) waterfill.Flow {
-		f := flows[i%len(flows)]
-		f.Demand = 60e6 + float64(i%7)*40e6
-		return f
-	}
-
-	b.Run("incremental", func(b *testing.B) {
-		inc := waterfill.NewIncremental(cfg)
-		handles := inc.Rebuild(flows)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			inc.Update(handles[i%len(handles)], delta(i))
-		}
-	})
-	b.Run("from-scratch", func(b *testing.B) {
-		alloc := waterfill.NewAllocator(cfg)
-		work := append([]waterfill.Flow(nil), flows...)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			work[i%len(work)] = delta(i)
-			alloc.Allocate(work)
-		}
-	})
-}
-
 func BenchmarkPhiRPS512(b *testing.B) {
 	g, err := topology.NewTorus(8, 3)
 	if err != nil {
@@ -671,17 +610,15 @@ func BenchmarkShardedEventThroughput(b *testing.B) {
 }
 
 // Per-tick control-plane cost (DESIGN.md §15): one multi-rack workload on
-// the sharded engine's tree-reduced control plane (each shard summarises
-// only its sourced flows; one allocator run at the root), at two live-flow
-// populations. The workload is a persistent bulk population
-// (arrives in the first 0.5 ms, outlives the run) plus one long-lived flow
-// arriving 50 µs after every tick — far enough from the next tick that its
-// broadcast usually converges, so most ticks see a changed-but-agreed view
-// and the allocator must actually run. ctrl-ns/tick sums the shards'
-// control-plane time per recomputation round; root-ns/tick is shard 0's
-// slice (the reduction root), nonroot-ns/tick the busiest other shard's.
-// The allocator runs once per tick, at the root, so nonroot-ns/tick should
-// stay flat as flows quadruple while root-ns/tick grows with them.
+// the rack-partitioned engine, where every shard runs the recomputation tick
+// over the nodes it owns, at two live-flow populations. The workload is a
+// persistent bulk population (arrives in the first 0.5 ms, outlives the run)
+// plus one long-lived flow arriving 50 µs after every tick — far enough from
+// the next tick that its broadcast usually converges, so most ticks see a
+// changed-but-agreed view and the allocator must actually run.
+// ctrl-ns/tick sums the shards' tick time per recomputation round;
+// max-shard-ns/tick is the busiest shard's, the part of a tick the shards
+// cannot overlap.
 func BenchmarkControlPlaneTick(b *testing.B) {
 	const racks = 4
 	const tick = simtime.Millisecond
@@ -721,8 +658,8 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 		cfg := sim.RunConfig{
 			Graph: g,
 			// Shallow ports (vs the 1 MB default) bound broadcast queueing so
-			// views converge well inside a tick; divergent views fall back to
-			// per-shard computes and would measure that fallback instead.
+			// views converge well inside a tick; divergent views would cost
+			// one allocator run each and measure the divergence instead.
 			Net:       sim.NetConfig{LinkGbps: 10, PropDelay: 100 * simtime.Nanosecond, QueueBytes: 64 << 10},
 			Transport: sim.TransportR2C2,
 			R2C2: sim.R2C2Config{
@@ -738,7 +675,7 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
-			var ctrlNs, rootNs, nonRootNs int64
+			var ctrlNs, maxShardNs int64
 			var rounds uint64
 			for i := 0; i < b.N; i++ {
 				res := sim.Run(cfg)
@@ -746,18 +683,13 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 				iterMax := int64(0)
 				for _, st := range res.ShardStats {
 					ctrlNs += st.CtrlNs
-					if st.Shard == 0 {
-						rootNs += st.CtrlNs
-					} else if st.CtrlNs > iterMax {
-						iterMax = st.CtrlNs
-					}
+					iterMax = max(iterMax, st.CtrlNs)
 				}
-				nonRootNs += iterMax
+				maxShardNs += iterMax
 			}
 			if rounds > 0 {
 				b.ReportMetric(float64(ctrlNs)/float64(rounds), "ctrl-ns/tick")
-				b.ReportMetric(float64(rootNs)/float64(rounds), "root-ns/tick")
-				b.ReportMetric(float64(nonRootNs)/float64(rounds), "nonroot-ns/tick")
+				b.ReportMetric(float64(maxShardNs)/float64(rounds), "max-shard-ns/tick")
 			}
 		})
 	}

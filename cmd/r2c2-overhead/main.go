@@ -1,6 +1,5 @@
 // Command r2c2-overhead evaluates R2C2's control-plane cost: the CPU cost
-// of rate recomputation across batching intervals ρ (Figure 8, with both
-// the from-scratch and the delta-driven incremental allocator), the
+// of rate recomputation across batching intervals ρ (Figure 8), the
 // broadcast overhead model of §3.2 (Figure 9) and the decentralized-
 // versus-centralized control traffic comparison (Figure 19).
 package main
@@ -31,7 +30,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("r2c2-overhead", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		fig8     = fs.Bool("fig8", false, "Figure 8: CPU cost of rate recomputation (from-scratch vs incremental)")
+		fig8     = fs.Bool("fig8", false, "Figure 8: CPU cost of rate recomputation")
 		fig9     = fs.Bool("fig9", false, "Figure 9: broadcast overhead vs small-flow byte fraction")
 		fig19    = fs.Bool("fig19", false, "Figure 19: decentralized vs centralized control traffic")
 		k        = fs.Int("k", 8, "torus radix for fig19")
@@ -62,8 +61,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		res := experiments.Fig8(s, s.Tau, sweep, *ticks)
 		render(stdout, res.Table(), *csv)
-		fmt.Fprintln(stdout, "(full-* columns rebuild the allocation from scratch each tick; inc-* replay only the")
-		fmt.Fprintln(stdout, " interval's flow events through the incremental allocator; atom-* scale the full cost")
+		fmt.Fprintln(stdout, "(full-* columns rebuild the allocation from scratch each tick; atom-* scale the full cost")
 		fmt.Fprintln(stdout, " by the documented slowdown factor, see DESIGN.md)")
 		fmt.Fprintln(stdout)
 	}

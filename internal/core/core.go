@@ -276,15 +276,13 @@ func flowHash(f FlowInfo) uint64 {
 
 // DemandSummary is a mergeable plain-data projection of a View: the flow
 // entries sorted by flow ID plus the same order-independent digest a View
-// of that flow set would report. The sharded simulator's aggregated control
-// plane (DESIGN.md §15) builds one per shard from the flows the shard's
-// racks source and tree-reduces them into a single global summary per
-// recomputation tick; because flow IDs embed their source node, per-shard
-// sourced sets are disjoint and the reduction is an exact sorted merge.
+// of that flow set would report. Because flow IDs embed their source node,
+// summaries of disjoint sources merge by an exact sorted merge.
 //
-// A DemandSummary is plain data with no pointers into simulator state, so
-// it can cross a shard barrier by value semantics, as the sim package's
-// boundary handoffs do. It is not safe for concurrent mutation.
+// No simulator or emulator path builds one: it stays only because the
+// bench/ ladder's core.summary_us rung does, and bench/ is frozen with the
+// repository benchmark. ROADMAP item 1 (c) is the change that deletes it,
+// with ComputeSummary. It is not safe for concurrent mutation.
 type DemandSummary struct {
 	Flows []FlowInfo // sorted by flow ID
 	Hash  uint64     // XOR of flowHash over Flows; equals View.Hash() of the same set
@@ -359,58 +357,41 @@ func (a *Allocation) Rate(id wire.FlowID) float64 { return a.Rates[id] }
 const DefaultRho = 500 * time.Microsecond
 
 // RateComputer turns a View into rate allocations using the routing
-// φ-vectors and the water-filling allocator. One RateComputer can be shared
-// by all nodes that share a topology (the computation is a pure function of
-// the view), which is how the simulator amortises recomputation across
-// nodes holding identical views.
-//
-// Compute is delta-driven: it retains the previous view's flow set and an
-// incremental allocator, diffs the new view against it, and replays only
-// the difference — the common ρ-tick case of a handful of flow events
-// re-solves only the priority rounds and links the events reach, while
-// unaffected flows keep their frozen rates. ComputeFull is the from-scratch
-// path, kept as the correctness reference (the randomized oracle in
-// waterfill holds the two equivalent) and for callers that must not
-// perturb the delta state.
+// φ-vectors and the water-filling allocator. Every entry point runs the
+// from-scratch fill over the flow set sorted by ID, so an allocation is a
+// pure function of the flow set: two computers, or one computer at two
+// points of its life, give bit-identical rates for equal views. That is
+// what lets the simulator amortise recomputation across nodes holding
+// identical views, and lets each shard of a partitioned run compute for its
+// own nodes (DESIGN.md §7, §15).
 //
 // A RateComputer is not safe for concurrent use; the emulator gives each
 // node its own.
 type RateComputer struct {
 	tab   *routing.Table
-	alloc *waterfill.Allocator   // from-scratch reference engine
-	inc   *waterfill.Incremental // delta-driven hot-path engine
+	alloc *waterfill.Allocator
 
-	// prev is the flow set the incremental allocator currently embodies,
-	// sorted by flow ID; handles parallels it.
-	prev    []FlowInfo
-	handles []waterfill.Handle
-	last    *Allocation // allocation for prev (ViewHash shortcut)
+	// last is the allocation Compute or ComputeSummary returned most
+	// recently, for a flow set of lastLen flows: the view-hash shortcut's key.
+	last    *Allocation
+	lastLen int
 
-	// scratch, reused across computations
-	specs []waterfill.Flow
-	ids   []wire.FlowID
+	specs []waterfill.Flow // scratch, reused across computations
 
-	// Observability for the Figure 8 harness: Rebuilds counts full
-	// from-scratch loads of the incremental state, DeltaEvents the flow
-	// events replayed incrementally, CacheHits the computations answered by
-	// the ViewHash shortcut alone.
-	Rebuilds    uint64
-	DeltaEvents uint64
-	CacheHits   uint64
+	// CacheHits counts the computations answered by the view-hash shortcut.
+	CacheHits uint64
 }
 
 // NewRateComputer builds a computer for the given topology, link capacity
 // in bits/s and headroom fraction (§3.3.2 uses 5%).
 func NewRateComputer(tab *routing.Table, capacityBits float64, headroom float64) *RateComputer {
-	cfg := waterfill.Config{
-		NumLinks: tab.Graph().NumLinks(),
-		Capacity: capacityBits,
-		Headroom: headroom,
-	}
 	return &RateComputer{
-		tab:   tab,
-		alloc: waterfill.NewAllocator(cfg),
-		inc:   waterfill.NewIncremental(cfg),
+		tab: tab,
+		alloc: waterfill.NewAllocator(waterfill.Config{
+			NumLinks: tab.Graph().NumLinks(),
+			Capacity: capacityBits,
+			Headroom: headroom,
+		}),
 	}
 }
 
@@ -431,124 +412,58 @@ func (rc *RateComputer) spec(f *FlowInfo) waterfill.Flow {
 	return s
 }
 
-// Compute returns the allocation for the view, reusing as much of the
-// previous computation as the view diff allows: an identical ViewHash
-// returns the cached allocation outright, a small diff replays the changed
-// flows through the incremental allocator, and a diff touching more than a
-// quarter of the view (or the first call) falls back to one from-scratch
-// rebuild. Each node then rate-limits its own flows to their allocated
-// values (§3.3).
+// Compute returns the allocation for the view: the previous allocation
+// outright when the view hashes to the same flow set (§5.2's cache), else
+// one from-scratch fill. Each node then rate-limits its own flows to their
+// allocated values (§3.3).
 func (rc *RateComputer) Compute(v *View) *Allocation {
-	if rc.last != nil && rc.last.ViewHash == v.Hash() && len(rc.prev) == v.Len() {
-		rc.CacheHits++
+	if rc.cached(v.Hash(), v.Len()) {
 		return rc.last
 	}
-	return rc.computeSorted(v.Flows(), v.Hash())
+	rc.last, rc.lastLen = rc.compute(v.Flows(), v.Hash()), v.Len()
+	return rc.last
 }
 
-// ComputeSummary is Compute over a tree-reduced DemandSummary instead of a
-// View: the aggregated control plane's global rate computation. The summary
-// already holds the flows sorted by ID with the matching digest, so the two
-// paths produce bit-identical allocations for equal flow sets — which is
-// what lets the sharded oracle demand byte-identical Results. The flow
-// slice is cloned because the delta state retains it across calls while the
-// caller rebuilds the summary every tick.
+// ComputeSummary is Compute over a DemandSummary instead of a View; equal
+// flow sets give bit-identical allocations. No simulator or emulator path
+// calls it: it stays only for the bench/ ladder's core.summary_us rung,
+// until ROADMAP item 1 (c) deletes it with DemandSummary.
 func (rc *RateComputer) ComputeSummary(s *DemandSummary) *Allocation {
-	if rc.last != nil && rc.last.ViewHash == s.Hash && len(rc.prev) == len(s.Flows) {
-		rc.CacheHits++
+	if rc.cached(s.Hash, len(s.Flows)) {
 		return rc.last
 	}
-	return rc.computeSorted(append([]FlowInfo(nil), s.Flows...), s.Hash)
+	rc.last, rc.lastLen = rc.compute(s.Flows, s.Hash), len(s.Flows)
+	return rc.last
 }
 
-// computeSorted is the shared delta-driven body of Compute and
-// ComputeSummary: cur must be sorted by flow ID, hash its order-independent
-// digest, and ownership of cur transfers to the computer.
-func (rc *RateComputer) computeSorted(cur []FlowInfo, hash uint64) *Allocation {
-	// Count the diff first: both slices are sorted by flow ID, so a
-	// two-pointer sweep enumerates adds, removes and updates
-	// deterministically (no map-iteration order anywhere on this path).
-	changes := 0
-	for i, j := 0, 0; i < len(rc.prev) || j < len(cur); {
-		switch {
-		case j == len(cur) || (i < len(rc.prev) && rc.prev[i].ID < cur[j].ID):
-			changes++
-			i++
-		case i == len(rc.prev) || cur[j].ID < rc.prev[i].ID:
-			changes++
-			j++
-		default:
-			if rc.prev[i] != cur[j] {
-				changes++
-			}
-			i++
-			j++
-		}
-	}
-
-	if rc.last == nil || changes*4 > len(cur) {
-		rc.rebuild(cur)
-	} else {
-		rc.DeltaEvents += uint64(changes)
-		// Replay the diff. Removes and updates reference prev's handles;
-		// adds append to a fresh handle list built alongside.
-		handles := make([]waterfill.Handle, 0, len(cur))
-		i, j := 0, 0
-		for i < len(rc.prev) || j < len(cur) {
-			switch {
-			case j == len(cur) || (i < len(rc.prev) && rc.prev[i].ID < cur[j].ID):
-				rc.inc.Remove(rc.handles[i])
-				i++
-			case i == len(rc.prev) || cur[j].ID < rc.prev[i].ID:
-				handles = append(handles, rc.inc.Add(rc.spec(&cur[j])))
-				j++
-			default:
-				if rc.prev[i] != cur[j] {
-					rc.inc.Update(rc.handles[i], rc.spec(&cur[j]))
-				}
-				handles = append(handles, rc.handles[i])
-				i++
-				j++
-			}
-		}
-		rc.handles = handles
-	}
-	rc.prev = cur
-
-	out := &Allocation{Rates: make(map[wire.FlowID]float64, len(cur)), ViewHash: hash}
-	for i := range cur {
-		out.Rates[cur[i].ID] = rc.inc.Rate(rc.handles[i])
-	}
-	rc.last = out
-	return out
-}
-
-// rebuild bulk-loads the incremental allocator from a full flow set.
-func (rc *RateComputer) rebuild(cur []FlowInfo) {
-	rc.Rebuilds++
-	rc.specs = rc.specs[:0]
-	for i := range cur {
-		rc.specs = append(rc.specs, rc.spec(&cur[i]))
-	}
-	rc.handles = rc.inc.Rebuild(rc.specs)
-}
-
-// ComputeFull runs the water-filling from scratch over every flow in the
-// view, bypassing and leaving untouched the incremental state. It is the
-// correctness reference for Compute and the cost baseline the Figure 8
-// harness reports against.
+// ComputeFull is Compute without the view-hash shortcut: it always fills
+// and leaves the cache untouched. The Figure 8 harness times the fill
+// through it.
 func (rc *RateComputer) ComputeFull(v *View) *Allocation {
-	flows := v.Flows()
+	return rc.compute(v.Flows(), v.Hash())
+}
+
+// cached reports whether the last allocation answers a flow set of n flows
+// with the given digest, counting the hit.
+func (rc *RateComputer) cached(hash uint64, n int) bool {
+	if rc.last == nil || rc.last.ViewHash != hash || rc.lastLen != n {
+		return false
+	}
+	rc.CacheHits++
+	return true
+}
+
+// compute runs the from-scratch fill over flows, which must be sorted by
+// flow ID, and labels the allocation with hash, their digest.
+func (rc *RateComputer) compute(flows []FlowInfo, hash uint64) *Allocation {
 	rc.specs = rc.specs[:0]
-	rc.ids = rc.ids[:0]
 	for i := range flows {
 		rc.specs = append(rc.specs, rc.spec(&flows[i]))
-		rc.ids = append(rc.ids, flows[i].ID)
 	}
 	rates := rc.alloc.Allocate(rc.specs)
-	out := &Allocation{Rates: make(map[wire.FlowID]float64, len(rates)), ViewHash: v.Hash()}
-	for i, id := range rc.ids {
-		out.Rates[id] = rates[i]
+	out := &Allocation{Rates: make(map[wire.FlowID]float64, len(rates)), ViewHash: hash}
+	for i := range flows {
+		out.Rates[flows[i].ID] = rates[i]
 	}
 	return out
 }

@@ -67,13 +67,13 @@ func TestDemandSummaryMergeMatchesView(t *testing.T) {
 		}
 	}
 
-	// The summary path must not alias its caller's buffer into the delta
-	// state: mutating the summary afterwards cannot disturb a cached recompute.
+	// The computer retains nothing of the caller's summary: mutating it
+	// afterwards cannot disturb the cached answer.
 	global.Reset()
 	global.Add(flowInfo(0, 1, 999))
 	again := rcSum.ComputeSummary(&DemandSummary{Flows: want, Hash: view.Hash()})
 	if again.Rates[want[0].ID] != av.Rates[want[0].ID] {
-		t.Fatal("summary mutation leaked into the computer's retained state")
+		t.Fatal("summary mutation leaked into the computer's cache")
 	}
 }
 

@@ -29,9 +29,6 @@ type Fig8Result struct {
 	MedianHost, P99Host []float64
 	// The same scaled by AtomSlowdown.
 	MedianAtom, P99Atom []float64
-	// Host-CPU overhead of the delta-driven incremental path over the same
-	// tick sequence (consecutive views differ by the flow events of one ρ).
-	MedianInc, P99Inc []float64
 	// MeanFlows is the average number of flows per recomputation (the
 	// batch filter drops flows shorter than ρ, which is why large ρ cost
 	// less).
@@ -73,17 +70,16 @@ func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Res
 	res := &Fig8Result{Rhos: rhos,
 		MedianHost: make([]float64, len(rhos)), P99Host: make([]float64, len(rhos)),
 		MedianAtom: make([]float64, len(rhos)), P99Atom: make([]float64, len(rhos)),
-		MedianInc: make([]float64, len(rhos)), P99Inc: make([]float64, len(rhos)),
 		MeanFlows: make([]float64, len(rhos))}
-	// Each ρ gets its own RateComputer (the delta-driven incremental path
-	// keeps per-instance state, so instances must not be shared); the per-ρ
-	// replays are independent and run on s.Parallel workers. Note this is a
-	// wall-clock measurement: on a loaded machine, parallel replays contend
-	// for cores and can inflate the measured cost.
+	// Each ρ gets its own RateComputer (a computer's scratch is not safe
+	// for concurrent use); the per-ρ replays are independent and run on
+	// s.Parallel workers. Note this is a wall-clock measurement: on a loaded
+	// machine, parallel replays contend for cores and can inflate the
+	// measured cost.
 	parallelFor(s.Parallel, len(rhos), func(ri int) {
 		rho := rhos[ri]
 		rc := core.NewRateComputer(tab, s.LinkGbps*1e9, 0.05)
-		var overhead, overheadInc stats.Sample
+		var overhead stats.Sample
 		var flowsPerTick stats.Sample
 		ticks := 0
 		for t := rho; t < end && ticks < maxTicks; t += rho {
@@ -104,13 +100,7 @@ func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Res
 			start := time.Now()
 			rc.ComputeFull(view)
 			cost := time.Since(start).Seconds()
-			// The delta-driven path sees the same tick sequence, so each
-			// Compute replays exactly the flow events of one ρ interval.
-			start = time.Now()
-			rc.Compute(view)
-			costInc := time.Since(start).Seconds()
 			overhead.Add(cost / rho.Seconds())
-			overheadInc.Add(costInc / rho.Seconds())
 			flowsPerTick.Add(float64(view.Len()))
 			ticks++
 		}
@@ -118,8 +108,6 @@ func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Res
 		res.P99Host[ri] = overhead.Percentile(99)
 		res.MedianAtom[ri] = overhead.Median() * AtomSlowdown
 		res.P99Atom[ri] = overhead.Percentile(99) * AtomSlowdown
-		res.MedianInc[ri] = overheadInc.Median()
-		res.P99Inc[ri] = overheadInc.Percentile(99)
 		res.MeanFlows[ri] = flowsPerTick.Mean()
 	})
 	return res
@@ -129,15 +117,14 @@ func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Res
 // ticks to measure and render as "n/a".
 func (r *Fig8Result) Table() *Table {
 	t := &Table{Title: "Figure 8: CPU overhead of rate recomputation",
-		Header: []string{"rho", "flows/tick", "full-median", "full-p99", "inc-median", "inc-p99", "atom-median", "atom-p99"}}
+		Header: []string{"rho", "flows/tick", "full-median", "full-p99", "atom-median", "atom-p99"}}
 	for i, rho := range r.Rhos {
 		if r.MeanFlows[i] != r.MeanFlows[i] { // NaN: no ticks sampled
-			t.AddRow(rho.String(), "n/a", "n/a", "n/a", "n/a", "n/a", "n/a", "n/a")
+			t.AddRow(rho.String(), "n/a", "n/a", "n/a", "n/a", "n/a")
 			continue
 		}
 		t.AddRow(rho.String(), f2(r.MeanFlows[i]),
 			pct(r.MedianHost[i]), pct(r.P99Host[i]),
-			pct(r.MedianInc[i]), pct(r.P99Inc[i]),
 			pct(r.MedianAtom[i]), pct(r.P99Atom[i]))
 	}
 	return t

@@ -220,10 +220,9 @@ func (r *InterRackResult) MixTable() *Table {
 // ctrl_ms and ctrl_us_tick are wall-clock measurements and legitimately
 // vary run to run; nodes, events, handoffs, epochs (the run's lookahead
 // windows in which any shard held an event) and active_epochs (those in
-// which this shard did) are deterministic. ctrl_ms
-// is each shard's total control-plane time (ticks, reduction merges and
-// the allocator run, attributed to the shard that executed them), and
-// ctrl_us_tick divides it across the run's recomputation rounds.
+// which this shard did) are deterministic. ctrl_ms is each shard's total
+// time in recomputation ticks over its own nodes, and ctrl_us_tick divides
+// it across the run's recomputation rounds.
 func (r *InterRackResult) ShardUtilTable() *Table {
 	t := &Table{
 		Title:  "per-shard utilisation",

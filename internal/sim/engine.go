@@ -86,14 +86,6 @@ type Engine struct {
 
 	wheel timerWheel
 
-	// stopReq pauses Run after the current event's dispatch returns, leaving
-	// the clock at that event's timestamp instead of advancing to until. The
-	// sharded engine's aggregated control plane sets it from inside the
-	// recomputation tick: the shard must not process any event past (or even
-	// at, with a later sequence than) the tick until the cross-shard
-	// reduction has published the global allocation back.
-	stopReq bool
-
 	// Typed-event receivers, registered at construction time by the
 	// same-package wiring (one Network and at most one transport per run).
 	net *Network
@@ -195,10 +187,6 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 		case evTCPRTO:
 			e.tcp.onRTO(ev.recv.(*tcpSender))
 		}
-		if e.stopReq {
-			e.stopReq = false
-			return e.count - start
-		}
 	}
 	if e.now < until {
 		e.now = until
@@ -214,11 +202,6 @@ func (e *Engine) advanceTo(t simtime.Time) {
 		e.now = t
 	}
 }
-
-// requestStop makes the current Run call return once the event being
-// dispatched completes, without advancing the clock to its until bound.
-// Calling it outside a dispatch is meaningless and therefore a bug.
-func (e *Engine) requestStop() { e.stopReq = true }
 
 // Pending reports whether any events remain scheduled (cancelled timers do
 // not count).

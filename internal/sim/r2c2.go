@@ -61,17 +61,6 @@ type R2C2 struct {
 	nodes []*r2c2Node
 	flows *flowTable[r2c2Flow]
 
-	// agg is the aggregated control plane's global rate computer, created
-	// lazily on the reduction-tree root shard's R2C2 only (computeGlobal).
-	// It is invalidated on reroute like rc: a degraded fabric changes the
-	// routing table the φ-vectors derive from.
-	agg *core.RateComputer
-
-	// nextTick is the absolute time of the next scheduled recomputation
-	// tick of a sharded run: the orchestrator clamps its epochs to it so
-	// every shard's engine pauses at the tick together (shard.go).
-	nextTick simtime.Time
-
 	// sh is the shard context when this R2C2 instance drives one shard of
 	// a rack partition (shard.go): nil when one shard owns the whole fabric. Control events that fire
 	// in every shard (recomputation ticks, fault injections, reroutes) tick
@@ -318,7 +307,6 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 	}
 	net.Eng.r2 = r // typed-event receiver for evSend/evRTO
 	// Arm the periodic recomputation tick.
-	r.nextTick = net.Eng.Now() + cfg.Recompute
 	net.Eng.After(cfg.Recompute, r.recomputeTick)
 	return r
 }
@@ -401,13 +389,11 @@ func (r *R2C2) degradedGraph() (*topology.Graph, []topology.LinkID, error) {
 	return r.Net.G.WithoutLinksAndNodes(r.failedLinks, r.deadNodes)
 }
 
-// install swaps in a fabric generation's routing state. The rate computers
-// derive their φ-vectors from the table, so they restart with it (agg is
-// recreated lazily by computeGlobal).
+// install swaps in a fabric generation's routing state. The rate computer
+// derives its φ-vectors from the table, so it restarts with it.
 func (r *R2C2) install(f fabric) {
 	r.Tab, r.Fib, r.linkMap = f.tab, f.fib, f.linkMap
 	r.rc = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
-	r.agg = nil
 }
 
 // FailLink fails both directions of the cable between a and b. Packets in
@@ -1031,79 +1017,24 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 	}
 }
 
-// recomputeTick is the periodic batch recomputation (§3.3.2). A lone shard
-// recomputes every node's rates from its own view right here: nodes whose
-// views are identical (the common case once broadcasts settle) share a
-// single allocator run, keyed by the view hash. A shard of the rack partition
-// instead summarises its sourced flows and pauses for the cross-shard tree
-// reduction (DESIGN.md §15) — the allocation comes back through
-// applyAggregatedTick.
+// recomputeTick is the periodic batch recomputation (§3.3.2): every node
+// this instance owns recomputes its flows' rates from its own view, and
+// nodes whose views are identical (the common case once broadcasts settle)
+// share a single allocator run, keyed by the view hash. A rate is a pure
+// function of the view's flow set (core.RateComputer), so a shard of the
+// rack partition runs this same tick over its own nodes and paces them
+// exactly as one shard would (DESIGN.md §15). There it also counts itself
+// as a control event, marks where its settled view hashes start, so that
+// the orchestrator can count Recomputations tick by tick, and charges its
+// wall time to the shard's control-plane total.
 func (r *R2C2) recomputeTick() {
+	var t0 int64
 	if r.sh != nil {
-		t0 := wallNs() // control-plane cost accounting, like phaseShard's
-		r.aggregateTick()
-		r.sh.ctrlNs += wallNs() - t0
-		return
+		t0 = wallNs()
+		r.sh.ctrl++ // the tick event fires once in every shard
+		r.sh.tickStarts = append(r.sh.tickStarts, len(r.sh.tickHashes))
 	}
 	r.RecomputeRounds++
-	r.rearmFromViews(nil)
-	r.Net.Eng.After(r.Cfg.Recompute, r.recomputeTick)
-}
-
-// aggregateTick is the local half of a sharded run's tick: it summarises
-// the flows this shard's nodes source (ascending node order, flows sorted by
-// ID — with source-prefixed flow IDs that is exactly ascending global flow
-// order) and pauses the engine AT the tick. Events at the tick timestamp
-// with later sequence numbers must not run until the reduction publishes the
-// global allocation back: in a serial run they would execute after the
-// tick's own scheduling, which happens in applyAggregatedTick here.
-func (r *R2C2) aggregateTick() {
-	r.RecomputeRounds++
-	r.sh.ctrl++ // the tick event fires once in every shard
-	s := &r.sh.summary
-	s.Reset()
-	for _, node := range r.nodes {
-		if node == nil || len(node.flows) == 0 {
-			continue
-		}
-		for _, sf := range node.flows {
-			s.Add(sf.info)
-		}
-	}
-	r.nextTick = r.Net.Eng.Now() + r.Cfg.Recompute
-	r.sh.tickPending = true
-	r.Net.Eng.requestStop()
-}
-
-// computeGlobal turns the fully reduced demand summary into the tick's
-// global allocation. Called by the orchestrator on the reduction-tree
-// root's R2C2 only, between phases (the barrier orders the accesses).
-func (r *R2C2) computeGlobal(s *core.DemandSummary) *core.Allocation {
-	if r.agg == nil {
-		r.agg = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
-	}
-	return r.agg.ComputeSummary(s)
-}
-
-// applyAggregatedTick is the apply half of a sharded run's tick: the
-// orchestrator has published the global allocation to r.sh, and this shard
-// re-arms its own senders from it. Nodes whose views converged to the
-// global flow set (hash match) share the global allocation outright; a
-// node whose view diverged (broadcasts still in flight) falls back to the
-// shard-local computer over its own view — exactly what the serial tick
-// does for that node, so the fallback preserves its semantics. The tick
-// re-arms HERE, after the senders, so event sequence numbers are assigned in
-// the same relative order the serial tick assigns them.
-func (r *R2C2) applyAggregatedTick() {
-	r.rearmFromViews(r.sh.globalAlloc)
-	r.Net.Eng.After(r.Cfg.Recompute, r.recomputeTick)
-}
-
-// rearmFromViews re-arms every local sender from this tick's allocations,
-// deduplicating allocator runs by view hash. global is a sharded tick's
-// reduced allocation (nil in a serial run): views hashing to it adopt it
-// without touching the shard-local computer.
-func (r *R2C2) rearmFromViews(global *core.Allocation) {
 	if r.tickCache == nil {
 		r.tickCache = make(map[uint64]*core.Allocation)
 	}
@@ -1115,11 +1046,7 @@ func (r *R2C2) rearmFromViews(global *core.Allocation) {
 		h := node.view.Hash()
 		alloc, ok := r.tickCache[h]
 		if !ok {
-			if global != nil && h == global.ViewHash {
-				alloc = global
-			} else {
-				alloc = r.rc.Compute(node.view)
-			}
+			alloc = r.rc.Compute(node.view)
 			r.tickCache[h] = alloc
 			r.Recomputations++
 			if r.sh != nil {
@@ -1139,5 +1066,9 @@ func (r *R2C2) rearmFromViews(global *core.Allocation) {
 			}
 			r.armSender(sf)
 		}
+	}
+	r.Net.Eng.After(r.Cfg.Recompute, r.recomputeTick)
+	if r.sh != nil {
+		r.sh.ctrlNs += wallNs() - t0
 	}
 }

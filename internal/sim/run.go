@@ -65,10 +65,9 @@ type RunConfig struct {
 	// TransportR2C2 and a rack-structured graph (ConnectRacks or
 	// NewFoldedClos). 0 or 1 runs one shard that owns the whole fabric,
 	// through the same loop: the reference the rack partition's results are
-	// held to. The one control plane is held to it too: each ρ tick a
-	// partitioned run summarises every shard's sourced flows, tree-reduces
-	// the summaries into one global view and distributes the allocation back
-	// (DESIGN.md §15), where one shard recomputes from every node's own view.
+	// held to. Each ρ tick, every shard recomputes the rates of the nodes
+	// it owns from their own views, exactly as one shard does for all of
+	// them (DESIGN.md §15).
 	Shards int
 }
 

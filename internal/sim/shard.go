@@ -18,12 +18,10 @@ package sim
 // hop belongs to another shard cross through per-pair boundary queues, and
 // the orchestrator drains the non-empty ones serially at every epoch
 // boundary, in deterministic (at, emission time, emitting link) order.
-// The R2C2 control plane of a partitioned run is aggregated: each ρ tick,
-// every shard summarises the flows its racks source, the summaries
-// tree-reduce into one global view (topology.ReductionTree), and the
-// resulting allocation distributes back — per-shard control work does not
-// scale with the total flow count. One shard recomputes from every node's own
-// view instead (its net.sh stays nil): the reference the aggregation is held to.
+// The R2C2 control plane runs the same ρ tick in every shard, each over the
+// nodes it owns: rates are a pure function of a view's flow set, so a shard
+// paces its senders exactly as one shard would, and no tick waits for
+// another shard (DESIGN.md §15).
 //
 // The lookahead window Δ is the minimum latency any cross-shard interaction
 // can have: the smallest boundary-link propagation delay, additionally
@@ -43,7 +41,6 @@ import (
 	"sort"
 	"time"
 
-	"r2c2/internal/core"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
@@ -125,26 +122,16 @@ type shardCtx struct {
 	// statistic).
 	handoffs uint64
 	// tickHashes holds the distinct view hashes this shard settled an
-	// allocation for in the current recomputation tick; reduceTick unions
-	// them across shards to reproduce one shard's Recomputations count, then
-	// empties them.
+	// allocation for in the current epoch's recomputation ticks, and
+	// tickStarts where each tick's run of them starts: an epoch wider than ρ
+	// holds several ticks. countRecomputations unions them across shards
+	// tick by tick to reproduce one shard's Recomputations count, then
+	// empties both.
 	tickHashes []uint64
-
-	// Control plane (DESIGN.md §15): tickPending is set by aggregateTick
-	// when the shard's engine pauses at a recomputation tick; the
-	// orchestrator asserts every shard agrees and clears it during the
-	// reduction.
-	tickPending bool
-	// summary holds the shard's sourced-flow demand summary for the
-	// pending tick; the orchestrator tree-reduces the summaries bottom-up,
-	// merging children into parents (plain data crossing the barrier).
-	summary core.DemandSummary
-	// globalAlloc is the tick's reduced global allocation, published by the
-	// orchestrator before the apply phase. Immutable after publication.
-	globalAlloc *core.Allocation
-	// ctrlNs accumulates wall-clock nanoseconds spent in control-plane
-	// work (tick aggregation, reduction merges, apply). Reported per shard
-	// (ShardStat.CtrlNs), excluded from byte-identity like BusyNs.
+	tickStarts []int
+	// ctrlNs accumulates wall-clock nanoseconds spent in recomputation
+	// ticks. Reported per shard (ShardStat.CtrlNs), excluded from
+	// byte-identity like BusyNs.
 	ctrlNs int64
 }
 
@@ -241,14 +228,8 @@ type ShardStat struct {
 	// cache and broadcast trees are shared by all shards and built on first
 	// use, so each such build is charged to whichever shard triggers it.
 	BusyNs int64
-	CtrlNs int64 // wall-clock nanoseconds in control-plane work (ticks, reduction, apply)
+	CtrlNs int64 // wall-clock nanoseconds in recomputation ticks, part of BusyNs
 }
-
-// Phase kinds the workers execute (phaseKind).
-const (
-	phaseRun      = iota // advance each claimed shard's engine to phaseUntil
-	phaseApplyRun        // applyAggregatedTick, then resume the engine to phaseUntil
-)
 
 // fanoutMinEvents is the work below which a phase runs inline even with
 // several active shards, estimated as the events those shards processed in
@@ -271,10 +252,8 @@ type shardedRun struct {
 	maxTime simtime.Time
 	shards  []*shardState
 	delta   simtime.Time
-	// The rack partition and the control plane's summary reduction order over
-	// it; both nil when one shard owns the whole fabric.
+	// The rack partition; nil when one shard owns the whole fabric.
 	part *topology.Partition
-	tree *topology.ReductionTree
 
 	// Active set of the current epoch: nextAt[s] is shard s's earliest
 	// pending event (noEvent when its schedule is empty), refreshed by
@@ -287,7 +266,6 @@ type shardedRun struct {
 	// Phase execution. A phase over several active shards with enough work
 	// to repay it (wide) is spread over the orchestrator and the helper
 	// goroutines of workers; any other runs inline and wakes nobody.
-	phaseKind  int
 	phaseUntil simtime.Time
 	wide       bool
 	workers    fanout // job i: the current phase on active[i]
@@ -300,7 +278,8 @@ type shardedRun struct {
 	gather   []*handoff
 
 	// recomputations accumulates, tick by tick, the size of the union of
-	// the shards' tickHashes (reduceTick); seen is its reusable scratch.
+	// the shards' tickHashes (countRecomputations); seen is its reusable
+	// scratch.
 	recomputations uint64
 	seen           map[uint64]bool
 }
@@ -358,9 +337,6 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 		var err error
 		if sr.part, err = topology.NewPartition(cfg.Graph); err != nil {
 			panic(fmt.Sprintf("sim: sharded run needs a rack-partitioned fabric: %v", err))
-		}
-		if sr.tree, err = topology.NewReductionTree(cfg.Graph, sr.part); err != nil {
-			panic(fmt.Sprintf("sim: aggregated control plane needs a connected rack quotient: %v", err))
 		}
 		S, assign = sr.part.Shards(), sr.part.ShardAssignment()
 		sr.delta = lookahead(cfg.Graph, cfg.Net, sr.part)
@@ -458,16 +434,6 @@ func (sr *shardedRun) run() simtime.Time {
 			if tstar != noEvent && tstar > next {
 				next = tstar
 			}
-			// No epoch of a partitioned run may span a recomputation tick, so
-			// every shard's engine pauses at the tick together and the
-			// reduction runs at the barrier. The tick is itself a pending
-			// event in every engine, so tstar ≤ tickAt and the clamp never
-			// starves the idle jump.
-			if sr.tree != nil {
-				if tickAt := sr.shards[0].r2.nextTick; next > tickAt {
-					next = tickAt
-				}
-			}
 			if tstar == noEvent || next > sliceEnd {
 				next = sliceEnd
 			}
@@ -488,9 +454,9 @@ func (sr *shardedRun) run() simtime.Time {
 			if len(sr.active) > 0 {
 				sr.epochs++
 				sr.wide = work >= fanoutMinEvents
-				sr.runPhase(phaseRun, next)
-				if sr.shards[0].ctx.tickPending {
-					sr.reduceTick(next)
+				sr.runPhase(next)
+				if len(sr.active[0].ctx.tickStarts) > 0 {
+					sr.countRecomputations()
 				}
 				sr.drain()
 			}
@@ -534,15 +500,8 @@ func (sr *shardedRun) nextEventAt() simtime.Time {
 // fan-out, or a run without helpers executes inline and wakes nobody; any
 // other is published to the helpers — at most one per shard beyond the
 // orchestrator's own — and the orchestrator claims shards alongside them.
-//
-// phaseApplyRun re-arms every shard's senders from the published global
-// allocation and resumes the interrupted run window, as one fused phase.
-// Fusing is safe: the apply schedules only shard-local events, the epoch
-// clamp pins the tick to the window's end (until == tick time), so the
-// resume only processes the tick instant's remaining same-timestamp
-// events, whose cross-shard effects land ≥ Δ past the barrier anyway.
-func (sr *shardedRun) runPhase(kind int, until simtime.Time) {
-	sr.phaseKind, sr.phaseUntil = kind, until
+func (sr *shardedRun) runPhase(until simtime.Time) {
+	sr.phaseUntil = until
 	if n := len(sr.active); n > 1 && sr.wide && sr.workers.helpers > 0 {
 		sr.workers.do(n)
 		return
@@ -557,62 +516,43 @@ func (sr *shardedRun) runPhase(kind int, until simtime.Time) {
 // latest clock reading: the shard is charged from there and the new reading
 // returned, so running k shards reads the clock k+1 times.
 func (sr *shardedRun) phaseShard(st *shardState, t int64) int64 {
-	if sr.phaseKind == phaseApplyRun {
-		st.r2.applyAggregatedTick()
-		now := wallNs()
-		st.ctx.ctrlNs += now - t
-		t = now
-	}
 	st.lastRun = st.eng.Run(sr.phaseUntil)
 	now := wallNs()
 	st.busyNs += now - t
 	return now
 }
 
-// reduceTick runs the cross-shard half of a recomputation tick: every
-// shard's engine has paused at the tick with its sourced-flow summary built;
-// the summaries merge bottom-up along the reduction tree (children into
-// parents, reverse BFS order), the root turns the global summary into the
-// tick's allocation, the allocation is published to every shard, and a
-// single fused parallel phase re-arms the senders and resumes the run window
-// the tick interrupted. One shard dedups a tick's allocator runs by
-// view hash across ALL nodes, so the union of the hashes the shards settled
-// in that phase reproduces its Recomputations count exactly.
-func (sr *shardedRun) reduceTick(until simtime.Time) {
+// countRecomputations adds the epoch's recomputation ticks to the
+// partition's Recomputations count. One shard dedups a tick's allocator runs
+// by view hash across ALL nodes, so the union of the hashes the shards
+// settled in the same tick reproduces its count exactly. Every shard holds
+// every tick, so an epoch that ran one in any shard ran it in all of them,
+// and the k-th tick of each shard's epoch is the same tick.
+func (sr *shardedRun) countRecomputations() {
+	ticks := len(sr.shards[0].ctx.tickStarts)
 	for _, st := range sr.shards {
-		if !st.ctx.tickPending {
-			panic(fmt.Sprintf("sim: shard %d missed the recomputation tick the other shards paused at", st.ctx.self))
+		if len(st.ctx.tickStarts) != ticks {
+			panic(fmt.Sprintf("sim: shard %d ran %d recomputation ticks in an epoch where shard 0 ran %d",
+				st.ctx.self, len(st.ctx.tickStarts), ticks))
 		}
-		st.ctx.tickPending = false
 	}
-	order := sr.tree.Order()
-	for i := len(order) - 1; i >= 0; i-- {
-		child := order[i]
-		parent := sr.tree.Parent(child)
-		if parent < 0 {
-			continue // the root
+	for k := 0; k < ticks; k++ {
+		clear(sr.seen)
+		for _, st := range sr.shards {
+			c := st.ctx
+			end := len(c.tickHashes)
+			if k+1 < ticks {
+				end = c.tickStarts[k+1]
+			}
+			for _, h := range c.tickHashes[c.tickStarts[k]:end] {
+				sr.seen[h] = true
+			}
 		}
-		t0 := wallNs()
-		sr.shards[parent].ctx.summary.Merge(&sr.shards[child].ctx.summary)
-		sr.shards[parent].ctx.ctrlNs += wallNs() - t0
+		sr.recomputations += uint64(len(sr.seen))
 	}
-	root := sr.shards[sr.tree.Root()]
-	t0 := wallNs()
-	global := root.r2.computeGlobal(&root.ctx.summary)
-	root.ctx.ctrlNs += wallNs() - t0
 	for _, st := range sr.shards {
-		st.ctx.globalAlloc = global
+		st.ctx.tickHashes, st.ctx.tickStarts = st.ctx.tickHashes[:0], st.ctx.tickStarts[:0]
 	}
-	sr.runPhase(phaseApplyRun, until) // every shard paused at the tick, so all are active
-
-	clear(sr.seen)
-	for _, st := range sr.shards {
-		for _, h := range st.ctx.tickHashes {
-			sr.seen[h] = true
-		}
-		st.ctx.tickHashes = st.ctx.tickHashes[:0]
-	}
-	sr.recomputations += uint64(len(sr.seen))
 }
 
 // drain moves the epoch's boundary handoffs into their destination shards,
@@ -766,7 +706,8 @@ func (sr *shardedRun) merge(end simtime.Time) *Results {
 		}
 		res.Events -= uint64(S-1) * ctrl
 		// One shard dedups a tick's allocator runs by view hash across all
-		// nodes itself; reduceTick has counted the partition's unions.
+		// nodes itself; countRecomputations has counted the partition's
+		// unions.
 		res.Recomputations = first.r2.Recomputations
 		if sr.part != nil {
 			res.Recomputations = sr.recomputations

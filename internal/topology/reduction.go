@@ -7,18 +7,17 @@ import (
 
 // ReductionTree is a spanning tree over a partitioned fabric's rack-
 // adjacency quotient graph: racks are vertices, and two racks are adjacent
-// when any boundary link joins them. The sharded engine's control plane
-// (sim, DESIGN.md §15) combines per-shard demand summaries bottom-up along
-// this tree into one global view per recomputation tick — the same
-// shortest-path BFS shape the §3 broadcast trees use to spread flow events,
-// applied to the rack quotient instead of the node graph. Parent choice is
-// deterministic (smallest adjacent rack at the previous BFS depth), so the
-// reduction order is a pure function of the fabric.
+// when any boundary link joins them — the same shortest-path BFS shape the
+// §3 broadcast trees use to spread flow events, applied to the rack
+// quotient instead of the node graph. Parent choice is deterministic
+// (smallest adjacent rack at the previous BFS depth), so the tree is a pure
+// function of the fabric.
 //
-// The tree is orchestration structure, not simulated traffic: summaries
-// cross shards through the epoch barrier, never on fabric links, so a fault
-// that later severs a quotient edge changes nothing about the reduction —
-// it merely means the merge order no longer mirrors a live physical path.
+// No simulator or emulator path builds one: every shard of a partitioned
+// simulation runs its own recomputation tick (DESIGN.md §15). It stays only
+// because the bench/ ladder's topology.partition_ms rung builds it and
+// bench/ is frozen with the repository benchmark; ROADMAP item 1 (c) is the
+// change that deletes it.
 type ReductionTree struct {
 	root     int
 	parent   []int   // parent[r] = parent rack of r; -1 at the root

@@ -71,6 +71,12 @@ type incRound struct {
 
 // Incremental is a water-filling allocator maintained under a stream of
 // flow deltas. It is not safe for concurrent use.
+//
+// No simulator or emulator path calls it: core.RateComputer runs the
+// from-scratch Allocator, whose rates do not depend on the computer's
+// history (DESIGN.md §7). It stays only because the bench/ ladder's
+// waterfill.incremental_us rung times it and bench/ is frozen with the
+// repository benchmark; ROADMAP item 1 (c) is the change that deletes it.
 type Incremental struct {
 	cfg    Config
 	capEff float64
