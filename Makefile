@@ -8,7 +8,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view fuzz-vis fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,13 @@ fuzz-directives:
 # one byte by byte (the default: up to a minute apiece) would be the whole run.
 fuzz-view:
 	$(GO) test -run=^$$ -fuzz FuzzViewApply -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
+
+# The simulator's visibility rows against one core.View per node, on
+# arbitrary event streams (floods, finish-first flows, recycled rows, origin
+# adds and removes, purges). Inputs are thousands of four-byte events:
+# minimise by count, as fuzz-view does.
+fuzz-vis:
+	$(GO) test -run=^$$ -fuzz FuzzVisibilityMatchesView -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sim/
 
 # The reorder-window bitmap against the map it replaced, on arbitrary packet
 # streams (duplicates, late packets, gaps across ring doublings). An input is

@@ -84,22 +84,29 @@ func (f *FlowInfo) broadcast(ev wire.EventKind, tree uint8) *wire.Broadcast {
 	}
 }
 
+// BroadcastInfo returns the flow entry a broadcast announces.
+func BroadcastInfo(b *wire.Broadcast) FlowInfo {
+	return FlowInfo{ID: b.Flow(), Src: topology.NodeID(b.Src), Dst: topology.NodeID(b.Dst),
+		Weight: b.Weight, Priority: b.Priority, DemandKbps: b.DemandKbps, Protocol: routing.Protocol(b.RP)}
+}
+
 // View is one node's local picture of the rack's traffic matrix, built
 // purely from flow-event broadcasts (§3.1). Views at different nodes can
 // temporarily diverge while broadcasts are in flight; the bandwidth
 // headroom absorbs that (§3.3.2).
 //
 // A View maintains an order-independent hash of its contents so that
-// callers (the simulator's recomputation scheduler) can cheaply detect
-// that two nodes hold identical views and share one rate computation.
+// callers (the rate computer's cache, the emulator's recomputation) can
+// cheaply detect an unchanged or identical view and share one rate
+// computation.
 type View struct {
 	// slots is an open-addressing hash table with the entries stored inline:
 	// a power-of-two number of slots, a flow's home slot the top bits of a
 	// multiplicative hash of its ID, collisions resolved by linear probing,
 	// removal by backward shift (no tombstones), at most three quarters full.
-	// One delivery touches one view out of hundreds, so the slot an event
-	// needs is cold: keeping it one probe — usually one cache line — away is
-	// what the layout is for.
+	// One delivery touches one view out of one per node, so the slot an
+	// event needs is cold: keeping it one probe — usually one cache line —
+	// away is what the layout is for.
 	slots   []viewSlot
 	shift   uint8 // 32 - log2(len(slots)): hash bits to discard
 	n       int   // occupied slots
@@ -156,18 +163,9 @@ func (v *View) Get(id wire.FlowID) (FlowInfo, bool) {
 // after drops, §3.2 "Failures") and reported as no-ops.
 func (v *View) Apply(b *wire.Broadcast) error {
 	id := b.Flow()
-	info := FlowInfo{
-		ID:         id,
-		Src:        topology.NodeID(b.Src),
-		Dst:        topology.NodeID(b.Dst),
-		Weight:     b.Weight,
-		Priority:   b.Priority,
-		DemandKbps: b.DemandKbps,
-		Protocol:   routing.Protocol(b.RP),
-	}
 	switch b.Event {
 	case wire.EventFlowStart:
-		v.upsert(info)
+		v.upsert(BroadcastInfo(b))
 	case wire.EventFlowFinish:
 		v.remove(id)
 	case wire.EventDemandUpdate, wire.EventRouteChange:
@@ -198,7 +196,7 @@ func (v *View) RemoveFlow(id wire.FlowID) { v.remove(id) }
 func (v *View) upsert(info FlowInfo) {
 	i, ok := v.find(info.ID)
 	if ok {
-		v.hash ^= flowHash(v.slots[i].info)
+		v.hash ^= FlowDigest(v.slots[i].info)
 	} else {
 		if (v.n+1)*4 > len(v.slots)*3 {
 			v.grow()
@@ -207,7 +205,7 @@ func (v *View) upsert(info FlowInfo) {
 		v.n++
 	}
 	v.slots[i] = viewSlot{info: info, used: true}
-	v.hash ^= flowHash(info)
+	v.hash ^= FlowDigest(info)
 	v.version++
 }
 
@@ -229,7 +227,7 @@ func (v *View) remove(id wire.FlowID) {
 	if !ok {
 		return
 	}
-	v.hash ^= flowHash(v.slots[i].info)
+	v.hash ^= FlowDigest(v.slots[i].info)
 	// Backward-shift delete: walk the cluster after the hole and pull back
 	// every entry whose probe sequence passes through it — one whose home is
 	// cyclically no later than the hole — so no lookup ever needs to step over
@@ -260,8 +258,9 @@ func (v *View) Flows() []FlowInfo {
 	return out
 }
 
-// flowHash digests one flow entry for the order-independent view hash.
-func flowHash(f FlowInfo) uint64 {
+// FlowDigest digests one flow entry for the order-independent view hash: a
+// View's Hash is the XOR of FlowDigest over its entries.
+func FlowDigest(f FlowInfo) uint64 {
 	h := uint64(f.ID)<<32 | uint64(f.DemandKbps)
 	h ^= uint64(f.Weight)<<8 | uint64(f.Priority)<<16 | uint64(f.Protocol)<<24
 	// splitmix64 finalizer.
@@ -279,13 +278,14 @@ func flowHash(f FlowInfo) uint64 {
 // of that flow set would report. Because flow IDs embed their source node,
 // summaries of disjoint sources merge by an exact sorted merge.
 //
-// No simulator or emulator path builds one: it stays only because the
-// bench/ ladder's core.summary_us rung does, and bench/ is frozen with the
-// repository benchmark. ROADMAP item 1 (c) is the change that deletes it,
-// with ComputeSummary. It is not safe for concurrent mutation.
+// The simulator's recomputation tick hands ComputeSummary one: a node's
+// sorted flow list and its running digest, built from the visibility rows
+// only when the tick's cache misses. Add and Merge serve only the bench/
+// ladder's core.summary_us rung (ROADMAP item 1 (c)). It is not safe for
+// concurrent mutation.
 type DemandSummary struct {
 	Flows []FlowInfo // sorted by flow ID
-	Hash  uint64     // XOR of flowHash over Flows; equals View.Hash() of the same set
+	Hash  uint64     // XOR of FlowDigest over Flows; equals View.Hash() of the same set
 
 	scratch []FlowInfo // merge buffer, reused across ticks
 }
@@ -306,7 +306,7 @@ func (s *DemandSummary) Add(f FlowInfo) {
 		panic("core: DemandSummary.Add out of order — sourced flow sets must be disjoint and sorted")
 	}
 	s.Flows = append(s.Flows, f)
-	s.Hash ^= flowHash(f)
+	s.Hash ^= FlowDigest(f)
 }
 
 // Merge folds another summary into this one: a sorted merge of the flow
@@ -425,9 +425,8 @@ func (rc *RateComputer) Compute(v *View) *Allocation {
 }
 
 // ComputeSummary is Compute over a DemandSummary instead of a View; equal
-// flow sets give bit-identical allocations. No simulator or emulator path
-// calls it: it stays only for the bench/ ladder's core.summary_us rung,
-// until ROADMAP item 1 (c) deletes it with DemandSummary.
+// flow sets give bit-identical allocations. The simulator's recomputation
+// tick calls it, since the simulator keeps no View per node.
 func (rc *RateComputer) ComputeSummary(s *DemandSummary) *Allocation {
 	if rc.cached(s.Hash, len(s.Flows)) {
 		return rc.last

@@ -431,7 +431,7 @@ func (m *mapView) requireSame(t *testing.T, v *View, step int, probes ...wire.Fl
 		if ref, ok := m.flows[f.ID]; !ok || f != ref || (i > 0 && got[i-1].ID >= f.ID) {
 			t.Fatalf("step %d: Flows()[%d] = %+v after ID %v; reference entry %+v (present %v)", step, i, f, got[max(i, 1)-1].ID, ref, ok)
 		}
-		hash ^= flowHash(f)
+		hash ^= FlowDigest(f)
 	}
 	if len(got) != len(m.flows) || v.Len() != len(m.flows) || v.Hash() != hash || v.Version() != m.version {
 		t.Fatalf("step %d: view lists %d flows, has len %d hash %#x version %d; reference len %d hash %#x version %d",

@@ -5,8 +5,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"r2c2/internal/core"
-	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
 	"r2c2/internal/trafficgen"
@@ -183,85 +181,6 @@ func TestEventRecordSize(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(stagedEntry{}); sz > 32 {
 		t.Fatalf("staging-heap entry is %d bytes, budget 32 (two to a cache line)", sz)
-	}
-}
-
-// TestFinishTombstonesPerFlow checks the finished-flow memory: one bitset per
-// finished flow however many nodes saw the finish, found through the flow's
-// (source, sequence) row entry; a late start broadcast rejected at exactly the
-// nodes that saw the finish; and a sequence number that never finished, between
-// two that did, still open.
-func TestFinishTombstonesPerFlow(t *testing.T) {
-	g := torus(t, 4, 2)
-	eng := &Engine{}
-	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PropDelay: rigProp})
-	r := NewR2C2(net, routing.NewTable(g), R2C2Config{Headroom: 0.05, Protocol: routing.RPS})
-	const flows = 12
-	for i := 0; i < flows; i++ {
-		r.StartFlow(topology.NodeID(i), topology.NodeID((i+5)%g.Nodes()), 64<<10, 1, 0)
-	}
-	eng.Run(10 * simtime.Millisecond)
-	for id, rec := range r.Ledger() {
-		if !rec.Done {
-			t.Fatalf("flow %v incomplete", id)
-		}
-	}
-	// entries counts the row entries in use; each must name its own bitset.
-	entries := func() int {
-		n, seen := 0, map[int32]bool{}
-		for src, row := range r.finished {
-			for seq, off := range row {
-				if off == 0 {
-					continue
-				}
-				if off < 1 || (int(off)-1)%r.nodeBits != 0 || int(off)-1+r.nodeBits > len(r.finishedBits) || seen[off] {
-					t.Fatalf("flow %d.%d: bitset offset %d (of %d words, %d per flow) is out of range, misaligned or shared", src, seq, off-1, len(r.finishedBits), r.nodeBits)
-				}
-				seen[off] = true
-				n++
-			}
-		}
-		return n
-	}
-	if n := entries(); n != flows {
-		t.Fatalf("%d finished-flow entries for %d finished flows", n, flows)
-	}
-	if want := flows * r.nodeBits; len(r.finishedBits) != want {
-		t.Fatalf("finished-flow bitsets take %d words, want %d", len(r.finishedBits), want)
-	}
-
-	// Flows nobody has heard of, from node 9, past the end of its row: the
-	// finishes of seq 76 and 78 reach nodes 1 and 2 only, seq 77 never
-	// finishes, then retransmitted starts of all three reach 1, 2 and 3.
-	ghost := func(seq uint16) core.FlowInfo {
-		return core.FlowInfo{ID: wire.MakeFlowID(9, seq), Src: 9, Dst: 4, Weight: 1,
-			DemandKbps: core.UnlimitedDemand, Protocol: routing.RPS}
-	}
-	deliver := func(at topology.NodeID, b *wire.Broadcast) {
-		r.deliver(at, &Packet{Kind: KindBroadcast, SizeBytes: BroadcastBytes, Flow: b.Flow(), Src: 9, Bcast: b})
-	}
-	for _, at := range []topology.NodeID{1, 2} {
-		for _, seq := range []uint16{78, 76} {
-			f := ghost(seq)
-			deliver(at, f.FinishBroadcast(0))
-		}
-	}
-	for _, at := range []topology.NodeID{1, 2, 3} {
-		for seq := uint16(76); seq <= 78; seq++ {
-			f := ghost(seq)
-			deliver(at, f.StartBroadcast(0))
-		}
-	}
-	if n := entries(); n != flows+2 {
-		t.Fatalf("%d finished-flow entries after two more finishes seen at two nodes each, want %d", n, flows+2)
-	}
-	for seq := uint16(76); seq <= 78; seq++ {
-		for _, at := range []topology.NodeID{1, 2, 3} {
-			want := at == 3 || seq == 77 // rejected only where the finish was seen
-			if _, has := r.View(at).Get(ghost(seq).ID); has != want {
-				t.Errorf("node %d, flow 9.%d: late start applied = %v, want %v", at, seq, has, want)
-			}
-		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (c *R2C2Config) defaults() {
 }
 
 // R2C2 is the full R2C2 stack running over the simulated fabric: flow-event
-// broadcasts keep every node's View current; every node periodically
+// broadcasts keep every node's view current; every node periodically
 // recomputes the rates of the flows it sources and paces them with one
 // token-bucket rate limiter per flow; packets are source-routed with
 // per-packet paths drawn from each flow's routing protocol (§3).
@@ -115,17 +115,15 @@ type R2C2 struct {
 	// periodic recomputation stays off the per-tick allocation budget.
 	tickCache map[uint64]*core.Allocation
 
-	// finished remembers, per finished flow, which of this instance's nodes
-	// have applied the finish event, so that a §3.2-retransmitted start
-	// broadcast arriving after the finish cannot resurrect a dead flow in
-	// that node's view. A flow ID is its source and a per-source sequence
-	// number, so the memory is indexed, not hashed: finished[src][seq] is 1 +
-	// the offset in finishedBits of the flow's nodeBits-word bitset (indexed
-	// by r2c2Node.bit), 0 while no node here has seen the flow finish. Rows
-	// span every source of the fabric, the bitsets only this instance's nodes.
-	finished     [][]int32
-	finishedBits []uint64
-	nodeBits     int // words per bitset: one bit per node this instance owns
+	// The nodes' views (visibility.go): vis[src][seq] is 1 + the flow's
+	// index in rows, 0 while no node here has heard of it, visRetired once
+	// its row is recycled. Row i's cells are cells[i*owned:][:owned].
+	vis      [][]int32
+	rows     []visRow
+	cells    []uint16
+	freeRows []int32
+	owned    int32              // nodes this instance owns
+	sum      core.DemandSummary // the tick's flow list, reused
 
 	// bcastHops is broadcastHops' translation buffer on a degraded fabric.
 	bcastHops []topology.LinkID
@@ -140,12 +138,13 @@ type r2c2Flow struct {
 	recv *reorderState
 }
 
-// r2c2Node is one node's protocol state: its view, live flows and tree
-// cursor. It is mutated only by its shard's engine goroutine.
+// r2c2Node is one node's protocol state: its view's digest, live flows and
+// tree cursor. It is mutated only by its shard's engine goroutine.
 type r2c2Node struct {
-	id   topology.NodeID
-	bit  int32 // this node's position in the finished-flow bitsets
-	view *core.View
+	id     topology.NodeID
+	col    int32  // this node's cell in every visibility row
+	digest uint64 // XOR of core.FlowDigest over the flows it holds live: its View.Hash
+	live   int32  // flows it holds live
 	// flows lists the node's live flows in creation order, which is ascending
 	// flow-ID order: recomputation ticks and reroutes schedule events flow by
 	// flow, and scheduling order is the (at, seq) FIFO tie-break, so the walk
@@ -287,16 +286,14 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 	}
 	r.install(fab)
 	r.nodes = make([]*r2c2Node, net.G.Nodes())
-	owned := int32(0)
 	for i := range r.nodes {
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
 			continue // another shard owns this node's state
 		}
-		r.nodes[i] = &r2c2Node{id: topology.NodeID(i), bit: owned, view: core.NewView()}
-		owned++
+		r.nodes[i] = &r2c2Node{id: topology.NodeID(i), col: r.owned}
+		r.owned++
 	}
-	r.finished = make([][]int32, net.G.Nodes())
-	r.nodeBits = (int(owned) + 63) / 64
+	r.vis = make([][]int32, net.G.Nodes())
 	r.failedLinks = make(map[topology.LinkID]bool)
 	r.deadNodes = make(map[topology.NodeID]bool)
 	net.Deliver = r.deliver
@@ -541,21 +538,7 @@ func (r *R2C2) reroute(f fabric) {
 	// Purge flows involving dead nodes BEFORE rebuilding, so the
 	// re-announce loop never routes toward an unreachable endpoint and no
 	// view keeps bandwidth reserved for a crashed node's flows.
-	if len(r.deadNodes) > 0 {
-		for _, n := range r.nodes {
-			if n == nil {
-				continue // owned by another shard
-			}
-			for _, info := range n.view.Flows() {
-				if r.deadNodes[info.Src] || r.deadNodes[info.Dst] {
-					n.view.RemoveFlow(info.ID)
-					if sf := r.sender(info.ID); sf != nil && sf.node == n {
-						r.retire(sf) // abandon senders to dead nodes
-					}
-				}
-			}
-		}
-	}
+	r.purgeDead()
 	r.install(f)
 	// "Upon detecting a failure, nodes broadcast information about all
 	// their ongoing flows" (§3.2).
@@ -565,6 +548,28 @@ func (r *R2C2) reroute(f fabric) {
 		}
 		for _, sf := range node.flows {
 			r.broadcast(node, sf.info.StartBroadcast(r.pickTree(node)))
+		}
+	}
+}
+
+// purgeDead drops every flow with a dead endpoint from every view here, as
+// core.View.RemoveFlow would (no tombstone), and abandons its sender.
+func (r *R2C2) purgeDead() {
+	for i := range r.rows {
+		rw := &r.rows[i]
+		if rw.live == 0 {
+			continue
+		}
+		if info := rw.entries[0].info; !r.deadNodes[info.Src] && !r.deadNodes[info.Dst] {
+			continue
+		}
+		for _, n := range r.nodes {
+			if n != nil && *r.cell(int32(i), n) > visFinished {
+				r.setCell(n, int32(i), visAbsent)
+			}
+		}
+		if sf := r.sender(rw.id); sf != nil {
+			r.retire(sf) // abandon senders to dead nodes
 		}
 	}
 }
@@ -593,8 +598,15 @@ func (r *R2C2) retire(sf *senderFlow) {
 	r.flows.get(sf.info.ID).st.send = nil
 }
 
-// View returns a node's traffic-matrix view (for tests and inspection).
-func (r *R2C2) View(node topology.NodeID) *core.View { return r.nodes[node].view }
+// View returns a snapshot of a node's traffic-matrix view, built from the
+// visibility rows (for tests and inspection).
+func (r *R2C2) View(node topology.NodeID) *core.View {
+	v := core.NewView()
+	for _, info := range r.liveFlows(nil, r.nodes[node]) {
+		v.AddFlow(info)
+	}
+	return v
+}
 
 // StartFlow begins a flow of sizeBytes from src to dst at the current
 // simulated time: the sender updates its own view, broadcasts the start
@@ -652,7 +664,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 	}
 	slot.st.send = sf
 	node.flows = append(node.flows, sf)
-	node.view.AddFlow(info)
+	r.hold(node, info)
 	r.broadcast(node, info.StartBroadcast(r.pickTree(node)))
 	r.armSender(sf)
 	return id
@@ -673,7 +685,7 @@ func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
 	} else {
 		sf.info.DemandKbps = core.UnlimitedDemand
 	}
-	node.view.AddFlow(sf.info)
+	r.hold(node, sf.info)
 	r.broadcast(node, sf.info.DemandBroadcast(r.pickTree(node)))
 }
 
@@ -686,7 +698,7 @@ func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
 	}
 	node := sf.node
 	sf.info.Protocol = p
-	node.view.AddFlow(sf.info)
+	r.hold(node, sf.info)
 	r.broadcast(node, sf.info.RouteChangeBroadcast(r.pickTree(node)))
 }
 
@@ -837,10 +849,11 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 	r.Net.Eng.after(gap, evSend, sf)
 }
 
-// finishSender retires a flow at its source and broadcasts the finish.
+// finishSender retires a flow at its source, which holds the finish (it
+// applies none of its own broadcasts), and broadcasts the finish.
 func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
 	r.flows.get(sf.info.ID).rec.SenderDone = true
-	node.view.RemoveFlow(sf.info.ID)
+	r.setCell(node, r.visRowOf(sf.info.ID, false), visFinished)
 	r.retire(sf)
 	r.broadcast(node, sf.info.FinishBroadcast(r.pickTree(node)))
 }
@@ -893,7 +906,7 @@ func (r *R2C2) receiveAck(pkt *Packet) {
 	}
 }
 
-// deliver handles packets reaching a node: broadcasts update the view,
+// deliver handles packets reaching a node: broadcasts update its cells,
 // data packets update receive state and flow records.
 func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 	if r.deadNodes[at] {
@@ -916,53 +929,12 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 			// The origin mutated its own view before broadcasting (§3.1).
 			return
 		}
-		node := r.nodes[at]
-		switch pkt.Bcast.Event {
-		case wire.EventFlowFinish:
-			r.markFinished(pkt.Bcast.Flow(), node)
-		case wire.EventFlowStart:
-			if r.sawFinish(pkt.Bcast.Flow(), node) {
-				return // a retransmitted start racing its own finish
-			}
-		}
-		if err := node.view.Apply(pkt.Bcast); err != nil {
-			panic(err)
-		}
+		r.apply(r.nodes[at], pkt.Bcast)
 	case KindData:
 		r.receiveData(at, pkt)
 	case KindAck:
 		r.receiveAck(pkt)
 	}
-}
-
-// markFinished records that node has applied the flow's finish event.
-func (r *R2C2) markFinished(id wire.FlowID, node *r2c2Node) {
-	row, seq := r.finished[id.Src()], int(id.Seq())
-	if seq >= len(row) {
-		row = append(row, make([]int32, seq+1-len(row))...) // doubles: one growth per many flows
-		r.finished[id.Src()] = row
-	}
-	if row[seq] == 0 {
-		row[seq] = int32(len(r.finishedBits)) + 1
-		r.finishedBits = append(r.finishedBits, make([]uint64, r.nodeBits)...) // a doubling slab, likewise
-	}
-	word, mask := node.finishBit()
-	r.finishedBits[int(row[seq])-1+word] |= mask
-}
-
-// sawFinish reports whether node has applied the flow's finish event.
-func (r *R2C2) sawFinish(id wire.FlowID, node *r2c2Node) bool {
-	row, seq := r.finished[id.Src()], int(id.Seq())
-	if seq >= len(row) || row[seq] == 0 {
-		return false
-	}
-	word, mask := node.finishBit()
-	return r.finishedBits[int(row[seq])-1+word]&mask != 0
-}
-
-// finishBit locates the node's bit within a finished-flow bitset.
-func (n *r2c2Node) finishBit() (word int, mask uint64) {
-	return int(n.bit >> 6), 1 << (uint(n.bit) & 63)
 }
 
 func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
@@ -1020,7 +992,8 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 // recomputeTick is the periodic batch recomputation (§3.3.2): every node
 // this instance owns recomputes its flows' rates from its own view, and
 // nodes whose views are identical (the common case once broadcasts settle)
-// share a single allocator run, keyed by the view hash. A rate is a pure
+// share a single allocator run, keyed by the view digest; a node's sorted
+// flow list is built only for a digest the tick has not seen. A rate is a pure
 // function of the view's flow set (core.RateComputer), so a shard of the
 // rack partition runs this same tick over its own nodes and paces them
 // exactly as one shard would (DESIGN.md §15). There it also counts itself
@@ -1043,10 +1016,11 @@ func (r *R2C2) recomputeTick() {
 		if node == nil || len(node.flows) == 0 {
 			continue
 		}
-		h := node.view.Hash()
+		h := node.digest
 		alloc, ok := r.tickCache[h]
 		if !ok {
-			alloc = r.rc.Compute(node.view)
+			r.sum.Flows, r.sum.Hash = r.liveFlows(r.sum.Flows[:0], node), h
+			alloc = r.rc.ComputeSummary(&r.sum)
 			r.tickCache[h] = alloc
 			r.Recomputations++
 			if r.sh != nil {

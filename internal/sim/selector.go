@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"r2c2/internal/core"
 	"r2c2/internal/genetic"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
@@ -61,6 +62,7 @@ type Selector struct {
 	// seen lists the flows of the latest round's view with the time the
 	// selector first saw each, in the view's order: ascending flow ID.
 	seen []seenFlow
+	view []core.FlowInfo // the round's view, reused
 }
 
 type seenFlow struct {
@@ -89,7 +91,7 @@ func (s *Selector) tick() {
 // selectOnce performs one §3.4 selection round over the view of node 0.
 func (s *Selector) selectOnce() {
 	now := s.r.Net.Eng.Now()
-	view := s.r.View(0)
+	s.view = s.r.liveFlows(s.view[:0], s.r.nodes[0])
 
 	// Gather eligible long flows (old enough) and their current genes.
 	var flows []routing.Demand
@@ -98,8 +100,8 @@ func (s *Selector) selectOnce() {
 	// One merge of the view with the previous round's list, both in flow-ID
 	// order: a flow new to the view starts ageing now, and the age of one
 	// that has left it (finished) is dropped with it.
-	prev, seen := s.seen, make([]seenFlow, 0, view.Len())
-	for _, info := range view.Flows() {
+	prev, seen := s.seen, make([]seenFlow, 0, len(s.view))
+	for _, info := range s.view {
 		for len(prev) > 0 && prev[0].id < info.ID {
 			prev = prev[1:]
 		}
