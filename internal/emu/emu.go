@@ -532,7 +532,8 @@ func (n *emuNode) lateStart(b *wire.Broadcast) bool {
 // reference.
 func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt) {
 	st := r.fabric.Load()
-	hops, ok := st.fib.NextHops(src, tree, at)
+	var buf [wire.MaxPorts]topology.LinkID // New rejects a node with more ports
+	hops, ok := st.fib.AppendNextHops(buf[:0], src, tree, at)
 	if !ok {
 		// A fabric swap replaced the FIB underneath an in-flight broadcast:
 		// the new trees need not visit `at`, and a crashed origin has no
@@ -542,7 +543,7 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt)
 		return
 	}
 	for _, lid := range hops {
-		if st.linkMap != nil { // hops alias the FIB's trees: translate, never rewrite
+		if st.linkMap != nil {
 			lid = st.linkMap[lid]
 		}
 		pkt.retain()

@@ -84,8 +84,8 @@ func TestEmuFailAndRepairLink(t *testing.T) {
 }
 
 // Broadcast forwarding over a degraded fabric translates each tree hop to
-// its physical port as it goes: the FIB's hop list is read, never copied,
-// so a delivery costs no allocation however broken the rack is.
+// its physical port as it goes, in the caller's stack buffer, so a delivery
+// costs no allocation however broken the rack is.
 func TestForwardBroadcastDegradedAllocFree(t *testing.T) {
 	g, err := topology.NewTorus(4, 2)
 	if err != nil {
@@ -100,11 +100,40 @@ func TestForwardBroadcastDegradedAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.swapFabric()
+	if r.fabric.Load().linkMap == nil {
+		t.Fatal("want a degraded fabric")
+	}
+	checkForwardBroadcastAllocFree(t, r)
+}
+
+// On the intact fabric the FIB appends a node's tree hops into a stack
+// buffer of forwardBroadcast's: a delivery costs no allocation.
+func TestForwardBroadcastAllocFree(t *testing.T) {
+	g, err := topology.NewTorus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Config{Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Stop)
+	if r.fabric.Load().linkMap != nil {
+		t.Fatal("intact fabric carries a link translation")
+	}
+	checkForwardBroadcastAllocFree(t, r)
+}
+
+// checkForwardBroadcastAllocFree forwards a broadcast of node 0's tree 0 at
+// its root: every tree hop must reach its physical port, and a delivery must
+// not allocate.
+func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
+	t.Helper()
 	st := r.fabric.Load()
 	const src = topology.NodeID(0)
 	hops, ok := st.fib.NextHops(src, 0, src)
-	if st.linkMap == nil || !ok || len(hops) == 0 {
-		t.Fatalf("want a degraded fabric with tree hops at the root: linkMap %v, hops %v", st.linkMap, hops)
+	if !ok || len(hops) == 0 {
+		t.Fatalf("want tree hops at the root: %v", hops)
 	}
 	seg := r.pool.get()
 	pkt := emuPkt{buf: seg.data[:16], seg: seg}
@@ -114,12 +143,16 @@ func TestForwardBroadcastDegradedAllocFree(t *testing.T) {
 	}
 	r.forwardBroadcast(src, src, 0, pkt)
 	for _, lid := range hops {
-		if phys := st.linkMap[lid]; r.ports[phys].enqueued.Load() != before[phys]+1 {
+		phys := lid
+		if st.linkMap != nil {
+			phys = st.linkMap[lid]
+		}
+		if r.ports[phys].enqueued.Load() != before[phys]+1 {
 			t.Fatalf("tree hop %d not forwarded on its physical port %d", lid, phys)
 		}
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.forwardBroadcast(src, src, 0, pkt) }); allocs != 0 {
-		t.Fatalf("forwardBroadcast on a degraded fabric: %v allocations per delivery, want 0", allocs)
+		t.Fatalf("forwardBroadcast: %v allocations per delivery, want 0", allocs)
 	}
 }
 

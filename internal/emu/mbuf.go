@@ -132,8 +132,8 @@ func (p *mbufPool) appendChain(m *mbuf, b []byte) *mbuf {
 	}
 	for len(b) > 0 {
 		if tail.n == mbufSegSize {
-			seg := p.get()      // counts as live until the chain is put back
-			seg.ref.Store(0)    // the head's refcount owns the whole chain
+			seg := p.get()   // counts as live until the chain is put back
+			seg.ref.Store(0) // the head's refcount owns the whole chain
 			tail.next = seg
 			tail = seg
 		}

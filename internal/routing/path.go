@@ -58,8 +58,7 @@ func (t *Table) sprayPath(src, dst topology.NodeID, rng *rand.Rand, path []topol
 	succ := t.successors(dst)
 	at := src
 	for at != dst {
-		links := succ.At(at)
-		lid := links[rng.Intn(len(links))]
+		lid := succ.Pick(at, rng.Intn(succ.Count(at)))
 		path = append(path, lid)
 		at = t.g.Link(lid).To
 	}
@@ -149,11 +148,10 @@ func (t *Table) ECMPPath(src, dst topology.NodeID, flow wire.FlowID) []topology.
 	h := uint64(flow)*0x9E3779B97F4A7C15 + 0x7F4A7C15
 	hop := 0
 	for at != dst {
-		links := succ.At(at)
 		h ^= h >> 33
 		h *= 0xFF51AFD7ED558CCD
 		h ^= uint64(hop) * 0xC4CEB9FE1A85EC53
-		lid := links[h%uint64(len(links))]
+		lid := succ.Pick(at, int(h%uint64(succ.Count(at))))
 		path = append(path, lid)
 		at = t.g.Link(lid).To
 		hop++
@@ -180,17 +178,7 @@ func (t *Table) AppendPortRoute(buf wire.Route, path []topology.LinkID) (wire.Ro
 	}
 	orig := len(buf)
 	for _, lid := range path {
-		from := t.g.Link(lid).From
-		port := -1
-		for p, out := range t.g.Out(from) {
-			if out == lid {
-				port = p
-				break
-			}
-		}
-		if port < 0 {
-			return buf[:orig], fmt.Errorf("routing: link %d not an out-port of node %d", lid, from)
-		}
+		port := t.g.Port(lid)
 		if port >= wire.MaxPorts {
 			return buf[:orig], wire.ErrBadPort
 		}

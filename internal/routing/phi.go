@@ -31,9 +31,10 @@ func (t *Table) sprayMass(src, dst topology.NodeID, mass float64, dense map[topo
 		seen := make(map[topology.NodeID]bool)
 		for _, v := range frontier {
 			m := nodeMass[v]
-			links := succ.At(v)
-			share := m / float64(len(links))
-			for _, lid := range links {
+			n := succ.Count(v)
+			share := m / float64(n)
+			for i := 0; i < n; i++ {
+				lid := succ.Pick(v, i)
 				dense[lid] += share
 				to := t.g.Link(lid).To
 				if to != dst {
@@ -117,15 +118,14 @@ func (t *Table) dorNext(v, dst topology.NodeID) topology.LinkID {
 		panic("routing: dorNext called with v == dst")
 	}
 	// General graph: deterministic minimal successor with smallest link ID.
-	succ := t.successors(dst).At(v)
-	if len(succ) == 0 {
+	succ := t.successors(dst)
+	n := succ.Count(v)
+	if n == 0 {
 		panic("routing: no minimal successor")
 	}
-	best := succ[0]
-	for _, lid := range succ[1:] {
-		if lid < best {
-			best = lid
-		}
+	best := succ.Pick(v, 0)
+	for i := 1; i < n; i++ {
+		best = min(best, succ.Pick(v, i))
 	}
 	return best
 }
@@ -221,9 +221,10 @@ func (t *Table) vlbDstVec(d topology.NodeID) []float64 {
 			if m == 0 {
 				continue
 			}
-			links := succ.At(v)
-			share := m / float64(len(links))
-			for _, lid := range links {
+			n := succ.Count(v)
+			share := m / float64(n)
+			for i := 0; i < n; i++ {
+				lid := succ.Pick(v, i)
 				vec[lid] += share
 				mass[g.Link(lid).To] += share
 			}

@@ -10,12 +10,12 @@ import (
 // enumerate walks every minimal path from v to dst, carrying the
 // probability of per-hop uniform spraying, and accumulates exact per-link
 // probabilities — an independent reference for the φ dynamic program.
-func enumerate(g *topology.Graph, succ *topology.LinkCSR, v, dst topology.NodeID,
+func enumerate(g *topology.Graph, succ *topology.PortMasks, v, dst topology.NodeID,
 	prob float64, acc map[topology.LinkID]float64) {
 	if v == dst {
 		return
 	}
-	links := succ.At(v)
+	links := succ.AppendLinks(nil, v)
 	share := prob / float64(len(links))
 	for _, lid := range links {
 		acc[lid] += share
@@ -23,27 +23,44 @@ func enumerate(g *topology.Graph, succ *topology.LinkCSR, v, dst topology.NodeID
 	}
 }
 
-// The φ DP must agree exactly with brute-force path enumeration.
+// The φ DP must agree exactly with brute-force path enumeration, on a torus
+// and on a Clos whose 14-port leaves need two-byte successor masks.
 func TestPhiRPSMatchesEnumeration(t *testing.T) {
 	g := torus(t, 4, 2)
-	tab := NewTable(g)
-	for _, pair := range [][2]topology.NodeID{
-		{0, 1},                     // neighbours
-		{0, g.NodeAt([]int{1, 1})}, // 2-hop corner
-		{0, g.NodeAt([]int{2, 1})}, // 3 hops
-		{0, g.NodeAt([]int{2, 2})}, // 4 hops, ties in both dims
-		{5, g.NodeAt([]int{3, 2})}, // off-origin
+	clos, err := topology.NewFoldedClos(4, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		g     *topology.Graph
+		pairs [][2]topology.NodeID
+	}{
+		{g, [][2]topology.NodeID{
+			{0, 1},                     // neighbours
+			{0, g.NodeAt([]int{1, 1})}, // 2-hop corner
+			{0, g.NodeAt([]int{2, 1})}, // 3 hops
+			{0, g.NodeAt([]int{2, 2})}, // 4 hops, ties in both dims
+			{5, g.NodeAt([]int{3, 2})}, // off-origin
+		}},
+		{clos, [][2]topology.NodeID{
+			{0, 11},  // same leaf
+			{0, 12},  // next leaf, through either spine
+			{47, 13}, // last host to another leaf
+		}},
 	} {
-		src, dst := pair[0], pair[1]
-		acc := make(map[topology.LinkID]float64)
-		enumerate(g, g.MinimalSuccessors(dst), src, dst, 1.0, acc)
-		phi := tab.Phi(RPS, src, dst)
-		if len(phi.Links) != len(acc) {
-			t.Fatalf("%d->%d: DP touches %d links, enumeration %d", src, dst, len(phi.Links), len(acc))
-		}
-		for i, lid := range phi.Links {
-			if math.Abs(phi.Frac[i]-acc[lid]) > 1e-12 {
-				t.Fatalf("%d->%d link %d: DP %v, enumeration %v", src, dst, lid, phi.Frac[i], acc[lid])
+		tab := NewTable(c.g)
+		for _, pair := range c.pairs {
+			src, dst := pair[0], pair[1]
+			acc := make(map[topology.LinkID]float64)
+			enumerate(c.g, c.g.MinimalSuccessors(dst), src, dst, 1.0, acc)
+			phi := tab.Phi(RPS, src, dst)
+			if len(phi.Links) != len(acc) {
+				t.Fatalf("%v %d->%d: DP touches %d links, enumeration %d", c.g.Kind(), src, dst, len(phi.Links), len(acc))
+			}
+			for i, lid := range phi.Links {
+				if math.Abs(phi.Frac[i]-acc[lid]) > 1e-12 {
+					t.Fatalf("%v %d->%d link %d: DP %v, enumeration %v", c.g.Kind(), src, dst, lid, phi.Frac[i], acc[lid])
+				}
 			}
 		}
 	}

@@ -87,7 +87,7 @@ type Table struct {
 	// succ holds the minimal DAG toward each destination vertex: a dense slot
 	// published once built, so the per-packet samplers read it without a lock
 	// (mu serialises first builds only).
-	succ []atomic.Pointer[topology.LinkCSR]
+	succ []atomic.Pointer[topology.PortMasks]
 
 	mu       sync.RWMutex
 	phiCache map[phiKey]Phi
@@ -104,7 +104,7 @@ type phiKey struct {
 func NewTable(g *topology.Graph) *Table {
 	return &Table{
 		g:        g,
-		succ:     make([]atomic.Pointer[topology.LinkCSR], g.Vertices()),
+		succ:     make([]atomic.Pointer[topology.PortMasks], g.Vertices()),
 		phiCache: make(map[phiKey]Phi),
 		vlbSrc:   make(map[topology.NodeID][]float64),
 		vlbDst:   make(map[topology.NodeID][]float64),
@@ -115,7 +115,7 @@ func NewTable(g *topology.Graph) *Table {
 func (t *Table) Graph() *topology.Graph { return t.g }
 
 // successors returns (caching) the minimal-route DAG toward dst.
-func (t *Table) successors(dst topology.NodeID) *topology.LinkCSR {
+func (t *Table) successors(dst topology.NodeID) *topology.PortMasks {
 	if s := t.succ[dst].Load(); s != nil {
 		return s
 	}

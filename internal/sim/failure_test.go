@@ -477,8 +477,28 @@ func TestDegradedFloodDoesNotAllocate(t *testing.T) {
 	if r.linkMap == nil {
 		t.Fatal("fabric not degraded after the detection delay")
 	}
-	// One start broadcast per tree of node 0, a neighbour of the dead link;
-	// re-flooding them is idempotent in every view.
+	// Node 0 is a neighbour of the dead link.
+	checkFloodAllocFree(t, eng, net, r)
+}
+
+// On the intact fabric a node's tree hops are appended into the transport's
+// hop buffer, the same buffer the degraded fabric translates in: flooding
+// allocates nothing once the trees are built and the buffers sized.
+func TestIntactFloodDoesNotAllocate(t *testing.T) {
+	g := torus(t, 4, 3)
+	eng, net, r := newR2C2Net(t, g, R2C2Config{Protocol: routing.RPS, Recompute: simtime.Second})
+	if r.linkMap != nil {
+		t.Fatal("intact fabric carries a link translation")
+	}
+	checkFloodAllocFree(t, eng, net, r)
+}
+
+// checkFloodAllocFree floods one start broadcast per tree of node 0, round
+// after round, and fails if a round reaches fewer than every other node or
+// allocates. Re-flooding a start is idempotent in every view.
+func checkFloodAllocFree(t *testing.T, eng *Engine, net *Network, r *R2C2) {
+	t.Helper()
+	g := net.G
 	info := core.FlowInfo{ID: wire.MakeFlowID(0, 0), Src: 0, Dst: 9, Weight: 1,
 		DemandKbps: core.UnlimitedDemand, Protocol: routing.RPS}
 	var bcasts []*wire.Broadcast
@@ -504,7 +524,7 @@ func TestDegradedFloodDoesNotAllocate(t *testing.T) {
 	}
 	// (The debug build's assertions box their arguments on every packet touch.)
 	if allocs := testing.AllocsPerRun(10, flood); allocs != 0 && !invariantsEnabled {
-		t.Fatalf("%v allocations per round of %d deliveries on a degraded fabric, want 0", allocs, deliveries)
+		t.Fatalf("%v allocations per round of %d deliveries, want 0", allocs, deliveries)
 	}
 	if got := r.View(63).Len(); got != 1 {
 		t.Fatalf("far node's view holds %d flows after the floods, want 1", got)

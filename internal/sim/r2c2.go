@@ -125,7 +125,7 @@ type R2C2 struct {
 	owned    int32              // nodes this instance owns
 	sum      core.DemandSummary // the tick's flow list, reused
 
-	// bcastHops is broadcastHops' translation buffer on a degraded fabric.
+	// bcastHops is the buffer broadcastHops appends a node's tree hops into.
 	bcastHops []topology.LinkID
 }
 
@@ -720,7 +720,10 @@ func (r *R2C2) broadcast(node *r2c2Node, b *wire.Broadcast) {
 }
 
 func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID {
-	hops, ok := r.Fib.NextHops(pkt.Src, pkt.Bcast.Tree, at)
+	// The hops land in a buffer reused across lookups: forwardBroadcast
+	// consumes them before the next lookup, and a drop on the way only arms
+	// or exports a reflood (onDrop).
+	hops, ok := r.Fib.AppendNextHops(r.bcastHops[:0], pkt.Src, pkt.Bcast.Tree, at)
 	if !ok {
 		// A reroute swapped the FIB underneath an in-flight broadcast: the
 		// new trees need not visit `at` on this tree, and a dead origin has
@@ -729,17 +732,14 @@ func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID 
 		// that missed it).
 		return nil
 	}
-	if r.linkMap == nil {
-		return hops
+	r.bcastHops = hops // grows to the widest fan-out, once
+	if r.linkMap != nil {
+		// Degraded fabric: translate to physical ports in place.
+		for i, lid := range hops {
+			hops[i] = r.linkMap[lid]
+		}
 	}
-	// Degraded fabric: translate to physical ports in a buffer reused across
-	// lookups. forwardBroadcast consumes the hops before the next lookup, and
-	// a drop on the way only arms or exports a reflood (onDrop).
-	r.bcastHops = r.bcastHops[:0]
-	for _, lid := range hops {
-		r.bcastHops = append(r.bcastHops, r.linkMap[lid]) // grows to the widest fan-out, once
-	}
-	return r.bcastHops
+	return hops
 }
 
 // armSender schedules the flow's next packet transmission according to its

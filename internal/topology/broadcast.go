@@ -17,22 +17,25 @@ type BroadcastTree struct {
 	ID    uint8 // tree identifier, carried in the broadcast header
 	Depth int
 
-	kids LinkCSR // a window of the arrays all of Root's trees share
+	kids PortMasks // a window of the mask array all of Root's trees share
 }
 
-// Children returns the links v forwards a broadcast on (read-only).
-func (t *BroadcastTree) Children(v NodeID) []LinkID { return t.kids.At(v) }
+// Children returns the links v forwards a broadcast on, in port order, as a
+// fresh slice. Forwarding paths use BroadcastFIB.AppendNextHops instead.
+func (t *BroadcastTree) Children(v NodeID) []LinkID { return t.kids.AppendLinks(nil, v) }
 
 // TotalEdges returns the number of tree edges (n-1 for a spanning tree).
-func (t *BroadcastTree) TotalEdges() int { return len(t.kids.links) }
+func (t *BroadcastTree) TotalEdges() int { return t.kids.total() }
 
 // LinkLoad returns, per directed link, how many copies of one broadcast
 // packet traverse it (0 or 1 for a tree). Used to study broadcast load
 // balance across trees.
 func (t *BroadcastTree) LinkLoad(numLinks int) []int {
 	load := make([]int, numLinks)
-	for _, lid := range t.kids.links {
-		load[lid]++
+	for v := range t.kids.out {
+		for i, n := 0, t.kids.Count(NodeID(v)); i < n; i++ {
+			load[t.kids.Pick(NodeID(v), i)]++
+		}
 	}
 	return load
 }
@@ -47,25 +50,36 @@ func (t *BroadcastTree) LinkLoad(numLinks int) []int {
 // It panics if count is outside [1, 256) since the wire format carries the
 // tree ID in one byte.
 func BuildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64) []*BroadcastTree {
-	return buildBroadcastTrees(g, src, count, rngSeed, new(treeScratch))
+	st := buildBroadcastTrees(g, src, count, rngSeed, new(treeScratch))
+	out := make([]*BroadcastTree, count)
+	for i := range out {
+		out[i] = &st.trees[i]
+	}
+	return out
+}
+
+// sourceTrees is one source's trees. Their masks are windows of one array:
+// tree i's row for vertex v starts at byte (i*Vertices() + v) * maskBytes.
+type sourceTrees struct {
+	masks []byte
+	trees []BroadcastTree
 }
 
 // treeScratch is the build's working memory. The FIB keeps one across its
 // sources, so a build allocates only what the trees retain.
 type treeScratch struct {
-	cand  LinkCSR    // per vertex, the in-links from a vertex one hop nearer src
-	picks []LinkID   // the tree being built: chosen parent link per vertex, -1 = none
-	next  []int32    // per parent, where its next child link goes
-	rng   *rand.Rand // reseeded per source: Seed(s) restarts the stream rand.NewSource(s) would
+	candOff []int32    // vertex v's candidates are cand[candOff[v]:candOff[v+1]]
+	cand    []LinkID   // per vertex, the in-links from a vertex one hop nearer src
+	rng     *rand.Rand // reseeded per source: Seed(s) restarts the stream rand.NewSource(s) would
 }
 
 // buildBroadcastTrees finds every vertex's shortest-path parent candidates
 // once — they depend on the source alone — and then draws each tree from
 // them: one rng.Intn per reachable non-root vertex, in vertex order, tree
 // after tree. That draw sequence defines the trees (a source's trees are a
-// function of rngSeed only), so it must not change. All trees of the source
-// are windows of one offset array and one link array.
-func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *treeScratch) []*BroadcastTree {
+// function of rngSeed only), so it must not change. A draw sets the picked
+// link's port bit in its parent's row.
+func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *treeScratch) *sourceTrees {
 	if count < 1 || count > 255 {
 		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
 	}
@@ -74,67 +88,46 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 	// emulator's data path reaches this function — but only on the
 	// once-per-source miss path; the steady-state hit path never gets here,
 	// so the construction allocations below are amortised.
-	if sc.picks == nil {
-		sc.cand.off, sc.picks, sc.next = make([]int32, nv+1), make([]LinkID, nv), make([]int32, nv)
+	if sc.candOff == nil {
+		sc.candOff = make([]int32, nv+1)
 		sc.rng = rand.New(rand.NewSource(rngSeed))
 	} else {
 		sc.rng.Seed(rngSeed)
 	}
 	rng := sc.rng
 	dist := g.dist[src]
-	sc.cand.links = sc.cand.links[:0]
-	depth, edges := 0, 0
+	sc.cand = sc.cand[:0]
+	depth := 0
 	for v := 0; v < nv; v++ {
 		// dv is 0 at the root and negative at unreachable vertices: both stay
 		// out of the tree, with no candidates.
 		if dv := dist[v]; dv > 0 {
-			if int(dv) > depth {
-				depth = int(dv)
-			}
-			edges++
+			depth = max(depth, int(dv))
 			for _, lid := range g.in[v] {
 				if dist[g.links[lid].From] == dv-1 {
-					sc.cand.links = append(sc.cand.links, lid)
+					sc.cand = append(sc.cand, lid)
 				}
 			}
-			if len(sc.cand.links) == int(sc.cand.off[v]) {
+			if len(sc.cand) == int(sc.candOff[v]) {
 				panic("topology: BFS invariant violated: reachable node without shortest-path parent")
 			}
 		}
-		sc.cand.off[v+1] = int32(len(sc.cand.links))
+		sc.candOff[v+1] = int32(len(sc.cand))
 	}
 
-	off, links := make([]int32, count*(nv+1)), make([]LinkID, count*edges)
-	trees, out := make([]BroadcastTree, count), make([]*BroadcastTree, count)
-	picks, next := sc.picks, sc.next
-	for i := range trees {
-		kids := LinkCSR{off: off[i*(nv+1) : (i+1)*(nv+1)], links: links[i*edges : (i+1)*edges]}
-		// Pick parents and count each parent's children into off[parent+1] ...
-		for v := range picks {
-			picks[v] = -1
-			if c := sc.cand.At(NodeID(v)); len(c) > 0 {
-				picks[v] = c[rng.Intn(len(c))]
-				kids.off[g.links[picks[v]].From+1]++
+	size := nv * g.maskBytes
+	st := &sourceTrees{masks: make([]byte, count*size), trees: make([]BroadcastTree, count)}
+	for i := range st.trees {
+		kids := g.newPortMasks(st.masks[i*size : (i+1)*size])
+		for v := 0; v < nv; v++ {
+			if c := sc.cand[sc.candOff[v]:sc.candOff[v+1]]; len(c) > 0 {
+				pick := c[rng.Intn(len(c))]
+				kids.set(g.links[pick].From, g.Port(pick))
 			}
 		}
-		// ... turn the counts into offsets ...
-		for p := range next {
-			next[p] = kids.off[p]
-			kids.off[p+1] += kids.off[p]
-		}
-		// ... and file the picks under their parents. Ascending vertex order
-		// is the order of a parent's links.
-		for _, pick := range picks {
-			if pick >= 0 {
-				p := g.links[pick].From
-				kids.links[next[p]] = pick
-				next[p]++
-			}
-		}
-		trees[i] = BroadcastTree{Root: src, ID: uint8(i), Depth: depth, kids: kids}
-		out[i] = &trees[i]
+		st.trees[i] = BroadcastTree{Root: src, ID: uint8(i), Depth: depth, kids: kids}
 	}
-	return out
+	return st
 }
 
 // BroadcastFIB is the broadcast forwarding information base of §3.2: a
@@ -146,7 +139,9 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 // FIB is O(sources × trees × vertices) memory — prohibitive at the 10k-node
 // multi-rack scale where only the sources that actually broadcast need
 // trees. A source's trees are seeded by rngSeed+src independent of build
-// order, so a lazy FIB forwards byte-identically to the old eager one.
+// order, so a lazy FIB forwards byte-identically to the old eager one. A
+// built source costs one out-port mask per tree and vertex (PortMasks), all
+// in one array its slot reaches directly.
 //
 // A FIB is safe for concurrent use and its hit path takes no lock: the
 // emulator's node goroutines and the sharded simulator's workers all share
@@ -158,9 +153,9 @@ type BroadcastFIB struct {
 	treesPerSource int
 	rngSeed        int64
 
-	mu      sync.Mutex                         // first build of a source's trees
-	scratch treeScratch                        // the builds' working memory, under mu
-	slots   []atomic.Pointer[[]*BroadcastTree] // per source; nil until built, immutable after
+	mu      sync.Mutex                    // first build of a source's trees
+	scratch treeScratch                   // the builds' working memory, under mu
+	slots   []atomic.Pointer[sourceTrees] // per source; nil until built, immutable after
 }
 
 // NewBroadcastFIB prepares a FIB serving treesPerSource broadcast trees for
@@ -170,54 +165,62 @@ func NewBroadcastFIB(g *Graph, treesPerSource int, rngSeed int64) *BroadcastFIB 
 		g:              g,
 		treesPerSource: treesPerSource,
 		rngSeed:        rngSeed,
-		slots:          make([]atomic.Pointer[[]*BroadcastTree], g.Nodes()),
+		slots:          make([]atomic.Pointer[sourceTrees], g.Nodes()),
 	}
 }
 
-// lookup returns the tree for <src, treeID>, building src's trees on first
-// access.
-func (f *BroadcastFIB) lookup(src NodeID, treeID uint8) (*BroadcastTree, bool) {
-	if int(src) < 0 || int(src) >= len(f.slots) {
-		return nil, false
+// lookup returns the trees of src, building them on first access, or nil
+// for an unknown <src, tree> pair.
+func (f *BroadcastFIB) lookup(src NodeID, treeID uint8) *sourceTrees {
+	if uint(src) >= uint(len(f.slots)) || int(treeID) >= f.treesPerSource {
+		return nil
 	}
-	trees := f.slots[src].Load()
-	if trees == nil {
-		trees = f.build(src)
+	if st := f.slots[src].Load(); st != nil {
+		return st
 	}
-	if int(treeID) >= len(*trees) {
-		return nil, false
-	}
-	return (*trees)[treeID], true
+	return f.build(src)
 }
 
 // build constructs and publishes src's trees, once: concurrent first
 // lookups of one source serialise on the mutex and all but the first find
 // the slot filled.
-func (f *BroadcastFIB) build(src NodeID) *[]*BroadcastTree {
+func (f *BroadcastFIB) build(src NodeID) *sourceTrees {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if trees := f.slots[src].Load(); trees != nil {
-		return trees
+	if st := f.slots[src].Load(); st != nil {
+		return st
 	}
-	trees := buildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src), &f.scratch)
-	f.slots[src].Store(&trees)
-	return &trees
+	st := buildBroadcastTrees(f.g, src, f.treesPerSource, f.rngSeed+int64(src), &f.scratch)
+	f.slots[src].Store(st)
+	return st
 }
 
-// NextHops returns the links on which node `at` must forward a broadcast
-// packet originated by src on tree treeID. It returns an empty slice (forward
-// nowhere) for leaves, and ok=false for an unknown <src, tree> pair.
-func (f *BroadcastFIB) NextHops(src NodeID, treeID uint8, at NodeID) ([]LinkID, bool) {
-	t, ok := f.lookup(src, treeID)
-	if !ok {
-		return nil, false
+// AppendNextHops appends to buf the links on which node `at` must forward a
+// broadcast packet originated by src on tree treeID, in port order, and
+// returns the extended slice: nothing for a leaf. ok is false, and buf comes
+// back unextended, for an unknown <src, tree> pair.
+func (f *BroadcastFIB) AppendNextHops(buf []LinkID, src NodeID, treeID uint8, at NodeID) (hops []LinkID, ok bool) {
+	st := f.lookup(src, treeID)
+	if st == nil {
+		return buf, false
 	}
-	return t.Children(at), true
+	g := f.g
+	row := (int(treeID)*g.total + int(at)) * g.maskBytes
+	return appendPorts(buf, g.out[at], st.masks[row:row+g.maskBytes]), true
+}
+
+// NextHops is AppendNextHops into a fresh slice.
+func (f *BroadcastFIB) NextHops(src NodeID, treeID uint8, at NodeID) ([]LinkID, bool) {
+	return f.AppendNextHops(nil, src, treeID, at)
 }
 
 // Tree returns the broadcast tree for <src, treeID>.
 func (f *BroadcastFIB) Tree(src NodeID, treeID uint8) (*BroadcastTree, bool) {
-	return f.lookup(src, treeID)
+	st := f.lookup(src, treeID)
+	if st == nil {
+		return nil, false
+	}
+	return &st.trees[treeID], true
 }
 
 // TreesPerSource reports how many trees exist for src.

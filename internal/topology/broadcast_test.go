@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -243,10 +244,20 @@ func refBuildOneTree(g *Graph, src NodeID, rng *rand.Rand) (children [][]LinkID,
 	return children, depth
 }
 
-// TestBroadcastTreesMatchPerTreeReference holds the CSR trees to the per-tree
-// reference link for link — every vertex of every tree of every source — on
-// the paper-scale torus, the sharded benchmark's rack ring, and a degraded
-// torus with a dead node (a vertex no tree reaches).
+// sortedLinks returns a sorted copy of links.
+func sortedLinks(links []LinkID) []LinkID {
+	links = slices.Clone(links)
+	slices.Sort(links)
+	return links
+}
+
+// TestBroadcastTreesMatchPerTreeReference holds the mask trees to the
+// per-tree reference — every vertex's child set in every tree of every
+// source — on the paper-scale torus, the sharded benchmark's rack ring, and
+// a degraded torus with a dead node (a vertex no tree reaches). The trees
+// list a vertex's children in port order and the reference in child-vertex
+// order, so the sets are compared sorted: the order is result-neutral,
+// because the event wheel breaks ties by link.
 func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
 	torus512, err := NewTorus(8, 3)
 	if err != nil {
@@ -283,13 +294,80 @@ func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
 				}
 				edges := 0
 				for v := range want {
-					if !slices.Equal(got.Children(NodeID(v)), want[v]) {
-						t.Fatalf("%s src %d tree %d: Children(%d) = %v, reference %v", name, src, id, v, got.Children(NodeID(v)), want[v])
+					if kids, ref := sortedLinks(got.Children(NodeID(v))), sortedLinks(want[v]); !slices.Equal(kids, ref) {
+						t.Fatalf("%s src %d tree %d: Children(%d) = %v, reference %v", name, src, id, v, kids, ref)
 					}
 					edges += len(want[v])
 				}
 				if got.TotalEdges() != edges {
 					t.Fatalf("%s src %d tree %d: %d edges, reference %d", name, src, id, got.TotalEdges(), edges)
+				}
+			}
+		}
+	}
+}
+
+// checkMaskRow holds v's row of m to want, listed in port order: Count, every
+// Pick, and AppendLinks onto a non-empty buffer.
+func checkMaskRow(t *testing.T, what string, m *PortMasks, v NodeID, want []LinkID) {
+	t.Helper()
+	if n := m.Count(v); n != len(want) {
+		t.Fatalf("%s: Count(%d) = %d, want %d (%v)", what, v, n, len(want), want)
+	}
+	for i, lid := range want {
+		if got := m.Pick(v, i); got != lid {
+			t.Fatalf("%s: Pick(%d, %d) = %d, want %d (%v)", what, v, i, got, lid, want)
+		}
+	}
+	prefix := []LinkID{-1}
+	if got := m.AppendLinks(prefix, v); !slices.Equal(got, append(prefix, want...)) {
+		t.Fatalf("%s: AppendLinks(%d) = %v, want %v after the prefix", what, v, got, want)
+	}
+}
+
+// The out-port masks against lists built without them: every minimal-route
+// DAG row against the successor predicate, and every tree row, read through
+// the tree and through AppendNextHops, against the per-tree reference in
+// port order. The Clos's leaves have 14 ports, so its rows are two bytes wide.
+func TestPortMasksMatchReference(t *testing.T) {
+	wide, err := NewFoldedClos(4, 2, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.maskBytes != 2 {
+		t.Fatalf("Clos with 14-port leaves: %d-byte mask rows, want 2", wide.maskBytes)
+	}
+	const trees, seed = 3, 5
+	for _, g := range append(testGraphs(t), wide) {
+		for dst := 0; dst < g.Vertices(); dst++ {
+			succ := g.MinimalSuccessors(NodeID(dst))
+			for v := 0; v < g.Vertices(); v++ {
+				var want []LinkID
+				if dv := g.Dist(NodeID(v), NodeID(dst)); dv > 0 {
+					for _, lid := range g.Out(NodeID(v)) {
+						if g.Dist(g.Link(lid).To, NodeID(dst)) == dv-1 {
+							want = append(want, lid)
+						}
+					}
+				}
+				checkMaskRow(t, fmt.Sprintf("%v DAG to %d", g.Kind(), dst), succ, NodeID(v), want)
+			}
+		}
+		fib := NewBroadcastFIB(g, trees, seed)
+		for src := 0; src < g.Nodes(); src++ {
+			rng := rand.New(rand.NewSource(seed + int64(src)))
+			for id := 0; id < trees; id++ {
+				ref, _ := refBuildOneTree(g, NodeID(src), rng)
+				tree, _ := fib.Tree(NodeID(src), uint8(id))
+				for v, kids := range ref {
+					want := slices.Clone(kids)
+					slices.SortFunc(want, func(a, b LinkID) int { return g.Port(a) - g.Port(b) })
+					what := fmt.Sprintf("%v src %d tree %d", g.Kind(), src, id)
+					checkMaskRow(t, what, &tree.kids, NodeID(v), want)
+					hops, ok := fib.AppendNextHops([]LinkID{-1}, NodeID(src), uint8(id), NodeID(v))
+					if !ok || !slices.Equal(hops, append([]LinkID{-1}, want...)) {
+						t.Fatalf("%s: AppendNextHops at %d = %v, %v; want %v after the prefix", what, v, hops, ok, want)
+					}
 				}
 			}
 		}

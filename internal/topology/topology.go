@@ -16,6 +16,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // NodeID identifies a node (micro-server) in the rack, in [0, N).
@@ -70,6 +71,8 @@ type Graph struct {
 	links     []Link
 	out       [][]LinkID // outgoing links per node, stable port order
 	in        [][]LinkID
+	port      []int32 // per link: its index in its tail's out list
+	maskBytes int     // PortMasks row width: (max out-degree + 7) / 8
 	linkIndex map[Link]LinkID
 	degraded  bool // built by WithoutLinks: coordinate routing is unsafe
 
@@ -115,9 +118,15 @@ func NewGraph(kind Kind, endpoints, total int, edges []Link) (*Graph, error) {
 		id := LinkID(len(g.links))
 		g.links = append(g.links, e)
 		g.linkIndex[e] = id
+		g.port = append(g.port, int32(len(g.out[e.From])))
 		g.out[e.From] = append(g.out[e.From], id)
 		g.in[e.To] = append(g.in[e.To], id)
 	}
+	maxDegree := 0
+	for _, out := range g.out {
+		maxDegree = max(maxDegree, len(out))
+	}
+	g.maskBytes = (maxDegree + 7) / 8
 	g.computeDistances()
 	return g, nil
 }
@@ -183,6 +192,10 @@ func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
 // slice is owned by the Graph and must not be modified.
 func (g *Graph) Out(v NodeID) []LinkID { return g.out[v] }
 
+// Port returns the index of a directed link in its tail's out-port list:
+// Out(Link(id).From)[Port(id)] == id.
+func (g *Graph) Port(id LinkID) int { return int(g.port[id]) }
+
 // In returns the incoming link IDs of v. The slice is owned by the Graph.
 func (g *Graph) In(v NodeID) []LinkID { return g.in[v] }
 
@@ -247,51 +260,120 @@ func (g *Graph) computeDistances() {
 	}
 }
 
-// LinkCSR holds one list of links per vertex in compressed-sparse-row form:
-// vertex v's list is links[off[v]:off[v+1]]. Two flat arrays replace a slice
-// header per vertex, so a structure kept per source or per destination
-// (broadcast trees, minimal-route DAGs) costs what its links cost.
-type LinkCSR struct {
-	off   []int32
-	links []LinkID
+// PortMasks holds one set of out-ports per vertex as a bitmask: bit i of v's
+// row names g.Out(v)[i]. Every row is the graph's mask width, one byte on any
+// fabric with at most 8 ports per vertex, so a structure kept per source or
+// per destination (broadcast trees, minimal-route DAGs) costs a byte per
+// vertex, and every set lists in port order.
+type PortMasks struct {
+	out  [][]LinkID // the graph's out-port lists
+	bits []byte     // v's row is bits[v*w : (v+1)*w]
+	w    int
 }
 
-// At returns v's links. The slice aliases the CSR's storage and is read-only;
-// its capacity is clipped so that an append cannot reach the next vertex's.
-func (c *LinkCSR) At(v NodeID) []LinkID { return c.links[c.off[v]:c.off[v+1]:c.off[v+1]] }
+// newPortMasks wraps bits, which holds one row per vertex of g.
+func (g *Graph) newPortMasks(bits []byte) PortMasks {
+	return PortMasks{out: g.out, bits: bits, w: g.maskBytes}
+}
 
-// MinimalSuccessors returns, for destination dst, the successor link sets of
-// the minimal-route DAG: At(v) lists the outgoing links of v that lie on
-// some shortest path from v to dst. At(dst) is empty. Random packet
+// selectTab[b][i] is the position of the i-th set bit of b, and 8 past b's
+// last set bit: Pick reads a one-byte row with one lookup.
+var selectTab = func() (t [256][8]uint8) {
+	for b := range t {
+		for i := range t[b] {
+			t[b][i] = 8
+		}
+		i := 0
+		for bit := 0; bit < 8; bit++ {
+			if b&(1<<bit) != 0 {
+				t[b][i] = uint8(bit)
+				i++
+			}
+		}
+	}
+	return t
+}()
+
+func (m *PortMasks) row(v NodeID) []byte { return m.bits[int(v)*m.w : (int(v)+1)*m.w] }
+
+// set adds port p to v's set.
+func (m *PortMasks) set(v NodeID, p int) { m.bits[int(v)*m.w+p/8] |= 1 << (p % 8) }
+
+// Count returns the size of v's set.
+func (m *PortMasks) Count(v NodeID) int {
+	if m.w == 1 { // every fabric with at most 8 ports per vertex
+		return bits.OnesCount8(m.bits[v])
+	}
+	n := 0
+	for _, b := range m.row(v) {
+		n += bits.OnesCount8(b)
+	}
+	return n
+}
+
+// Pick returns the i-th link of v's set in port order, for i in [0, Count(v)).
+func (m *PortMasks) Pick(v NodeID, i int) LinkID {
+	if m.w == 1 {
+		return m.out[v][selectTab[m.bits[v]][i]]
+	}
+	for j, b := range m.row(v) {
+		if c := bits.OnesCount8(b); i >= c {
+			i -= c
+			continue
+		}
+		return m.out[v][8*j+int(selectTab[b][i])]
+	}
+	panic(fmt.Sprintf("topology: PortMasks.Pick(%d, %d) past the set's end", v, i))
+}
+
+// AppendLinks appends v's set to buf in port order and returns the extended
+// slice.
+func (m *PortMasks) AppendLinks(buf []LinkID, v NodeID) []LinkID {
+	return appendPorts(buf, m.out[v], m.row(v))
+}
+
+// total returns the size of all the sets together.
+func (m *PortMasks) total() int {
+	n := 0
+	for _, b := range m.bits {
+		n += bits.OnesCount8(b)
+	}
+	return n
+}
+
+// appendPorts appends the links of out that row's set bits name.
+func appendPorts(buf []LinkID, out []LinkID, row []byte) []LinkID {
+	for j, b := range row {
+		for ; b != 0; b &= b - 1 {
+			buf = append(buf, out[8*j+bits.TrailingZeros8(b)])
+		}
+	}
+	return buf
+}
+
+// MinimalSuccessors returns, for destination dst, the successor sets of the
+// minimal-route DAG: v's set holds the outgoing links of v that lie on some
+// shortest path from v to dst. The set of dst is empty. Random packet
 // spraying picks uniformly among these at every hop (§2.2.1).
-func (g *Graph) MinimalSuccessors(dst NodeID) *LinkCSR {
+func (g *Graph) MinimalSuccessors(dst NodeID) *PortMasks {
 	// One strided walk down the distance matrix's column for dst, so that the
-	// passes below — which look up both ends of every link — read one array.
+	// pass below, which looks up both ends of every link, reads one array.
 	toDst := make([]int32, g.total)
 	for v := range toDst {
 		toDst[v] = g.dist[v][dst]
 	}
-	c := &LinkCSR{off: make([]int32, g.total+1)}
-	// Two passes over the same predicate, count then fill, so the link array
-	// is sized exactly.
-	for pass := 0; pass < 2; pass++ {
-		n := int32(0)
-		for v, dv := range toDst {
-			for _, lid := range g.out[v] {
-				if dv > 0 && toDst[g.links[lid].To] == dv-1 {
-					if pass == 1 {
-						c.links[n] = lid
-					}
-					n++
-				}
-			}
-			c.off[v+1] = n
+	m := g.newPortMasks(make([]byte, g.total*g.maskBytes))
+	for v, dv := range toDst {
+		if dv <= 0 {
+			continue
 		}
-		if pass == 0 {
-			c.links = make([]LinkID, n)
+		for p, lid := range g.out[v] {
+			if toDst[g.links[lid].To] == dv-1 {
+				m.set(NodeID(v), p)
+			}
 		}
 	}
-	return c
+	return &m
 }
 
 // WithoutLinks returns the graph with the given directed links removed —

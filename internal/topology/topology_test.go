@@ -168,7 +168,7 @@ func TestMinimalSuccessors(t *testing.T) {
 	for _, g := range testGraphs(t) {
 		for dst := 0; dst < g.Nodes(); dst += 7 {
 			succ := g.MinimalSuccessors(NodeID(dst))
-			if len(succ.At(NodeID(dst))) != 0 {
+			if succ.Count(NodeID(dst)) != 0 {
 				t.Fatalf("%v: destination has successors", g.Kind())
 			}
 			for v := 0; v < g.Vertices(); v++ {
@@ -185,7 +185,7 @@ func TestMinimalSuccessors(t *testing.T) {
 				if len(want) == 0 {
 					t.Fatalf("%v: node %d has no minimal successor towards %d", g.Kind(), v, dst)
 				}
-				if got := succ.At(NodeID(v)); !slices.Equal(got, want) {
+				if got := succ.AppendLinks(nil, NodeID(v)); !slices.Equal(got, want) {
 					t.Fatalf("%v: successors of %d towards %d = %v, want %v", g.Kind(), v, dst, got, want)
 				}
 			}

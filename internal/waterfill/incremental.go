@@ -88,7 +88,7 @@ type Incremental struct {
 	live  int
 
 	rounds map[uint8]*incRound
-	prios  []uint8  // live priorities, descending
+	prios  []uint8   // live priorities, descending
 	spare  *incRound // last emptied round, reused by roundOf (class churn is common)
 
 	linkFlows [][]Handle // per link: live flows crossing it, all classes
