@@ -1,6 +1,5 @@
 GO ?= go
 FUZZTIME ?= 30s
-LINT_REPORT ?= r2c2-lint.json
 # The hot-path micro-benchmark suite `make microbench` measures; the
 # figure-harness benchmarks are excluded because they measure whole
 # experiments, not code paths.
@@ -8,7 +7,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug lint fuzz fuzz-directives fuzz-view fuzz-vis fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -35,22 +34,8 @@ debug:
 vet:
 	$(GO) vet ./...
 
-# The repo's own static-analysis rules; see DESIGN.md "Determinism &
-# concurrency invariants" (§6, with the audit of which rules stay) and
-# `go run ./cmd/r2c2-lint -list`. The report CI uploads, $(LINT_REPORT), is
-# {analyzer_version, rules, findings}. Any surviving finding fails the build.
-lint:
-	@$(GO) run ./cmd/r2c2-lint -json ./... > $(LINT_REPORT) \
-		|| { cat $(LINT_REPORT); echo "lint: findings (report: $(LINT_REPORT))"; exit 1; }
-	@echo "lint: clean (report: $(LINT_REPORT))"
-
 fuzz:
 	$(GO) test -run=^$$ -fuzz FuzzWireRoundTrip -fuzztime $(FUZZTIME) ./internal/wire/
-
-# Lint directive parser robustness: malformed //lint: / //r2c2: comments
-# must produce a deterministic error, never a silently skipped rule.
-fuzz-directives:
-	$(GO) test -run=^$$ -fuzz FuzzParseDirective -fuzztime $(FUZZTIME) ./internal/analysis/
 
 # core.View's open-addressing table against the map it replaced, on
 # arbitrary event streams (collisions, wrap-around deletes, growth). An input
@@ -123,5 +108,5 @@ loc:
 		"$$(count . ! -path './bench/*' ! -path './.*' ! -name '*_test.go')" \
 		"$$(count . ! -path './bench/*' ! -path './.*' -name '*_test.go')"
 
-verify: build vet lint test race debug bench-smoke faults-smoke
+verify: build vet test race debug bench-smoke faults-smoke
 	@echo verify: OK

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"r2c2/internal/core"
-	"r2c2/internal/discovery"
 	"r2c2/internal/emu"
 	"r2c2/internal/experiments"
 	"r2c2/internal/genetic"
@@ -716,20 +715,6 @@ func BenchmarkSelectorRound(b *testing.B) {
 	}
 }
 
-// Link-state discovery convergence over the full 512-node rack.
-func BenchmarkDiscoveryConverge512(b *testing.B) {
-	g, err := topology.NewTorus(8, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		nodes := discovery.FromGraph(g)
-		if rounds := discovery.Converge(nodes); rounds == 0 {
-			b.Fatal("no convergence")
-		}
-	}
-}
-
 // Failure reroute cost: degraded-fabric construction plus table/FIB swap.
 func BenchmarkFailureReroute(b *testing.B) {
 	g, err := topology.NewTorus(4, 3)
@@ -738,10 +723,9 @@ func BenchmarkFailureReroute(b *testing.B) {
 	}
 	ab, _ := g.LinkBetween(0, 1)
 	ba, _ := g.LinkBetween(1, 0)
-	failed := map[topology.LinkID]bool{ab: true, ba: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub, _, err := g.WithoutLinks(failed)
+		sub, _, err := g.WithoutLinks(ab, ba)
 		if err != nil {
 			b.Fatal(err)
 		}

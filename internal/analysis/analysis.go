@@ -11,9 +11,10 @@
 // keeping go.mod dependency-free) plus the R2C2-specific rules wired up in
 // Default and DefaultModule.
 //
-// Findings are suppressed with a `//lint:ignore rule reason` comment on
-// the offending line or the line directly above it. The reason is
-// mandatory: an unexplained suppression is itself reported.
+// There is no suppression comment: a rule's deliberate exceptions are
+// explicit allowlists in the rule itself (wallClockFiles, unitAgnostic),
+// and the root package's TestSourceRules runs the full set over the
+// module on every `go test ./...`.
 package analysis
 
 import (
@@ -23,25 +24,11 @@ import (
 	"strings"
 )
 
-// Version is the analyzer generation stamped into the machine-readable
-// report (r2c2-lint.json). Bump it when a rule is added, removed, or
-// changes meaning, so a stale CI artifact can never be mistaken for a
-// current clean bill.
-//
-// 1: syntactic rules + the hot-path allocation rule. 2: adds det-map-iter,
-// shard-ownership and atomic-plain-mix; reports become objects carrying
-// the rule set. 3: retires the four rules that never produced a fixed
-// finding (DESIGN.md §6 has the audit); eight remain. 4: retires the four
-// rules whose bug classes the golden, byte-identity and -race tests catch.
-// 5: retires the hot-path allocation rule and its //r2c2: marker; runtime
-// allocation gates hold its invariant (DESIGN.md §11).
-const Version = 5
-
 // Diagnostic is one finding: a rule violation at a position.
 type Diagnostic struct {
-	Rule    string         `json:"rule"`
-	Pos     token.Position `json:"pos"`
-	Message string         `json:"message"`
+	Rule    string
+	Pos     token.Position
+	Message string
 }
 
 func (d Diagnostic) String() string {
@@ -73,9 +60,9 @@ func (p *Pass) Diag(rule string, n ast.Node, format string, args ...interface{})
 	return Diagnostic{Rule: rule, Pos: p.Fset.Position(n.Pos()), Message: fmt.Sprintf(format, args...)}
 }
 
-// Analyzer is one lint rule.
+// Analyzer is one syntactic rule.
 type Analyzer interface {
-	// Name is the rule identifier used in findings and //lint:ignore.
+	// Name is the rule identifier used in findings.
 	Name() string
 	// Doc is a one-line description of the rule.
 	Doc() string
@@ -102,7 +89,7 @@ func (s pkgScope) Applies(pkgPath string) bool {
 }
 
 // Default returns the R2C2 rule set: each analyzer scoped to the packages
-// whose invariants it protects (see DESIGN.md, "Determinism & concurrency
+// whose invariants it protects (see DESIGN.md §6, "Determinism & concurrency
 // invariants").
 func Default() []Analyzer {
 	return []Analyzer{

@@ -15,7 +15,7 @@ import (
 // the byte-identical-output contract the sharded engine (ROADMAP) and the
 // sim/emu parity tests rest on.
 //
-// The sink lattice (DESIGN.md §13):
+// The sink lattice (DESIGN.md §8):
 //
 //   - slice append of loop-derived values to a variable declared outside
 //     the loop, unless the slice is sorted later in the same function

@@ -264,22 +264,3 @@ func f(m map[int]string) []string {
 		t.Fatalf("out-of-scope package should not be checked, got %v", diags)
 	}
 }
-
-// TestDetMapIterIgnore: a justified //lint:ignore on the range line
-// suppresses the finding.
-func TestDetMapIterIgnore(t *testing.T) {
-	a := NewDetMapIter()
-	src := `package p
-func f(m map[int]float64) float64 {
-	var total float64
-	//lint:ignore det-map-iter fixture: tolerance-tested aggregate
-	for _, v := range m {
-		total += v
-	}
-	return total
-}`
-	diags := checkModule(t, onePkg("m/p", src), a)
-	if len(diags) != 0 {
-		t.Fatalf("ignored finding should be suppressed, got %v", diags)
-	}
-}

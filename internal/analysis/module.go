@@ -20,7 +20,7 @@ import (
 // The split mirrors how the findings are actually computed: facts are
 // local and cheap, the judgement needs the whole program.
 type ModuleAnalyzer interface {
-	// Name is the rule identifier used in findings and //lint:ignore.
+	// Name is the rule identifier used in findings.
 	Name() string
 	// Doc is a one-line description of the rule.
 	Doc() string
@@ -41,20 +41,20 @@ type PackageFacts struct {
 }
 
 // DefaultModule returns the R2C2 module-wide rule set (run alongside the
-// syntactic rules of Default by RunAllKnown).
+// syntactic rules of Default by RunAll).
 func DefaultModule() []ModuleAnalyzer {
 	return []ModuleAnalyzer{
 		// The sharded engine (ROADMAP) preserves byte-identical output
 		// only if no observable effect is ordered by Go's randomised map
-		// iteration. Scoped to the deterministic packages plus emu (the
-		// sim/emu parity tests compare aggregate behaviour across runs).
+		// iteration. Scoped to the deterministic packages; the emulator's
+		// event order is set by goroutine scheduling, not by its maps.
 		NewDetMapIter("internal/sim", "internal/core", "internal/waterfill",
-			"internal/routing", "internal/topology", "internal/experiments", "internal/emu"),
+			"internal/routing", "internal/topology", "internal/experiments"),
 	}
 }
 
 // runModule applies the module analyzers to a loaded module and returns
-// the raw (unsuppressed) findings.
+// their findings.
 func runModule(mod *Module, analyzers []ModuleAnalyzer) []Diagnostic {
 	var all []Diagnostic
 	for _, a := range analyzers {
@@ -72,17 +72,11 @@ func runModule(mod *Module, analyzers []ModuleAnalyzer) []Diagnostic {
 	return all
 }
 
-// RunAllKnown is the full lint entry point: the per-package syntactic
-// rules (test files included), the module-wide type-aware rules (non-test
-// files), //lint:ignore filtering across both, and validation of every
-// directive's rule names against known — a directive naming an unknown
-// rule is itself a finding, never a silent suppression. known is explicit
-// because a caller running a filtered subset of rules (r2c2-lint -rules
-// det-map-iter) must still validate directives against the full rule set
-// (KnownRules), or every directive naming an unselected rule would
-// misreport as unknown.
-func RunAllKnown(root string, syntactic []Analyzer, module []ModuleAnalyzer, known map[string]bool) ([]Diagnostic, error) {
-	diags, ignores, err := runSyntactic(root, syntactic, known)
+// RunAll is the full entry point: the per-package syntactic rules (test
+// files included) and the module-wide type-aware rules (non-test files),
+// with the findings sorted by position.
+func RunAll(root string, syntactic []Analyzer, module []ModuleAnalyzer) ([]Diagnostic, error) {
+	diags, err := Run(root, syntactic)
 	if err != nil {
 		return nil, err
 	}
@@ -90,32 +84,15 @@ func RunAllKnown(root string, syntactic []Analyzer, module []ModuleAnalyzer, kno
 	if err != nil {
 		return nil, err
 	}
-	for _, d := range runModule(mod, module) {
-		if !ignores.covers(d) {
-			diags = append(diags, d)
-		}
-	}
+	diags = append(diags, runModule(mod, module)...)
 	sortDiagnostics(diags)
 	return diags, nil
-}
-
-// KnownRules builds the set of rule names a //lint:ignore directive may
-// legally address for the given rule sets.
-func KnownRules(syntactic []Analyzer, module []ModuleAnalyzer) map[string]bool {
-	known := map[string]bool{"*": true, "lint-directive": true}
-	for _, a := range syntactic {
-		known[a.Name()] = true
-	}
-	for _, a := range module {
-		known[a.Name()] = true
-	}
-	return known
 }
 
 // CheckSourceModule type-checks a set of in-memory packages (import path
 // -> filename -> content, type-checked in dependency order) and applies
 // the module analyzers. This is the unit-test entry point for two-phase
-// rules; //lint:ignore filtering matches RunAllKnown's.
+// rules.
 func CheckSourceModule(pkgs map[string]map[string]string, analyzers []ModuleAnalyzer) ([]Diagnostic, error) {
 	fset := token.NewFileSet()
 	imp := &moduleImporter{
@@ -135,7 +112,7 @@ func CheckSourceModule(pkgs map[string]map[string]string, analyzers []ModuleAnal
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			f, err := parser.ParseFile(fset, name, files[name], parser.ParseComments)
+			f, err := parser.ParseFile(fset, name, files[name], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -169,9 +146,6 @@ func CheckSourceModule(pkgs map[string]map[string]string, analyzers []ModuleAnal
 	}
 
 	mod := &Module{Fset: fset}
-	ignores := ignoreSet{}
-	known := KnownRules(nil, analyzers)
-	var diags []Diagnostic
 	for _, path := range order {
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
@@ -190,28 +164,15 @@ func CheckSourceModule(pkgs map[string]map[string]string, analyzers []ModuleAnal
 			Pkg:  pkg,
 			Info: info,
 		}
-		ig, igDiags := collectIgnores(&pass.Pass, known)
-		diags = append(diags, igDiags...)
-		for file, lines := range ig {
-			for line, rules := range lines {
-				for rule := range rules {
-					ignores.add(file, line, rule)
-				}
-			}
-		}
 		mod.Passes = append(mod.Passes, pass)
 	}
-	for _, d := range runModule(mod, analyzers) {
-		if !ignores.covers(d) {
-			diags = append(diags, d)
-		}
-	}
+	diags := runModule(mod, analyzers)
 	sortDiagnostics(diags)
 	return diags, nil
 }
 
 // sortDiagnostics orders findings by file, line, rule, then column and
-// message. The full tie-break matters: runSyntactic walks a map of
+// message. The full tie-break matters: Run walks a map of
 // directories and Resolve phases iterate maps, so without a total order
 // two runs over the same tree could interleave equal-(file,line,rule)
 // findings differently and break byte-identical output.

@@ -7,7 +7,8 @@ import (
 )
 
 // TestRunOnDisk exercises the directory walker end-to-end: module path
-// resolution, package scoping, suppression, and skipping of testdata.
+// resolution, package scoping, the wall-clock file allowlist, and skipping
+// of testdata.
 func TestRunOnDisk(t *testing.T) {
 	root := t.TempDir()
 	write := func(rel, content string) {
@@ -26,13 +27,10 @@ func TestRunOnDisk(t *testing.T) {
 import "time"
 func now() int64 { return time.Now().UnixNano() }
 `)
-	// …one suppressed violation…
-	write("internal/sim/paced.go", `package sim
+	// …one violation in an allowlisted file…
+	write("internal/sim/shard.go", `package sim
 import "time"
-func pace() {
-	//lint:ignore no-wallclock test fixture
-	time.Sleep(time.Millisecond)
-}
+func pace() { time.Sleep(time.Millisecond) }
 `)
 	// …the same pattern out of scope…
 	write("internal/emu/clock.go", `package emu

@@ -6,8 +6,8 @@ import (
 )
 
 // quantityBases are name endings that denote a physical quantity: a field
-// or parameter so named holds a rate, a size or a time span, and its unit
-// must be spelled in the name.
+// so named holds a rate, a size or a time span, and its unit must be
+// spelled in the name.
 var quantityBases = []string{
 	"rate", "size", "capacity", "bandwidth", "demand",
 	"interval", "timeout", "delay", "latency",
@@ -30,11 +30,20 @@ var basicNumeric = map[string]bool{
 	"uintptr": true, "float32": true, "float64": true, "byte": true,
 }
 
-// unitSuffix requires exported numeric struct fields and parameters of
-// exported functions that hold rates or sizes to carry a unit suffix
-// (Gbps, Bytes, Kbps, …). The paper's arithmetic crosses Gbps, Mbps, Kbps
-// (broadcast demand), bytes and bits constantly — a bare "Rate float64"
-// is how a 1000× error slips through review.
+// unitAgnostic are the exported quantity fields that deliberately carry
+// no unit, keyed package.Type.Field: they take whatever unit the caller's
+// capacity has.
+var unitAgnostic = map[string]bool{
+	"waterfill.Flow.Demand":     true, // same units as Config.Capacity
+	"waterfill.Config.Capacity": true, // the allocator is scale-free
+	"routing.Demand.Rate":       true, // relative: 1 = full node injection bandwidth
+}
+
+// unitSuffix requires exported numeric fields of exported structs that
+// hold rates or sizes to carry a unit suffix (Gbps, Bytes, Kbps, …). The
+// paper's arithmetic crosses Gbps, Mbps, Kbps (broadcast demand), bytes
+// and bits constantly — a bare "Rate float64" is how a 1000× error slips
+// through review.
 type unitSuffix struct{ pkgScope }
 
 // NewUnitSuffix builds the unit-suffix rule scoped to the given package
@@ -43,7 +52,7 @@ func NewUnitSuffix(pkgs ...string) Analyzer { return &unitSuffix{pkgScope{pkgs}}
 
 func (*unitSuffix) Name() string { return "unit-suffix" }
 func (*unitSuffix) Doc() string {
-	return "exported numeric rates/sizes must carry a unit suffix (Gbps, Bytes, Ns, …)"
+	return "exported numeric rate/size fields must carry a unit suffix (Gbps, Bytes, Ns, …)"
 }
 
 func (a *unitSuffix) Check(pass *Pass) []Diagnostic {
@@ -53,38 +62,23 @@ func (a *unitSuffix) Check(pass *Pass) []Diagnostic {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.TypeSpec:
-				st, ok := v.Type.(*ast.StructType)
-				if !ok || !v.Name.IsExported() {
-					return true
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || !ts.Name.IsExported() {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, fld := range st.Fields.List {
+				if !isBasicNumeric(fld.Type) {
+					continue
 				}
-				for _, fld := range st.Fields.List {
-					if !isBasicNumeric(fld.Type) {
-						continue
-					}
-					for _, name := range fld.Names {
-						if name.IsExported() && needsUnit(name.Name) {
-							diags = append(diags, pass.Diag(a.Name(), name,
-								"exported field %s.%s holds a quantity but its name has no unit suffix (Gbps, Bytes, Ns, …)",
-								v.Name.Name, name.Name))
-						}
-					}
-				}
-			case *ast.FuncDecl:
-				if !v.Name.IsExported() || v.Type.Params == nil {
-					return true
-				}
-				for _, p := range v.Type.Params.List {
-					if !isBasicNumeric(p.Type) {
-						continue
-					}
-					for _, name := range p.Names {
-						if needsUnit(name.Name) {
-							diags = append(diags, pass.Diag(a.Name(), name,
-								"parameter %s of exported %s holds a quantity but its name has no unit suffix",
-								name.Name, v.Name.Name))
-						}
+				for _, name := range fld.Names {
+					key := f.Name.Name + "." + ts.Name.Name + "." + name.Name
+					if name.IsExported() && needsUnit(name.Name) && !unitAgnostic[key] {
+						diags = append(diags, pass.Diag(a.Name(), name,
+							"exported field %s holds a quantity but its name has no unit suffix (Gbps, Bytes, Ns, …)", key))
 					}
 				}
 			}
@@ -95,11 +89,8 @@ func (a *unitSuffix) Check(pass *Pass) []Diagnostic {
 }
 
 // isBasicNumeric reports whether the type expression is a predeclared
-// numeric type (possibly variadic).
+// numeric type.
 func isBasicNumeric(t ast.Expr) bool {
-	if e, ok := t.(*ast.Ellipsis); ok {
-		t = e.Elt
-	}
 	id, ok := t.(*ast.Ident)
 	return ok && basicNumeric[id.Name]
 }

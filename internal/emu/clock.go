@@ -12,11 +12,13 @@ import "time"
 //     host timestamps: a wall-clock step (NTP slew, suspend/resume) cannot
 //     produce a negative or wildly wrong FCT, and results from different
 //     racks or runs are not accidentally comparable as absolute times;
-//   - the no-wallclock lint rule covers internal/emu, and the justified
-//     ignores below are the complete audited inventory of real-time use.
+//   - the functions below are the complete inventory of real-time use:
+//     the no-wallclock rule (internal/analysis, run by TestSourceRules at
+//     the module root) allows the host clock in internal/emu only in this
+//     file.
 //
 // Everything outside this file uses rackClock (or Flow fields derived from
-// it) and is wall-clock-free under the linter.
+// it).
 
 // rackClock anchors one rack's timeline to a private epoch captured at
 // New. now() feeds pacing-schedule arithmetic; nowNs() is the only
@@ -26,7 +28,6 @@ type rackClock struct {
 }
 
 func newRackClock() rackClock {
-	//lint:ignore no-wallclock the rack epoch is the single wall-clock anchor; every timestamp is an offset from it
 	return rackClock{epoch: time.Now()}
 }
 
@@ -34,7 +35,6 @@ func newRackClock() rackClock {
 // Go's monotonic clock reading, so the result is immune to wall-clock
 // steps and is what Flow.started / Flow.finished store.
 func (c rackClock) nowNs() int64 {
-	//lint:ignore no-wallclock monotonic read against the rack epoch; never escapes as absolute wall time
 	return int64(time.Since(c.epoch))
 }
 
@@ -42,7 +42,6 @@ func (c rackClock) nowNs() int64 {
 // buckets sleep against it). Schedules never reach results; use nowNs for
 // anything measured.
 func (c rackClock) now() time.Time {
-	//lint:ignore no-wallclock pacing schedules sleep on host time by design; measurements go through nowNs
 	return time.Now()
 }
 
@@ -56,7 +55,6 @@ func (c rackClock) after(d time.Duration) <-chan time.Time {
 // newTicker drives the periodic rate recomputation (the host-time
 // analogue of the paper's ρ interval).
 func (c rackClock) newTicker(d time.Duration) *time.Ticker {
-	//lint:ignore no-wallclock the recompute interval rho is a host-time period by design (§3.3.2)
 	return time.NewTicker(d)
 }
 
@@ -67,6 +65,5 @@ func (c rackClock) newTicker(d time.Duration) *time.Ticker {
 // caller can Stop it when the flow wins the race — time.After would leak
 // the timer until it fires.
 func hostTimer(d time.Duration) *time.Timer {
-	//lint:ignore no-wallclock caller-facing timeout in host time; not a measurement
 	return time.NewTimer(d)
 }

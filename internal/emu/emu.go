@@ -119,8 +119,8 @@ type Rack struct {
 	// Fault-injection state. Lock order: faultMu before any emuNode.mu,
 	// never the reverse.
 	faultMu     sync.Mutex
-	failedLinks map[topology.LinkID]bool
-	deadNodes   map[topology.NodeID]bool
+	failedLinks []bool // indexed by LinkID
+	deadNodes   []bool // indexed by NodeID, one per vertex
 	faultSeq    uint64 // fault injections (guarded by faultMu)
 	coveredSeq  uint64 // injections already covered by a fabric swap
 	reroutes    atomic.Uint64
@@ -138,12 +138,12 @@ type Rack struct {
 
 // fabricState is the routing state of one fabric generation: the table and
 // broadcast FIB built over the (possibly degraded) graph, the mapping from
-// its link IDs back to physical ports, and the set of crashed nodes.
+// its link IDs back to physical ports, and the crashed nodes.
 type fabricState struct {
 	tab     *routing.Table
 	fib     *topology.BroadcastFIB
 	linkMap []topology.LinkID // nil while the fabric is intact
-	dead    map[topology.NodeID]bool
+	dead    []bool            // indexed by NodeID
 }
 
 // physInPlace translates a path of fabric link IDs to physical link IDs,
@@ -303,12 +303,13 @@ func New(cfg Config) (*Rack, error) {
 		ctx:         ctx,
 		cancel:      cancel,
 		flows:       make(map[wire.FlowID]*Flow),
-		failedLinks: make(map[topology.LinkID]bool),
-		deadNodes:   make(map[topology.NodeID]bool),
+		failedLinks: make([]bool, cfg.Graph.NumLinks()),
+		deadNodes:   make([]bool, cfg.Graph.Vertices()),
 	}
 	r.fabric.Store(&fabricState{
-		tab: r.tab,
-		fib: topology.NewBroadcastFIB(cfg.Graph, cfg.TreesPerSource, cfg.Seed),
+		tab:  r.tab,
+		fib:  topology.NewBroadcastFIB(cfg.Graph, cfg.TreesPerSource, cfg.Seed),
+		dead: make([]bool, cfg.Graph.Vertices()),
 	})
 	r.ports = make([]*emuPort, cfg.Graph.NumLinks())
 	for i := range r.ports {
@@ -620,7 +621,6 @@ func (r *Rack) recomputeLoop(n *emuNode) {
 			n.mu.Lock()
 			if len(n.flows) > 0 {
 				alloc := n.rc.Compute(n.view)
-				//lint:ignore det-map-iter order-free: independent per-flow atomic stores; each flowSender reads only its own rate, and all rates come from the same allocator run
 				for id, f := range n.flows {
 					f.rate.Store(uint64(alloc.Rate(id)))
 				}

@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -122,7 +121,7 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 	if got := r.Reroutes(); got < 1 || got > want {
 		t.Fatalf("reroutes = %d, want between 1 and %d (one per event at most)\nschedule:\n%s", got, want, sched)
 	}
-	wantLinks, wantDead := map[topology.LinkID]bool{}, map[topology.NodeID]bool{}
+	wantLinks, wantDead := make([]bool, g.NumLinks()), make([]bool, g.Vertices())
 	for _, ev := range events {
 		switch ev.Kind {
 		case faults.LinkDown:
@@ -131,7 +130,7 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 			}
 		case faults.LinkRepair:
 			for _, lid := range r.cableLinks(ev.A, ev.B) {
-				delete(wantLinks, lid)
+				wantLinks[lid] = false
 			}
 		case faults.NodeDown:
 			wantDead[ev.Node] = true
@@ -143,7 +142,7 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 		}
 	}
 	r.faultMu.Lock()
-	if !maps.Equal(r.failedLinks, wantLinks) || !maps.Equal(r.deadNodes, wantDead) {
+	if !slices.Equal(r.failedLinks, wantLinks) || !slices.Equal(r.deadNodes, wantDead) {
 		t.Errorf("failure state after the schedule: links %v nodes %v, want links %v nodes %v",
 			r.failedLinks, r.deadNodes, wantLinks, wantDead)
 	}

@@ -57,7 +57,7 @@ func (r *Rack) FailLink(a, b topology.NodeID, detect time.Duration) error {
 	}
 	if _, _, err := r.cfg.Graph.WithoutLinksAndNodes(r.failedLinks, r.deadNodes); err != nil {
 		for _, lid := range added {
-			delete(r.failedLinks, lid)
+			r.failedLinks[lid] = false
 		}
 		r.faultMu.Unlock()
 		return err
@@ -96,9 +96,9 @@ func (r *Rack) FailNode(dead topology.NodeID, detect time.Duration) error {
 		}
 	}
 	if _, _, err := r.cfg.Graph.WithoutLinksAndNodes(r.failedLinks, r.deadNodes); err != nil {
-		delete(r.deadNodes, dead)
+		r.deadNodes[dead] = false
 		for _, lid := range added {
-			delete(r.failedLinks, lid)
+			r.failedLinks[lid] = false
 		}
 		r.faultMu.Unlock()
 		return err
@@ -111,7 +111,6 @@ func (r *Rack) FailNode(dead topology.NodeID, detect time.Duration) error {
 	// detection delay elapses (they have not noticed yet).
 	n := r.nodes[dead]
 	n.mu.Lock()
-	//lint:ignore det-map-iter order-free: each abort closes only that flow's own aborted channel; no goroutine observes two flows' aborts in a guaranteed order
 	for id, f := range n.flows {
 		f.abort()
 		delete(n.flows, id)
@@ -129,14 +128,15 @@ func (r *Rack) FailNode(dead topology.NodeID, detect time.Duration) error {
 // cannot be repaired while it is down.
 func (r *Rack) RepairLink(a, b topology.NodeID, detect time.Duration) error {
 	r.faultMu.Lock()
-	if r.deadNodes[a] || r.deadNodes[b] {
+	lids := r.cableLinks(a, b)
+	if len(lids) > 0 && (r.deadNodes[a] || r.deadNodes[b]) {
 		r.faultMu.Unlock()
 		return fmt.Errorf("emu: cannot repair link %d-%d of a failed node", a, b)
 	}
 	var repaired []topology.LinkID
-	for _, lid := range r.cableLinks(a, b) {
+	for _, lid := range lids {
 		if r.failedLinks[lid] {
-			delete(r.failedLinks, lid)
+			r.failedLinks[lid] = false
 			repaired = append(repaired, lid)
 		}
 	}
@@ -212,11 +212,13 @@ func (r *Rack) swapFabric() {
 	r.coveredSeq = r.faultSeq
 
 	var st *fabricState
-	if len(r.failedLinks) == 0 && len(r.deadNodes) == 0 {
+	dead := slices.Clone(r.deadNodes)
+	if !slices.Contains(r.failedLinks, true) && !slices.Contains(dead, true) {
 		// Fully repaired: back to the pristine physical fabric.
 		st = &fabricState{
-			tab: r.tab,
-			fib: topology.NewBroadcastFIB(r.cfg.Graph, r.cfg.TreesPerSource, r.cfg.Seed),
+			tab:  r.tab,
+			fib:  topology.NewBroadcastFIB(r.cfg.Graph, r.cfg.TreesPerSource, r.cfg.Seed),
+			dead: dead,
 		}
 	} else {
 		sub, mapping, err := r.cfg.Graph.WithoutLinksAndNodes(r.failedLinks, r.deadNodes)
@@ -224,10 +226,6 @@ func (r *Rack) swapFabric() {
 			// Every injection validated the union it created, and
 			// connectivity is monotone in the failed set.
 			panic(fmt.Sprintf("emu: degraded fabric invalid at detection time: %v", err))
-		}
-		dead := make(map[topology.NodeID]bool, len(r.deadNodes))
-		for d := range r.deadNodes {
-			dead[d] = true
 		}
 		st = &fabricState{
 			tab:     routing.NewTable(sub),
@@ -240,9 +238,8 @@ func (r *Rack) swapFabric() {
 	// Abandon flows with crashed endpoints and purge them from every view
 	// BEFORE the swap goes live: no re-announce may route toward an
 	// unreachable endpoint and no view may keep their bandwidth reserved.
-	if len(st.dead) > 0 {
+	if slices.Contains(st.dead, true) {
 		r.flowsMu.Lock()
-		//lint:ignore det-map-iter order-free: each abort closes only that flow's own aborted channel; waiters select on their own flow, never on cross-flow abort order
 		for _, f := range r.flows {
 			if st.dead[f.Info.Src] || st.dead[f.Info.Dst] {
 				f.abort()
@@ -285,7 +282,7 @@ func (r *Rack) swapFabric() {
 		n.mu.Lock()
 		// Sorted iteration: the flow→tree pairing rotates nextTree per
 		// flow, so walking the map in random order would hand the same
-		// flow a different broadcast tree on every run (det-map-iter).
+		// flow a different broadcast tree on every run.
 		ids := make([]wire.FlowID, 0, len(n.flows))
 		for id := range n.flows {
 			ids = append(ids, id)

@@ -80,7 +80,7 @@ func (cfg FaultSweepConfig) graphAndArrivals() (*topology.Graph, []trafficgen.Ar
 // rule: abandoned means an endpoint was scheduled to crash — whether the
 // flow happened to finish before the crash is a timing question the
 // tolerance check absorbs, not a classification one.
-func classify(st *FaultRunStats, dead map[topology.NodeID]bool, src, dst topology.NodeID, done bool, fctSeconds float64) {
+func classify(st *FaultRunStats, dead []bool, src, dst topology.NodeID, done bool, fctSeconds float64) {
 	switch {
 	case done:
 		st.Completed++
@@ -121,7 +121,7 @@ func FaultSweepSim(cfg FaultSweepConfig) (*FaultRunStats, error) {
 		MaxTime:  arrivals[len(arrivals)-1].At + horizon + 10*simtime.Second,
 	})
 	st := &FaultRunStats{Reroutes: out.FailureReroutes, Drops: out.Drops}
-	dead := cfg.Schedule.DeadNodes()
+	dead := cfg.Schedule.DeadNodes(g.Nodes())
 	for _, rec := range out.Flows {
 		var fct float64
 		if rec.Done {
@@ -174,7 +174,7 @@ func FaultSweepEmu(cfg FaultSweepConfig) (*FaultRunStats, error) {
 	xfer := time.Duration(float64(cfg.FlowBytes*8*int64(cfg.Flows)) / (cfg.LinkMbps * 1e6) * float64(time.Second))
 	deadline := start.Add(cfg.Schedule.Horizon() + 4*xfer + 8*time.Second)
 	st := &FaultRunStats{}
-	dead := cfg.Schedule.DeadNodes()
+	dead := cfg.Schedule.DeadNodes(g.Nodes())
 	for i, f := range handles {
 		wait := time.Until(deadline)
 		if wait < time.Millisecond {

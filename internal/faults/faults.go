@@ -16,6 +16,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -142,9 +143,8 @@ func (s Schedule) Validate(g *topology.Graph) error {
 		return cable{a, b}
 	}
 	down := map[cable]bool{}
-	dead := map[topology.NodeID]bool{}
-	union := map[topology.LinkID]bool{}
-	unionDead := map[topology.NodeID]bool{}
+	dead := make([]bool, g.Nodes())
+	union := make([]bool, g.NumLinks())
 	for _, e := range s.Sorted() {
 		if e.At < 0 || e.Detect < 0 {
 			return fmt.Errorf("faults: negative time in %v", e)
@@ -185,15 +185,14 @@ func (s Schedule) Validate(g *topology.Graph) error {
 			delete(down, c)
 		case NodeDown:
 			dead[e.Node] = true
-			unionDead[e.Node] = true
 		case LinkDrop:
 			if e.DropProb < 0 || e.DropProb > 1 {
 				return fmt.Errorf("faults: drop probability %g outside [0,1]", e.DropProb)
 			}
 		}
 	}
-	if len(union) > 0 || len(unionDead) > 0 {
-		if _, _, err := g.WithoutLinksAndNodes(union, unionDead); err != nil {
+	if slices.Contains(union, true) || slices.Contains(dead, true) {
+		if _, _, err := g.WithoutLinksAndNodes(union, dead); err != nil {
 			return fmt.Errorf("faults: schedule union partitions the rack: %w", err)
 		}
 	}
@@ -243,11 +242,12 @@ func (s Schedule) Waves() int {
 	return waves
 }
 
-// DeadNodes returns the set of nodes the schedule crashes.
-func (s Schedule) DeadNodes() map[topology.NodeID]bool {
-	dead := map[topology.NodeID]bool{}
+// DeadNodes returns the nodes the schedule crashes, as a mask indexed by
+// NodeID over a rack of n nodes.
+func (s Schedule) DeadNodes(n int) []bool {
+	dead := make([]bool, n)
 	for _, e := range s.Events {
-		if e.Kind == NodeDown {
+		if e.Kind == NodeDown && int(e.Node) >= 0 && int(e.Node) < n {
 			dead[e.Node] = true
 		}
 	}

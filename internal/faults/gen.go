@@ -57,7 +57,7 @@ func Generate(g *topology.Graph, cfg GenConfig) (Schedule, error) {
 	var sched Schedule
 
 	var dead topology.NodeID = -1
-	deadSet := map[topology.NodeID]bool{}
+	deadSet := make([]bool, g.Nodes())
 	if cfg.Crash {
 		dead = topology.NodeID(rng.Intn(g.Nodes()))
 		deadSet[dead] = true
@@ -89,7 +89,7 @@ func Generate(g *topology.Graph, cfg GenConfig) (Schedule, error) {
 
 	// Greedily keep cables whose removal — together with everything
 	// already picked and the crashed node — leaves the rack connected.
-	union := map[topology.LinkID]bool{}
+	union := make([]bool, g.NumLinks())
 	picked := 0
 	for _, c := range cables {
 		if picked >= cfg.Flaps {
@@ -99,8 +99,7 @@ func Generate(g *topology.Graph, cfg GenConfig) (Schedule, error) {
 		ba, _ := g.LinkBetween(c.b, c.a)
 		union[ab], union[ba] = true, true
 		if _, _, err := g.WithoutLinksAndNodes(union, deadSet); err != nil {
-			delete(union, ab)
-			delete(union, ba)
+			union[ab], union[ba] = false, false
 			continue
 		}
 		picked++

@@ -149,8 +149,6 @@ func Optimize(cfg Config, nFlows int, choices int, current []uint8, fitness Fitn
 // throughput, computed by running the water-filling allocator over the
 // long-flow set with each flow's φ determined by the candidate protocol
 // assignment.
-//
-//lint:ignore unit-suffix capacity is forwarded to the unit-agnostic waterfill.Config.Capacity
 func AggregateFitness(tab *routing.Table, capacity, headroom float64, flows []routing.Demand, protocols []routing.Protocol) Fitness {
 	alloc := waterfill.NewAllocator(waterfill.Config{
 		NumLinks: tab.Graph().NumLinks(),
@@ -171,8 +169,6 @@ func AggregateFitness(tab *routing.Table, capacity, headroom float64, flows []ro
 
 // TailFitness is the alternative utility mentioned in §3.4: the minimum
 // (tail) flow throughput.
-//
-//lint:ignore unit-suffix capacity is forwarded to the unit-agnostic waterfill.Config.Capacity
 func TailFitness(tab *routing.Table, capacity, headroom float64, flows []routing.Demand, protocols []routing.Protocol) Fitness {
 	alloc := waterfill.NewAllocator(waterfill.Config{
 		NumLinks: tab.Graph().NumLinks(),
@@ -207,8 +203,6 @@ func TailFitness(tab *routing.Table, capacity, headroom float64, flows []routing
 // job progresses at the rate of its slowest flow, and the utility is the
 // aggregate job progress. jobOf[i] names flow i's job; flows with an empty
 // job name count individually.
-//
-//lint:ignore unit-suffix capacity is forwarded to the unit-agnostic waterfill.Config.Capacity
 func JobTailFitness(tab *routing.Table, capacity, headroom float64, flows []routing.Demand, protocols []routing.Protocol, jobOf []string) Fitness {
 	if len(jobOf) != len(flows) {
 		panic("genetic: jobOf length mismatch")

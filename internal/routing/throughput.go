@@ -7,8 +7,7 @@ import "r2c2/internal/topology"
 // node).
 type Demand struct {
 	Src, Dst topology.NodeID
-	//lint:ignore unit-suffix Rate is relative (1 = full node injection bandwidth), not a physical unit
-	Rate float64
+	Rate     float64
 }
 
 // ChannelLoads returns the per-link load (in node-injection-bandwidth

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"r2c2/internal/core"
@@ -15,7 +16,7 @@ func TestWithoutLinks(t *testing.T) {
 	a, b := g.NodeAt([]int{0, 0}), g.NodeAt([]int{1, 0})
 	ab, _ := g.LinkBetween(a, b)
 	ba, _ := g.LinkBetween(b, a)
-	sub, mapping, err := g.WithoutLinks(map[topology.LinkID]bool{ab: true, ba: true})
+	sub, mapping, err := g.WithoutLinks(ab, ba)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +45,7 @@ func TestWithoutLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := map[topology.LinkID]bool{}
-	for _, lid := range ring.Out(1) {
-		cut[lid] = true
-	}
-	for _, lid := range ring.In(1) {
-		cut[lid] = true
-	}
-	if _, _, err := ring.WithoutLinks(cut); err == nil {
+	if _, _, err := ring.WithoutLinks(slices.Concat(ring.Out(1), ring.In(1))...); err == nil {
 		t.Fatal("partitioning failure accepted")
 	}
 }
@@ -62,7 +56,7 @@ func TestRoutingOnDegradedFabric(t *testing.T) {
 	g := torus(t, 4, 2)
 	ab, _ := g.LinkBetween(0, 1)
 	ba, _ := g.LinkBetween(1, 0)
-	sub, _, err := g.WithoutLinks(map[topology.LinkID]bool{ab: true, ba: true})
+	sub, _, err := g.WithoutLinks(ab, ba)
 	if err != nil {
 		t.Fatal(err)
 	}

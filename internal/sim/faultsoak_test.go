@@ -55,7 +55,7 @@ func TestFaultSoakEightNodeRack(t *testing.T) {
 		MaxTime:  500 * simtime.Millisecond,
 	})
 
-	dead := sched.DeadNodes()
+	dead := sched.DeadNodes(g.Nodes())
 	abandoned := 0
 	for _, rec := range res.Flows {
 		if dead[rec.Src] || dead[rec.Dst] {

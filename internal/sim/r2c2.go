@@ -89,8 +89,8 @@ type R2C2 struct {
 	// covered by a reroute, so a detection callback whose injections were
 	// all covered by an earlier (later-injected, shorter-delay) reroute
 	// no-ops instead of rebuilding the same fabric again.
-	failedLinks map[topology.LinkID]bool
-	deadNodes   map[topology.NodeID]bool
+	failedLinks []bool // indexed by LinkID
+	deadNodes   []bool // indexed by NodeID, one per vertex
 	linkMap     []topology.LinkID
 	failSeq     uint64
 	reroutedSeq uint64
@@ -294,8 +294,8 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 		r.owned++
 	}
 	r.vis = make([][]int32, net.G.Nodes())
-	r.failedLinks = make(map[topology.LinkID]bool)
-	r.deadNodes = make(map[topology.NodeID]bool)
+	r.failedLinks = make([]bool, net.G.NumLinks())
+	r.deadNodes = make([]bool, net.G.Vertices())
 	net.Deliver = r.deliver
 	net.NextBroadcastHops = r.broadcastHops
 	net.OnDrop = r.onDrop
@@ -380,7 +380,7 @@ func (r *R2C2) physInPlace(path []topology.LinkID) {
 // state. Called at injection (to validate connectivity before committing)
 // and at detection-fire time (never from a stale snapshot).
 func (r *R2C2) degradedGraph() (*topology.Graph, []topology.LinkID, error) {
-	if len(r.failedLinks) == 0 && len(r.deadNodes) == 0 {
+	if !slices.Contains(r.failedLinks, true) && !slices.Contains(r.deadNodes, true) {
 		return r.Net.G, nil, nil
 	}
 	return r.Net.G.WithoutLinksAndNodes(r.failedLinks, r.deadNodes)
@@ -417,7 +417,7 @@ func (r *R2C2) FailLink(a, b topology.NodeID, detection simtime.Time) error {
 	// later fire-time recompute over a subset-or-equal state succeeds too.
 	if _, _, err := r.degradedGraph(); err != nil {
 		for _, lid := range added {
-			delete(r.failedLinks, lid)
+			r.failedLinks[lid] = false
 		}
 		return err
 	}
@@ -453,9 +453,9 @@ func (r *R2C2) FailNode(dead topology.NodeID, detection simtime.Time) error {
 		}
 	}
 	if _, _, err := r.degradedGraph(); err != nil {
-		delete(r.deadNodes, dead)
+		r.deadNodes[dead] = false
 		for _, lid := range added {
-			delete(r.failedLinks, lid)
+			r.failedLinks[lid] = false
 		}
 		return err
 	}
@@ -481,7 +481,7 @@ func (r *R2C2) FailNode(dead topology.NodeID, detection simtime.Time) error {
 // back to the re-expanded fabric and re-announces its flows. Cables of a
 // crashed node cannot be repaired while the node is dead.
 func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
-	if r.deadNodes[a] || r.deadNodes[b] {
+	if _, ok := r.Net.G.LinkBetween(a, b); ok && (r.deadNodes[a] || r.deadNodes[b]) {
 		return fmt.Errorf("sim: cannot repair link %d-%d of a failed node", a, b)
 	}
 	var repaired []topology.LinkID
@@ -490,7 +490,7 @@ func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
 		if !ok || !r.failedLinks[lid] {
 			continue
 		}
-		delete(r.failedLinks, lid)
+		r.failedLinks[lid] = false
 		repaired = append(repaired, lid)
 	}
 	if len(repaired) == 0 {
@@ -965,13 +965,15 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 			slot.st.recv = nil
 		}
 	}
-	if r.Cfg.Reliable {
+	if r.Cfg.Reliable && !r.deadNodes[pkt.Src] {
 		// Cumulative acknowledgement, solely for reliability (§6): routed
 		// minimally and deterministically back to the sender, along a route
 		// interned once per flow on the receive state. Rebuilds after a
 		// reroute go into a fresh buffer — in-flight acks share the old
 		// backing array by reference and must keep their pre-failure
-		// snapshot (same reason fillPath's DOR branch allocates anew).
+		// snapshot (same reason fillPath's DOR branch allocates anew). A
+		// crashed source has no sender left to ack, and after the reroute
+		// no route back to it.
 		if rs.ackPath == nil || rs.ackGen != r.gen {
 			rs.ackPath = append([]topology.LinkID(nil), r.Tab.Phi(routing.DOR, pkt.Dst, pkt.Src).Links...)
 			r.physInPlace(rs.ackPath)

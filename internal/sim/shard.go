@@ -165,15 +165,12 @@ type shardState struct {
 
 // wallEpoch anchors wallNs; reading the clock relative to it costs one
 // monotonic read instead of time.Now's wall + monotonic pair.
-//
-//lint:ignore no-wallclock utilisation accounting only; excluded from Results byte-identity
 var wallEpoch = time.Now()
 
 // wallNs reads the wall clock for the per-shard utilisation report
 // (ShardStat.BusyNs, CtrlNs), which is documented as nondeterministic and
 // excluded from byte-identity — no simulation decision ever reads it.
 func wallNs() int64 {
-	//lint:ignore no-wallclock utilisation accounting in wall nanoseconds; excluded from Results byte-identity
 	return time.Since(wallEpoch).Nanoseconds()
 }
 

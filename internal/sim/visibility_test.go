@@ -275,7 +275,7 @@ func FuzzVisibilityMatchesView(f *testing.F) {
 				}
 				r.deadNodes[dead] = true
 				r.purgeDead()
-				delete(r.deadNodes, dead)
+				r.deadNodes[dead] = false
 			default: // one event at one node (ops 0-3) or flooded to all (op 7)
 				ev := wire.EventFlowStart + wire.EventKind(op)
 				if op == 7 {

@@ -42,7 +42,7 @@ func TestWithoutLinksMarksDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab, _ := g.LinkBetween(0, 1)
-	sub, mapping, err := g.WithoutLinks(map[LinkID]bool{ab: true})
+	sub, mapping, err := g.WithoutLinks(ab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWithoutLinksMarksDegraded(t *testing.T) {
 	}
 	// Degradation is sticky across further removals.
 	cd, _ := sub.LinkBetween(2, 3)
-	sub2, _, err := sub.WithoutLinks(map[LinkID]bool{cd: true})
+	sub2, _, err := sub.WithoutLinks(cd)
 	if err != nil {
 		t.Fatal(err)
 	}

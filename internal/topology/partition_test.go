@@ -126,7 +126,7 @@ func TestPartitionSurvivesDegradedFabric(t *testing.T) {
 	if !ok {
 		t.Fatal("missing intra-rack link")
 	}
-	sub, _, err := g.WithoutLinks(map[LinkID]bool{lid: true})
+	sub, _, err := g.WithoutLinks(lid)
 	if err != nil {
 		t.Fatal(err)
 	}

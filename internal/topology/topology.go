@@ -382,8 +382,12 @@ func (g *Graph) MinimalSuccessors(dst NodeID) *PortMasks {
 // original graph. Vertex IDs are preserved. It returns an error if any
 // endpoint node would become unreachable from another: R2C2 assumes the
 // rack stays connected (a torus survives many link failures).
-func (g *Graph) WithoutLinks(failed map[LinkID]bool) (*Graph, []LinkID, error) {
-	return g.WithoutLinksAndNodes(failed, nil)
+func (g *Graph) WithoutLinks(failed ...LinkID) (*Graph, []LinkID, error) {
+	mask := make([]bool, len(g.links))
+	for _, lid := range failed {
+		mask[lid] = true
+	}
+	return g.WithoutLinksAndNodes(mask, nil)
 }
 
 // WithoutNode returns the graph with every link of `dead` removed — the
@@ -391,33 +395,25 @@ func (g *Graph) WithoutLinks(failed map[LinkID]bool) (*Graph, []LinkID, error) {
 // WithoutLinks. The dead node itself is allowed to be unreachable; every
 // pair of surviving endpoints must remain mutually connected.
 func (g *Graph) WithoutNode(dead NodeID) (*Graph, []LinkID, error) {
-	return g.WithoutLinksAndNodes(nil, map[NodeID]bool{dead: true})
+	mask := make([]bool, g.n)
+	mask[dead] = true
+	return g.WithoutLinksAndNodes(nil, mask)
 }
 
 // WithoutLinksAndNodes returns the degraded fabric after an arbitrary mix
-// of link and node failures: every link in `failed` plus every link of
-// every node in `dead` is removed. This is the fire-time recompute used by
-// the failure path — overlapping failures accumulate in the two sets and
-// the fabric is always rebuilt from their union, never from a stale
-// snapshot. Dead nodes are allowed to be unreachable; every pair of
-// surviving endpoints must remain mutually connected.
-func (g *Graph) WithoutLinksAndNodes(failed map[LinkID]bool, dead map[NodeID]bool) (*Graph, []LinkID, error) {
-	gone := make(map[LinkID]bool, len(failed)+4*len(dead))
-	for lid := range failed {
-		gone[lid] = true
-	}
-	for d := range dead {
-		for _, lid := range g.out[d] {
-			gone[lid] = true
-		}
-		for _, lid := range g.in[d] {
-			gone[lid] = true
-		}
-	}
-	edges := make([]Link, 0, len(g.links)-len(gone))
-	mapping := make([]LinkID, 0, len(g.links)-len(gone))
+// of link and node failures: every link marked in `failed` (indexed by
+// LinkID) plus every link of every node marked in `dead` (indexed by
+// NodeID) is removed. A nil mask marks nothing. This is the fire-time
+// recompute used by the failure path — overlapping failures accumulate in
+// the two masks and the fabric is always rebuilt from their union, never
+// from a stale snapshot. Dead nodes are allowed to be unreachable; every
+// pair of surviving endpoints must remain mutually connected.
+func (g *Graph) WithoutLinksAndNodes(failed, dead []bool) (*Graph, []LinkID, error) {
+	isDead := func(v NodeID) bool { return int(v) < len(dead) && dead[v] }
+	edges := make([]Link, 0, len(g.links))
+	mapping := make([]LinkID, 0, len(g.links))
 	for id, l := range g.links {
-		if gone[LinkID(id)] {
+		if id < len(failed) && failed[id] || isDead(l.From) || isDead(l.To) {
 			continue
 		}
 		edges = append(edges, l)
@@ -431,13 +427,13 @@ func (g *Graph) WithoutLinksAndNodes(failed map[LinkID]bool, dead map[NodeID]boo
 	// Vertex IDs are preserved, so the rack metadata carries over verbatim
 	// (the slice is immutable after construction and safe to share).
 	sub.rackOf, sub.racks = g.rackOf, g.racks
-	sub.degraded = g.degraded || len(gone) > 0
+	sub.degraded = g.degraded || len(edges) < len(g.links)
 	for a := 0; a < sub.n; a++ {
-		if dead[NodeID(a)] {
+		if isDead(NodeID(a)) {
 			continue
 		}
 		for b := 0; b < sub.n; b++ {
-			if dead[NodeID(b)] {
+			if isDead(NodeID(b)) {
 				continue
 			}
 			if sub.Dist(NodeID(a), NodeID(b)) < 0 {

@@ -41,14 +41,12 @@ type Flow struct {
 	Priority uint8
 	// Demand caps the rate for host-limited flows, in the same units as
 	// link capacity. Use Unlimited for network-limited flows.
-	//lint:ignore unit-suffix deliberately unit-agnostic: same units as Config.Capacity, whatever the caller picks
 	Demand float64
 }
 
 // Config parameterises an allocation.
 type Config struct {
-	NumLinks int // number of directed links in the fabric
-	//lint:ignore unit-suffix deliberately unit-agnostic: the allocator is scale-free, callers pick bits/s or normalized units
+	NumLinks int     // number of directed links in the fabric
 	Capacity float64 // per-link capacity (uniform inside a rack, §3.2)
 	Headroom float64 // fraction of capacity left unallocated, in [0, 1)
 }
