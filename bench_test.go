@@ -770,13 +770,14 @@ func BenchmarkReliabilityOverhead(b *testing.B) {
 }
 
 // Emulated-rack data path: wall-clock time to push 1 MB through the live
-// goroutine fabric.
+// goroutine fabric. Links run at 100 Gbps, so no token bucket sleeps and the
+// benchmark times the emulator, not its link rate.
 func BenchmarkEmuDataPath(b *testing.B) {
 	g, err := topology.NewTorus(3, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rack, err := emu.New(emu.Config{Graph: g, LinkMbps: 400, Seed: 1})
+	rack, err := emu.New(emu.Config{Graph: g, LinkMbps: 100000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -974,13 +975,14 @@ func BenchmarkBroadcastFIBBuild(b *testing.B) {
 // control plane — every one carves start/finish broadcast chains and a
 // handful of data segments out of the pool, fans the broadcasts out with
 // per-hop retains and releases everything back (DESIGN.md §12). Steady-state
-// allocs/op therefore measures pool recycling, not payload throughput.
+// allocs/op therefore measures pool recycling, not payload throughput, and
+// 100 Gbps links keep the link rate out of ns/op.
 func BenchmarkEmuMbufPool(b *testing.B) {
 	g, err := topology.NewTorus(3, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rack, err := emu.New(emu.Config{Graph: g, LinkMbps: 400, Seed: 1})
+	rack, err := emu.New(emu.Config{Graph: g, LinkMbps: 100000, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

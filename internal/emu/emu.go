@@ -106,6 +106,7 @@ type Rack struct {
 	ports []*emuPort
 	nodes []*emuNode
 
+	// flows holds every flow not yet finished; flowsMu nests in emuNode.mu.
 	flowsMu sync.Mutex
 	flows   map[wire.FlowID]*Flow
 
@@ -182,13 +183,20 @@ type emuNode struct {
 	flows    map[wire.FlowID]*Flow // flows sourced here
 	nextSeq  uint16
 	nextTree uint8
-	rcvd     map[wire.FlowID]int64 // bytes received (this node is dst)
+	rcvd     map[wire.FlowID]rcvdFlow // flows arriving here (this node is dst)
 	// fin[src] has bit seq set once this node has applied the finish of
 	// flow (src, seq). A start arriving later lost the race on another
 	// broadcast tree and is ignored: the simulator's rule (sim.R2C2.deliver).
 	// Each start retires the record half the 16-bit sequence space away, so
 	// a wrapped-around sequence number starts clean.
 	fin [][]uint64
+}
+
+// rcvdFlow is a destination's record of an arriving flow: its bytes so far,
+// and its handle, looked up in Rack.flows on the flow's first packet only.
+type rcvdFlow struct {
+	bytes int64
+	f     *Flow
 }
 
 // Flow is a handle on one emulated flow.
@@ -322,7 +330,7 @@ func New(cfg Config) (*Rack, error) {
 			view:  core.NewView(),
 			rc:    core.NewRateComputer(r.tab, cfg.LinkMbps*1e6, cfg.Headroom),
 			flows: make(map[wire.FlowID]*Flow),
-			rcvd:  make(map[wire.FlowID]int64),
+			rcvd:  make(map[wire.FlowID]rcvdFlow),
 			fin:   make([][]uint64, cfg.Graph.Nodes()),
 		}
 	}
@@ -364,48 +372,64 @@ func (r *Rack) MaxQueueBytes() []int64 {
 
 // linkLoop paces packets through one virtual link at the configured
 // bandwidth and hands them to the downstream node — the emu analogue of
-// Maze's outgoing-link machinery.
+// Maze's outgoing-link machinery. It wakes once per burst: only an empty
+// port blocks in a select on ctx.Done(), whose lock every link shares;
+// the rest of the burst is drained by receives that lock p.ch alone.
 func (r *Rack) linkLoop(lid topology.LinkID) {
 	defer r.wg.Done()
 	p := r.ports[lid]
 	to := r.cfg.Graph.Link(lid).To
-	perByte := time.Duration(float64(time.Second) * 8 / (r.cfg.LinkMbps * 1e6))
-	next := r.clk.now()
+	done := r.ctx.Done()
+	now := r.clk.now() // read once per wake-up, and again after a sleep
+	next := now
 	for {
+		var pkt emuPkt
 		select {
-		case <-r.ctx.Done():
-			return
-		case pkt := <-p.ch:
-			p.queued.Add(int64(-len(pkt.buf)))
-			if p.dead.Load() {
-				// Failed link: everything queued at failure time (or racing
-				// the enqueue-side dead check) is lost.
-				r.drops.Add(1)
-				r.release(pkt)
-				continue
+		case pkt = <-p.ch:
+		default:
+			select {
+			case <-done:
+				return
+			case pkt = <-p.ch:
 			}
-			// Token-bucket pacing with bounded catch-up: when the OS timer
-			// overshoots a sleep, the schedule may lag `now` by up to
-			// maxBurst and is repaid by back-to-back sends, keeping the
-			// long-run rate exact.
-			now := r.clk.now()
-			if floor := now.Add(-maxBurst); next.Before(floor) {
-				next = floor
-			}
-			next = next.Add(time.Duration(len(pkt.buf)) * perByte)
-			// Batch small sleeps: exact pacing below the OS timer
-			// resolution is impossible, but long-run rates stay exact.
-			if wait := next.Sub(r.clk.now()); wait > 500*time.Microsecond {
-				select {
-				case <-r.clk.after(wait):
-				case <-r.ctx.Done():
-					return
-				}
-			}
-			p.sent.Add(uint64(len(pkt.buf)))
-			r.receive(to, pkt) // receive owns the packet's reference from here
+			now = r.clk.now()
 		}
+		p.queued.Add(int64(-len(pkt.buf)))
+		if p.dead.Load() {
+			// Failed link: everything queued at failure time (or racing
+			// the enqueue-side dead check) is lost.
+			r.drops.Add(1)
+			r.release(pkt)
+			continue
+		}
+		// Token-bucket pacing with bounded catch-up: when the OS timer
+		// overshoots a sleep, the schedule may lag `now` by up to
+		// maxBurst and is repaid by back-to-back sends, keeping the
+		// long-run rate exact.
+		if floor := now.Add(-maxBurst); next.Before(floor) {
+			next = floor
+		}
+		next = next.Add(transmitTime(len(pkt.buf), r.cfg.LinkMbps))
+		// Batch small sleeps: exact pacing below the OS timer
+		// resolution is impossible, but long-run rates stay exact.
+		if wait := next.Sub(now); wait > 500*time.Microsecond {
+			select {
+			case <-r.clk.after(wait):
+			case <-done:
+				return
+			}
+			now = r.clk.now()
+		}
+		p.sent.Add(uint64(len(pkt.buf)))
+		r.receive(to, pkt) // receive owns the packet's reference from here
 	}
+}
+
+// transmitTime is how long n bytes occupy a link of linkMbps: the
+// simulator's simtime.TransmitTime, rounded to the nearest nanosecond.
+func transmitTime(n int, linkMbps float64) time.Duration {
+	ps := simtime.TransmitTime(n, linkMbps/1000)
+	return time.Duration((ps + simtime.Nanosecond/2) / simtime.Nanosecond)
 }
 
 // lossy reports whether a packet offered to this port should be lost to
@@ -437,20 +461,25 @@ func (r *Rack) enqueue(lid topology.LinkID, pkt emuPkt) bool {
 	}
 	select {
 	case p.ch <- pkt:
-		q := p.queued.Add(int64(len(pkt.buf)))
-		for {
-			max := p.maxSeen.Load()
-			if q <= max || p.maxSeen.CompareAndSwap(max, q) {
-				break
-			}
-		}
-		p.enqueued.Add(1)
+		p.queuedPkt(len(pkt.buf))
 		return true
 	default:
 		r.drops.Add(1)
 		r.release(pkt)
 		return false
 	}
+}
+
+// queuedPkt accounts a packet of n bytes just sent into the port's channel.
+func (p *emuPort) queuedPkt(n int) {
+	q := p.queued.Add(int64(n))
+	for {
+		max := p.maxSeen.Load()
+		if q <= max || p.maxSeen.CompareAndSwap(max, q) {
+			break
+		}
+	}
+	p.enqueued.Add(1)
 }
 
 // receive is the per-node forwarding layer (§3.5): zero-copy next-hop
@@ -565,7 +594,7 @@ func (r *Rack) newBcastPkt(b *wire.Broadcast) emuPkt {
 // deliverData terminates a data packet at its destination: header decode
 // into a stack header (DecodeDataInto — one *DataHeader per packet here
 // used to be the receive path's biggest allocator), byte accounting, flow
-// completion.
+// completion. Only a flow's first packet takes the rack-wide flowsMu.
 func (r *Rack) deliverData(at topology.NodeID, pkt emuPkt) {
 	defer r.release(pkt) // payload is consumed before this frame returns
 	var h wire.DataHeader
@@ -576,33 +605,41 @@ func (r *Rack) deliverData(at topology.NodeID, pkt emuPkt) {
 	}
 	n := r.nodes[at]
 	n.mu.Lock()
-	n.rcvd[h.Flow] += int64(len(payload))
-	total := n.rcvd[h.Flow]
+	rf := n.rcvd[h.Flow]
+	if rf.f == nil {
+		r.flowsMu.Lock()
+		rf.f = r.flows[h.Flow]
+		r.flowsMu.Unlock()
+	}
+	rf.bytes += int64(len(payload))
+	n.rcvd[h.Flow] = rf
 	n.mu.Unlock()
-
-	r.flowsMu.Lock()
-	f := r.flows[h.Flow]
-	r.flowsMu.Unlock()
-	if f == nil {
+	if rf.f == nil {
 		return
 	}
-	f.bytesRcvd.Store(total)
-	if total >= f.SizeBytes {
+	rf.f.bytesRcvd.Store(rf.bytes)
+	if rf.bytes >= rf.f.SizeBytes {
 		// Completion lives in its own function so the closure captures only
 		// finishFlow's parameters: capturing h here would force the header
 		// to escape on EVERY deliverData call, not just the completing one.
-		r.finishFlow(n, f, h.Flow)
+		r.finishFlow(n, rf.f, h.Flow)
 	}
 }
 
-// finishFlow marks a flow complete exactly once.
+// finishFlow marks a flow complete exactly once and drops it from the
+// rack's flow table, unless a wrapped sequence number has reused the ID.
 func (r *Rack) finishFlow(n *emuNode, f *Flow, id wire.FlowID) {
 	f.doneOnce.Do(func() {
 		f.finished.Store(r.clk.nowNs())
-		close(f.done)
+		r.flowsMu.Lock()
+		if r.flows[id] == f {
+			delete(r.flows, id)
+		}
+		r.flowsMu.Unlock()
 		n.mu.Lock()
 		delete(n.rcvd, id)
 		n.mu.Unlock()
+		close(f.done)
 	})
 }
 
@@ -711,10 +748,13 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 // Steady state allocates nothing: packet buffers come from the rack's
 // mbuf pool (released by whoever terminates the packet), and path
 // sampling, route encoding and the payload source all reuse per-sender or
-// shared buffers.
+// shared buffers. Nor does it take a lock the whole rack shares: shutdown
+// is polled with a non-blocking receive on the cached ctx.Done(), and only
+// a full first-hop port blocks in a select on it.
 func (r *Rack) flowSender(n *emuNode, f *Flow) {
 	defer r.wg.Done()
-	rng := rand.New(rand.NewSource(r.cfg.Seed ^ int64(f.Info.ID)))
+	rng := routing.NewStream(r.cfg.Seed, int64(f.Info.ID))
+	done := r.ctx.Done()
 	remaining := f.SizeBytes
 	var seq uint32
 	next := r.clk.now()
@@ -740,20 +780,21 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 	}
 
 	for remaining > 0 {
-		if r.ctx.Err() != nil {
+		select {
+		case <-done:
 			return
+		default:
 		}
 		if f.Abandoned() {
 			return // endpoint crashed; swapFabric purged the flow from views
 		}
+		var produced float64
 		if f.appRate > 0 {
 			// The application has produced this many bits so far.
-			produced := f.appRate * time.Duration(r.clk.nowNs()-appStartNs).Seconds()
-			if max := float64(f.SizeBytes * 8); produced > max {
-				produced = max
-			}
+			nowNs := r.clk.nowNs()
+			produced = min(f.appRate*time.Duration(nowNs-appStartNs).Seconds(), float64(f.SizeBytes*8))
 			backlog := produced - sentBits
-			if nowNs := r.clk.nowNs(); nowNs-periodStartNs >= int64(estPeriod) {
+			if nowNs-periodStartNs >= int64(estPeriod) {
 				sentRate := (sentBits - sentAtPeriodStart) / time.Duration(nowNs-periodStartNs).Seconds()
 				d := estimator.Observe(sentRate, backlog)
 				newKbps := core.KbpsDemand(d)
@@ -780,7 +821,7 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 			if backlog < 8 { // nothing produced yet to send
 				select {
 				case <-r.clk.after(100 * time.Microsecond):
-				case <-r.ctx.Done():
+				case <-done:
 					return
 				}
 				continue
@@ -790,7 +831,7 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		if rate <= 0 {
 			select {
 			case <-r.clk.after(200 * time.Microsecond):
-			case <-r.ctx.Done():
+			case <-done:
 				return
 			}
 			continue
@@ -803,10 +844,6 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 			payload = remaining
 		}
 		if f.appRate > 0 {
-			produced := f.appRate * time.Duration(r.clk.nowNs()-appStartNs).Seconds()
-			if max := float64(f.SizeBytes * 8); produced > max {
-				produced = max
-			}
 			if avail := int64((produced - sentBits) / 8); avail < payload {
 				payload = avail
 			}
@@ -865,21 +902,18 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		} else {
 			select {
 			case p.ch <- pkt:
-				q := p.queued.Add(int64(len(buf)))
-				for {
-					max := p.maxSeen.Load()
-					if q <= max || p.maxSeen.CompareAndSwap(max, q) {
-						break
-					}
+			default: // full port: block, but give way to shutdown and abort
+				select {
+				case p.ch <- pkt:
+				case <-done:
+					r.release(pkt)
+					return
+				case <-f.aborted:
+					r.release(pkt)
+					return
 				}
-				p.enqueued.Add(1)
-			case <-r.ctx.Done():
-				r.release(pkt)
-				return
-			case <-f.aborted:
-				r.release(pkt)
-				return
 			}
+			p.queuedPkt(len(buf))
 		}
 		seq++
 		remaining -= payload
@@ -890,10 +924,10 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 			next = floor
 		}
 		next = next.Add(time.Duration(float64(len(buf)*8) / rate * float64(time.Second)))
-		if wait := next.Sub(r.clk.now()); wait > 500*time.Microsecond {
+		if wait := next.Sub(now); wait > 500*time.Microsecond {
 			select {
 			case <-r.clk.after(wait):
-			case <-r.ctx.Done():
+			case <-done:
 				return
 			}
 		}

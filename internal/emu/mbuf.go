@@ -25,10 +25,11 @@ import (
 // (1500 B + header) fits a single segment; larger payloads chain.
 const mbufSegSize = 2048
 
-// mbufPoolIdleCap bounds how many free segments the pool retains (~1 MB).
-// Segments freed beyond it go to the GC, so a transient burst does not pin
-// its peak buffer count for the life of the rack.
-const mbufPoolIdleCap = 512
+// mbufPoolIdleCap bounds how many free segments the pool retains (8 MiB),
+// above the ~1,440 segments a rack of bulk flows keeps live, so the steady
+// state recycles. Segments freed beyond it go to the GC, so a transient
+// burst does not pin its peak buffer count for the life of the rack.
+const mbufPoolIdleCap = 4096
 
 // mbuf is one fixed-size buffer segment. next links chain continuation
 // segments while the mbuf is live, and the pool free list while it is not.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
 	"r2c2/internal/wire"
@@ -480,7 +481,7 @@ func (n *Network) SetLinkDropProb(lid topology.LinkID, p float64) {
 		n.lossRng = make([]*rand.Rand, len(n.ports))
 	}
 	if p > 0 && n.lossRng[lid] == nil {
-		n.lossRng[lid] = newLinkRng(n.Cfg.LossSeed, lid)
+		n.lossRng[lid] = routing.NewStream(n.Cfg.LossSeed, int64(lid))
 	}
 	n.lossProb[lid] = p
 }

@@ -631,7 +631,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 	}
 	node := r.nodes[src]
 	if node.rng == nil {
-		node.rng = newNodeRng(r.Cfg.Seed, src) // private route-sampling stream
+		node.rng = routing.NewStream(r.Cfg.Seed, int64(src)) // private route-sampling stream
 	}
 	slot := r.flows.open(src, dst, sizeBytes, r.Net.Eng.Now())
 	id := slot.rec.ID
