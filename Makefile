@@ -7,7 +7,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -44,12 +44,18 @@ fuzz:
 fuzz-view:
 	$(GO) test -run=^$$ -fuzz FuzzViewApply -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
 
-# The simulator's visibility rows against one core.View per node, on
+# core.Visibility, one to four columns, against one core.View per column, on
 # arbitrary event streams (floods, finish-first flows, recycled rows, origin
-# adds and removes, purges). Inputs are thousands of four-byte events:
-# minimise by count, as fuzz-view does.
+# adds and finishes, purges, wrapped-around sequence numbers). Inputs are
+# thousands of four-byte events: minimise by count, as fuzz-view does.
 fuzz-vis:
-	$(GO) test -run=^$$ -fuzz FuzzVisibilityMatchesView -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sim/
+	$(GO) test -run=^$$ -fuzz FuzzVisibilityMatchesView -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/core/
+
+# The emulator's receive path (decode, late-start rule, per-node Visibility)
+# and its dead-endpoint purge against one core.View per node, on an idle rack.
+# Inputs are hundreds of four-byte events: minimise by count.
+fuzz-emu-vis:
+	$(GO) test -run=^$$ -fuzz FuzzEmuReceiveMatchesView -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/emu/
 
 # The reorder-window bitmap against the map it replaced, on arbitrary packet
 # streams (duplicates, late packets, gaps across ring doublings). An input is

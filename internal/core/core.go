@@ -7,8 +7,8 @@
 // The central idea of the paper is that global visibility — every node
 // knows every active flow — turns distributed congestion control into a
 // local computation: no probing, no switch support, no per-flow queues on
-// path. A View is exactly that visibility; a RateComputer is exactly that
-// computation.
+// path. A Visibility is exactly that visibility; a RateComputer is exactly
+// that computation.
 package core
 
 import (
@@ -90,42 +90,99 @@ func BroadcastInfo(b *wire.Broadcast) FlowInfo {
 		Weight: b.Weight, Priority: b.Priority, DemandKbps: b.DemandKbps, Protocol: routing.Protocol(b.RP)}
 }
 
+// table is an open-addressing hash table keyed by flow ID with its values
+// inline: a power-of-two number of slots, a flow's home slot the top bits of
+// a Fibonacci hash of its ID (both halves of an ID vary slowly), linear
+// probing, backward-shift removal (no tombstones), at most ¾ full. An
+// operation is one probe, usually one cache line, and a flood reaches every
+// node's table: a View keeps its entries in one, a Visibility its open rows.
+type table[E any] struct {
+	slots []tableSlot[E]
+	shift uint8 // 32 - log2(len(slots)): hash bits to discard
+	n     int   // occupied slots
+}
+
+type tableSlot[E any] struct {
+	id   wire.FlowID
+	used bool
+	val  E
+}
+
+const tableMinBits = 3 // log2 of an empty table's size
+
+func newTable[E any]() table[E] {
+	return table[E]{slots: make([]tableSlot[E], 1<<tableMinBits), shift: 32 - tableMinBits}
+}
+
+func (t *table[E]) home(id wire.FlowID) int { return int(uint32(id) * 0x9E3779B1 >> t.shift) }
+
+// find returns the slot holding id, or the free slot its insertion would
+// take. The load bound keeps a slot free, so the probe ends.
+func (t *table[E]) find(id wire.FlowID) (slot int, found bool) {
+	for i := t.home(id); ; i = (i + 1) & (len(t.slots) - 1) {
+		if s := &t.slots[i]; !s.used || s.id == id {
+			return i, s.used
+		}
+	}
+}
+
+// get returns id's value.
+func (t *table[E]) get(id wire.FlowID) (E, bool) {
+	i, ok := t.find(id)
+	return t.slots[i].val, ok
+}
+
+// put returns id's value, inserting a zero one if id is absent.
+func (t *table[E]) put(id wire.FlowID) (val *E, found bool) {
+	i, ok := t.find(id)
+	if !ok {
+		if (t.n+1)*4 > len(t.slots)*3 { // double the table and re-file every entry
+			old := t.slots
+			t.slots, t.shift = make([]tableSlot[E], 2*len(old)), t.shift-1
+			for _, s := range old {
+				if s.used {
+					j, _ := t.find(s.id)
+					t.slots[j] = s
+				}
+			}
+			i, _ = t.find(id)
+		}
+		t.n++
+		t.slots[i] = tableSlot[E]{id: id, used: true}
+	}
+	return &t.slots[i].val, ok
+}
+
+// drop empties slot i and pulls back every later entry of its cluster whose
+// home is cyclically no later than the hole, so no probe steps over a gap.
+func (t *table[E]) drop(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].used; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].id))&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = tableSlot[E]{}
+	t.n--
+}
+
 // View is one node's local picture of the rack's traffic matrix, built
 // purely from flow-event broadcasts (§3.1). Views at different nodes can
 // temporarily diverge while broadcasts are in flight; the bandwidth
 // headroom absorbs that (§3.3.2).
 //
-// A View maintains an order-independent hash of its contents so that
-// callers (the rate computer's cache, the emulator's recomputation) can
-// cheaply detect an unchanged or identical view and share one rate
-// computation.
+// Neither backend keeps a View: both hold their nodes' views in a
+// Visibility. A View is the reference the Visibility fuzzers hold them to,
+// the bench/ ladder's rung, and a snapshot for tests.
 type View struct {
-	// slots is an open-addressing hash table with the entries stored inline:
-	// a power-of-two number of slots, a flow's home slot the top bits of a
-	// multiplicative hash of its ID, collisions resolved by linear probing,
-	// removal by backward shift (no tombstones), at most three quarters full.
-	// One delivery touches one view out of one per node, so the slot an
-	// event needs is cold: keeping it one probe — usually one cache line —
-	// away is what the layout is for.
-	slots   []viewSlot
-	shift   uint8 // 32 - log2(len(slots)): hash bits to discard
-	n       int   // occupied slots
+	table[FlowInfo]
 	version uint64
 	hash    uint64
 }
 
-type viewSlot struct {
-	info FlowInfo
-	used bool
-}
-
-// viewMinBits is log2 of an empty view's table size.
-const viewMinBits = 3
-
 // NewView returns an empty view.
-func NewView() *View {
-	return &View{slots: make([]viewSlot, 1<<viewMinBits), shift: 32 - viewMinBits}
-}
+func NewView() *View { return &View{table: newTable[FlowInfo]()} }
 
 // Len returns the number of flows in the view.
 func (v *View) Len() int { return v.n }
@@ -137,26 +194,8 @@ func (v *View) Version() uint64 { return v.version }
 // views with equal flow sets have equal hashes.
 func (v *View) Hash() uint64 { return v.hash }
 
-// home returns the slot a flow's probe sequence starts at. Flow IDs are a
-// source address over a per-source counter, so both halves vary slowly; the
-// Fibonacci multiplier spreads them across the top bits.
-func (v *View) home(id wire.FlowID) int { return int(uint32(id) * 0x9E3779B1 >> v.shift) }
-
-// find returns the slot holding id, or the free slot its insertion would
-// take. The load bound keeps at least one slot free, so the probe ends.
-func (v *View) find(id wire.FlowID) (slot int, found bool) {
-	for i := v.home(id); ; i = (i + 1) & (len(v.slots) - 1) {
-		if s := &v.slots[i]; !s.used || s.info.ID == id {
-			return i, s.used
-		}
-	}
-}
-
 // Get returns the view's entry for a flow.
-func (v *View) Get(id wire.FlowID) (FlowInfo, bool) {
-	i, ok := v.find(id)
-	return v.slots[i].info, ok
-}
+func (v *View) Get(id wire.FlowID) (FlowInfo, bool) { return v.get(id) }
 
 // Apply folds one broadcast event into the view. Duplicate starts and
 // finishes for unknown flows are tolerated (broadcasts can be retransmitted
@@ -165,9 +204,9 @@ func (v *View) Apply(b *wire.Broadcast) error {
 	id := b.Flow()
 	switch b.Event {
 	case wire.EventFlowStart:
-		v.upsert(BroadcastInfo(b))
+		v.AddFlow(BroadcastInfo(b))
 	case wire.EventFlowFinish:
-		v.remove(id)
+		v.RemoveFlow(id)
 	case wire.EventDemandUpdate, wire.EventRouteChange:
 		old, ok := v.Get(id)
 		if !ok {
@@ -179,69 +218,33 @@ func (v *View) Apply(b *wire.Broadcast) error {
 		} else {
 			old.Protocol = routing.Protocol(b.RP)
 		}
-		v.upsert(old)
+		v.AddFlow(old)
 	default:
 		return fmt.Errorf("core: unknown broadcast event %v", b.Event)
 	}
 	return nil
 }
 
-// AddFlow inserts a locally originated flow (the sender updates its own
-// view immediately; the broadcast informs everyone else).
-func (v *View) AddFlow(info FlowInfo) { v.upsert(info) }
-
-// RemoveFlow removes a locally terminated flow.
-func (v *View) RemoveFlow(id wire.FlowID) { v.remove(id) }
-
-func (v *View) upsert(info FlowInfo) {
-	i, ok := v.find(info.ID)
+// AddFlow inserts or replaces a flow's entry: a locally originated flow (the
+// sender updates its own view immediately; the broadcast informs everyone
+// else), or a start or update applied.
+func (v *View) AddFlow(info FlowInfo) {
+	val, ok := v.put(info.ID)
 	if ok {
-		v.hash ^= FlowDigest(v.slots[i].info)
-	} else {
-		if (v.n+1)*4 > len(v.slots)*3 {
-			v.grow()
-			i, _ = v.find(info.ID)
-		}
-		v.n++
+		v.hash ^= FlowDigest(*val)
 	}
-	v.slots[i] = viewSlot{info: info, used: true}
+	*val = info
 	v.hash ^= FlowDigest(info)
 	v.version++
 }
 
-// grow doubles the table and re-files every entry.
-func (v *View) grow() {
-	old := v.slots
-	v.slots = make([]viewSlot, 2*len(old))
-	v.shift--
-	for _, s := range old {
-		if s.used {
-			i, _ := v.find(s.info.ID)
-			v.slots[i] = s
-		}
+// RemoveFlow removes a flow: a locally terminated one, or a finish applied.
+func (v *View) RemoveFlow(id wire.FlowID) {
+	if i, ok := v.find(id); ok {
+		v.hash ^= FlowDigest(v.slots[i].val)
+		v.drop(i)
+		v.version++
 	}
-}
-
-func (v *View) remove(id wire.FlowID) {
-	i, ok := v.find(id)
-	if !ok {
-		return
-	}
-	v.hash ^= FlowDigest(v.slots[i].info)
-	// Backward-shift delete: walk the cluster after the hole and pull back
-	// every entry whose probe sequence passes through it — one whose home is
-	// cyclically no later than the hole — so no lookup ever needs to step over
-	// an empty slot, and the table carries no tombstones.
-	mask := len(v.slots) - 1
-	for j := (i + 1) & mask; v.slots[j].used; j = (j + 1) & mask {
-		if (j-v.home(v.slots[j].info.ID))&mask >= (j-i)&mask {
-			v.slots[i] = v.slots[j]
-			i = j
-		}
-	}
-	v.slots[i] = viewSlot{}
-	v.n--
-	v.version++
 }
 
 // Flows returns the view's entries sorted by flow ID, so every node
@@ -251,7 +254,7 @@ func (v *View) Flows() []FlowInfo {
 	out := make([]FlowInfo, 0, v.n)
 	for i := range v.slots {
 		if v.slots[i].used {
-			out = append(out, v.slots[i].info)
+			out = append(out, v.slots[i].val)
 		}
 	}
 	slices.SortFunc(out, func(a, b FlowInfo) int { return cmp.Compare(a.ID, b.ID) })
@@ -278,11 +281,10 @@ func FlowDigest(f FlowInfo) uint64 {
 // of that flow set would report. Because flow IDs embed their source node,
 // summaries of disjoint sources merge by an exact sorted merge.
 //
-// The simulator's recomputation tick hands ComputeSummary one: a node's
-// sorted flow list and its running digest, built from the visibility rows
-// only when the tick's cache misses. Add and Merge serve only the bench/
-// ladder's core.summary_us rung (ROADMAP item 1 (c)). It is not safe for
-// concurrent mutation.
+// Both backends' recomputation hands ComputeSummary a node's Visibility
+// column as one. Add and Merge serve only the bench/ ladder's
+// core.summary_us rung (ROADMAP item 1 (c)). It is not safe for concurrent
+// mutation.
 type DemandSummary struct {
 	Flows []FlowInfo // sorted by flow ID
 	Hash  uint64     // XOR of FlowDigest over Flows; equals View.Hash() of the same set
@@ -425,8 +427,8 @@ func (rc *RateComputer) Compute(v *View) *Allocation {
 }
 
 // ComputeSummary is Compute over a DemandSummary instead of a View; equal
-// flow sets give bit-identical allocations. The simulator's recomputation
-// tick calls it, since the simulator keeps no View per node.
+// flow sets give bit-identical allocations. Both backends' recomputation
+// calls it.
 func (rc *RateComputer) ComputeSummary(s *DemandSummary) *Allocation {
 	if rc.cached(s.Hash, len(s.Flows)) {
 		return rc.last

@@ -453,10 +453,10 @@ func (m *mapView) requireGet(t *testing.T, v *View, step int, id wire.FlowID) {
 	}
 }
 
-// TestViewSlotSize holds the table's slot to the bound the emulator's leaking
-// views set (DESIGN.md §4, "View layout"): 28 bytes, entry included.
+// TestViewSlotSize holds a View's table slot to 28 bytes, key and entry
+// included, so that a probe stays within one cache line.
 func TestViewSlotSize(t *testing.T) {
-	if sz := unsafe.Sizeof(viewSlot{}); sz > 28 {
+	if sz := unsafe.Sizeof(tableSlot[FlowInfo]{}); sz > 28 {
 		t.Fatalf("view slot is %d bytes, budget 28", sz)
 	}
 }
@@ -474,7 +474,7 @@ func TestViewMatchesMapReference(t *testing.T) {
 		steps = 30_000
 	}
 	rng := rand.New(rand.NewSource(1))
-	atEnd := &View{shift: 32 - 12} // a 4096-slot table's hash: top bits all set = last slot at every smaller size too
+	atEnd := &View{table: table[FlowInfo]{shift: 32 - 12}} // a 4096-slot table's hash: top bits all set = last slot at every smaller size too
 	var pool, endPool []wire.FlowID
 	for id := wire.FlowID(0); len(endPool) < 300; id++ {
 		if atEnd.home(id) == 1<<12-1 {
@@ -528,8 +528,8 @@ func TestViewMatchesMapReference(t *testing.T) {
 		live = ref.requireSame(t, v, step, id, pool[rng.Intn(len(pool))])
 		maxSlots = max(maxSlots, len(v.slots))
 	}
-	if maxSlots < 1<<(viewMinBits+4) {
-		t.Errorf("table peaked at %d slots: fewer than four doublings from %d", maxSlots, 1<<viewMinBits)
+	if maxSlots < 1<<(tableMinBits+4) {
+		t.Errorf("table peaked at %d slots: fewer than four doublings from %d", maxSlots, 1<<tableMinBits)
 	}
 	if wrapped < 100 {
 		t.Errorf("only %d finishes hit a cluster wrapped around the table end", wrapped)

@@ -178,18 +178,12 @@ type emuNode struct {
 	id topology.NodeID
 
 	mu       sync.Mutex
-	view     *core.View
+	vis      core.Visibility // the node's view: one column
 	rc       *core.RateComputer
 	flows    map[wire.FlowID]*Flow // flows sourced here
 	nextSeq  uint16
 	nextTree uint8
 	rcvd     map[wire.FlowID]rcvdFlow // flows arriving here (this node is dst)
-	// fin[src] has bit seq set once this node has applied the finish of
-	// flow (src, seq). A start arriving later lost the race on another
-	// broadcast tree and is ignored: the simulator's rule (sim.R2C2.deliver).
-	// Each start retires the record half the 16-bit sequence space away, so
-	// a wrapped-around sequence number starts clean.
-	fin [][]uint64
 }
 
 // rcvdFlow is a destination's record of an arriving flow: its bytes so far,
@@ -327,11 +321,10 @@ func New(cfg Config) (*Rack, error) {
 	for i := range r.nodes {
 		r.nodes[i] = &emuNode{
 			id:    topology.NodeID(i),
-			view:  core.NewView(),
+			vis:   core.NewVisibility(1),
 			rc:    core.NewRateComputer(r.tab, cfg.LinkMbps*1e6, cfg.Headroom),
 			flows: make(map[wire.FlowID]*Flow),
 			rcvd:  make(map[wire.FlowID]rcvdFlow),
-			fin:   make([][]uint64, cfg.Graph.Nodes()),
 		}
 	}
 	return r, nil
@@ -524,9 +517,7 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 		if topology.NodeID(bc.Src) != at {
 			n := r.nodes[at]
 			n.mu.Lock()
-			if !n.lateStart(bc) {
-				_ = n.view.Apply(bc)
-			}
+			n.vis.Apply(0, bc)
 			n.mu.Unlock()
 		}
 		r.forwardBroadcast(at, topology.NodeID(bc.Src), bc.Tree, pkt)
@@ -535,25 +526,6 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 		r.drops.Add(1)
 		r.release(pkt)
 	}
-}
-
-// lateStart records a finish in fin, and reports whether b is a start that
-// arrived after its own flow's finish. The caller holds n.mu.
-func (n *emuNode) lateStart(b *wire.Broadcast) bool {
-	row, w, bit := &n.fin[b.Src], int(b.FlowSeq>>6), uint64(1)<<(b.FlowSeq&63)
-	switch b.Event {
-	case wire.EventFlowFinish:
-		for len(*row) <= w {
-			*row = append(*row, 0)
-		}
-		(*row)[w] |= bit
-	case wire.EventFlowStart:
-		if old := int((b.FlowSeq ^ 0x8000) >> 6); old < len(*row) {
-			(*row)[old] &^= bit
-		}
-		return w < len(*row) && (*row)[w]&bit != 0
-	}
-	return false
 }
 
 // forwardBroadcast fans pkt out to the broadcast tree's children at this
@@ -579,6 +551,13 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt)
 		pkt.retain()
 		r.enqueue(lid, pkt)
 	}
+}
+
+// flood announces b from its origin along its tree.
+func (r *Rack) flood(b *wire.Broadcast) {
+	pkt := r.newBcastPkt(b)
+	r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt)
+	r.release(pkt)
 }
 
 // newBcastPkt encodes a broadcast into a pooled segment (ref 1, owned by
@@ -650,6 +629,7 @@ func (r *Rack) recomputeLoop(n *emuNode) {
 	defer r.wg.Done()
 	ticker := r.clk.newTicker(r.cfg.Recompute)
 	defer ticker.Stop()
+	var sum core.DemandSummary // the view's flow list, reused
 	for {
 		select {
 		case <-r.ctx.Done():
@@ -657,7 +637,8 @@ func (r *Rack) recomputeLoop(n *emuNode) {
 		case <-ticker.C:
 			n.mu.Lock()
 			if len(n.flows) > 0 {
-				alloc := n.rc.Compute(n.view)
+				sum.Flows, sum.Hash = n.vis.AppendFlows(sum.Flows[:0], 0), n.vis.Digest(0)
+				alloc := n.rc.ComputeSummary(&sum)
 				for id, f := range n.flows {
 					f.rate.Store(uint64(alloc.Rate(id)))
 				}
@@ -711,9 +692,12 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 	f := &Flow{Info: info, SizeBytes: size, started: r.clk.nowNs(), done: make(chan struct{}), aborted: make(chan struct{}), appRate: appRate}
 	f.rate.Store(uint64(r.cfg.LinkMbps * 1e6))
 	f.demandKbps.Store(core.UnlimitedDemand)
+	n.vis.Hold(0, info)
 	if st := r.fabric.Load(); st.dead[src] || st.dead[dst] {
 		// Abandoned at birth: a crashed endpoint can neither send nor
 		// receive (sim parity: the ledger records the flow, nothing runs).
+		// Its start and finish still pass the view, for the wrap rule.
+		n.vis.Finish(0, id)
 		n.mu.Unlock()
 		f.abort()
 		r.flowsMu.Lock()
@@ -722,18 +706,14 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 		return f, nil
 	}
 	n.flows[id] = f
-	n.view.AddFlow(info)
-	tree := n.nextTree
-	n.nextTree = (n.nextTree + 1) % uint8(r.cfg.TreesPerSource)
+	b := info.StartBroadcast(n.pickTree(r.cfg.TreesPerSource))
 	n.mu.Unlock()
 
 	r.flowsMu.Lock()
 	r.flows[id] = f
 	r.flowsMu.Unlock()
 
-	pkt := r.newBcastPkt(info.StartBroadcast(tree))
-	r.forwardBroadcast(src, src, tree, pkt)
-	r.release(pkt)
+	r.flood(b)
 
 	r.wg.Add(1)
 	go r.flowSender(n, f)
@@ -803,16 +783,14 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 					f.demandKbps.Store(newKbps)
 					n.mu.Lock()
 					f.Info.DemandKbps = newKbps
+					var b *wire.Broadcast
 					if _, live := n.flows[f.Info.ID]; live {
-						n.view.AddFlow(f.Info)
-						tree := n.nextTree
-						n.nextTree = (n.nextTree + 1) % uint8(r.cfg.TreesPerSource)
-						n.mu.Unlock()
-						pkt := r.newBcastPkt(f.Info.DemandBroadcast(tree))
-						r.forwardBroadcast(f.Info.Src, f.Info.Src, tree, pkt)
-						r.release(pkt)
-					} else {
-						n.mu.Unlock()
+						n.vis.Hold(0, f.Info)
+						b = f.Info.DemandBroadcast(n.pickTree(r.cfg.TreesPerSource))
+					}
+					n.mu.Unlock()
+					if b != nil {
+						r.flood(b)
 					}
 				}
 				periodStartNs = nowNs
@@ -932,19 +910,23 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 			}
 		}
 	}
-	// Sender done: clear the flow from the local view and broadcast finish.
+	// Sender done: finish the flow in the local view and broadcast finish.
 	if f.Abandoned() {
 		return // purged by the fabric swap; no finish to announce
 	}
 	n.mu.Lock()
 	delete(n.flows, f.Info.ID)
-	n.view.RemoveFlow(f.Info.ID)
-	tree := n.nextTree
-	n.nextTree = (n.nextTree + 1) % uint8(r.cfg.TreesPerSource)
+	n.vis.Finish(0, f.Info.ID)
+	b := f.Info.FinishBroadcast(n.pickTree(r.cfg.TreesPerSource))
 	n.mu.Unlock()
-	pkt := r.newBcastPkt(f.Info.FinishBroadcast(tree))
-	r.forwardBroadcast(f.Info.Src, f.Info.Src, tree, pkt)
-	r.release(pkt)
+	r.flood(b)
+}
+
+// pickTree rotates the node's announcements over the trees; hold n.mu.
+func (n *emuNode) pickTree(trees int) uint8 {
+	t := n.nextTree
+	n.nextTree = (n.nextTree + 1) % uint8(trees)
+	return t
 }
 
 // diverges reports whether a new demand estimate differs enough from the
@@ -969,7 +951,7 @@ func (r *Rack) ViewLen(node topology.NodeID) int {
 	n := r.nodes[node]
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view.Len()
+	return n.vis.Len(0)
 }
 
 // FlowDemandAt reports the demand (Kbps) that a node's view holds for a
@@ -978,6 +960,6 @@ func (r *Rack) FlowDemandAt(node topology.NodeID, id wire.FlowID) (uint32, bool)
 	n := r.nodes[node]
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	info, ok := n.view.Get(id)
+	info, ok := n.vis.Get(0, id)
 	return info.DemandKbps, ok
 }

@@ -127,27 +127,43 @@ func TestRackViewsDrain(t *testing.T) {
 	}
 }
 
-// The finish record: a start after its own finish is late, a start half the
-// sequence space later retires the record, and the wrapped-around sequence
-// number then starts clean.
+// The late-start rule on the receive path: a start after its own finish is
+// late, the record stays with its flow, a start half the sequence space later
+// clears it, late or not, and the wrapped-around sequence number then starts
+// clean. A broadcast of no known event kind is dropped as corrupt.
 func TestLateStartRecord(t *testing.T) {
-	n := &emuNode{fin: make([][]uint64, 4)}
+	r := idleRack(t)
+	const at = 5
 	bc := func(ev wire.EventKind, seq uint16) *wire.Broadcast {
-		return &wire.Broadcast{Event: ev, Src: 3, FlowSeq: seq}
+		return &wire.Broadcast{Event: ev, Src: 3, Dst: 9, FlowSeq: seq, Weight: 1, DemandKbps: 7}
 	}
-	if n.lateStart(bc(wire.EventFlowStart, 700)) {
+	has := func(seq uint16) bool {
+		_, ok := r.FlowDemandAt(at, wire.MakeFlowID(3, seq))
+		return ok
+	}
+	if receiveBcast(r, at, bc(wire.EventFlowStart, 700)); !has(700) {
 		t.Fatal("a start with no finish recorded is late")
 	}
-	n.lateStart(bc(wire.EventFlowFinish, 700))
-	if !n.lateStart(bc(wire.EventFlowStart, 700)) {
+	receiveBcast(r, at, bc(wire.EventFlowFinish, 700))
+	if receiveBcast(r, at, bc(wire.EventFlowStart, 700)); has(700) {
 		t.Fatal("a start after its finish is not late")
 	}
-	if n.lateStart(bc(wire.EventFlowStart, 701)) || len(n.fin[2]) != 0 {
-		t.Fatal("the record leaks to another flow or source")
+	if receiveBcast(r, at, bc(wire.EventFlowStart, 701)); !has(701) {
+		t.Fatal("the record leaks to another flow")
 	}
-	n.lateStart(bc(wire.EventFlowStart, 700+0x8000))
-	if n.lateStart(bc(wire.EventFlowStart, 700)) {
-		t.Fatal("a start half the sequence space later did not retire the record")
+	receiveBcast(r, at, bc(wire.EventFlowStart, 700+0x8000))
+	if receiveBcast(r, at, bc(wire.EventFlowStart, 700)); !has(700) {
+		t.Fatal("a start half the sequence space later did not clear the record")
+	}
+	if receiveBcast(r, at, bc(9, 702)); r.Drops() != 1 || r.ViewLen(at) != 3 {
+		t.Fatalf("an unknown event kind: %d drops, view of %d flows; want 1 drop, 3 flows", r.Drops(), r.ViewLen(at))
+	}
+	// A late start clears the record half the sequence space away too.
+	receiveBcast(r, at, bc(wire.EventFlowFinish, 710))
+	receiveBcast(r, at, bc(wire.EventFlowFinish, 710+0x8000))
+	receiveBcast(r, at, bc(wire.EventFlowStart, 710+0x8000))
+	if receiveBcast(r, at, bc(wire.EventFlowStart, 710)); !has(710) || has(710+0x8000) {
+		t.Fatal("a late start half the sequence space later did not clear the record, or applied")
 	}
 }
 

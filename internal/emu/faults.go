@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"slices"
@@ -238,25 +239,7 @@ func (r *Rack) swapFabric() {
 	// Abandon flows with crashed endpoints and purge them from every view
 	// BEFORE the swap goes live: no re-announce may route toward an
 	// unreachable endpoint and no view may keep their bandwidth reserved.
-	if slices.Contains(st.dead, true) {
-		r.flowsMu.Lock()
-		for _, f := range r.flows {
-			if st.dead[f.Info.Src] || st.dead[f.Info.Dst] {
-				f.abort()
-			}
-		}
-		r.flowsMu.Unlock()
-		for _, n := range r.nodes {
-			n.mu.Lock()
-			for _, info := range n.view.Flows() {
-				if st.dead[info.Src] || st.dead[info.Dst] {
-					n.view.RemoveFlow(info.ID)
-					delete(n.flows, info.ID)
-				}
-			}
-			n.mu.Unlock()
-		}
-	}
+	r.purgeDead(st.dead)
 
 	// Rate computation must run against the new fabric's capacities.
 	for _, n := range r.nodes {
@@ -269,12 +252,7 @@ func (r *Rack) swapFabric() {
 	r.reroutes.Add(1)
 
 	// Re-announce every live flow over the new broadcast trees.
-	type announce struct {
-		src  topology.NodeID
-		tree uint8
-		b    *wire.Broadcast
-	}
-	var anns []announce
+	var anns []*wire.Broadcast
 	for _, n := range r.nodes {
 		if st.dead[n.id] {
 			continue
@@ -289,16 +267,30 @@ func (r *Rack) swapFabric() {
 		}
 		slices.Sort(ids)
 		for _, id := range ids {
-			tree := n.nextTree
-			n.nextTree = (n.nextTree + 1) % uint8(r.cfg.TreesPerSource)
-			anns = append(anns, announce{src: n.id, tree: tree, b: n.flows[id].Info.StartBroadcast(tree)})
+			anns = append(anns, n.flows[id].Info.StartBroadcast(n.pickTree(r.cfg.TreesPerSource)))
 		}
 		n.mu.Unlock()
 	}
-	for _, a := range anns {
-		pkt := r.newBcastPkt(a.b)
-		r.forwardBroadcast(a.src, a.src, a.tree, pkt)
-		r.release(pkt)
+	for _, b := range anns {
+		r.flood(b)
+	}
+}
+
+// purgeDead abandons every flow with a dead endpoint and drops it from every
+// node's view, leaving no tombstone, and from the flows its source sends.
+func (r *Rack) purgeDead(dead []bool) {
+	r.flowsMu.Lock()
+	for _, f := range r.flows {
+		if dead[f.Info.Src] || dead[f.Info.Dst] {
+			f.abort()
+		}
+	}
+	r.flowsMu.Unlock()
+	for _, n := range r.nodes {
+		n.mu.Lock()
+		n.vis.Purge(dead)
+		maps.DeleteFunc(n.flows, func(_ wire.FlowID, f *Flow) bool { return dead[f.Info.Src] || dead[f.Info.Dst] })
+		n.mu.Unlock()
 	}
 }
 

@@ -266,6 +266,39 @@ func TestEmuAbandonAtBirth(t *testing.T) {
 	if r.ViewLen(0) != 0 {
 		t.Fatal("abandoned-at-birth flow leaked into the source view")
 	}
+
+	// An abandoned flow still takes its sequence number's turn at its
+	// origin: it clears the record of the finished flow half the sequence
+	// space before it, whose wrapped-around successor is then held.
+	g, err := r.StartFlow(0, 1, 64<<10, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Wait(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); r.ViewLen(0) != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the origin never finished its flow")
+		}
+	}
+	start := func(seq uint16, dst topology.NodeID) *Flow {
+		n := r.nodes[0]
+		n.mu.Lock()
+		n.nextSeq = seq
+		n.mu.Unlock()
+		f, err := r.StartFlow(0, dst, 1<<20, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	if f := start(g.Info.ID.Seq()+0x8000, 5); !f.Abandoned() {
+		t.Fatal("flow to a crashed node not abandoned at birth")
+	}
+	if _, ok := r.FlowDemandAt(0, start(g.Info.ID.Seq(), 1).Info.ID); !ok {
+		t.Fatalf("flow %v, wrapped around, is not held at its origin", g.Info.ID)
+	}
 }
 
 // pickRobustSchedule scans seeds for a generated schedule whose detection

@@ -115,15 +115,8 @@ type R2C2 struct {
 	// periodic recomputation stays off the per-tick allocation budget.
 	tickCache map[uint64]*core.Allocation
 
-	// The nodes' views (visibility.go): vis[src][seq] is 1 + the flow's
-	// index in rows, 0 while no node here has heard of it, visRetired once
-	// its row is recycled. Row i's cells are cells[i*owned:][:owned].
-	vis      [][]int32
-	rows     []visRow
-	cells    []uint16
-	freeRows []int32
-	owned    int32              // nodes this instance owns
-	sum      core.DemandSummary // the tick's flow list, reused
+	vis core.Visibility    // the owned nodes' views, a column per node
+	sum core.DemandSummary // the tick's flow list, reused
 
 	// bcastHops is the buffer broadcastHops appends a node's tree hops into.
 	bcastHops []topology.LinkID
@@ -138,13 +131,11 @@ type r2c2Flow struct {
 	recv *reorderState
 }
 
-// r2c2Node is one node's protocol state: its view's digest, live flows and
+// r2c2Node is one node's protocol state: its view's column, live flows and
 // tree cursor. It is mutated only by its shard's engine goroutine.
 type r2c2Node struct {
-	id     topology.NodeID
-	col    int32  // this node's cell in every visibility row
-	digest uint64 // XOR of core.FlowDigest over the flows it holds live: its View.Hash
-	live   int32  // flows it holds live
+	id  topology.NodeID
+	col int // this node's column of the instance's Visibility
 	// flows lists the node's live flows in creation order, which is ascending
 	// flow-ID order: recomputation ticks and reroutes schedule events flow by
 	// flow, and scheduling order is the (at, seq) FIFO tie-break, so the walk
@@ -286,14 +277,15 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 	}
 	r.install(fab)
 	r.nodes = make([]*r2c2Node, net.G.Nodes())
+	owned := 0
 	for i := range r.nodes {
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
 			continue // another shard owns this node's state
 		}
-		r.nodes[i] = &r2c2Node{id: topology.NodeID(i), col: r.owned}
-		r.owned++
+		r.nodes[i] = &r2c2Node{id: topology.NodeID(i), col: owned}
+		owned++
 	}
-	r.vis = make([][]int32, net.G.Nodes())
+	r.vis = core.NewVisibility(owned)
 	r.failedLinks = make([]bool, net.G.NumLinks())
 	r.deadNodes = make([]bool, net.G.Vertices())
 	net.Deliver = r.deliver
@@ -535,10 +527,10 @@ func (r *R2C2) rerouteNow() {
 func (r *R2C2) reroute(f fabric) {
 	r.FailureReroutes++
 	r.gen++ // invalidate interned routes computed over the old fabric
-	// Purge flows involving dead nodes BEFORE rebuilding, so the
-	// re-announce loop never routes toward an unreachable endpoint and no
-	// view keeps bandwidth reserved for a crashed node's flows.
-	r.purgeDead()
+	// Purge flows involving dead nodes from every view and abandon their
+	// senders (a dead node's own went with it) before re-announcing: no view
+	// may keep bandwidth for them, and no announcement may route to them.
+	r.vis.Purge(r.deadNodes)
 	r.install(f)
 	// "Upon detecting a failure, nodes broadcast information about all
 	// their ongoing flows" (§3.2).
@@ -546,30 +538,13 @@ func (r *R2C2) reroute(f fabric) {
 		if node == nil || r.deadNodes[node.id] {
 			continue
 		}
-		for _, sf := range node.flows {
-			r.broadcast(node, sf.info.StartBroadcast(r.pickTree(node)))
-		}
-	}
-}
-
-// purgeDead drops every flow with a dead endpoint from every view here, as
-// core.View.RemoveFlow would (no tombstone), and abandons its sender.
-func (r *R2C2) purgeDead() {
-	for i := range r.rows {
-		rw := &r.rows[i]
-		if rw.live == 0 {
-			continue
-		}
-		if info := rw.entries[0].info; !r.deadNodes[info.Src] && !r.deadNodes[info.Dst] {
-			continue
-		}
-		for _, n := range r.nodes {
-			if n != nil && *r.cell(int32(i), n) > visFinished {
-				r.setCell(n, int32(i), visAbsent)
+		for i := len(node.flows) - 1; i >= 0; i-- {
+			if sf := node.flows[i]; r.deadNodes[sf.info.Dst] {
+				r.retire(sf)
 			}
 		}
-		if sf := r.sender(rw.id); sf != nil {
-			r.retire(sf) // abandon senders to dead nodes
+		for _, sf := range node.flows {
+			r.broadcast(node, sf.info.StartBroadcast(r.pickTree(node)))
 		}
 	}
 }
@@ -598,11 +573,11 @@ func (r *R2C2) retire(sf *senderFlow) {
 	r.flows.get(sf.info.ID).st.send = nil
 }
 
-// View returns a snapshot of a node's traffic-matrix view, built from the
-// visibility rows (for tests and inspection).
+// View returns a snapshot of a node's traffic-matrix view, built from its
+// Visibility column (for tests and inspection).
 func (r *R2C2) View(node topology.NodeID) *core.View {
 	v := core.NewView()
-	for _, info := range r.liveFlows(nil, r.nodes[node]) {
+	for _, info := range r.vis.AppendFlows(nil, r.nodes[node].col) {
 		v.AddFlow(info)
 	}
 	return v
@@ -664,7 +639,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 	}
 	slot.st.send = sf
 	node.flows = append(node.flows, sf)
-	r.hold(node, info)
+	r.vis.Hold(node.col, info)
 	r.broadcast(node, info.StartBroadcast(r.pickTree(node)))
 	r.armSender(sf)
 	return id
@@ -685,7 +660,7 @@ func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
 	} else {
 		sf.info.DemandKbps = core.UnlimitedDemand
 	}
-	r.hold(node, sf.info)
+	r.vis.Hold(node.col, sf.info)
 	r.broadcast(node, sf.info.DemandBroadcast(r.pickTree(node)))
 }
 
@@ -698,7 +673,7 @@ func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
 	}
 	node := sf.node
 	sf.info.Protocol = p
-	r.hold(node, sf.info)
+	r.vis.Hold(node.col, sf.info)
 	r.broadcast(node, sf.info.RouteChangeBroadcast(r.pickTree(node)))
 }
 
@@ -853,7 +828,7 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 // applies none of its own broadcasts), and broadcasts the finish.
 func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
 	r.flows.get(sf.info.ID).rec.SenderDone = true
-	r.setCell(node, r.visRowOf(sf.info.ID, false), visFinished)
+	r.vis.Finish(node.col, sf.info.ID)
 	r.retire(sf)
 	r.broadcast(node, sf.info.FinishBroadcast(r.pickTree(node)))
 }
@@ -925,11 +900,10 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 				slot.st.recv = nil
 			}
 		}
-		if topology.NodeID(pkt.Bcast.Src) == at {
-			// The origin mutated its own view before broadcasting (§3.1).
-			return
+		// The origin mutated its own view before broadcasting (§3.1).
+		if topology.NodeID(pkt.Bcast.Src) != at {
+			r.vis.Apply(r.nodes[at].col, pkt.Bcast)
 		}
-		r.apply(r.nodes[at], pkt.Bcast)
 	case KindData:
 		r.receiveData(at, pkt)
 	case KindAck:
@@ -1018,10 +992,10 @@ func (r *R2C2) recomputeTick() {
 		if node == nil || len(node.flows) == 0 {
 			continue
 		}
-		h := node.digest
+		h := r.vis.Digest(node.col)
 		alloc, ok := r.tickCache[h]
 		if !ok {
-			r.sum.Flows, r.sum.Hash = r.liveFlows(r.sum.Flows[:0], node), h
+			r.sum.Flows, r.sum.Hash = r.vis.AppendFlows(r.sum.Flows[:0], node.col), h
 			alloc = r.rc.ComputeSummary(&r.sum)
 			r.tickCache[h] = alloc
 			r.Recomputations++

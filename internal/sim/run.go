@@ -126,7 +126,7 @@ func Run(cfg RunConfig) *Results {
 	// (wire.FlowID): one more flow and the sequence wraps onto the first
 	// flow's ID, whose ledger record it would overwrite and whose finish
 	// every other node has already seen. The per-source counts also size
-	// the flow-table rows and R2C2's visibility index.
+	// the flow-table rows.
 	perSrc := make([]int, cfg.Graph.Nodes())
 	for _, a := range cfg.Arrivals {
 		if perSrc[a.Src]++; perSrc[a.Src] > wire.MaxFlowsPerSource {

@@ -355,7 +355,6 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 		attach = func(st *shardState) func(trafficgen.Arrival) {
 			r2 := newR2C2(st.net, intact, fabrics, cfg.R2C2)
 			carveRows(r2.flows.rows, perSrc)
-			carveRows(r2.vis, perSrc) // visibility index: past these sizes a row grows by doubling
 			if cfg.Faults.Len() > 0 {
 				// Every shard runs the whole schedule: each must observe the
 				// same degraded fabric (ctrl subtracts duplicates).

@@ -68,6 +68,7 @@ var (
 	ErrShortPacket  = errors.New("wire: packet too short")
 	ErrBadChecksum  = errors.New("wire: checksum mismatch")
 	ErrBadType      = errors.New("wire: unexpected packet type")
+	ErrBadEvent     = errors.New("wire: unknown broadcast event kind")
 	ErrRouteTooLong = errors.New("wire: route exceeds 42 hops")
 	ErrBadPort      = errors.New("wire: port index exceeds 3 bits")
 	ErrTooManyPairs = errors.New("wire: routing update exceeds max pairs")
@@ -271,7 +272,8 @@ func EncodeBroadcast(b *Broadcast) [BroadcastSize]byte {
 	return out
 }
 
-// DecodeBroadcast parses and validates a 16-byte broadcast packet.
+// DecodeBroadcast parses and validates a 16-byte broadcast packet. An event
+// kind other than the four flow events is an error.
 func DecodeBroadcast(pkt []byte) (*Broadcast, error) {
 	if len(pkt) < BroadcastSize {
 		return nil, ErrShortPacket
@@ -281,6 +283,9 @@ func DecodeBroadcast(pkt []byte) (*Broadcast, error) {
 	}
 	if checksum8(pkt[:15]) != pkt[15] {
 		return nil, ErrBadChecksum
+	}
+	if ev := EventKind(pkt[0] & 0xF); ev < EventFlowStart || ev > EventRouteChange {
+		return nil, ErrBadEvent
 	}
 	return &Broadcast{
 		Event:      EventKind(pkt[0] & 0xF),

@@ -236,6 +236,12 @@ func TestBroadcastErrors(t *testing.T) {
 	if _, err := DecodeBroadcast(pkt[:]); err != ErrBadType {
 		t.Errorf("bad type: %v", err)
 	}
+	for _, ev := range []EventKind{0, EventRouteChange + 1, 15} {
+		pkt := EncodeBroadcast(&Broadcast{Event: ev})
+		if _, err := DecodeBroadcast(pkt[:]); err != ErrBadEvent {
+			t.Errorf("event kind %d: %v", ev, err)
+		}
+	}
 }
 
 func TestEventKindString(t *testing.T) {
