@@ -74,6 +74,9 @@ const maxBurst = 5 * time.Millisecond
 // sends zero bytes. Replaces the former per-sender 1500-byte scratch.
 var zeroPayload [1500]byte
 
+// mtuPayload is a full data packet's payload: a 1500-byte MTU less the header.
+const mtuPayload = min(wire.MaxPayload, 1500-wire.DataHeaderSize)
+
 func (c *Config) defaults() {
 	if c.LinkMbps == 0 {
 		c.LinkMbps = 200
@@ -288,8 +291,19 @@ func (f *Flow) FCT() time.Duration {
 // New builds an emulated rack. Call Start before injecting flows.
 func New(cfg Config) (*Rack, error) {
 	cfg.defaults()
-	if cfg.Graph == nil {
+	switch {
+	case cfg.Graph == nil:
 		return nil, fmt.Errorf("emu: Config.Graph is required")
+	case !(cfg.LinkMbps > 0) || math.IsInf(cfg.LinkMbps, 1):
+		return nil, fmt.Errorf("emu: LinkMbps %v is not a positive finite rate", cfg.LinkMbps)
+	case !(cfg.Headroom >= 0 && cfg.Headroom < 1):
+		return nil, fmt.Errorf("emu: Headroom %v is outside [0, 1)", cfg.Headroom)
+	case cfg.Recompute < 0:
+		return nil, fmt.Errorf("emu: negative Recompute %v", cfg.Recompute)
+	case !cfg.Protocol.Valid():
+		return nil, fmt.Errorf("emu: unknown Protocol %d", cfg.Protocol)
+	case cfg.TreesPerSource < 1 || cfg.TreesPerSource > 255:
+		return nil, fmt.Errorf("emu: TreesPerSource %d is outside [1, 255]", cfg.TreesPerSource)
 	}
 	for v := 0; v < cfg.Graph.Vertices(); v++ {
 		if cfg.Graph.Degree(topology.NodeID(v)) > wire.MaxPorts {
@@ -367,9 +381,13 @@ func (r *Rack) MaxQueueBytes() []int64 {
 // bandwidth and hands them to the downstream node — the emu analogue of
 // Maze's outgoing-link machinery. It wakes once per burst: only an empty
 // port blocks in a select on ctx.Done(), whose lock every link shares;
-// the rest of the burst is drained by receives that lock p.ch alone.
+// the rest of the burst is drained by receives that lock p.ch alone. The
+// segments released on this goroutine collect in its mbuf cache, flushed
+// when full, before the port blocks and on exit.
 func (r *Rack) linkLoop(lid topology.LinkID) {
 	defer r.wg.Done()
+	var cache mbufCache
+	defer r.pool.flush(&cache)
 	p := r.ports[lid]
 	to := r.cfg.Graph.Link(lid).To
 	done := r.ctx.Done()
@@ -380,6 +398,7 @@ func (r *Rack) linkLoop(lid topology.LinkID) {
 		select {
 		case pkt = <-p.ch:
 		default:
+			r.pool.flush(&cache)
 			select {
 			case <-done:
 				return
@@ -392,7 +411,7 @@ func (r *Rack) linkLoop(lid topology.LinkID) {
 			// Failed link: everything queued at failure time (or racing
 			// the enqueue-side dead check) is lost.
 			r.drops.Add(1)
-			r.release(pkt)
+			r.pool.release(&cache, pkt)
 			continue
 		}
 		// Token-bucket pacing with bounded catch-up: when the OS timer
@@ -409,12 +428,13 @@ func (r *Rack) linkLoop(lid topology.LinkID) {
 			select {
 			case <-r.clk.after(wait):
 			case <-done:
+				r.pool.release(&cache, pkt)
 				return
 			}
 			now = r.clk.now()
 		}
 		p.sent.Add(uint64(len(pkt.buf)))
-		r.receive(to, pkt) // receive owns the packet's reference from here
+		r.receive(to, pkt, &cache) // receive owns the packet's reference from here
 	}
 }
 
@@ -443,13 +463,13 @@ func (r *Rack) lossy(p *emuPort) bool {
 }
 
 // enqueue consumes one reference on pkt: the reference transfers to the
-// port channel on success and is released here on a drop (full queue, dead
-// link, lossy roll) — drop-tail semantics either way.
-func (r *Rack) enqueue(lid topology.LinkID, pkt emuPkt) bool {
+// port channel on success and is released into c on a drop (full queue,
+// dead link, lossy roll) — drop-tail semantics either way.
+func (r *Rack) enqueue(lid topology.LinkID, pkt emuPkt, c *mbufCache) bool {
 	p := r.ports[lid]
 	if r.lossy(p) {
 		r.drops.Add(1)
-		r.release(pkt)
+		r.pool.release(c, pkt)
 		return false
 	}
 	select {
@@ -458,7 +478,7 @@ func (r *Rack) enqueue(lid topology.LinkID, pkt emuPkt) bool {
 		return true
 	default:
 		r.drops.Add(1)
-		r.release(pkt)
+		r.pool.release(c, pkt)
 		return false
 	}
 }
@@ -479,14 +499,14 @@ func (p *emuPort) queuedPkt(n int) {
 // lookup for transit packets, full decode only at the destination. It
 // consumes the packet's reference: forwarding transfers it to the next
 // port's channel, every terminating path (delivery, corruption, flood end)
-// releases it.
-func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
+// releases it into c, the calling link's cache.
+func (r *Rack) receive(at topology.NodeID, pkt emuPkt, c *mbufCache) {
 	b := pkt.buf
 	switch {
 	case wire.PacketType(b[0]) == wire.TypeData:
 		dst := topology.NodeID(binary.BigEndian.Uint16(b[9:11]))
 		if dst == at {
-			r.deliverData(at, pkt)
+			r.deliverData(at, pkt, c)
 			return
 		}
 		ridx := b[2]
@@ -506,12 +526,12 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 		if int(port) >= len(out) {
 			panic(fmt.Sprintf("emu: bad port %d at node %d", port, at))
 		}
-		r.enqueue(out[port], pkt)
+		r.enqueue(out[port], pkt, c)
 	case wire.PacketType(b[0]>>4) == wire.TypeBroadcast:
 		bc, err := wire.DecodeBroadcast(b)
 		if err != nil {
 			r.drops.Add(1) // corrupted control packet
-			r.release(pkt)
+			r.pool.release(c, pkt)
 			return
 		}
 		if topology.NodeID(bc.Src) != at {
@@ -520,19 +540,19 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt) {
 			n.vis.Apply(0, bc)
 			n.mu.Unlock()
 		}
-		r.forwardBroadcast(at, topology.NodeID(bc.Src), bc.Tree, pkt)
-		r.release(pkt) // this hop's reference; children hold their own
+		r.forwardBroadcast(at, topology.NodeID(bc.Src), bc.Tree, pkt, c)
+		r.pool.release(c, pkt) // this hop's reference; children hold their own
 	default:
 		r.drops.Add(1)
-		r.release(pkt)
+		r.pool.release(c, pkt)
 	}
 }
 
 // forwardBroadcast fans pkt out to the broadcast tree's children at this
 // node: the same read-only segment is enqueued to every child port with
-// one retained reference each. The caller keeps (and must release) its own
-// reference.
-func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt) {
+// one retained reference each, and drops release into c. The caller keeps
+// (and must release) its own reference.
+func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt, c *mbufCache) {
 	st := r.fabric.Load()
 	var buf [wire.MaxPorts]topology.LinkID // New rejects a node with more ports
 	hops, ok := st.fib.AppendNextHops(buf[:0], src, tree, at)
@@ -549,15 +569,16 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt)
 			lid = st.linkMap[lid]
 		}
 		pkt.retain()
-		r.enqueue(lid, pkt)
+		r.enqueue(lid, pkt, c)
 	}
 }
 
-// flood announces b from its origin along its tree.
+// flood announces b from its origin along its tree. Floods are per flow,
+// not per packet, so they take the pool's one-segment path.
 func (r *Rack) flood(b *wire.Broadcast) {
 	pkt := r.newBcastPkt(b)
-	r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt)
-	r.release(pkt)
+	r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt, nil)
+	r.pool.release(nil, pkt)
 }
 
 // newBcastPkt encodes a broadcast into a pooled segment (ref 1, owned by
@@ -574,8 +595,8 @@ func (r *Rack) newBcastPkt(b *wire.Broadcast) emuPkt {
 // into a stack header (DecodeDataInto — one *DataHeader per packet here
 // used to be the receive path's biggest allocator), byte accounting, flow
 // completion. Only a flow's first packet takes the rack-wide flowsMu.
-func (r *Rack) deliverData(at topology.NodeID, pkt emuPkt) {
-	defer r.release(pkt) // payload is consumed before this frame returns
+func (r *Rack) deliverData(at topology.NodeID, pkt emuPkt, c *mbufCache) {
+	defer r.pool.release(c, pkt) // payload is consumed before this frame returns
 	var h wire.DataHeader
 	payload, err := wire.DecodeDataInto(pkt.buf, &h)
 	if err != nil {
@@ -728,11 +749,15 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 // Steady state allocates nothing: packet buffers come from the rack's
 // mbuf pool (released by whoever terminates the packet), and path
 // sampling, route encoding and the payload source all reuse per-sender or
-// shared buffers. Nor does it take a lock the whole rack shares: shutdown
-// is polled with a non-blocking receive on the cached ctx.Done(), and only
-// a full first-hop port blocks in a select on it.
+// shared buffers. Nor does it take a lock the whole rack shares per packet:
+// segments come from the sender's mbuf cache, refilled under the pool's
+// lock once per mbufSenderCache packets and flushed on exit; shutdown is
+// polled with a non-blocking receive on the cached ctx.Done(), and only a
+// full first-hop port blocks in a select on it.
 func (r *Rack) flowSender(n *emuNode, f *Flow) {
 	defer r.wg.Done()
+	var cache mbufCache
+	defer r.pool.flush(&cache)
 	rng := routing.NewStream(r.cfg.Seed, int64(f.Info.ID))
 	done := r.ctx.Done()
 	remaining := f.SizeBytes
@@ -814,13 +839,7 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 			}
 			continue
 		}
-		payload := int64(wire.MaxPayload)
-		if payload > 1500-wire.DataHeaderSize {
-			payload = 1500 - wire.DataHeaderSize
-		}
-		if remaining < payload {
-			payload = remaining
-		}
+		payload := min(remaining, mtuPayload)
 		if f.appRate > 0 {
 			if avail := int64((produced - sentBits) / 8); avail < payload {
 				payload = avail
@@ -863,7 +882,8 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		// The packet buffer is an mbuf-pool segment: one MTU packet fits a
 		// single 2 KiB segment, so EncodeData appends into seg.data without
 		// growth, and whoever terminates the packet releases the segment.
-		seg := r.pool.get()
+		// A refill asks for no more segments than the flow has packets left.
+		seg := r.pool.take(&cache, int((remaining+mtuPayload-1)/mtuPayload))
 		buf, err := wire.EncodeData(seg.data[:0], &h, zeroPayload[:payload])
 		if err != nil {
 			panic(err)
@@ -876,7 +896,7 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		p := r.ports[path[0]]
 		if r.lossy(p) {
 			r.drops.Add(1)
-			r.release(pkt)
+			r.pool.release(nil, pkt)
 		} else {
 			select {
 			case p.ch <- pkt:
@@ -884,10 +904,10 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 				select {
 				case p.ch <- pkt:
 				case <-done:
-					r.release(pkt)
+					r.pool.release(nil, pkt)
 					return
 				case <-f.aborted:
-					r.release(pkt)
+					r.pool.release(nil, pkt)
 					return
 				}
 			}

@@ -211,9 +211,37 @@ func TestEmuWeightedAllocation(t *testing.T) {
 	}
 }
 
+// New rejects every configuration that would otherwise panic later, inside
+// a goroutine or a constructor, or run with a meaningless setting.
 func TestEmuValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Error("nil graph accepted")
+	g, err := topology.NewTorus(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"nil graph", Config{}},
+		{"negative LinkMbps", Config{Graph: g, LinkMbps: -1}},
+		{"NaN LinkMbps", Config{Graph: g, LinkMbps: math.NaN()}},
+		{"+Inf LinkMbps", Config{Graph: g, LinkMbps: math.Inf(1)}},
+		{"-Inf LinkMbps", Config{Graph: g, LinkMbps: math.Inf(-1)}},
+		{"negative Headroom", Config{Graph: g, Headroom: -0.1}},
+		{"Headroom 1", Config{Graph: g, Headroom: 1}},
+		{"NaN Headroom", Config{Graph: g, Headroom: math.NaN()}},
+		{"negative Recompute", Config{Graph: g, Recompute: -time.Millisecond}},
+		{"unknown Protocol", Config{Graph: g, Protocol: routing.Protocol(200)}},
+		{"negative TreesPerSource", Config{Graph: g, TreesPerSource: -1}},
+		{"TreesPerSource 256", Config{Graph: g, TreesPerSource: 256}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if r, err := New(tc.cfg); err == nil {
+				r.Start()
+				r.Stop()
+				t.Fatalf("accepted %+v", tc.cfg)
+			}
+		})
 	}
 	r := newRack(t, Config{})
 	if _, err := r.StartFlow(1, 1, 100, 1, 0); err == nil {
@@ -295,8 +323,10 @@ func TestEmuQueueStats(t *testing.T) {
 // Links run at 100 Gbps, so no token bucket sleeps on a timer. The mbuf
 // pool's misses count against the gate too: the pool is warmed with a whole
 // flow's packets (how many the warm-up flow keeps live at once depends on
-// how the host schedules its goroutines), its idle cap holds them all, so a
-// miss after that is an allocation on the data path like any other.
+// how the host schedules its goroutines) plus what the caches can hold out
+// of the shared list at once (a full cache per link, one sender's), its idle
+// cap holds them all, so a miss after that is an allocation on the data
+// path like any other.
 //
 // Each flow is 1,000 packets, fewer than a port queue holds, so no queue can
 // overflow however the host schedules the link goroutines. Unpaced, a longer
@@ -326,7 +356,7 @@ func TestEmuDataPathDoesNotAllocate(t *testing.T) {
 	// Warm the views and the flow maps with one flow, and the pool with a
 	// flow's packets and the segments of its floods.
 	send()
-	warm := make([]*mbuf, packets+64)
+	warm := make([]*mbuf, packets+64+len(r.ports)*mbufLinkCache+mbufSenderCache)
 	for i := range warm {
 		warm[i] = r.pool.get()
 	}

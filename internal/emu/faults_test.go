@@ -141,7 +141,7 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 	for i, p := range r.ports {
 		before[i] = p.enqueued.Load()
 	}
-	r.forwardBroadcast(src, src, 0, pkt)
+	r.forwardBroadcast(src, src, 0, pkt, nil)
 	for _, lid := range hops {
 		phys := lid
 		if st.linkMap != nil {
@@ -151,7 +151,7 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 			t.Fatalf("tree hop %d not forwarded on its physical port %d", lid, phys)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { r.forwardBroadcast(src, src, 0, pkt) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { r.forwardBroadcast(src, src, 0, pkt, nil) }); allocs != 0 {
 		t.Fatalf("forwardBroadcast: %v allocations per delivery, want 0", allocs)
 	}
 }

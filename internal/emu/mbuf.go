@@ -31,8 +31,19 @@ const mbufSegSize = 2048
 // burst does not pin its peak buffer count for the life of the rack.
 const mbufPoolIdleCap = 4096
 
-// mbuf is one fixed-size buffer segment. next links chain continuation
-// segments while the mbuf is live, and the pool free list while it is not.
+// Per-goroutine cache sizes (see mbufCache). A flow sender refills up to
+// mbufSenderCache segments at once; a link goroutine flushes the segments
+// released on it once it holds mbufLinkCache. At most links × mbufLinkCache
+// + senders × mbufSenderCache segments sit in caches, 1 MiB of link caches
+// on a 4×4 torus. The link cache stays small because what it holds is out
+// of circulation until it fills or its link goes idle.
+const (
+	mbufSenderCache = 32
+	mbufLinkCache   = 8
+)
+
+// mbuf is one fixed-size buffer segment. next links a chain's continuation
+// segments.
 type mbuf struct {
 	data [mbufSegSize]byte
 	n    int // bytes used in data (chain bookkeeping)
@@ -44,24 +55,43 @@ type mbuf struct {
 // refcount: continuation segments are never handed out independently).
 func (m *mbuf) retain() { m.ref.Add(1) }
 
-// mbufPool hands out segments. Shared by every goroutine in a rack, so it
-// is mutex-protected; get/put are O(1) pointer pops well off the scale of
-// the channel operations surrounding them.
+// mbufPool hands out segments. Its free list is shared by every goroutine
+// in a rack, so it is mutex-protected, and with one lock per packet that
+// lock was the emulator's hottest point: 28.6 % of an emu-bulk profile sat
+// in get and put, most of it spinning in sync.Mutex.lockSlow. The data-path
+// goroutines therefore go through a private mbufCache and lock the shared
+// list once per batch (DPDK's per-lcore mempool cache); get and put are the
+// one-segment path for everything else.
 type mbufPool struct {
-	mu    sync.Mutex
-	free  *mbuf
-	freeN int
+	mu sync.Mutex
+	// free is a stack of pointers, not a list threaded through the
+	// segments: a batch moves under the lock as one copy, without touching
+	// segments another core last wrote.
+	free []*mbuf
 
 	allocs   uint64 // segments ever created
 	released uint64 // free segments dropped to the GC past the idle cap
-	live     int64  // segments currently out of the pool
+	// live counts every segment outside the shared free list, cached ones
+	// included, so Live == 0 on a quiet rack (whose caches have flushed)
+	// still means no segment leaked.
+	live     int64
 	peakLive int64
+}
+
+// mbufCache is a segment magazine only its owning goroutine touches: a flow
+// sender takes the segments it refilled under one lock, a link goroutine
+// collects the chains released on it and flushes them under one lock. A
+// link flushes before it blocks on an empty port; every owner flushes when
+// it exits.
+type mbufCache struct {
+	segs [mbufSenderCache]*mbuf
+	n    int
 }
 
 // MbufPoolStats is a snapshot of pool occupancy, exposed for retention
 // tests and capacity planning.
 type MbufPoolStats struct {
-	Live     int64  // segments currently held by packets
+	Live     int64  // segments out of the shared free list: held by packets or cached
 	PeakLive int64  // high-water mark of live segments
 	Idle     int    // free segments retained for reuse
 	Allocs   uint64 // total segments ever allocated
@@ -74,53 +104,89 @@ func (p *mbufPool) stats() MbufPoolStats {
 	return MbufPoolStats{
 		Live:     p.live,
 		PeakLive: p.peakLive,
-		Idle:     p.freeN,
+		Idle:     len(p.free),
 		Allocs:   p.allocs,
 		Released: p.released,
 	}
 }
 
-// get returns a segment with ref 1, zero length, and no chain.
-func (p *mbufPool) get() *mbuf {
+// getBatch fills segs with segments of ref 1, zero length and no chain,
+// under one lock.
+func (p *mbufPool) getBatch(segs []*mbuf) {
 	p.mu.Lock()
-	m := p.free
-	if m != nil {
-		p.free = m.next
-		p.freeN--
-	} else {
-		p.allocs++
-	}
-	p.live++
+	k := min(len(segs), len(p.free))
+	rest := len(p.free) - k
+	copy(segs, p.free[rest:])
+	clear(p.free[rest:])
+	p.free = p.free[:rest]
+	p.allocs += uint64(len(segs) - k)
+	p.live += int64(len(segs))
 	if p.live > p.peakLive {
 		p.peakLive = p.live
 	}
 	p.mu.Unlock()
-	if m == nil {
-		m = &mbuf{}
+	for i := k; i < len(segs); i++ {
+		segs[i] = &mbuf{}
 	}
-	m.n = 0
-	m.next = nil
-	m.ref.Store(1)
-	return m
+	for _, m := range segs {
+		m.n = 0
+		m.next = nil
+		m.ref.Store(1)
+	}
 }
 
-// put returns a whole chain to the pool (idle-capped). Callers go through
-// release(); put assumes the refcount already hit zero.
-func (p *mbufPool) put(m *mbuf) {
+// putBatch returns whole chains to the pool (idle-capped) under one lock.
+// Callers go through release or flush; putBatch assumes every refcount
+// already hit zero.
+func (p *mbufPool) putBatch(chains []*mbuf) {
 	p.mu.Lock()
-	for m != nil {
-		next := m.next
-		p.live--
-		if p.freeN < mbufPoolIdleCap {
-			m.next = p.free
-			p.free = m
-			p.freeN++
-		} else {
-			p.released++
+	for _, m := range chains {
+		for ; m != nil; m = m.next {
+			p.live--
+			if len(p.free) < mbufPoolIdleCap {
+				p.free = append(p.free, m)
+			} else {
+				p.released++
+			}
 		}
-		m = next
 	}
 	p.mu.Unlock()
+}
+
+// get returns one segment with ref 1, zero length, and no chain.
+func (p *mbufPool) get() *mbuf {
+	var one [1]*mbuf
+	p.getBatch(one[:])
+	return one[0]
+}
+
+// put returns one whole chain to the pool.
+func (p *mbufPool) put(m *mbuf) {
+	one := [1]*mbuf{m}
+	p.putBatch(one[:])
+}
+
+// take returns a segment from c, refilling an empty c with want segments
+// (clamped to [1, mbufSenderCache]) under one lock. A sender asks for as
+// many as it has packets left, so a finished flow leaves nothing cached.
+func (p *mbufPool) take(c *mbufCache, want int) *mbuf {
+	if c.n == 0 {
+		want = max(1, min(want, len(c.segs)))
+		p.getBatch(c.segs[:want])
+		c.n = want
+	}
+	c.n--
+	return c.segs[c.n]
+}
+
+// flush returns every chain c holds to the shared free list.
+func (p *mbufPool) flush(c *mbufCache) {
+	if c.n == 0 {
+		return
+	}
+	p.putBatch(c.segs[:c.n])
+	clear(c.segs[:c.n])
+	c.n = 0
 }
 
 // appendChain appends b to the chain headed by m, spilling into fresh
@@ -167,10 +233,20 @@ func (pk emuPkt) retain() {
 	}
 }
 
-// release drops one reference; the last one returns the segment chain to
-// the rack's pool.
-func (r *Rack) release(pk emuPkt) {
-	if pk.seg != nil && pk.seg.ref.Add(-1) == 0 {
-		r.pool.put(pk.seg)
+// release drops one reference on pk (unpooled packets are inert). The last
+// one returns the segment chain to c, which flushes once it holds
+// mbufLinkCache chains, or to the shared free list when c is nil.
+func (p *mbufPool) release(c *mbufCache, pk emuPkt) {
+	if pk.seg == nil || pk.seg.ref.Add(-1) != 0 {
+		return
+	}
+	if c == nil {
+		p.put(pk.seg)
+		return
+	}
+	c.segs[c.n] = pk.seg
+	c.n++
+	if c.n >= mbufLinkCache {
+		p.flush(c)
 	}
 }

@@ -27,12 +27,12 @@ func idleRack(t testing.TB) *Rack {
 // receiveBcast encodes b and hands it to node at as a link would, then
 // discards what the flood forwarded to the ports.
 func receiveBcast(r *Rack, at topology.NodeID, b *wire.Broadcast) {
-	r.receive(at, r.newBcastPkt(b))
+	r.receive(at, r.newBcastPkt(b), nil)
 	for _, p := range r.ports {
 		for len(p.ch) > 0 {
 			pkt := <-p.ch
 			p.queued.Add(int64(-len(pkt.buf)))
-			r.release(pkt)
+			r.pool.release(nil, pkt)
 		}
 	}
 }
