@@ -9,6 +9,7 @@ package r2c2
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -795,6 +796,40 @@ func BenchmarkEmuDataPath(b *testing.B) {
 		}
 	}
 	b.SetBytes(1 << 20)
+}
+
+// Emulated-rack flow churn: sequential 2 KiB flows from node 0 to node 8,
+// half-way across the 4×4 torus, at 100 Gbps. A flow is two packets and two
+// 16-node floods, so this times the emulator's per-flow cost (StartFlow, the
+// floods' hops and view updates, wake-ups), not its bytes. It reports the
+// wall-clock time and the allocations (process-wide) per flow.
+func BenchmarkEmuFlowChurn(b *testing.B) {
+	g, err := topology.NewTorus(4, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rack, err := emu.New(emu.Config{Graph: g, LinkMbps: 100000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rack.Start()
+	defer rack.Stop()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := rack.StartFlow(0, 8, 2<<10, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Wait(time.Minute); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/flow")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N), "allocs/flow")
 }
 
 // Raw scheduler throughput: a ladder of self-rearming timers with spread

@@ -102,9 +102,11 @@ type Rack struct {
 	// current fabric's table (see fabricState).
 	tab *routing.Table
 
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+	ctx      context.Context
+	cancel   context.CancelFunc
+	wg       sync.WaitGroup
+	started  atomic.Bool // set by Start, or by a Stop that came first
+	stopOnce sync.Once
 
 	ports []*emuPort
 	nodes []*emuNode
@@ -207,10 +209,11 @@ type Flow struct {
 	finished  atomic.Int64 // rack-clock nanos; 0 while incomplete
 	done      chan struct{}
 	doneOnce  sync.Once
-	// aborted is closed when the flow is abandoned because one of its
-	// endpoints crashed (§3.2): the sender stops and Wait returns an error.
+	// aborted is closed when the flow is abandoned (§3.2), abortWhy set
+	// first: the sender stops and Wait returns an error giving the reason.
 	aborted   chan struct{}
 	abortOnce sync.Once
+	abortWhy  string
 
 	// Host-limited flows (§3.3.2): the application produces bytes at
 	// appRate bits/s; the sender estimates demand from its queue
@@ -236,7 +239,7 @@ func (f *Flow) Rate() float64 { return float64(f.rate.Load()) }
 func (f *Flow) Done() <-chan struct{} { return f.done }
 
 // Abandoned reports whether the flow was given up on because one of its
-// endpoints crashed.
+// endpoints crashed or the rack stopped first.
 func (f *Flow) Abandoned() bool {
 	select {
 	case <-f.aborted:
@@ -246,11 +249,14 @@ func (f *Flow) Abandoned() bool {
 	}
 }
 
-func (f *Flow) abort() { f.abortOnce.Do(func() { close(f.aborted) }) }
+// The reasons a flow is abandoned, as Wait reports them.
+const abortEndpoint, abortStopped = "after an endpoint failure", "because the rack stopped"
 
-// Wait blocks until the flow completes, is abandoned (an endpoint
-// crashed), or the timeout elapses. The timer is stopped on the early
-// returns — time.After would leak one timer per call until expiry.
+func (f *Flow) abort(why string) { f.abortOnce.Do(func() { f.abortWhy = why; close(f.aborted) }) }
+
+// Wait blocks until the flow completes, is abandoned (an endpoint crashed,
+// or the rack stopped), or the timeout elapses. The timer is stopped on the
+// early returns — time.After would leak one timer per call until expiry.
 func (f *Flow) Wait(timeout time.Duration) error {
 	t := hostTimer(timeout)
 	defer t.Stop()
@@ -258,8 +264,8 @@ func (f *Flow) Wait(timeout time.Duration) error {
 	case <-f.done:
 		return nil
 	case <-f.aborted:
-		return fmt.Errorf("emu: flow %v abandoned after an endpoint failure (%d/%d bytes)",
-			f.Info.ID, f.bytesRcvd.Load(), f.SizeBytes)
+		return fmt.Errorf("emu: flow %v abandoned %s (%d/%d bytes)",
+			f.Info.ID, f.abortWhy, f.bytesRcvd.Load(), f.SizeBytes)
 	case <-t.C:
 		return fmt.Errorf("emu: flow %v incomplete after %v (%d/%d bytes)",
 			f.Info.ID, timeout, f.bytesRcvd.Load(), f.SizeBytes)
@@ -344,8 +350,11 @@ func New(cfg Config) (*Rack, error) {
 	return r, nil
 }
 
-// Start launches the link and control-plane goroutines.
+// Start launches the link and control-plane goroutines, once, unless Stop came first.
 func (r *Rack) Start() {
+	if !r.started.CompareAndSwap(false, true) {
+		return
+	}
 	for lid := range r.ports {
 		r.wg.Add(1)
 		go r.linkLoop(topology.LinkID(lid))
@@ -356,10 +365,26 @@ func (r *Rack) Start() {
 	}
 }
 
-// Stop tears the rack down and waits for every goroutine to exit.
+// Stop cancels the context (senders, recompute loops, fault timers), sends
+// each port a sentinel, the zero emuPkt, that its link drains up to, joins
+// every goroutine and abandons the unfinished flows. Each send completes: a
+// link blocks only on its own receive, and forwarding never blocks. Stop runs
+// once, as more sentinels could block on a full port no link drains.
 func (r *Rack) Stop() {
-	r.cancel()
-	r.wg.Wait()
+	r.stopOnce.Do(func() {
+		r.cancel()
+		if r.started.Swap(true) {
+			for _, p := range r.ports {
+				p.ch <- emuPkt{}
+			}
+		}
+		r.wg.Wait()
+		r.flowsMu.Lock()
+		for _, f := range r.flows {
+			f.abort(abortStopped)
+		}
+		r.flowsMu.Unlock()
+	})
 }
 
 // Drops returns packets lost to full port queues.
@@ -379,9 +404,11 @@ func (r *Rack) MaxQueueBytes() []int64 {
 
 // linkLoop paces packets through one virtual link at the configured
 // bandwidth and hands them to the downstream node — the emu analogue of
-// Maze's outgoing-link machinery. It wakes once per burst: only an empty
-// port blocks in a select on ctx.Done(), whose lock every link shares;
-// the rest of the burst is drained by receives that lock p.ch alone. The
+// Maze's outgoing-link machinery. It wakes once per burst: an empty port
+// blocks in a plain receive on p.ch, not in a select on the ctx.Done() every
+// link shares, and the burst drains by receives that lock p.ch alone. It
+// returns only on Stop's sentinel; a pacing sleep cut short by Stop releases
+// its packet and drains on. The
 // segments released on this goroutine collect in its mbuf cache, flushed
 // when full, before the port blocks and on exit.
 func (r *Rack) linkLoop(lid topology.LinkID) {
@@ -399,12 +426,11 @@ func (r *Rack) linkLoop(lid topology.LinkID) {
 		case pkt = <-p.ch:
 		default:
 			r.pool.flush(&cache)
-			select {
-			case <-done:
-				return
-			case pkt = <-p.ch:
-			}
+			pkt = <-p.ch
 			now = r.clk.now()
+		}
+		if pkt.seg == nil {
+			return // Stop's sentinel; what is queued behind it stays
 		}
 		p.queued.Add(int64(-len(pkt.buf)))
 		if p.dead.Load() {
@@ -429,7 +455,7 @@ func (r *Rack) linkLoop(lid topology.LinkID) {
 			case <-r.clk.after(wait):
 			case <-done:
 				r.pool.release(&cache, pkt)
-				return
+				continue
 			}
 			now = r.clk.now()
 		}
@@ -496,10 +522,10 @@ func (p *emuPort) queuedPkt(n int) {
 }
 
 // receive is the per-node forwarding layer (§3.5): zero-copy next-hop
-// lookup for transit packets, full decode only at the destination. It
-// consumes the packet's reference: forwarding transfers it to the next
-// port's channel, every terminating path (delivery, corruption, flood end)
-// releases it into c, the calling link's cache.
+// lookup for transit packets, full decode only at the destination, and a
+// broadcast decoded into a stack Broadcast. It consumes the packet's
+// reference: forwarding transfers it to the next port's channel, every
+// terminating path (delivery, corruption, flood end) releases it into c.
 func (r *Rack) receive(at topology.NodeID, pkt emuPkt, c *mbufCache) {
 	b := pkt.buf
 	switch {
@@ -528,8 +554,8 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt, c *mbufCache) {
 		}
 		r.enqueue(out[port], pkt, c)
 	case wire.PacketType(b[0]>>4) == wire.TypeBroadcast:
-		bc, err := wire.DecodeBroadcast(b)
-		if err != nil {
+		var bc wire.Broadcast
+		if err := wire.DecodeBroadcastInto(b, &bc); err != nil {
 			r.drops.Add(1) // corrupted control packet
 			r.pool.release(c, pkt)
 			return
@@ -537,7 +563,7 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt, c *mbufCache) {
 		if topology.NodeID(bc.Src) != at {
 			n := r.nodes[at]
 			n.mu.Lock()
-			n.vis.Apply(0, bc)
+			n.vis.Apply(0, &bc)
 			n.mu.Unlock()
 		}
 		r.forwardBroadcast(at, topology.NodeID(bc.Src), bc.Tree, pkt, c)
@@ -693,6 +719,9 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 	if src == dst || size <= 0 {
 		return nil, fmt.Errorf("emu: degenerate flow %d->%d size %d", src, dst, size)
 	}
+	if r.ctx.Err() != nil {
+		return nil, fmt.Errorf("emu: flow %d->%d started on a stopped rack", src, dst)
+	}
 	if weight == 0 {
 		weight = 1
 	}
@@ -720,7 +749,7 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 		// Its start and finish still pass the view, for the wrap rule.
 		n.vis.Finish(0, id)
 		n.mu.Unlock()
-		f.abort()
+		f.abort(abortEndpoint)
 		r.flowsMu.Lock()
 		r.flows[id] = f
 		r.flowsMu.Unlock()

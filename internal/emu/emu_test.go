@@ -3,6 +3,7 @@ package emu
 import (
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -290,6 +291,145 @@ func TestRackStopJoinsGoroutines(t *testing.T) {
 				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 	}
+}
+
+// Stop cancels the rack and then wakes each link through its own port with
+// a sentinel that the link drains up to. Each case must return within a
+// second (a deadlock fails it rather than hanging), join every goroutine the
+// rack launched, and leave no segment live once the ports are drained: a
+// packet forwarded into a port whose link had already returned stays there.
+// No sentinel may be left over: a link returns only when it takes its own.
+// At 0.01 Mbps a 1,500-byte packet paces for 1.2 s, so a link that waits out
+// its sleep, or returns on cancellation and leaves its port full, fails.
+func TestRackStopProtocol(t *testing.T) {
+	const slowMbps = 0.01
+	for _, tc := range []struct {
+		name     string
+		linkMbps float64
+		run      func(t *testing.T, r *Rack)
+	}{
+		{"full port", slowMbps, func(t *testing.T, r *Rack) {
+			r.Start()
+			if n := fillPort(r, 0); n != queuePackets {
+				t.Errorf("port holds %d packets, want %d", n, queuePackets)
+			}
+			r.Stop()
+		}},
+		{"pacing sleep", slowMbps, func(t *testing.T, r *Rack) {
+			r.Start()
+			for lid := range r.ports {
+				sendJunk(r, topology.LinkID(lid), 2)
+			}
+			// Every link has taken its first packet into a 1.2 s sleep.
+			for _, p := range r.ports {
+				for len(p.ch) > 1 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			r.Stop()
+		}},
+		{"before start", 0, func(t *testing.T, r *Rack) {
+			fillPort(r, 0) // no link will ever drain it
+			r.Stop()
+			r.Start() // launches nothing: the goroutine count holds it
+		}},
+		{"twice", 0, func(t *testing.T, r *Rack) {
+			r.Start()
+			r.Stop()
+			fillPort(r, 0) // a second round of sentinels would block here
+			r.Stop()
+		}},
+		{"wait and start after stop", 0, func(t *testing.T, r *Rack) {
+			r.Start()
+			f, err := r.StartFlow(0, 5, 64<<20, 1, 0)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+			r.Stop()
+			t0 := time.Now()
+			err = f.Wait(2 * time.Second)
+			if took := time.Since(t0); err == nil || !strings.Contains(err.Error(), "rack stopped") || took > 100*time.Millisecond {
+				t.Errorf("Wait after Stop: %v after %v; want a stopped-rack error at once", err, took)
+			}
+			if !f.Abandoned() {
+				t.Error("an unfinished flow is not abandoned by Stop")
+			}
+			if _, err := r.StartFlow(0, 5, 2048, 1, 0); err == nil {
+				t.Error("StartFlow on a stopped rack")
+			}
+			if _, err := r.StartHostLimitedFlow(0, 5, 2048, 1, 0, 1e6); err == nil {
+				t.Error("StartHostLimitedFlow on a stopped rack")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			g, err := topology.NewTorus(4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(Config{Graph: g, LinkMbps: tc.linkMbps, Protocol: routing.RPS})
+			if err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				tc.run(t, r)
+			}()
+			select {
+			case <-done:
+			case <-time.After(time.Second):
+				buf := make([]byte, 1<<20)
+				t.Fatalf("not done within 1s:\n%s", buf[:runtime.Stack(buf, true)])
+			}
+			for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<20)
+					t.Fatalf("%d goroutines after Stop, %d before New:\n%s",
+						runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+			}
+			sentinels := 0
+			for _, p := range r.ports {
+				for len(p.ch) > 0 {
+					pkt := <-p.ch
+					if pkt.seg == nil {
+						sentinels++
+					}
+					r.pool.release(nil, pkt)
+				}
+			}
+			if live := r.MbufStats().Live; live != 0 || sentinels != 0 {
+				t.Fatalf("after Stop and a drain of the ports: %d segments live, %d sentinels no link took; want 0 and 0", live, sentinels)
+			}
+		})
+	}
+}
+
+// sendJunk enqueues n pooled 1,500-byte packets of no packet type on port
+// lid (its link drops each one as it would a corrupt packet) and returns how
+// many the port took.
+func sendJunk(r *Rack, lid topology.LinkID, n int) int {
+	sent := 0
+	for ; sent < n; sent++ {
+		seg := r.pool.get()
+		seg.data[0] = 0
+		if !r.enqueue(lid, emuPkt{buf: seg.data[:1500], seg: seg}, nil) {
+			break
+		}
+	}
+	return sent
+}
+
+// fillPort enqueues junk on port lid until the port drops one, and returns
+// how many packets it then holds.
+func fillPort(r *Rack, lid topology.LinkID) int {
+	for sendJunk(r, lid, 1) == 1 {
+	}
+	return len(r.ports[lid].ch)
 }
 
 func TestEmuQueueStats(t *testing.T) {

@@ -113,7 +113,7 @@ func (r *Rack) FailNode(dead topology.NodeID, detect time.Duration) error {
 	n := r.nodes[dead]
 	n.mu.Lock()
 	for id, f := range n.flows {
-		f.abort()
+		f.abort(abortEndpoint)
 		delete(n.flows, id)
 	}
 	n.mu.Unlock()
@@ -282,7 +282,7 @@ func (r *Rack) purgeDead(dead []bool) {
 	r.flowsMu.Lock()
 	for _, f := range r.flows {
 		if dead[f.Info.Src] || dead[f.Info.Dst] {
-			f.abort()
+			f.abort(abortEndpoint)
 		}
 	}
 	r.flowsMu.Unlock()

@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"r2c2/internal/core"
 	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/topology"
+	"r2c2/internal/wire"
 )
 
 // waitReroutes polls until the rack has performed at least n fabric swaps.
@@ -153,6 +155,32 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { r.forwardBroadcast(src, src, 0, pkt, nil) }); allocs != 0 {
 		t.Fatalf("forwardBroadcast: %v allocations per delivery, want 0", allocs)
+	}
+}
+
+// A whole broadcast hop at a node that is not the flood's origin allocates
+// nothing: Rack.receive decodes into a stack Broadcast, applies it to the
+// node's view and fans it out. Each run is a start and a finish of a new
+// flow of node 0, taken at node 5 of an idle rack with its ports drained
+// after each call.
+func TestReceiveBroadcastAllocFree(t *testing.T) {
+	r := idleRack(t)
+	const src, at = 0, topology.NodeID(5)
+	start := wire.Broadcast{Event: wire.EventFlowStart, Src: src, Dst: 10, Weight: 1, DemandKbps: core.UnlimitedDemand}
+	finish := start
+	finish.Event = wire.EventFlowFinish
+	hop := func() {
+		start.FlowSeq++
+		finish.FlowSeq = start.FlowSeq
+		receiveBcast(r, at, &start)
+		if r.ViewLen(at) != 1 {
+			t.Fatalf("flow %v not held at node %d", start.Flow(), at)
+		}
+		receiveBcast(r, at, &finish)
+	}
+	hop()
+	if allocs := testing.AllocsPerRun(200, hop); allocs != 0 || r.Drops() != 0 {
+		t.Fatalf("a broadcast hop: %v allocations per start and finish, %d drops; want 0 and 0", allocs, r.Drops())
 	}
 }
 

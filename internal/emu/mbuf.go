@@ -220,8 +220,8 @@ func chainBytes(m *mbuf, dst []byte) []byte {
 }
 
 // emuPkt is one packet in flight inside the rack: buf is the wire bytes
-// (aliasing seg's storage when pooled), seg the backing segment, nil for
-// unpooled buffers (retain/release no-op on those).
+// (aliasing seg's storage), seg the backing segment, nil for unpooled buffers
+// (inert to retain/release); a port's one unpooled packet is Stop's sentinel.
 type emuPkt struct {
 	buf []byte
 	seg *mbuf

@@ -12,7 +12,8 @@ import (
 // re-encodes to exactly enc1. Raw-byte identity with the input is NOT
 // required — reserved bytes (e.g. data-header byte 35, ack bytes 13–14) are
 // checksummed but not decoded, so an adversarial valid input can differ
-// from its canonical re-encoding.
+// from its canonical re-encoding. DecodeBroadcastInto must agree with
+// DecodeBroadcast on every input, errors included.
 func FuzzWireRoundTrip(f *testing.F) {
 	// Valid seeds, one per packet class.
 	bc := EncodeBroadcast(&Broadcast{
@@ -52,6 +53,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, pkt []byte) {
+		decodeBroadcastBoth(t, pkt)
 		if b, err := DecodeBroadcast(pkt); err == nil {
 			enc1 := EncodeBroadcast(b)
 			b2, err := DecodeBroadcast(enc1[:])

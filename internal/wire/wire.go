@@ -272,22 +272,32 @@ func EncodeBroadcast(b *Broadcast) [BroadcastSize]byte {
 	return out
 }
 
-// DecodeBroadcast parses and validates a 16-byte broadcast packet. An event
-// kind other than the four flow events is an error.
+// DecodeBroadcast is DecodeBroadcastInto into a new Broadcast.
 func DecodeBroadcast(pkt []byte) (*Broadcast, error) {
+	var b Broadcast
+	if err := DecodeBroadcastInto(pkt, &b); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+// DecodeBroadcastInto parses and validates a 16-byte broadcast packet into b
+// (a forwarding hop's stack). Any event kind but the four flow events is an
+// error; on an error b is left unchanged.
+func DecodeBroadcastInto(pkt []byte, b *Broadcast) error {
 	if len(pkt) < BroadcastSize {
-		return nil, ErrShortPacket
+		return ErrShortPacket
 	}
 	if PacketType(pkt[0]>>4) != TypeBroadcast {
-		return nil, ErrBadType
+		return ErrBadType
 	}
 	if checksum8(pkt[:15]) != pkt[15] {
-		return nil, ErrBadChecksum
+		return ErrBadChecksum
 	}
 	if ev := EventKind(pkt[0] & 0xF); ev < EventFlowStart || ev > EventRouteChange {
-		return nil, ErrBadEvent
+		return ErrBadEvent
 	}
-	return &Broadcast{
+	*b = Broadcast{
 		Event:      EventKind(pkt[0] & 0xF),
 		Src:        binary.BigEndian.Uint16(pkt[1:]),
 		Dst:        binary.BigEndian.Uint16(pkt[3:]),
@@ -297,7 +307,8 @@ func DecodeBroadcast(pkt []byte) (*Broadcast, error) {
 		DemandKbps: binary.BigEndian.Uint32(pkt[9:]),
 		Tree:       pkt[13],
 		RP:         pkt[14],
-	}, nil
+	}
+	return nil
 }
 
 // RoutingPair is one {flow, routing protocol} assignment in a routing

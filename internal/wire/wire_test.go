@@ -227,21 +227,49 @@ func TestBroadcastChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
+// Every malformed broadcast class is rejected with its error, by
+// DecodeBroadcast and DecodeBroadcastInto alike.
 func TestBroadcastErrors(t *testing.T) {
-	if _, err := DecodeBroadcast(make([]byte, 8)); err != ErrShortPacket {
+	if err := decodeBroadcastBoth(t, make([]byte, 8)); err != ErrShortPacket {
 		t.Errorf("short: %v", err)
 	}
 	pkt := EncodeBroadcast(&Broadcast{Event: EventFlowStart})
 	pkt[0] = byte(TypeData) << 4
-	if _, err := DecodeBroadcast(pkt[:]); err != ErrBadType {
+	if err := decodeBroadcastBoth(t, pkt[:]); err != ErrBadType {
 		t.Errorf("bad type: %v", err)
 	}
-	for _, ev := range []EventKind{0, EventRouteChange + 1, 15} {
-		pkt := EncodeBroadcast(&Broadcast{Event: ev})
-		if _, err := DecodeBroadcast(pkt[:]); err != ErrBadEvent {
+	pkt = EncodeBroadcast(&Broadcast{Event: EventFlowStart, Src: 3})
+	pkt[15] ^= 1
+	if err := decodeBroadcastBoth(t, pkt[:]); err != ErrBadChecksum {
+		t.Errorf("checksum: %v", err)
+	}
+	for ev := EventKind(0); ev < 16; ev++ {
+		pkt := EncodeBroadcast(&Broadcast{Event: ev, Src: 3, Dst: 9, DemandKbps: 7})
+		err := decodeBroadcastBoth(t, pkt[:])
+		if valid := ev >= EventFlowStart && ev <= EventRouteChange; valid != (err == nil) || !valid && err != ErrBadEvent {
 			t.Errorf("event kind %d: %v", ev, err)
 		}
 	}
+}
+
+// decodeBroadcastBoth decodes pkt with DecodeBroadcast and with
+// DecodeBroadcastInto, fails t unless the two agree on the error and the
+// broadcast (an error leaves Into's target as it was), and returns the error.
+func decodeBroadcastBoth(t *testing.T, pkt []byte) error {
+	t.Helper()
+	b, err := DecodeBroadcast(pkt)
+	into := Broadcast{Event: EventRouteChange, Src: 0xBEEF, Tree: 7}
+	before := into
+	errInto := DecodeBroadcastInto(pkt, &into)
+	switch {
+	case errInto != err:
+		t.Fatalf("% x: DecodeBroadcastInto error %v, DecodeBroadcast %v", pkt, errInto, err)
+	case err != nil && into != before:
+		t.Fatalf("% x: DecodeBroadcastInto wrote %+v on error %v", pkt, into, err)
+	case err == nil && into != *b:
+		t.Fatalf("% x: DecodeBroadcastInto %+v, DecodeBroadcast %+v", pkt, into, *b)
+	}
+	return err
 }
 
 func TestEventKindString(t *testing.T) {
