@@ -7,7 +7,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,12 @@ fuzz-reorder:
 # thousands of two-byte operations: minimise by count, as fuzz-view does.
 fuzz-wheel:
 	$(GO) test -run=^$$ -fuzz FuzzWheelOrder -fuzztime $(FUZZTIME) -fuzzminimizetime 100x ./internal/sim/
+
+# The production water-fill (cached link levels, link→flow index) against
+# the two-pass fill it replaced, bit for bit, on arbitrary flow sets over a
+# torus or over sparse φ-vectors, one Allocator reused across inputs.
+fuzz-fill:
+	$(GO) test -run=^$$ -fuzz FuzzAllocateMatchesTwoPass -fuzztime $(FUZZTIME) ./internal/waterfill/
 
 # One iteration of every benchmark: catches bitrot in the benchmark
 # harnesses (they cover each figure of the paper) without paying for a

@@ -376,6 +376,10 @@ func BenchmarkAblationBroadcastTrees(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
+// BenchmarkWaterfillAllocate times one from-scratch fill on the 8-ary
+// 3-cube: flows=512 is the paper's 512-node, 512-flow recomputation, and
+// flows=19 cycles 64 pre-drawn views of the size ctrl512's recomputations
+// see.
 func BenchmarkWaterfillAllocate(b *testing.B) {
 	g, err := topology.NewTorus(8, 3)
 	if err != nil {
@@ -383,25 +387,40 @@ func BenchmarkWaterfillAllocate(b *testing.B) {
 	}
 	tab := routing.NewTable(g)
 	rng := rand.New(rand.NewSource(4))
-	flows := make([]waterfill.Flow, 512)
-	for i := range flows {
-		src := topology.NodeID(rng.Intn(g.Nodes()))
-		dst := topology.NodeID(rng.Intn(g.Nodes()))
-		for dst == src {
-			dst = topology.NodeID(rng.Intn(g.Nodes()))
+	view := func(n int) []waterfill.Flow {
+		flows := make([]waterfill.Flow, n)
+		for i := range flows {
+			src := topology.NodeID(rng.Intn(g.Nodes()))
+			dst := topology.NodeID(rng.Intn(g.Nodes()))
+			for dst == src {
+				dst = topology.NodeID(rng.Intn(g.Nodes()))
+			}
+			flows[i] = waterfill.Flow{
+				Phi: tab.Phi(routing.RPS, src, dst), Weight: 1, Demand: waterfill.Unlimited,
+			}
 		}
-		flows[i] = waterfill.Flow{
-			Phi: tab.Phi(routing.RPS, src, dst), Weight: 1, Demand: waterfill.Unlimited,
-		}
+		return flows
+	}
+	big := view(512)
+	light := make([][]waterfill.Flow, 64)
+	for i := range light {
+		light[i] = view(19)
 	}
 	alloc := waterfill.NewAllocator(waterfill.Config{
 		NumLinks: g.NumLinks(), Capacity: 10e9, Headroom: 0.05,
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		alloc.Allocate(flows) // the paper's 512-node, 512-flow recomputation
-	}
+	b.Run("flows=512", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			alloc.Allocate(big)
+		}
+	})
+	b.Run("flows=19", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			alloc.Allocate(light[i%len(light)])
+		}
+	})
 }
 
 func BenchmarkPhiRPS512(b *testing.B) {

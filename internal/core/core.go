@@ -340,16 +340,22 @@ func (s *DemandSummary) Merge(o *DemandSummary) {
 	s.Hash ^= o.Hash
 }
 
-// Allocation is the result of one rate computation: rates in bits/s,
-// indexed by flow ID.
+// Allocation is the result of one rate computation: Rates[i], in bits/s, is
+// the rate of flow IDs[i], and IDs ascend.
 type Allocation struct {
-	Rates map[wire.FlowID]float64
+	IDs   []wire.FlowID
+	Rates []float64
 	// ViewHash identifies the view the allocation was computed from.
 	ViewHash uint64
 }
 
 // Rate returns the allocated rate for a flow (0 if absent).
-func (a *Allocation) Rate(id wire.FlowID) float64 { return a.Rates[id] }
+func (a *Allocation) Rate(id wire.FlowID) float64 {
+	if i, ok := slices.BinarySearch(a.IDs, id); ok {
+		return a.Rates[i]
+	}
+	return 0
+}
 
 // DefaultRho is the rate-recomputation batching interval ρ (§3.3.2): flow
 // events arriving within one ρ are folded into a single recomputation. The
@@ -461,10 +467,9 @@ func (rc *RateComputer) compute(flows []FlowInfo, hash uint64) *Allocation {
 	for i := range flows {
 		rc.specs = append(rc.specs, rc.spec(&flows[i]))
 	}
-	rates := rc.alloc.Allocate(rc.specs)
-	out := &Allocation{Rates: make(map[wire.FlowID]float64, len(rates)), ViewHash: hash}
+	out := &Allocation{IDs: make([]wire.FlowID, len(flows)), Rates: rc.alloc.Allocate(rc.specs), ViewHash: hash}
 	for i := range flows {
-		out.Rates[flows[i].ID] = rates[i]
+		out.IDs[i] = flows[i].ID
 	}
 	return out
 }

@@ -252,8 +252,8 @@ func TestComputeDeterministicAcrossNodes(t *testing.T) {
 		viewB.AddFlow(infos[i])
 	}
 	a, b := rcA.Compute(viewA), rcB.Compute(viewB)
-	for id, ra := range a.Rates {
-		if rb := b.Rates[id]; math.Abs(ra-rb) > 1e-6*math.Max(ra, 1) {
+	for i, id := range a.IDs {
+		if ra, rb := a.Rates[i], b.Rate(id); math.Abs(ra-rb) > 1e-6*math.Max(ra, 1) {
 			t.Fatalf("flow %v: node A computed %v, node B %v", id, ra, rb)
 		}
 	}
@@ -361,8 +361,8 @@ func TestComputeIsHistoryFree(t *testing.T) {
 		if len(got.Rates) != len(want.Rates) {
 			t.Fatalf("event %d: %d rates vs %d", ev, len(got.Rates), len(want.Rates))
 		}
-		for id, w := range want.Rates {
-			if g, ok := got.Rates[id]; !ok || g != w {
+		for i, id := range want.IDs {
+			if g, w := got.Rates[i], want.Rates[i]; got.IDs[i] != id || g != w {
 				t.Fatalf("event %d: flow %v: long-lived computer %v, fresh computer %v", ev, id, g, w)
 			}
 		}

@@ -61,9 +61,9 @@ func TestDemandSummaryMergeMatchesView(t *testing.T) {
 	if len(av.Rates) != len(as.Rates) {
 		t.Fatalf("allocation sizes differ: %d vs %d", len(av.Rates), len(as.Rates))
 	}
-	for id, r := range av.Rates {
-		if as.Rates[id] != r {
-			t.Fatalf("flow %v: summary rate %v != view rate %v (must be bit-identical)", id, as.Rates[id], r)
+	for i, id := range av.IDs {
+		if as.IDs[i] != id || as.Rates[i] != av.Rates[i] {
+			t.Fatalf("flow %v: summary rate %v != view rate %v (must be bit-identical)", id, as.Rates[i], av.Rates[i])
 		}
 	}
 
@@ -72,7 +72,7 @@ func TestDemandSummaryMergeMatchesView(t *testing.T) {
 	global.Reset()
 	global.Add(flowInfo(0, 1, 999))
 	again := rcSum.ComputeSummary(&DemandSummary{Flows: want, Hash: view.Hash()})
-	if again.Rates[want[0].ID] != av.Rates[want[0].ID] {
+	if again.Rate(want[0].ID) != av.Rate(want[0].ID) {
 		t.Fatal("summary mutation leaked into the computer's cache")
 	}
 }

@@ -11,14 +11,16 @@
 // from every link's capacity to absorb flows whose start has not yet been
 // seen by all nodes (§3.3.2, "New flows").
 //
-// Complexity is O(I·(L+N)) with I ≤ N freeze iterations, matching the
-// paper's O(NL + N²) bound.
+// A round indexes its flows by link once, in O(Σ|φ|); each of its I ≤ N
+// freeze levels then costs one pass over the L live links' cached levels and
+// the D demand-limited flows, plus the φ-entries of the flows it freezes.
+// That is O(Σ|φ| + I·(L+D)), within the paper's O(NL + N²) bound.
 package waterfill
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"r2c2/internal/routing"
 	"r2c2/internal/topology"
@@ -62,12 +64,35 @@ type Allocator struct {
 	activeW   []float64 // per link: Σ weight·φ of active flows
 	order     []int     // flow indices sorted by descending priority
 
-	// Flat per-link scratch (maps here dominated recomputation cost; the
-	// Figure 8 budget demands microsecond allocations).
-	touched   []topology.LinkID // links touched by the current round
-	inTouched []bool
-	saturated []bool
-	active    []bool // per flow in the current round
+	// Flat scratch (maps here dominated recomputation cost; the Figure 8
+	// budget demands microsecond allocations). A round numbers the links it
+	// touches, and everything else it keeps per link is by that number, so
+	// an Allocator holds only tpos beside the two sums for every link.
+	tpos    []int32           // per link: 1 + its number in the round, or 0
+	touched []topology.LinkID // the round's links, by number
+
+	// Per round of fillRound, by link number: flowsOf[idxLo[p]:idxHi[p]]
+	// are the positions in the round of the active flows crossing link p,
+	// ascending; livePos[p] is its slot in liveP, or -1.
+	idxLo, idxHi []int32
+	livePos      []int32
+	dirty        []bool // queued in dirtyL
+	flowsOf      []int32
+
+	active  []bool        // per flow in the current round
+	liveP   []int32       // live links: weight above eps, unsaturated
+	liveLvl []float64     // liveP[i]'s saturation level
+	dirtyL  []int32       // live links whose load changed this level
+	dlim    []demandLevel // active demand-limited flows
+	cand    []int32       // links that may saturate at the current level
+	freeze  []int32       // positions freezing at the current level
+}
+
+// demandLevel is an active demand-limited flow of a round, by its position,
+// and the fill level at which it reaches its demand.
+type demandLevel struct {
+	k     int32
+	level float64
 }
 
 // NewAllocator returns an allocator for a fabric with the given config. It
@@ -81,8 +106,7 @@ func NewAllocator(cfg Config) *Allocator {
 		cfg:       cfg,
 		frozenSum: make([]float64, cfg.NumLinks),
 		activeW:   make([]float64, cfg.NumLinks),
-		inTouched: make([]bool, cfg.NumLinks),
-		saturated: make([]bool, cfg.NumLinks),
+		tpos:      make([]int32, cfg.NumLinks),
 	}
 }
 
@@ -119,14 +143,25 @@ func (a *Allocator) Allocate(flows []Flow) []float64 {
 		a.frozenSum[i] = 0
 	}
 
-	// Order flows by descending priority; equal priorities share a round.
-	a.order = a.order[:0]
+	// Order flows by descending priority, stably (a counting sort over the
+	// priorities present: it allocates nothing); equal priorities share a
+	// round.
+	var start [256]int32
+	lo, hi := 255, 0
 	for i := range flows {
-		a.order = append(a.order, i)
+		p := int(flows[i].Priority)
+		start[p]++
+		lo, hi = min(lo, p), max(hi, p)
 	}
-	sort.SliceStable(a.order, func(x, y int) bool {
-		return flows[a.order[x]].Priority > flows[a.order[y]].Priority
-	})
+	for p, off := hi, int32(0); p >= lo; p-- {
+		start[p], off = off, off+start[p]
+	}
+	a.order = slices.Grow(a.order[:0], len(flows))[:len(flows)]
+	for i := range flows {
+		p := flows[i].Priority
+		a.order[start[p]] = i
+		start[p]++
+	}
 
 	for lo := 0; lo < len(a.order); {
 		hi := lo
@@ -155,6 +190,18 @@ func hostLocalRate(cfg *Config, f *Flow) float64 {
 
 // fillRound water-fills one priority class against the residual capacity
 // left by higher classes, updating frozenSum with this class's consumption.
+//
+// A freeze level costs only what it changes. Each live link — touched, with
+// active weight above eps, not yet saturated — caches its saturation level
+// in liveLvl, so the next level is one pass over that array, which also
+// keeps the few links near enough the minimum to saturate. A link→flow
+// index built once per round hands each saturating link exactly the flows
+// that cross it, and only the links of flows that froze get their level
+// recomputed. Every minimum, comparison and activeW/frozenSum update is the
+// same floating-point operation, applied in the same order (freezes in
+// ascending position of idx), as a rescan of every link and flow per level
+// would make, so the rates are bit-identical to it (twopass_test.go holds
+// the rescan).
 func (a *Allocator) fillRound(flows []Flow, idx []int, cap float64, rates []float64) {
 	const eps = 1e-12
 
@@ -162,8 +209,8 @@ func (a *Allocator) fillRound(flows []Flow, idx []int, cap float64, rates []floa
 		a.active = make([]bool, n)
 	}
 	active := a.active[:len(idx)]
-	a.touched = a.touched[:0]
-	nActive := 0
+	a.touched, a.idxHi, a.dlim = a.touched[:0], a.idxHi[:0], a.dlim[:0]
+	nActive, nIndex := 0, int32(0)
 	for k, fi := range idx {
 		f := &flows[fi]
 		active[k] = false
@@ -183,40 +230,72 @@ func (a *Allocator) fillRound(flows []Flow, idx []int, cap float64, rates []floa
 		}
 		active[k] = true
 		nActive++
+		if f.Demand != Unlimited {
+			a.dlim = append(a.dlim, demandLevel{k: int32(k), level: f.Demand / f.Weight})
+		}
 		for j, lid := range f.Phi.Links {
 			a.activeW[lid] += f.Weight * f.Phi.Frac[j]
-			if !a.inTouched[lid] {
-				a.inTouched[lid] = true
+			p := a.tpos[lid]
+			if p == 0 {
 				a.touched = append(a.touched, lid)
+				a.idxHi = append(a.idxHi, 0)
+				p = int32(len(a.touched))
+				a.tpos[lid] = p
 			}
+			a.idxHi[p-1]++ // counts the link's flows until the index is laid out
+			nIndex++
+		}
+	}
+
+	// The link→flow index, then the live links and their levels.
+	n := len(a.touched)
+	a.idxLo = slices.Grow(a.idxLo[:0], n)[:n]
+	a.livePos = slices.Grow(a.livePos[:0], n)[:n]
+	a.dirty = slices.Grow(a.dirty[:0], n)[:n]
+	clear(a.dirty)
+	a.flowsOf = slices.Grow(a.flowsOf[:0], int(nIndex))[:nIndex]
+	off := int32(0)
+	for p := range a.touched {
+		a.idxLo[p], a.idxHi[p], off = off, off, off+a.idxHi[p]
+	}
+	for k, fi := range idx {
+		if !active[k] {
+			continue
+		}
+		for _, lid := range flows[fi].Phi.Links {
+			p := a.tpos[lid] - 1
+			a.flowsOf[a.idxHi[p]] = int32(k)
+			a.idxHi[p]++
+		}
+	}
+	a.liveP, a.liveLvl = a.liveP[:0], a.liveLvl[:0]
+	for p, l := range a.touched {
+		a.livePos[p] = -1
+		if a.activeW[l] > eps {
+			a.livePos[p] = int32(len(a.liveP))
+			a.liveP = append(a.liveP, int32(p))
+			a.liveLvl = append(a.liveLvl, linkLevel(cap, a.frozenSum[l], a.activeW[l]))
 		}
 	}
 
 	t := 0.0 // the fill level: rate per unit weight
 	for nActive > 0 {
-		// Next saturation level across touched links, recording the links
-		// that achieve it so freezing is exact rather than epsilon-matched.
-		tNext := math.MaxFloat64
-		for _, l := range a.touched {
-			w := a.activeW[l]
-			if w <= eps || a.saturated[l] {
-				continue
+		// Next saturation level across live links and demand-limited flows.
+		// The scan also keeps every link within the level's margin of the
+		// running minimum: a superset of the links that saturate.
+		tNext, bound := math.MaxFloat64, math.Inf(1)
+		a.cand = a.cand[:0]
+		for i, s := range a.liveLvl {
+			if s < tNext {
+				tNext, bound = s, s*(1+1e-9)
 			}
-			resid := cap - a.frozenSum[l]
-			if resid < 0 {
-				resid = 0
-			}
-			if s := resid / w; s < tNext {
-				tNext = s
+			if s <= bound {
+				a.cand = append(a.cand, a.liveP[i])
 			}
 		}
-		// Next demand-freeze level across active flows.
-		for k, fi := range idx {
-			if !active[k] || flows[fi].Demand == Unlimited {
-				continue
-			}
-			if s := flows[fi].Demand / flows[fi].Weight; s < tNext {
-				tNext = s
+		for _, d := range a.dlim {
+			if d.level < tNext {
+				tNext = d.level
 			}
 		}
 		if tNext == math.MaxFloat64 {
@@ -227,94 +306,109 @@ func (a *Allocator) fillRound(flows []Flow, idx []int, cap float64, rates []floa
 		t = tNext
 		level := t * (1 + 1e-9)
 
-		// Mark links saturating at this level.
-		for _, l := range a.touched {
-			if a.saturated[l] {
+		// Links saturating at this level leave the live set, and every active
+		// flow crossing one freezes, as does every demand-limited flow whose
+		// demand the level reaches.
+		a.freeze = a.freeze[:0]
+		for _, p := range a.cand {
+			if a.liveLvl[a.livePos[p]] > level {
 				continue
 			}
-			w := a.activeW[l]
-			if w <= eps {
-				// A link all of whose flows froze elsewhere counts as
-				// exhausted only if no capacity remains; it imposes no
-				// further constraint either way.
+			a.dropLive(p)
+			for _, k := range a.flowsOf[a.idxLo[p]:a.idxHi[p]] {
+				if active[k] {
+					active[k] = false
+					a.freeze = append(a.freeze, k)
+				}
+			}
+		}
+		n = 0
+		for _, d := range a.dlim {
+			if !active[d.k] {
 				continue
 			}
-			resid := cap - a.frozenSum[l]
-			if resid < 0 {
-				resid = 0
+			if d.level <= level {
+				active[d.k] = false
+				a.freeze = append(a.freeze, d.k)
+				continue
 			}
-			if resid/w <= level {
-				a.saturated[l] = true
+			a.dlim[n] = d
+			n++
+		}
+		a.dlim = a.dlim[:n]
+		if len(a.freeze) == 0 {
+			// Remaining flows cross only links whose active weight dropped
+			// to ~0 without saturating (all companions demand-froze). As a
+			// hard backstop against pathological rounding, freeze everything
+			// at t: the level did not advance.
+			for k := range active {
+				if active[k] {
+					active[k] = false
+					a.freeze = append(a.freeze, int32(k))
+				}
 			}
 		}
 
-		// Freeze demand-limited flows at their demand and every active flow
-		// crossing a saturated link at weight·t.
-		frozeAny := false
-		for k, fi := range idx {
-			if !active[k] {
-				continue
-			}
+		// Freeze at weight·t, capped at demand, in ascending position; unless
+		// this was the last level, the links of every frozen flow need their
+		// level recomputed.
+		slices.Sort(a.freeze)
+		nActive -= len(a.freeze)
+		for _, k := range a.freeze {
+			fi := idx[k]
 			f := &flows[fi]
-			freeze := f.Demand != Unlimited && f.Demand/f.Weight <= level
-			if !freeze {
-				for _, lid := range f.Phi.Links {
-					if a.saturated[lid] {
-						freeze = true
-						break
-					}
-				}
-			}
-			if !freeze {
-				continue
-			}
 			r := f.Weight * t
 			if f.Demand != Unlimited && f.Demand < r {
 				r = f.Demand
 			}
 			rates[fi] = r
-			active[k] = false
-			nActive--
-			frozeAny = true
 			for j, lid := range f.Phi.Links {
 				a.activeW[lid] -= f.Weight * f.Phi.Frac[j]
 				a.frozenSum[lid] += r * f.Phi.Frac[j]
-			}
-		}
-		if !frozeAny {
-			// Remaining flows cross only links whose active weight dropped
-			// to ~0 without saturating (all companions demand-froze); they
-			// are unconstrained up the next binding link. Loop continues
-			// with those links eligible again, but as a hard backstop
-			// against pathological rounding, freeze everything at t if the
-			// level did not advance.
-			for k, fi := range idx {
-				if !active[k] {
-					continue
-				}
-				f := &flows[fi]
-				r := f.Weight * t
-				if f.Demand != Unlimited && f.Demand < r {
-					r = f.Demand
-				}
-				rates[fi] = r
-				active[k] = false
-				nActive--
-				for j, lid := range f.Phi.Links {
-					a.activeW[lid] -= f.Weight * f.Phi.Frac[j]
-					a.frozenSum[lid] += r * f.Phi.Frac[j]
+				if p := a.tpos[lid] - 1; nActive > 0 && a.livePos[p] >= 0 && !a.dirty[p] {
+					a.dirty[p] = true
+					a.dirtyL = append(a.dirtyL, p)
 				}
 			}
 		}
+		for _, p := range a.dirtyL {
+			a.dirty[p] = false
+			if l := a.touched[p]; a.activeW[l] > eps {
+				a.liveLvl[a.livePos[p]] = linkLevel(cap, a.frozenSum[l], a.activeW[l])
+			} else {
+				// Its flows all froze elsewhere: it imposes no further
+				// constraint, and active weight never grows back.
+				a.dropLive(p)
+			}
+		}
+		a.dirtyL = a.dirtyL[:0]
 	}
 
 	// Reset the per-link scratch this round touched (activeW is ~0 once all
 	// flows froze; clear exactly to avoid drift across rounds and calls).
 	for _, lid := range a.touched {
 		a.activeW[lid] = 0
-		a.inTouched[lid] = false
-		a.saturated[lid] = false
+		a.tpos[lid] = 0
 	}
+}
+
+// dropLive takes link p out of the live set, moving the last live link into
+// its slot.
+func (a *Allocator) dropLive(p int32) {
+	i, last := a.livePos[p], len(a.liveP)-1
+	m := a.liveP[last]
+	a.liveP[i], a.liveLvl[i], a.livePos[m] = m, a.liveLvl[last], i
+	a.liveP, a.liveLvl, a.livePos[p] = a.liveP[:last], a.liveLvl[:last], -1
+}
+
+// linkLevel is the fill level at which a link with the given frozen load
+// and active weight saturates.
+func linkLevel(cap, frozen, w float64) float64 {
+	resid := cap - frozen
+	if resid < 0 {
+		resid = 0
+	}
+	return resid / w
 }
 
 // LinkLoads returns the per-link load implied by the given flows at the
