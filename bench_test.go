@@ -553,14 +553,14 @@ func reportEventsAndHops(b *testing.B, events, hops uint64) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 }
 
-// Sharded-engine scaling (DESIGN.md §14): one multi-rack workload executed
-// at worker counts 1/2/4/8. The logical partition is fixed (per rack), so
-// every sub-benchmark performs identical simulation work and produces
-// byte-identical Results — the ns/op ratio between sub-benchmarks is pure
-// parallel speedup of the conservative-lookahead epoch loop. workers=1 is
-// the serial engine (the sharded engine's differential oracle), so the
-// workers=2 ratio also exposes the sharding overhead itself: epoch
-// barriers, boundary drains and the control events every shard repeats.
+// Sharded-engine scaling (DESIGN.md §14): one 8-rack workload executed at
+// worker counts 1/2/4/8, each with one shard of contiguous racks per worker.
+// Every sub-benchmark produces byte-identical Results, and events/run and
+// epochs/run match across counts; handoffs/run does not, since fewer
+// shards leave fewer rack cables on the boundary. workers=1 is the serial
+// engine (the sharded engine's differential oracle), so the workers=2 ratio
+// exposes the sharding overhead itself: epoch barriers, boundary drains and
+// the control events every shard repeats.
 func BenchmarkShardedEventThroughput(b *testing.B) {
 	const racks = 8
 	subs := make([]*topology.Graph, racks)

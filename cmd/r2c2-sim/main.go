@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 		interrack = fs.Bool("interrack", false, "run the intra- vs inter-rack traffic sweep on the sharded engine instead of the figures (uses -k as the per-rack torus radix)")
 		racks     = fs.Int("racks", 4, "interrack: racks in the ring")
 		bridges   = fs.Int("bridges", 2, "interrack: boundary cables between adjacent racks")
-		shards    = fs.Int("shards", 0, "interrack: worker cap over the rack shards (0 = NumCPU, 1 = one shard owning the whole fabric, the oracle; the mix results are identical at any setting)")
+		shards    = fs.Int("shards", 0, "interrack: workers, each stepping one shard of contiguous racks (0 = NumCPU, 1 = one shard owning the whole fabric, the oracle; the mix table is identical at any setting)")
 		mixes     = fs.String("mixes", "0,0.25,0.5,1", "interrack: comma-separated inter-rack flow fractions")
 		horizon   = fs.Duration("horizon", 50*time.Millisecond, "interrack: simulated-time horizon per run")
 	)

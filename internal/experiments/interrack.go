@@ -33,8 +33,8 @@ type InterRackConfig struct {
 	Reliable  bool
 
 	// Shards is sim.RunConfig.Shards: ≤ 1 runs one shard owning the whole
-	// fabric, > 1 the rack partition with up to Shards workers. The mix table
-	// is identical at every value; only ShardUtilTable needs the partition.
+	// fabric, > 1 one shard of contiguous racks per worker. The mix table is
+	// identical at every value; only ShardUtilTable needs the partition.
 	Shards int
 	// Horizon hard-stops each run (sim.RunConfig.MaxTime).
 	Horizon simtime.Time
@@ -154,7 +154,7 @@ func (c InterRackConfig) arrivals(g *topology.Graph, mix float64) []trafficgen.A
 type InterRackRun struct {
 	Mix      float64
 	Results  *sim.Results
-	Handoffs uint64 // total cross-shard handoffs (0 for serial runs)
+	Handoffs uint64 // total cross-shard handoffs (0 for serial runs; depends on Shards)
 }
 
 // InterRackResult is the full sweep.
@@ -192,13 +192,14 @@ func InterRack(cfg InterRackConfig) *InterRackResult {
 	return res
 }
 
-// MixTable reports the sweep's deterministic half: completion, FCT
-// percentiles and boundary traffic per mix fraction. Byte-identical at
-// every Shards value (the wall-clock ShardStats fields are excluded).
+// MixTable reports the sweep's simulated results: completion, FCT
+// percentiles, events and end time per mix fraction. Byte-identical at
+// every Shards value, 1 included; boundary traffic depends on the partition
+// and is in ShardUtilTable.
 func (r *InterRackResult) MixTable() *Table {
 	t := &Table{
 		Title:  "intra- vs inter-rack traffic mix (sharded engine)",
-		Header: []string{"mix", "completed", "incomplete", "fct_p50_us", "fct_p99_us", "handoffs", "events", "end_ms"},
+		Header: []string{"mix", "completed", "incomplete", "fct_p50_us", "fct_p99_us", "events", "end_ms"},
 	}
 	for _, run := range r.Runs {
 		t.AddRow(
@@ -207,7 +208,6 @@ func (r *InterRackResult) MixTable() *Table {
 			strconv.Itoa(run.Results.Incomplete),
 			g3(run.Results.AllFCT.Percentile(50)*1e6),
 			g3(run.Results.AllFCT.Percentile(99)*1e6),
-			strconv.FormatUint(run.Handoffs, 10),
 			strconv.FormatUint(run.Results.Events, 10),
 			f3(run.Results.EndTime.Seconds()*1e3),
 		)
@@ -216,13 +216,14 @@ func (r *InterRackResult) MixTable() *Table {
 }
 
 // ShardUtilTable reports per-shard execution statistics for every sharded
-// run of the sweep — the CI smoke's utilisation artifact. busy_ms,
-// ctrl_ms and ctrl_us_tick are wall-clock measurements and legitimately
-// vary run to run; nodes, events, handoffs, epochs (the run's lookahead
-// windows in which any shard held an event) and active_epochs (those in
-// which this shard did) are deterministic. ctrl_ms is each shard's total
-// time in recomputation ticks over its own nodes, and ctrl_us_tick divides
-// it across the run's recomputation rounds.
+// run of the sweep — the CI smoke's utilisation artifact, one row per mix
+// and shard, so min(Shards, Racks) rows per mix. busy_ms, ctrl_ms and
+// ctrl_us_tick are wall-clock measurements and legitimately vary run to
+// run; nodes, events, handoffs, epochs (the run's lookahead windows in
+// which any shard held an event) and active_epochs (those in which this
+// shard did) are deterministic for a worker count. ctrl_ms is each shard's
+// total time in recomputation ticks over its own nodes, and ctrl_us_tick
+// divides it across the run's recomputation rounds.
 func (r *InterRackResult) ShardUtilTable() *Table {
 	t := &Table{
 		Title:  "per-shard utilisation",

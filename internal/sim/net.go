@@ -93,7 +93,7 @@ type NetConfig struct {
 	// lossy-link runs reproducible. Each lossy link draws from its own
 	// stream (created on first use, so loss-free runs stay untouched):
 	// per-link streams make a link's drop sequence independent of global
-	// event interleaving, which is what lets the rack partition reproduce
+	// event interleaving, which is what lets every partition reproduce
 	// one shard's drops exactly.
 	LossSeed int64
 	// InterRackPropDelay, when non-zero, is the propagation latency of

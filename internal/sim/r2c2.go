@@ -62,7 +62,7 @@ type R2C2 struct {
 	flows *flowTable[r2c2Flow]
 
 	// sh is the shard context when this R2C2 instance drives one shard of
-	// a rack partition (shard.go): nil when one shard owns the whole fabric. Control events that fire
+	// a partition (shard.go): nil when one shard owns the whole fabric. Control events that fire
 	// in every shard (recomputation ticks, fault injections, reroutes) tick
 	// its counter so the merged Results can subtract the duplicates.
 	sh *shardCtx
@@ -970,8 +970,8 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 // nodes whose views are identical (the common case once broadcasts settle)
 // share a single allocator run, keyed by the view digest; a node's sorted
 // flow list is built only for a digest the tick has not seen. A rate is a pure
-// function of the view's flow set (core.RateComputer), so a shard of the
-// rack partition runs this same tick over its own nodes and paces them
+// function of the view's flow set (core.RateComputer), so a shard of a
+// partitioned run runs this same tick over its own nodes and paces them
 // exactly as one shard would (DESIGN.md §15). There it also counts itself
 // as a control event, marks where its settled view hashes start, so that
 // the orchestrator can count Recomputations tick by tick, and charges its

@@ -57,17 +57,17 @@ type RunConfig struct {
 	// such. Zero means 100 ms after the last arrival.
 	MaxTime simtime.Time
 
-	// Shards > 1 partitions the fabric by rack (shard.go): each rack shard
-	// drives its own engine, and up to Shards worker goroutines execute the
-	// shards in parallel under a conservative-lookahead epoch barrier. The
-	// logical partition is always the rack partition — Shards only caps the
-	// worker count — so Results are identical at every value. Requires
-	// TransportR2C2 and a rack-structured graph (ConnectRacks or
-	// NewFoldedClos). 0 or 1 runs one shard that owns the whole fabric,
-	// through the same loop: the reference the rack partition's results are
-	// held to. Each ρ tick, every shard recomputes the rates of the nodes
-	// it owns from their own views, exactly as one shard does for all of
-	// them (DESIGN.md §15).
+	// Shards > 1 is the worker count: the fabric is cut into min(Shards,
+	// racks) shards of contiguous racks (shard.go), one per worker, each
+	// driving its own engine, and the workers execute them in parallel under
+	// a conservative-lookahead epoch barrier. Every partition reproduces the
+	// one-shard run, so Results are identical at every value; only
+	// ShardStats depends on it. Requires TransportR2C2 and a rack-structured
+	// graph (ConnectRacks or NewFoldedClos). 0 or 1 runs one shard that owns
+	// the whole fabric, through the same loop: the reference every
+	// partition's results are held to. Each ρ tick, every shard recomputes
+	// the rates of the nodes it owns from their own views, exactly as one
+	// shard does for all of them (DESIGN.md §15).
 	Shards int
 }
 
@@ -98,10 +98,11 @@ type Results struct {
 	Hops    uint64
 	EndTime simtime.Time
 
-	// ShardStats reports per-shard execution statistics of a run over the
-	// rack partition (RunConfig.Shards > 1); nil for a run of one shard.
-	// Deliberately excluded from byte-identity comparisons: wall-clock
-	// fields vary run to run.
+	// ShardStats reports per-shard execution statistics of a partitioned run
+	// (RunConfig.Shards > 1), one entry per shard; nil for a run of one
+	// shard. Deliberately excluded from byte-identity comparisons: its
+	// wall-clock fields vary run to run, and its shards follow the worker
+	// count.
 	ShardStats []ShardStat
 }
 

@@ -3,18 +3,19 @@ package sim
 // The run loop (DESIGN.md §14–15). Every run is a set of shards, each with
 // its own Engine, Network and transport instance, stepped through one epoch
 // loop and folded into one Results by one merge. RunConfig.Shards > 1
-// partitions the fabric by rack (topology.NewPartition): a rack shard owns
-// only its rack's node/port state, while the state derived from the topology
-// alone — routing table, φ cache, broadcast FIB, and their degraded
-// successors after a fault — is built once per run and read by all of them
-// (fabric, r2c2.go). Otherwise the set is one shard owning the whole fabric,
-// for which nothing below that speaks of boundaries ever runs.
+// partitions the fabric into one shard of contiguous racks per worker
+// (topology.Partition.Grouped): a shard owns only its racks' node/port
+// state, while the state derived from the topology alone — routing table,
+// φ cache, broadcast FIB, and their degraded successors after a fault — is
+// built once per run and read by all of them (fabric, r2c2.go). Otherwise
+// the set is one shard owning the whole fabric, for which nothing below that
+// speaks of boundaries ever runs.
 // Shards advance under a conservative-lookahead epoch barrier, and an epoch
 // costs only the shards that hold an event inside its window: the rest get a
 // clock advance, and the phase runs inline on the orchestrator unless its
 // active shards hold enough work to repay spreading it over the helper
 // goroutines (fanout.go), which spin briefly on an atomic counter before
-// they park. Intra-rack events never leave their shard; packets whose next
+// they park. Intra-shard events never leave their shard; packets whose next
 // hop belongs to another shard cross through per-pair boundary queues, and
 // the orchestrator drains the non-empty ones serially at every epoch
 // boundary, in deterministic (at, emission time, emitting link) order.
@@ -30,7 +31,7 @@ package sim
 // produce cross-shard work at t' ≥ t+Δ > E+Δ, so running every shard
 // independently through (E, E+Δ] and exchanging handoffs at the barrier
 // preserves exact causality. One shard has nothing to bound Δ, so its epochs
-// are the loop's completion-check slices. Results over the rack partition
+// are the loop's completion-check slices. Results over every partition
 // are byte-identical to one shard's, which the oracles compare them with.
 
 import (
@@ -210,7 +211,10 @@ func (st *shardState) ingest(h *handoff) {
 }
 
 // ShardStat reports one shard's execution statistics (Results.ShardStats).
-// Every field but BusyNs and CtrlNs is deterministic for a configuration.
+// Every field but BusyNs and CtrlNs is deterministic for a configuration and
+// worker count. The shards are that count's rack groups, so Nodes, Events,
+// Handoffs and ActiveEpochs follow the worker count. Epochs does not as
+// long as Δ does not, which holds when all inter-rack cables share a delay.
 type ShardStat struct {
 	Shard    int
 	Nodes    int    // vertices owned by the shard
@@ -232,12 +236,13 @@ type ShardStat struct {
 // several active shards, estimated as the events those shards processed in
 // their previous windows. Publishing a phase to another CPU and collecting
 // it costs a few cache-line round trips plus the migration of the shard
-// state, so the ~10-event windows of shard8x64 (Δ = 100 ns) run ~10 % slower
-// fanned out than in place, while the 10,240-node sweep, whose windows hold
-// hundreds to thousands of events, runs ~35 % slower without the fan-out.
-// DESIGN.md §14 has the sweep over 32…2048 on both that placed the value. It
-// is a variable only so that the byte-identity oracles, whose small fabrics
-// never reach it, can lower it and run their phases concurrently under -race.
+// state, more than the ~6-event windows of shard8x64 (Δ = 100 ns) are worth,
+// while the 10,240-node sweep's windows hold hundreds of events. Measured
+// with one shard per worker over 32, 256 and 2048 (DESIGN.md §14), neither
+// neighbour won on both workloads: 2048 ran the slowest sweep in every
+// round, 32 the slowest shard8x64 median. It is a variable only so that the
+// byte-identity oracles, whose small fabrics never reach it, can lower it and
+// run their phases concurrently under -race.
 var fanoutMinEvents uint64 = 256
 
 // shardedRun is the orchestrator. The fan-out's helper goroutines reach the
@@ -249,7 +254,8 @@ type shardedRun struct {
 	maxTime simtime.Time
 	shards  []*shardState
 	delta   simtime.Time
-	// The rack partition; nil when one shard owns the whole fabric.
+	// The partition, one shard per worker; nil when one shard owns the
+	// whole fabric.
 	part *topology.Partition
 
 	// Active set of the current epoch: nextAt[s] is shard s's earliest
@@ -312,10 +318,12 @@ func lookahead(g *topology.Graph, netCfg NetConfig, part *topology.Partition) si
 }
 
 // newShardedRun builds the run's shard set, transports attached and arrivals
-// scheduled. More than one worker asks for the rack partition — cfg.Shards
-// only sets the worker count, so Results are byte-identical at every value
-// above one; anything else gets one shard owning the whole fabric, its window
-// bounded by nothing but the end of the run (DESIGN.md §14).
+// scheduled. More than one worker gets one shard per worker, each a run of
+// contiguous racks (all racks apart when there are at least as many
+// workers); every such partition reproduces the one-shard run, so Results are
+// byte-identical at every worker count. Anything else gets one shard owning
+// the whole fabric, its window bounded by nothing but the end of the run
+// (DESIGN.md §14).
 func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 	sr := &shardedRun{cfg: cfg, maxTime: cfg.MaxTime}
 	if sr.maxTime == 0 {
@@ -331,8 +339,11 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 		if cfg.Net.PerFlowQueues {
 			panic("sim: per-flow-queue back-pressure cannot be sharded (hop-by-hop credits cross shards with zero lookahead)")
 		}
-		var err error
-		if sr.part, err = topology.NewPartition(cfg.Graph); err != nil {
+		racks, err := topology.NewPartition(cfg.Graph)
+		if err == nil {
+			sr.part, err = racks.Grouped(cfg.Graph, workers)
+		}
+		if err != nil {
 			panic(fmt.Sprintf("sim: sharded run needs a rack-partitioned fabric: %v", err))
 		}
 		S, assign = sr.part.Shards(), sr.part.ShardAssignment()
@@ -404,7 +415,7 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 		}
 		sr.shards = append(sr.shards, st)
 	}
-	sr.workers.start(min(workers, S)-1, func(i int) { sr.phaseShard(sr.active[i], wallNs()) })
+	sr.workers.start(S-1, func(i int) { sr.phaseShard(sr.active[i], wallNs()) })
 	return sr
 }
 
@@ -602,7 +613,7 @@ func orderHandoffs(buf []*handoff) {
 	})
 }
 
-// mergedOrder lists the rack partition's flow records in the order one shard
+// mergedOrder lists a partitioned run's flow records in the order one shard
 // creates them: arrivals sorted stably by time (Schedule's FIFO tie-break
 // preserves list order), each pulled from its source shard's log via a
 // per-shard cursor. Records of cross-shard flows get their delivery fields
@@ -637,7 +648,7 @@ func (sr *shardedRun) mergedOrder() []*FlowRecord {
 }
 
 // merge assembles the Results of a run that stopped at end from the shard
-// set: what one shard counted, or the rack partition's counts folded into
+// set: what one shard counted, or the partition's counts folded into
 // what one shard would have counted.
 func (sr *shardedRun) merge(end simtime.Time) *Results {
 	cfg, S, first := sr.cfg, len(sr.shards), sr.shards[0]

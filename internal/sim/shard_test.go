@@ -88,8 +88,9 @@ func fanOutEveryPhase(t *testing.T) {
 
 // TestShardedByteIdentical is the sharded engine's differential oracle: the
 // serial engine (Shards ≤ 1) and the sharded engine at several worker
-// counts must produce byte-identical Results dumps. The logical partition
-// is fixed (per rack), so the worker count must be invisible.
+// counts must produce byte-identical Results dumps. Each worker count cuts
+// the 4-rack ring differently — halves at 2, racks 2+1+1 at 3, single racks
+// at 4 and 8 — and every cut must reproduce the one-shard run.
 func TestShardedByteIdentical(t *testing.T) {
 	fanOutEveryPhase(t)
 	serial := Run(shardWorkload(t, 1))
@@ -97,10 +98,11 @@ func TestShardedByteIdentical(t *testing.T) {
 		t.Fatal("workload completed no flows; the comparison would be vacuous")
 	}
 	want := dumpResults(serial)
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{2, 3, 4, 8} {
 		res := Run(shardWorkload(t, workers))
-		if len(res.ShardStats) != 4 {
-			t.Fatalf("workers=%d: ShardStats has %d entries, want 4 (one per rack)", workers, len(res.ShardStats))
+		if len(res.ShardStats) != min(workers, 4) {
+			t.Fatalf("workers=%d: ShardStats has %d entries, want %d (one per worker, at most one per rack)",
+				workers, len(res.ShardStats), min(workers, 4))
 		}
 		handoffs := uint64(0)
 		for _, st := range res.ShardStats {
@@ -136,7 +138,9 @@ func firstDiffLine(a, b []byte) int {
 // bridge, and a lossy boundary cable — and requires the sharded engine to
 // match the serial one exactly: replicated fault injection, the degraded-
 // fabric reroute and §3.2 re-announce broadcasts must all stay in lockstep
-// across shards.
+// across shards. Which faults cross a boundary depends on the worker count
+// (at 2 the rack-0/1 cable lies inside a shard), so each count must have at
+// least one that does.
 func TestShardedFaultsByteIdentical(t *testing.T) {
 	fanOutEveryPhase(t)
 	sched := faults.Schedule{Events: []faults.Event{
@@ -163,13 +167,59 @@ func TestShardedFaultsByteIdentical(t *testing.T) {
 		t.Fatal("fault schedule never triggered a reroute")
 	}
 	want := dumpResults(serial)
-	for _, workers := range []int{2, 8} {
-		res := Run(mk(workers))
+	for _, workers := range []int{2, 3, 4, 8} {
+		cfg := mk(workers)
+		racks, err := topology.NewPartition(cfg.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part, err := racks.Grouped(cfg.Graph, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		crossing := 0
+		for _, ev := range sched.Events {
+			if ev.Kind != faults.NodeDown && part.ShardOf(ev.A) != part.ShardOf(ev.B) {
+				crossing++
+			}
+		}
+		if crossing == 0 {
+			t.Fatalf("workers=%d: no scheduled fault sits on a boundary link", workers)
+		}
+		res := Run(cfg)
 		res.ShardStats = nil
 		got := dumpResults(res)
 		if !bytes.Equal(want, got) {
 			t.Fatalf("workers=%d diverged from serial under faults (first differing line %d)\n--- serial ---\n%s\n--- sharded ---\n%s",
 				workers, firstDiffLine(want, got), want, got)
+		}
+	}
+}
+
+// TestGroupedLookaheadNoShorter: grouping racks only removes boundary
+// links, so Δ cannot shrink. With inter-rack cables ten times slower than
+// the backplane, a grouping that split a rack would put an intra-rack link
+// on the boundary and cut Δ tenfold.
+func TestGroupedLookaheadNoShorter(t *testing.T) {
+	net := NetConfig{LinkGbps: 10, PropDelay: 100 * simtime.Nanosecond, InterRackPropDelay: simtime.Microsecond}
+	clos, err := topology.NewFoldedClos(4, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*topology.Graph{multiRack(t, 4), clos} {
+		racks, err := topology.NewPartition(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := lookahead(g, net, racks)
+		for _, n := range []int{2, 3} {
+			part, err := racks.Grouped(g, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := lookahead(g, net, part); got < want {
+				t.Fatalf("%v fabric, %d groups: lookahead %v, below the rack partition's %v", g.Kind(), n, got, want)
+			}
 		}
 	}
 }
@@ -301,9 +351,9 @@ func arrivalsPerSource(cfg RunConfig) []int {
 
 // TestOneShardSeam pins what a shard set of one is. On a fabric that could
 // be partitioned, Shards 0 and 1 both run one shard owning everything — same
-// bytes, no ShardStats — with no helper goroutine (a helper count of −1, what
-// min(Shards, S)−1 gives for Shards = 0, would hang stop for ever, so
-// fanout.start panics on it) and no shard context on the network, so the tick
+// bytes, no ShardStats — with no helper goroutine (a helper count of −1
+// would hang stop for ever, so fanout.start panics on it) and no shard
+// context on the network, so the tick
 // stays per node. Nothing bounds the one shard's window but the completion-check
 // slice: a run that is busy to its time limit makes exactly 64 Engine.Run
 // calls, one that completes early fewer, whatever the transport.

@@ -3,11 +3,11 @@ package topology
 import "fmt"
 
 // Partition assigns every vertex of a rack-structured fabric to a shard for
-// the sharded simulation engine: one shard per rack (ConnectRacks) or per
-// leaf group (folded Clos). The assignment is a pure function of the graph,
-// so every run of the same fabric — at any worker count — sees the same
-// logical shards, which is what keeps sharded Results independent of how
-// many OS threads execute them.
+// the sharded simulation engine. NewPartition gives one shard per rack
+// (ConnectRacks) or per leaf group (folded Clos); Grouped joins contiguous
+// racks into fewer shards, which is what the engine runs: one shard per
+// worker. Either assignment is a pure function of the graph and the shard
+// count.
 type Partition struct {
 	shards   int
 	shardOf  []int32
@@ -23,13 +23,35 @@ func NewPartition(g *Graph) (*Partition, error) {
 	if racks < 2 {
 		return nil, fmt.Errorf("topology: fabric has no rack structure to shard by (%d rack groups)", racks)
 	}
-	p := &Partition{shards: racks, shardOf: make([]int32, g.Vertices())}
+	return newPartition(g, racks, func(v NodeID) int32 { return int32(g.RackOf(v)) })
+}
+
+// Grouped joins p's shards into n shards of contiguous ones: shard s goes to
+// group s·n/S, so group sizes differ by at most one of p's shards, and spine
+// switches are dealt round-robin across the groups. g must be the graph p
+// partitions. With n at least p.Shards() the grouping is p itself; n ≤ 1
+// is an error, since one shard needs no partition.
+func (p *Partition) Grouped(g *Graph, n int) (*Partition, error) {
+	if n <= 1 {
+		return nil, fmt.Errorf("topology: cannot group a partition into %d shards", n)
+	}
+	if n >= p.shards {
+		return p, nil
+	}
+	S := p.shards
+	return newPartition(g, n, func(v NodeID) int32 { return int32(int(p.shardOf[v]) * n / S) })
+}
+
+// newPartition assigns every rack vertex v to shard of(v) and the spines
+// round-robin over the shards, then collects the boundary links.
+func newPartition(g *Graph, shards int, of func(v NodeID) int32) (*Partition, error) {
+	p := &Partition{shards: shards, shardOf: make([]int32, g.Vertices())}
 	spine := 0
 	for v := 0; v < g.Vertices(); v++ {
-		if r := g.RackOf(NodeID(v)); r >= 0 {
-			p.shardOf[v] = int32(r)
+		if g.RackOf(NodeID(v)) >= 0 {
+			p.shardOf[v] = of(NodeID(v))
 		} else {
-			p.shardOf[v] = int32(spine % racks)
+			p.shardOf[v] = int32(spine % shards)
 			spine++
 		}
 	}
@@ -45,7 +67,7 @@ func NewPartition(g *Graph) (*Partition, error) {
 	return p, nil
 }
 
-// Shards returns the number of shards (rack groups).
+// Shards returns the number of shards.
 func (p *Partition) Shards() int { return p.shards }
 
 // ShardOf returns the shard a vertex belongs to.

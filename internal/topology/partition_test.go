@@ -102,6 +102,115 @@ func TestPartitionClosByLeaf(t *testing.T) {
 	}
 }
 
+// ring joins `racks` 4-ary 3-cubes (64 nodes each) in a ring, each to its
+// successor by two cables.
+func ring(t *testing.T, racks int) *Graph {
+	t.Helper()
+	subs := make([]*Graph, racks)
+	var bridges []Bridge
+	for i := range subs {
+		subs[i] = mustTorus(t, 4, 3)
+		j := (i + 1) % racks
+		bridges = append(bridges,
+			Bridge{RackA: i, RackB: j, NodeA: 0, NodeB: 7},
+			Bridge{RackA: i, RackB: j, NodeA: 11, NodeB: 4})
+	}
+	g, err := ConnectRacks(subs, bridges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func TestPartitionGrouped(t *testing.T) {
+	g := ring(t, 8)
+	racks, err := NewPartition(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halves, err := racks.Grouped(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if halves.Shards() != 2 {
+		t.Fatalf("Shards() = %d, want 2", halves.Shards())
+	}
+	for v := 0; v < g.Vertices(); v++ {
+		if want := int32(v / 256); halves.ShardOf(NodeID(v)) != want {
+			t.Fatalf("ShardOf(%d) = %d, want %d (contiguous halves)", v, halves.ShardOf(NodeID(v)), want)
+		}
+	}
+	// The ring is cut twice (racks 3|4 and 7|0), two cables each, both
+	// directions; every grouped boundary link is a rack boundary link.
+	if n := len(halves.BoundaryLinks()); n != 8 {
+		t.Fatalf("2 groups: %d boundary links, want 8", n)
+	}
+	rackBoundary := map[LinkID]bool{}
+	for _, lid := range racks.BoundaryLinks() {
+		rackBoundary[lid] = true
+	}
+	for _, n := range []int{2, 3, 5} {
+		p, err := racks.Grouped(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lid := range p.BoundaryLinks() {
+			if !rackBoundary[lid] {
+				t.Fatalf("%d groups: boundary link %d is not a rack boundary link", n, lid)
+			}
+		}
+	}
+
+	// Uneven: 4 racks into 3 groups is 2+1+1.
+	g4 := ring(t, 4)
+	racks4, err := NewPartition(g4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	three, err := racks4.Grouped(g4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range []int32{0, 0, 1, 2} {
+		if got := three.ShardOf(NodeID(64 * r)); got != want {
+			t.Fatalf("4 racks into 3: rack %d in group %d, want %d", r, got, want)
+		}
+	}
+
+	// At least as many groups as racks is the rack partition itself.
+	for _, n := range []int{8, 9, 64} {
+		if p, err := racks.Grouped(g, n); err != nil || p != racks {
+			t.Fatalf("Grouped(%d) on 8 racks = %p, %v; want the rack partition", n, p, err)
+		}
+	}
+	for _, n := range []int{1, 0, -1} {
+		if _, err := racks.Grouped(g, n); err == nil {
+			t.Fatalf("Grouped(%d) accepted", n)
+		}
+	}
+
+	// Clos: 4 leaf groups into 2; the two spines land in different groups.
+	clos, err := NewFoldedClos(4, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves, err := NewPartition(clos)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pair, err := leaves.Grouped(clos, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0, s1 := pair.ShardOf(NodeID(clos.Nodes()+4)), pair.ShardOf(NodeID(clos.Nodes()+5))
+	if s0 == s1 {
+		t.Fatalf("both spines in group %d", s0)
+	}
+	if pair.ShardOf(0) != 0 || pair.ShardOf(NodeID(clos.Nodes()-1)) != 1 {
+		t.Fatal("leaf groups not split into contiguous halves")
+	}
+}
+
 func TestPartitionSingleRackErrors(t *testing.T) {
 	g := mustTorus(t, 4, 2)
 	if _, err := NewPartition(g); err == nil {
