@@ -13,8 +13,8 @@ import "time"
 //     produce a negative or wildly wrong FCT, and results from different
 //     racks or runs are not accidentally comparable as absolute times;
 //   - the functions below are the complete inventory of real-time use:
-//     the no-wallclock rule (internal/analysis, run by TestSourceRules at
-//     the module root) allows the host clock in internal/emu only in this
+//     the no-wallclock check (TestSourceRules in the module root's
+//     source_test.go) allows the host clock in internal/emu only in this
 //     file.
 //
 // Everything outside this file uses rackClock (or Flow fields derived from

@@ -22,7 +22,9 @@ func ChannelLoads(t *Table, p Protocol, demands []Demand) []float64 {
 		}
 		phi := t.Phi(p, d.Src, d.Dst)
 		for i, lid := range phi.Links {
-			loads[lid] += d.Rate * phi.Frac[i]
+			// Rounding the product first keeps arm64 from fusing it into a
+			// multiply-add (TestNoFusedMultiplyAdd).
+			loads[lid] += float64(d.Rate * phi.Frac[i])
 		}
 	}
 	return loads

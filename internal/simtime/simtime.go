@@ -27,11 +27,13 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // FromSeconds converts floating-point seconds to a Time, rounding to the
 // nearest picosecond (truncation would make Seconds/FromSeconds round
 // trips lossy for values like 1 ms that are inexact in binary).
+// The product is rounded before the half is added, so arm64 cannot fuse
+// them into one multiply-add (TestNoFusedMultiplyAdd).
 func FromSeconds(s float64) Time {
 	if s < 0 {
-		return Time(s*float64(Second) - 0.5)
+		return Time(float64(s*float64(Second)) - 0.5)
 	}
-	return Time(s*float64(Second) + 0.5)
+	return Time(float64(s*float64(Second)) + 0.5)
 }
 
 // String formats the time with an adaptive unit.

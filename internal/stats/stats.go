@@ -64,14 +64,17 @@ func percentile(n int, at func(i int) float64, p float64) float64 {
 	if p >= 100 {
 		return at(n - 1)
 	}
-	rank := p / 100 * float64(n-1)
+	// Each float64(x*y) rounds a product before it is added, so arm64
+	// cannot fuse the two into a multiply-add and interpolate to other
+	// bits than amd64 (TestNoFusedMultiplyAdd); EWMA.Update does the same.
+	rank := float64(p / 100 * float64(n-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return at(lo)
 	}
 	frac := rank - float64(lo)
-	return at(lo)*(1-frac) + at(hi)*frac
+	return float64(at(lo)*(1-frac)) + float64(at(hi)*frac)
 }
 
 // Median returns the 50th percentile.
@@ -190,7 +193,7 @@ func (e *EWMA) Update(v float64) float64 {
 		e.init = true
 		return v
 	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
+	e.value = float64(e.alpha*v) + float64((1-e.alpha)*e.value)
 	return e.value
 }
 

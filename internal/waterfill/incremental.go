@@ -251,7 +251,7 @@ func (inc *Incremental) Rebuild(flows []Flow) []Handle {
 		f := &inc.flows[i]
 		r := inc.roundOf(f.Priority)
 		for j, lid := range f.Phi.Links {
-			r.load[lid] += rates[i] * f.Phi.Frac[j]
+			r.load[lid] += float64(rates[i] * f.Phi.Frac[j])
 		}
 	}
 	// Allocate left its own frozenSum at the final fill; the restricted
@@ -335,7 +335,7 @@ func (inc *Incremental) solveRound(p uint8, force int) {
 		}
 		f := &inc.flows[fi]
 		for j, lid := range f.Phi.Links {
-			round.load[lid] += (now - old) * f.Phi.Frac[j]
+			round.load[lid] += float64((now - old) * f.Phi.Frac[j])
 		}
 		if rateChanged(old, now) {
 			inc.markDirty(f.Phi.Links)
@@ -379,7 +379,7 @@ func (inc *Incremental) restrictedFill(p uint8) {
 		f := &inc.flows[fi]
 		if r := inc.rates[fi]; r != 0 {
 			for j, lid := range f.Phi.Links {
-				inc.eng.frozenSum[lid] -= r * f.Phi.Frac[j]
+				inc.eng.frozenSum[lid] -= float64(r * f.Phi.Frac[j])
 			}
 		}
 	}
@@ -601,7 +601,7 @@ func (inc *Incremental) uncommit(h Handle) {
 	r := inc.rounds[f.Priority]
 	if rate := inc.rates[h]; rate != 0 {
 		for j, lid := range f.Phi.Links {
-			r.load[lid] -= rate * f.Phi.Frac[j]
+			r.load[lid] -= float64(rate * f.Phi.Frac[j])
 		}
 	}
 	inc.markDirty(f.Phi.Links)

@@ -233,8 +233,12 @@ func (a *Allocator) fillRound(flows []Flow, idx []int, cap float64, rates []floa
 		if f.Demand != Unlimited {
 			a.dlim = append(a.dlim, demandLevel{k: int32(k), level: f.Demand / f.Weight})
 		}
+		// float64(x*y) rounds each product before it is summed, so arm64
+		// cannot fuse the two into one multiply-add and fill to other bits
+		// than amd64 (TestNoFusedMultiplyAdd); the same holds at every
+		// per-link sum in this package.
 		for j, lid := range f.Phi.Links {
-			a.activeW[lid] += f.Weight * f.Phi.Frac[j]
+			a.activeW[lid] += float64(f.Weight * f.Phi.Frac[j])
 			p := a.tpos[lid]
 			if p == 0 {
 				a.touched = append(a.touched, lid)
@@ -363,8 +367,8 @@ func (a *Allocator) fillRound(flows []Flow, idx []int, cap float64, rates []floa
 			}
 			rates[fi] = r
 			for j, lid := range f.Phi.Links {
-				a.activeW[lid] -= f.Weight * f.Phi.Frac[j]
-				a.frozenSum[lid] += r * f.Phi.Frac[j]
+				a.activeW[lid] -= float64(f.Weight * f.Phi.Frac[j])
+				a.frozenSum[lid] += float64(r * f.Phi.Frac[j])
 				if p := a.tpos[lid] - 1; nActive > 0 && a.livePos[p] >= 0 && !a.dirty[p] {
 					a.dirty[p] = true
 					a.dirtyL = append(a.dirtyL, p)
@@ -418,7 +422,7 @@ func LinkLoads(numLinks int, flows []Flow, rates []float64) []float64 {
 	loads := make([]float64, numLinks)
 	for i := range flows {
 		for j, lid := range flows[i].Phi.Links {
-			loads[lid] += rates[i] * flows[i].Phi.Frac[j]
+			loads[lid] += float64(rates[i] * flows[i].Phi.Frac[j])
 		}
 	}
 	return loads

@@ -1,24 +1,235 @@
 package r2c2
 
-import (
-	"testing"
+// Source checks over the module's own files: two naming and clock rules
+// read off the syntax tree (go/parser only), and the arm64 assembly scan
+// that keeps floating-point results identical across machines. Map
+// iteration order is not checked statically: TestRunTwiceByteIdentical
+// (internal/sim) catches an order-sensitive map range at runtime, and CI
+// repeats it. There is no suppression comment; a rule's exceptions are the
+// allowlists below.
 
-	"r2c2/internal/analysis"
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
 )
 
-// TestSourceRules runs the determinism and naming rules of package
-// internal/analysis over the module: no host clock in the virtual-time
-// packages (no-wallclock), a unit in every exported quantity field's name
-// (unit-suffix), and no order-sensitive effect of a map range in the
-// deterministic packages (det-map-iter). The rules hold their own
-// allowlists; there is no suppression comment. Run it alone with
+// wallClockPkgs run on virtual time: a host-clock read there makes two runs
+// with one seed diverge (and breaks the Figure 7 sim/emu cross-validation).
+var wallClockPkgs = map[string]bool{
+	"internal/sim": true, "internal/fluid": true, "internal/waterfill": true, "internal/emu": true,
+}
+
+// wallClockFiles may touch the host clock: the emulator's rack clock (every
+// emulated timestamp is an offset from its epoch) and the sharded engine's
+// utilisation timers, which Results byte-identity excludes.
+var wallClockFiles = map[string]bool{"internal/emu/clock.go": true, "internal/sim/shard.go": true}
+
+// wallClockFuncs read or wait on the wall clock. Duration arithmetic,
+// time.Unix and the like leak no real time and stay allowed.
+var wallClockFuncs = map[string]bool{
+	"Now": true, "Sleep": true, "Since": true, "Until": true, "After": true,
+	"AfterFunc": true, "Tick": true, "NewTicker": true, "NewTimer": true,
+}
+
+// quantityBases end a name that holds a rate, a size or a time span; such a
+// field must spell its unit with one of unitSuffixes. A named type
+// (simtime.Time, time.Duration) carries its unit already, so only
+// predeclared numeric fields are checked.
+var (
+	quantityBases = []string{"rate", "size", "capacity", "bandwidth", "demand",
+		"interval", "timeout", "delay", "latency"}
+	unitSuffixes = []string{"gbps", "mbps", "kbps", "bps", "bits", "bytes", "kb", "mb", "gb",
+		"pkts", "packets", "ns", "us", "ms", "ps", "sec", "secs", "seconds", "hops"}
+	basicNumeric = map[string]bool{"int": true, "int8": true, "int16": true, "int32": true,
+		"int64": true, "uint": true, "uint8": true, "uint16": true, "uint32": true, "uint64": true,
+		"uintptr": true, "float32": true, "float64": true, "byte": true}
+)
+
+// unitAgnostic fields (package.Type.Field) take whatever unit the caller's
+// capacity has, so they deliberately carry none.
+var unitAgnostic = map[string]bool{
+	"waterfill.Flow.Demand":     true, // same units as Config.Capacity
+	"waterfill.Config.Capacity": true, // the allocator is scale-free
+	"routing.Demand.Rate":       true, // relative: 1 = full node injection bandwidth
+}
+
+// TestSourceRules applies no-wallclock and unit-suffix to every non-test Go
+// file under the repository root, bench/ included. Run it alone with
 // `go test -run TestSourceRules .`.
 func TestSourceRules(t *testing.T) {
-	diags, err := analysis.RunAll(".", analysis.Default(), analysis.DefaultModule())
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, msg := range checkSource(fset, filepath.ToSlash(path), f) {
+			t.Error(msg)
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range diags {
-		t.Error(d)
+}
+
+// checkSource returns the no-wallclock and unit-suffix findings in one
+// parsed file, whose slash-separated path is relative to the root.
+func checkSource(fset *token.FileSet, path string, f *ast.File) []string {
+	var msgs []string
+	report := func(n ast.Node, format string, args ...any) {
+		msgs = append(msgs, fset.Position(n.Pos()).String()+": "+fmt.Sprintf(format, args...))
+	}
+	timeName := "" // the file's local name for package time, if imported
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"time"` {
+			timeName = "time"
+			if imp.Name != nil {
+				timeName = imp.Name.Name
+			}
+		}
+	}
+	checkClock := wallClockPkgs[filepath.ToSlash(filepath.Dir(path))] && !wallClockFiles[path] &&
+		timeName != "" && timeName != "." && timeName != "_"
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || !checkClock {
+				return true
+			}
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == timeName && wallClockFuncs[sel.Sel.Name] {
+				report(n, "wall-clock time.%s in a virtual-time package; use the simtime clock (no-wallclock)", sel.Sel.Name)
+			}
+		case *ast.TypeSpec:
+			st, ok := n.Type.(*ast.StructType)
+			if !ok || !n.Name.IsExported() {
+				return true
+			}
+			for _, fld := range st.Fields.List {
+				if id, ok := fld.Type.(*ast.Ident); !ok || !basicNumeric[id.Name] {
+					continue
+				}
+				for _, name := range fld.Names {
+					key := f.Name.Name + "." + n.Name.Name + "." + name.Name
+					if name.IsExported() && needsUnit(name.Name) && !unitAgnostic[key] {
+						report(name, "exported field %s holds a quantity but its name has no unit suffix (unit-suffix)", key)
+					}
+				}
+			}
+		}
+		return true
+	})
+	return msgs
+}
+
+// needsUnit reports whether a name ends in a quantity base and not in a
+// unit suffix.
+func needsUnit(name string) bool {
+	low := strings.ToLower(name)
+	for _, u := range unitSuffixes {
+		if strings.HasSuffix(low, u) {
+			return false
+		}
+	}
+	for _, b := range quantityBases {
+		if strings.HasSuffix(low, b) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSourceRulesFindPlants holds each rule to a violation it must report
+// and a shape it must pass, so a checker that silently stops matching
+// cannot leave TestSourceRules green.
+func TestSourceRulesFindPlants(t *testing.T) {
+	for _, tc := range []struct {
+		name, path, src string
+		want            int
+	}{
+		{"wallclock-aliased", "internal/sim/x.go", "package sim\nimport wall \"time\"\n" +
+			"func f() { t := wall.Now(); wall.Sleep(wall.Second); _ = wall.Since(t) }", 3},
+		{"wallclock-emu", "internal/emu/emu.go", "package emu\nimport \"time\"\nvar t = time.Now()", 1},
+		{"wallclock-allowlisted", "internal/emu/clock.go", "package emu\nimport \"time\"\nvar t = time.Now()", 0},
+		{"wallclock-out-of-scope", "internal/core/x.go", "package core\nimport \"time\"\nvar t = time.Now()", 0},
+		{"wallclock-conforming", "internal/sim/x.go", "package sim\nimport \"time\"\n" +
+			"type clock struct{}\nfunc (clock) Now() int { return 0 }\n" +
+			"func f() time.Duration { var c clock; return time.Duration(c.Now()) * time.Millisecond }", 0},
+		{"unit-bare", "internal/p/x.go", "package p\ntype C struct {\n\tRate float64\n\tSize int64\n" +
+			"\tRateGbps float64\n\tInterval simtime.Time\n\trate float64\n\tNodes int\n}\ntype c struct{ Rate float64 }", 2},
+		{"unit-agnostic", "internal/waterfill/x.go", "package waterfill\ntype Flow struct{ Demand float64 }", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, tc.path, tc.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := checkSource(fset, tc.path, f); len(got) != tc.want {
+				t.Errorf("%d findings, want %d: %q", len(got), tc.want, got)
+			}
+		})
+	}
+}
+
+// fmaPkgs are the packages whose floating-point results must not depend on
+// the machine: everything a simulated Result is computed by.
+var fmaPkgs = []string{"sim", "core", "waterfill", "routing", "topology", "trafficgen", "stats", "simtime"}
+
+// fmaInsn matches an arm64 fused multiply-add in a `-S` listing line, e.g.
+// "0x0040 00064 (/path/waterfill.go:237)	FMADDD	F1, F2, F3, F4".
+var fmaInsn = regexp.MustCompile(`\(([^()\s]+\.go:\d+)\)\s+(FN?M(?:ADD|SUB)[DS])\s`)
+
+// TestNoFusedMultiplyAdd compiles fmaPkgs for arm64 and fails on any fused
+// multiply-add. The Go spec lets a compiler fuse x*y + z into one rounding;
+// amd64 never does and arm64 does, so the same seed would give different
+// bits on the two. An explicit conversion forbids fusion: write
+// float64(x*y) + z.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	args := []string{"build", "-o", os.DevNull, "-gcflags=r2c2/internal/...=-S"}
+	for _, p := range fmaPkgs {
+		args = append(args, "./internal/"+p)
+	}
+	// The build runs in a child process, so stat the sources here for go
+	// test's result cache to see an edit to them; only the stat is wanted.
+	files, _ := filepath.Glob("internal/*/*.go") // the pattern is well-formed
+	for _, f := range files {
+		_, _ = os.Stat(f)
+	}
+	cmd := exec.Command("go", args...)
+	cmd.Env = append(os.Environ(), "GOARCH=arm64", "CGO_ENABLED=0")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	if !strings.Contains(string(out), "STEXT") {
+		t.Fatalf("go build printed no assembly listing:\n%s", out)
+	}
+	for _, m := range fmaInsn.FindAllStringSubmatch(string(out), -1) {
+		t.Errorf("%s: %s fuses a multiply and an add on arm64; write float64(x*y) + z", m[1], m[2])
 	}
 }
