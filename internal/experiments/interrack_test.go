@@ -1,10 +1,32 @@
 package experiments
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
+
+// TestInterRackFabricAllocation bounds what building the 10,240-node CI
+// sweep's fabric and reading its diameter allocate, so that fabric state
+// keeps growing with the links, not with the vertex pairs: 64 MB, where an
+// all-pairs hop matrix alone would take 419 MB. Bytes allocated are
+// deterministic, so the gate times nothing.
+func TestInterRackFabricAllocation(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := InterRackConfig{Racks: 40, K: 16, Bridges: 2}.Fabric()
+	d := g.Diameter()
+	runtime.ReadMemStats(&after)
+	if g.Nodes() != 10240 || d <= 0 {
+		t.Fatalf("fabric of %d nodes, diameter %d", g.Nodes(), d)
+	}
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if alloc > 64 {
+		t.Fatalf("building the fabric and its diameter allocated %.1f MB, bound 64 MB", alloc)
+	}
+	t.Logf("%d nodes, %d links, diameter %d: %.1f MB allocated", g.Nodes(), g.NumLinks(), d, alloc)
+}
 
 // TestInterRackMixTableShardInvariant pins the experiment's determinism
 // contract: the mix table is byte-identical between the serial engine and

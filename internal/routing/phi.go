@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"sort"
 
 	"r2c2/internal/topology"
@@ -22,7 +23,13 @@ func (t *Table) sprayMass(src, dst topology.NodeID, mass float64, dense map[topo
 		return
 	}
 	succ := t.successors(dst)
-	d0 := t.g.Dist(src, dst)
+	d0 := 0 // src's distance to dst, walked along first successors
+	for v := src; v != dst; d0++ {
+		if succ.Count(v) == 0 {
+			return // dst is unreachable
+		}
+		v = t.g.Link(succ.Pick(v, 0)).To
+	}
 	// Bucket DAG nodes by distance to dst; propagate from d0 down to 1.
 	nodeMass := map[topology.NodeID]float64{src: mass}
 	frontier := []topology.NodeID{src}
@@ -197,15 +204,10 @@ func (t *Table) vlbDstVec(d topology.NodeID) []float64 {
 	succ := t.successors(d)
 	vec := make([]float64, g.NumLinks())
 	// Group vertices by distance to d, farthest first.
-	maxD := 0
-	for v := 0; v < g.Vertices(); v++ {
-		if dd := g.Dist(topology.NodeID(v), d); dd > maxD {
-			maxD = dd
-		}
-	}
-	byDist := make([][]topology.NodeID, maxD+1)
-	for v := 0; v < g.Vertices(); v++ {
-		if dd := g.Dist(topology.NodeID(v), d); dd > 0 {
+	dist := g.DistancesTo(d)
+	byDist := make([][]topology.NodeID, slices.Max(dist)+1)
+	for v, dd := range dist {
+		if dd > 0 {
 			byDist[dd] = append(byDist[dd], topology.NodeID(v))
 		}
 	}
@@ -215,7 +217,7 @@ func (t *Table) vlbDstVec(d topology.NodeID) []float64 {
 			mass[w] = 1 / float64(n)
 		}
 	}
-	for dd := maxD; dd >= 1; dd-- {
+	for dd := len(byDist) - 1; dd >= 1; dd-- {
 		for _, v := range byDist[dd] {
 			m := mass[v]
 			if m == 0 {

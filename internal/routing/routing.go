@@ -69,7 +69,8 @@ func (p Protocol) Valid() bool { return p < numProtocols }
 // holds at every node: net outflow is +1 at the source, -1 at the
 // destination and 0 elsewhere. (For non-minimal protocols such as VLB the
 // gross outflow of a node can exceed its net outflow, because relayed
-// traffic may transit the source again.)
+// traffic may transit the source again.) Links ascend for RPS, VLB and WLB;
+// for DOR and ECMP they are the one path, in hop order.
 type Phi struct {
 	Links []topology.LinkID
 	Frac  []float64

@@ -72,6 +72,7 @@ func TestPhiConservation(t *testing.T) {
 func TestPhiMinimalOnlyUsesDAG(t *testing.T) {
 	g := torus(t, 4, 3)
 	tab := NewTable(g)
+	ref := refDistances(g)
 	for _, p := range []Protocol{RPS, DOR} {
 		for trial := 0; trial < 20; trial++ {
 			rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -84,14 +85,82 @@ func TestPhiMinimalOnlyUsesDAG(t *testing.T) {
 			total := 0.0
 			for i, lid := range phi.Links {
 				l := g.Link(lid)
-				if g.Dist(l.To, dst) != g.Dist(l.From, dst)-1 {
+				if ref[l.To][dst] != ref[l.From][dst]-1 {
 					t.Fatalf("%v: link %v not distance-reducing", p, l)
 				}
 				total += phi.Frac[i]
 			}
 			// Total link crossings for a minimal protocol = path length.
-			if want := float64(g.Dist(src, dst)); math.Abs(total-want) > 1e-9 {
+			if want := float64(ref[src][dst]); math.Abs(total-want) > 1e-9 {
 				t.Fatalf("%v: total crossings = %v, want %v", p, total, want)
+			}
+		}
+	}
+}
+
+// rackRing joins eight 4-ary 3-cubes in a ring, each to its successor by
+// two cables: the sharded benchmark's 512-node fabric.
+func rackRing(t *testing.T) *topology.Graph {
+	t.Helper()
+	racks := make([]*topology.Graph, 8)
+	var bridges []topology.Bridge
+	for i := range racks {
+		racks[i] = torus(t, 4, 3)
+		j := (i + 1) % len(racks)
+		bridges = append(bridges,
+			topology.Bridge{RackA: i, RackB: j, NodeA: 0, NodeB: 7},
+			topology.Bridge{RackA: i, RackB: j, NodeA: 11, NodeB: 4})
+	}
+	g, err := topology.ConnectRacks(racks, bridges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// The order of a φ-vector's links: strictly ascending for the multi-path
+// protocols (RPS, VLB, WLB), as sparsify lays them out, and the path in hop
+// order for the single-path ones (DOR, ECMP), whose Links the simulator also
+// sends acknowledgements along. Either way Frac is aligned with Links, which
+// flow conservation checks: a fraction moved to another link breaks it.
+func TestPhiLinkOrder(t *testing.T) {
+	mesh, err := topology.NewMesh(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := map[string]*topology.Graph{"torus 4^3": torus(t, 4, 3), "mesh 4^2": mesh, "8-rack ring": rackRing(t)}
+	for name, g := range graphs {
+		tab := NewTable(g)
+		rng := rand.New(rand.NewSource(3))
+		for trial := 0; trial < 10; trial++ {
+			src, dst := topology.NodeID(rng.Intn(g.Nodes())), topology.NodeID(rng.Intn(g.Nodes()))
+			if src == dst {
+				continue
+			}
+			for _, p := range []Protocol{RPS, DOR, ECMP, VLB, WLB} {
+				phi := tab.Phi(p, src, dst)
+				if len(phi.Frac) != len(phi.Links) {
+					t.Fatalf("%s %v %d->%d: %d fractions for %d links", name, p, src, dst, len(phi.Frac), len(phi.Links))
+				}
+				at := src
+				for i, lid := range phi.Links {
+					switch {
+					case p == DOR || p == ECMP:
+						if g.Link(lid).From != at || phi.Frac[i] != 1 {
+							t.Fatalf("%s %v %d->%d: link %d of the path is %v (fraction %v), not a hop from %d",
+								name, p, src, dst, i, g.Link(lid), phi.Frac[i], at)
+						}
+						at = g.Link(lid).To
+					case i > 0 && phi.Links[i-1] >= lid:
+						t.Fatalf("%s %v %d->%d: Links not strictly ascending at %d: %v", name, p, src, dst, i, phi.Links)
+					}
+				}
+				for v, f := range netFlow(g, phi) {
+					want := map[topology.NodeID]float64{src: 1, dst: -1}[topology.NodeID(v)]
+					if math.Abs(f-want) > 1e-9 {
+						t.Fatalf("%s %v %d->%d: net flow at %d = %v, want %v", name, p, src, dst, v, f, want)
+					}
+				}
 			}
 		}
 	}
@@ -249,6 +318,7 @@ func assertPanics(t *testing.T, name string, f func()) {
 func TestSamplePathValidity(t *testing.T) {
 	g := torus(t, 4, 3)
 	tab := NewTable(g)
+	ref := refDistances(g)
 	rng := rand.New(rand.NewSource(99))
 	for _, p := range []Protocol{RPS, DOR, VLB, WLB} {
 		for trial := 0; trial < 50; trial++ {
@@ -272,8 +342,8 @@ func TestSamplePathValidity(t *testing.T) {
 			if at != dst {
 				t.Fatalf("%v: path ends at %d, want %d", p, at, dst)
 			}
-			if (p == RPS || p == DOR) && len(path) != g.Dist(src, dst) {
-				t.Fatalf("%v: path length %d, want minimal %d", p, len(path), g.Dist(src, dst))
+			if (p == RPS || p == DOR) && len(path) != ref[src][dst] {
+				t.Fatalf("%v: path length %d, want minimal %d", p, len(path), ref[src][dst])
 			}
 		}
 	}
@@ -324,8 +394,8 @@ func TestECMPPathDeterministicPerFlow(t *testing.T) {
 			t.Fatal("ECMP not deterministic")
 		}
 	}
-	if len(a) != g.Dist(src, dst) {
-		t.Fatalf("ECMP path not minimal: %d vs %d", len(a), g.Dist(src, dst))
+	if want := refDistances(g)[src][dst]; len(a) != want {
+		t.Fatalf("ECMP path not minimal: %d vs %d", len(a), want)
 	}
 	// Different flows should spread over different paths (with 512 flows on
 	// a diverse topology, at least two distinct paths are overwhelmingly

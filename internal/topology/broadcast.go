@@ -32,7 +32,7 @@ func (t *BroadcastTree) TotalEdges() int { return t.kids.total() }
 // balance across trees.
 func (t *BroadcastTree) LinkLoad(numLinks int) []int {
 	load := make([]int, numLinks)
-	for v := range t.kids.out {
+	for v := range len(t.kids.off) - 1 {
 		for i, n := 0, t.kids.Count(NodeID(v)); i < n; i++ {
 			load[t.kids.Pick(NodeID(v), i)]++
 		}
@@ -68,6 +68,7 @@ type sourceTrees struct {
 // treeScratch is the build's working memory. The FIB keeps one across its
 // sources, so a build allocates only what the trees retain.
 type treeScratch struct {
+	bfs     bfsScratch // the search from the source
 	candOff []int32    // vertex v's candidates are cand[candOff[v]:candOff[v+1]]
 	cand    []LinkID   // per vertex, the in-links from a vertex one hop nearer src
 	rng     *rand.Rand // reseeded per source: Seed(s) restarts the stream rand.NewSource(s) would
@@ -95,7 +96,7 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 		sc.rng.Seed(rngSeed)
 	}
 	rng := sc.rng
-	dist := g.dist[src]
+	dist := g.search(&sc.bfs, src, false, -1).dist
 	sc.cand = sc.cand[:0]
 	depth := 0
 	for v := 0; v < nv; v++ {
@@ -103,9 +104,9 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 		// out of the tree, with no candidates.
 		if dv := dist[v]; dv > 0 {
 			depth = max(depth, int(dv))
-			for _, lid := range g.in[v] {
-				if dist[g.links[lid].From] == dv-1 {
-					sc.cand = append(sc.cand, lid)
+			for j := g.inOff[v]; j < g.inOff[v+1]; j++ {
+				if dist[g.inFrom[j]] == dv-1 {
+					sc.cand = append(sc.cand, g.inLinks[j])
 				}
 			}
 			if len(sc.cand) == int(sc.candOff[v]) {
@@ -206,7 +207,7 @@ func (f *BroadcastFIB) AppendNextHops(buf []LinkID, src NodeID, treeID uint8, at
 	}
 	g := f.g
 	row := (int(treeID)*g.total + int(at)) * g.maskBytes
-	return appendPorts(buf, g.out[at], st.masks[row:row+g.maskBytes]), true
+	return appendPorts(buf, g.Out(at), st.masks[row:row+g.maskBytes]), true
 }
 
 // NextHops is AppendNextHops into a fresh slice.

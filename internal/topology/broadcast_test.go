@@ -13,6 +13,7 @@ import (
 // depth (minimal broadcast time, §3.2).
 func TestBroadcastTreeSpanningShortest(t *testing.T) {
 	for _, g := range testGraphs(t) {
+		ref := refDistances(g)
 		for src := 0; src < g.Nodes(); src += 5 {
 			trees := BuildBroadcastTrees(g, NodeID(src), 4, 42)
 			for _, tree := range trees {
@@ -20,17 +21,12 @@ func TestBroadcastTreeSpanningShortest(t *testing.T) {
 					t.Fatalf("%v src=%d tree=%d: %d edges, want %d",
 						g.Kind(), src, tree.ID, tree.TotalEdges(), g.Vertices()-1)
 				}
-				depth := walkTree(t, g, tree)
+				depth := walkTree(t, g, ref[src], tree)
 				if depth != tree.Depth {
 					t.Fatalf("%v: recorded depth %d, walked depth %d", g.Kind(), tree.Depth, depth)
 				}
 				// Minimal broadcast time: depth equals eccentricity of src.
-				ecc := 0
-				for v := 0; v < g.Vertices(); v++ {
-					if d := g.Dist(NodeID(src), NodeID(v)); d > ecc {
-						ecc = d
-					}
-				}
+				ecc := slices.Max(ref[src])
 				if depth != ecc {
 					t.Fatalf("%v src=%d: tree depth %d != eccentricity %d", g.Kind(), src, depth, ecc)
 				}
@@ -40,8 +36,9 @@ func TestBroadcastTreeSpanningShortest(t *testing.T) {
 }
 
 // walkTree delivers a copy down the tree and checks each vertex is reached
-// exactly once, at its BFS distance; it returns the max depth reached.
-func walkTree(t *testing.T, g *Graph, tree *BroadcastTree) int {
+// exactly once, at its distance from the root (dist, the reference's row);
+// it returns the max depth reached.
+func walkTree(t *testing.T, g *Graph, dist []int, tree *BroadcastTree) int {
 	t.Helper()
 	depthOf := make([]int, g.Vertices())
 	for i := range depthOf {
@@ -62,7 +59,7 @@ func walkTree(t *testing.T, g *Graph, tree *BroadcastTree) int {
 				t.Fatalf("vertex %d receives two copies", l.To)
 			}
 			depthOf[l.To] = depthOf[v] + 1
-			if want := g.Dist(tree.Root, l.To); depthOf[l.To] != want {
+			if want := dist[l.To]; depthOf[l.To] != want {
 				t.Fatalf("vertex %d at tree depth %d, BFS distance %d", l.To, depthOf[l.To], want)
 			}
 			if depthOf[l.To] > maxDepth {
@@ -72,7 +69,7 @@ func walkTree(t *testing.T, g *Graph, tree *BroadcastTree) int {
 		}
 	}
 	for v, d := range depthOf {
-		if d == -1 && g.Dist(tree.Root, NodeID(v)) >= 0 {
+		if d == -1 && dist[v] >= 0 {
 			t.Fatalf("reachable vertex %d never receives the broadcast", v)
 		}
 	}
@@ -220,11 +217,12 @@ func TestBroadcastFIBConcurrent(t *testing.T) {
 // refBuildOneTree is the per-tree construction BuildBroadcastTrees used before
 // it shared one parent search among a source's trees: every tree repeats the
 // search for itself and keeps a child slice per vertex. Kept as the oracle —
-// the shared-search build must draw from rng exactly as this does.
-func refBuildOneTree(g *Graph, src NodeID, rng *rand.Rand) (children [][]LinkID, depth int) {
+// the shared-search build must draw from rng exactly as this does. dist is
+// the reference distances from src.
+func refBuildOneTree(g *Graph, src NodeID, dist []int, rng *rand.Rand) (children [][]LinkID, depth int) {
 	children = make([][]LinkID, g.Vertices())
 	for v := 0; v < g.Vertices(); v++ {
-		dv := g.Dist(src, NodeID(v))
+		dv := dist[v]
 		if NodeID(v) == src || dv < 0 {
 			continue // the root, and unreachable vertices, have no parent
 		}
@@ -233,7 +231,7 @@ func refBuildOneTree(g *Graph, src NodeID, rng *rand.Rand) (children [][]LinkID,
 		}
 		var candidates []LinkID
 		for _, lid := range g.In(NodeID(v)) {
-			if g.Dist(src, g.Link(lid).From) == dv-1 {
+			if dist[g.Link(lid).From] == dv-1 {
 				candidates = append(candidates, lid)
 			}
 		}
@@ -263,31 +261,18 @@ func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	racks := make([]*Graph, 8)
-	var bridges []Bridge
-	for i := range racks {
-		if racks[i], err = NewTorus(4, 3); err != nil {
-			t.Fatal(err)
-		}
-		bridges = append(bridges,
-			Bridge{RackA: i, RackB: (i + 1) % len(racks), NodeA: 0, NodeB: 7},
-			Bridge{RackA: i, RackB: (i + 1) % len(racks), NodeA: 11, NodeB: 4})
-	}
-	ring, err := ConnectRacks(racks, bridges)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degraded, _, err := racks[0].WithoutNode(21)
+	degraded, _, err := mustTorus(t, 4, 3).WithoutNode(21)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const trees, seed = 4, 11
-	for name, g := range map[string]*Graph{"torus 8x8x8": torus512, "8-rack ring": ring, "dead node": degraded} {
+	for name, g := range map[string]*Graph{"torus 8x8x8": torus512, "8-rack ring": ring(t, 8), "dead node": degraded} {
 		fib := NewBroadcastFIB(g, trees, seed) // one scratch across all sources, as in a run
+		ref := refDistances(g)
 		for src := 0; src < g.Nodes(); src++ {
 			rng := rand.New(rand.NewSource(seed + int64(src)))
 			for id := 0; id < trees; id++ {
-				want, depth := refBuildOneTree(g, NodeID(src), rng)
+				want, depth := refBuildOneTree(g, NodeID(src), ref[src], rng)
 				got, ok := fib.Tree(NodeID(src), uint8(id))
 				if !ok || got.Root != NodeID(src) || got.ID != uint8(id) || got.Depth != depth {
 					t.Fatalf("%s src %d tree %d: got %+v (ok=%v), want depth %d", name, src, id, got, ok, depth)
@@ -339,13 +324,14 @@ func TestPortMasksMatchReference(t *testing.T) {
 	}
 	const trees, seed = 3, 5
 	for _, g := range append(testGraphs(t), wide) {
+		ref := refDistances(g)
 		for dst := 0; dst < g.Vertices(); dst++ {
 			succ := g.MinimalSuccessors(NodeID(dst))
 			for v := 0; v < g.Vertices(); v++ {
 				var want []LinkID
-				if dv := g.Dist(NodeID(v), NodeID(dst)); dv > 0 {
+				if dv := ref[v][dst]; dv > 0 {
 					for _, lid := range g.Out(NodeID(v)) {
-						if g.Dist(g.Link(lid).To, NodeID(dst)) == dv-1 {
+						if ref[g.Link(lid).To][dst] == dv-1 {
 							want = append(want, lid)
 						}
 					}
@@ -357,9 +343,9 @@ func TestPortMasksMatchReference(t *testing.T) {
 		for src := 0; src < g.Nodes(); src++ {
 			rng := rand.New(rand.NewSource(seed + int64(src)))
 			for id := 0; id < trees; id++ {
-				ref, _ := refBuildOneTree(g, NodeID(src), rng)
+				kidsRef, _ := refBuildOneTree(g, NodeID(src), ref[src], rng)
 				tree, _ := fib.Tree(NodeID(src), uint8(id))
-				for v, kids := range ref {
+				for v, kids := range kidsRef {
 					want := slices.Clone(kids)
 					slices.SortFunc(want, func(a, b LinkID) int { return g.Port(a) - g.Port(b) })
 					what := fmt.Sprintf("%v src %d tree %d", g.Kind(), src, id)

@@ -76,10 +76,8 @@ func ConnectRacks(racks []*Graph, bridges []Bridge) (*Graph, error) {
 	}
 	g.racks = len(racks)
 	// Verify the bridges actually connect everything.
-	for v := 1; v < total; v++ {
-		if g.Dist(0, NodeID(v)) < 0 {
-			return nil, fmt.Errorf("topology: combined fabric is disconnected at node %d", v)
-		}
+	if v := g.firstUnreached(0, false, nil); v >= 0 {
+		return nil, fmt.Errorf("topology: combined fabric is disconnected at node %d", v)
 	}
 	return g, nil
 }

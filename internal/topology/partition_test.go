@@ -2,7 +2,7 @@ package topology
 
 import "testing"
 
-func mustTorus(t *testing.T, k, dims int) *Graph {
+func mustTorus(t testing.TB, k, dims int) *Graph {
 	t.Helper()
 	g, err := NewTorus(k, dims)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestPartitionClosByLeaf(t *testing.T) {
 
 // ring joins `racks` 4-ary 3-cubes (64 nodes each) in a ring, each to its
 // successor by two cables.
-func ring(t *testing.T, racks int) *Graph {
+func ring(t testing.TB, racks int) *Graph {
 	t.Helper()
 	subs := make([]*Graph, racks)
 	var bridges []Bridge

@@ -8,15 +8,18 @@
 // concerns. All links in a rack have identical capacity, so the Graph does
 // not store per-link capacity; simulators and allocators attach it.
 //
-// The package also precomputes the artefacts every other layer relies on:
-// all-pairs BFS distances, minimal-route DAG successor sets, and per-source
-// broadcast trees with the forwarding information base (FIB) described in
-// §3.2 of the paper.
+// The package also derives the artefacts every other layer relies on from
+// the graph's flat (CSR) adjacency, by breadth-first search or, on a torus or
+// mesh, in closed form: hop distances, minimal-route DAG successor sets, and
+// per-source broadcast trees with the forwarding information base (FIB)
+// described in §3.2 of the paper. A Graph keeps no per-pair state.
 package topology
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // NodeID identifies a node (micro-server) in the rack, in [0, N).
@@ -59,8 +62,8 @@ func (k Kind) String() string {
 }
 
 // Graph is an immutable directed graph over rack nodes. Construct with
-// NewTorus, NewMesh, NewFoldedClos, or NewGraph; all precomputation happens
-// at construction.
+// NewTorus, NewMesh, NewFoldedClos, or NewGraph, which build the adjacency;
+// the diameter and mean distance are measured on first use.
 type Graph struct {
 	kind  Kind
 	k     int // radix per dimension (torus/mesh), 0 otherwise
@@ -68,16 +71,20 @@ type Graph struct {
 	n     int // number of endpoint nodes
 	total int // total vertices including any internal switches (Clos)
 
-	links     []Link
-	out       [][]LinkID // outgoing links per node, stable port order
-	in        [][]LinkID
-	port      []int32 // per link: its index in its tail's out list
-	maskBytes int     // PortMasks row width: (max out-degree + 7) / 8
-	linkIndex map[Link]LinkID
-	degraded  bool // built by WithoutLinks: coordinate routing is unsafe
+	links []Link
+	// Adjacency in CSR form: v's out-links are outLinks[outOff[v]:outOff[v+1]]
+	// in edge-list order, which is their port order, with their heads in
+	// outTo; inLinks and inFrom list v's in-links and their tails likewise.
+	outOff, inOff     []int32
+	outLinks, inLinks []LinkID
+	outTo, inFrom     []NodeID
+	port              []int32 // per link: its index in its tail's out list
+	maskBytes         int     // PortMasks row width: (max out-degree + 7) / 8
+	degraded          bool    // built by WithoutLinks: coordinate routing is unsafe
 
-	dist     [][]int32 // all-pairs hop distance over all vertices
+	sweep    sync.Once // measures diameter and meanDist on first use
 	diameter int       // largest finite distance between endpoint nodes
+	meanDist float64   // mean distance over reachable distinct endpoint pairs
 
 	// Rack metadata, set by the constructors that know it (ConnectRacks,
 	// NewFoldedClos): rackOf[v] is the rack (or Clos leaf group) a vertex
@@ -97,37 +104,35 @@ func NewGraph(kind Kind, endpoints, total int, edges []Link) (*Graph, error) {
 	if endpoints <= 0 || total < endpoints {
 		return nil, fmt.Errorf("topology: invalid sizes endpoints=%d total=%d", endpoints, total)
 	}
-	g := &Graph{
-		kind:      kind,
-		n:         endpoints,
-		total:     total,
-		out:       make([][]LinkID, total),
-		in:        make([][]LinkID, total),
-		linkIndex: make(map[Link]LinkID, len(edges)),
-	}
-	for _, e := range edges {
+	g := &Graph{kind: kind, n: endpoints, total: total, links: slices.Clone(edges),
+		port: make([]int32, len(edges)), outOff: make([]int32, total+1), inOff: make([]int32, total+1)}
+	for id, e := range edges {
 		if e.From < 0 || int(e.From) >= total || e.To < 0 || int(e.To) >= total {
 			return nil, fmt.Errorf("topology: edge %v out of range [0,%d)", e, total)
 		}
 		if e.From == e.To {
 			return nil, fmt.Errorf("topology: self-loop at node %d", e.From)
 		}
-		if _, dup := g.linkIndex[e]; dup {
+		g.port[id] = g.outOff[e.From+1]
+		g.outOff[e.From+1]++
+		g.inOff[e.To+1]++
+	}
+	for v := range total {
+		g.maskBytes = max(g.maskBytes, int(g.outOff[v+1]+7)/8)
+		g.outOff[v+1] += g.outOff[v]
+		g.inOff[v+1] += g.inOff[v]
+	}
+	g.outLinks, g.outTo = make([]LinkID, len(edges)), make([]NodeID, len(edges))
+	g.inLinks, g.inFrom = make([]LinkID, len(edges)), make([]NodeID, len(edges))
+	inNext := slices.Clone(g.inOff)
+	for id, e := range edges {
+		o, i := g.outOff[e.From]+g.port[id], inNext[e.To]
+		if slices.Contains(g.outTo[g.outOff[e.From]:o], e.To) {
 			return nil, fmt.Errorf("topology: duplicate edge %v", e)
 		}
-		id := LinkID(len(g.links))
-		g.links = append(g.links, e)
-		g.linkIndex[e] = id
-		g.port = append(g.port, int32(len(g.out[e.From])))
-		g.out[e.From] = append(g.out[e.From], id)
-		g.in[e.To] = append(g.in[e.To], id)
+		inNext[e.To]++
+		g.outLinks[o], g.outTo[o], g.inLinks[i], g.inFrom[i] = LinkID(id), e.To, LinkID(id), e.From
 	}
-	maxDegree := 0
-	for _, out := range g.out {
-		maxDegree = max(maxDegree, len(out))
-	}
-	g.maskBytes = (maxDegree + 7) / 8
-	g.computeDistances()
 	return g, nil
 }
 
@@ -184,80 +189,161 @@ func (g *Graph) Link(id LinkID) Link { return g.links[id] }
 
 // LinkBetween returns the directed link from a to b, if one exists.
 func (g *Graph) LinkBetween(a, b NodeID) (LinkID, bool) {
-	id, ok := g.linkIndex[Link{From: a, To: b}]
-	return id, ok
+	p := slices.Index(g.outTo[g.outOff[a]:g.outOff[a+1]], b)
+	if p < 0 {
+		return 0, false
+	}
+	return g.outLinks[int(g.outOff[a])+p], true
 }
 
-// Out returns the outgoing link IDs of v in stable port order. The returned
-// slice is owned by the Graph and must not be modified.
-func (g *Graph) Out(v NodeID) []LinkID { return g.out[v] }
+// Out returns the outgoing link IDs of v in stable port order: the order
+// their edges had in the list the graph was built from. The returned slice
+// is owned by the Graph and must not be modified.
+func (g *Graph) Out(v NodeID) []LinkID { return g.outLinks[g.outOff[v]:g.outOff[v+1]:g.outOff[v+1]] }
 
 // Port returns the index of a directed link in its tail's out-port list:
 // Out(Link(id).From)[Port(id)] == id.
 func (g *Graph) Port(id LinkID) int { return int(g.port[id]) }
 
-// In returns the incoming link IDs of v. The slice is owned by the Graph.
-func (g *Graph) In(v NodeID) []LinkID { return g.in[v] }
+// In returns the incoming link IDs of v, in edge-list order. The slice is
+// owned by the Graph.
+func (g *Graph) In(v NodeID) []LinkID { return g.inLinks[g.inOff[v]:g.inOff[v+1]:g.inOff[v+1]] }
 
 // Degree returns the out-degree of v.
-func (g *Graph) Degree(v NodeID) int { return len(g.out[v]) }
+func (g *Graph) Degree(v NodeID) int { return int(g.outOff[v+1] - g.outOff[v]) }
 
-// Dist returns the hop distance from a to b (precomputed BFS). It returns a
-// negative value if b is unreachable from a.
-func (g *Graph) Dist(a, b NodeID) int { return int(g.dist[a][b]) }
-
-// Diameter returns the maximum finite distance between endpoint nodes.
-func (g *Graph) Diameter() int { return g.diameter }
-
-// MeanNodeDistance returns the average hop distance between distinct
-// endpoint pairs — the "average path length" figure used for broadcast
-// overhead accounting in §3.2.
-func (g *Graph) MeanNodeDistance() float64 {
-	sum, cnt := 0.0, 0
-	for a := 0; a < g.n; a++ {
-		for b := 0; b < g.n; b++ {
-			if a == b {
-				continue
-			}
-			sum += float64(g.dist[a][b])
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
+// Dist returns the hop distance from a to b, by a search that stops once it
+// reaches b, or a negative value if b is unreachable from a.
+func (g *Graph) Dist(a, b NodeID) int {
+	sc := g.search(nil, a, false, b)
+	defer bfsPool.Put(sc)
+	return int(sc.dist[b])
 }
 
-func (g *Graph) computeDistances() {
-	g.dist = make([][]int32, g.total)
-	queue := make([]NodeID, 0, g.total)
-	for s := 0; s < g.total; s++ {
-		d := make([]int32, g.total)
-		for i := range d {
-			d[i] = -1
+// DistancesTo returns every vertex's hop distance to dst, negative where dst
+// is unreachable from the vertex.
+func (g *Graph) DistancesTo(dst NodeID) []int32 {
+	sc := g.search(nil, dst, true, -1)
+	defer bfsPool.Put(sc)
+	return slices.Clone(sc.dist)
+}
+
+// Diameter returns the maximum finite distance between endpoint nodes.
+func (g *Graph) Diameter() int {
+	g.sweep.Do(g.measure)
+	return g.diameter
+}
+
+// MeanNodeDistance returns the average hop distance between distinct
+// endpoint pairs that reach each other — the "average path length" figure
+// used for broadcast overhead accounting in §3.2.
+func (g *Graph) MeanNodeDistance() float64 {
+	g.sweep.Do(g.measure)
+	return g.meanDist
+}
+
+// measure runs one exact all-pairs sweep, 64 endpoint sources at a time: bit
+// s of reach[v] says source base+s has reached v, and each level pushes the
+// newly reached bits along every out-link. Distances sum as integers, so the
+// mean is exact.
+func (g *Graph) measure() {
+	reach, front, next := make([]uint64, g.total), make([]uint64, g.total), make([]uint64, g.total)
+	sum, pairs := 0, 0
+	for base := 0; base < g.n; base += 64 {
+		clear(reach)
+		for s := base; s < min(base+64, g.n); s++ {
+			reach[s] = 1 << (s - base)
 		}
-		d[s] = 0
-		queue = queue[:0]
-		queue = append(queue, NodeID(s))
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, lid := range g.out[v] {
-				u := g.links[lid].To
-				if d[u] < 0 {
-					d[u] = d[v] + 1
-					queue = append(queue, u)
+		copy(front, reach)
+		for level := 1; slices.ContainsFunc(front, func(f uint64) bool { return f != 0 }); level++ {
+			clear(next)
+			for v, f := range front {
+				for o := g.outOff[v]; f != 0 && o < g.outOff[v+1]; o++ {
+					next[g.outTo[o]] |= f
+				}
+			}
+			for u, f := range next {
+				next[u], reach[u] = f&^reach[u], reach[u]|f
+				if c := bits.OnesCount64(next[u]); c > 0 && u < g.n {
+					sum, pairs, g.diameter = sum+level*c, pairs+c, max(g.diameter, level)
+				}
+			}
+			front, next = next, front
+		}
+	}
+	g.meanDist = float64(sum) / float64(max(pairs, 1))
+}
+
+// bfsScratch is a search's working memory. Searches take it from bfsPool, so
+// a warm search allocates nothing.
+type bfsScratch struct {
+	dist  []int32  // hops from the root, -1 where unreached
+	queue []NodeID // the breadth-first search's queue
+}
+
+var bfsPool = sync.Pool{New: func() any { return new(bfsScratch) }}
+
+// search fills sc.dist with every vertex's hops from root, or to root when
+// reverse is set, stopping once it reaches stop (-1 for never); sc is one
+// from bfsPool when nil, for the caller to return. A breadth-first search
+// over the out- or in-links does this, or the closed form on an undegraded
+// torus or mesh: the sum over dimensions of the hops along each ring or line.
+func (g *Graph) search(sc *bfsScratch, root NodeID, reverse bool, stop NodeID) *bfsScratch {
+	if sc == nil {
+		sc = bfsPool.Get().(*bfsScratch)
+	}
+	sc.dist = slices.Grow(sc.dist[:0], g.total)[:g.total]
+	dist, off, adj := sc.dist, g.outOff, g.outTo
+	if g.k > 0 && !g.degraded {
+		// The rows of the dimensions below d form a block, repeated for each
+		// coordinate c of dimension d with c's hops added; the block itself,
+		// c = 0, goes last.
+		dist[0] = 0
+		for size, r := 1, int(root); size < g.n; size, r = size*g.k, r/g.k {
+			for c := g.k - 1; c >= 0; c-- {
+				h := int32(max(c-r%g.k, r%g.k-c))
+				if g.kind == KindTorus {
+					h = min(h, int32(g.k)-h)
+				}
+				for i := range size {
+					dist[c*size+i] = dist[i] + h
 				}
 			}
 		}
-		g.dist[s] = d
-		if s < g.n {
-			for _, hops := range d[:g.n] {
-				g.diameter = max(g.diameter, int(hops))
+		return sc
+	}
+	for v := range dist {
+		dist[v] = -1
+	}
+	dist[root] = 0
+	if reverse {
+		off, adj = g.inOff, g.inFrom
+	}
+	q := append(slices.Grow(sc.queue[:0], g.total), root)
+	for i := 0; i < len(q) && (stop < 0 || dist[stop] < 0); i++ {
+		for _, u := range adj[off[q[i]]:off[q[i]+1]] {
+			if dist[u] < 0 {
+				dist[u] = dist[q[i]] + 1
+				q = append(q, u)
 			}
 		}
 	}
+	sc.queue = q
+	return sc
+}
+
+// firstUnreached returns the first endpoint node not marked in dead that a
+// search from root does not reach (when reverse: that does not reach root),
+// or -1.
+func (g *Graph) firstUnreached(root NodeID, reverse bool, dead []bool) int {
+	sc := g.search(nil, root, reverse, -1)
+	defer bfsPool.Put(sc)
+	for v, d := range sc.dist[:g.n] {
+		if d < 0 && (v >= len(dead) || !dead[v]) {
+			return v
+		}
+	}
+	return -1
 }
 
 // PortMasks holds one set of out-ports per vertex as a bitmask: bit i of v's
@@ -266,14 +352,15 @@ func (g *Graph) computeDistances() {
 // per destination (broadcast trees, minimal-route DAGs) costs a byte per
 // vertex, and every set lists in port order.
 type PortMasks struct {
-	out  [][]LinkID // the graph's out-port lists
-	bits []byte     // v's row is bits[v*w : (v+1)*w]
+	off  []int32  // the graph's out-list offsets
+	out  []LinkID // and its out-links: port p of v is out[off[v]+p]
+	bits []byte   // v's row is bits[v*w : (v+1)*w]
 	w    int
 }
 
 // newPortMasks wraps bits, which holds one row per vertex of g.
 func (g *Graph) newPortMasks(bits []byte) PortMasks {
-	return PortMasks{out: g.out, bits: bits, w: g.maskBytes}
+	return PortMasks{off: g.outOff, out: g.outLinks, bits: bits, w: g.maskBytes}
 }
 
 // selectTab[b][i] is the position of the i-th set bit of b, and 8 past b's
@@ -314,14 +401,14 @@ func (m *PortMasks) Count(v NodeID) int {
 // Pick returns the i-th link of v's set in port order, for i in [0, Count(v)).
 func (m *PortMasks) Pick(v NodeID, i int) LinkID {
 	if m.w == 1 {
-		return m.out[v][selectTab[m.bits[v]][i]]
+		return m.out[m.off[v]+int32(selectTab[m.bits[v]][i])]
 	}
 	for j, b := range m.row(v) {
 		if c := bits.OnesCount8(b); i >= c {
 			i -= c
 			continue
 		}
-		return m.out[v][8*j+int(selectTab[b][i])]
+		return m.out[int(m.off[v])+8*j+int(selectTab[b][i])]
 	}
 	panic(fmt.Sprintf("topology: PortMasks.Pick(%d, %d) past the set's end", v, i))
 }
@@ -329,7 +416,7 @@ func (m *PortMasks) Pick(v NodeID, i int) LinkID {
 // AppendLinks appends v's set to buf in port order and returns the extended
 // slice.
 func (m *PortMasks) AppendLinks(buf []LinkID, v NodeID) []LinkID {
-	return appendPorts(buf, m.out[v], m.row(v))
+	return appendPorts(buf, m.out[m.off[v]:m.off[v+1]], m.row(v))
 }
 
 // total returns the size of all the sets together.
@@ -356,20 +443,14 @@ func appendPorts(buf []LinkID, out []LinkID, row []byte) []LinkID {
 // shortest path from v to dst. The set of dst is empty. Random packet
 // spraying picks uniformly among these at every hop (§2.2.1).
 func (g *Graph) MinimalSuccessors(dst NodeID) *PortMasks {
-	// One strided walk down the distance matrix's column for dst, so that the
-	// pass below, which looks up both ends of every link, reads one array.
-	toDst := make([]int32, g.total)
-	for v := range toDst {
-		toDst[v] = g.dist[v][dst]
-	}
+	sc := g.search(nil, dst, true, -1)
+	defer bfsPool.Put(sc)
 	m := g.newPortMasks(make([]byte, g.total*g.maskBytes))
-	for v, dv := range toDst {
-		if dv <= 0 {
-			continue
-		}
-		for p, lid := range g.out[v] {
-			if toDst[g.links[lid].To] == dv-1 {
-				m.set(NodeID(v), p)
+	dist, off, to := sc.dist, g.outOff, g.outTo
+	for v, dv := range dist {
+		for o := off[v]; dv > 0 && o < off[v+1]; o++ {
+			if dist[to[o]] == dv-1 {
+				m.set(NodeID(v), int(o-off[v]))
 			}
 		}
 	}
@@ -428,36 +509,15 @@ func (g *Graph) WithoutLinksAndNodes(failed, dead []bool) (*Graph, []LinkID, err
 	// (the slice is immutable after construction and safe to share).
 	sub.rackOf, sub.racks = g.rackOf, g.racks
 	sub.degraded = g.degraded || len(edges) < len(g.links)
-	for a := 0; a < sub.n; a++ {
-		if isDead(NodeID(a)) {
-			continue
-		}
-		for b := 0; b < sub.n; b++ {
-			if isDead(NodeID(b)) {
-				continue
-			}
-			if sub.Dist(NodeID(a), NodeID(b)) < 0 {
-				return nil, nil, fmt.Errorf("topology: failures partition the rack (%d unreachable from %d)", b, a)
-			}
-		}
+	root := 0 // every survivor reaches, and is reached from, the first one
+	for root < sub.n-1 && isDead(NodeID(root)) {
+		root++
+	}
+	if b := sub.firstUnreached(NodeID(root), false, dead); b >= 0 {
+		return nil, nil, fmt.Errorf("topology: failures partition the rack (%d unreachable from %d)", b, root)
+	}
+	if a := sub.firstUnreached(NodeID(root), true, dead); a >= 0 {
+		return nil, nil, fmt.Errorf("topology: failures partition the rack (%d unreachable from %d)", root, a)
 	}
 	return sub, mapping, nil
-}
-
-// NodesAtDistance returns the endpoint nodes grouped by distance from src:
-// result[d] lists nodes at exactly d hops. Used by broadcast-tree
-// construction and by overhead analytics.
-func (g *Graph) NodesAtDistance(src NodeID) [][]NodeID {
-	byDist := make([][]NodeID, 0, 8)
-	for v := 0; v < g.total; v++ {
-		d := int(g.dist[src][v])
-		if d < 0 {
-			continue
-		}
-		for len(byDist) <= d {
-			byDist = append(byDist, nil)
-		}
-		byDist[d] = append(byDist[d], NodeID(v))
-	}
-	return byDist
 }

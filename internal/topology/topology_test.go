@@ -166,19 +166,20 @@ func TestTorusOffsetMatchesDistance(t *testing.T) {
 
 func TestMinimalSuccessors(t *testing.T) {
 	for _, g := range testGraphs(t) {
+		ref := refDistances(g)
 		for dst := 0; dst < g.Nodes(); dst += 7 {
 			succ := g.MinimalSuccessors(NodeID(dst))
 			if succ.Count(NodeID(dst)) != 0 {
 				t.Fatalf("%v: destination has successors", g.Kind())
 			}
 			for v := 0; v < g.Vertices(); v++ {
-				if v == dst || g.Dist(NodeID(v), NodeID(dst)) < 0 {
+				if v == dst || ref[v][dst] < 0 {
 					continue
 				}
 				// Exactly the out-links that reduce the distance, in port order.
 				var want []LinkID
 				for _, lid := range g.Out(NodeID(v)) {
-					if g.Dist(g.Link(lid).To, NodeID(dst)) == g.Dist(NodeID(v), NodeID(dst))-1 {
+					if ref[g.Link(lid).To][dst] == ref[v][dst]-1 {
 						want = append(want, lid)
 					}
 				}
@@ -258,26 +259,6 @@ func TestLinkBetween(t *testing.T) {
 	far := g.NodeAt([]int{2, 2})
 	if _, ok := g.LinkBetween(a, far); ok {
 		t.Error("non-adjacent nodes report a link")
-	}
-}
-
-func TestNodesAtDistance(t *testing.T) {
-	g, err := NewTorus(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byDist := g.NodesAtDistance(0)
-	total := 0
-	for d, nodes := range byDist {
-		for _, v := range nodes {
-			if g.Dist(0, v) != d {
-				t.Fatalf("node %d listed at distance %d but dist=%d", v, d, g.Dist(0, v))
-			}
-		}
-		total += len(nodes)
-	}
-	if total != g.Nodes() {
-		t.Fatalf("NodesAtDistance covers %d nodes, want %d", total, g.Nodes())
 	}
 }
 

@@ -11,43 +11,16 @@ import "fmt"
 // Port order is deterministic: dimension 0 positive, dimension 0 negative,
 // dimension 1 positive, ... which the routing layer relies on for
 // reproducible path encoding.
-func NewTorus(k, dims int) (*Graph, error) {
-	if k < 2 || dims < 1 {
-		return nil, fmt.Errorf("topology: torus requires k >= 2, dims >= 1 (got k=%d dims=%d)", k, dims)
-	}
-	n := pow(k, dims)
-	edges := make([]Link, 0, n*2*dims)
-	coord := make([]int, dims)
-	for id := 0; id < n; id++ {
-		idToCoord(id, k, coord)
-		for d := 0; d < dims; d++ {
-			orig := coord[d]
-			// Positive direction.
-			coord[d] = (orig + 1) % k
-			up := coordToID(coord, k)
-			edges = append(edges, Link{From: NodeID(id), To: NodeID(up)})
-			// Negative direction (distinct neighbour only when k > 2).
-			if k > 2 {
-				coord[d] = (orig - 1 + k) % k
-				down := coordToID(coord, k)
-				edges = append(edges, Link{From: NodeID(id), To: NodeID(down)})
-			}
-			coord[d] = orig
-		}
-	}
-	g, err := NewGraph(KindTorus, n, n, edges)
-	if err != nil {
-		return nil, err
-	}
-	g.k, g.dims = k, dims
-	return g, nil
-}
+func NewTorus(k, dims int) (*Graph, error) { return newCube(KindTorus, k, dims) }
 
 // NewMesh builds a k-ary n-dimensional mesh: the torus without wraparound
-// links, so border nodes have lower degree.
-func NewMesh(k, dims int) (*Graph, error) {
+// links, so border nodes have lower degree. Port order is the torus's, less
+// the links that do not exist.
+func NewMesh(k, dims int) (*Graph, error) { return newCube(KindMesh, k, dims) }
+
+func newCube(kind Kind, k, dims int) (*Graph, error) {
 	if k < 2 || dims < 1 {
-		return nil, fmt.Errorf("topology: mesh requires k >= 2, dims >= 1 (got k=%d dims=%d)", k, dims)
+		return nil, fmt.Errorf("topology: %v requires k >= 2, dims >= 1 (got k=%d dims=%d)", kind, k, dims)
 	}
 	n := pow(k, dims)
 	edges := make([]Link, 0, n*2*dims)
@@ -56,18 +29,22 @@ func NewMesh(k, dims int) (*Graph, error) {
 		idToCoord(id, k, coord)
 		for d := 0; d < dims; d++ {
 			orig := coord[d]
-			if orig+1 < k {
-				coord[d] = orig + 1
-				edges = append(edges, Link{From: NodeID(id), To: NodeID(coordToID(coord, k))})
-			}
-			if orig-1 >= 0 {
-				coord[d] = orig - 1
+			for i, c := range []int{orig + 1, orig - 1} {
+				if kind == KindTorus {
+					c = (c + k) % k
+				}
+				// A mesh has no link off its edge; a ring of two has one link
+				// per dimension, not a second one back to the same neighbour.
+				if c < 0 || c >= k || i == 1 && kind == KindTorus && k == 2 {
+					continue
+				}
+				coord[d] = c
 				edges = append(edges, Link{From: NodeID(id), To: NodeID(coordToID(coord, k))})
 			}
 			coord[d] = orig
 		}
 	}
-	g, err := NewGraph(KindMesh, n, n, edges)
+	g, err := NewGraph(kind, n, n, edges)
 	if err != nil {
 		return nil, err
 	}
