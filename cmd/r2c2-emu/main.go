@@ -142,7 +142,7 @@ func runDemo(stdout io.Writer, k int, mbps float64, flows int, size int64, mean 
 		if err := f.Wait(5 * time.Minute); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "flow %v: %.1f Mbps, FCT %v\n", f.Info.ID, f.Throughput()/1e6, f.FCT().Round(time.Millisecond))
+		fmt.Fprintf(stdout, "flow %v: %.1f Mbps, FCT %v\n", f.Info().ID, f.Throughput()/1e6, f.FCT().Round(time.Millisecond))
 	}
 	fmt.Fprintf(stdout, "drops: %d\n", rack.Drops())
 	return nil

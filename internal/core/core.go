@@ -51,26 +51,17 @@ func (f *FlowInfo) DemandBits() float64 {
 // StartBroadcast builds the 16-byte broadcast announcing this flow's start,
 // to be routed along the given spanning tree.
 func (f *FlowInfo) StartBroadcast(tree uint8) *wire.Broadcast {
-	return f.broadcast(wire.EventFlowStart, tree)
+	return f.Broadcast(wire.EventFlowStart, tree)
 }
 
 // FinishBroadcast builds the broadcast announcing this flow's termination.
 func (f *FlowInfo) FinishBroadcast(tree uint8) *wire.Broadcast {
-	return f.broadcast(wire.EventFlowFinish, tree)
+	return f.Broadcast(wire.EventFlowFinish, tree)
 }
 
-// DemandBroadcast builds the broadcast announcing a demand change.
-func (f *FlowInfo) DemandBroadcast(tree uint8) *wire.Broadcast {
-	return f.broadcast(wire.EventDemandUpdate, tree)
-}
-
-// RouteChangeBroadcast builds the broadcast announcing a routing-protocol
-// change decided by the selection heuristic (§3.4).
-func (f *FlowInfo) RouteChangeBroadcast(tree uint8) *wire.Broadcast {
-	return f.broadcast(wire.EventRouteChange, tree)
-}
-
-func (f *FlowInfo) broadcast(ev wire.EventKind, tree uint8) *wire.Broadcast {
+// Broadcast builds the broadcast announcing event ev of this flow: its
+// start, finish, demand change or routing-protocol change (§3.4).
+func (f *FlowInfo) Broadcast(ev wire.EventKind, tree uint8) *wire.Broadcast {
 	return &wire.Broadcast{
 		Event:      ev,
 		Src:        uint16(f.Src),

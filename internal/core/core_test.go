@@ -96,7 +96,7 @@ func TestViewDemandAndRouteUpdates(t *testing.T) {
 	f := flowInfo(1, 2, 1)
 	v.AddFlow(f)
 	f.DemandKbps = 5000
-	if err := v.Apply(f.DemandBroadcast(0)); err != nil {
+	if err := v.Apply(f.Broadcast(wire.EventDemandUpdate, 0)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := v.Get(f.ID)
@@ -104,7 +104,7 @@ func TestViewDemandAndRouteUpdates(t *testing.T) {
 		t.Fatalf("demand = %d", got.DemandKbps)
 	}
 	f.Protocol = routing.VLB
-	if err := v.Apply(f.RouteChangeBroadcast(0)); err != nil {
+	if err := v.Apply(f.Broadcast(wire.EventRouteChange, 0)); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = v.Get(f.ID)
@@ -113,7 +113,7 @@ func TestViewDemandAndRouteUpdates(t *testing.T) {
 	}
 	// Update for an unknown flow is silently dropped (races a finish).
 	unknown := flowInfo(7, 8, 9)
-	if err := v.Apply(unknown.DemandBroadcast(0)); err != nil {
+	if err := v.Apply(unknown.Broadcast(wire.EventDemandUpdate, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 1 {
@@ -503,9 +503,9 @@ func TestViewMatchesMapReference(t *testing.T) {
 		var b *wire.Broadcast
 		switch r := rng.Intn(20); {
 		case r < 2:
-			b = f.DemandBroadcast(0)
+			b = f.Broadcast(wire.EventDemandUpdate, 0)
 		case r < 4:
-			b = f.RouteChangeBroadcast(0)
+			b = f.Broadcast(wire.EventRouteChange, 0)
 		case (r < 15) == (v.Len() < targets[step*len(targets)/steps]): // 11 in 16 toward the current target size
 			b = f.StartBroadcast(0)
 		default:
@@ -557,7 +557,7 @@ func FuzzViewApply(f *testing.F) {
 			src, seq := uint16(data[1]%16), uint16(data[2]%64) // 1,024 IDs: finishes and updates hit, tables reach 2,048 slots
 			info := FlowInfo{ID: wire.MakeFlowID(src, seq), Src: topology.NodeID(src), Dst: 1,
 				Weight: 1, DemandKbps: uint32(data[3]), Protocol: routing.Protocol(data[3] % 4)}
-			b := info.broadcast(wire.EventFlowStart+wire.EventKind(data[0]%4), 0)
+			b := info.Broadcast(wire.EventFlowStart+wire.EventKind(data[0]%4), 0)
 			ref.apply(b)
 			if err := v.Apply(b); err != nil {
 				t.Fatal(err)

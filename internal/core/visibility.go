@@ -14,8 +14,9 @@ import (
 // flow absent, finished, or live with one of its announced values. A start
 // reaching a finished cell is late (§3.2) and ignored. Once every column
 // holds the finish the row is recycled, leaving a tombstone bit, which every
-// start half the 16-bit sequence space away clears. The simulator gives an
-// R2C2 instance one, the emulator each node a one-column one under its lock.
+// start or finish half the 16-bit sequence space away clears. The simulator
+// gives an R2C2 instance one, the emulator each node a one-column one under
+// its lock.
 type Visibility struct {
 	index  table[int32] // the open rows
 	tomb   [][]uint64   // tomb[src] has bit seq set once flow (src, seq) retired
@@ -50,7 +51,12 @@ func NewVisibility(owned int) Visibility {
 }
 
 // openRow returns the flow's row, opening one unless the flow retired (-1).
+// Late or not, it first clears the tombstone half the sequence space away,
+// so the source's wrapped-around sequence number starts clean.
 func (v *Visibility) openRow(id wire.FlowID) int32 {
+	if w, bit := v.tombBit(id ^ 0x8000); w != nil {
+		*w &^= bit
+	}
 	if i, ok := v.index.get(id); ok {
 		return i
 	}
@@ -160,19 +166,16 @@ func (v *Visibility) Apply(col int, b *wire.Broadcast) {
 }
 
 // Hold makes column col hold info live, as a start does: the origin's own
-// add or update, applied before it broadcasts (§3.1). Late or not, it first
-// clears the tombstone half the sequence space away, so the source's
-// wrapped-around sequence number starts clean.
+// add or update, applied before it broadcasts (§3.1).
 func (v *Visibility) Hold(col int, info FlowInfo) {
-	if w, bit := v.tombBit(info.ID ^ 0x8000); w != nil {
-		*w &^= bit
-	}
 	if i := v.openRow(info.ID); i >= 0 && *v.cell(col, i) != cellFinished {
 		v.set(col, i, v.entryOf(i, info))
 	}
 }
 
-// Finish makes column col hold the flow's finish.
+// Finish makes column col hold the flow's finish. Like a start, it takes the
+// flow's turn in the sequence space, so a flow whose start never floods (the
+// emulator's abandoned at birth) still clears the tombstone before it.
 func (v *Visibility) Finish(col int, id wire.FlowID) {
 	if i := v.openRow(id); i >= 0 {
 		v.set(col, i, cellFinished)

@@ -75,8 +75,8 @@ func checkRows(t testing.TB, v *Visibility) {
 
 // visRef is the reference a Visibility is held to: a View per column, and
 // per column the set of flows whose finish it holds. A flow every column
-// holds finished is retired, and every start, late or not, forgets the
-// retired flow half the sequence space away.
+// holds finished is retired, and every start or finish, late or not,
+// forgets the retired flow half the sequence space away.
 type visRef struct {
 	views []*View
 	fin   []map[wire.FlowID]bool
@@ -101,13 +101,13 @@ func (ref *visRef) retired(id wire.FlowID) bool {
 }
 
 func (ref *visRef) apply(col int, b *wire.Broadcast) {
+	if w := b.Flow() ^ 0x8000; b.Event <= wire.EventFlowFinish && ref.retired(w) {
+		for _, fin := range ref.fin {
+			delete(fin, w)
+		}
+	}
 	switch b.Event {
 	case wire.EventFlowStart:
-		if w := b.Flow() ^ 0x8000; ref.retired(w) {
-			for _, fin := range ref.fin {
-				delete(fin, w)
-			}
-		}
 		if ref.fin[col][b.Flow()] {
 			return
 		}
@@ -154,6 +154,9 @@ func FuzzVisibilityMatchesView(f *testing.F) {
 	// One column: a finish ahead of its start half the sequence space away
 	// still lets that late start clear the wrapped-around flow's tombstone.
 	f.Add([]byte{0, 1, 0, 0x34, 0, 1, 0, 0x3C, 0, 0, 0, 0x3C, 5, 0, 0, 0x34, 5})
+	// One column: a finish half the sequence space away clears the
+	// tombstone as a start would, so the wrapped-around start applies.
+	f.Add([]byte{0, 1, 0, 0x34, 0, 1, 0, 0x3C, 0, 0, 0, 0x34, 5})
 	// One column, as an emulator origin: its own flows' adds and finishes
 	// (a flow abandoned at birth is both), then the wrapped-around flow.
 	f.Add([]byte{0, 4, 0, 0x34, 5, 5, 0, 0x34, 0, 4, 0, 0x3C, 5, 5, 0, 0x3C, 0, 4, 0, 0x34, 5})

@@ -7,6 +7,7 @@ import (
 	"r2c2/internal/core"
 	"r2c2/internal/routing"
 	"r2c2/internal/topology"
+	"r2c2/internal/wire"
 )
 
 // §3.3.2 host-limited flows, live: an application producing at 20 Mbps
@@ -47,7 +48,7 @@ func TestEmuDemandEstimation(t *testing.T) {
 	sawDemand := false
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		d, ok := r.FlowDemandAt(10, limited.Info.ID)
+		d, ok := r.FlowDemandAt(10, limited.Info().ID)
 		if ok && d != core.UnlimitedDemand {
 			if float64(d)*1e3 < appRate*3 && float64(d)*1e3 > appRate/3 {
 				sawDemand = true
@@ -86,16 +87,23 @@ func TestEmuDemandEstimation(t *testing.T) {
 // and decoding back through FlowInfo.DemandBits loses at most one Kbps
 // quantum.
 func TestFlowDemandRoundTrip(t *testing.T) {
-	networkLimited := &Flow{}
+	n := &emuNode{vis: core.NewVisibility(1)}
+	n.Node = core.NewNode[*Flow](0, &n.vis, 0, 1)
+	flow := func(seq uint16) *Flow {
+		f := &Flow{node: n, info: core.FlowInfo{ID: wire.MakeFlowID(0, seq), Dst: 1, Weight: 1, DemandKbps: core.UnlimitedDemand}}
+		n.Start(f)
+		return f
+	}
+	networkLimited := flow(0)
 	if networkLimited.Demand() != core.UnlimitedDemand {
 		t.Fatalf("network-limited Demand() = %d, want UnlimitedDemand", networkLimited.Demand())
 	}
-	hostLimited := &Flow{appRate: 20e6}
+	hostLimited := flow(1)
 	for _, bits := range []float64{0, 999, 1e3, 20e6, 4.2e12, 1e15} {
 		k := core.KbpsDemand(bits)
-		hostLimited.demandKbps.Store(k)
+		n.SetDemand(hostLimited, k)
 		if got := hostLimited.Demand(); got != k {
-			t.Fatalf("Demand() = %d after storing %d", got, k)
+			t.Fatalf("Demand() = %d after broadcasting %d", got, k)
 		}
 		info := core.FlowInfo{DemandKbps: hostLimited.Demand()}
 		back := info.DemandBits()

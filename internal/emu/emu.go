@@ -99,7 +99,7 @@ type Rack struct {
 	// tab is the routing table of the PHYSICAL graph. It never changes:
 	// data packets carry port indices into the physical graph's out-lists,
 	// so route encoding always goes through it. Path *selection* uses the
-	// current fabric's table (see fabricState).
+	// current fabric's table.
 	tab *routing.Table
 
 	ctx      context.Context
@@ -119,18 +119,15 @@ type Rack struct {
 
 	// fabric is the routing state every data-plane goroutine reads: swapped
 	// atomically by swapFabric after a fault's detection delay, exactly like
-	// the simulator's Tab/Fib/linkMap swap (sim/emu parity contract).
-	fabric atomic.Pointer[fabricState]
+	// the simulator's (sim/emu parity contract).
+	fabric atomic.Pointer[core.Fabric]
 
-	// Fault-injection state. Lock order: faultMu before any emuNode.mu,
-	// never the reverse.
-	faultMu     sync.Mutex
-	failedLinks []bool // indexed by LinkID
-	deadNodes   []bool // indexed by NodeID, one per vertex
-	faultSeq    uint64 // fault injections (guarded by faultMu)
-	coveredSeq  uint64 // injections already covered by a fabric swap
-	reroutes    atomic.Uint64
-	faultErrs   atomic.Uint64
+	// faults is the failure state, under faultMu. Lock order: faultMu
+	// before any emuNode.mu, never the reverse.
+	faultMu   sync.Mutex
+	faults    *core.Faults
+	reroutes  atomic.Uint64
+	faultErrs atomic.Uint64
 
 	// Random-loss RNG shared by all lossy ports (only taken on ports with a
 	// drop probability installed).
@@ -140,27 +137,6 @@ type Rack struct {
 	// pool is the rack-wide mbuf segment pool (mbuf.go) every packet
 	// buffer is carved from.
 	pool mbufPool
-}
-
-// fabricState is the routing state of one fabric generation: the table and
-// broadcast FIB built over the (possibly degraded) graph, the mapping from
-// its link IDs back to physical ports, and the crashed nodes.
-type fabricState struct {
-	tab     *routing.Table
-	fib     *topology.BroadcastFIB
-	linkMap []topology.LinkID // nil while the fabric is intact
-	dead    []bool            // indexed by NodeID
-}
-
-// physInPlace translates a path of fabric link IDs to physical link IDs,
-// overwriting a buffer the caller owns.
-func (st *fabricState) physInPlace(path []topology.LinkID) {
-	if st.linkMap == nil {
-		return
-	}
-	for i, lid := range path {
-		path[i] = st.linkMap[lid]
-	}
 }
 
 type emuPort struct {
@@ -179,16 +155,16 @@ type emuPort struct {
 
 func (p *emuPort) dropProb() float64 { return math.Float64frombits(p.dropBits.Load()) }
 
+// emuNode is one node's stack, under mu: its protocol state over the view
+// it holds column 0 of, its rate computer (rebuilt by the recompute loop
+// for each new fabric), and the flows arriving at it.
 type emuNode struct {
-	id topology.NodeID
-
-	mu       sync.Mutex
-	vis      core.Visibility // the node's view: one column
-	rc       *core.RateComputer
-	flows    map[wire.FlowID]*Flow // flows sourced here
-	nextSeq  uint16
-	nextTree uint8
-	rcvd     map[wire.FlowID]rcvdFlow // flows arriving here (this node is dst)
+	mu sync.Mutex
+	core.Node[*Flow]
+	vis     core.Visibility
+	rc      *core.RateComputer
+	nextSeq uint16
+	rcvd    map[wire.FlowID]rcvdFlow // flows arriving here (this node is dst)
 }
 
 // rcvdFlow is a destination's record of an arriving flow: its bytes so far,
@@ -200,7 +176,7 @@ type rcvdFlow struct {
 
 // Flow is a handle on one emulated flow.
 type Flow struct {
-	Info      core.FlowInfo
+	info      core.FlowInfo
 	SizeBytes int64
 
 	rate      atomic.Uint64 // bits/s
@@ -218,18 +194,21 @@ type Flow struct {
 	// Host-limited flows (§3.3.2): the application produces bytes at
 	// appRate bits/s; the sender estimates demand from its queue
 	// (Eq. 1: d[i+1] = r[i] + q[i]/T) and broadcasts changes so all nodes
-	// allocate demand-aware. demandKbps mirrors the last broadcast value.
-	appRate    float64
-	demandKbps atomic.Uint32
+	// allocate demand-aware.
+	appRate float64
+	node    *emuNode // the source, whose mu guards info's demand
 }
+
+// Info returns the flow's announced entry; its ID, endpoints, weight and
+// priority never change.
+func (f *Flow) Info() *core.FlowInfo { return &f.info }
 
 // Demand returns the flow's last broadcast demand in Kbps
 // (core.UnlimitedDemand if network-limited).
 func (f *Flow) Demand() uint32 {
-	if f.appRate <= 0 {
-		return core.UnlimitedDemand
-	}
-	return f.demandKbps.Load()
+	f.node.mu.Lock()
+	defer f.node.mu.Unlock()
+	return f.info.DemandKbps
 }
 
 // Rate returns the flow's current allocated rate in bits/s.
@@ -265,10 +244,10 @@ func (f *Flow) Wait(timeout time.Duration) error {
 		return nil
 	case <-f.aborted:
 		return fmt.Errorf("emu: flow %v abandoned %s (%d/%d bytes)",
-			f.Info.ID, f.abortWhy, f.bytesRcvd.Load(), f.SizeBytes)
+			f.info.ID, f.abortWhy, f.bytesRcvd.Load(), f.SizeBytes)
 	case <-t.C:
 		return fmt.Errorf("emu: flow %v incomplete after %v (%d/%d bytes)",
-			f.Info.ID, timeout, f.bytesRcvd.Load(), f.SizeBytes)
+			f.info.ID, timeout, f.bytesRcvd.Load(), f.SizeBytes)
 	}
 }
 
@@ -318,34 +297,27 @@ func New(cfg Config) (*Rack, error) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	intact := core.NewFabric(routing.NewTable(cfg.Graph), cfg.TreesPerSource, cfg.Seed)
 	r := &Rack{
-		cfg:         cfg,
-		clk:         newRackClock(),
-		tab:         routing.NewTable(cfg.Graph),
-		ctx:         ctx,
-		cancel:      cancel,
-		flows:       make(map[wire.FlowID]*Flow),
-		failedLinks: make([]bool, cfg.Graph.NumLinks()),
-		deadNodes:   make([]bool, cfg.Graph.Vertices()),
+		cfg:     cfg,
+		clk:     newRackClock(),
+		tab:     intact.Tab,
+		ctx:     ctx,
+		cancel:  cancel,
+		flows:   make(map[wire.FlowID]*Flow),
+		faults:  core.NewFaults(intact),
+		lossRng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	r.fabric.Store(&fabricState{
-		tab:  r.tab,
-		fib:  topology.NewBroadcastFIB(cfg.Graph, cfg.TreesPerSource, cfg.Seed),
-		dead: make([]bool, cfg.Graph.Vertices()),
-	})
+	r.fabric.Store(&intact)
 	r.ports = make([]*emuPort, cfg.Graph.NumLinks())
 	for i := range r.ports {
 		r.ports[i] = &emuPort{ch: make(chan emuPkt, queuePackets)}
 	}
 	r.nodes = make([]*emuNode, cfg.Graph.Nodes())
 	for i := range r.nodes {
-		r.nodes[i] = &emuNode{
-			id:    topology.NodeID(i),
-			vis:   core.NewVisibility(1),
-			rc:    core.NewRateComputer(r.tab, cfg.LinkMbps*1e6, cfg.Headroom),
-			flows: make(map[wire.FlowID]*Flow),
-			rcvd:  make(map[wire.FlowID]rcvdFlow),
-		}
+		n := &emuNode{vis: core.NewVisibility(1), rcvd: make(map[wire.FlowID]rcvdFlow)}
+		n.Node = core.NewNode[*Flow](topology.NodeID(i), &n.vis, 0, cfg.TreesPerSource)
+		r.nodes[i] = n
 	}
 	return r, nil
 }
@@ -560,12 +532,10 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt, c *mbufCache) {
 			r.pool.release(c, pkt)
 			return
 		}
-		if topology.NodeID(bc.Src) != at {
-			n := r.nodes[at]
-			n.mu.Lock()
-			n.vis.Apply(0, &bc)
-			n.mu.Unlock()
-		}
+		n := r.nodes[at]
+		n.mu.Lock()
+		n.Receive(&bc)
+		n.mu.Unlock()
 		r.forwardBroadcast(at, topology.NodeID(bc.Src), bc.Tree, pkt, c)
 		r.pool.release(c, pkt) // this hop's reference; children hold their own
 	default:
@@ -581,7 +551,7 @@ func (r *Rack) receive(at topology.NodeID, pkt emuPkt, c *mbufCache) {
 func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt, c *mbufCache) {
 	st := r.fabric.Load()
 	var buf [wire.MaxPorts]topology.LinkID // New rejects a node with more ports
-	hops, ok := st.fib.AppendNextHops(buf[:0], src, tree, at)
+	hops, ok := st.Fib.AppendNextHops(buf[:0], src, tree, at)
 	if !ok {
 		// A fabric swap replaced the FIB underneath an in-flight broadcast:
 		// the new trees need not visit `at`, and a crashed origin has no
@@ -590,21 +560,24 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt,
 		r.drops.Add(1)
 		return
 	}
+	st.PhysInPlace(hops)
 	for _, lid := range hops {
-		if st.linkMap != nil {
-			lid = st.linkMap[lid]
-		}
 		pkt.retain()
 		r.enqueue(lid, pkt, c)
 	}
 }
 
-// flood announces b from its origin along its tree. Floods are per flow,
-// not per packet, so they take the pool's one-segment path.
-func (r *Rack) flood(b *wire.Broadcast) {
-	pkt := r.newBcastPkt(b)
-	r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt, nil)
-	r.pool.release(nil, pkt)
+// flood announces each broadcast of bs but nil from its origin along its
+// tree. Floods are per flow, not per packet, so they take the pool's
+// one-segment path.
+func (r *Rack) flood(bs ...*wire.Broadcast) {
+	for _, b := range bs {
+		if b != nil {
+			pkt := r.newBcastPkt(b)
+			r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt, nil)
+			r.pool.release(nil, pkt)
+		}
+	}
 }
 
 // newBcastPkt encodes a broadcast into a pooled segment (ref 1, owned by
@@ -683,11 +656,14 @@ func (r *Rack) recomputeLoop(n *emuNode) {
 			return
 		case <-ticker.C:
 			n.mu.Lock()
-			if len(n.flows) > 0 {
+			if len(n.Flows()) > 0 {
+				if tab := r.fabric.Load().Tab; n.rc == nil || n.rc.Table() != tab {
+					n.rc = core.NewRateComputer(tab, r.cfg.LinkMbps*1e6, r.cfg.Headroom)
+				}
 				sum.Flows, sum.Hash = n.vis.AppendFlows(sum.Flows[:0], 0), n.vis.Digest(0)
 				alloc := n.rc.ComputeSummary(&sum)
-				for id, f := range n.flows {
-					f.rate.Store(uint64(alloc.Rate(id)))
+				for _, f := range n.Flows() {
+					f.rate.Store(uint64(alloc.Rate(f.info.ID)))
 				}
 			}
 			n.mu.Unlock()
@@ -739,31 +715,31 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 	// discovers the application's rate from observed queuing (Eq. 1) and
 	// the sender broadcasts the estimate once it diverges from what the
 	// rack believes.
-	f := &Flow{Info: info, SizeBytes: size, started: r.clk.nowNs(), done: make(chan struct{}), aborted: make(chan struct{}), appRate: appRate}
+	f := &Flow{info: info, SizeBytes: size, started: r.clk.nowNs(), done: make(chan struct{}), aborted: make(chan struct{}), appRate: appRate, node: n}
 	f.rate.Store(uint64(r.cfg.LinkMbps * 1e6))
-	f.demandKbps.Store(core.UnlimitedDemand)
-	n.vis.Hold(0, info)
-	if st := r.fabric.Load(); st.dead[src] || st.dead[dst] {
+	b, st := n.Start(f), r.fabric.Load()
+	abandoned := st.Dead[src] || st.Dead[dst]
+	if abandoned {
 		// Abandoned at birth: a crashed endpoint can neither send nor
 		// receive (sim parity: the ledger records the flow, nothing runs).
-		// Its start and finish still pass the view, for the wrap rule.
-		n.vis.Finish(0, id)
-		n.mu.Unlock()
+		// A live source floods only the finish, which takes the flow's
+		// sequence number's turn in every view (the wrap rule) and puts
+		// no flow to a dead node in any.
+		b = n.Finish(f)
 		f.abort(abortEndpoint)
-		r.flowsMu.Lock()
-		r.flows[id] = f
-		r.flowsMu.Unlock()
-		return f, nil
 	}
-	n.flows[id] = f
-	b := info.StartBroadcast(n.pickTree(r.cfg.TreesPerSource))
 	n.mu.Unlock()
 
 	r.flowsMu.Lock()
 	r.flows[id] = f
 	r.flowsMu.Unlock()
 
-	r.flood(b)
+	if !st.Dead[src] { // nothing routes from a dead origin
+		r.flood(b)
+	}
+	if abandoned {
+		return f, nil
+	}
 
 	r.wg.Add(1)
 	go r.flowSender(n, f)
@@ -787,7 +763,7 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 	defer r.wg.Done()
 	var cache mbufCache
 	defer r.pool.flush(&cache)
-	rng := routing.NewStream(r.cfg.Seed, int64(f.Info.ID))
+	rng := routing.NewStream(r.cfg.Seed, int64(f.info.ID))
 	done := r.ctx.Done()
 	remaining := f.SizeBytes
 	var seq uint32
@@ -832,20 +808,11 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 				sentRate := (sentBits - sentAtPeriodStart) / time.Duration(nowNs-periodStartNs).Seconds()
 				d := estimator.Observe(sentRate, backlog)
 				newKbps := core.KbpsDemand(d)
-				old := f.demandKbps.Load()
-				if diverges(old, newKbps) {
-					f.demandKbps.Store(newKbps)
+				if diverges(f.info.DemandKbps, newKbps) { // written only here, under n.mu
 					n.mu.Lock()
-					f.Info.DemandKbps = newKbps
-					var b *wire.Broadcast
-					if _, live := n.flows[f.Info.ID]; live {
-						n.vis.Hold(0, f.Info)
-						b = f.Info.DemandBroadcast(n.pickTree(r.cfg.TreesPerSource))
-					}
+					b := n.SetDemand(f, newKbps)
 					n.mu.Unlock()
-					if b != nil {
-						r.flood(b)
-					}
+					r.flood(b)
 				}
 				periodStartNs = nowNs
 				sentAtPeriodStart = sentBits
@@ -882,12 +849,12 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		// port indices against the physical graph — data packets index the
 		// physical out-lists at every hop.
 		st := r.fabric.Load()
-		if st.dead[f.Info.Src] || st.dead[f.Info.Dst] {
+		if st.Dead[f.info.Src] || st.Dead[f.info.Dst] {
 			return // crashed endpoint; the abort lands with the swap
 		}
-		pathBuf = st.tab.AppendPath(pathBuf[:0], f.Info.Protocol, f.Info.Src, f.Info.Dst, rng)
+		pathBuf = st.Tab.AppendPath(pathBuf[:0], f.info.Protocol, f.info.Src, f.info.Dst, rng)
 		path := pathBuf
-		st.physInPlace(path)
+		st.PhysInPlace(path)
 		portBuf = portBuf[:0]
 		var err error
 		portBuf, err = r.tab.AppendPortRoute(portBuf, path)
@@ -901,9 +868,9 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		h = wire.DataHeader{
 			RLen:  uint8(len(portBuf)),
 			RIdx:  1, // the sender consumes hop 0 by picking the first port
-			Flow:  f.Info.ID,
-			Src:   uint16(f.Info.Src),
-			Dst:   uint16(f.Info.Dst),
+			Flow:  f.info.ID,
+			Src:   uint16(f.info.Src),
+			Dst:   uint16(f.info.Dst),
 			Seq:   seq,
 			PLen:  uint16(payload),
 			Route: route,
@@ -964,18 +931,9 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		return // purged by the fabric swap; no finish to announce
 	}
 	n.mu.Lock()
-	delete(n.flows, f.Info.ID)
-	n.vis.Finish(0, f.Info.ID)
-	b := f.Info.FinishBroadcast(n.pickTree(r.cfg.TreesPerSource))
+	b := n.Finish(f)
 	n.mu.Unlock()
 	r.flood(b)
-}
-
-// pickTree rotates the node's announcements over the trees; hold n.mu.
-func (n *emuNode) pickTree(trees int) uint8 {
-	t := n.nextTree
-	n.nextTree = (n.nextTree + 1) % uint8(trees)
-	return t
 }
 
 // diverges reports whether a new demand estimate differs enough from the

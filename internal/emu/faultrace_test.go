@@ -91,62 +91,72 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	r.ApplyFaults(sched)
 
-	// The schedule has settled once every event has been injected and a
-	// swap has covered the last injection. How many swaps that took is the
-	// host scheduler's business: a starved detection timer fires after the
-	// next injection and one swap covers both, a starved injector runs late
-	// and a wave the schedule fires together takes two. Only the bounds and
-	// the failure state the swaps end on are promised.
+	// The failure state after each event. The schedule has settled once the
+	// rack holds the last of them and a swap built its fabric from it. How
+	// many swaps that took is the host scheduler's business: a starved
+	// detection timer fires after the next injection and one swap covers
+	// both, a starved injector runs late and a wave the schedule fires
+	// together takes two. Only the bounds and the final state are promised.
 	events := sched.Sorted()
-	want := uint64(len(events)) // Generate emits flaps, repairs and a crash: every event reroutes
-	settled := func() (injected, covered uint64) {
+	links, dead := make([]bool, g.NumLinks()), make([]bool, g.Vertices())
+	var states [][2][]bool
+	for _, ev := range events {
+		switch ev.Kind {
+		case faults.LinkDown, faults.LinkRepair:
+			lids, err := r.faults.Cable(ev.A, ev.B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lid := range lids {
+				links[lid] = ev.Kind == faults.LinkDown
+			}
+		case faults.NodeDown:
+			dead[ev.Node] = true
+			for _, lid := range slices.Concat(g.Out(ev.Node), g.In(ev.Node)) {
+				links[lid] = true
+			}
+		default:
+			t.Fatalf("schedule event %v does not reroute; count it out of want", ev)
+		}
+		states = append(states, [2][]bool{slices.Clone(links), slices.Clone(dead)})
+	}
+	for i, st := range states[:len(states)-1] {
+		if slices.Equal(st[0], links) && slices.Equal(st[1], dead) {
+			t.Fatalf("event %d already leaves the final failure state, so the rack could match it early\nschedule:\n%s", i, sched)
+		}
+	}
+	healthy := g.NumLinks()
+	for _, failed := range links {
+		if failed {
+			healthy--
+		}
+	}
+	settled := func() bool {
 		r.faultMu.Lock()
 		defer r.faultMu.Unlock()
-		return r.faultSeq, r.coveredSeq
+		l, d := r.faults.State()
+		fab := r.fabric.Load()
+		return slices.Equal(l, links) && slices.Equal(d, dead) && slices.Equal(fab.Dead, dead) && fab.Tab.Graph().NumLinks() == healthy
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if injected, covered := settled(); injected == want && covered == want {
-			break
-		}
+	for deadline := time.Now().Add(10 * time.Second); !settled() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	close(stop)
 	wg.Wait()
 
-	if injected, covered := settled(); injected != want || covered != want {
-		t.Fatalf("schedule did not settle: %d events injected, %d covered by a swap, want %d of each (%d injection errors)\nschedule:\n%s",
-			injected, covered, want, r.FaultErrors(), sched)
+	if !settled() {
+		r.faultMu.Lock()
+		l, d := r.faults.State()
+		r.faultMu.Unlock()
+		t.Fatalf("schedule did not settle: failure state links %v nodes %v, want links %v nodes %v, or no swap covered it (%d injection errors)\nschedule:\n%s",
+			l, d, links, dead, r.FaultErrors(), sched)
 	}
-	if got := r.Reroutes(); got < 1 || got > want {
+	if n := r.FaultErrors(); n != 0 {
+		t.Fatalf("%d schedule events failed to inject\nschedule:\n%s", n, sched)
+	}
+	if got, want := r.Reroutes(), uint64(len(events)); got < 1 || got > want { // every event reroutes
 		t.Fatalf("reroutes = %d, want between 1 and %d (one per event at most)\nschedule:\n%s", got, want, sched)
 	}
-	wantLinks, wantDead := make([]bool, g.NumLinks()), make([]bool, g.Vertices())
-	for _, ev := range events {
-		switch ev.Kind {
-		case faults.LinkDown:
-			for _, lid := range r.cableLinks(ev.A, ev.B) {
-				wantLinks[lid] = true
-			}
-		case faults.LinkRepair:
-			for _, lid := range r.cableLinks(ev.A, ev.B) {
-				wantLinks[lid] = false
-			}
-		case faults.NodeDown:
-			wantDead[ev.Node] = true
-			for _, lid := range slices.Concat(g.Out(ev.Node), g.In(ev.Node)) {
-				wantLinks[lid] = true
-			}
-		default:
-			t.Fatalf("schedule event %v does not reroute; count it out of want", ev)
-		}
-	}
-	r.faultMu.Lock()
-	if !slices.Equal(r.failedLinks, wantLinks) || !slices.Equal(r.deadNodes, wantDead) {
-		t.Errorf("failure state after the schedule: links %v nodes %v, want links %v nodes %v",
-			r.failedLinks, r.deadNodes, wantLinks, wantDead)
-	}
-	r.faultMu.Unlock()
 	if completed.Load() == 0 {
 		t.Fatal("no flow completed while the schedule replayed")
 	}

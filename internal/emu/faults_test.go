@@ -25,7 +25,7 @@ func waitReroutes(t *testing.T, r *Rack, n uint64) {
 }
 
 func fabricHasCable(r *Rack, a, b topology.NodeID) bool {
-	g := r.fabric.Load().tab.Graph()
+	g := r.fabric.Load().Tab.Graph()
 	_, ok := g.LinkBetween(a, b)
 	return ok
 }
@@ -73,7 +73,7 @@ func TestEmuFailAndRepairLink(t *testing.T) {
 	if !fabricHasCable(r, 0, 1) {
 		t.Fatal("repaired cable missing from the re-expanded fabric")
 	}
-	if st.linkMap != nil {
+	if st.LinkMap != nil {
 		t.Fatal("fully repaired fabric should drop the link-ID translation")
 	}
 	f2, err := r.StartFlow(0, 1, 256<<10, 1, 0)
@@ -102,7 +102,7 @@ func TestForwardBroadcastDegradedAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.swapFabric()
-	if r.fabric.Load().linkMap == nil {
+	if r.fabric.Load().LinkMap == nil {
 		t.Fatal("want a degraded fabric")
 	}
 	checkForwardBroadcastAllocFree(t, r)
@@ -120,7 +120,7 @@ func TestForwardBroadcastAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(r.Stop)
-	if r.fabric.Load().linkMap != nil {
+	if r.fabric.Load().LinkMap != nil {
 		t.Fatal("intact fabric carries a link translation")
 	}
 	checkForwardBroadcastAllocFree(t, r)
@@ -133,7 +133,7 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 	t.Helper()
 	st := r.fabric.Load()
 	const src = topology.NodeID(0)
-	hops, ok := st.fib.NextHops(src, 0, src)
+	hops, ok := st.Fib.NextHops(src, 0, src)
 	if !ok || len(hops) == 0 {
 		t.Fatalf("want tree hops at the root: %v", hops)
 	}
@@ -146,8 +146,8 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 	r.forwardBroadcast(src, src, 0, pkt, nil)
 	for _, lid := range hops {
 		phys := lid
-		if st.linkMap != nil {
-			phys = st.linkMap[lid]
+		if st.LinkMap != nil {
+			phys = st.LinkMap[lid]
 		}
 		if r.ports[phys].enqueued.Load() != before[phys]+1 {
 			t.Fatalf("tree hop %d not forwarded on its physical port %d", lid, phys)
@@ -274,9 +274,17 @@ func TestEmuFailNode(t *testing.T) {
 }
 
 // Flows started toward a crashed endpoint are abandoned at birth, and a
-// crashed node cannot source new flows.
+// crashed node cannot source new flows. Under DOR, whose next hop toward a
+// node with no links panics, node 2 computes rates while an abandoned flow
+// floods: no view may ever hold it.
 func TestEmuAbandonAtBirth(t *testing.T) {
-	r := newRack(t, Config{LinkMbps: 200, Recompute: time.Millisecond, Protocol: routing.RPS})
+	for _, p := range []routing.Protocol{routing.RPS, routing.DOR} {
+		t.Run(p.String(), func(t *testing.T) { testAbandonAtBirth(t, p) })
+	}
+}
+
+func testAbandonAtBirth(t *testing.T, p routing.Protocol) {
+	r := newRack(t, Config{LinkMbps: 200, Recompute: time.Millisecond, Protocol: p})
 	if err := r.FailNode(5, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -295,9 +303,10 @@ func TestEmuAbandonAtBirth(t *testing.T) {
 		t.Fatal("abandoned-at-birth flow leaked into the source view")
 	}
 
-	// An abandoned flow still takes its sequence number's turn at its
-	// origin: it clears the record of the finished flow half the sequence
-	// space before it, whose wrapped-around successor is then held.
+	// An abandoned flow still takes its sequence number's turn in every
+	// live view: it clears the record of the finished flow half the sequence
+	// space before it, whose wrapped-around successor is then held at its
+	// origin and elsewhere.
 	g, err := r.StartFlow(0, 1, 64<<10, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -305,27 +314,43 @@ func TestEmuAbandonAtBirth(t *testing.T) {
 	if err := g.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); r.ViewLen(0) != 0; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); r.ViewLen(0) != 0 || r.ViewLen(2) != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("the origin never finished its flow")
+			t.Fatal("the origin never finished its flow, or node 2 never saw the finish")
 		}
+	}
+	if _, err := r.StartFlow(2, 3, 64<<20, 1, 0); err != nil { // node 2 computes rates throughout
+		t.Fatal(err)
 	}
 	start := func(seq uint16, dst topology.NodeID) *Flow {
 		n := r.nodes[0]
 		n.mu.Lock()
 		n.nextSeq = seq
 		n.mu.Unlock()
-		f, err := r.StartFlow(0, dst, 1<<20, 1, 0)
+		f, err := r.StartFlow(0, dst, 64<<20, 1, 0) // outlives the checks
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
-	if f := start(g.Info.ID.Seq()+0x8000, 5); !f.Abandoned() {
+	if f := start(g.Info().ID.Seq()+0x8000, 5); !f.Abandoned() {
 		t.Fatal("flow to a crashed node not abandoned at birth")
 	}
-	if _, ok := r.FlowDemandAt(0, start(g.Info.ID.Seq(), 1).Info.ID); !ok {
-		t.Fatalf("flow %v, wrapped around, is not held at its origin", g.Info.ID)
+	wrapped := start(g.Info().ID.Seq(), 1).Info().ID
+	if _, ok := r.FlowDemandAt(0, wrapped); !ok {
+		t.Fatalf("flow %v, wrapped around, is not held at its origin", wrapped)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := r.FlowDemandAt(2, wrapped); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("flow %v, wrapped around, never reached node 2's view", wrapped)
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // node 2 recomputes over its view
+	if n := r.ViewLen(2); n != 2 {
+		t.Fatalf("node 2 holds %d flows; want its own and the wrapped one", n)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestRackReleasesAllSegmentsWhenQuiet(t *testing.T) {
 	for _, f := range flows {
 		for f.bytesRcvd.Load() == 0 {
 			if time.Now().After(deadline.Add(5 * time.Second)) {
-				t.Fatalf("flow %v never delivered a byte", f.Info.ID)
+				t.Fatalf("flow %v never delivered a byte", f.Info().ID)
 			}
 			time.Sleep(time.Millisecond)
 		}

@@ -44,8 +44,8 @@ func receiveBcast(r *Rack, at topology.NodeID, b *wire.Broadcast) {
 // node, interleaved with the dead-endpoint purge of a fabric swap. About one
 // event kind in four is raw, so most of those are no kind at all. The
 // reference is a core.View per node plus the set of flows whose finish the
-// node applied; every start, late or not, forgets the finish half the
-// sequence space away, a node ignores its own flows' broadcasts, and a
+// node applied; every start or finish, late or not, forgets the finish half
+// the sequence space away, a node ignores its own flows' broadcasts, and a
 // packet of no known kind is a drop. After every event each node's ViewLen
 // and its FlowDemandAt of the event's flow must match the reference, and so
 // must the drop count; every 16th event, and after the last, FlowDemandAt of
@@ -64,6 +64,9 @@ func FuzzEmuReceiveMatchesView(f *testing.F) {
 	// At node 5, finishes ahead of their starts: the late start half the
 	// sequence space away still clears the record of the wrapped-around flow.
 	f.Add([]byte{4, 5, 0x34, 2, 4, 5, 0x3C, 2, 0, 5, 0x3C, 2, 0, 5, 0x34, 2})
+	// At node 5, a finish half the sequence space away clears the record as
+	// a start would: the wrapped-around start then applies.
+	f.Add([]byte{4, 5, 0x34, 2, 4, 5, 0x3C, 2, 0, 5, 0x34, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 4*1024)]
 		r := idleRack(t)
@@ -87,6 +90,7 @@ func FuzzEmuReceiveMatchesView(f *testing.F) {
 					return
 				}
 			case b.Event == wire.EventFlowFinish:
+				delete(fin[at], id^0x8000)
 				fin[at][id] = true
 			}
 			if err := views[at].Apply(b); err != nil {
@@ -116,7 +120,7 @@ func FuzzEmuReceiveMatchesView(f *testing.F) {
 						}
 					}
 				}
-				r.purgeDead(dead)
+				r.reannounce(dead)
 			default: // one node (ops 0 and 3) or every node (op 1)
 				b := info.StartBroadcast(data[3] % uint8(r.cfg.TreesPerSource))
 				if k := data[0] >> 2; k < 48 {

@@ -7,8 +7,9 @@
 //
 // Schedules are data, not behaviour: the same Schedule drives both the
 // packet-level simulator (sim.R2C2.ApplyFaults, on the virtual clock) and
-// the emulated rack (emu.Rack.ApplyFaults, on the rack clock), which is what
-// makes the sim-vs-emu fault cross-validation possible. They are parseable
+// the emulated rack (emu.Rack.ApplyFaults, on the rack clock), each event
+// through Inject, which is what makes the sim-vs-emu fault cross-validation
+// possible. They are parseable
 // from a compact flag DSL or JSON (Parse), generatable from a seeded RNG
 // (Generate), and statically checkable against a topology (Validate).
 package faults
@@ -89,6 +90,35 @@ func (e Event) String() string {
 // fires reports whether the event triggers a fabric rebuild Detect later
 // (LinkDrop events are local to the link and never reroute).
 func (e Event) fires() bool { return e.Kind != LinkDrop }
+
+// Target is a backend's fault entry points: sim.R2C2 with detection delays
+// in simulated time, emu.Rack in rack-clock time.
+type Target[D any] interface {
+	FailLink(a, b topology.NodeID, detect D) error
+	RepairLink(a, b topology.NodeID, detect D) error
+	FailNode(n topology.NodeID, detect D) error
+	SetLinkDropProb(a, b topology.NodeID, p float64) error
+}
+
+// Inject hands e to the target's entry point for its kind, with e.Detect
+// given in the target's time as detect. It is the one check of a drop
+// probability, which must lie in [0,1].
+func Inject[D any](t Target[D], e Event, detect D) error {
+	switch e.Kind {
+	case LinkDown:
+		return t.FailLink(e.A, e.B, detect)
+	case LinkRepair:
+		return t.RepairLink(e.A, e.B, detect)
+	case NodeDown:
+		return t.FailNode(e.Node, detect)
+	case LinkDrop:
+		if !(e.DropProb >= 0 && e.DropProb <= 1) {
+			return fmt.Errorf("faults: drop probability %g outside [0,1]", e.DropProb)
+		}
+		return t.SetLinkDropProb(e.A, e.B, e.DropProb)
+	}
+	return fmt.Errorf("faults: unknown event kind %d", e.Kind)
+}
 
 // Schedule is an ordered fault schedule. The zero value is the empty
 // schedule (no faults).

@@ -431,7 +431,7 @@ func TestRepairLinkReexpandsFabric(t *testing.T) {
 	if _, ok := r.Tab.Graph().LinkBetween(0, 1); !ok {
 		t.Fatal("repaired link missing from the re-expanded routing table")
 	}
-	if r.linkMap != nil {
+	if r.LinkMap != nil {
 		t.Fatal("fully repaired fabric should drop the link-ID translation")
 	}
 	ab, _ := g.LinkBetween(0, 1)
@@ -468,7 +468,7 @@ func TestDegradedFloodDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run(20 * simtime.Microsecond)
-	if r.linkMap == nil {
+	if r.LinkMap == nil {
 		t.Fatal("fabric not degraded after the detection delay")
 	}
 	// Node 0 is a neighbour of the dead link.
@@ -481,7 +481,7 @@ func TestDegradedFloodDoesNotAllocate(t *testing.T) {
 func TestIntactFloodDoesNotAllocate(t *testing.T) {
 	g := torus(t, 4, 3)
 	eng, net, r := newR2C2Net(t, g, R2C2Config{Protocol: routing.RPS, Recompute: simtime.Second})
-	if r.linkMap != nil {
+	if r.LinkMap != nil {
 		t.Fatal("intact fabric carries a link translation")
 	}
 	checkFloodAllocFree(t, eng, net, r)
@@ -501,7 +501,7 @@ func checkFloodAllocFree(t *testing.T, eng *Engine, net *Network, r *R2C2) {
 	}
 	flood := func() {
 		for _, b := range bcasts {
-			r.broadcast(r.nodes[0], b)
+			r.broadcast(r.nodes[0], b, 0)
 			eng.Run(eng.Now() + 100*simtime.Microsecond)
 		}
 	}

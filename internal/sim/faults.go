@@ -27,26 +27,7 @@ func (r *R2C2) ApplyFaults(sched faults.Schedule) {
 				// totals subtract the duplicates.
 				r.sh.ctrl++
 			}
-			det := simtime.Time(ev.Detect.Nanoseconds()) * simtime.Nanosecond
-			var err error
-			switch ev.Kind {
-			case faults.LinkDown:
-				err = r.FailLink(ev.A, ev.B, det)
-			case faults.LinkRepair:
-				err = r.RepairLink(ev.A, ev.B, det)
-			case faults.NodeDown:
-				err = r.FailNode(ev.Node, det)
-			case faults.LinkDrop:
-				ab, okAB := r.Net.G.LinkBetween(ev.A, ev.B)
-				ba, okBA := r.Net.G.LinkBetween(ev.B, ev.A)
-				if !okAB || !okBA {
-					err = fmt.Errorf("sim: no link between %d and %d", ev.A, ev.B)
-					break
-				}
-				r.Net.SetLinkDropProb(ab, ev.DropProb)
-				r.Net.SetLinkDropProb(ba, ev.DropProb)
-			}
-			if err != nil {
+			if err := faults.Inject(r, ev, simAt(ev.Detect)); err != nil {
 				panic(fmt.Sprintf("sim: fault injection %v failed: %v", ev, err))
 			}
 		})

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"r2c2/internal/core"
@@ -53,9 +51,14 @@ func (c *R2C2Config) defaults() {
 // per-packet paths drawn from each flow's routing protocol (§3).
 type R2C2 struct {
 	Net *Network
-	Tab *routing.Table
-	Fib *topology.BroadcastFIB
+	// Fabric is the current fault generation's routing state: Tab, Fib and,
+	// once a detection has swapped in a degraded fabric, the LinkMap back
+	// to physical ports.
+	core.Fabric
 	Cfg R2C2Config
+	// Faults is the failure state (§3.2, "Failures"), changed through
+	// FailLink, FailNode and RepairLink.
+	Faults *core.Faults
 
 	rc    *core.RateComputer
 	nodes []*r2c2Node
@@ -71,30 +74,9 @@ type R2C2 struct {
 	// every R2C2 instance of the run (one per shard, so possibly a single user).
 	fabrics *fabricCache
 
-	// gen is the route generation: interned per-flow routes and ack paths
-	// tagged with an older generation are recomputed (a reroute swapped in a
-	// new Tab/linkMap underneath them).
-	gen uint64
-
-	// Failure state (§3.2, "Failures"): after detection, Tab/Fib/rc are
-	// rebuilt over the degraded fabric and linkMap translates its link IDs
-	// back to physical ports. nil linkMap means the fabric is intact.
-	//
-	// The degraded fabric is always recomputed at detection-FIRE time from
-	// the accumulated failedLinks/deadNodes union, never from a snapshot
-	// captured at injection: overlapping failures with interleaved
-	// detection windows would otherwise let a later-firing callback
-	// install an older fabric, resurrecting a still-failed link. failSeq
-	// counts fault injections and reroutedSeq the injections already
-	// covered by a reroute, so a detection callback whose injections were
-	// all covered by an earlier (later-injected, shorter-delay) reroute
-	// no-ops instead of rebuilding the same fabric again.
-	failedLinks []bool // indexed by LinkID
-	deadNodes   []bool // indexed by NodeID, one per vertex
-	linkMap     []topology.LinkID
-	failSeq     uint64
-	reroutedSeq uint64
-	// FailureReroutes counts fabric rebuilds.
+	// FailureReroutes counts fabric rebuilds. It is the route generation:
+	// interned per-flow routes and ack paths tagged with an older one are
+	// recomputed (a reroute swapped in a new Tab/LinkMap underneath them).
 	FailureReroutes uint64
 
 	// Reorder tracks the receive-side reorder-buffer occupancy observed at
@@ -131,17 +113,13 @@ type r2c2Flow struct {
 	recv *reorderState
 }
 
-// r2c2Node is one node's protocol state: its view's column, live flows and
-// tree cursor. It is mutated only by its shard's engine goroutine.
+// r2c2Node is one node's protocol state, mutated only by its shard's engine
+// goroutine. Its live flows are in creation order, which is ascending
+// flow-ID order: recomputation ticks and reroutes schedule events flow by
+// flow, and scheduling order is the (at, seq) FIFO tie-break, so the walk
+// has to be the same in every run.
 type r2c2Node struct {
-	id  topology.NodeID
-	col int // this node's column of the instance's Visibility
-	// flows lists the node's live flows in creation order, which is ascending
-	// flow-ID order: recomputation ticks and reroutes schedule events flow by
-	// flow, and scheduling order is the (at, seq) FIFO tie-break, so the walk
-	// has to be the same in every run.
-	flows    []*senderFlow
-	nextTree uint8
+	core.Node[*senderFlow]
 	// rng is the node's private route-sampling stream (rng.go), created on
 	// the node's first sourced flow. Per-node streams keep route sampling
 	// independent of global event interleaving, so the sharded engine draws
@@ -151,7 +129,6 @@ type r2c2Node struct {
 
 type senderFlow struct {
 	node      *r2c2Node // the source: where pacing and timeout events run
-	live      bool      // still on node.flows: not finished, not abandoned to a failure
 	info      core.FlowInfo
 	remaining int64
 	rate      float64 // bits/s, as allocated
@@ -179,6 +156,9 @@ type senderFlow struct {
 	route    []topology.LinkID
 	routeGen uint64
 }
+
+// Info returns the flow's announced entry.
+func (sf *senderFlow) Info() *core.FlowInfo { return &sf.info }
 
 // chunkPayload returns the payload size of chunk i.
 func (sf *senderFlow) chunkPayload(i uint32) int64 {
@@ -211,18 +191,6 @@ type reorderState struct {
 	ackGen  uint64
 }
 
-// fabric is the routing state derived from one fabric generation's graph:
-// the routing table (with its φ cache and minimal DAGs), the broadcast FIB,
-// and the translation of a degraded graph's link IDs back to physical ports
-// (nil while the fabric is intact). Table and FIB fill lazily behind their
-// own synchronisation and are otherwise immutable, so every shard of a
-// sharded run reads the same instances.
-type fabric struct {
-	tab     *routing.Table
-	fib     *topology.BroadcastFIB
-	linkMap []topology.LinkID
-}
-
 // fabricCache hands each reroute generation's fabric to the run's R2C2
 // instances: the first to reach a generation builds it, the rest reuse it,
 // and the entry is dropped once all of them hold it. Shards replicate the
@@ -235,11 +203,11 @@ type fabricCache struct {
 }
 
 type cachedFabric struct {
-	fabric
+	core.Fabric
 	taken int
 }
 
-func (c *fabricCache) get(gen uint64, build func() fabric) fabric {
+func (c *fabricCache) get(gen uint64, build func() core.Fabric) core.Fabric {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.gens[gen]
@@ -247,30 +215,30 @@ func (c *fabricCache) get(gen uint64, build func() fabric) fabric {
 		if c.gens == nil {
 			c.gens = make(map[uint64]*cachedFabric)
 		}
-		e = &cachedFabric{fabric: build()}
+		e = &cachedFabric{Fabric: build()}
 		c.gens[gen] = e
 	}
 	if e.taken++; e.taken == c.users {
 		delete(c.gens, gen)
 	}
-	return e.fabric
+	return e.Fabric
 }
 
 // NewR2C2 wires the transport into a network. It installs the Deliver and
 // broadcast-FIB hooks, so one Network hosts exactly one transport.
 func NewR2C2(net *Network, tab *routing.Table, cfg R2C2Config) *R2C2 {
 	cfg.defaults()
-	fib := topology.NewBroadcastFIB(net.G, cfg.TreesPerSource, cfg.Seed)
-	return newR2C2(net, fabric{tab: tab, fib: fib}, &fabricCache{users: 1}, cfg)
+	return newR2C2(net, core.NewFabric(tab, cfg.TreesPerSource, cfg.Seed), &fabricCache{users: 1}, cfg)
 }
 
 // newR2C2 is NewR2C2 over a caller-built intact fabric and reroute cache
 // (the sharded engine passes the same two to every shard's instance); cfg
 // already has its defaults applied.
-func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2C2 {
+func newR2C2(net *Network, fab core.Fabric, fabrics *fabricCache, cfg R2C2Config) *R2C2 {
 	r := &R2C2{
 		Net:     net,
 		Cfg:     cfg,
+		Faults:  core.NewFaults(fab),
 		flows:   newFlowTable[r2c2Flow](net.G.Nodes()),
 		sh:      net.sh,
 		fabrics: fabrics,
@@ -282,12 +250,10 @@ func newR2C2(net *Network, fab fabric, fabrics *fabricCache, cfg R2C2Config) *R2
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
 			continue // another shard owns this node's state
 		}
-		r.nodes[i] = &r2c2Node{id: topology.NodeID(i), col: owned}
+		r.nodes[i] = &r2c2Node{Node: core.NewNode[*senderFlow](topology.NodeID(i), &r.vis, owned, cfg.TreesPerSource)}
 		owned++
 	}
 	r.vis = core.NewVisibility(owned)
-	r.failedLinks = make([]bool, net.G.NumLinks())
-	r.deadNodes = make([]bool, net.G.Vertices())
 	net.Deliver = r.deliver
 	net.NextBroadcastHops = r.broadcastHops
 	net.OnDrop = r.onDrop
@@ -342,209 +308,100 @@ func (r *R2C2) onDrop(pkt *Packet, at topology.LinkID) {
 // reflood retransmits a dropped broadcast from its origin on the origin's
 // next tree (§3.2 loss recovery). Runs in the origin's shard.
 func (r *R2C2) reflood(origin topology.NodeID, b *wire.Broadcast, retries uint8) {
-	node := r.nodes[origin]
-	nb := *b
-	nb.Tree = r.pickTree(node)
-	cp := r.Net.newPacket()
-	cp.Kind = KindBroadcast
-	cp.SizeBytes = BroadcastBytes
-	cp.Flow = nb.Flow()
-	cp.Src = origin
-	cp.Bcast = &nb
-	cp.Retries = retries
-	r.Net.InjectBroadcast(origin, cp)
-}
-
-// physInPlace translates a path expressed in the current fabric's link IDs
-// to physical port IDs (identity while the fabric is intact), overwriting the
-// slice itself: only for buffers the caller owns (a packet's sampling scratch
-// or an interned copy), never for cached Phi or successor paths.
-func (r *R2C2) physInPlace(path []topology.LinkID) {
-	if r.linkMap == nil {
-		return
-	}
-	for i, lid := range path {
-		path[i] = r.linkMap[lid]
-	}
-}
-
-// degradedGraph recomputes the degraded graph from the CURRENT failure
-// state. Called at injection (to validate connectivity before committing)
-// and at detection-fire time (never from a stale snapshot).
-func (r *R2C2) degradedGraph() (*topology.Graph, []topology.LinkID, error) {
-	if !slices.Contains(r.failedLinks, true) && !slices.Contains(r.deadNodes, true) {
-		return r.Net.G, nil, nil
-	}
-	return r.Net.G.WithoutLinksAndNodes(r.failedLinks, r.deadNodes)
+	r.broadcast(r.nodes[origin], r.nodes[origin].Retransmit(b), retries)
 }
 
 // install swaps in a fabric generation's routing state. The rate computer
 // derives its φ-vectors from the table, so it restarts with it.
-func (r *R2C2) install(f fabric) {
-	r.Tab, r.Fib, r.linkMap = f.tab, f.fib, f.linkMap
+func (r *R2C2) install(f core.Fabric) {
+	r.Fabric = f
 	r.rc = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
 }
 
-// FailLink fails both directions of the cable between a and b. Packets in
-// flight or later routed onto the dead ports are lost immediately; after
-// `detection` (the topology-discovery delay of §3.2) every node switches to
-// the degraded fabric and re-broadcasts information about all its ongoing
-// flows, resynchronising any views that missed events. It returns an error
-// if the failure would partition the rack.
+// FailLink fails the cable between a and b (§3.2): its ports lose every
+// packet at once, and after `detection`, the topology-discovery delay,
+// every node switches to the degraded fabric and re-announces its flows,
+// resynchronising views that missed events. It errors where
+// core.Faults.FailCable does.
 func (r *R2C2) FailLink(a, b topology.NodeID, detection simtime.Time) error {
-	var added []topology.LinkID
-	for _, pair := range [][2]topology.NodeID{{a, b}, {b, a}} {
-		lid, ok := r.Net.G.LinkBetween(pair[0], pair[1])
-		if !ok || r.failedLinks[lid] {
-			continue
-		}
-		r.failedLinks[lid] = true
-		added = append(added, lid)
-	}
-	if len(added) == 0 {
-		return fmt.Errorf("sim: no link between %d and %d", a, b)
-	}
-	// Validate connectivity before killing anything. Only the union is
-	// checked here; connectivity is monotone in the failed set, so every
-	// later fire-time recompute over a subset-or-equal state succeeds too.
-	if _, _, err := r.degradedGraph(); err != nil {
-		for _, lid := range added {
-			r.failedLinks[lid] = false
-		}
-		return err
-	}
-	for _, lid := range added {
-		r.Net.FailLink(lid)
-	}
-	r.failSeq++
-	r.Net.Eng.After(detection, r.rerouteNow)
-	return nil
+	lids, err := r.Faults.FailCable(a, b)
+	return r.inject(lids, err, r.Net.FailLink, detection)
 }
 
-// FailNode kills an entire node (§3.2 considers node failures alongside
-// link failures): all its links go dark immediately; after `detection`,
-// survivors switch to the degraded fabric, purge the dead node's flows
-// from their views (their bandwidth must not stay reserved), and
-// re-announce their own flows. Flows sourced at or destined to the dead
-// node are abandoned and remain incomplete in the ledger.
+// FailNode kills a node (§3.2): its links go dark and its senders stop at
+// once; after `detection` the survivors switch fabric, purge its flows from
+// their views and re-announce their own. Its flows stay incomplete.
 func (r *R2C2) FailNode(dead topology.NodeID, detection simtime.Time) error {
-	if r.deadNodes[dead] {
-		return fmt.Errorf("sim: node %d already failed", dead)
-	}
-	r.deadNodes[dead] = true
-	// Fold the node's links into failedLinks so later link failures are
-	// validated against the full union (a link failure after a node crash
-	// must not count on the dead node's cables for connectivity).
-	var added []topology.LinkID
-	for _, links := range [][]topology.LinkID{r.Net.G.Out(dead), r.Net.G.In(dead)} {
-		for _, lid := range links {
-			if !r.failedLinks[lid] {
-				r.failedLinks[lid] = true
-				added = append(added, lid)
-			}
+	lids, err := r.Faults.FailNode(dead)
+	// Armed pacing events find the senders gone. In a sharded run only the
+	// node's owner shard holds them.
+	if err == nil && r.nodes[dead] != nil {
+		_, deadSet := r.Faults.State()
+		for _, sf := range r.nodes[dead].Abandon(deadSet) {
+			r.retire(sf)
 		}
 	}
-	if _, _, err := r.degradedGraph(); err != nil {
-		r.deadNodes[dead] = false
-		for _, lid := range added {
-			r.failedLinks[lid] = false
-		}
+	return r.inject(lids, err, r.Net.FailLink, detection)
+}
+
+// RepairLink brings the cable between a and b back (§3.2's recovery half):
+// after `detection` every node switches to the re-expanded fabric and
+// re-announces its flows. A dead node's cables stay down.
+func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
+	lids, err := r.Faults.RepairCable(a, b)
+	return r.inject(lids, err, r.Net.RepairLink, detection)
+}
+
+// SetLinkDropProb installs a random-drop probability p in [0,1] on both
+// directions of the cable between a and b. p = 0 removes the loss.
+func (r *R2C2) SetLinkDropProb(a, b topology.NodeID, p float64) error {
+	lids, err := r.Faults.Cable(a, b)
+	for _, lid := range lids {
+		r.Net.SetLinkDropProb(lid, p)
+	}
+	return err
+}
+
+// inject applies a change the failure state accepted to its ports and arms
+// its detection.
+func (r *R2C2) inject(lids []topology.LinkID, err error, port func(topology.LinkID), detection simtime.Time) error {
+	if err != nil {
 		return err
 	}
-	for _, lid := range added {
-		r.Net.FailLink(lid)
+	for _, lid := range lids {
+		port(lid)
 	}
-	// The dead node stops sending instantly: drop its sender state so
-	// armed pacing events become no-ops. In a sharded run only the dead
-	// node's owner shard holds its state.
-	if node := r.nodes[dead]; node != nil {
-		for len(node.flows) > 0 {
-			r.retire(node.flows[0])
-		}
-	}
-	r.failSeq++
-	r.Net.Eng.After(detection, r.rerouteNow)
+	r.Net.Eng.After(detection, r.reroute)
 	return nil
 }
 
-// RepairLink returns both directions of the cable between a and b to
-// service — the recovery half of §3.2: after `detection` (topology
-// discovery runs for repairs exactly as for failures) every node switches
-// back to the re-expanded fabric and re-announces its flows. Cables of a
-// crashed node cannot be repaired while the node is dead.
-func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
-	if _, ok := r.Net.G.LinkBetween(a, b); ok && (r.deadNodes[a] || r.deadNodes[b]) {
-		return fmt.Errorf("sim: cannot repair link %d-%d of a failed node", a, b)
-	}
-	var repaired []topology.LinkID
-	for _, pair := range [][2]topology.NodeID{{a, b}, {b, a}} {
-		lid, ok := r.Net.G.LinkBetween(pair[0], pair[1])
-		if !ok || !r.failedLinks[lid] {
-			continue
-		}
-		r.failedLinks[lid] = false
-		repaired = append(repaired, lid)
-	}
-	if len(repaired) == 0 {
-		return fmt.Errorf("sim: no failed link between %d and %d", a, b)
-	}
-	for _, lid := range repaired {
-		r.Net.RepairLink(lid)
-	}
-	r.failSeq++
-	r.Net.Eng.After(detection, r.rerouteNow)
-	return nil
-}
-
-// rerouteNow is the detection-fire callback shared by every fault
-// injection: it recomputes the degraded fabric from the CURRENT failure
-// state and swaps it in. The epoch guard makes callbacks whose injections
-// were already covered by a later-injected, earlier-firing reroute no-op.
-func (r *R2C2) rerouteNow() {
+// reroute is the detection-fire callback of every fault injection: unless
+// a later-injected, earlier-firing reroute already covered its injection,
+// it swaps in the fabric of the CURRENT failure state, never a snapshot
+// taken at injection. Flows with a dead endpoint leave every view and their
+// senders stop before anything is re-announced: no view may keep bandwidth
+// for them, and no announcement may route to them.
+func (r *R2C2) reroute() {
 	if r.sh != nil {
 		r.sh.ctrl++ // control event: fires once in every shard
 	}
-	if r.reroutedSeq >= r.failSeq {
-		return // a newer reroute already covers this injection
+	if !r.Faults.Due() {
+		return
 	}
-	r.reroutedSeq = r.failSeq
-	r.reroute(r.fabrics.get(r.FailureReroutes, func() fabric {
-		sub, mapping, err := r.degradedGraph()
-		if err != nil {
-			// Every injection validated the union it created, and connectivity
-			// is monotone in the failed set.
-			panic(fmt.Sprintf("sim: degraded fabric invalid at detection time: %v", err))
-		}
-		return fabric{
-			tab:     routing.NewTable(sub),
-			fib:     topology.NewBroadcastFIB(sub, r.Cfg.TreesPerSource, r.Cfg.Seed),
-			linkMap: mapping,
-		}
-	}))
-}
-
-// reroute swaps in the degraded fabric and re-announces every live flow.
-func (r *R2C2) reroute(f fabric) {
-	r.FailureReroutes++
-	r.gen++ // invalidate interned routes computed over the old fabric
-	// Purge flows involving dead nodes from every view and abandon their
-	// senders (a dead node's own went with it) before re-announcing: no view
-	// may keep bandwidth for them, and no announcement may route to them.
-	r.vis.Purge(r.deadNodes)
+	f := r.fabrics.get(r.FailureReroutes, r.Faults.Fabric)
+	r.FailureReroutes++ // invalidates interned routes computed over the old fabric
+	r.vis.Purge(f.Dead)
 	r.install(f)
-	// "Upon detecting a failure, nodes broadcast information about all
-	// their ongoing flows" (§3.2).
 	for _, node := range r.nodes {
-		if node == nil || r.deadNodes[node.id] {
+		if node == nil {
 			continue
 		}
-		for i := len(node.flows) - 1; i >= 0; i-- {
-			if sf := node.flows[i]; r.deadNodes[sf.info.Dst] {
-				r.retire(sf)
-			}
+		abandoned, starts := node.Reannounce(f.Dead)
+		for _, sf := range abandoned {
+			r.retire(sf)
 		}
-		for _, sf := range node.flows {
-			r.broadcast(node, sf.info.StartBroadcast(r.pickTree(node)))
+		for _, b := range starts {
+			r.broadcast(node, b, 0)
 		}
 	}
 }
@@ -562,22 +419,16 @@ func (r *R2C2) sender(id wire.FlowID) *senderFlow {
 	return nil
 }
 
-// retire takes a flow off its source node: it has finished, or a failure
-// abandoned it. Pacing and timeout events still scheduled for it find it
-// dead.
-func (r *R2C2) retire(sf *senderFlow) {
-	sf.live = false
-	node := sf.node
-	i := slices.Index(node.flows, sf)
-	node.flows = slices.Delete(node.flows, i, i+1)
-	r.flows.get(sf.info.ID).st.send = nil
-}
+// retire drops the sender of a flow its node has let go of: it has
+// finished, or a failure abandoned it. Pacing and timeout events still
+// scheduled for it find it gone.
+func (r *R2C2) retire(sf *senderFlow) { r.flows.get(sf.info.ID).st.send = nil }
 
 // View returns a snapshot of a node's traffic-matrix view, built from its
 // Visibility column (for tests and inspection).
 func (r *R2C2) View(node topology.NodeID) *core.View {
 	v := core.NewView()
-	for _, info := range r.vis.AppendFlows(nil, r.nodes[node].col) {
+	for _, info := range r.vis.AppendFlows(nil, r.nodes[node].Col) {
 		v.AddFlow(info)
 	}
 	return v
@@ -610,7 +461,7 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 	}
 	slot := r.flows.open(src, dst, sizeBytes, r.Net.Eng.Now())
 	id := slot.rec.ID
-	if r.deadNodes[src] || r.deadNodes[dst] {
+	if r.Faults.Dead(src) || r.Faults.Dead(dst) {
 		// Abandoned at birth: a crashed endpoint can neither send nor
 		// receive. The flow keeps its record (it stays incomplete) so
 		// workload replays account for it.
@@ -631,37 +482,33 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 		initial = demandBits
 	}
 	sf := &senderFlow{
-		node: node, live: true,
+		node: node,
 		info: info, remaining: sizeBytes, rate: initial, demand: demandBits,
 		size:      sizeBytes,
 		started:   r.Net.Eng.Now(),
 		totalPkts: uint32((sizeBytes + MaxPayload - 1) / MaxPayload),
 	}
 	slot.st.send = sf
-	node.flows = append(node.flows, sf)
-	r.vis.Hold(node.col, info)
-	r.broadcast(node, info.StartBroadcast(r.pickTree(node)))
+	r.broadcast(node, node.Start(sf), 0)
 	r.armSender(sf)
 	return id
 }
 
-// UpdateDemand re-announces a live flow's demand (the sender-side estimator
-// of §3.3.2 Eq. (1) would drive this) so all nodes allocate demand-aware.
-// Unknown or finished flows are ignored.
+// UpdateDemand re-announces a live flow's demand so all nodes allocate
+// demand-aware. Unknown or finished flows are ignored. The simulator takes
+// demands as given: only the emulator runs §3.3.2's Eq. (1) estimator and
+// re-announces when its estimate diverges by more than 15 % (DESIGN.md §10).
 func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
 	sf := r.sender(id)
 	if sf == nil {
 		return
 	}
-	node := sf.node
 	sf.demand = demandBits
+	kbps := core.UnlimitedDemand
 	if demandBits > 0 {
-		sf.info.DemandKbps = core.KbpsDemand(demandBits)
-	} else {
-		sf.info.DemandKbps = core.UnlimitedDemand
+		kbps = core.KbpsDemand(demandBits)
 	}
-	r.vis.Hold(node.col, sf.info)
-	r.broadcast(node, sf.info.DemandBroadcast(r.pickTree(node)))
+	r.broadcast(sf.node, sf.node.SetDemand(sf, kbps), 0)
 }
 
 // SetProtocol re-assigns a live flow's routing protocol (the §3.4 selection
@@ -671,27 +518,20 @@ func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
 	if sf == nil {
 		return
 	}
-	node := sf.node
-	sf.info.Protocol = p
-	r.vis.Hold(node.col, sf.info)
-	r.broadcast(node, sf.info.RouteChangeBroadcast(r.pickTree(node)))
+	r.broadcast(sf.node, sf.node.SetProtocol(sf, p), 0)
 }
 
-func (r *R2C2) pickTree(node *r2c2Node) uint8 {
-	t := node.nextTree
-	node.nextTree = (node.nextTree + 1) % uint8(r.Cfg.TreesPerSource)
-	return t
-}
-
-// broadcast applies an event locally and floods it along the chosen tree.
-func (r *R2C2) broadcast(node *r2c2Node, b *wire.Broadcast) {
+// broadcast floods one of node's broadcasts along its tree, after retries
+// drops of it (§3.2 loss recovery).
+func (r *R2C2) broadcast(node *r2c2Node, b *wire.Broadcast, retries uint8) {
 	pkt := r.Net.newPacket()
 	pkt.Kind = KindBroadcast
 	pkt.SizeBytes = BroadcastBytes
 	pkt.Flow = b.Flow()
-	pkt.Src = topology.NodeID(b.Src)
+	pkt.Src = node.ID
 	pkt.Bcast = b
-	r.Net.InjectBroadcast(node.id, pkt)
+	pkt.Retries = retries
+	r.Net.InjectBroadcast(node.ID, pkt)
 }
 
 func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID {
@@ -708,12 +548,7 @@ func (r *R2C2) broadcastHops(at topology.NodeID, pkt *Packet) []topology.LinkID 
 		return nil
 	}
 	r.bcastHops = hops // grows to the widest fan-out, once
-	if r.linkMap != nil {
-		// Degraded fabric: translate to physical ports in place.
-		for i, lid := range hops {
-			hops[i] = r.linkMap[lid]
-		}
-	}
+	r.PhysInPlace(hops)
 	return hops
 }
 
@@ -740,23 +575,23 @@ func (r *R2C2) armSender(sf *senderFlow) {
 // the packet's recycled scratch buffer.
 func (r *R2C2) fillPath(node *r2c2Node, pkt *Packet, sf *senderFlow) {
 	if sf.info.Protocol == routing.DOR {
-		if sf.route == nil || sf.routeGen != r.gen {
+		if sf.route == nil || sf.routeGen != r.FailureReroutes {
 			sf.route = r.Tab.AppendPath(nil, routing.DOR, sf.info.Src, sf.info.Dst, node.rng)
-			r.physInPlace(sf.route)
-			sf.routeGen = r.gen
+			r.PhysInPlace(sf.route)
+			sf.routeGen = r.FailureReroutes
 		}
 		pkt.Path = sf.route
 		return
 	}
 	pkt.scratch = r.Tab.AppendPath(pkt.scratch[:0], sf.info.Protocol, sf.info.Src, sf.info.Dst, node.rng)
-	r.physInPlace(pkt.scratch)
+	r.PhysInPlace(pkt.scratch)
 	pkt.Path = pkt.scratch
 }
 
 func (r *R2C2) sendNext(sf *senderFlow) {
 	node := sf.node
 	sf.armed = false
-	if !sf.live {
+	if r.sender(sf.info.ID) != sf {
 		return // abandoned (node failure purge) or already finished
 	}
 	if sf.rate <= 0 {
@@ -828,9 +663,9 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 // applies none of its own broadcasts), and broadcasts the finish.
 func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
 	r.flows.get(sf.info.ID).rec.SenderDone = true
-	r.vis.Finish(node.col, sf.info.ID)
+	b := node.Finish(sf)
 	r.retire(sf)
-	r.broadcast(node, sf.info.FinishBroadcast(r.pickTree(node)))
+	r.broadcast(node, b, 0)
 }
 
 // armRTO starts the retransmission timer for a reliable flow.
@@ -853,7 +688,7 @@ func (r *R2C2) disarmRTO(sf *senderFlow) {
 // retransmission, paced at the flow's allocated rate like any other data.
 func (r *R2C2) onRTO(sf *senderFlow) {
 	sf.rtoArmed = false
-	if !sf.live || sf.cumAcked >= sf.totalPkts {
+	if r.sender(sf.info.ID) != sf || sf.cumAcked >= sf.totalPkts {
 		return
 	}
 	sf.nextChunk = sf.cumAcked
@@ -884,7 +719,7 @@ func (r *R2C2) receiveAck(pkt *Packet) {
 // deliver handles packets reaching a node: broadcasts update its cells,
 // data packets update receive state and flow records.
 func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
-	if r.deadNodes[at] {
+	if r.Faults.Dead(at) {
 		return // a crashed node processes nothing (in-flight arrivals die here)
 	}
 	switch pkt.Kind {
@@ -900,10 +735,7 @@ func (r *R2C2) deliver(at topology.NodeID, pkt *Packet) {
 				slot.st.recv = nil
 			}
 		}
-		// The origin mutated its own view before broadcasting (§3.1).
-		if topology.NodeID(pkt.Bcast.Src) != at {
-			r.vis.Apply(r.nodes[at].col, pkt.Bcast)
-		}
+		r.nodes[at].Receive(pkt.Bcast)
 	case KindData:
 		r.receiveData(at, pkt)
 	case KindAck:
@@ -939,7 +771,7 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 			slot.st.recv = nil
 		}
 	}
-	if r.Cfg.Reliable && !r.deadNodes[pkt.Src] {
+	if r.Cfg.Reliable && !r.Faults.Dead(pkt.Src) {
 		// Cumulative acknowledgement, solely for reliability (§6): routed
 		// minimally and deterministically back to the sender, along a route
 		// interned once per flow on the receive state. Rebuilds after a
@@ -948,10 +780,10 @@ func (r *R2C2) receiveData(at topology.NodeID, pkt *Packet) {
 		// snapshot (same reason fillPath's DOR branch allocates anew). A
 		// crashed source has no sender left to ack, and after the reroute
 		// no route back to it.
-		if rs.ackPath == nil || rs.ackGen != r.gen {
+		if rs.ackPath == nil || rs.ackGen != r.FailureReroutes {
 			rs.ackPath = append([]topology.LinkID(nil), r.Tab.Phi(routing.DOR, pkt.Dst, pkt.Src).Links...)
-			r.physInPlace(rs.ackPath)
-			rs.ackGen = r.gen
+			r.PhysInPlace(rs.ackPath)
+			rs.ackGen = r.FailureReroutes
 		}
 		ack := r.Net.newPacket()
 		ack.Kind = KindAck
@@ -989,13 +821,13 @@ func (r *R2C2) recomputeTick() {
 	}
 	clear(r.tickCache) // reuse the buckets across ticks
 	for _, node := range r.nodes {
-		if node == nil || len(node.flows) == 0 {
+		if node == nil || len(node.Flows()) == 0 {
 			continue
 		}
-		h := r.vis.Digest(node.col)
+		h := r.vis.Digest(node.Col)
 		alloc, ok := r.tickCache[h]
 		if !ok {
-			r.sum.Flows, r.sum.Hash = r.vis.AppendFlows(r.sum.Flows[:0], node.col), h
+			r.sum.Flows, r.sum.Hash = r.vis.AppendFlows(r.sum.Flows[:0], node.Col), h
 			alloc = r.rc.ComputeSummary(&r.sum)
 			r.tickCache[h] = alloc
 			r.Recomputations++
@@ -1003,7 +835,7 @@ func (r *R2C2) recomputeTick() {
 				r.sh.tickHashes = append(r.sh.tickHashes, h)
 			}
 		}
-		for _, sf := range node.flows {
+		for _, sf := range node.Flows() {
 			id := sf.info.ID
 			sf.rate = alloc.Rate(id)
 			if invariantsEnabled {

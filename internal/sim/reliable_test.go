@@ -125,7 +125,7 @@ func TestReliableAckRebuildPreservesInFlightRoute(t *testing.T) {
 	inFlight := rs.ackPath // what an in-flight ack references
 	snapshot := append([]topology.LinkID(nil), inFlight...)
 
-	r.gen++ // as reroute() does after a fabric failure
+	r.FailureReroutes++ // as reroute() does after a fabric failure
 	deliver(1)
 	if &rs.ackPath[0] == &inFlight[0] {
 		t.Fatal("ack route rebuilt in place: in-flight acks see the new fabric's links")

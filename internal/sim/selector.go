@@ -91,7 +91,7 @@ func (s *Selector) tick() {
 // selectOnce performs one §3.4 selection round over the view of node 0.
 func (s *Selector) selectOnce() {
 	now := s.r.Net.Eng.Now()
-	s.view = s.r.vis.AppendFlows(s.view[:0], s.r.nodes[0].col)
+	s.view = s.r.vis.AppendFlows(s.view[:0], s.r.nodes[0].Col)
 
 	// Gather eligible long flows (old enough) and their current genes.
 	var flows []routing.Demand

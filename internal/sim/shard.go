@@ -42,6 +42,7 @@ import (
 	"sort"
 	"time"
 
+	"r2c2/internal/core"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
@@ -361,7 +362,7 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 	switch cfg.Transport {
 	case TransportR2C2:
 		cfg.R2C2.defaults()
-		intact := fabric{tab: tab, fib: topology.NewBroadcastFIB(cfg.Graph, cfg.R2C2.TreesPerSource, cfg.R2C2.Seed)}
+		intact := core.NewFabric(tab, cfg.R2C2.TreesPerSource, cfg.R2C2.Seed)
 		fabrics := &fabricCache{users: S}
 		attach = func(st *shardState) func(trafficgen.Arrival) {
 			r2 := newR2C2(st.net, intact, fabrics, cfg.R2C2)

@@ -35,8 +35,8 @@ func checkColumns(t testing.TB, r *R2C2) {
 		if n == nil {
 			continue
 		}
-		if v := r.View(n.id); r.vis.Digest(n.col) != v.Hash() || r.vis.Len(n.col) != v.Len() {
-			t.Fatalf("node %d: digest %x, live %d; its flows hash to %x, count %d", n.id, r.vis.Digest(n.col), r.vis.Len(n.col), v.Hash(), v.Len())
+		if v := r.View(n.ID); r.vis.Digest(n.Col) != v.Hash() || r.vis.Len(n.Col) != v.Len() {
+			t.Fatalf("node %d: digest %x, live %d; its flows hash to %x, count %d", n.ID, r.vis.Digest(n.Col), r.vis.Len(n.Col), v.Hash(), v.Len())
 		}
 	}
 }
@@ -113,9 +113,9 @@ func TestFinishTombstonesPerFlow(t *testing.T) {
 	// The recycled row of seq 77 holds its one entry at nodes 1-3 and
 	// nothing anywhere else.
 	for _, n := range r.nodes {
-		got, ok := r.vis.Get(n.col, ghostFlow(9, 77).ID)
-		if want := n.id >= 1 && n.id <= 3; ok != want || (ok && got != ghostFlow(9, 77)) {
-			t.Errorf("recycled row of flow 9.77: node %d holds %v (%v)", n.id, got, ok)
+		got, ok := r.vis.Get(n.Col, ghostFlow(9, 77).ID)
+		if want := n.ID >= 1 && n.ID <= 3; ok != want || (ok && got != ghostFlow(9, 77)) {
+			t.Errorf("recycled row of flow 9.77: node %d holds %v (%v)", n.ID, got, ok)
 		}
 	}
 
@@ -138,7 +138,7 @@ func TestFinishTombstonesPerFlow(t *testing.T) {
 	}
 	for at := topology.NodeID(0); at < 8; at++ {
 		deliverBcast(rs, at, f.StartBroadcast(0))
-		deliverBcast(rs, at, f.DemandBroadcast(0))
+		deliverBcast(rs, at, f.Broadcast(wire.EventDemandUpdate, 0))
 		if v := rs.View(at); v.Len() != 0 {
 			t.Fatalf("node %d: the late start of a retired flow was applied", at)
 		}
