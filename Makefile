@@ -7,7 +7,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill fuzz-args vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,11 @@ fuzz-wheel:
 fuzz-fill:
 	$(GO) test -run=^$$ -fuzz FuzzAllocateMatchesTwoPass -fuzztime $(FUZZTIME) ./internal/waterfill/
 
+# The r2c2 command's argument parsing and validation on arbitrary command
+# lines: an error is one line and nothing runs, whatever the sizes say.
+fuzz-args:
+	$(GO) test -run=^$$ -fuzz FuzzArgs -fuzztime $(FUZZTIME) ./cmd/r2c2/
+
 # One iteration of every benchmark: catches bitrot in the benchmark
 # harnesses (they cover each figure of the paper) without paying for a
 # real measurement run.
@@ -103,7 +108,7 @@ bench-selftest:
 # counts and FCT percentiles goes to $(FAULTS_REPORT); CI uploads it as an
 # artifact.
 faults-smoke:
-	@$(GO) run ./cmd/r2c2-emu -faults gen:7 -flows 20 -bytes 262144 -interval 3ms -csv > $(FAULTS_REPORT) \
+	@$(GO) run ./cmd/r2c2 emu -faults gen:7 -flows 20 -bytes 262144 -tau 3ms -csv > $(FAULTS_REPORT) \
 		|| { cat $(FAULTS_REPORT); rm -f $(FAULTS_REPORT); exit 1; }
 	@cat $(FAULTS_REPORT)
 	@echo "faults-smoke: wrote $(FAULTS_REPORT)"

@@ -27,7 +27,7 @@ import (
 	"r2c2/internal/wire"
 )
 
-func benchScale() experiments.Scale {
+func benchScale() experiments.Config {
 	s := experiments.TestScale()
 	s.Flows = 600
 	return s
@@ -51,10 +51,8 @@ func BenchmarkFig2RoutingTable(b *testing.B) {
 // --- Figure 7: emulator/simulator cross-validation ---
 
 func BenchmarkFig7CrossValidation(b *testing.B) {
-	cfg := experiments.Fig7Config{
-		K: 3, LinkMbps: 200, Flows: 12, FlowBytes: 256 << 10,
-		MeanInterval: 5 * time.Millisecond, Seed: 1,
-	}
+	cfg := experiments.Config{K: 3, Dims: 2, LinkGbps: 0.2, Flows: 12,
+		Tau: 5 * simtime.Millisecond, Seed: 1, FlowBytes: 256 << 10}
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.Fig7(cfg)
 		if err != nil {

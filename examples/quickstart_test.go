@@ -1,12 +1,7 @@
-// Quickstart: build a rack fabric, start flows under the R2C2 stack in the
-// packet-level simulator, and watch global visibility turn into rates.
-//
-//	go run ./examples/quickstart
-package main
+package examples
 
 import (
 	"fmt"
-	"log"
 
 	"r2c2/internal/routing"
 	"r2c2/internal/sim"
@@ -15,12 +10,15 @@ import (
 	"r2c2/internal/wire"
 )
 
-func main() {
+// Example_quickstart builds a rack fabric, starts flows under the R2C2
+// stack in the packet-level simulator, and watches global visibility turn
+// into rates.
+func Example_quickstart() {
 	// A 4x4x4 torus: 64 micro-servers, 6 links each, 10 Gbps per link —
 	// a quarter-scale SeaMicro-style fabric.
 	g, err := topology.NewTorus(4, 3)
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	fmt.Printf("rack: %d nodes, %d directed links, diameter %d, mean distance %.2f hops\n",
 		g.Nodes(), g.NumLinks(), g.Diameter(), g.MeanNodeDistance())
@@ -60,4 +58,12 @@ func main() {
 	fmt.Printf("broadcast control traffic: %d bytes on the wire\n", net.BcastBytesOnWire)
 	fmt.Printf("packets dropped: %d (rate-based control keeps queues short)\n", net.TotalDrops())
 	fmt.Printf("worst queue occupancy anywhere: %.0f bytes\n", maxQueue)
+	// Output:
+	// rack: 64 nodes, 384 directed links, diameter 6, mean distance 3.05 hops
+	// flow a (0->42), 8 MB: FCT 2.976ms, avg throughput 22.55 Gbps
+	// flow b (0->42), 8 MB: FCT 2.977ms, avg throughput 22.54 Gbps
+	// flow c (7->56), 8 MB: FCT 2.975ms, avg throughput 22.56 Gbps
+	// broadcast control traffic: 6048 bytes on the wire
+	// packets dropped: 0 (rate-based control keeps queues short)
+	// worst queue occupancy anywhere: 54000 bytes
 }

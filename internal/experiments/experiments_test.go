@@ -135,8 +135,8 @@ func TestFig8Feasibility(t *testing.T) {
 			t.Errorf("rho %v: implausible overhead median=%v p99=%v",
 				rhos[i], res.MedianHost[i], res.P99Host[i])
 		}
-		if res.MedianAtom[i] != res.MedianHost[i]*AtomSlowdown {
-			t.Error("atom scaling wrong")
+		if row := res.Table().Rows[i]; row[4] != pct(res.MedianHost[i]*AtomSlowdown) || row[5] != pct(res.P99Host[i]*AtomSlowdown) {
+			t.Errorf("atom scaling wrong: %v", row)
 		}
 	}
 	// At ρ=1ms the host must find recomputation cheap (well under 100%).

@@ -16,27 +16,6 @@ import (
 	"r2c2/internal/trafficgen"
 )
 
-// FaultSweepConfig drives the fault-injection cross-validation: the same
-// seeded workload and the same fault schedule replayed on the packet-level
-// simulator and the emulated rack (§3.2 failure handling, validated the
-// way §5.1 validates the fault-free path).
-type FaultSweepConfig struct {
-	K            int     // 2D torus radix
-	LinkMbps     float64 // virtual link bandwidth
-	Flows        int
-	FlowBytes    int64
-	MeanInterval time.Duration
-	Seed         int64
-	Schedule     faults.Schedule
-}
-
-// DefaultFaultSweep is a laptop-friendly configuration; the schedule is
-// left for the caller (see ScheduleArg).
-func DefaultFaultSweep() FaultSweepConfig {
-	return FaultSweepConfig{K: 4, LinkMbps: 200, Flows: 60, FlowBytes: 512 << 10,
-		MeanInterval: 5 * time.Millisecond, Seed: 1}
-}
-
 // FaultRunStats summarises one backend's run of the schedule.
 type FaultRunStats struct {
 	Completed  int          // every byte delivered
@@ -54,26 +33,89 @@ type FaultSweepResult struct {
 	Waves    int
 }
 
-// graphAndArrivals expands the config into the shared topology and the
-// seeded workload both backends replay.
-func (cfg FaultSweepConfig) graphAndArrivals() (*topology.Graph, []trafficgen.Arrival, error) {
-	if err := validateEmuWorkload(cfg.Flows, cfg.FlowBytes, cfg.MeanInterval, cfg.LinkMbps); err != nil {
+// emuWorkload expands a CheckEmu-clean workload into the K×K 2D torus and
+// the seeded fixed-size arrivals both backends replay, after validating
+// sched against the torus.
+func (c Config) emuWorkload(sched faults.Schedule) (*topology.Graph, []trafficgen.Arrival, error) {
+	if err := c.CheckEmu(); err != nil {
 		return nil, nil, err
 	}
-	g, err := topology.NewTorus(cfg.K, 2)
+	g, err := topology.NewTorus(c.K, 2)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := cfg.Schedule.Validate(g); err != nil {
+	if err := sched.Validate(g); err != nil {
 		return nil, nil, err
 	}
-	arrivals := trafficgen.FixedSize(trafficgen.PoissonConfig{
-		Nodes:        g.Nodes(),
-		MeanInterval: simtime.Time(cfg.MeanInterval / time.Nanosecond * 1000),
-		Count:        cfg.Flows,
-		Seed:         cfg.Seed,
-	}, cfg.FlowBytes)
-	return g, arrivals, nil
+	return g, c.workload(g, c.Tau), nil
+}
+
+// simConfig is the simulator's side of a sim-vs-emu comparison: the
+// emulator's capacity, a 10 µs hop (the in-process handoff cost), and
+// R2C2 recomputing every 2 ms as the rack does.
+func simConfig(c Config, g *topology.Graph, arrivals []trafficgen.Arrival, sched faults.Schedule) sim.RunConfig {
+	return sim.RunConfig{
+		Graph: g,
+		Net: sim.NetConfig{
+			LinkGbps:  c.LinkGbps,
+			PropDelay: 10 * simtime.Microsecond,
+			LossSeed:  c.Seed,
+		},
+		Transport: sim.TransportR2C2,
+		R2C2: sim.R2C2Config{
+			Headroom:  0.05,
+			Recompute: 2 * simtime.Millisecond,
+			Protocol:  routing.RPS,
+			Seed:      c.Seed,
+		},
+		Arrivals: arrivals,
+		Faults:   sched,
+		MaxTime:  arrivals[len(arrivals)-1].At + simtime.Time(sched.Horizon()/time.Nanosecond)*simtime.Nanosecond + 10*simtime.Second,
+	}
+}
+
+// Replay starts c's workload on a live emulated rack in wall-clock time.
+// The caller waits on the flows and stops the rack.
+func Replay(c Config) (*emu.Rack, []*emu.Flow, error) {
+	g, arrivals, err := c.emuWorkload(faults.Schedule{})
+	if err != nil {
+		return nil, nil, err
+	}
+	rack, flows, _, err := replay(c, g, arrivals, faults.Schedule{})
+	return rack, flows, err
+}
+
+// replay starts an emulated rack for c over g, schedules sched on it, and
+// starts every arrival at its offset in wall-clock time. The caller stops
+// the rack.
+func replay(c Config, g *topology.Graph, arrivals []trafficgen.Arrival, sched faults.Schedule) (*emu.Rack, []*emu.Flow, time.Time, error) {
+	rack, err := emu.New(emu.Config{
+		Graph:     g,
+		LinkMbps:  c.LinkGbps * 1000,
+		Headroom:  0.05,
+		Recompute: 2 * time.Millisecond,
+		Protocol:  routing.RPS,
+		Seed:      c.Seed,
+	})
+	if err != nil {
+		return nil, nil, time.Time{}, err
+	}
+	rack.Start()
+	rack.ApplyFaults(sched)
+	start := time.Now()
+	handles := make([]*emu.Flow, 0, len(arrivals))
+	for _, a := range arrivals {
+		if d := time.Until(start.Add(wallClock(a.At))); d > 0 {
+			time.Sleep(d)
+		}
+		f, err := rack.StartFlow(a.Src, a.Dst, a.SizeBytes, a.Weight, a.Priority)
+		if err != nil {
+			rack.Stop()
+			return nil, nil, time.Time{}, err
+		}
+		handles = append(handles, f)
+	}
+	return rack, handles, start, nil
 }
 
 // classify buckets a finished workload entry. Both backends use the same
@@ -96,32 +138,14 @@ func classify(st *FaultRunStats, dead []bool, src, dst topology.NodeID, done boo
 // fully deterministic: the same config yields byte-identical results.
 // Reliability is off to match the emulator, which has no retransmission —
 // flows whose packets die in a fault window stay incomplete on both.
-func FaultSweepSim(cfg FaultSweepConfig) (*FaultRunStats, error) {
-	g, arrivals, err := cfg.graphAndArrivals()
+func FaultSweepSim(c Config, sched faults.Schedule) (*FaultRunStats, error) {
+	g, arrivals, err := c.emuWorkload(sched)
 	if err != nil {
 		return nil, err
 	}
-	horizon := simtime.Time(cfg.Schedule.Horizon() / time.Nanosecond * 1000)
-	out := sim.Run(sim.RunConfig{
-		Graph: g,
-		Net: sim.NetConfig{
-			LinkGbps:  cfg.LinkMbps / 1000,
-			PropDelay: 10 * simtime.Microsecond,
-			LossSeed:  cfg.Seed,
-		},
-		Transport: sim.TransportR2C2,
-		R2C2: sim.R2C2Config{
-			Headroom:  0.05,
-			Recompute: 2 * simtime.Millisecond,
-			Protocol:  routing.RPS,
-			Seed:      cfg.Seed,
-		},
-		Arrivals: arrivals,
-		Faults:   cfg.Schedule,
-		MaxTime:  arrivals[len(arrivals)-1].At + horizon + 10*simtime.Second,
-	})
+	out := sim.Run(simConfig(c, g, arrivals, sched))
 	st := &FaultRunStats{Reroutes: out.FailureReroutes, Drops: out.Drops}
-	dead := cfg.Schedule.DeadNodes(g.Nodes())
+	dead := sched.DeadNodes(g.Nodes())
 	for _, rec := range out.Flows {
 		var fct float64
 		if rec.Done {
@@ -134,47 +158,24 @@ func FaultSweepSim(cfg FaultSweepConfig) (*FaultRunStats, error) {
 
 // FaultSweepEmu replays the identical workload and schedule on the
 // emulated rack in wall-clock time.
-func FaultSweepEmu(cfg FaultSweepConfig) (*FaultRunStats, error) {
-	g, arrivals, err := cfg.graphAndArrivals()
+func FaultSweepEmu(c Config, sched faults.Schedule) (*FaultRunStats, error) {
+	g, arrivals, err := c.emuWorkload(sched)
 	if err != nil {
 		return nil, err
 	}
-	rack, err := emu.New(emu.Config{
-		Graph:     g,
-		LinkMbps:  cfg.LinkMbps,
-		Headroom:  0.05,
-		Recompute: 2 * time.Millisecond,
-		Protocol:  routing.RPS,
-		Seed:      cfg.Seed,
-	})
+	rack, handles, start, err := replay(c, g, arrivals, sched)
 	if err != nil {
 		return nil, err
 	}
-	rack.Start()
 	defer rack.Stop()
-	rack.ApplyFaults(cfg.Schedule)
-
-	start := time.Now()
-	handles := make([]*emu.Flow, 0, len(arrivals))
-	for _, a := range arrivals {
-		at := start.Add(time.Duration(a.At / 1000)) // ps -> ns
-		if d := time.Until(at); d > 0 {
-			time.Sleep(d)
-		}
-		f, err := rack.StartFlow(a.Src, a.Dst, a.SizeBytes, a.Weight, a.Priority)
-		if err != nil {
-			return nil, err
-		}
-		handles = append(handles, f)
-	}
 	// One absolute deadline for the whole run: flows that lost bytes to a
 	// fault window will never finish (no retransmission), and must not
 	// serialise long waits. The fixed slack dominates at test scale and
 	// covers race-detector slowdowns.
-	xfer := time.Duration(float64(cfg.FlowBytes*8*int64(cfg.Flows)) / (cfg.LinkMbps * 1e6) * float64(time.Second))
-	deadline := start.Add(cfg.Schedule.Horizon() + 4*xfer + 8*time.Second)
+	xfer := time.Duration(float64(c.FlowBytes*8*int64(c.Flows)) / (c.LinkGbps * 1e9) * float64(time.Second))
+	deadline := start.Add(sched.Horizon() + 4*xfer + 8*time.Second)
 	st := &FaultRunStats{}
-	dead := cfg.Schedule.DeadNodes(g.Nodes())
+	dead := sched.DeadNodes(g.Nodes())
 	for i, f := range handles {
 		wait := time.Until(deadline)
 		if wait < time.Millisecond {
@@ -197,17 +198,17 @@ func FaultSweepEmu(cfg FaultSweepConfig) (*FaultRunStats, error) {
 }
 
 // FaultSweep runs both backends and pairs the results.
-func FaultSweep(cfg FaultSweepConfig) (*FaultSweepResult, error) {
-	simStats, err := FaultSweepSim(cfg)
+func FaultSweep(c Config, sched faults.Schedule) (*FaultSweepResult, error) {
+	simStats, err := FaultSweepSim(c, sched)
 	if err != nil {
 		return nil, err
 	}
-	emuStats, err := FaultSweepEmu(cfg)
+	emuStats, err := FaultSweepEmu(c, sched)
 	if err != nil {
 		return nil, err
 	}
 	return &FaultSweepResult{Sim: *simStats, Emu: *emuStats,
-		Total: cfg.Flows, Waves: cfg.Schedule.Waves()}, nil
+		Total: c.Flows, Waves: sched.Waves()}, nil
 }
 
 // Agree reports whether the two backends match within the documented
@@ -237,34 +238,56 @@ func (r *FaultSweepResult) Agree(frac float64, slack int) bool {
 
 // Table renders the cross-validation comparison.
 func (r *FaultSweepResult) Table() *Table {
-	t := &Table{Title: "Fault sweep: simulator vs emulator under the same schedule",
-		Header: []string{"metric", "simulator", "emulator"}}
-	t.AddRow("completed", strconv.Itoa(r.Sim.Completed), strconv.Itoa(r.Emu.Completed))
-	t.AddRow("abandoned", strconv.Itoa(r.Sim.Abandoned), strconv.Itoa(r.Emu.Abandoned))
-	t.AddRow("incomplete", strconv.Itoa(r.Sim.Incomplete), strconv.Itoa(r.Emu.Incomplete))
-	for _, p := range []float64{50, 95} {
-		t.AddRow(fmt.Sprintf("fct p%.0f (s)", p),
-			g3(r.Sim.FCT.Percentile(p)), g3(r.Emu.FCT.Percentile(p)))
-	}
-	t.AddRow("reroutes", strconv.FormatUint(r.Sim.Reroutes, 10), strconv.FormatUint(r.Emu.Reroutes, 10))
-	t.AddRow("drops", strconv.FormatUint(r.Sim.Drops, 10), strconv.FormatUint(r.Emu.Drops, 10))
+	return faultTable("Fault sweep: simulator vs emulator under the same schedule",
+		[]string{"simulator", "emulator"}, &r.Sim, &r.Emu)
+}
+
+// SimTable renders a single-backend run (`r2c2 sim -faults`).
+func (st *FaultRunStats) SimTable(sched faults.Schedule) *Table {
+	t := faultTable("Fault sweep: packet-level simulator", []string{"value"}, st)
+	t.AddRow("expected waves", strconv.Itoa(sched.Waves()))
 	return t
 }
 
-// SimTable renders a single-backend run (the -faults mode of r2c2-sim).
-func (st *FaultRunStats) SimTable(sched faults.Schedule) *Table {
-	t := &Table{Title: "Fault sweep: packet-level simulator",
-		Header: []string{"metric", "value"}}
-	t.AddRow("completed", strconv.Itoa(st.Completed))
-	t.AddRow("abandoned", strconv.Itoa(st.Abandoned))
-	t.AddRow("incomplete", strconv.Itoa(st.Incomplete))
-	for _, p := range []float64{50, 95} {
-		t.AddRow(fmt.Sprintf("fct p%.0f (s)", p), g3(st.FCT.Percentile(p)))
+// faultTable renders one column per backend run.
+func faultTable(title string, cols []string, runs ...*FaultRunStats) *Table {
+	t := &Table{Title: title, Header: append([]string{"metric"}, cols...)}
+	row := func(metric string, cell func(*FaultRunStats) string) {
+		cells := []string{metric}
+		for _, st := range runs {
+			cells = append(cells, cell(st))
+		}
+		t.AddRow(cells...)
 	}
-	t.AddRow("reroutes", strconv.FormatUint(st.Reroutes, 10))
-	t.AddRow("expected waves", strconv.Itoa(sched.Waves()))
-	t.AddRow("drops", strconv.FormatUint(st.Drops, 10))
+	row("completed", func(st *FaultRunStats) string { return strconv.Itoa(st.Completed) })
+	row("abandoned", func(st *FaultRunStats) string { return strconv.Itoa(st.Abandoned) })
+	row("incomplete", func(st *FaultRunStats) string { return strconv.Itoa(st.Incomplete) })
+	row("fct p50 (s)", func(st *FaultRunStats) string { return g3(st.FCT.Percentile(50)) })
+	row("fct p95 (s)", func(st *FaultRunStats) string { return g3(st.FCT.Percentile(95)) })
+	row("reroutes", func(st *FaultRunStats) string { return strconv.FormatUint(st.Reroutes, 10) })
+	row("drops", func(st *FaultRunStats) string { return strconv.FormatUint(st.Drops, 10) })
 	return t
+}
+
+// parseScheduleArg reads a -faults flag value without a topology: a
+// generator seed for "gen:<seed>", anything else through faults.Parse (DSL
+// or JSON).
+func parseScheduleArg(arg string) (seed int64, sched faults.Schedule, gen bool, err error) {
+	if rest, ok := strings.CutPrefix(arg, "gen:"); ok {
+		if seed, err = strconv.ParseInt(rest, 10, 64); err != nil {
+			err = fmt.Errorf("faultsweep: bad gen seed %q: %v", rest, err)
+		}
+		return seed, sched, true, err
+	}
+	sched, err = faults.Parse(arg)
+	return 0, sched, false, err
+}
+
+// CheckScheduleArg reports a malformed -faults flag value. It builds no
+// topology: ScheduleArg checks the endpoints.
+func CheckScheduleArg(arg string) error {
+	_, _, _, err := parseScheduleArg(arg)
+	return err
 }
 
 // ScheduleArg resolves a -faults flag value: "gen:<seed>" generates a
@@ -272,11 +295,11 @@ func (st *FaultRunStats) SimTable(sched faults.Schedule) *Table {
 // window), anything else goes through faults.Parse (DSL or JSON). The
 // schedule is validated against g either way.
 func ScheduleArg(g *topology.Graph, arg string, horizon time.Duration) (faults.Schedule, error) {
-	if rest, ok := strings.CutPrefix(arg, "gen:"); ok {
-		seed, err := strconv.ParseInt(rest, 10, 64)
-		if err != nil {
-			return faults.Schedule{}, fmt.Errorf("faultsweep: bad gen seed %q: %v", rest, err)
-		}
+	seed, sched, gen, err := parseScheduleArg(arg)
+	if err != nil {
+		return faults.Schedule{}, err
+	}
+	if gen {
 		// Floor the detection delay well above emulator timer jitter
 		// (goroutine scheduling shifts injections by a millisecond or two;
 		// a detection window of the same order would randomly merge or
@@ -286,10 +309,6 @@ func ScheduleArg(g *topology.Graph, arg string, horizon time.Duration) (faults.S
 			detect = 6 * time.Millisecond
 		}
 		return faults.Generate(g, faults.GenConfig{Seed: seed, Horizon: horizon, Detect: detect})
-	}
-	sched, err := faults.Parse(arg)
-	if err != nil {
-		return faults.Schedule{}, err
 	}
 	if err := sched.Validate(g); err != nil {
 		return faults.Schedule{}, err

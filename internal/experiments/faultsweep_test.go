@@ -6,48 +6,42 @@ import (
 	"time"
 
 	"r2c2/internal/faults"
+	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
 )
 
-func faultSweepTestConfig(t *testing.T) FaultSweepConfig {
+func faultSweepTestConfig(t *testing.T) (Config, faults.Schedule) {
 	t.Helper()
-	cfg := FaultSweepConfig{
-		K:            4,
-		LinkMbps:     200,
-		Flows:        40,
-		FlowBytes:    256 << 10,
-		MeanInterval: 4 * time.Millisecond,
-		Seed:         7,
-	}
+	cfg := Config{K: 4, Dims: 2, LinkGbps: 0.2, Flows: 40,
+		Tau: 4 * simtime.Millisecond, Seed: 7, FlowBytes: 256 << 10}
 	g, err := topology.NewTorus(cfg.K, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sched, err := faults.Generate(g, faults.GenConfig{
 		Seed:    9,
-		Horizon: cfg.MeanInterval * time.Duration(cfg.Flows),
+		Horizon: 4 * time.Millisecond * time.Duration(cfg.Flows),
 		Detect:  8 * time.Millisecond, // wall-clock safe (see ScheduleArg)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Schedule = sched
-	return cfg
+	return cfg, sched
 }
 
 // The simulator half of the sweep is deterministic: the same config must
 // produce byte-identical output (the CI artifact depends on this).
 func TestFaultSweepSimDeterministic(t *testing.T) {
-	cfg := faultSweepTestConfig(t)
-	first, err := FaultSweepSim(cfg)
+	cfg, sched := faultSweepTestConfig(t)
+	first, err := FaultSweepSim(cfg, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := FaultSweepSim(cfg)
+	second, err := FaultSweepSim(cfg, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := first.SimTable(cfg.Schedule).CSV(), second.SimTable(cfg.Schedule).CSV()
+	a, b := first.SimTable(sched).CSV(), second.SimTable(sched).CSV()
 	if a != b {
 		t.Fatalf("two identical runs diverged:\n%s\nvs\n%s", a, b)
 	}
@@ -57,7 +51,7 @@ func TestFaultSweepSimDeterministic(t *testing.T) {
 	if first.Abandoned == 0 {
 		t.Fatal("schedule crashed a node but no flow touched it — workload too sparse")
 	}
-	if want := uint64(cfg.Schedule.Waves()); first.Reroutes != want {
+	if want := uint64(sched.Waves()); first.Reroutes != want {
 		t.Fatalf("reroutes = %d, want %d", first.Reroutes, want)
 	}
 }
@@ -69,8 +63,8 @@ func TestFaultSweepCrossValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock emulation")
 	}
-	cfg := faultSweepTestConfig(t)
-	res, err := FaultSweep(cfg)
+	cfg, sched := faultSweepTestConfig(t)
+	res, err := FaultSweep(cfg, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"r2c2/internal/routing"
 	"r2c2/internal/sim"
 	"r2c2/internal/simtime"
+	"r2c2/internal/stats"
 	"r2c2/internal/topology"
 	"r2c2/internal/trafficgen"
 )
@@ -17,47 +18,36 @@ type TransportRun struct {
 // transportOrder is the fixed transport sequence of the §5.2 comparison.
 var transportOrder = []sim.Transport{sim.TransportR2C2, sim.TransportTCP, sim.TransportPFQ}
 
-// transportConfigs builds one RunConfig per transport for the heavy-tailed
-// workload at inter-arrival time tau. The graph is shared: it is immutable
-// once built, so configurations can run concurrently.
-func transportConfigs(g *topology.Graph, s Scale, tau simtime.Time, headroom float64, rho simtime.Time) []sim.RunConfig {
-	arrivals := trafficgen.Poisson(trafficgen.PoissonConfig{
-		Nodes:        g.Nodes(),
-		MeanInterval: tau,
-		Count:        s.Flows,
-		Seed:         s.Seed,
-	})
-	cfgs := make([]sim.RunConfig, 0, len(transportOrder))
-	for _, tr := range transportOrder {
-		cfgs = append(cfgs, sim.RunConfig{
-			Graph:     g,
-			Net:       sim.NetConfig{LinkGbps: s.LinkGbps, PropDelay: s.PropLat},
-			Transport: tr,
-			R2C2: sim.R2C2Config{
-				Headroom:  headroom,
-				Recompute: rho,
-				Protocol:  routing.RPS,
-				Seed:      s.Seed,
-				Reliable:  s.Reliable,
-			},
-			PFQSeed:  s.Seed,
-			Arrivals: arrivals,
-			MaxTime:  arrivals[len(arrivals)-1].At + simtime.Second,
-		})
+// runConfig is one run of the heavy-tailed §5.2 workload under transport
+// tr. The graph is shared: it is immutable once built, so configurations
+// can run concurrently.
+func runConfig(g *topology.Graph, s Config, tr sim.Transport, arrivals []trafficgen.Arrival, headroom float64, rho simtime.Time) sim.RunConfig {
+	return sim.RunConfig{
+		Graph:     g,
+		Net:       sim.NetConfig{LinkGbps: s.LinkGbps, PropDelay: s.PropLat},
+		Transport: tr,
+		R2C2: sim.R2C2Config{
+			Headroom:  headroom,
+			Recompute: rho,
+			Protocol:  routing.RPS,
+			Seed:      s.Seed,
+			Reliable:  s.Reliable,
+		},
+		PFQSeed:  s.Seed,
+		Arrivals: arrivals,
+		MaxTime:  arrivals[len(arrivals)-1].At + simtime.Second,
 	}
-	return cfgs
 }
 
-// RunTransports executes the same heavy-tailed workload (§5.2) under R2C2,
-// TCP and PFQ — the common machinery behind Figures 10–14. The three runs
-// are independent and execute on s.Parallel workers.
-func RunTransports(s Scale, tau simtime.Time, headroom float64, rho simtime.Time) []TransportRun {
-	results := RunParallel(s.Parallel, transportConfigs(s.Torus(), s, tau, headroom, rho))
-	out := make([]TransportRun, len(results))
-	for i, res := range results {
-		out[i] = TransportRun{Transport: transportOrder[i], Results: res}
+// transportConfigs builds one RunConfig per transport at inter-arrival
+// time tau, all replaying one workload.
+func transportConfigs(g *topology.Graph, s Config, tau simtime.Time, headroom float64, rho simtime.Time) []sim.RunConfig {
+	arrivals := s.workload(g, tau)
+	cfgs := make([]sim.RunConfig, 0, len(transportOrder))
+	for _, tr := range transportOrder {
+		cfgs = append(cfgs, runConfig(g, s, tr, arrivals, headroom, rho))
 	}
-	return out
+	return cfgs
 }
 
 // Fig10Result holds the short-flow FCT CDFs (Figure 10) and long-flow
@@ -66,39 +56,39 @@ type Fig10Result struct {
 	Runs []TransportRun
 }
 
-// Fig10and11 runs the τ=1 µs (scaled) comparison of Figures 10 and 11.
-func Fig10and11(s Scale, tau simtime.Time) *Fig10Result {
-	return &Fig10Result{Runs: RunTransports(s, tau, 0.05, 500*simtime.Microsecond)}
+// Fig10and11 runs the τ=1 µs (scaled) comparison of Figures 10 and 11: the
+// same workload under R2C2, TCP and PFQ, on s.Parallel workers.
+func Fig10and11(s Config, tau simtime.Time) *Fig10Result {
+	results := RunParallel(s.Parallel, transportConfigs(s.Torus(), s, tau, 0.05, 500*simtime.Microsecond))
+	res := &Fig10Result{}
+	for i, out := range results {
+		res.Runs = append(res.Runs, TransportRun{Transport: transportOrder[i], Results: out})
+	}
+	return res
 }
 
 // ShortFCTTable renders Figure 10 as CDF percentile rows.
 func (r *Fig10Result) ShortFCTTable() *Table {
-	t := &Table{Title: "Figure 10: FCT, short flows (<100KB), seconds",
-		Header: []string{"percentile"}}
-	for _, run := range r.Runs {
-		t.Header = append(t.Header, run.Transport.String())
-	}
-	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99} {
-		row := []string{f2(p)}
-		for _, run := range r.Runs {
-			row = append(row, g3(run.Results.ShortFCT.Percentile(p)))
-		}
-		t.AddRow(row...)
-	}
-	return t
+	return r.cdfTable("Figure 10: FCT, short flows (<100KB), seconds",
+		func(res *sim.Results) *stats.Sample { return &res.ShortFCT })
 }
 
 // LongThroughputTable renders Figure 11 as CDF percentile rows.
 func (r *Fig10Result) LongThroughputTable() *Table {
-	t := &Table{Title: "Figure 11: average throughput, long flows (>1MB), bits/s",
-		Header: []string{"percentile"}}
+	return r.cdfTable("Figure 11: average throughput, long flows (>1MB), bits/s",
+		func(res *sim.Results) *stats.Sample { return &res.LongThroughput })
+}
+
+// cdfTable renders one sample of every transport's run as percentile rows.
+func (r *Fig10Result) cdfTable(title string, sample func(*sim.Results) *stats.Sample) *Table {
+	t := &Table{Title: title, Header: []string{"percentile"}}
 	for _, run := range r.Runs {
 		t.Header = append(t.Header, run.Transport.String())
 	}
 	for _, p := range []float64{10, 25, 50, 75, 90, 95, 99} {
 		row := []string{f2(p)}
 		for _, run := range r.Runs {
-			row = append(row, g3(run.Results.LongThroughput.Percentile(p)))
+			row = append(row, g3(sample(run.Results).Percentile(p)))
 		}
 		t.AddRow(row...)
 	}
@@ -111,7 +101,7 @@ func (r *Fig10Result) LongThroughputTable() *Table {
 // R2C2 queue-occupancy percentiles of Figure 14.
 type Fig12to14Result struct {
 	Taus []simtime.Time
-	// Indexed [tau][transport] in RunTransports order.
+	// Indexed [tau][transport] in transportOrder.
 	FCT99   [][]float64
 	LongAvg [][]float64
 	// R2C2 max-queue stats per tau (bytes).
@@ -121,7 +111,7 @@ type Fig12to14Result struct {
 // Fig12to14 sweeps τ and collects everything Figures 12, 13 and 14 plot.
 // The full sweep — every (τ, transport) point — is flattened into one batch
 // of independent runs executing on s.Parallel workers.
-func Fig12to14(s Scale, taus []simtime.Time) *Fig12to14Result {
+func Fig12to14(s Config, taus []simtime.Time) *Fig12to14Result {
 	g := s.Torus()
 	var cfgs []sim.RunConfig
 	for _, tau := range taus {
@@ -149,22 +139,20 @@ func Fig12to14(s Scale, taus []simtime.Time) *Fig12to14Result {
 
 // Fig12Table renders 99th-pct short-flow FCT normalised against TCP.
 func (r *Fig12to14Result) Fig12Table() *Table {
-	t := &Table{Title: "Figure 12: 99th-pct short-flow FCT normalised to TCP",
-		Header: []string{"tau", "R2C2", "TCP", "PFQ"}}
-	for i, tau := range r.Taus {
-		tcp := r.FCT99[i][1]
-		t.AddRow(tau.String(), f3(safeDiv(r.FCT99[i][0], tcp)), "1.000", f3(safeDiv(r.FCT99[i][2], tcp)))
-	}
-	return t
+	return r.normTable("Figure 12: 99th-pct short-flow FCT normalised to TCP", r.FCT99)
 }
 
 // Fig13Table renders mean long-flow throughput normalised against TCP.
 func (r *Fig12to14Result) Fig13Table() *Table {
-	t := &Table{Title: "Figure 13: long-flow throughput normalised to TCP",
-		Header: []string{"tau", "R2C2", "TCP", "PFQ"}}
+	return r.normTable("Figure 13: long-flow throughput normalised to TCP", r.LongAvg)
+}
+
+// normTable renders v[tau][transport] normalised against TCP.
+func (r *Fig12to14Result) normTable(title string, v [][]float64) *Table {
+	t := &Table{Title: title, Header: []string{"tau", "R2C2", "TCP", "PFQ"}}
 	for i, tau := range r.Taus {
-		tcp := r.LongAvg[i][1]
-		t.AddRow(tau.String(), f3(safeDiv(r.LongAvg[i][0], tcp)), "1.000", f3(safeDiv(r.LongAvg[i][2], tcp)))
+		tcp := v[i][1]
+		t.AddRow(tau.String(), f3(safeDiv(v[i][0], tcp)), "1.000", f3(safeDiv(v[i][2], tcp)))
 	}
 	return t
 }
@@ -188,22 +176,12 @@ type Fig17Result struct {
 
 // Fig17 sweeps the headroom parameter for R2C2 at fixed τ; the sweep
 // points run concurrently on s.Parallel workers.
-func Fig17(s Scale, tau simtime.Time, headrooms []float64) *Fig17Result {
+func Fig17(s Config, tau simtime.Time, headrooms []float64) *Fig17Result {
 	g := s.Torus()
-	arrivals := trafficgen.Poisson(trafficgen.PoissonConfig{
-		Nodes: g.Nodes(), MeanInterval: tau, Count: s.Flows, Seed: s.Seed,
-	})
+	arrivals := s.workload(g, tau)
 	cfgs := make([]sim.RunConfig, len(headrooms))
 	for i, h := range headrooms {
-		cfgs[i] = sim.RunConfig{
-			Graph:     g,
-			Net:       sim.NetConfig{LinkGbps: s.LinkGbps, PropDelay: s.PropLat},
-			Transport: sim.TransportR2C2,
-			R2C2: sim.R2C2Config{Headroom: h, Recompute: 500 * simtime.Microsecond,
-				Protocol: routing.RPS, Seed: s.Seed},
-			MaxTime:  arrivals[len(arrivals)-1].At + simtime.Second,
-			Arrivals: arrivals,
-		}
+		cfgs[i] = runConfig(g, s, sim.TransportR2C2, arrivals, h, 500*simtime.Microsecond)
 	}
 	res := &Fig17Result{Headrooms: headrooms}
 	for _, out := range RunParallel(s.Parallel, cfgs) {

@@ -20,7 +20,7 @@ type Fig18Result struct {
 // generates a long-running flow each") and optimises the per-flow protocol
 // assignment with the §3.4 genetic heuristic. Candidate protocols are RPS
 // and VLB, as in the paper.
-func Fig18(s Scale, loads []float64, gaCfg genetic.Config) *Fig18Result {
+func Fig18(s Config, loads []float64, gaCfg genetic.Config) *Fig18Result {
 	g := s.Torus()
 	tab := routing.NewTable(g)
 	protocols := []routing.Protocol{routing.RPS, routing.VLB}

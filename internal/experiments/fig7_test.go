@@ -2,25 +2,20 @@ package experiments
 
 import (
 	"testing"
-	"time"
+
+	"r2c2/internal/simtime"
 )
 
 // Cross-validation at reduced scale: the emulator (wall clock, real
 // goroutine concurrency) and the simulator (virtual clock) replay the same
 // flow sequence; their throughput distributions must roughly agree. This is
-// the Figure 7 experiment; cmd/r2c2-emu runs it at larger scale.
+// the Figure 7 experiment; `r2c2 fig fig7` runs it at larger scale.
 func TestFig7CrossValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock emulation")
 	}
-	cfg := Fig7Config{
-		K:            3,
-		LinkMbps:     200,
-		Flows:        24,
-		FlowBytes:    512 << 10,
-		MeanInterval: 5 * time.Millisecond,
-		Seed:         7,
-	}
+	cfg := Config{K: 3, Dims: 2, LinkGbps: 0.2, Flows: 24,
+		Tau: 5 * simtime.Millisecond, Seed: 7, FlowBytes: 512 << 10}
 	res, err := Fig7(cfg)
 	if err != nil {
 		t.Fatal(err)

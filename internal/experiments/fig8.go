@@ -8,7 +8,6 @@ import (
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/stats"
-	"r2c2/internal/trafficgen"
 	"r2c2/internal/wire"
 )
 
@@ -25,10 +24,9 @@ const AtomSlowdown = 20.0
 type Fig8Result struct {
 	Rhos []simtime.Time
 	// Host-CPU overhead fractions ("Xeon-class" in the paper's setup) of
-	// the from-scratch water-filling.
+	// the from-scratch water-filling; the table scales them by
+	// AtomSlowdown for the Atom columns.
 	MedianHost, P99Host []float64
-	// The same scaled by AtomSlowdown.
-	MedianAtom, P99Atom []float64
 	// MeanFlows is the average number of flows per recomputation (the
 	// batch filter drops flows shorter than ρ, which is why large ρ cost
 	// less).
@@ -40,18 +38,14 @@ type Fig8Result struct {
 // computation runs over the flows alive at that instant that have lasted
 // at least one full interval (§3.3.2's batch filter), and its wall-clock
 // time is measured.
-func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Result {
+func Fig8(s Config, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Result {
 	g := s.Torus()
 	tab := routing.NewTable(g)
-	arrivals := trafficgen.Poisson(trafficgen.PoissonConfig{
-		Nodes: g.Nodes(), MeanInterval: tau, Count: s.Flows, Seed: s.Seed,
-	})
+	arrivals := s.workload(g, tau)
 	// One fluid pass yields every flow's [start, end) interval.
-	lifetimes := fluid.Run(fluid.Config{
-		Tab: tab, Protocol: routing.RPS,
-		CapacityBits: s.LinkGbps * 1e9, Headroom: 0.05,
-		Recompute: simtime.FromSeconds(core.DefaultRho.Seconds()),
-	}, arrivals)
+	fc := fluidConfig(s, tab)
+	fc.Recompute = simtime.FromSeconds(core.DefaultRho.Seconds())
+	lifetimes := fluid.Run(fc, arrivals)
 
 	// §4.2: the prototype precomputes the per-{protocol, destination}
 	// link-weight vectors (<6 MB per protocol), so recomputation cost is
@@ -67,10 +61,8 @@ func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Res
 			end = fr.Ended
 		}
 	}
-	res := &Fig8Result{Rhos: rhos,
-		MedianHost: make([]float64, len(rhos)), P99Host: make([]float64, len(rhos)),
-		MedianAtom: make([]float64, len(rhos)), P99Atom: make([]float64, len(rhos)),
-		MeanFlows: make([]float64, len(rhos))}
+	res := &Fig8Result{Rhos: rhos, MedianHost: make([]float64, len(rhos)),
+		P99Host: make([]float64, len(rhos)), MeanFlows: make([]float64, len(rhos))}
 	// Each ρ gets its own RateComputer (a computer's scratch is not safe
 	// for concurrent use); the per-ρ replays are independent and run on
 	// s.Parallel workers. Note this is a wall-clock measurement: on a loaded
@@ -106,8 +98,6 @@ func Fig8(s Scale, tau simtime.Time, rhos []simtime.Time, maxTicks int) *Fig8Res
 		}
 		res.MedianHost[ri] = overhead.Median()
 		res.P99Host[ri] = overhead.Percentile(99)
-		res.MedianAtom[ri] = overhead.Median() * AtomSlowdown
-		res.P99Atom[ri] = overhead.Percentile(99) * AtomSlowdown
 		res.MeanFlows[ri] = flowsPerTick.Mean()
 	})
 	return res
@@ -125,7 +115,7 @@ func (r *Fig8Result) Table() *Table {
 		}
 		t.AddRow(rho.String(), f2(r.MeanFlows[i]),
 			pct(r.MedianHost[i]), pct(r.P99Host[i]),
-			pct(r.MedianAtom[i]), pct(r.P99Atom[i]))
+			pct(r.MedianHost[i]*AtomSlowdown), pct(r.P99Host[i]*AtomSlowdown))
 	}
 	return t
 }

@@ -19,18 +19,11 @@ type Fig9Result struct {
 // 35 MB long flows. The node counts follow §5.1's projection target
 // (512-node 3D torus) with same-order meshes/2D tori.
 func Fig9(fracs []float64) *Fig9Result {
-	torus3d, err := topology.NewTorus(8, 3)
-	if err != nil {
-		panic(err)
-	}
 	mesh3d, err := topology.NewMesh(8, 3)
 	if err != nil {
 		panic(err)
 	}
-	torus2d, err := topology.NewTorus(22, 2)
-	if err != nil {
-		panic(err)
-	}
+	torus3d, torus2d := PaperScale().Torus(), Config{K: 22, Dims: 2}.Torus()
 	res := &Fig9Result{
 		SmallByteFracs: fracs,
 		Topologies:     []string{"3D-torus-512", "3D-mesh-512", "2D-torus-484"},
@@ -83,10 +76,7 @@ func (r *Fig19Result) Table() *Table {
 	t := &Table{Title: "Figure 19: control traffic per flow event (bytes)",
 		Header: []string{"flows/server", "decentralized", "centralized", "ratio"}}
 	for i, f := range r.FlowsPerServer {
-		ratio := 0.0
-		if r.Decentralized[i] > 0 {
-			ratio = r.Centralized[i] / r.Decentralized[i]
-		}
+		ratio := safeDiv(r.Centralized[i], r.Decentralized[i])
 		t.AddRow(f2(float64(f)), f2(r.Decentralized[i]), f2(r.Centralized[i]), f2(ratio))
 	}
 	return t

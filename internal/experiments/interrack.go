@@ -1,81 +1,25 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
 	"strconv"
 
-	"r2c2/internal/routing"
 	"r2c2/internal/sim"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
 	"r2c2/internal/trafficgen"
 )
 
-// InterRackConfig sizes the intra- vs inter-rack traffic-mix experiment:
-// a ring of 2D-torus racks joined by boundary cables, driven at several
-// inter-rack flow fractions on the sharded engine (DESIGN.md §14). The
-// same arrival times and flow sizes are replayed at every mix — only the
-// source/destination pairs are rewritten — so the mix fraction is the sole
-// variable between runs.
-type InterRackConfig struct {
-	Racks   int // racks in the ring
-	K       int // per-rack torus radix (each rack is a K×K 2D torus)
-	Bridges int // boundary cables between each adjacent rack pair
-
-	LinkGbps float64
-	PropLat  simtime.Time
-
-	Flows     int
-	Tau       simtime.Time // mean flow inter-arrival time
-	FlowBytes int64        // fixed flow size (0 = the §5.2 Pareto mix)
-	Seed      int64
-	Reliable  bool
-
-	// Shards is sim.RunConfig.Shards: ≤ 1 runs one shard owning the whole
-	// fabric, > 1 one shard of contiguous racks per worker. The mix table is
-	// identical at every value; only ShardUtilTable needs the partition.
-	Shards int
-	// Horizon hard-stops each run (sim.RunConfig.MaxTime).
-	Horizon simtime.Time
-
-	Mixes []float64 // inter-rack flow fractions to sweep, each in [0, 1]
-}
-
-// DefaultInterRack is the test-scale sweep: 4 racks of 3×3 torus (36
-// nodes), small enough for `go test` and the race detector.
-func DefaultInterRack() InterRackConfig {
-	return InterRackConfig{
-		Racks: 4, K: 3, Bridges: 2,
-		LinkGbps: 10, PropLat: 100 * simtime.Nanosecond,
-		Flows: 120, Tau: 100 * simtime.Microsecond,
-		FlowBytes: 128 << 10, Seed: 1,
-		Horizon: 50 * simtime.Millisecond,
-		Mixes:   []float64{0, 0.25, 0.5, 1},
-	}
-}
-
-// Validate rejects a sweep Fabric or the traffic generator cannot build: the
-// Scale checks on the per-rack torus and the workload, a ring of at least
-// two racks, and between one bridge and one per rack node (Fabric spreads
-// them over distinct nodes).
-func (c InterRackConfig) Validate() error {
-	if err := (Scale{K: c.K, Dims: 2, LinkGbps: c.LinkGbps, Flows: c.Flows, Tau: c.Tau}).Validate(); err != nil {
-		return err
-	}
-	if c.Racks < 2 {
-		return fmt.Errorf("interrack sweep needs at least two racks (got %d)", c.Racks)
-	}
-	if c.Bridges < 1 || c.Bridges > c.K*c.K {
-		return fmt.Errorf("bridges per rack pair must be between 1 and k*k = %d (got %d)", c.K*c.K, c.Bridges)
-	}
-	return nil
-}
+// The intra- vs inter-rack traffic-mix experiment drives a ring of 2D-torus
+// racks joined by boundary cables at several inter-rack flow fractions on
+// the sharded engine (DESIGN.md §14). The same arrival times and flow sizes
+// are replayed at every mix — only the source/destination pairs are
+// rewritten — so the mix fraction is the sole variable between runs.
 
 // Fabric builds the multi-rack ring: Racks K×K tori, each joined to its
 // ring successor by Bridges cables spread around the rack perimeter. The
-// config must be Validate-clean.
-func (c InterRackConfig) Fabric() *topology.Graph {
+// config must be CheckRing-clean.
+func (c Config) Fabric() *topology.Graph {
 	subs := make([]*topology.Graph, c.Racks)
 	for i := range subs {
 		g, err := topology.NewTorus(c.K, 2)
@@ -85,10 +29,7 @@ func (c InterRackConfig) Fabric() *topology.Graph {
 		subs[i] = g
 	}
 	per := subs[0].Nodes()
-	step := per / c.Bridges
-	if step == 0 {
-		step = 1
-	}
+	step := per / c.Bridges // at least 1: CheckRing caps Bridges at per
 	var bridges []topology.Bridge
 	for i := 0; i < c.Racks; i++ {
 		j := (i + 1) % c.Racks
@@ -113,16 +54,8 @@ func (c InterRackConfig) Fabric() *topology.Graph {
 // rewritten — destination inside the source's rack below the mix
 // threshold, outside it above — from an RNG stream independent of the base
 // generator, so changing the mix never perturbs the offered load.
-func (c InterRackConfig) arrivals(g *topology.Graph, mix float64) []trafficgen.Arrival {
-	cfg := trafficgen.PoissonConfig{
-		Nodes: g.Nodes(), MeanInterval: c.Tau, Count: c.Flows, Seed: c.Seed,
-	}
-	var arr []trafficgen.Arrival
-	if c.FlowBytes > 0 {
-		arr = trafficgen.FixedSize(cfg, c.FlowBytes)
-	} else {
-		arr = trafficgen.Poisson(cfg)
-	}
+func (c Config) arrivals(g *topology.Graph, mix float64) []trafficgen.Arrival {
+	arr := c.workload(g, c.Tau)
 	per := g.Nodes() / c.Racks
 	rng := rand.New(rand.NewSource(c.Seed + 1))
 	for i := range arr {
@@ -152,42 +85,26 @@ func (c InterRackConfig) arrivals(g *topology.Graph, mix float64) []trafficgen.A
 
 // InterRackRun is one mix point of the sweep.
 type InterRackRun struct {
-	Mix      float64
-	Results  *sim.Results
-	Handoffs uint64 // total cross-shard handoffs (0 for serial runs; depends on Shards)
+	Mix     float64
+	Results *sim.Results
 }
 
 // InterRackResult is the full sweep.
 type InterRackResult struct {
-	Cfg  InterRackConfig
 	Runs []InterRackRun
 }
 
 // InterRack runs the intra- vs inter-rack sweep: one simulation per mix
-// fraction over the same fabric and arrival process.
-func InterRack(cfg InterRackConfig) *InterRackResult {
+// fraction over the same fabric and arrival process. Shards ≤ 1 runs one
+// shard owning the whole fabric, > 1 one shard of contiguous racks per
+// worker; the mix table is identical at every value.
+func InterRack(cfg Config) *InterRackResult {
 	g := cfg.Fabric()
-	res := &InterRackResult{Cfg: cfg}
+	res := &InterRackResult{}
 	for _, mix := range cfg.Mixes {
-		r := sim.Run(sim.RunConfig{
-			Graph:     g,
-			Net:       sim.NetConfig{LinkGbps: cfg.LinkGbps, PropDelay: cfg.PropLat},
-			Transport: sim.TransportR2C2,
-			R2C2: sim.R2C2Config{
-				Headroom: 0.05, Protocol: routing.RPS,
-				Recompute: 100 * simtime.Microsecond,
-				Reliable:  cfg.Reliable, RTO: 300 * simtime.Microsecond,
-				Seed: cfg.Seed,
-			},
-			Arrivals: cfg.arrivals(g, mix),
-			MaxTime:  cfg.Horizon,
-			Shards:   cfg.Shards,
-		})
-		run := InterRackRun{Mix: mix, Results: r}
-		for _, st := range r.ShardStats {
-			run.Handoffs += st.Handoffs
-		}
-		res.Runs = append(res.Runs, run)
+		rc := runConfig(g, cfg, sim.TransportR2C2, cfg.arrivals(g, mix), 0.05, 100*simtime.Microsecond)
+		rc.R2C2.RTO, rc.MaxTime, rc.Shards = 300*simtime.Microsecond, cfg.Horizon, cfg.Shards
+		res.Runs = append(res.Runs, InterRackRun{Mix: mix, Results: sim.Run(rc)})
 	}
 	return res
 }
@@ -260,10 +177,4 @@ func (r *InterRackResult) ShardUtilTable() *Table {
 		}
 	}
 	return t
-}
-
-// String summarises the configuration for log headers.
-func (c InterRackConfig) String() string {
-	return fmt.Sprintf("%d racks x %dx%d torus (%d nodes), %d bridges/pair, %d flows, tau=%v, shards=%d",
-		c.Racks, c.K, c.K, c.Racks*c.K*c.K, c.Bridges, c.Flows, c.Tau, c.Shards)
 }

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// ringConfig is the registry's small inter-rack sweep.
+func ringConfig(t *testing.T) Config {
+	t.Helper()
+	f, err := Lookup("interrack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f.Small
+}
+
 // TestInterRackFabricAllocation bounds what building the 10,240-node CI
 // sweep's fabric and reading its diameter allocate, so that fabric state
 // keeps growing with the links, not with the vertex pairs: 64 MB, where an
@@ -15,7 +25,7 @@ import (
 func TestInterRackFabricAllocation(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	g := InterRackConfig{Racks: 40, K: 16, Bridges: 2}.Fabric()
+	g := Config{K: 16, Racks: 40, Bridges: 2}.Fabric()
 	d := g.Diameter()
 	runtime.ReadMemStats(&after)
 	if g.Nodes() != 10240 || d <= 0 {
@@ -35,7 +45,7 @@ func TestInterRackFabricAllocation(t *testing.T) {
 // inter-rack mix moves strictly more boundary traffic than a fully
 // intra-rack one.
 func TestInterRackMixTableShardInvariant(t *testing.T) {
-	cfg := DefaultInterRack()
+	cfg := ringConfig(t)
 	cfg.Flows = 60
 	cfg.Mixes = []float64{0, 1}
 
@@ -64,7 +74,7 @@ func TestInterRackMixTableShardInvariant(t *testing.T) {
 		if got := res.MixTable().CSV(); got != want {
 			t.Fatalf("shards=%d mix table diverged from serial\n--- serial ---\n%s--- sharded ---\n%s", shards, want, got)
 		}
-		if h0, h1 := res.Runs[0].Handoffs, res.Runs[1].Handoffs; h1 <= h0 {
+		if h0, h1 := handoffs(res.Runs[0]), handoffs(res.Runs[1]); h1 <= h0 {
 			t.Fatalf("shards=%d: inter-rack mix moved %d handoffs, intra-rack %d; want strictly more", shards, h1, h0)
 		}
 		util := res.ShardUtilTable()
@@ -77,11 +87,19 @@ func TestInterRackMixTableShardInvariant(t *testing.T) {
 	}
 }
 
+// handoffs is a run's cross-shard handoffs over every shard.
+func handoffs(run InterRackRun) (n uint64) {
+	for _, st := range run.Results.ShardStats {
+		n += st.Handoffs
+	}
+	return n
+}
+
 // TestInterRackArrivalsMixOnlyRewritesPairs: the offered load (arrival
 // times and sizes) is identical at every mix, and the rewritten pairs
 // respect the mix's rack placement.
 func TestInterRackArrivalsMixOnlyRewritesPairs(t *testing.T) {
-	cfg := DefaultInterRack()
+	cfg := ringConfig(t)
 	g := cfg.Fabric()
 	per := g.Nodes() / cfg.Racks
 	intra := cfg.arrivals(g, 0)
@@ -108,7 +126,7 @@ func TestInterRackArrivalsMixOnlyRewritesPairs(t *testing.T) {
 
 // TestInterRackTableShapes keeps the CSV schema stable for the CI artifact.
 func TestInterRackTableShapes(t *testing.T) {
-	cfg := DefaultInterRack()
+	cfg := ringConfig(t)
 	cfg.Flows = 20
 	cfg.Mixes = []float64{0.5}
 	cfg.Shards = 2
