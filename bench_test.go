@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -42,7 +43,7 @@ func BenchmarkFig2RoutingTable(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig2(g, 10, 1)
-		if res.Get("uniform", routing.RPS) < 0.9 {
+		if u := slices.Index(res.Patterns, "uniform"); res.Throughput[u][slices.Index(res.Protocols, routing.RPS)] < 0.9 {
 			b.Fatal("uniform/RPS off its anchor")
 		}
 	}
@@ -58,7 +59,7 @@ func BenchmarkFig7CrossValidation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.SimThroughput.Len() != cfg.Flows {
+		if len(res.SimThroughput.Values()) != cfg.Flows {
 			b.Fatal("simulator lost flows")
 		}
 	}
@@ -95,7 +96,7 @@ func BenchmarkFig10ShortFCT(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig10and11(s, s.Tau)
-		if res.Runs[0].Results.ShortFCT.Len() == 0 {
+		if len(res.Runs[0].Results.ShortFCT.Values()) == 0 {
 			b.Fatal("no short flows measured")
 		}
 	}
@@ -105,7 +106,7 @@ func BenchmarkFig11LongThroughput(b *testing.B) {
 	s := benchScale()
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig10and11(s, s.Tau)
-		if res.Runs[0].Results.LongThroughput.Len() == 0 {
+		if len(res.Runs[0].Results.LongThroughput.Values()) == 0 {
 			b.Fatal("no long flows measured")
 		}
 	}
@@ -339,11 +340,14 @@ func BenchmarkAblationBroadcastTrees(b *testing.B) {
 	measure := func(trees int) float64 {
 		fib := topology.NewBroadcastFIB(g, trees, 7)
 		load := make([]int, g.NumLinks())
+		var hops []topology.LinkID
 		for src := 0; src < g.Nodes(); src++ {
 			for ev := 0; ev < trees; ev++ { // one event per tree, round-robin
-				t, _ := fib.Tree(topology.NodeID(src), uint8(ev%trees))
-				for lid, c := range t.LinkLoad(g.NumLinks()) {
-					load[lid] += c
+				for v := range g.Nodes() {
+					hops, _ = fib.AppendNextHops(hops[:0], topology.NodeID(src), uint8(ev%trees), topology.NodeID(v))
+					for _, lid := range hops {
+						load[lid]++
+					}
 				}
 			}
 		}
@@ -741,9 +745,11 @@ func BenchmarkFailureReroute(b *testing.B) {
 	}
 	ab, _ := g.LinkBetween(0, 1)
 	ba, _ := g.LinkBetween(1, 0)
+	failed := make([]bool, g.NumLinks())
+	failed[ab], failed[ba] = true, true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sub, _, err := g.WithoutLinks(ab, ba)
+		sub, _, err := g.WithoutLinksAndNodes(failed, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

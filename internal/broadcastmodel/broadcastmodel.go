@@ -83,11 +83,3 @@ func PerEvent(g *topology.Graph, flowsPerServer int) ControlTraffic {
 
 	return ControlTraffic{Decentralized: dec, Centralized: cen}
 }
-
-// Ratio returns centralized/decentralized traffic.
-func (c ControlTraffic) Ratio() float64 {
-	if c.Decentralized == 0 {
-		return 0
-	}
-	return c.Centralized / c.Decentralized
-}

@@ -112,3 +112,11 @@ func TestControlTrafficShape(t *testing.T) {
 		t.Fatal("zero traffic ratio should be 0")
 	}
 }
+
+// Ratio returns centralized/decentralized traffic.
+func (c ControlTraffic) Ratio() float64 {
+	if c.Decentralized == 0 {
+		return 0
+	}
+	return c.Centralized / c.Decentralized
+}

@@ -22,14 +22,19 @@ func TestClosBroadcastCost(t *testing.T) {
 	if g.Nodes() != 512 {
 		t.Fatalf("hosts = %d", g.Nodes())
 	}
-	trees := topology.BuildBroadcastTrees(g, 0, 1, 1)
-	bytes := trees[0].TotalEdges() * wire.BroadcastSize
+	fib := topology.NewBroadcastFIB(g, 1, 1)
+	var edges []topology.LinkID // every vertex's next hops on host 0's tree
+	for v := range g.Vertices() {
+		edges, _ = fib.AppendNextHops(edges, 0, 0, topology.NodeID(v))
+	}
+	tree, _ := fib.Tree(0, 0)
+	bytes := len(edges) * wire.BroadcastSize
 	// 512 + 32 + 16 vertices -> 559 edges × 16 B = 8944 B ≈ 8.7 KB.
 	if bytes < 8600 || bytes > 9200 {
 		t.Fatalf("Clos broadcast = %d bytes, want ~8.7 KB", bytes)
 	}
 	// Depth: host -> leaf -> spine fabric reaches everything in 4 hops.
-	if trees[0].Depth != 4 {
-		t.Fatalf("Clos broadcast depth = %d, want 4", trees[0].Depth)
+	if tree.Depth != 4 {
+		t.Fatalf("Clos broadcast depth = %d, want 4", tree.Depth)
 	}
 }

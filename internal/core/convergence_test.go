@@ -39,7 +39,8 @@ func TestViewConvergenceUnderReordering(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				up := info
 				up.DemandKbps = uint32(rng.Intn(1e6))
-				seq = append(seq, ev{up.Broadcast(wire.EventDemandUpdate, 0), info.ID, wire.EventDemandUpdate})
+				b := up.Broadcast(wire.EventDemandUpdate, 0)
+				seq = append(seq, ev{&b, info.ID, wire.EventDemandUpdate})
 			}
 			if rng.Intn(3) > 0 { // some flows finish, some stay live
 				seq = append(seq, ev{info.FinishBroadcast(0), info.ID, wire.EventFlowFinish})

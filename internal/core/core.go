@@ -51,18 +51,21 @@ func (f *FlowInfo) DemandBits() float64 {
 // StartBroadcast builds the 16-byte broadcast announcing this flow's start,
 // to be routed along the given spanning tree.
 func (f *FlowInfo) StartBroadcast(tree uint8) *wire.Broadcast {
-	return f.Broadcast(wire.EventFlowStart, tree)
+	b := f.Broadcast(wire.EventFlowStart, tree)
+	return &b
 }
 
 // FinishBroadcast builds the broadcast announcing this flow's termination.
 func (f *FlowInfo) FinishBroadcast(tree uint8) *wire.Broadcast {
-	return f.Broadcast(wire.EventFlowFinish, tree)
+	b := f.Broadcast(wire.EventFlowFinish, tree)
+	return &b
 }
 
 // Broadcast builds the broadcast announcing event ev of this flow: its
-// start, finish, demand change or routing-protocol change (§3.4).
-func (f *FlowInfo) Broadcast(ev wire.EventKind, tree uint8) *wire.Broadcast {
-	return &wire.Broadcast{
+// start, finish, demand change or routing-protocol change (§3.4). It is a
+// value, so announcing a flow allocates nothing until a backend keeps it.
+func (f *FlowInfo) Broadcast(ev wire.EventKind, tree uint8) wire.Broadcast {
+	return wire.Broadcast{
 		Event:      ev,
 		Src:        uint16(f.Src),
 		Dst:        uint16(f.Dst),
@@ -177,9 +180,6 @@ func NewView() *View { return &View{table: newTable[FlowInfo]()} }
 
 // Len returns the number of flows in the view.
 func (v *View) Len() int { return v.n }
-
-// Version returns a counter incremented on every mutation.
-func (v *View) Version() uint64 { return v.version }
 
 // Hash returns an order-independent digest of the view's contents: two
 // views with equal flow sets have equal hashes.
@@ -489,9 +489,6 @@ func (e *DemandEstimator) Observe(allocatedBits float64, queuedBits float64) flo
 	raw := allocatedBits + queuedBits/e.period.Seconds()
 	return e.ewma.Update(raw)
 }
-
-// Estimate returns the current smoothed demand estimate.
-func (e *DemandEstimator) Estimate() float64 { return e.ewma.Value() }
 
 // KbpsDemand converts a bits/s demand estimate to the Kbps wire field,
 // saturating at the 4 Tbps the format can carry.

@@ -96,7 +96,8 @@ func TestViewDemandAndRouteUpdates(t *testing.T) {
 	f := flowInfo(1, 2, 1)
 	v.AddFlow(f)
 	f.DemandKbps = 5000
-	if err := v.Apply(f.Broadcast(wire.EventDemandUpdate, 0)); err != nil {
+	b := f.Broadcast(wire.EventDemandUpdate, 0)
+	if err := v.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := v.Get(f.ID)
@@ -104,7 +105,8 @@ func TestViewDemandAndRouteUpdates(t *testing.T) {
 		t.Fatalf("demand = %d", got.DemandKbps)
 	}
 	f.Protocol = routing.VLB
-	if err := v.Apply(f.Broadcast(wire.EventRouteChange, 0)); err != nil {
+	b = f.Broadcast(wire.EventRouteChange, 0)
+	if err := v.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = v.Get(f.ID)
@@ -113,7 +115,8 @@ func TestViewDemandAndRouteUpdates(t *testing.T) {
 	}
 	// Update for an unknown flow is silently dropped (races a finish).
 	unknown := flowInfo(7, 8, 9)
-	if err := v.Apply(unknown.Broadcast(wire.EventDemandUpdate, 0)); err != nil {
+	b = unknown.Broadcast(wire.EventDemandUpdate, 0)
+	if err := v.Apply(&b); err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 1 {
@@ -500,28 +503,28 @@ func TestViewMatchesMapReference(t *testing.T) {
 		}
 		f := FlowInfo{ID: id, Src: topology.NodeID(id.Src()), Dst: topology.NodeID(rng.Intn(512)), Weight: uint8(1 + rng.Intn(3)),
 			Priority: uint8(rng.Intn(2)), DemandKbps: uint32(rng.Intn(4)), Protocol: routing.Protocol(rng.Intn(4))}
-		var b *wire.Broadcast
+		var b wire.Broadcast
 		switch r := rng.Intn(20); {
 		case r < 2:
 			b = f.Broadcast(wire.EventDemandUpdate, 0)
 		case r < 4:
 			b = f.Broadcast(wire.EventRouteChange, 0)
 		case (r < 15) == (v.Len() < targets[step*len(targets)/steps]): // 11 in 16 toward the current target size
-			b = f.StartBroadcast(0)
+			b = f.Broadcast(wire.EventFlowStart, 0)
 		default:
-			b = f.FinishBroadcast(0)
+			b = f.Broadcast(wire.EventFlowFinish, 0)
 			if _, live := ref.flows[id]; live && v.slots[len(v.slots)-1].used && v.slots[0].used && v.home(id) == len(v.slots)-1 {
 				wrapped++
 			}
 		}
-		ref.apply(b)
+		ref.apply(&b)
 		switch {
 		case b.Event == wire.EventFlowStart && step%2 == 0:
 			v.AddFlow(f) // the sender's own path
 		case b.Event == wire.EventFlowFinish && step%2 == 0:
 			v.RemoveFlow(id)
 		default:
-			if err := v.Apply(b); err != nil {
+			if err := v.Apply(&b); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -558,8 +561,8 @@ func FuzzViewApply(f *testing.F) {
 			info := FlowInfo{ID: wire.MakeFlowID(src, seq), Src: topology.NodeID(src), Dst: 1,
 				Weight: 1, DemandKbps: uint32(data[3]), Protocol: routing.Protocol(data[3] % 4)}
 			b := info.Broadcast(wire.EventFlowStart+wire.EventKind(data[0]%4), 0)
-			ref.apply(b)
-			if err := v.Apply(b); err != nil {
+			ref.apply(&b)
+			if err := v.Apply(&b); err != nil {
 				t.Fatal(err)
 			}
 			ref.requireGet(t, v, step, info.ID)
@@ -569,3 +572,9 @@ func FuzzViewApply(f *testing.F) {
 		}
 	})
 }
+
+// Estimate returns the current smoothed demand estimate.
+func (e *DemandEstimator) Estimate() float64 { return e.ewma.Value() }
+
+// Version returns a counter incremented on every mutation.
+func (v *View) Version() uint64 { return v.version }

@@ -79,6 +79,16 @@ func (fs *Faults) Cable(a, b topology.NodeID) ([]topology.LinkID, error) {
 	return lids, nil
 }
 
+// LossyCable returns the links of the cable between a and b for a
+// random-drop probability p, which must lie in [0,1]: the one check of a
+// drop probability, for both backends' entry points.
+func (fs *Faults) LossyCable(a, b topology.NodeID, p float64) ([]topology.LinkID, error) {
+	if !(p >= 0 && p <= 1) { // NaN too
+		return nil, fmt.Errorf("core: drop probability %g outside [0,1]", p)
+	}
+	return fs.Cable(a, b)
+}
+
 // FailCable fails the cable between a and b and returns the links that
 // went down.
 func (fs *Faults) FailCable(a, b topology.NodeID) ([]topology.LinkID, error) {

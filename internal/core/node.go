@@ -45,49 +45,50 @@ func (n *Node[F]) nextTree() uint8 {
 }
 
 // Start makes f a live flow of the node.
-func (n *Node[F]) Start(f F) *wire.Broadcast {
+func (n *Node[F]) Start(f F) wire.Broadcast {
 	n.flows = append(n.flows, f)
 	n.vis.Hold(n.Col, *f.Info())
-	return f.Info().StartBroadcast(n.nextTree())
+	return f.Info().Broadcast(wire.EventFlowStart, n.nextTree())
 }
 
-// Finish ends f; nil if f is not live.
-func (n *Node[F]) Finish(f F) *wire.Broadcast {
+// Finish ends f; ok is false, and there is nothing to flood, if f is not
+// live.
+func (n *Node[F]) Finish(f F) (b wire.Broadcast, ok bool) {
 	i := slices.Index(n.flows, f)
 	if i < 0 {
-		return nil
+		return b, false
 	}
 	n.flows = slices.Delete(n.flows, i, i+1)
 	n.vis.Finish(n.Col, f.Info().ID)
-	return f.Info().FinishBroadcast(n.nextTree())
+	return f.Info().Broadcast(wire.EventFlowFinish, n.nextTree()), true
 }
 
-// SetDemand announces f's new demand (§3.3.2); nil if f is not live.
-func (n *Node[F]) SetDemand(f F, kbps uint32) *wire.Broadcast {
+// SetDemand announces f's new demand (§3.3.2); ok is false if f is not
+// live.
+func (n *Node[F]) SetDemand(f F, kbps uint32) (b wire.Broadcast, ok bool) {
 	return n.update(f, wire.EventDemandUpdate, func(info *FlowInfo) { info.DemandKbps = kbps })
 }
 
-// SetProtocol announces f's new routing protocol (§3.4); nil if f is not
-// live.
-func (n *Node[F]) SetProtocol(f F, p routing.Protocol) *wire.Broadcast {
+// SetProtocol announces f's new routing protocol (§3.4); ok is false if f
+// is not live.
+func (n *Node[F]) SetProtocol(f F, p routing.Protocol) (b wire.Broadcast, ok bool) {
 	return n.update(f, wire.EventRouteChange, func(info *FlowInfo) { info.Protocol = p })
 }
 
-func (n *Node[F]) update(f F, ev wire.EventKind, set func(*FlowInfo)) *wire.Broadcast {
+func (n *Node[F]) update(f F, ev wire.EventKind, set func(*FlowInfo)) (b wire.Broadcast, ok bool) {
 	if !slices.Contains(n.flows, f) {
-		return nil
+		return b, false
 	}
 	set(f.Info())
 	n.vis.Hold(n.Col, *f.Info())
-	return f.Info().Broadcast(ev, n.nextTree())
+	return f.Info().Broadcast(ev, n.nextTree()), true
 }
 
-// Retransmit returns a copy of the node's dropped broadcast b on its next
-// tree (§3.2's loss recovery).
-func (n *Node[F]) Retransmit(b *wire.Broadcast) *wire.Broadcast {
-	nb := *b
-	nb.Tree = n.nextTree()
-	return &nb
+// Retransmit returns the node's dropped broadcast b on its next tree
+// (§3.2's loss recovery).
+func (n *Node[F]) Retransmit(b wire.Broadcast) wire.Broadcast {
+	b.Tree = n.nextTree()
+	return b
 }
 
 // Abandon takes the flows with a dead endpoint off the node, all of them
@@ -108,10 +109,10 @@ func (n *Node[F]) Abandon(dead []bool) (gone []F) {
 // information about all their ongoing flows"): it abandons the flows with a
 // dead endpoint and returns a start for each one left, in creation order,
 // on successive trees.
-func (n *Node[F]) Reannounce(dead []bool) (abandoned []F, starts []*wire.Broadcast) {
+func (n *Node[F]) Reannounce(dead []bool) (abandoned []F, starts []wire.Broadcast) {
 	abandoned = n.Abandon(dead)
 	for _, f := range n.flows {
-		starts = append(starts, f.Info().StartBroadcast(n.nextTree()))
+		starts = append(starts, f.Info().Broadcast(wire.EventFlowStart, n.nextTree()))
 	}
 	return abandoned, starts
 }

@@ -30,9 +30,10 @@ func newTestNode() (*Visibility, *Node[*testFlow]) {
 func TestNodeTreeRotation(t *testing.T) {
 	_, n := newTestNode()
 	a, b := newTestFlow(1, 4, 0), newTestFlow(1, 5, 1)
+	first := func(b wire.Broadcast, _ bool) wire.Broadcast { return b }
 	var trees []uint8
-	for _, bc := range []*wire.Broadcast{n.Start(a), n.Start(b), n.SetDemand(a, 7), n.SetProtocol(b, routing.DOR),
-		n.Finish(a), n.Retransmit(&wire.Broadcast{Tree: 0})} {
+	for _, bc := range []wire.Broadcast{n.Start(a), n.Start(b), first(n.SetDemand(a, 7)), first(n.SetProtocol(b, routing.DOR)),
+		first(n.Finish(a)), n.Retransmit(wire.Broadcast{Tree: 0})} {
 		trees = append(trees, bc.Tree)
 	}
 	if want := []uint8{0, 1, 2, 0, 1, 2}; !slices.Equal(trees, want) {
@@ -51,13 +52,13 @@ func TestNodeHoldsBeforeFlood(t *testing.T) {
 	if got, ok := vis.Get(n.Col, f.info.ID); !ok || got != f.info {
 		t.Fatalf("own view after start: %v %v", got, ok)
 	}
-	if b := n.SetDemand(f, 42); b.Event != wire.EventDemandUpdate || b.DemandKbps != 42 {
+	if b, ok := n.SetDemand(f, 42); !ok || b.Event != wire.EventDemandUpdate || b.DemandKbps != 42 {
 		t.Fatalf("demand broadcast %v", b)
 	}
 	if got, _ := vis.Get(n.Col, f.info.ID); got.DemandKbps != 42 {
 		t.Fatalf("own view holds demand %d, want 42", got.DemandKbps)
 	}
-	if b := n.SetProtocol(f, routing.VLB); b.Event != wire.EventRouteChange || routing.Protocol(b.RP) != routing.VLB {
+	if b, ok := n.SetProtocol(f, routing.VLB); !ok || b.Event != wire.EventRouteChange || routing.Protocol(b.RP) != routing.VLB {
 		t.Fatalf("route broadcast %v", b)
 	}
 	if got, _ := vis.Get(n.Col, f.info.ID); got.Protocol != routing.VLB {
@@ -66,13 +67,16 @@ func TestNodeHoldsBeforeFlood(t *testing.T) {
 	if vis.Len(0) != 0 || vis.Len(1) != 0 {
 		t.Fatal("another node's column moved before any flood")
 	}
-	if b := n.Finish(f); b.Event != wire.EventFlowFinish {
+	if b, ok := n.Finish(f); !ok || b.Event != wire.EventFlowFinish {
 		t.Fatalf("finish broadcast %v", b)
 	}
 	if _, ok := vis.Get(n.Col, f.info.ID); ok || len(n.Flows()) != 0 {
 		t.Fatal("finished flow still live at its origin")
 	}
-	if n.Finish(f) != nil || n.SetDemand(f, 1) != nil || n.SetProtocol(f, routing.RPS) != nil {
+	_, finished := n.Finish(f)
+	_, demanded := n.SetDemand(f, 1)
+	_, rerouted := n.SetProtocol(f, routing.RPS)
+	if finished || demanded || rerouted {
 		t.Fatal("a change to a finished flow announced something")
 	}
 }
@@ -130,5 +134,34 @@ func TestNodeReannounce(t *testing.T) {
 	}
 	if _, starts := n.Reannounce(dead); len(starts) != 0 {
 		t.Fatal("a dead node re-announced")
+	}
+}
+
+// TestNodeStartFinishAllocFree: a node announces a flow's start and finish
+// as values, so a warmed Start+Finish allocates nothing; each backend's
+// flood is the only copy that may reach the heap. The node owns the one
+// column of its Visibility, as an emulator node does, so a finish retires
+// the row for the next flow to reuse. The warm-up runs every sequence
+// number once, growing the tombstone rows to their full length.
+func TestNodeStartFinishAllocFree(t *testing.T) {
+	vis := NewVisibility(1)
+	n := NewNode[*testFlow](1, &vis, 0, 3)
+	f := newTestFlow(1, 4, 0)
+	var seq uint16
+	cycle := func() {
+		f.info.ID = wire.MakeFlowID(1, seq)
+		seq++
+		if b := n.Start(f); b.Event != wire.EventFlowStart {
+			t.Fatalf("start broadcast %v", b)
+		}
+		if b, ok := n.Finish(f); !ok || b.Event != wire.EventFlowFinish {
+			t.Fatalf("finish broadcast %v (%v)", b, ok)
+		}
+	}
+	for range 1 << 16 {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("%v allocations per Start+Finish, want 0", allocs)
 	}
 }

@@ -218,14 +218,6 @@ func (v *Visibility) Digest(col int) uint64 { return v.digest[col] }
 // Len returns how many flows column col holds live.
 func (v *Visibility) Len(col int) int { return int(v.live[col]) }
 
-// Get returns column col's live entry for a flow.
-func (v *Visibility) Get(col int, id wire.FlowID) (FlowInfo, bool) {
-	if i, ok := v.index.get(id); ok && *v.cell(col, i) > cellFinished {
-		return v.rows[i].entries[*v.cell(col, i)-2].info, true
-	}
-	return FlowInfo{}, false
-}
-
 // Retired reports whether a flow's row retired, leaving its tombstone.
 func (v *Visibility) Retired(id wire.FlowID) bool {
 	w, bit := v.tombBit(id)

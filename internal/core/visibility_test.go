@@ -246,3 +246,11 @@ func FuzzVisibilityMatchesView(f *testing.F) {
 		}
 	})
 }
+
+// Get returns column col's live entry for a flow.
+func (v *Visibility) Get(col int, id wire.FlowID) (FlowInfo, bool) {
+	if i, ok := v.index.get(id); ok && *v.cell(col, i) > cellFinished {
+		return v.rows[i].entries[*v.cell(col, i)-2].info, true
+	}
+	return FlowInfo{}, false
+}

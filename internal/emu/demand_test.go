@@ -115,3 +115,11 @@ func TestFlowDemandRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// Demand returns the flow's last broadcast demand in Kbps
+// (core.UnlimitedDemand if network-limited).
+func (f *Flow) Demand() uint32 {
+	f.node.mu.Lock()
+	defer f.node.mu.Unlock()
+	return f.info.DemandKbps
+}

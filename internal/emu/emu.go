@@ -203,19 +203,14 @@ type Flow struct {
 // priority never change.
 func (f *Flow) Info() *core.FlowInfo { return &f.info }
 
-// Demand returns the flow's last broadcast demand in Kbps
-// (core.UnlimitedDemand if network-limited).
-func (f *Flow) Demand() uint32 {
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
-	return f.info.DemandKbps
-}
-
 // Rate returns the flow's current allocated rate in bits/s.
 func (f *Flow) Rate() float64 { return float64(f.rate.Load()) }
 
 // Done is closed when the receiver has every byte.
 func (f *Flow) Done() <-chan struct{} { return f.done }
+
+// BytesRcvd returns how many of the flow's bytes its receiver has so far.
+func (f *Flow) BytesRcvd() int64 { return f.bytesRcvd.Load() }
 
 // Abandoned reports whether the flow was given up on because one of its
 // endpoints crashed or the rack stopped first.
@@ -567,16 +562,15 @@ func (r *Rack) forwardBroadcast(at, src topology.NodeID, tree uint8, pkt emuPkt,
 	}
 }
 
-// flood announces each broadcast of bs but nil from its origin along its
-// tree. Floods are per flow, not per packet, so they take the pool's
-// one-segment path.
-func (r *Rack) flood(bs ...*wire.Broadcast) {
-	for _, b := range bs {
-		if b != nil {
-			pkt := r.newBcastPkt(b)
-			r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt, nil)
-			r.pool.release(nil, pkt)
-		}
+// flood announces each broadcast of bs from its origin along its tree.
+// Floods are per flow, not per packet, so they take the pool's one-segment
+// path.
+func (r *Rack) flood(bs ...wire.Broadcast) {
+	for i := range bs {
+		b := &bs[i]
+		pkt := r.newBcastPkt(b)
+		r.forwardBroadcast(topology.NodeID(b.Src), topology.NodeID(b.Src), b.Tree, pkt, nil)
+		r.pool.release(nil, pkt)
 	}
 }
 
@@ -586,7 +580,6 @@ func (r *Rack) newBcastPkt(b *wire.Broadcast) emuPkt {
 	seg := r.pool.get()
 	enc := wire.EncodeBroadcast(b)
 	n := copy(seg.data[:], enc[:])
-	seg.n = n
 	return emuPkt{buf: seg.data[:n], seg: seg}
 }
 
@@ -725,7 +718,7 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 		// A live source floods only the finish, which takes the flow's
 		// sequence number's turn in every view (the wrap rule) and puts
 		// no flow to a dead node in any.
-		b = n.Finish(f)
+		b, _ = n.Finish(f) // live: it has just started
 		f.abort(abortEndpoint)
 	}
 	n.mu.Unlock()
@@ -810,9 +803,11 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 				newKbps := core.KbpsDemand(d)
 				if diverges(f.info.DemandKbps, newKbps) { // written only here, under n.mu
 					n.mu.Lock()
-					b := n.SetDemand(f, newKbps)
+					b, ok := n.SetDemand(f, newKbps)
 					n.mu.Unlock()
-					r.flood(b)
+					if ok {
+						r.flood(b)
+					}
 				}
 				periodStartNs = nowNs
 				sentAtPeriodStart = sentBits
@@ -884,7 +879,6 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		if err != nil {
 			panic(err)
 		}
-		seg.n = len(buf)
 		pkt := emuPkt{buf: buf, seg: seg}
 		// Blocking send into the first-hop port: NIC back-pressure. A dead
 		// or lossy first hop consumes the packet without queueing it (the
@@ -931,9 +925,11 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		return // purged by the fabric swap; no finish to announce
 	}
 	n.mu.Lock()
-	b := n.Finish(f)
+	b, ok := n.Finish(f)
 	n.mu.Unlock()
-	r.flood(b)
+	if ok {
+		r.flood(b)
+	}
 }
 
 // diverges reports whether a new demand estimate differs enough from the
@@ -959,14 +955,4 @@ func (r *Rack) ViewLen(node topology.NodeID) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.vis.Len(0)
-}
-
-// FlowDemandAt reports the demand (Kbps) that a node's view holds for a
-// flow, and whether the view contains the flow at all.
-func (r *Rack) FlowDemandAt(node topology.NodeID, id wire.FlowID) (uint32, bool) {
-	n := r.nodes[node]
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	info, ok := n.vis.Get(0, id)
-	return info.DemandKbps, ok
 }

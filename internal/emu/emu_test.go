@@ -562,3 +562,18 @@ func TestTransmitTimeMatchesSimulator(t *testing.T) {
 		}
 	}
 }
+
+// FlowDemandAt reports the demand (Kbps) that a node's view holds for a
+// flow, and whether the view contains the flow at all.
+func (r *Rack) FlowDemandAt(node topology.NodeID, id wire.FlowID) (uint32, bool) {
+	n := r.nodes[node]
+	n.mu.Lock()
+	flows := n.vis.AppendFlows(nil, 0)
+	n.mu.Unlock()
+	for _, f := range flows {
+		if f.ID == id {
+			return f.DemandKbps, true
+		}
+	}
+	return 0, false
+}

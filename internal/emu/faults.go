@@ -73,7 +73,7 @@ func (r *Rack) inject(dark bool, detect time.Duration, change func() ([]topology
 // SetLinkDropProb installs a random-drop probability p in [0,1] on both
 // directions of the cable between a and b. p = 0 removes the loss.
 func (r *Rack) SetLinkDropProb(a, b topology.NodeID, p float64) error {
-	lids, err := r.faults.Cable(a, b)
+	lids, err := r.faults.LossyCable(a, b, p)
 	if err != nil {
 		return err
 	}
@@ -115,7 +115,7 @@ func (r *Rack) swapFabric() {
 // every node's view, leaving no tombstone, and returns the start of every
 // flow left (§3.2: "nodes broadcast information about all their ongoing
 // flows").
-func (r *Rack) reannounce(dead []bool) []*wire.Broadcast {
+func (r *Rack) reannounce(dead []bool) []wire.Broadcast {
 	r.flowsMu.Lock()
 	for _, f := range r.flows {
 		if dead[f.info.Src] || dead[f.info.Dst] {
@@ -123,7 +123,7 @@ func (r *Rack) reannounce(dead []bool) []*wire.Broadcast {
 		}
 	}
 	r.flowsMu.Unlock()
-	var anns []*wire.Broadcast
+	var anns []wire.Broadcast
 	for _, n := range r.nodes {
 		n.mu.Lock()
 		n.vis.Purge(dead)

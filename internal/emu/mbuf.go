@@ -7,7 +7,7 @@ import (
 
 // DPDK-style mbuf segment pool for the emulator's packet buffers
 // (DESIGN.md §12, trex-emu's Mbuf idiom): fixed-size refcounted segments
-// carved from a shared pool, chained for payloads larger than one segment.
+// carved from a shared pool, one per packet.
 // The per-packet `make([]byte, ...)` in flowSender — formerly the one
 // deliberate hot-path allocation, "no free path back to the sender" — goes
 // away: a packet's buffer is its segment's storage, the emuPkt traveling
@@ -22,7 +22,7 @@ import (
 // safe.
 
 // mbufSegSize is the fixed segment payload capacity. One MTU packet
-// (1500 B + header) fits a single segment; larger payloads chain.
+// (1500 B + header) fits a single segment, and no packet is larger.
 const mbufSegSize = 2048
 
 // mbufPoolIdleCap bounds how many free segments the pool retains (8 MiB),
@@ -42,17 +42,13 @@ const (
 	mbufLinkCache   = 8
 )
 
-// mbuf is one fixed-size buffer segment. next links a chain's continuation
-// segments.
+// mbuf is one fixed-size buffer segment.
 type mbuf struct {
 	data [mbufSegSize]byte
-	n    int // bytes used in data (chain bookkeeping)
 	ref  atomic.Int32
-	next *mbuf
 }
 
-// retain adds one reference to the segment (chains share the head's
-// refcount: continuation segments are never handed out independently).
+// retain adds one reference to the segment.
 func (m *mbuf) retain() { m.ref.Add(1) }
 
 // mbufPool hands out segments. Its free list is shared by every goroutine
@@ -80,7 +76,7 @@ type mbufPool struct {
 
 // mbufCache is a segment magazine only its owning goroutine touches: a flow
 // sender takes the segments it refilled under one lock, a link goroutine
-// collects the chains released on it and flushes them under one lock. A
+// collects the segments released on it and flushes them under one lock. A
 // link flushes before it blocks on an empty port; every owner flushes when
 // it exits.
 type mbufCache struct {
@@ -110,8 +106,7 @@ func (p *mbufPool) stats() MbufPoolStats {
 	}
 }
 
-// getBatch fills segs with segments of ref 1, zero length and no chain,
-// under one lock.
+// getBatch fills segs with segments of ref 1, under one lock.
 func (p *mbufPool) getBatch(segs []*mbuf) {
 	p.mu.Lock()
 	k := min(len(segs), len(p.free))
@@ -129,38 +124,34 @@ func (p *mbufPool) getBatch(segs []*mbuf) {
 		segs[i] = &mbuf{}
 	}
 	for _, m := range segs {
-		m.n = 0
-		m.next = nil
 		m.ref.Store(1)
 	}
 }
 
-// putBatch returns whole chains to the pool (idle-capped) under one lock.
+// putBatch returns segments to the pool (idle-capped) under one lock.
 // Callers go through release or flush; putBatch assumes every refcount
 // already hit zero.
-func (p *mbufPool) putBatch(chains []*mbuf) {
+func (p *mbufPool) putBatch(segs []*mbuf) {
 	p.mu.Lock()
-	for _, m := range chains {
-		for ; m != nil; m = m.next {
-			p.live--
-			if len(p.free) < mbufPoolIdleCap {
-				p.free = append(p.free, m)
-			} else {
-				p.released++
-			}
+	p.live -= int64(len(segs))
+	for _, m := range segs {
+		if len(p.free) < mbufPoolIdleCap {
+			p.free = append(p.free, m)
+		} else {
+			p.released++
 		}
 	}
 	p.mu.Unlock()
 }
 
-// get returns one segment with ref 1, zero length, and no chain.
+// get returns one segment with ref 1.
 func (p *mbufPool) get() *mbuf {
 	var one [1]*mbuf
 	p.getBatch(one[:])
 	return one[0]
 }
 
-// put returns one whole chain to the pool.
+// put returns one segment to the pool.
 func (p *mbufPool) put(m *mbuf) {
 	one := [1]*mbuf{m}
 	p.putBatch(one[:])
@@ -179,7 +170,7 @@ func (p *mbufPool) take(c *mbufCache, want int) *mbuf {
 	return c.segs[c.n]
 }
 
-// flush returns every chain c holds to the shared free list.
+// flush returns every segment c holds to the shared free list.
 func (p *mbufPool) flush(c *mbufCache) {
 	if c.n == 0 {
 		return
@@ -187,36 +178,6 @@ func (p *mbufPool) flush(c *mbufCache) {
 	p.putBatch(c.segs[:c.n])
 	clear(c.segs[:c.n])
 	c.n = 0
-}
-
-// appendChain appends b to the chain headed by m, spilling into fresh
-// segments as each fills — trex-emu's chain-append. Continuation segments
-// ride the head's refcount. Returns the chain's tail for further appends.
-func (p *mbufPool) appendChain(m *mbuf, b []byte) *mbuf {
-	tail := m
-	for tail.next != nil {
-		tail = tail.next
-	}
-	for len(b) > 0 {
-		if tail.n == mbufSegSize {
-			seg := p.get()   // counts as live until the chain is put back
-			seg.ref.Store(0) // the head's refcount owns the whole chain
-			tail.next = seg
-			tail = seg
-		}
-		k := copy(tail.data[tail.n:], b)
-		tail.n += k
-		b = b[k:]
-	}
-	return tail
-}
-
-// chainBytes flattens a chain into dst (test/diagnostic helper).
-func chainBytes(m *mbuf, dst []byte) []byte {
-	for ; m != nil; m = m.next {
-		dst = append(dst, m.data[:m.n]...)
-	}
-	return dst
 }
 
 // emuPkt is one packet in flight inside the rack: buf is the wire bytes
@@ -234,8 +195,8 @@ func (pk emuPkt) retain() {
 }
 
 // release drops one reference on pk (unpooled packets are inert). The last
-// one returns the segment chain to c, which flushes once it holds
-// mbufLinkCache chains, or to the shared free list when c is nil.
+// one returns the segment to c, which flushes once it holds mbufLinkCache
+// segments, or to the shared free list when c is nil.
 func (p *mbufPool) release(c *mbufCache, pk emuPkt) {
 	if pk.seg == nil || pk.seg.ref.Add(-1) != 0 {
 		return

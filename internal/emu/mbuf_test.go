@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"bytes"
 	"encoding/binary"
 	"sync"
 	"testing"
@@ -13,8 +12,8 @@ import (
 func TestMbufPoolGetPutRecycles(t *testing.T) {
 	var p mbufPool
 	a := p.get()
-	if a.ref.Load() != 1 || a.n != 0 || a.next != nil {
-		t.Fatalf("fresh segment: ref=%d n=%d next=%v", a.ref.Load(), a.n, a.next)
+	if a.ref.Load() != 1 {
+		t.Fatalf("fresh segment: ref=%d", a.ref.Load())
 	}
 	p.put(a)
 	b := p.get()
@@ -26,45 +25,6 @@ func TestMbufPoolGetPutRecycles(t *testing.T) {
 		t.Fatalf("stats after recycle: %+v", st)
 	}
 	p.put(b)
-}
-
-func TestMbufChainAppend(t *testing.T) {
-	// A payload larger than one segment must spill into chained
-	// continuation segments and read back byte-identical.
-	var p mbufPool
-	src := make([]byte, 3*mbufSegSize+123)
-	for i := range src {
-		src[i] = byte(i * 31)
-	}
-	m := p.get()
-	// Append in awkward unaligned pieces to exercise the boundary logic.
-	for off := 0; off < len(src); {
-		end := off + 700
-		if end > len(src) {
-			end = len(src)
-		}
-		p.appendChain(m, src[off:end])
-		off = end
-	}
-	got := chainBytes(m, nil)
-	if !bytes.Equal(got, src) {
-		t.Fatalf("chain read-back differs: %d bytes vs %d", len(got), len(src))
-	}
-	segs := 0
-	for s := m; s != nil; s = s.next {
-		segs++
-	}
-	if want := 4; segs != want {
-		t.Fatalf("chain has %d segments, want %d", segs, want)
-	}
-	if st := p.stats(); st.Live != int64(segs) {
-		t.Fatalf("live = %d, want %d", st.Live, segs)
-	}
-	// Releasing the head returns the whole chain.
-	p.put(m)
-	if st := p.stats(); st.Live != 0 || st.Idle != segs {
-		t.Fatalf("after chain put: %+v", st)
-	}
 }
 
 func TestMbufPoolIdleCapReleases(t *testing.T) {
@@ -205,8 +165,8 @@ func TestMbufCacheRefillReleaseFlush(t *testing.T) {
 	takeN := func(n, want int) {
 		for i := 0; i < n; i++ {
 			m := p.take(&send, want)
-			if m.ref.Load() != 1 || m.n != 0 || m.next != nil {
-				t.Fatalf("taken segment: ref=%d n=%d next=%v", m.ref.Load(), m.n, m.next)
+			if m.ref.Load() != 1 {
+				t.Fatalf("taken segment: ref=%d", m.ref.Load())
 			}
 			held = append(held, emuPkt{buf: m.data[:0], seg: m})
 		}

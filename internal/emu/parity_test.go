@@ -64,6 +64,28 @@ func TestFaultParity(t *testing.T) {
 			t.Fatalf("step %d, %v: sim error %v, emu error %v; want accepted %v", i, step.ev, simErr, emuErr, step.ok)
 		}
 	}
+	// The backends' own entry points reject a drop probability outside
+	// [0,1], whether or not a schedule sends it, and install nothing.
+	for _, p := range []float64{2, -0.5, math.NaN(), math.Inf(1)} {
+		if err := s.SetLinkDropProb(1, 2, p); err == nil {
+			t.Errorf("sim.R2C2.SetLinkDropProb(1, 2, %v) accepted", p)
+		}
+		if err := r.SetLinkDropProb(1, 2, p); err == nil {
+			t.Errorf("emu.Rack.SetLinkDropProb(1, 2, %v) accepted", p)
+		}
+	}
+	cable, err := r.faults.Cable(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, lid := range cable {
+		if p := math.Float64frombits(r.ports[lid].dropBits.Load()); p != 0 {
+			t.Errorf("emulator link %d drops with probability %v after rejected calls", lid, p)
+		}
+	}
+	if s.SetLinkDropProb(1, 2, 1) != nil || r.SetLinkDropProb(1, 2, 1) != nil {
+		t.Error("a drop probability of 1 rejected")
+	}
 	simLinks, simDead := s.Faults.State()
 	emuLinks, emuDead := r.faults.State()
 	if !slices.Equal(simLinks, emuLinks) || !slices.Equal(simDead, emuDead) {

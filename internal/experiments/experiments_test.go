@@ -267,3 +267,18 @@ func TestTableCSV(t *testing.T) {
 		t.Fatalf("CSV = %q, want %q", got, want)
 	}
 }
+
+// Get returns the throughput for a named pattern and protocol.
+func (r *Fig2Result) Get(pattern string, proto routing.Protocol) float64 {
+	for i, p := range r.Patterns {
+		if p != pattern {
+			continue
+		}
+		for j, pr := range r.Protocols {
+			if pr == proto {
+				return r.Throughput[i][j]
+			}
+		}
+	}
+	return -1
+}

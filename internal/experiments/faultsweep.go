@@ -168,24 +168,19 @@ func FaultSweepEmu(c Config, sched faults.Schedule) (*FaultRunStats, error) {
 		return nil, err
 	}
 	defer rack.Stop()
-	// One absolute deadline for the whole run: flows that lost bytes to a
-	// fault window will never finish (no retransmission), and must not
-	// serialise long waits. The fixed slack dominates at test scale and
+	// The wait is capped; the cap's fixed slack dominates at test scale and
 	// covers race-detector slowdowns.
 	xfer := time.Duration(float64(c.FlowBytes*8*int64(c.Flows)) / (c.LinkGbps * 1e9) * float64(time.Second))
-	deadline := start.Add(sched.Horizon() + 4*xfer + 8*time.Second)
+	waitQuiet(handles, start.Add(sched.Horizon()), start.Add(sched.Horizon()+4*xfer+8*time.Second))
 	st := &FaultRunStats{}
 	dead := sched.DeadNodes(g.Nodes())
 	for i, f := range handles {
-		wait := time.Until(deadline)
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		err := f.Wait(wait)
-		done := err == nil
 		var fct float64
-		if done {
-			fct = f.FCT().Seconds()
+		done := false
+		select {
+		case <-f.Done():
+			done, fct = true, f.FCT().Seconds()
+		default:
 		}
 		classify(st, dead, arrivals[i].Src, arrivals[i].Dst, done, fct)
 	}
@@ -195,6 +190,41 @@ func FaultSweepEmu(c Config, sched faults.Schedule) (*FaultRunStats, error) {
 		return nil, fmt.Errorf("faultsweep: %d schedule events failed to inject on the emulator", errs)
 	}
 	return st, nil
+}
+
+// quietWindow is how long no unfinished flow of a fault sweep may receive a
+// byte before the sweep stops waiting: 50 of its recompute intervals.
+const quietWindow = 100 * time.Millisecond
+
+// waitQuiet returns once every flow has finished or been abandoned, once
+// none of the unfinished ones has received a byte for quietWindow after
+// settled (the schedule's faults have all been detected by then), or at
+// deadline. The emulator never retransmits, so a flow that lost a packet to
+// a fault window stops moving for good; waiting longer changes no count.
+func waitQuiet(flows []*emu.Flow, settled, deadline time.Time) {
+	var rcvd int64 = -1
+	moved := time.Now()
+	for now := moved; now.Before(deadline); now = time.Now() {
+		open, sum := false, int64(0)
+		for _, f := range flows {
+			select {
+			case <-f.Done():
+			default:
+				if !f.Abandoned() {
+					open, sum = true, sum+f.BytesRcvd()
+				}
+			}
+		}
+		switch {
+		case !open:
+			return
+		case sum != rcvd:
+			rcvd, moved = sum, now
+		case now.Sub(moved) >= quietWindow && now.After(settled):
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // FaultSweep runs both backends and pairs the results.

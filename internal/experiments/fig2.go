@@ -73,18 +73,3 @@ func (r *Fig2Result) Table() *Table {
 	}
 	return t
 }
-
-// Get returns the throughput for a named pattern and protocol.
-func (r *Fig2Result) Get(pattern string, proto routing.Protocol) float64 {
-	for i, p := range r.Patterns {
-		if p != pattern {
-			continue
-		}
-		for j, pr := range r.Protocols {
-			if pr == proto {
-				return r.Throughput[i][j]
-			}
-		}
-	}
-	return -1
-}

@@ -20,8 +20,8 @@ func TestFig7CrossValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EmuThroughput.Len() != cfg.Flows || res.SimThroughput.Len() != cfg.Flows {
-		t.Fatalf("flow counts: emu=%d sim=%d", res.EmuThroughput.Len(), res.SimThroughput.Len())
+	if emu, sim := len(res.EmuThroughput.Values()), len(res.SimThroughput.Values()); emu != cfg.Flows || sim != cfg.Flows {
+		t.Fatalf("flow counts: emu=%d sim=%d", emu, sim)
 	}
 	// Wall-clock noise (scheduler, timer resolution) allows a generous
 	// band; the paper reports "high accuracy", we assert same ballpark.

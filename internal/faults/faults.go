@@ -101,8 +101,8 @@ type Target[D any] interface {
 }
 
 // Inject hands e to the target's entry point for its kind, with e.Detect
-// given in the target's time as detect. It is the one check of a drop
-// probability, which must lie in [0,1].
+// given in the target's time as detect. The target checks the event
+// (core.Faults does, for both backends).
 func Inject[D any](t Target[D], e Event, detect D) error {
 	switch e.Kind {
 	case LinkDown:
@@ -112,9 +112,6 @@ func Inject[D any](t Target[D], e Event, detect D) error {
 	case NodeDown:
 		return t.FailNode(e.Node, detect)
 	case LinkDrop:
-		if !(e.DropProb >= 0 && e.DropProb <= 1) {
-			return fmt.Errorf("faults: drop probability %g outside [0,1]", e.DropProb)
-		}
 		return t.SetLinkDropProb(e.A, e.B, e.DropProb)
 	}
 	return fmt.Errorf("faults: unknown event kind %d", e.Kind)

@@ -223,19 +223,14 @@ func Run(cfg Config, arrivals []trafficgen.Arrival) *Result {
 	return res
 }
 
-// RateError compares a periodic run against the ideal run over the same
-// arrivals and returns the per-flow normalised absolute rate differences
-// |r_ρ - r_0| / r_0 — the Figure 15/16 metric.
-func RateError(ideal, periodic *Result) []float64 {
-	return RateErrorFiltered(ideal, periodic, 0)
-}
-
-// RateErrorFiltered is RateError restricted to flows whose ideal lifetime
-// is at least minLife. The batch recomputation design deliberately never
-// rate-limits flows shorter than one interval (§3.3.2: it "naturally
-// filters out very short-lived flows, which would be pointless to
-// rate-limit"), so the Figure 15/16 accuracy metric is evaluated over the
-// flows the mechanism actually manages.
+// RateErrorFiltered compares a periodic run against the ideal run over the
+// same arrivals and returns the per-flow normalised absolute rate differences
+// |r_ρ - r_0| / r_0 — the Figure 15/16 metric — over the flows whose ideal
+// lifetime is at least minLife (0 keeps every flow). The batch
+// recomputation design deliberately never rate-limits flows shorter than one
+// interval (§3.3.2: it "naturally filters out very short-lived flows, which
+// would be pointless to rate-limit"), so the Figure 15/16 accuracy metric is
+// evaluated over the flows the mechanism actually manages.
 func RateErrorFiltered(ideal, periodic *Result, minLife simtime.Time) []float64 {
 	if len(ideal.Flows) != len(periodic.Flows) {
 		panic("fluid: mismatched runs")

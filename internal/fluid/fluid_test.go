@@ -100,7 +100,7 @@ func TestRateErrorGrowsWithInterval(t *testing.T) {
 		c := cfg
 		c.Recompute = rho
 		var s stats.Sample
-		s.AddAll(RateError(ideal, Run(c, arrivals)))
+		s.AddAll(RateErrorFiltered(ideal, Run(c, arrivals), 0))
 		return s.Median()
 	}
 	small := med(50 * simtime.Microsecond)
@@ -120,7 +120,7 @@ func TestRateErrorSelfZero(t *testing.T) {
 	cfg := Config{Tab: tab, Protocol: routing.RPS, CapacityBits: 10e9}
 	a := Run(cfg, arrivals)
 	b := Run(cfg, arrivals)
-	for i, e := range RateError(a, b) {
+	for i, e := range RateErrorFiltered(a, b, 0) {
 		if e != 0 {
 			t.Fatalf("flow %d: error %v between identical runs", i, e)
 		}
@@ -133,7 +133,7 @@ func TestRateErrorMismatchPanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	RateError(&Result{Flows: make([]FlowResult, 1)}, &Result{})
+	RateErrorFiltered(&Result{Flows: make([]FlowResult, 1)}, &Result{}, 0)
 }
 
 func TestFluidValidation(t *testing.T) {

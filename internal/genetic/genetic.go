@@ -167,79 +167,6 @@ func AggregateFitness(tab *routing.Table, capacity, headroom float64, flows []ro
 	}
 }
 
-// TailFitness is the alternative utility mentioned in §3.4: the minimum
-// (tail) flow throughput.
-func TailFitness(tab *routing.Table, capacity, headroom float64, flows []routing.Demand, protocols []routing.Protocol) Fitness {
-	alloc := waterfill.NewAllocator(waterfill.Config{
-		NumLinks: tab.Graph().NumLinks(),
-		Capacity: capacity,
-		Headroom: headroom,
-	})
-	specs := make([]waterfill.Flow, len(flows))
-	for i := range specs {
-		specs[i] = waterfill.Flow{Weight: 1, Demand: waterfill.Unlimited}
-	}
-	return func(assignment []uint8) float64 {
-		for i, d := range flows {
-			specs[i].Phi = tab.Phi(protocols[assignment[i]], d.Src, d.Dst)
-		}
-		rates := alloc.Allocate(specs)
-		min := waterfill.Unlimited
-		for _, r := range rates {
-			if r < min {
-				min = r
-			}
-		}
-		if len(rates) == 0 {
-			return 0
-		}
-		return min
-	}
-}
-
-// JobTailFitness is the task-aware utility §3.4 sketches ("tail
-// throughput, as measured across tenants or even across jobs and
-// application tasks [15, 23]"): flows are grouped into jobs (coflows), a
-// job progresses at the rate of its slowest flow, and the utility is the
-// aggregate job progress. jobOf[i] names flow i's job; flows with an empty
-// job name count individually.
-func JobTailFitness(tab *routing.Table, capacity, headroom float64, flows []routing.Demand, protocols []routing.Protocol, jobOf []string) Fitness {
-	if len(jobOf) != len(flows) {
-		panic("genetic: jobOf length mismatch")
-	}
-	alloc := waterfill.NewAllocator(waterfill.Config{
-		NumLinks: tab.Graph().NumLinks(),
-		Capacity: capacity,
-		Headroom: headroom,
-	})
-	specs := make([]waterfill.Flow, len(flows))
-	for i := range specs {
-		specs[i] = waterfill.Flow{Weight: 1, Demand: waterfill.Unlimited}
-	}
-	return func(assignment []uint8) float64 {
-		for i, d := range flows {
-			specs[i].Phi = tab.Phi(protocols[assignment[i]], d.Src, d.Dst)
-		}
-		rates := alloc.Allocate(specs)
-		jobMin := make(map[string]float64)
-		total := 0.0
-		for i, r := range rates {
-			job := jobOf[i]
-			if job == "" {
-				total += r
-				continue
-			}
-			if cur, ok := jobMin[job]; !ok || r < cur {
-				jobMin[job] = r
-			}
-		}
-		for _, m := range jobMin {
-			total += m
-		}
-		return total
-	}
-}
-
 // UniformAssignment returns an assignment giving every flow protocol index
 // idx — the single-protocol baselines of Figure 18.
 func UniformAssignment(nFlows int, idx uint8) []uint8 {

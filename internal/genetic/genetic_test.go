@@ -126,26 +126,6 @@ func TestAdaptiveBeatsUniformBaselines(t *testing.T) {
 	}
 }
 
-func TestTailFitness(t *testing.T) {
-	g, err := topology.NewTorus(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := routing.NewTable(g)
-	protocols := []routing.Protocol{routing.RPS, routing.VLB}
-	rng := rand.New(rand.NewSource(4))
-	flows := trafficgen.PermutationLoad(g, 0.5, rng)
-	fit := TailFitness(tab, 10e9, 0, flows, protocols)
-	v := fit(UniformAssignment(len(flows), 0))
-	if v <= 0 {
-		t.Fatalf("tail fitness = %v", v)
-	}
-	empty := TailFitness(tab, 10e9, 0, nil, protocols)
-	if empty(nil) != 0 {
-		t.Fatal("tail fitness of empty flow set should be 0")
-	}
-}
-
 func TestRandomAssignment(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := RandomAssignment(1000, 3, rng)
@@ -161,49 +141,4 @@ func TestRandomAssignment(t *testing.T) {
 			t.Fatalf("choice %d severely under-represented: %d/1000", i, c)
 		}
 	}
-}
-
-// Job-tail utility: optimizing for the slowest flow of each job can prefer
-// a different assignment than aggregate throughput, and the GA must never
-// lose to the uniform baselines under it either.
-func TestJobTailFitness(t *testing.T) {
-	g, err := topology.NewTorus(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab := routing.NewTable(g)
-	protocols := []routing.Protocol{routing.RPS, routing.VLB}
-	rng := rand.New(rand.NewSource(21))
-	flows := trafficgen.PermutationLoad(g, 0.75, rng)
-	jobs := make([]string, len(flows))
-	for i := range jobs {
-		jobs[i] = []string{"mapreduce", "search", ""}[i%3]
-	}
-	fit := JobTailFitness(tab, 10e9, 0.05, flows, protocols, jobs)
-	allRPS := fit(UniformAssignment(len(flows), 0))
-	allVLB := fit(UniformAssignment(len(flows), 1))
-	if allRPS <= 0 || allVLB <= 0 {
-		t.Fatal("degenerate utilities")
-	}
-	res := Optimize(Config{Seed: 5, Population: 40, MaxGens: 20},
-		len(flows), len(protocols), UniformAssignment(len(flows), 0), fit)
-	if res.Utility < allRPS-1 || res.Utility < allVLB-1 {
-		t.Fatalf("adaptive %v below baselines %v / %v", res.Utility, allRPS, allVLB)
-	}
-	// A job's utility must equal its minimum flow rate: check by direct
-	// construction with two flows in one job.
-	two := flows[:2]
-	fit2 := JobTailFitness(tab, 10e9, 0.05, two, protocols, []string{"j", "j"})
-	agg := AggregateFitness(tab, 10e9, 0.05, two, protocols)
-	a := UniformAssignment(2, 0)
-	if fit2(a) > agg(a) {
-		t.Fatal("job-tail utility exceeds aggregate; min() broken")
-	}
-	// Mismatched jobOf panics.
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on jobOf mismatch")
-		}
-	}()
-	JobTailFitness(tab, 10e9, 0.05, flows, protocols, nil)
 }

@@ -34,8 +34,8 @@ func TestTableConcurrentAccess(t *testing.T) {
 					t.Error("empty phi")
 					return
 				}
-				path := tab.SamplePath(p, src, dst, rng)
-				if _, err := tab.PortRoute(path); err != nil {
+				path := tab.AppendPath(nil, p, src, dst, rng)
+				if _, err := tab.AppendPortRoute(nil, path); err != nil {
 					t.Error(err)
 					return
 				}

@@ -8,18 +8,12 @@ import (
 	"r2c2/internal/wire"
 )
 
-// SamplePath draws one packet path from src to dst under protocol p, as the
-// sequence of directed links the packet traverses. This is what the sender
-// encodes into the packet header (§3.5): randomised protocols (RPS, VLB,
-// WLB) consult rng; deterministic ones (DOR) ignore it. For ECMP use
-// ECMPPath, which needs the flow identifier.
-func (t *Table) SamplePath(p Protocol, src, dst topology.NodeID, rng *rand.Rand) []topology.LinkID {
-	return t.AppendPath(nil, p, src, dst, rng)
-}
-
-// AppendPath is SamplePath appending into a caller-supplied buffer (reuse
-// its capacity across draws to keep per-packet sampling allocation-free).
-// The sampled hops are appended to buf and the extended slice returned.
+// AppendPath draws one packet path from src to dst under protocol p, as the
+// sequence of directed links the packet traverses, and appends it to buf.
+// This is what the sender encodes into the packet header (§3.5): randomised
+// protocols (RPS, VLB, WLB) consult rng; deterministic ones (DOR) ignore it.
+// For ECMP use ECMPPath, which needs the flow identifier. Reuse buf's
+// capacity across draws to keep per-packet sampling allocation-free.
 func (t *Table) AppendPath(buf []topology.LinkID, p Protocol, src, dst topology.NodeID, rng *rand.Rand) []topology.LinkID {
 	if src == dst {
 		return buf
@@ -43,9 +37,9 @@ func (t *Table) AppendPath(buf []topology.LinkID, p Protocol, src, dst topology.
 	case WLB:
 		return t.wlbPath(src, dst, rng, buf)
 	case ECMP:
-		panic("routing: SamplePath(ECMP) — use ECMPPath with the flow ID")
+		panic("routing: AppendPath(ECMP) — use ECMPPath with the flow ID")
 	default:
-		panic(fmt.Sprintf("routing: SamplePath for unknown protocol %v", p))
+		panic(fmt.Sprintf("routing: AppendPath for unknown protocol %v", p))
 	}
 }
 
@@ -159,19 +153,13 @@ func (t *Table) ECMPPath(src, dst topology.NodeID, flow wire.FlowID) []topology.
 	return path
 }
 
-// PortRoute converts a link path into the 3-bit-per-hop port route carried
-// in the data packet header: each entry is the index of the link within the
-// out-port list of the node the packet is at. It fails if any node on the
-// path has more than wire.MaxPorts links or if the path is longer than the
-// route field allows.
-func (t *Table) PortRoute(path []topology.LinkID) (wire.Route, error) {
-	return t.AppendPortRoute(nil, path)
-}
-
-// AppendPortRoute is PortRoute appending into a caller-supplied buffer
-// (reuse its capacity across packets to keep per-packet route encoding
-// allocation-free). The port indices are appended to buf and the extended
-// route returned; on error buf is returned unextended.
+// AppendPortRoute converts a link path into the 3-bit-per-hop port route
+// carried in the data packet header and appends it to buf: each entry is the
+// index of the link within the out-port list of the node the packet is at.
+// It fails if any node on the path has more than wire.MaxPorts links or if
+// the path is longer than the route field allows; then buf is returned
+// unextended. Reuse buf's capacity across packets to keep per-packet route
+// encoding allocation-free.
 func (t *Table) AppendPortRoute(buf wire.Route, path []topology.LinkID) (wire.Route, error) {
 	if len(path) > wire.MaxRouteHops {
 		return buf, wire.ErrRouteTooLong
@@ -185,21 +173,4 @@ func (t *Table) AppendPortRoute(buf wire.Route, path []topology.LinkID) (wire.Ro
 		buf = append(buf, uint8(port))
 	}
 	return buf, nil
-}
-
-// WalkPorts resolves a port route starting at src back into the node
-// sequence it visits, validating each hop. It is the receiver-side inverse
-// of PortRoute and the core of the forwarding layer (§3.5).
-func (t *Table) WalkPorts(src topology.NodeID, route wire.Route) ([]topology.NodeID, error) {
-	nodes := []topology.NodeID{src}
-	at := src
-	for i, port := range route {
-		out := t.g.Out(at)
-		if int(port) >= len(out) {
-			return nil, fmt.Errorf("routing: hop %d: port %d out of range at node %d", i, port, at)
-		}
-		at = t.g.Link(out[port]).To
-		nodes = append(nodes, at)
-	}
-	return nodes, nil
 }

@@ -45,9 +45,10 @@ func enumerate(g *topology.Graph, succ *topology.PortMasks, v, dst topology.Node
 	if v == dst {
 		return
 	}
-	links := succ.AppendLinks(nil, v)
-	share := prob / float64(len(links))
-	for _, lid := range links {
+	n := succ.Count(v)
+	share := prob / float64(n)
+	for i := range n {
+		lid := succ.Pick(v, i)
 		acc[lid] += share
 		enumerate(g, succ, g.Link(lid).To, dst, share, acc)
 	}

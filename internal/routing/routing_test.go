@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -300,7 +301,7 @@ func TestPhiPanics(t *testing.T) {
 	tab := NewTable(torus(t, 3, 2))
 	assertPanics(t, "src==dst", func() { tab.Phi(RPS, 2, 2) })
 	assertPanics(t, "unknown protocol", func() { tab.Phi(Protocol(99), 0, 1) })
-	assertPanics(t, "SamplePath ECMP", func() { tab.SamplePath(ECMP, 0, 1, rand.New(rand.NewSource(1))) })
+	assertPanics(t, "AppendPath ECMP", func() { tab.AppendPath(nil, ECMP, 0, 1, rand.New(rand.NewSource(1))) })
 }
 
 func assertPanics(t *testing.T, name string, f func()) {
@@ -325,12 +326,12 @@ func TestSamplePathValidity(t *testing.T) {
 			src := topology.NodeID(rng.Intn(g.Nodes()))
 			dst := topology.NodeID(rng.Intn(g.Nodes()))
 			if src == dst {
-				if got := tab.SamplePath(p, src, dst, rng); got != nil {
+				if got := tab.AppendPath(nil, p, src, dst, rng); got != nil {
 					t.Fatalf("%v: nonempty path for src==dst", p)
 				}
 				continue
 			}
-			path := tab.SamplePath(p, src, dst, rng)
+			path := tab.AppendPath(nil, p, src, dst, rng)
 			at := src
 			for _, lid := range path {
 				l := g.Link(lid)
@@ -361,7 +362,7 @@ func TestSamplePathMatchesPhi(t *testing.T) {
 		src, dst := topology.NodeID(0), topology.NodeID(10)
 		counts := make([]float64, g.NumLinks())
 		for i := 0; i < samples; i++ {
-			for _, lid := range tab.SamplePath(p, src, dst, rng) {
+			for _, lid := range tab.AppendPath(nil, p, src, dst, rng) {
 				counts[lid]++
 			}
 		}
@@ -428,11 +429,11 @@ func TestPortRouteRoundTrip(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		path := tab.SamplePath(VLB, src, dst, rng)
+		path := tab.AppendPath(nil, VLB, src, dst, rng)
 		if len(path) > wire.MaxRouteHops {
 			continue
 		}
-		ports, err := tab.PortRoute(path)
+		ports, err := tab.AppendPortRoute(nil, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +478,7 @@ func TestAppendPathAllocFree(t *testing.T) {
 func TestAppendPortRouteAllocFree(t *testing.T) {
 	g := torus(t, 4, 3)
 	tab := NewTable(g)
-	path := tab.SamplePath(VLB, 0, 42, rand.New(rand.NewSource(1)))
+	path := tab.AppendPath(nil, VLB, 0, 42, rand.New(rand.NewSource(1)))
 	buf := make(wire.Route, 0, wire.MaxRouteHops)
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
@@ -505,14 +506,14 @@ func TestPortRouteTooLong(t *testing.T) {
 	g := torus(t, 3, 2)
 	tab := NewTable(g)
 	long := make([]topology.LinkID, wire.MaxRouteHops+1)
-	if _, err := tab.PortRoute(long); err != wire.ErrRouteTooLong {
+	if _, err := tab.AppendPortRoute(nil, long); err != wire.ErrRouteTooLong {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func mustPorts(t *testing.T, tab *Table, path []topology.LinkID) wire.Route {
 	t.Helper()
-	ports, err := tab.PortRoute(path)
+	ports, err := tab.AppendPortRoute(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,4 +531,21 @@ func TestProtocolStrings(t *testing.T) {
 	if Protocol(200).String() == "" {
 		t.Error("unknown protocol String empty")
 	}
+}
+
+// WalkPorts resolves a port route starting at src back into the node
+// sequence it visits, validating each hop: the inverse of AppendPortRoute,
+// which the forwarding layer (§3.5) applies one hop at a time.
+func (t *Table) WalkPorts(src topology.NodeID, route wire.Route) ([]topology.NodeID, error) {
+	nodes := []topology.NodeID{src}
+	at := src
+	for i, port := range route {
+		out := t.g.Out(at)
+		if int(port) >= len(out) {
+			return nil, fmt.Errorf("routing: hop %d: port %d out of range at node %d", i, port, at)
+		}
+		at = t.g.Link(out[port]).To
+		nodes = append(nodes, at)
+	}
+	return nodes, nil
 }

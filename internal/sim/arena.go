@@ -61,26 +61,6 @@ type pktArena struct {
 	released int // fully-free slabs dropped to the GC
 }
 
-// ArenaStats is a snapshot of arena occupancy, exposed for retention tests
-// and capacity planning.
-type ArenaStats struct {
-	Live          int // packets currently allocated
-	Slabs         int // live arena segments (full + partial + idle)
-	IdleSlabs     int // fully-free segments retained for reuse
-	PeakSlabs     int // segment high-water mark
-	ReleasedSlabs int // segments returned to the GC after draining
-}
-
-func (a *pktArena) stats() ArenaStats {
-	return ArenaStats{
-		Live:          a.live,
-		Slabs:         a.slabs,
-		IdleSlabs:     len(a.idle),
-		PeakSlabs:     a.peak,
-		ReleasedSlabs: a.released,
-	}
-}
-
 // newSlab allocates and initialises one segment: every slot free, every
 // packet tagged pooled, back-linked to its slab and given its window of the
 // slab's one array of route-sampling buffers.

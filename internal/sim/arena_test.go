@@ -119,3 +119,26 @@ func TestBurstThenTrickleReleasesArena(t *testing.T) {
 	}
 	t.Logf("peak=%d slabs, final=%d slabs, released=%d", final.PeakSlabs, final.Slabs, final.ReleasedSlabs)
 }
+
+// ArenaStats returns a snapshot of the packet arena's occupancy.
+func (n *Network) ArenaStats() ArenaStats { return n.arena.stats() }
+
+// ArenaStats is a snapshot of arena occupancy, exposed for retention tests
+// and capacity planning.
+type ArenaStats struct {
+	Live          int // packets currently allocated
+	Slabs         int // live arena segments (full + partial + idle)
+	IdleSlabs     int // fully-free segments retained for reuse
+	PeakSlabs     int // segment high-water mark
+	ReleasedSlabs int // segments returned to the GC after draining
+}
+
+func (a *pktArena) stats() ArenaStats {
+	return ArenaStats{
+		Live:          a.live,
+		Slabs:         a.slabs,
+		IdleSlabs:     len(a.idle),
+		PeakSlabs:     a.peak,
+		ReleasedSlabs: a.released,
+	}
+}

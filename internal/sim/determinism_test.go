@@ -28,11 +28,9 @@ func dumpResults(res *Results) []byte {
 			rec.ID, rec.Src, rec.Dst, rec.SizeBytes, rec.Started, rec.Finished,
 			rec.Done, rec.BytesRcvd, rec.SenderDone)
 	}
-	sample := func(name string, s interface {
-		Len() int
-		Values() []float64
-	}) {
-		fmt.Fprintf(&b, "%s n=%d %v\n", name, s.Len(), s.Values())
+	sample := func(name string, s interface{ Values() []float64 }) {
+		vs := s.Values()
+		fmt.Fprintf(&b, "%s n=%d %v\n", name, len(vs), vs)
 	}
 	sample("shortFCT", &res.ShortFCT)
 	sample("longTput", &res.LongThroughput)

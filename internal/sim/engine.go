@@ -206,8 +206,3 @@ func (e *Engine) advanceTo(t simtime.Time) {
 // Pending reports whether any events remain scheduled (cancelled timers do
 // not count).
 func (e *Engine) Pending() bool { return e.wheel.count > 0 }
-
-// PendingEvents returns how many live events are currently scheduled. The
-// RTO-cancellation regression test uses this to assert the schedule stays
-// O(in-flight timers) rather than O(acks).
-func (e *Engine) PendingEvents() int { return e.wheel.count }

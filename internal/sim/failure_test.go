@@ -11,12 +11,27 @@ import (
 	"r2c2/internal/wire"
 )
 
+// QueuedBytes returns the current queue occupancy of a port.
+func (n *Network) QueuedBytes(lid topology.LinkID) int { return n.ports[lid].queued }
+
+// LinkFailed reports whether a directed link has been failed.
+func (n *Network) LinkFailed(lid topology.LinkID) bool { return n.ports[lid].dead }
+
+// linkMask marks the given links of g failed, for WithoutLinksAndNodes.
+func linkMask(g *topology.Graph, failed ...topology.LinkID) []bool {
+	m := make([]bool, g.NumLinks())
+	for _, lid := range failed {
+		m[lid] = true
+	}
+	return m
+}
+
 func TestWithoutLinks(t *testing.T) {
 	g := torus(t, 4, 2)
 	a, b := g.NodeAt([]int{0, 0}), g.NodeAt([]int{1, 0})
 	ab, _ := g.LinkBetween(a, b)
 	ba, _ := g.LinkBetween(b, a)
-	sub, mapping, err := g.WithoutLinks(ab, ba)
+	sub, mapping, err := g.WithoutLinksAndNodes(linkMask(g, ab, ba), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +60,7 @@ func TestWithoutLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ring.WithoutLinks(slices.Concat(ring.Out(1), ring.In(1))...); err == nil {
+	if _, _, err := ring.WithoutLinksAndNodes(linkMask(ring, slices.Concat(ring.Out(1), ring.In(1))...), nil); err == nil {
 		t.Fatal("partitioning failure accepted")
 	}
 }
@@ -56,7 +71,7 @@ func TestRoutingOnDegradedFabric(t *testing.T) {
 	g := torus(t, 4, 2)
 	ab, _ := g.LinkBetween(0, 1)
 	ba, _ := g.LinkBetween(1, 0)
-	sub, _, err := g.WithoutLinks(ab, ba)
+	sub, _, err := g.WithoutLinksAndNodes(linkMask(g, ab, ba), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +318,7 @@ func TestR2C2SurvivesNodeFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ring.WithoutNode(1); err != nil {
+	if _, _, err := ring.WithoutLinksAndNodes(nil, []bool{false, true, false}); err != nil {
 		t.Fatalf("3-ring minus one node should stay connected: %v", err)
 	}
 }
@@ -365,8 +380,8 @@ func TestOverlappingLinkFailures(t *testing.T) {
 }
 
 // Regression: a node crash AFTER an earlier link failure must fold the
-// accumulated failed links into the degraded fabric — WithoutNode(dead)
-// alone would reroute traffic onto the previously failed link.
+// accumulated failed links into the degraded fabric — the dead node's
+// links alone would reroute traffic onto the previously failed link.
 func TestLinkThenNodeFailure(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng := &Engine{}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"r2c2/internal/routing"
@@ -32,33 +31,4 @@ func TestR2C2HostLimitedFlow(t *testing.T) {
 	if tf := rf.Throughput(); tf < 6e9 {
 		t.Fatalf("network-limited flow got %.3g; unused demand not redistributed", tf)
 	}
-}
-
-func TestR2C2UpdateDemand(t *testing.T) {
-	g := torus(t, 4, 2)
-	eng, _, r := newR2C2Net(t, g, R2C2Config{
-		Headroom: 0.05, Protocol: routing.DOR, Recompute: 50 * simtime.Microsecond})
-	id := r.StartFlow(0, 1, 64<<20, 1, 0)
-	eng.Run(2 * simtime.Millisecond)
-	r.UpdateDemand(id, 2e9)
-	eng.Run(2 * simtime.Millisecond)
-	// All views must see the new demand.
-	for n := 0; n < g.Nodes(); n++ {
-		info, ok := r.View(0).Get(id)
-		if !ok {
-			t.Fatal("flow vanished")
-		}
-		if math.Abs(float64(info.DemandKbps)-2e6) > 1e3 {
-			t.Fatalf("node %d sees demand %d Kbps, want ~2e6", n, info.DemandKbps)
-		}
-	}
-	// Clearing the demand restores unlimited.
-	r.UpdateDemand(id, 0)
-	eng.Run(simtime.Millisecond)
-	info, _ := r.View(0).Get(id)
-	if info.DemandKbps != 0xFFFFFFFF {
-		t.Fatalf("demand not cleared: %d", info.DemandKbps)
-	}
-	// Updating a finished/unknown flow is a no-op.
-	r.UpdateDemand(0xDEADBEEF, 1e9)
 }

@@ -275,9 +275,6 @@ func (n *Network) freePacket(p *Packet) {
 	n.arena.free(p)
 }
 
-// ArenaStats returns a snapshot of the packet arena's occupancy.
-func (n *Network) ArenaStats() ArenaStats { return n.arena.stats() }
-
 // NewNetwork builds the fabric simulator and registers it as the engine's
 // typed-event receiver (one Network per Engine).
 func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
@@ -307,14 +304,8 @@ func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
 	return n
 }
 
-// PortStats returns the statistics of one output port.
-func (n *Network) PortStats(lid topology.LinkID) PortStats { return n.ports[lid].stats }
-
 // TotalDrops returns the number of packets lost to drop-tail overflow.
 func (n *Network) TotalDrops() uint64 { return n.totalDrops }
-
-// QueuedBytes returns the current queue occupancy of a port.
-func (n *Network) QueuedBytes(lid topology.LinkID) int { return n.ports[lid].queued }
 
 // BufCount returns the PFQ per-node buffer occupancy for a flow.
 func (n *Network) BufCount(node topology.NodeID, flow wire.FlowID) int {
@@ -463,9 +454,6 @@ func (n *Network) FailLink(lid topology.LinkID) {
 func (n *Network) RepairLink(lid topology.LinkID) {
 	n.ports[lid].dead = false
 }
-
-// LinkFailed reports whether a directed link has been failed.
-func (n *Network) LinkFailed(lid topology.LinkID) bool { return n.ports[lid].dead }
 
 // SetLinkDropProb installs a random-drop probability p in [0,1] on a
 // directed link — the lossy-cable fault model. p = 0 removes the loss.

@@ -257,3 +257,6 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 		t.Fatalf("broadcast bytes = %d, want %d", net.BcastBytesOnWire, want)
 	}
 }
+
+// PortStats returns the statistics of one output port.
+func (n *Network) PortStats(lid topology.LinkID) PortStats { return n.ports[lid].stats }

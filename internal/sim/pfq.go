@@ -49,10 +49,6 @@ func NewPFQ(net *Network, tab *routing.Table, seed int64) *PFQ {
 	return p
 }
 
-// Ledger returns the flow records by ID, for inspection and results
-// collection. The map is built on every call.
-func (p *PFQ) Ledger() map[wire.FlowID]*FlowRecord { return p.flows.ledger() }
-
 // StartFlow begins a flow of sizeBytes; injection is driven entirely by
 // back-pressure credits.
 func (p *PFQ) StartFlow(src, dst topology.NodeID, sizeBytes int64) wire.FlowID {

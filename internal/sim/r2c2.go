@@ -308,7 +308,8 @@ func (r *R2C2) onDrop(pkt *Packet, at topology.LinkID) {
 // reflood retransmits a dropped broadcast from its origin on the origin's
 // next tree (§3.2 loss recovery). Runs in the origin's shard.
 func (r *R2C2) reflood(origin topology.NodeID, b *wire.Broadcast, retries uint8) {
-	r.broadcast(r.nodes[origin], r.nodes[origin].Retransmit(b), retries)
+	nb := r.nodes[origin].Retransmit(*b)
+	r.broadcast(r.nodes[origin], &nb, retries)
 }
 
 // install swaps in a fabric generation's routing state. The rate computer
@@ -355,7 +356,7 @@ func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
 // SetLinkDropProb installs a random-drop probability p in [0,1] on both
 // directions of the cable between a and b. p = 0 removes the loss.
 func (r *R2C2) SetLinkDropProb(a, b topology.NodeID, p float64) error {
-	lids, err := r.Faults.Cable(a, b)
+	lids, err := r.Faults.LossyCable(a, b, p)
 	for _, lid := range lids {
 		r.Net.SetLinkDropProb(lid, p)
 	}
@@ -400,8 +401,8 @@ func (r *R2C2) reroute() {
 		for _, sf := range abandoned {
 			r.retire(sf)
 		}
-		for _, b := range starts {
-			r.broadcast(node, b, 0)
+		for i := range starts {
+			r.broadcast(node, &starts[i], 0)
 		}
 	}
 }
@@ -489,26 +490,10 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 		totalPkts: uint32((sizeBytes + MaxPayload - 1) / MaxPayload),
 	}
 	slot.st.send = sf
-	r.broadcast(node, node.Start(sf), 0)
+	b := node.Start(sf)
+	r.broadcast(node, &b, 0)
 	r.armSender(sf)
 	return id
-}
-
-// UpdateDemand re-announces a live flow's demand so all nodes allocate
-// demand-aware. Unknown or finished flows are ignored. The simulator takes
-// demands as given: only the emulator runs §3.3.2's Eq. (1) estimator and
-// re-announces when its estimate diverges by more than 15 % (DESIGN.md §10).
-func (r *R2C2) UpdateDemand(id wire.FlowID, demandBits float64) {
-	sf := r.sender(id)
-	if sf == nil {
-		return
-	}
-	sf.demand = demandBits
-	kbps := core.UnlimitedDemand
-	if demandBits > 0 {
-		kbps = core.KbpsDemand(demandBits)
-	}
-	r.broadcast(sf.node, sf.node.SetDemand(sf, kbps), 0)
 }
 
 // SetProtocol re-assigns a live flow's routing protocol (the §3.4 selection
@@ -518,11 +503,13 @@ func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
 	if sf == nil {
 		return
 	}
-	r.broadcast(sf.node, sf.node.SetProtocol(sf, p), 0)
+	if b, ok := sf.node.SetProtocol(sf, p); ok {
+		r.broadcast(sf.node, &b, 0)
+	}
 }
 
 // broadcast floods one of node's broadcasts along its tree, after retries
-// drops of it (§3.2 loss recovery).
+// drops of it (§3.2 loss recovery). Every copy of the packet shares b.
 func (r *R2C2) broadcast(node *r2c2Node, b *wire.Broadcast, retries uint8) {
 	pkt := r.Net.newPacket()
 	pkt.Kind = KindBroadcast
@@ -663,9 +650,11 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 // applies none of its own broadcasts), and broadcasts the finish.
 func (r *R2C2) finishSender(node *r2c2Node, sf *senderFlow) {
 	r.flows.get(sf.info.ID).rec.SenderDone = true
-	b := node.Finish(sf)
+	b, ok := node.Finish(sf)
 	r.retire(sf)
-	r.broadcast(node, b, 0)
+	if ok {
+		r.broadcast(node, &b, 0)
+	}
 }
 
 // armRTO starts the retransmission timer for a reliable flow.

@@ -59,3 +59,7 @@ func TestCancelledRTOsLeaveSchedule(t *testing.T) {
 		t.Fatalf("pending events peaked at %d (> %d): cancelled RTO timers are not leaving the schedule", peak, bound)
 	}
 }
+
+// PendingEvents returns how many live events are currently scheduled, so a
+// test can assert the schedule stays O(in-flight timers) rather than O(acks).
+func (e *Engine) PendingEvents() int { return e.wheel.count }

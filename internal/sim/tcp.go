@@ -141,10 +141,6 @@ func NewTCP(net *Network, tab *routing.Table, cfg TCPConfig) *TCP {
 	return t
 }
 
-// Ledger returns the flow records by ID, for inspection and results
-// collection. The map is built on every call.
-func (t *TCP) Ledger() map[wire.FlowID]*FlowRecord { return t.flows.ledger() }
-
 // StartFlow begins a TCP flow of sizeBytes.
 func (t *TCP) StartFlow(src, dst topology.NodeID, sizeBytes int64) wire.FlowID {
 	if src == dst || sizeBytes <= 0 {

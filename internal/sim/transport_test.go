@@ -304,11 +304,11 @@ func TestRunAllTransports(t *testing.T) {
 		if res.Completed != len(arrivals) {
 			t.Fatalf("%v: %d/%d flows completed (%d drops)", tr, res.Completed, len(arrivals), res.Drops)
 		}
-		if res.ShortFCT.Len() == 0 {
+		if len(res.ShortFCT.Values()) == 0 {
 			t.Fatalf("%v: no short-flow FCTs", tr)
 		}
-		if res.MaxQueue.Len() != g.NumLinks() {
-			t.Fatalf("%v: queue sample size %d", tr, res.MaxQueue.Len())
+		if n := len(res.MaxQueue.Values()); n != g.NumLinks() {
+			t.Fatalf("%v: queue sample size %d", tr, n)
 		}
 		if tr == TransportR2C2 && res.BcastBytes == 0 {
 			t.Fatal("R2C2 run recorded no broadcast bytes")
@@ -534,3 +534,11 @@ func setLinkLoss(net *Network, p float64) {
 		net.SetLinkDropProb(topology.LinkID(lid), p)
 	}
 }
+
+// Ledger returns the flow records by ID, for inspection and results
+// collection. The map is built on every call.
+func (t *TCP) Ledger() map[wire.FlowID]*FlowRecord { return t.flows.ledger() }
+
+// Ledger returns the flow records by ID, for inspection and results
+// collection. The map is built on every call.
+func (p *PFQ) Ledger() map[wire.FlowID]*FlowRecord { return p.flows.ledger() }

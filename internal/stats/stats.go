@@ -1,7 +1,7 @@
 // Package stats provides small, allocation-conscious statistical helpers
 // used throughout the R2C2 reproduction: exact sample collections with
-// percentile queries, CDF extraction, online mean/max tracking, and
-// exponentially weighted moving averages.
+// percentile queries, a counted sample of small integers, and exponentially
+// weighted moving averages.
 //
 // All collectors are plain values; their zero values are ready to use.
 // None of them are safe for concurrent mutation — callers that share a
@@ -15,8 +15,8 @@ import (
 	"sort"
 )
 
-// Sample accumulates float64 observations and answers percentile, mean and
-// CDF queries over the exact set of observations. It keeps every value, so
+// Sample accumulates float64 observations and answers percentile and mean
+// queries over the exact set of observations. It keeps every value, so
 // it is intended for experiment-sized data (up to a few million points).
 type Sample struct {
 	values []float64
@@ -34,9 +34,6 @@ func (s *Sample) AddAll(vs []float64) {
 	s.values = append(s.values, vs...)
 	s.sorted = false
 }
-
-// Len reports the number of recorded observations.
-func (s *Sample) Len() int { return len(s.values) }
 
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
@@ -92,33 +89,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.values))
 }
 
-// Min returns the smallest observation, or NaN for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	s.ensureSorted()
-	return s.values[0]
-}
-
-// Max returns the largest observation, or NaN for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.values) == 0 {
-		return math.NaN()
-	}
-	s.ensureSorted()
-	return s.values[len(s.values)-1]
-}
-
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 {
-	sum := 0.0
-	for _, v := range s.values {
-		sum += v
-	}
-	return sum
-}
-
 // Values returns a copy of the observations in ascending order. The caller
 // owns the returned slice; mutating it cannot corrupt the Sample's
 // internal (sorted) state, which percentile queries depend on.
@@ -127,44 +97,6 @@ func (s *Sample) Values() []float64 {
 	out := make([]float64, len(s.values))
 	copy(out, s.values)
 	return out
-}
-
-// CDFPoint is one point of an empirical CDF: a fraction F of observations
-// are <= Value.
-type CDFPoint struct {
-	Value float64
-	F     float64
-}
-
-// CDF returns the empirical CDF reduced to at most maxPoints points
-// (uniformly spaced in rank). maxPoints <= 0 means every distinct rank.
-func (s *Sample) CDF(maxPoints int) []CDFPoint {
-	n := len(s.values)
-	if n == 0 {
-		return nil
-	}
-	s.ensureSorted()
-	if maxPoints <= 0 || maxPoints > n {
-		maxPoints = n
-	}
-	pts := make([]CDFPoint, 0, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		idx := (i + 1) * n / maxPoints
-		if idx > n {
-			idx = n
-		}
-		pts = append(pts, CDFPoint{Value: s.values[idx-1], F: float64(idx) / float64(n)})
-	}
-	return pts
-}
-
-// Summary returns a one-line human-readable digest of the sample.
-func (s *Sample) Summary() string {
-	if len(s.values) == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
-		s.Len(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Percentile(99), s.Max())
 }
 
 // EWMA is an exponentially weighted moving average with smoothing factor
@@ -199,32 +131,6 @@ func (e *EWMA) Update(v float64) float64 {
 
 // Value returns the current average (zero before any update).
 func (e *EWMA) Value() float64 { return e.value }
-
-// Counter tracks a running maximum and sum of integer observations, used
-// for queue-occupancy accounting where storing every sample would be
-// wasteful.
-type Counter struct {
-	N   int64
-	Sum int64
-	Max int64
-}
-
-// Observe records one observation.
-func (c *Counter) Observe(v int64) {
-	c.N++
-	c.Sum += v
-	if v > c.Max {
-		c.Max = v
-	}
-}
-
-// Mean returns the average observation, or 0 when empty.
-func (c *Counter) Mean() float64 {
-	if c.N == 0 {
-		return 0
-	}
-	return float64(c.Sum) / float64(c.N)
-}
 
 // Counts is an exact sample of small non-negative integers — reorder-buffer
 // occupancies, one per data packet — kept as one counter per value instead
@@ -278,9 +184,6 @@ func (c *Counts) at(i int) float64 {
 // Percentile returns the p-th percentile (p in [0,100]) by Sample's rule:
 // linear interpolation between closest ranks, NaN for an empty sample.
 func (c *Counts) Percentile(p float64) float64 { return percentile(c.total, c.at, p) }
-
-// Max returns the largest observation, or NaN for an empty sample.
-func (c *Counts) Max() float64 { return c.Percentile(100) }
 
 // Values returns the observations in ascending order, as Sample.Values does.
 func (c *Counts) Values() []float64 {

@@ -10,42 +10,27 @@ import (
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Len() != 0 {
-		t.Fatal("empty sample has nonzero Len")
+	if len(s.Values()) != 0 {
+		t.Fatal("empty sample has values")
 	}
-	for _, v := range []float64{s.Percentile(50), s.Mean(), s.Min(), s.Max()} {
+	for _, v := range []float64{s.Percentile(50), s.Mean(), s.Percentile(0)} {
 		if !math.IsNaN(v) {
 			t.Errorf("empty-sample statistic = %v, want NaN", v)
 		}
-	}
-	if s.CDF(10) != nil {
-		t.Error("empty-sample CDF should be nil")
-	}
-	if s.Summary() != "n=0" {
-		t.Errorf("Summary = %q", s.Summary())
 	}
 }
 
 func TestSampleBasic(t *testing.T) {
 	var s Sample
 	s.AddAll([]float64{5, 1, 3, 2, 4})
-	if s.Len() != 5 {
-		t.Fatalf("Len = %d", s.Len())
+	if n := len(s.Values()); n != 5 {
+		t.Fatalf("%d values, want 5", n)
 	}
 	if got := s.Mean(); got != 3 {
 		t.Errorf("Mean = %v, want 3", got)
 	}
 	if got := s.Median(); got != 3 {
 		t.Errorf("Median = %v, want 3", got)
-	}
-	if got := s.Min(); got != 1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := s.Max(); got != 5 {
-		t.Errorf("Max = %v", got)
-	}
-	if got := s.Sum(); got != 15 {
-		t.Errorf("Sum = %v", got)
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Errorf("P0 = %v", got)
@@ -88,37 +73,10 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			pa, pb = pb, pa
 		}
 		va, vb := s.Percentile(pa), s.Percentile(pb)
-		return va <= vb && va >= s.Min() && vb <= s.Max()
+		return va <= vb && va >= s.Percentile(0) && vb <= s.Percentile(100)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	var s Sample
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	pts := s.CDF(10)
-	if len(pts) != 10 {
-		t.Fatalf("CDF points = %d, want 10", len(pts))
-	}
-	if pts[len(pts)-1].F != 1.0 {
-		t.Errorf("last CDF F = %v, want 1", pts[len(pts)-1].F)
-	}
-	if pts[len(pts)-1].Value != 100 {
-		t.Errorf("last CDF value = %v, want 100", pts[len(pts)-1].Value)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Value < pts[i-1].Value || pts[i].F <= pts[i-1].F {
-			t.Fatalf("CDF not monotone at %d: %+v -> %+v", i, pts[i-1], pts[i])
-		}
-	}
-	// Full-resolution CDF.
-	all := s.CDF(0)
-	if len(all) != 100 {
-		t.Fatalf("full CDF has %d points", len(all))
 	}
 }
 
@@ -134,8 +92,8 @@ func TestValuesSorted(t *testing.T) {
 	}
 	// Adding after sorting must re-sort on next query.
 	s.Add(-1e9)
-	if got := s.Min(); got != -1e9 {
-		t.Fatalf("Min after late Add = %v", got)
+	if got := s.Percentile(0); got != -1e9 {
+		t.Fatalf("P0 after late Add = %v", got)
 	}
 }
 
@@ -151,7 +109,7 @@ func TestValuesReturnsCopy(t *testing.T) {
 	for i := range vs {
 		vs[i] = -7
 	}
-	if got := s.Max(); got != 3 {
+	if got := s.Percentile(100); got != 3 {
 		t.Fatalf("mutating Values() result corrupted the sample: max = %v, want 3", got)
 	}
 	if again := s.Values(); again[0] != 1 || again[2] != 3 {
@@ -195,33 +153,14 @@ func TestEWMAPanics(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	if c.Mean() != 0 {
-		t.Error("empty counter mean nonzero")
-	}
-	c.Observe(3)
-	c.Observe(9)
-	c.Observe(6)
-	if c.N != 3 || c.Sum != 18 || c.Max != 9 {
-		t.Fatalf("counter state = %+v", c)
-	}
-	if c.Mean() != 6 {
-		t.Errorf("Mean = %v", c.Mean())
-	}
-}
-
 // requireSameAsSample compares every query of a Counts with a Sample holding
 // the same integers, bit for bit: percentiles at the ends, at the usual
 // quantiles and at ranks that fall between two observations.
 func requireSameAsSample(t *testing.T, c *Counts, s *Sample) {
 	t.Helper()
 	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
-	if c.Len() != s.Len() {
-		t.Fatalf("Len = %d, want %d", c.Len(), s.Len())
-	}
-	if !same(c.Max(), s.Max()) {
-		t.Fatalf("Max = %v, want %v", c.Max(), s.Max())
+	if n := len(s.Values()); c.Len() != n {
+		t.Fatalf("Len = %d, want %d", c.Len(), n)
 	}
 	for _, p := range []float64{-1, 0, 0.1, 12.5, 33.3, 50, 66.7, 90, 95, 99, 99.9, 100, 101} {
 		if got, want := c.Percentile(p), s.Percentile(p); !same(got, want) {

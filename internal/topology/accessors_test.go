@@ -42,7 +42,7 @@ func TestWithoutLinksMarksDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab, _ := g.LinkBetween(0, 1)
-	sub, mapping, err := g.WithoutLinks(ab)
+	sub, mapping, err := g.WithoutLinksAndNodes(marked(g.NumLinks(), ab), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestWithoutLinksMarksDegraded(t *testing.T) {
 	}
 	// Degradation is sticky across further removals.
 	cd, _ := sub.LinkBetween(2, 3)
-	sub2, _, err := sub.WithoutLinks(cd)
+	sub2, _, err := sub.WithoutLinksAndNodes(marked(sub.NumLinks(), cd), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,13 @@ func TestBroadcastTreeLinkLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := BuildBroadcastTrees(g, 0, 1, 1)[0]
-	load := tree.LinkLoad(g.NumLinks())
+	tree := fibTrees(g, 0, 1, 1)[0]
+	load := make([]int, g.NumLinks())
+	for v := range g.Vertices() {
+		for _, lid := range treeChildren(tree, NodeID(v)) {
+			load[lid]++
+		}
+	}
 	total := 0
 	for _, c := range load {
 		if c != 0 && c != 1 {

@@ -8,54 +8,16 @@ import (
 )
 
 // BroadcastTree is a shortest-path spanning tree rooted at Root, used to
-// broadcast flow events across the rack (§3.2). Children(v) lists the links
-// on which v forwards a copy of a broadcast packet; leaves have none. Depth
-// is the maximum hop count from Root to any node, i.e. the broadcast time
-// the construction minimises.
+// broadcast flow events across the rack (§3.2). BroadcastFIB.AppendNextHops
+// lists the links on which a vertex forwards a copy of a broadcast packet;
+// leaves have none. Depth is the maximum hop count from Root to any node,
+// i.e. the broadcast time the construction minimises.
 type BroadcastTree struct {
 	Root  NodeID
 	ID    uint8 // tree identifier, carried in the broadcast header
 	Depth int
 
 	kids PortMasks // a window of the mask array all of Root's trees share
-}
-
-// Children returns the links v forwards a broadcast on, in port order, as a
-// fresh slice. Forwarding paths use BroadcastFIB.AppendNextHops instead.
-func (t *BroadcastTree) Children(v NodeID) []LinkID { return t.kids.AppendLinks(nil, v) }
-
-// TotalEdges returns the number of tree edges (n-1 for a spanning tree).
-func (t *BroadcastTree) TotalEdges() int { return t.kids.total() }
-
-// LinkLoad returns, per directed link, how many copies of one broadcast
-// packet traverse it (0 or 1 for a tree). Used to study broadcast load
-// balance across trees.
-func (t *BroadcastTree) LinkLoad(numLinks int) []int {
-	load := make([]int, numLinks)
-	for v := range len(t.kids.off) - 1 {
-		for i, n := 0, t.kids.Count(NodeID(v)); i < n; i++ {
-			load[t.kids.Pick(NodeID(v), i)]++
-		}
-	}
-	return load
-}
-
-// BuildBroadcastTrees constructs `count` distinct shortest-path broadcast
-// trees rooted at src by breadth-first traversal with randomised parent
-// choice (§3.2: "we enumerate multiple broadcast trees for each source by
-// traversing the rack's topology in a breadth-first fashion"). Every tree
-// is a spanning tree in which each node sits at its BFS distance from src,
-// so broadcast time is minimal. rngSeed makes construction deterministic.
-//
-// It panics if count is outside [1, 256) since the wire format carries the
-// tree ID in one byte.
-func BuildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64) []*BroadcastTree {
-	st := buildBroadcastTrees(g, src, count, rngSeed, new(treeScratch))
-	out := make([]*BroadcastTree, count)
-	for i := range out {
-		out[i] = &st.trees[i]
-	}
-	return out
 }
 
 // sourceTrees is one source's trees. Their masks are windows of one array:
@@ -74,12 +36,20 @@ type treeScratch struct {
 	rng     *rand.Rand // reseeded per source: Seed(s) restarts the stream rand.NewSource(s) would
 }
 
-// buildBroadcastTrees finds every vertex's shortest-path parent candidates
-// once — they depend on the source alone — and then draws each tree from
-// them: one rng.Intn per reachable non-root vertex, in vertex order, tree
-// after tree. That draw sequence defines the trees (a source's trees are a
-// function of rngSeed only), so it must not change. A draw sets the picked
-// link's port bit in its parent's row.
+// buildBroadcastTrees constructs `count` distinct shortest-path broadcast
+// trees rooted at src by breadth-first traversal with randomised parent
+// choice (§3.2: "we enumerate multiple broadcast trees for each source by
+// traversing the rack's topology in a breadth-first fashion"). Every tree is
+// a spanning tree in which each node sits at its BFS distance from src, so
+// broadcast time is minimal. It panics if count is outside [1, 256), since
+// the wire format carries the tree ID in one byte.
+//
+// It finds every vertex's shortest-path parent candidates once — they depend
+// on the source alone — and then draws each tree from them: one rng.Intn per
+// reachable non-root vertex, in vertex order, tree after tree. That draw
+// sequence defines the trees (a source's trees are a function of rngSeed
+// only), so it must not change. A draw sets the picked link's port bit in
+// its parent's row.
 func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *treeScratch) *sourceTrees {
 	if count < 1 || count > 255 {
 		panic(fmt.Sprintf("topology: broadcast tree count %d out of [1,255]", count))
@@ -222,12 +192,4 @@ func (f *BroadcastFIB) Tree(src NodeID, treeID uint8) (*BroadcastTree, bool) {
 		return nil, false
 	}
 	return &st.trees[treeID], true
-}
-
-// TreesPerSource reports how many trees exist for src.
-func (f *BroadcastFIB) TreesPerSource(src NodeID) int {
-	if int(src) < 0 || int(src) >= len(f.slots) {
-		return 0
-	}
-	return f.treesPerSource
 }

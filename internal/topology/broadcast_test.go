@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,11 +16,11 @@ func TestBroadcastTreeSpanningShortest(t *testing.T) {
 	for _, g := range testGraphs(t) {
 		ref := refDistances(g)
 		for src := 0; src < g.Nodes(); src += 5 {
-			trees := BuildBroadcastTrees(g, NodeID(src), 4, 42)
+			trees := fibTrees(g, NodeID(src), 4, 42)
 			for _, tree := range trees {
-				if tree.TotalEdges() != g.Vertices()-1 {
+				if n := treeEdges(tree); n != g.Vertices()-1 {
 					t.Fatalf("%v src=%d tree=%d: %d edges, want %d",
-						g.Kind(), src, tree.ID, tree.TotalEdges(), g.Vertices()-1)
+						g.Kind(), src, tree.ID, n, g.Vertices()-1)
 				}
 				depth := walkTree(t, g, ref[src], tree)
 				if depth != tree.Depth {
@@ -33,6 +34,28 @@ func TestBroadcastTreeSpanningShortest(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fibTrees returns src's count trees, read from a FIB.
+func fibTrees(g *Graph, src NodeID, count int, seed int64) []*BroadcastTree {
+	fib := NewBroadcastFIB(g, count, seed)
+	trees := make([]*BroadcastTree, count)
+	for i := range trees {
+		trees[i], _ = fib.Tree(src, uint8(i))
+	}
+	return trees
+}
+
+// treeChildren returns the links v forwards a broadcast on, in port order.
+func treeChildren(tree *BroadcastTree, v NodeID) []LinkID { return tree.kids.AppendLinks(nil, v) }
+
+// treeEdges counts the tree's edges: n-1 for a spanning tree of n vertices.
+func treeEdges(tree *BroadcastTree) int {
+	n := 0
+	for _, b := range tree.kids.bits {
+		n += bits.OnesCount8(b)
+	}
+	return n
 }
 
 // walkTree delivers a copy down the tree and checks each vertex is reached
@@ -50,7 +73,7 @@ func walkTree(t *testing.T, g *Graph, dist []int, tree *BroadcastTree) int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, lid := range tree.Children(v) {
+		for _, lid := range treeChildren(tree, v) {
 			l := g.Link(lid)
 			if l.From != v {
 				t.Fatalf("tree child link %v not rooted at %d", l, v)
@@ -81,11 +104,11 @@ func TestBroadcastTreesDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := BuildBroadcastTrees(g, 0, 8, 1)
+	trees := fibTrees(g, 0, 8, 1)
 	distinct := false
 	for i := 1; i < len(trees) && !distinct; i++ {
 		for v := 0; v < g.Vertices() && !distinct; v++ {
-			distinct = !slices.Equal(trees[0].Children(NodeID(v)), trees[i].Children(NodeID(v)))
+			distinct = !slices.Equal(treeChildren(trees[0], NodeID(v)), treeChildren(trees[i], NodeID(v)))
 		}
 	}
 	if !distinct {
@@ -143,8 +166,7 @@ func TestBroadcastCost512(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trees := BuildBroadcastTrees(g, 0, 1, 1)
-	bytes := trees[0].TotalEdges() * 16
+	bytes := treeEdges(fibTrees(g, 0, 1, 1)[0]) * 16
 	if bytes != 511*16 {
 		t.Fatalf("broadcast bytes = %d, want %d", bytes, 511*16)
 	}
@@ -160,7 +182,7 @@ func TestBuildBroadcastTreesPanicsOnBadCount(t *testing.T) {
 			t.Error("expected panic for count=0")
 		}
 	}()
-	BuildBroadcastTrees(g, 0, 0, 1)
+	buildBroadcastTrees(g, 0, 0, 1, new(treeScratch))
 }
 
 // The sharded simulator's workers and the emulator's node goroutines share
@@ -214,7 +236,7 @@ func TestBroadcastFIBConcurrent(t *testing.T) {
 	}
 }
 
-// refBuildOneTree is the per-tree construction BuildBroadcastTrees used before
+// refBuildOneTree is the per-tree construction buildBroadcastTrees used before
 // it shared one parent search among a source's trees: every tree repeats the
 // search for itself and keeps a child slice per vertex. Kept as the oracle —
 // the shared-search build must draw from rng exactly as this does. dist is
@@ -261,7 +283,7 @@ func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, _, err := mustTorus(t, 4, 3).WithoutNode(21)
+	degraded, _, err := mustTorus(t, 4, 3).WithoutLinksAndNodes(nil, marked(64, NodeID(21)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,17 +301,23 @@ func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
 				}
 				edges := 0
 				for v := range want {
-					if kids, ref := sortedLinks(got.Children(NodeID(v))), sortedLinks(want[v]); !slices.Equal(kids, ref) {
-						t.Fatalf("%s src %d tree %d: Children(%d) = %v, reference %v", name, src, id, v, kids, ref)
+					if kids, ref := sortedLinks(treeChildren(got, NodeID(v))), sortedLinks(want[v]); !slices.Equal(kids, ref) {
+						t.Fatalf("%s src %d tree %d: children of %d = %v, reference %v", name, src, id, v, kids, ref)
 					}
 					edges += len(want[v])
 				}
-				if got.TotalEdges() != edges {
-					t.Fatalf("%s src %d tree %d: %d edges, reference %d", name, src, id, got.TotalEdges(), edges)
+				if n := treeEdges(got); n != edges {
+					t.Fatalf("%s src %d tree %d: %d edges, reference %d", name, src, id, n, edges)
 				}
 			}
 		}
 	}
+}
+
+// AppendLinks appends v's set to buf in port order and returns the extended
+// slice.
+func (m *PortMasks) AppendLinks(buf []LinkID, v NodeID) []LinkID {
+	return appendPorts(buf, m.out[m.off[v]:m.off[v+1]], m.row(v))
 }
 
 // checkMaskRow holds v's row of m to want, listed in port order: Count, every
@@ -358,4 +386,12 @@ func TestPortMasksMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TreesPerSource reports how many trees exist for src.
+func (f *BroadcastFIB) TreesPerSource(src NodeID) int {
+	if int(src) < 0 || int(src) >= len(f.slots) {
+		return 0
+	}
+	return f.treesPerSource
 }

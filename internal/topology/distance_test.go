@@ -53,11 +53,11 @@ func distanceGraphs(t *testing.T) map[string]*Graph {
 		return g
 	}
 	torus5 := mustTorus(t, 5, 3)
-	deadNode, _, err := torus5.WithoutNode(17)
+	deadNode, _, err := torus5.WithoutLinksAndNodes(nil, marked(torus5.Vertices(), NodeID(17)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oneWay, _, err := torus5.WithoutLinks(torus5.Out(40)[2])
+	oneWay, _, err := torus5.WithoutLinksAndNodes(marked(torus5.NumLinks(), torus5.Out(40)[2]), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func BenchmarkBroadcastTrees(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				BuildBroadcastTrees(g, NodeID(i%g.Nodes()), 4, int64(i))
+				buildBroadcastTrees(g, NodeID(i%g.Nodes()), 4, int64(i), new(treeScratch))
 			}
 		})
 	}

@@ -21,11 +21,16 @@ func ExampleNewTorus() {
 
 // One flow event costs (n-1) tree edges × 16 bytes — about 8 KB across
 // the whole 512-node rack (§3.2).
-func ExampleBuildBroadcastTrees() {
+func ExampleNewBroadcastFIB() {
 	g, _ := topology.NewTorus(8, 3)
-	tree := topology.BuildBroadcastTrees(g, 0, 1, 42)[0]
-	fmt.Printf("edges: %d\n", tree.TotalEdges())
-	fmt.Printf("bytes per broadcast: %d\n", tree.TotalEdges()*16)
+	fib := topology.NewBroadcastFIB(g, 1, 42)
+	var edges []topology.LinkID // every vertex's next hops on node 0's tree
+	for v := range g.Vertices() {
+		edges, _ = fib.AppendNextHops(edges, 0, 0, topology.NodeID(v))
+	}
+	tree, _ := fib.Tree(0, 0)
+	fmt.Printf("edges: %d\n", len(edges))
+	fmt.Printf("bytes per broadcast: %d\n", len(edges)*16)
 	fmt.Printf("broadcast reaches everyone within %d hops\n", tree.Depth)
 	// Output:
 	// edges: 511

@@ -11,6 +11,16 @@ func mustTorus(t testing.TB, k, dims int) *Graph {
 	return g
 }
 
+// marked returns an n-entry mask with ids set: a failed-link or dead-node
+// argument of WithoutLinksAndNodes.
+func marked[T LinkID | NodeID](n int, ids ...T) []bool {
+	m := make([]bool, n)
+	for _, id := range ids {
+		m[id] = true
+	}
+	return m
+}
+
 func TestPartitionMultiRack(t *testing.T) {
 	r0 := mustTorus(t, 3, 2)
 	r1 := mustTorus(t, 3, 2)
@@ -235,7 +245,7 @@ func TestPartitionSurvivesDegradedFabric(t *testing.T) {
 	if !ok {
 		t.Fatal("missing intra-rack link")
 	}
-	sub, _, err := g.WithoutLinks(lid)
+	sub, _, err := g.WithoutLinksAndNodes(marked(g.NumLinks(), lid), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,22 +88,3 @@ func NewReductionTree(g *Graph, p *Partition) (*ReductionTree, error) {
 	}
 	return t, nil
 }
-
-// Root returns the rack the reduction converges at.
-func (t *ReductionTree) Root() int { return t.root }
-
-// Parent returns the parent rack of r, or -1 for the root.
-func (t *ReductionTree) Parent(r int) int { return t.parent[r] }
-
-// Children returns r's child racks in ascending order. The slice is owned
-// by the tree.
-func (t *ReductionTree) Children(r int) []int { return t.children[r] }
-
-// Order returns the racks in BFS order from the root; iterating it in
-// reverse visits every child before its parent — the bottom-up merge
-// schedule. The slice is owned by the tree.
-func (t *ReductionTree) Order() []int { return t.order }
-
-// Depth returns the maximum hop count from the root to any rack: the
-// reduction's critical-path length.
-func (t *ReductionTree) Depth() int { return t.depth }

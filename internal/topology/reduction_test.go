@@ -2,6 +2,15 @@ package topology
 
 import "testing"
 
+// Children returns r's child racks in ascending order. The slice is owned
+// by the tree.
+func (t *ReductionTree) Children(r int) []int { return t.children[r] }
+
+// Order returns the racks in BFS order from the root; iterating it in
+// reverse visits every child before its parent — the bottom-up merge
+// schedule. The slice is owned by the tree.
+func (t *ReductionTree) Order() []int { return t.order }
+
 // TestReductionTreeRing derives the reduction tree of a four-rack ring and
 // pins the deterministic BFS shape: rack 0 is the root, each rack's parent
 // is its smallest neighbour at the previous depth, and the reverse BFS
@@ -84,3 +93,13 @@ func TestReductionTreeClos(t *testing.T) {
 		}
 	}
 }
+
+// Root returns the rack the reduction converges at.
+func (t *ReductionTree) Root() int { return t.root }
+
+// Parent returns the parent rack of r, or -1 for the root.
+func (t *ReductionTree) Parent(r int) int { return t.parent[r] }
+
+// Depth returns the maximum hop count from the root to any rack: the
+// reduction's critical-path length.
+func (t *ReductionTree) Depth() int { return t.depth }

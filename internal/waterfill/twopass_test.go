@@ -455,3 +455,6 @@ func TestAllocateAllocFree(t *testing.T) {
 		t.Errorf("%v allocations per Allocate, want at most 1 (the returned rates)", allocs)
 	}
 }
+
+// Config returns the allocator's configuration.
+func (a *Allocator) Config() Config { return a.cfg }

@@ -110,9 +110,6 @@ func NewAllocator(cfg Config) *Allocator {
 	}
 }
 
-// Config returns the allocator's configuration.
-func (a *Allocator) Config() Config { return a.cfg }
-
 // validateFlow panics on inputs that would poison the fill: a non-positive
 // or non-finite weight never freezes (NaN compares false against every
 // threshold, so `NaN <= 0` sails through a naive check), and a NaN or ±Inf
@@ -413,19 +410,6 @@ func linkLevel(cap, frozen, w float64) float64 {
 		resid = 0
 	}
 	return resid / w
-}
-
-// LinkLoads returns the per-link load implied by the given flows at the
-// given rates — used by tests and by the routing selector's fitness
-// evaluation to confirm feasibility.
-func LinkLoads(numLinks int, flows []Flow, rates []float64) []float64 {
-	loads := make([]float64, numLinks)
-	for i := range flows {
-		for j, lid := range flows[i].Phi.Links {
-			loads[lid] += float64(rates[i] * flows[i].Phi.Frac[j])
-		}
-	}
-	return loads
 }
 
 // Aggregate returns the total allocated rate, the default global utility

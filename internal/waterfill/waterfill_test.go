@@ -395,3 +395,15 @@ func TestAggregate(t *testing.T) {
 		t.Fatalf("Aggregate(nil) = %v", got)
 	}
 }
+
+// LinkLoads returns the per-link load implied by the given flows at the
+// given rates, to confirm an allocation is feasible.
+func LinkLoads(numLinks int, flows []Flow, rates []float64) []float64 {
+	loads := make([]float64, numLinks)
+	for i := range flows {
+		for j, lid := range flows[i].Phi.Links {
+			loads[lid] += float64(rates[i] * flows[i].Phi.Frac[j])
+		}
+	}
+	return loads
+}

@@ -120,23 +120,6 @@ func PackRoute(route Route) ([16]byte, error) {
 	return out, nil
 }
 
-// UnpackRoute decodes rlen hops from a packed route field.
-func UnpackRoute(packed [16]byte, rlen int) (Route, error) {
-	if rlen > MaxRouteHops {
-		return nil, ErrRouteTooLong
-	}
-	route := make(Route, rlen)
-	for i := 0; i < rlen; i++ {
-		bit := i * 3
-		v := packed[bit/8] >> (bit % 8)
-		if bit%8 > 5 {
-			v |= packed[bit/8+1] << (8 - bit%8)
-		}
-		route[i] = v & 0x7
-	}
-	return route, nil
-}
-
 // DataHeader is the decoded header of a data packet (Figure 6): route
 // length and index, flow identifier, endpoints, sequence number, payload
 // length and the packed route.
@@ -185,23 +168,10 @@ func EncodeData(buf []byte, h *DataHeader, payload []byte) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
-// DecodeData parses a data packet, verifying type and checksum. The
-// returned payload aliases pkt. The destination-side hot path should use
-// DecodeDataInto with a reused header instead; DecodeData allocates one
-// per call.
-func DecodeData(pkt []byte) (*DataHeader, []byte, error) {
-	h := &DataHeader{}
-	payload, err := DecodeDataInto(pkt, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, payload, nil
-}
-
-// DecodeDataInto is DecodeData parsing into a caller-supplied header — the
-// destination decodes every payload packet, so the per-packet *DataHeader
-// of DecodeData would dominate the receive path's allocation budget. The
-// returned payload aliases pkt; on error *h is unspecified.
+// DecodeDataInto parses a data packet into a caller-supplied header,
+// verifying type and checksum — the destination decodes every payload
+// packet, so it must not allocate a header per packet. The returned payload
+// aliases pkt; on error *h is unspecified.
 func DecodeDataInto(pkt []byte, h *DataHeader) ([]byte, error) {
 	if len(pkt) < DataHeaderSize {
 		return nil, ErrShortPacket
@@ -341,75 +311,6 @@ func EncodeRoutingUpdate(pairs []RoutingPair) ([]byte, error) {
 	out[3] = 0
 	out[3] = checksum8(out)
 	return out, nil
-}
-
-// DecodeRoutingUpdate parses a routing update message.
-func DecodeRoutingUpdate(pkt []byte) ([]RoutingPair, error) {
-	if len(pkt) < routingUpdateHeader {
-		return nil, ErrShortPacket
-	}
-	if PacketType(pkt[0]) != TypeRoutingUpdate {
-		return nil, ErrBadType
-	}
-	count := int(binary.BigEndian.Uint16(pkt[1:]))
-	if len(pkt) < routingUpdateHeader+5*count {
-		return nil, ErrShortPacket
-	}
-	stored := pkt[3]
-	cp := make([]byte, routingUpdateHeader+5*count)
-	copy(cp, pkt)
-	cp[3] = 0
-	if checksum8(cp) != stored {
-		return nil, ErrBadChecksum
-	}
-	pairs := make([]RoutingPair, count)
-	for i := range pairs {
-		off := routingUpdateHeader + 5*i
-		pairs[i] = RoutingPair{
-			Flow: FlowID(binary.BigEndian.Uint32(pkt[off:])),
-			RP:   pkt[off+4],
-		}
-	}
-	return pairs, nil
-}
-
-// Ack is a fixed-size transport acknowledgement used by the reliability
-// layer sketched in §6 ("acknowledgements are used solely for reliability").
-type Ack struct {
-	Flow     FlowID
-	Src, Dst uint16 // of the acknowledged data packet
-	CumSeq   uint32 // cumulative sequence acknowledged
-}
-
-// EncodeAck encodes an acknowledgement into exactly 16 bytes.
-func EncodeAck(a *Ack) [AckSize]byte {
-	var out [AckSize]byte
-	out[0] = byte(TypeAck)
-	binary.BigEndian.PutUint32(out[1:], uint32(a.Flow))
-	binary.BigEndian.PutUint16(out[5:], a.Src)
-	binary.BigEndian.PutUint16(out[7:], a.Dst)
-	binary.BigEndian.PutUint32(out[9:], a.CumSeq)
-	out[15] = checksum8(out[:15])
-	return out
-}
-
-// DecodeAck parses and validates an acknowledgement.
-func DecodeAck(pkt []byte) (*Ack, error) {
-	if len(pkt) < AckSize {
-		return nil, ErrShortPacket
-	}
-	if PacketType(pkt[0]) != TypeAck {
-		return nil, ErrBadType
-	}
-	if checksum8(pkt[:15]) != pkt[15] {
-		return nil, ErrBadChecksum
-	}
-	return &Ack{
-		Flow:   FlowID(binary.BigEndian.Uint32(pkt[1:])),
-		Src:    binary.BigEndian.Uint16(pkt[5:]),
-		Dst:    binary.BigEndian.Uint16(pkt[7:]),
-		CumSeq: binary.BigEndian.Uint32(pkt[9:]),
-	}, nil
 }
 
 // checksum8 is a one's-complement-style 8-bit checksum: the returned byte

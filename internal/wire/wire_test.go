@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,11 +105,12 @@ func TestDataRoundTrip(t *testing.T) {
 	if len(pkt) != DataHeaderSize+len(payload) {
 		t.Fatalf("packet size = %d", len(pkt))
 	}
-	got, gotPayload, err := DecodeData(pkt)
+	var got DataHeader
+	gotPayload, err := DecodeDataInto(pkt, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *got != *h {
+	if got != *h {
 		t.Fatalf("header round trip:\n got %+v\nwant %+v", got, h)
 	}
 	if !bytes.Equal(gotPayload, payload) {
@@ -152,7 +154,7 @@ func TestDataChecksumDetectsCorruption(t *testing.T) {
 		}
 		flip := byte(1 << rng.Intn(8))
 		corrupt[i] ^= flip
-		_, _, err := DecodeData(corrupt)
+		_, err := DecodeDataInto(corrupt, &DataHeader{})
 		if err == nil {
 			t.Fatalf("single-bit header corruption at byte %d undetected", i)
 		}
@@ -160,17 +162,17 @@ func TestDataChecksumDetectsCorruption(t *testing.T) {
 }
 
 func TestDataErrors(t *testing.T) {
-	if _, _, err := DecodeData(make([]byte, 4)); err != ErrShortPacket {
+	if _, err := DecodeDataInto(make([]byte, 4), &DataHeader{}); err != ErrShortPacket {
 		t.Errorf("short: %v", err)
 	}
 	pkt, _ := EncodeData(nil, &DataHeader{PLen: 0}, nil)
 	pkt[0] = byte(TypeAck)
-	if _, _, err := DecodeData(pkt); err != ErrBadType {
+	if _, err := DecodeDataInto(pkt, &DataHeader{}); err != ErrBadType {
 		t.Errorf("bad type: %v", err)
 	}
 	// Truncated payload.
 	pkt2, _ := EncodeData(nil, &DataHeader{PLen: 10}, make([]byte, 10))
-	if _, _, err := DecodeData(pkt2[:len(pkt2)-1]); err != ErrShortPacket {
+	if _, err := DecodeDataInto(pkt2[:len(pkt2)-1], &DataHeader{}); err != ErrShortPacket {
 		t.Errorf("truncated payload: %v", err)
 	}
 	// Mismatched payload length at encode time.
@@ -352,25 +354,53 @@ func TestRoutingUpdateErrors(t *testing.T) {
 	}
 }
 
-func TestAckRoundTrip(t *testing.T) {
-	a := &Ack{Flow: MakeFlowID(5, 6), Src: 5, Dst: 6, CumSeq: 424242}
-	pkt := EncodeAck(a)
-	got, err := DecodeAck(pkt[:])
-	if err != nil {
-		t.Fatal(err)
+// The decoders below are the inverses of PackRoute and EncodeRoutingUpdate.
+// No node reads a packed route back or receives a routing update, so only
+// the round-trip and fuzz tests need them.
+
+// UnpackRoute decodes rlen hops from a packed route field.
+func UnpackRoute(packed [16]byte, rlen int) (Route, error) {
+	if rlen > MaxRouteHops {
+		return nil, ErrRouteTooLong
 	}
-	if *got != *a {
-		t.Fatalf("ack round trip: %+v vs %+v", got, a)
+	route := make(Route, rlen)
+	for i := 0; i < rlen; i++ {
+		bit := i * 3
+		v := packed[bit/8] >> (bit % 8)
+		if bit%8 > 5 {
+			v |= packed[bit/8+1] << (8 - bit%8)
+		}
+		route[i] = v & 0x7
 	}
-	pkt[9] ^= 1
-	if _, err := DecodeAck(pkt[:]); err != ErrBadChecksum {
-		t.Errorf("corrupted ack: %v", err)
+	return route, nil
+}
+
+// DecodeRoutingUpdate parses a routing update message.
+func DecodeRoutingUpdate(pkt []byte) ([]RoutingPair, error) {
+	if len(pkt) < routingUpdateHeader {
+		return nil, ErrShortPacket
 	}
-	if _, err := DecodeAck(pkt[:8]); err != ErrShortPacket {
-		t.Errorf("short ack: %v", err)
+	if PacketType(pkt[0]) != TypeRoutingUpdate {
+		return nil, ErrBadType
 	}
-	var wrong [16]byte
-	if _, err := DecodeAck(wrong[:]); err != ErrBadType {
-		t.Errorf("bad type ack: %v", err)
+	count := int(binary.BigEndian.Uint16(pkt[1:]))
+	if len(pkt) < routingUpdateHeader+5*count {
+		return nil, ErrShortPacket
 	}
+	stored := pkt[3]
+	cp := make([]byte, routingUpdateHeader+5*count)
+	copy(cp, pkt)
+	cp[3] = 0
+	if checksum8(cp) != stored {
+		return nil, ErrBadChecksum
+	}
+	pairs := make([]RoutingPair, count)
+	for i := range pairs {
+		off := routingUpdateHeader + 5*i
+		pairs[i] = RoutingPair{
+			Flow: FlowID(binary.BigEndian.Uint32(pkt[off:])),
+			RP:   pkt[off+4],
+		}
+	}
+	return pairs, nil
 }

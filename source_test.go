@@ -18,6 +18,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -231,5 +232,159 @@ func TestNoFusedMultiplyAdd(t *testing.T) {
 	}
 	for _, m := range fmaInsn.FindAllStringSubmatch(string(out), -1) {
 		t.Errorf("%s: %s fuses a multiply and an add on arm64; write float64(x*y) + z", m[1], m[2])
+	}
+}
+
+// interfaceMethods are called by the standard library through an interface
+// (fmt.Stringer, error, sort.Interface, heap.Interface, flag.Value,
+// rand.Source), so no file of the module names them at the call.
+var interfaceMethods = map[string]bool{
+	"String": true, "Error": true, "Len": true, "Less": true, "Swap": true,
+	"Push": true, "Pop": true, "Set": true, "Int63": true, "Seed": true,
+}
+
+// testOnlyAllowed are the functions under internal/ and cmd/ that only tests
+// call but that stay production code, each with the test that needs it. A
+// name match cannot see the last two (sim and core declare live functions of
+// the same names); they are listed so that the list is complete.
+var testOnlyAllowed = map[string]string{
+	"sim.NewSelector":               "sim.TestSelector* (§3.4 live path selection)",
+	"topology.NewFoldedClos":        "broadcastmodel.TestClosBroadcastCost (§6 Clos claim)",
+	"emu.Rack.StartHostLimitedFlow": "emu.TestEmuDemandEstimation (§3.3.2 Eq. 1)",
+	"core.Visibility.Rows":          "sim.TestFinishTombstonesPerFlow, sim.TestCrashPurgeFreesRows",
+}
+
+// TestNoTestOnlyCode fails on a top-level function or method under internal/
+// or cmd/ whose name no non-test file of the module or of bench/ uses outside
+// a function declaration: every package is internal, so such a function is a
+// test fixture kept in production code. Move it into the _test.go file that
+// uses it, delete it with its tests, or add it to testOnlyAllowed. A name
+// match misses dead code whose name collides with live code.
+func TestNoTestOnlyCode(t *testing.T) {
+	files := map[string]*ast.File{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		files[filepath.ToSlash(path)] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range testOnlyFuncs(fset, files) {
+		t.Error(msg)
+	}
+}
+
+// testOnlyFuncs returns the functions and methods under internal/ and cmd/
+// among files (non-test files keyed by slash-separated path) whose names
+// only function declarations use, and the testOnlyAllowed entries that name
+// no declared function.
+func testOnlyFuncs(fset *token.FileSet, files map[string]*ast.File) []string {
+	used := map[string]bool{}
+	for _, f := range files {
+		decl := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				decl[fd.Name] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !decl[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+	}
+	var msgs []string
+	declared := map[string]bool{}
+	for path, f := range files {
+		if !strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "cmd/") {
+			continue
+		}
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fd.Name.Name
+			key := f.Name.Name + "." + name
+			if fd.Recv != nil {
+				key = f.Name.Name + "." + recvType(fd.Recv.List[0].Type) + "." + name
+			}
+			declared[key] = true
+			if used[name] || name == "main" || name == "init" || fd.Recv != nil && interfaceMethods[name] ||
+				testOnlyAllowed[key] != "" {
+				continue
+			}
+			msgs = append(msgs, fmt.Sprintf("%s: %s is called only by tests; move it into a _test.go file or delete it",
+				fset.Position(fd.Pos()), key))
+		}
+	}
+	for key := range testOnlyAllowed {
+		if !declared[key] {
+			msgs = append(msgs, "testOnlyAllowed names "+key+", which is not declared")
+		}
+	}
+	sort.Strings(msgs)
+	return msgs
+}
+
+// TestNoTestOnlyCodeFindsPlants holds the check to a planted test-only
+// helper, next to the shapes it must pass: a function bench/ calls, a method
+// called through a selector, a String method and an allowlisted function.
+func TestNoTestOnlyCodeFindsPlants(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	for path, src := range map[string]string{
+		"internal/sim/x.go": "package sim\ntype T struct{}\nfunc helper() {}\nfunc Used() {}\n" +
+			"func (T) Get() int { return 0 }\nfunc (T) String() string { return \"\" }\nfunc NewSelector() {}",
+		"bench/main.go": "package main\nimport \"r2c2/internal/sim\"\nfunc main() { sim.Used(); _ = sim.T{}.Get() }",
+	} {
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = f
+	}
+	var got []string
+	for _, msg := range testOnlyFuncs(fset, files) {
+		if strings.Contains(msg, "called only by tests") {
+			got = append(got, msg)
+		}
+	}
+	if len(got) != 1 || !strings.Contains(got[0], "sim.helper ") {
+		t.Errorf("findings %q, want sim.helper alone", got)
+	}
+}
+
+// recvType is the type name of a method receiver: T for T, *T, T[P] or *T[P].
+func recvType(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return fmt.Sprintf("%T", x)
+		}
 	}
 }
