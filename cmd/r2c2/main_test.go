@@ -93,6 +93,7 @@ func TestRunRejectsHostileFlags(t *testing.T) {
 			{"fig", "fig10", "-tau", "-1"},
 			{"fig", "fig10", "-tau", "1e300"},
 			{"sim", "-faults", "garbage"},
+			{"sim", "-faults", "drop@1ms:0-1/NaN"},
 		}},
 		{"rates", [][]string{
 			{"fig", "fig15", "-k", "0"},

@@ -171,8 +171,7 @@ func (t *table[E]) drop(i int) {
 // the bench/ ladder's rung, and a snapshot for tests.
 type View struct {
 	table[FlowInfo]
-	version uint64
-	hash    uint64
+	hash uint64
 }
 
 // NewView returns an empty view.
@@ -226,7 +225,6 @@ func (v *View) AddFlow(info FlowInfo) {
 	}
 	*val = info
 	v.hash ^= FlowDigest(info)
-	v.version++
 }
 
 // RemoveFlow removes a flow: a locally terminated one, or a finish applied.
@@ -234,7 +232,6 @@ func (v *View) RemoveFlow(id wire.FlowID) {
 	if i, ok := v.find(id); ok {
 		v.hash ^= FlowDigest(v.slots[i].val)
 		v.drop(i)
-		v.version++
 	}
 }
 
@@ -376,9 +373,6 @@ type RateComputer struct {
 	lastLen int
 
 	specs []waterfill.Flow // scratch, reused across computations
-
-	// CacheHits counts the computations answered by the view-hash shortcut.
-	CacheHits uint64
 }
 
 // NewRateComputer builds a computer for the given topology, link capacity
@@ -442,13 +436,9 @@ func (rc *RateComputer) ComputeFull(v *View) *Allocation {
 }
 
 // cached reports whether the last allocation answers a flow set of n flows
-// with the given digest, counting the hit.
+// with the given digest.
 func (rc *RateComputer) cached(hash uint64, n int) bool {
-	if rc.last == nil || rc.last.ViewHash != hash || rc.lastLen != n {
-		return false
-	}
-	rc.CacheHits++
-	return true
+	return rc.last != nil && rc.last.ViewHash == hash && rc.lastLen == n
 }
 
 // compute runs the from-scratch fill over flows, which must be sorted by

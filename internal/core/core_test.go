@@ -76,18 +76,18 @@ func TestViewHashOrderIndependent(t *testing.T) {
 	}
 }
 
-func TestViewVersionBumpsOnMutation(t *testing.T) {
+func TestViewHashTracksMutation(t *testing.T) {
 	v := NewView()
 	f := flowInfo(0, 1, 1)
-	v0 := v.Version()
+	h0 := v.Hash()
 	v.AddFlow(f)
-	if v.Version() == v0 {
-		t.Fatal("version not bumped on add")
+	if v.Hash() == h0 || v.Len() != 1 {
+		t.Fatal("add left the view's hash or length unchanged")
 	}
-	v1 := v.Version()
+	h1 := v.Hash()
 	v.RemoveFlow(wire.MakeFlowID(9, 9)) // unknown: no-op
-	if v.Version() != v1 {
-		t.Fatal("version bumped on no-op removal")
+	if v.Hash() != h1 || v.Len() != 1 {
+		t.Fatal("no-op removal changed the view")
 	}
 }
 
@@ -282,8 +282,8 @@ func TestDemandEstimator(t *testing.T) {
 	if math.Abs(got-2e9) > 1 {
 		t.Fatalf("demand = %v, want 2e9", got)
 	}
-	if e.Estimate() != got {
-		t.Fatal("Estimate mismatch")
+	if next := e.Observe(3e9, 0); next != 3e9 {
+		t.Fatalf("unsmoothed estimate = %v, want the observation 3e9", next)
 	}
 	// With smoothing the estimate moves gradually.
 	e2 := NewDemandEstimator(simtime.Millisecond, 0.5)
@@ -373,7 +373,7 @@ func TestComputeIsHistoryFree(t *testing.T) {
 }
 
 // An unchanged view must be answered from the hash shortcut without any
-// allocator work.
+// allocator work: a fill returns a new Allocation, a hit the previous one.
 func TestComputeViewHashShortcut(t *testing.T) {
 	rc := newComputer(t)
 	v := NewView()
@@ -382,9 +382,6 @@ func TestComputeViewHashShortcut(t *testing.T) {
 	b := rc.Compute(v)
 	if a != b {
 		t.Fatal("identical view should return the cached allocation")
-	}
-	if rc.CacheHits != 1 {
-		t.Fatalf("CacheHits = %d, want 1", rc.CacheHits)
 	}
 	v.AddFlow(flowInfo(0, 5, 2))
 	if c := rc.Compute(v); c == a {
@@ -395,8 +392,7 @@ func TestComputeViewHashShortcut(t *testing.T) {
 // mapView is the view core.View used to be — a Go map from flow ID to entry —
 // kept here as the oracle for the open-addressing table that replaced it.
 type mapView struct {
-	flows   map[wire.FlowID]FlowInfo
-	version uint64
+	flows map[wire.FlowID]FlowInfo
 }
 
 func (m *mapView) apply(b *wire.Broadcast) {
@@ -409,7 +405,6 @@ func (m *mapView) apply(b *wire.Broadcast) {
 	case wire.EventFlowFinish:
 		if live {
 			delete(m.flows, id)
-			m.version++
 		}
 		return
 	case wire.EventDemandUpdate:
@@ -419,7 +414,6 @@ func (m *mapView) apply(b *wire.Broadcast) {
 	}
 	if live || b.Event == wire.EventFlowStart {
 		m.flows[id] = f
-		m.version++
 	}
 }
 
@@ -436,9 +430,9 @@ func (m *mapView) requireSame(t *testing.T, v *View, step int, probes ...wire.Fl
 		}
 		hash ^= FlowDigest(f)
 	}
-	if len(got) != len(m.flows) || v.Len() != len(m.flows) || v.Hash() != hash || v.Version() != m.version {
-		t.Fatalf("step %d: view lists %d flows, has len %d hash %#x version %d; reference len %d hash %#x version %d",
-			step, len(got), v.Len(), v.Hash(), v.Version(), len(m.flows), hash, m.version)
+	if len(got) != len(m.flows) || v.Len() != len(m.flows) || v.Hash() != hash {
+		t.Fatalf("step %d: view lists %d flows, has len %d hash %#x; reference len %d hash %#x",
+			step, len(got), v.Len(), v.Hash(), len(m.flows), hash)
 	}
 	for _, id := range probes {
 		m.requireGet(t, v, step, id)
@@ -450,9 +444,9 @@ func (m *mapView) requireSame(t *testing.T, v *View, step int, probes ...wire.Fl
 // the counters.
 func (m *mapView) requireGet(t *testing.T, v *View, step int, id wire.FlowID) {
 	got, ok := v.Get(id)
-	if ref, refOK := m.flows[id]; ok != refOK || got != ref || v.Len() != len(m.flows) || v.Version() != m.version {
-		t.Fatalf("step %d: Get(%v) = %+v, %v, len %d, version %d; reference %+v, %v, len %d, version %d",
-			step, id, got, ok, v.Len(), v.Version(), ref, refOK, len(m.flows), m.version)
+	if ref, refOK := m.flows[id]; ok != refOK || got != ref || v.Len() != len(m.flows) {
+		t.Fatalf("step %d: Get(%v) = %+v, %v, len %d; reference %+v, %v, len %d",
+			step, id, got, ok, v.Len(), ref, refOK, len(m.flows))
 	}
 }
 
@@ -467,7 +461,7 @@ func TestViewSlotSize(t *testing.T) {
 // TestViewMatchesMapReference drives a View and the map reference with one
 // randomised event stream — starts (duplicates included), finishes and
 // demand/route updates (of unknown flows too) — and requires Len, Hash,
-// Version, Get and Flows() to agree after every event. A third of the IDs
+// Get and Flows() to agree after every event. A third of the IDs
 // hash to the table's last slot at every size the run reaches, so clusters
 // wrap the table end and backward-shift deletes pull entries across it; the
 // live-set target swings so the table doubles at least four times.
@@ -572,9 +566,3 @@ func FuzzViewApply(f *testing.F) {
 		}
 	})
 }
-
-// Estimate returns the current smoothed demand estimate.
-func (e *DemandEstimator) Estimate() float64 { return e.ewma.Value() }
-
-// Version returns a counter incremented on every mutation.
-func (v *View) Version() uint64 { return v.version }

@@ -59,7 +59,7 @@ func TestEmuDemandEstimation(t *testing.T) {
 	}
 	if !sawDemand {
 		t.Fatalf("no remote view ever saw a demand near %.0f bits/s (last local estimate: %d Kbps)",
-			appRate, limited.Demand())
+			appRate, demand(r.nodes[limited.Info().Src], limited))
 	}
 
 	if err := bulk.Wait(60 * time.Second); err != nil {
@@ -90,22 +90,22 @@ func TestFlowDemandRoundTrip(t *testing.T) {
 	n := &emuNode{vis: core.NewVisibility(1)}
 	n.Node = core.NewNode[*Flow](0, &n.vis, 0, 1)
 	flow := func(seq uint16) *Flow {
-		f := &Flow{node: n, info: core.FlowInfo{ID: wire.MakeFlowID(0, seq), Dst: 1, Weight: 1, DemandKbps: core.UnlimitedDemand}}
+		f := &Flow{info: core.FlowInfo{ID: wire.MakeFlowID(0, seq), Dst: 1, Weight: 1, DemandKbps: core.UnlimitedDemand}}
 		n.Start(f)
 		return f
 	}
 	networkLimited := flow(0)
-	if networkLimited.Demand() != core.UnlimitedDemand {
-		t.Fatalf("network-limited Demand() = %d, want UnlimitedDemand", networkLimited.Demand())
+	if d := demand(n, networkLimited); d != core.UnlimitedDemand {
+		t.Fatalf("network-limited demand = %d, want UnlimitedDemand", d)
 	}
 	hostLimited := flow(1)
 	for _, bits := range []float64{0, 999, 1e3, 20e6, 4.2e12, 1e15} {
 		k := core.KbpsDemand(bits)
 		n.SetDemand(hostLimited, k)
-		if got := hostLimited.Demand(); got != k {
-			t.Fatalf("Demand() = %d after broadcasting %d", got, k)
+		if got := demand(n, hostLimited); got != k {
+			t.Fatalf("demand = %d after broadcasting %d", got, k)
 		}
-		info := core.FlowInfo{DemandKbps: hostLimited.Demand()}
+		info := core.FlowInfo{DemandKbps: demand(n, hostLimited)}
 		back := info.DemandBits()
 		if back > bits {
 			t.Fatalf("decode %g exceeds encoded input %g", back, bits)
@@ -116,10 +116,10 @@ func TestFlowDemandRoundTrip(t *testing.T) {
 	}
 }
 
-// Demand returns the flow's last broadcast demand in Kbps
+// demand returns the last demand in Kbps that flow f's source n broadcast
 // (core.UnlimitedDemand if network-limited).
-func (f *Flow) Demand() uint32 {
-	f.node.mu.Lock()
-	defer f.node.mu.Unlock()
+func demand(n *emuNode, f *Flow) uint32 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return f.info.DemandKbps
 }

@@ -47,17 +47,19 @@ type Config struct {
 	// preserves all rate-allocation behaviour (everything scales with
 	// capacity). Default 200.
 	LinkMbps float64
-	// Headroom is the §3.3.2 bandwidth headroom. Default 0.05.
+	// Headroom is the §3.3.2 bandwidth headroom; zero means none (the
+	// paper uses 0.05).
 	Headroom float64
 	// Recompute is the wall-clock rate recomputation interval ρ.
 	// Default 4×core.DefaultRho (2ms).
 	Recompute time.Duration
 	// Protocol routes new flows. Default RPS.
 	Protocol routing.Protocol
-	// TreesPerSource is the number of broadcast trees per node. Default 2.
-	TreesPerSource int
-	Seed           int64
+	Seed     int64
 }
+
+// treesPerSource is how many broadcast trees each node floods over.
+const treesPerSource = 2
 
 // queuePackets is the per-port queue depth in packets (~1.5 MB at MTU,
 // matching the simulator's default drop-tail limit): the emulator has no
@@ -85,9 +87,6 @@ func (c *Config) defaults() {
 		// 4ρ: the paper's 500 µs assumes a dedicated rack; a wall-clock
 		// emulator sharing one host needs slack for scheduler jitter.
 		c.Recompute = 4 * core.DefaultRho
-	}
-	if c.TreesPerSource == 0 {
-		c.TreesPerSource = 2
 	}
 }
 
@@ -140,11 +139,9 @@ type Rack struct {
 }
 
 type emuPort struct {
-	ch       chan emuPkt
-	queued   atomic.Int64 // bytes
-	maxSeen  atomic.Int64 // max queued bytes observed
-	sent     atomic.Uint64
-	enqueued atomic.Uint64
+	ch      chan emuPkt
+	queued  atomic.Int64 // bytes
+	maxSeen atomic.Int64 // max queued bytes observed
 	// dead marks a failed link: enqueues are dropped and the linkLoop
 	// discards anything already queued (queued packets on dead ports are
 	// lost, matching sim.Network.FailLink).
@@ -196,7 +193,6 @@ type Flow struct {
 	// (Eq. 1: d[i+1] = r[i] + q[i]/T) and broadcasts changes so all nodes
 	// allocate demand-aware.
 	appRate float64
-	node    *emuNode // the source, whose mu guards info's demand
 }
 
 // Info returns the flow's announced entry; its ID, endpoints, weight and
@@ -282,8 +278,6 @@ func New(cfg Config) (*Rack, error) {
 		return nil, fmt.Errorf("emu: negative Recompute %v", cfg.Recompute)
 	case !cfg.Protocol.Valid():
 		return nil, fmt.Errorf("emu: unknown Protocol %d", cfg.Protocol)
-	case cfg.TreesPerSource < 1 || cfg.TreesPerSource > 255:
-		return nil, fmt.Errorf("emu: TreesPerSource %d is outside [1, 255]", cfg.TreesPerSource)
 	}
 	for v := 0; v < cfg.Graph.Vertices(); v++ {
 		if cfg.Graph.Degree(topology.NodeID(v)) > wire.MaxPorts {
@@ -292,7 +286,7 @@ func New(cfg Config) (*Rack, error) {
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	intact := core.NewFabric(routing.NewTable(cfg.Graph), cfg.TreesPerSource, cfg.Seed)
+	intact := core.NewFabric(routing.NewTable(cfg.Graph), treesPerSource, cfg.Seed)
 	r := &Rack{
 		cfg:     cfg,
 		clk:     newRackClock(),
@@ -311,7 +305,7 @@ func New(cfg Config) (*Rack, error) {
 	r.nodes = make([]*emuNode, cfg.Graph.Nodes())
 	for i := range r.nodes {
 		n := &emuNode{vis: core.NewVisibility(1), rcvd: make(map[wire.FlowID]rcvdFlow)}
-		n.Node = core.NewNode[*Flow](topology.NodeID(i), &n.vis, 0, cfg.TreesPerSource)
+		n.Node = core.NewNode[*Flow](topology.NodeID(i), &n.vis, 0, treesPerSource)
 		r.nodes[i] = n
 	}
 	return r, nil
@@ -426,7 +420,6 @@ func (r *Rack) linkLoop(lid topology.LinkID) {
 			}
 			now = r.clk.now()
 		}
-		p.sent.Add(uint64(len(pkt.buf)))
 		r.receive(to, pkt, &cache) // receive owns the packet's reference from here
 	}
 }
@@ -485,7 +478,6 @@ func (p *emuPort) queuedPkt(n int) {
 			break
 		}
 	}
-	p.enqueued.Add(1)
 }
 
 // receive is the per-node forwarding layer (§3.5): zero-copy next-hop
@@ -708,7 +700,7 @@ func (r *Rack) startFlow(src, dst topology.NodeID, size int64, weight, priority 
 	// discovers the application's rate from observed queuing (Eq. 1) and
 	// the sender broadcasts the estimate once it diverges from what the
 	// rack believes.
-	f := &Flow{info: info, SizeBytes: size, started: r.clk.nowNs(), done: make(chan struct{}), aborted: make(chan struct{}), appRate: appRate, node: n}
+	f := &Flow{info: info, SizeBytes: size, started: r.clk.nowNs(), done: make(chan struct{}), aborted: make(chan struct{}), appRate: appRate}
 	f.rate.Store(uint64(r.cfg.LinkMbps * 1e6))
 	b, st := n.Start(f), r.fabric.Load()
 	abandoned := st.Dead[src] || st.Dead[dst]

@@ -58,8 +58,8 @@ func TestEmuFailAndRepairLink(t *testing.T) {
 	if err := f.Wait(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if sent := r.ports[ab].sent.Load(); sent != 0 {
-		t.Fatalf("dead cable carried %d bytes", sent)
+	if q := r.MaxQueueBytes()[ab]; q != 0 {
+		t.Fatalf("dead cable queued %d bytes", q)
 	}
 
 	if err := r.RepairLink(0, 1, 10*time.Millisecond); err != nil {
@@ -139,9 +139,10 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 	}
 	seg := r.pool.get()
 	pkt := emuPkt{buf: seg.data[:16], seg: seg}
-	before := make([]uint64, len(r.ports))
+	// The rack never starts, so nothing drains the ports' channels.
+	before := make([]int, len(r.ports))
 	for i, p := range r.ports {
-		before[i] = p.enqueued.Load()
+		before[i] = len(p.ch)
 	}
 	r.forwardBroadcast(src, src, 0, pkt, nil)
 	for _, lid := range hops {
@@ -149,7 +150,7 @@ func checkForwardBroadcastAllocFree(t *testing.T, r *Rack) {
 		if st.LinkMap != nil {
 			phys = st.LinkMap[lid]
 		}
-		if r.ports[phys].enqueued.Load() != before[phys]+1 {
+		if len(r.ports[phys].ch) != before[phys]+1 {
 			t.Fatalf("tree hop %d not forwarded on its physical port %d", lid, phys)
 		}
 	}

@@ -122,7 +122,7 @@ func FuzzEmuReceiveMatchesView(f *testing.F) {
 				}
 				r.reannounce(dead)
 			default: // one node (ops 0 and 3) or every node (op 1)
-				b := info.StartBroadcast(data[3] % uint8(r.cfg.TreesPerSource))
+				b := info.StartBroadcast(data[3] % treesPerSource)
 				if k := data[0] >> 2; k < 48 {
 					b.Event = wire.EventFlowStart + wire.EventKind(k%4)
 				} else {

@@ -213,7 +213,7 @@ func (s Schedule) Validate(g *topology.Graph) error {
 		case NodeDown:
 			dead[e.Node] = true
 		case LinkDrop:
-			if e.DropProb < 0 || e.DropProb > 1 {
+			if !(e.DropProb >= 0 && e.DropProb <= 1) { // NaN too
 				return fmt.Errorf("faults: drop probability %g outside [0,1]", e.DropProb)
 			}
 		}
@@ -233,31 +233,24 @@ func (s Schedule) Validate(g *topology.Graph) error {
 // rebuild. This is exactly sim.R2C2.FailureReroutes (and emu.Rack.Reroutes)
 // after replaying the schedule, so tests assert equality against it.
 func (s Schedule) Waves() int {
-	type fire struct {
-		at  time.Duration
-		seq int // injection order
-	}
-	var fires []fire
-	seq := 0
+	var fires []time.Duration
 	injectAt := []time.Duration{}
 	for _, e := range s.Sorted() {
 		if !e.fires() {
 			continue
 		}
-		seq++
 		injectAt = append(injectAt, e.At)
-		fires = append(fires, fire{at: e.At + e.Detect, seq: seq})
+		fires = append(fires, e.At+e.Detect)
 	}
-	// Fires in detection order; equal-time fires keep injection order
-	// (both backends arm the detection timer at injection time, FIFO).
-	sort.SliceStable(fires, func(i, j int) bool { return fires[i].at < fires[j].at })
+	// Fires in detection order.
+	slices.Sort(fires)
 	waves, covered := 0, 0
 	for _, f := range fires {
-		// At fire time every injection with At <= f.at has happened
+		// At fire time every injection with At <= f has happened
 		// (injections are scheduled before the fires they race with).
 		injected := 0
 		for i, at := range injectAt {
-			if at <= f.at {
+			if at <= f {
 				injected = i + 1
 			}
 		}
@@ -377,7 +370,7 @@ func parseEvent(s string) (Event, error) {
 	}
 	if ev.Kind == LinkDrop {
 		p, err := strconv.ParseFloat(last, 64)
-		if err != nil {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN and ±Inf too
 			return Event{}, fmt.Errorf("faults: event %q: bad probability %q", s, last)
 		}
 		ev.DropProb = p
@@ -465,6 +458,9 @@ func ParseJSON(b []byte) (Schedule, error) {
 			ev.A, ev.B = topology.NodeID(*je.A), topology.NodeID(*je.B)
 		}
 		if ev.Kind == LinkDrop {
+			if !(je.Prob >= 0 && je.Prob <= 1) {
+				return Schedule{}, fmt.Errorf("faults: event %d: drop probability %g outside [0,1]", i, je.Prob)
+			}
 			ev.DropProb = je.Prob
 		} else if je.Detect != "" {
 			d, err := time.ParseDuration(je.Detect)

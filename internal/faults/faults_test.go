@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -68,8 +69,9 @@ func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "nonsense", "down@10ms", "down@10ms:0-1", "flip@1ms:0-1/1ms",
 		"down@xms:0-1/1ms", "down@1ms:0/1ms", "crash@1ms:a/1ms",
-		"drop@1ms:0-1/often", `{"events":[{"kind":"down","at":"1ms"}]}`,
-		`{"events":[]}`,
+		"drop@1ms:0-1/often", "drop@1ms:0-1/1.5", "drop@1ms:0-1/-0.5", "drop@1ms:0-1/NaN",
+		"drop@1ms:0-1/Inf", "drop@1ms:0-1/-Inf", `{"events":[{"kind":"down","at":"1ms"}]}`,
+		`{"events":[]}`, `[{"kind":"drop","at":"0s","a":0,"b":1,"prob":1.5}]`,
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -93,7 +95,6 @@ func TestValidate(t *testing.T) {
 		"repair not down": "up@1ms:0-1/1ms",
 		"double crash":    "crash@1ms:5/1ms;crash@2ms:5/1ms",
 		"dead node cable": "crash@1ms:5/1ms;down@2ms:5-6/1ms",
-		"bad prob":        "drop@1ms:0-1/1.5",
 	} {
 		sched, err := Parse(bad)
 		if err != nil {
@@ -101,6 +102,14 @@ func TestValidate(t *testing.T) {
 		}
 		if err := sched.Validate(g); err == nil {
 			t.Errorf("%s: Validate accepted %q", name, bad)
+		}
+	}
+	// Parse refuses these probabilities; a schedule built in code meets
+	// Validate's check.
+	for _, p := range []float64{-0.5, 1.5, math.NaN(), math.Inf(1)} {
+		sched := Schedule{Events: []Event{{Kind: LinkDrop, A: 0, B: 1, DropProb: p}}}
+		if err := sched.Validate(g); err == nil {
+			t.Errorf("Validate accepted drop probability %v", p)
 		}
 	}
 	// Union partition: a 1D ring of 4 loses both cables of node 1.

@@ -28,10 +28,6 @@ type Config struct {
 	CapacityBits float64      // link capacity in bits/s
 	Headroom     float64      // §3.3.2 headroom fraction
 	Recompute    simtime.Time // ρ; 0 = ideal, recompute at every event
-	// InitialRateBps is what a flow sends at between its arrival and the next
-	// recomputation, mirroring the packet simulator where new flows start
-	// at line rate into the headroom (§3.3.2). Defaults to CapacityBits.
-	InitialRateBps float64
 }
 
 // FlowResult reports one flow's life under the fluid model.
@@ -82,9 +78,6 @@ func Run(cfg Config, arrivals []trafficgen.Arrival) *Result {
 	}
 	if cfg.CapacityBits <= 0 {
 		panic("fluid: non-positive capacity")
-	}
-	if cfg.InitialRateBps == 0 {
-		cfg.InitialRateBps = cfg.CapacityBits
 	}
 	alloc := waterfill.NewAllocator(waterfill.Config{
 		NumLinks: cfg.Tab.Graph().NumLinks(),
@@ -191,6 +184,8 @@ func Run(cfg Config, arrivals []trafficgen.Arrival) *Result {
 		arrived := false
 		for nextArrival < len(arrivals) && arrivals[nextArrival].At <= now {
 			a := arrivals[nextArrival]
+			// Until the next recomputation a flow sends at line rate into
+			// the headroom, as in the packet simulator (§3.3.2).
 			f := &activeFlow{
 				idx: nextArrival,
 				spec: waterfill.Flow{
@@ -200,7 +195,7 @@ func Run(cfg Config, arrivals []trafficgen.Arrival) *Result {
 					Demand:   waterfill.Unlimited,
 				},
 				remaining: float64(a.SizeBytes * 8),
-				rate:      cfg.InitialRateBps,
+				rate:      cfg.CapacityBits,
 				started:   now,
 			}
 			active = append(active, f)

@@ -20,29 +20,20 @@ import (
 	"r2c2/internal/waterfill"
 )
 
-// Config tunes the search. Zero values select the paper's parameters:
-// population 100, mutation probability 0.01.
+// Config tunes the search. Zero values select the paper's parameters.
 type Config struct {
-	Population int     // genotypes per generation (default 100)
-	Mutation   float64 // per-gene mutation probability (default 0.01)
-	Elite      int     // genotypes carried over unchanged (default 10%)
-	MaxGens    int     // generation budget (default 50)
-	StallGens  int     // stop after this many generations without improvement (default 10)
+	Population int // genotypes per generation (default 100)
+	MaxGens    int // generation budget (default 50)
+	StallGens  int // stop after this many generations without improvement (default 10)
 	Seed       int64
 }
+
+// mutation is the per-gene mutation probability (the paper's 0.01).
+const mutation = 0.01
 
 func (c *Config) defaults() {
 	if c.Population == 0 {
 		c.Population = 100
-	}
-	if c.Mutation == 0 {
-		c.Mutation = 0.01
-	}
-	if c.Elite == 0 {
-		c.Elite = c.Population / 10
-		if c.Elite < 1 {
-			c.Elite = 1
-		}
 	}
 	if c.MaxGens == 0 {
 		c.MaxGens = 50
@@ -78,6 +69,7 @@ func Optimize(cfg Config, nFlows int, choices int, current []uint8, fitness Fitn
 		panic("genetic: current assignment length mismatch")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	elite := max(cfg.Population/10, 1) // genotypes carried over unchanged
 
 	type genotype struct {
 		genes []uint8
@@ -118,12 +110,12 @@ func Optimize(cfg Config, nFlows int, choices int, current []uint8, fitness Fitn
 		}
 		// Next generation: elites unchanged, rest bred from the top half.
 		next := make([]genotype, cfg.Population)
-		copy(next, pop[:cfg.Elite])
+		copy(next, pop[:elite])
 		half := cfg.Population / 2
 		if half < 2 {
 			half = 2
 		}
-		for i := cfg.Elite; i < cfg.Population; i++ {
+		for i := elite; i < cfg.Population; i++ {
 			a := pop[rng.Intn(half)].genes
 			b := pop[rng.Intn(half)].genes
 			child := make([]uint8, nFlows)
@@ -134,7 +126,7 @@ func Optimize(cfg Config, nFlows int, choices int, current []uint8, fitness Fitn
 				} else {
 					child[j] = b[j]
 				}
-				if rng.Float64() < cfg.Mutation {
+				if rng.Float64() < mutation {
 					child[j] = uint8(rng.Intn(choices))
 				}
 			}

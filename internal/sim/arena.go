@@ -28,20 +28,12 @@ const (
 	maxIdleSlabs = 2
 )
 
-// Slab list tags (pktSlab.list).
-const (
-	slabFull    int8 = iota // every slot live: on no list
-	slabPartial             // on arena.partial
-	slabIdle                // on arena.idle
-)
-
 // pktSlab is one arena segment: a fixed array of packets and a stack of
 // free slot indices.
 type pktSlab struct {
 	pkts    [pktSlabSize]Packet
 	freeIdx [pktSlabSize]uint8
 	nfree   int
-	list    int8
 	pos     int // index within its current list (swap-remove support)
 }
 
@@ -89,12 +81,10 @@ func (a *pktArena) alloc() *Packet {
 	} else if k := len(a.idle); k > 0 {
 		s = a.idle[k-1]
 		a.idle = a.idle[:k-1]
-		s.list = slabPartial
 		s.pos = len(a.partial)
 		a.partial = append(a.partial, s)
 	} else {
 		s = a.newSlab()
-		s.list = slabPartial
 		s.pos = len(a.partial)
 		a.partial = append(a.partial, s)
 	}
@@ -103,7 +93,6 @@ func (a *pktArena) alloc() *Packet {
 	if s.nfree == 0 {
 		// s is the last partial (alloc always takes from the tail): pop.
 		a.partial = a.partial[:len(a.partial)-1]
-		s.list = slabFull
 	}
 	a.live++
 	return &s.pkts[idx]
@@ -122,14 +111,12 @@ func (a *pktArena) free(p *Packet) {
 	switch {
 	case s.nfree == 1:
 		// Was full: back onto the partial list.
-		s.list = slabPartial
 		s.pos = len(a.partial)
 		a.partial = append(a.partial, s)
 	case s.nfree == pktSlabSize:
 		// Fully drained: off partial, onto idle or released to the GC.
 		a.removePartial(s)
 		if len(a.idle) < maxIdleSlabs {
-			s.list = slabIdle
 			s.pos = len(a.idle)
 			a.idle = append(a.idle, s)
 		} else {

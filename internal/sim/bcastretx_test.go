@@ -40,12 +40,27 @@ func TestBroadcastRetransmitUnderCongestion(t *testing.T) {
 		}
 	}
 	id := r.StartFlow(0, 15, 4<<20, 1, 0)
+	// The flow is the only one in any view: a node that holds a flow has
+	// learnt of its start.
+	held := make([]bool, g.Nodes())
+	var watch func()
+	watch = func() {
+		for _, n := range r.nodes {
+			held[n.ID] = held[n.ID] || r.vis.Len(n.Col) > 0
+		}
+		if !r.Ledger()[id].Done {
+			eng.After(simtime.Microsecond, watch)
+		}
+	}
+	watch()
 	eng.Run(100 * simtime.Millisecond)
 	if net.TotalDrops() == 0 {
 		t.Fatal("the stuffed ports dropped nothing; test setup broken")
 	}
-	if r.BcastRetransmits == 0 {
-		t.Fatal("dropped broadcast was never retransmitted")
+	for n, ok := range held {
+		if !ok {
+			t.Fatalf("node %d never learnt of the flow: its dropped start broadcast was never retransmitted", n)
+		}
 	}
 	// Despite the initial losses, the flow completed and visibility
 	// converged everywhere (the finish eventually cleared all views).

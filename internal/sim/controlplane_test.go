@@ -9,7 +9,6 @@ import (
 	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
-	"r2c2/internal/topology"
 	"r2c2/internal/trafficgen"
 )
 
@@ -85,7 +84,7 @@ func TestShardedControlPlaneOracle(t *testing.T) {
 	inputs := []struct {
 		name  string
 		racks int
-		wide  bool // 50 µs inter-rack cables, ρ = 10 µs: several ticks per epoch
+		wide  bool // 50 µs cables, ρ = 10 µs: several ticks per epoch
 	}{
 		{"racks=2", 2, false},
 		{"racks=4", 4, false},
@@ -98,7 +97,7 @@ func TestShardedControlPlaneOracle(t *testing.T) {
 				mk := func(shards int) RunConfig {
 					cfg := controlPlaneWorkload(t, in.racks, shards)
 					if in.wide {
-						cfg.Net.InterRackPropDelay = 50 * simtime.Microsecond
+						cfg.Net.PropDelay = 50 * simtime.Microsecond
 						cfg.R2C2.Recompute = 10 * simtime.Microsecond
 						cfg.MaxTime = 20 * simtime.Millisecond
 					}
@@ -112,11 +111,7 @@ func TestShardedControlPlaneOracle(t *testing.T) {
 					return cfg
 				}
 				if cfg := mk(2); in.wide {
-					part, err := topology.NewPartition(cfg.Graph)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if d := lookahead(cfg.Graph, cfg.Net, part); d <= cfg.R2C2.Recompute {
+					if d := lookahead(cfg.Graph, cfg.Net); d <= cfg.R2C2.Recompute {
 						t.Fatalf("lookahead %v is not wider than rho %v; the input lost its point", d, cfg.R2C2.Recompute)
 					}
 				}

@@ -59,7 +59,7 @@ func TestInvariantsHoldOnSmallRun(t *testing.T) {
 	r := NewR2C2(net, routing.NewTable(g), R2C2Config{Headroom: 0.05, Protocol: routing.RPS})
 	r.StartFlow(0, 13, 2<<20, 1, 0)
 	r.StartFlow(5, 20, 1<<20, 2, 0)
-	r.StartHostLimitedFlow(7, 3, 1<<20, 1, 0, 1e9)
+	r.StartFlow(7, 3, 1<<20, 1, 0)
 	eng.Run(200 * simtime.Millisecond)
 	for id, rec := range r.Ledger() {
 		if !rec.Done {

@@ -51,7 +51,6 @@ type Packet struct {
 	next *Packet // the packet behind this one in its port queue; nil outside one
 
 	Bcast *wire.Broadcast // event payload (broadcast)
-	Retx  bool            // retransmission marker (TCP accounting)
 	// Retries counts how many times this broadcast has been re-flooded
 	// after a drop (§3.2: the dropping node informs the origin, which
 	// retransmits).
@@ -84,11 +83,6 @@ type NetConfig struct {
 	LinkGbps   float64      // per-link bandwidth (paper: 10 Gbps)
 	PropDelay  simtime.Time // per-hop propagation latency (paper: 100 ns)
 	QueueBytes int          // drop-tail limit per output port
-	// PerFlowQueues switches ports to the idealised PFQ discipline:
-	// per-flow queues, round-robin service and hop-by-hop back-pressure
-	// with PFQBufferPackets per flow per node (§5.2's upper-bound baseline).
-	PerFlowQueues    bool
-	PFQBufferPackets int
 	// LossSeed seeds the random-drop RNGs used by SetLinkDropProb, keeping
 	// lossy-link runs reproducible. Each lossy link draws from its own
 	// stream (created on first use, so loss-free runs stay untouched):
@@ -96,12 +90,6 @@ type NetConfig struct {
 	// event interleaving, which is what lets every partition reproduce
 	// one shard's drops exactly.
 	LossSeed int64
-	// InterRackPropDelay, when non-zero, is the propagation latency of
-	// inter-rack links (ConnectRacks bridge cables, Clos leaf-spine
-	// uplinks) — physically longer runs than the in-rack backplane. Zero
-	// applies PropDelay fabric-wide. It also bounds the sharded engine's
-	// conservative lookahead: a larger inter-rack delay buys larger epochs.
-	InterRackPropDelay simtime.Time
 }
 
 func (c *NetConfig) defaults() {
@@ -114,17 +102,6 @@ func (c *NetConfig) defaults() {
 	if c.QueueBytes == 0 {
 		c.QueueBytes = 1 << 20
 	}
-	if c.PFQBufferPackets == 0 {
-		c.PFQBufferPackets = 4
-	}
-}
-
-// PortStats accumulates per-output-port statistics.
-type PortStats struct {
-	MaxQueueBytes int
-	EnqueuedPkts  uint64
-	DroppedPkts   uint64
-	SentBytes     uint64
 }
 
 // port is one output port: the transmit side of a directed link. It is
@@ -133,6 +110,8 @@ type PortStats struct {
 // packet waits behind the one on the wire: a lone packet costs its arrival
 // event and nothing else. PFQ ports always take the wake-up, because the
 // end of a serialisation is also where the packet's buffer credit returns.
+// A port is one cache line (TestPortFitsCacheLine); the per-flow-queue
+// discipline keeps its per-port state in Network.pfq.
 type port struct {
 	id     topology.LinkID
 	to     topology.NodeID
@@ -142,16 +121,10 @@ type port struct {
 
 	freeAt  simtime.Time // end of the latest serialisation
 	txStart simtime.Time // start of it: the wake-up's emission stamp
-	txFlow  wire.FlowID  // PFQ: flow of the packet being serialised (its credit is released at freeAt)
 
 	fifo pktQueue // FIFO discipline
 
-	// PFQ discipline: the round-robin ring of the flows with packets queued
-	// here, as indices into Network.pfq.
-	rr     []int32
-	rrNext int
-
-	stats PortStats
+	maxQueued int // high-water mark of queued (Figure 14)
 }
 
 // pktQueue is a FIFO of packets linked through Packet.next.
@@ -175,19 +148,6 @@ func (q *pktQueue) pop() *Packet {
 	return p
 }
 
-// pfqFlow is one flow's queue at one PFQ port. It is on the port's ring
-// while the queue holds packets and on Network.pfqFree once it drains.
-type pfqFlow struct {
-	id wire.FlowID
-	q  pktQueue
-}
-
-// pfqCredit is one flow's packet count charged to a node.
-type pfqCredit struct {
-	flow wire.FlowID
-	n    int32
-}
-
 // Network simulates the fabric: forwarding, queueing and link timing.
 // Transports plug in via the Deliver callback and inject via Inject.
 // Fabric state belongs to the engine's goroutine.
@@ -207,18 +167,9 @@ type Network struct {
 	// OnDrop, if set, observes drop-tail losses.
 	OnDrop func(pkt *Packet, at topology.LinkID)
 
-	// PFQ back-pressure state: per node, the flows with packets charged to
-	// the node — those in its output queues plus those already in flight
-	// toward it (credits are reserved when the upstream port begins
-	// transmission, so concurrent senders cannot overshoot the bound). A
-	// flow leaves the list at zero, so it is short and scanned.
-	credits [][]pfqCredit
-	// The ports' per-flow queue records, and those no ring holds.
-	pfq     []pfqFlow
-	pfqFree []int32
-	// Kick is invoked when PFQ buffer space frees at a node, so blocked
-	// senders located there can resume injection.
-	Kick func(at topology.NodeID, flow wire.FlowID)
+	// pfq is the per-flow-queue discipline NewPFQ installs (pfq.go); nil on
+	// a FIFO fabric.
+	pfq *pfqFabric
 
 	totalDrops uint64
 	// PktHops counts link traversals begun (every kind of packet): with the
@@ -298,69 +249,16 @@ func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
 		p.to = g.Link(topology.LinkID(lid)).To
 		n.ports[lid] = p
 	}
-	if cfg.PerFlowQueues {
-		n.credits = make([][]pfqCredit, g.Vertices())
-	}
 	return n
 }
 
 // TotalDrops returns the number of packets lost to drop-tail overflow.
 func (n *Network) TotalDrops() uint64 { return n.totalDrops }
 
-// BufCount returns the PFQ per-node buffer occupancy for a flow.
-func (n *Network) BufCount(node topology.NodeID, flow wire.FlowID) int {
-	if c := n.credit(node, flow); c != nil {
-		return int(c.n)
-	}
-	return 0
-}
-
-// HasRoom reports whether node has PFQ buffer space for another packet of
-// the flow. Always true in FIFO mode.
-func (n *Network) HasRoom(node topology.NodeID, flow wire.FlowID) bool {
-	return n.credits == nil || n.BufCount(node, flow) < n.Cfg.PFQBufferPackets
-}
-
-// credit returns the flow's entry in node's PFQ credit list, nil if the node
-// holds none of its packets (or the network is FIFO).
-func (n *Network) credit(node topology.NodeID, flow wire.FlowID) *pfqCredit {
-	if n.credits != nil {
-		for i := range n.credits[node] {
-			if c := &n.credits[node][i]; c.flow == flow {
-				return c
-			}
-		}
-	}
-	return nil
-}
-
-// charge takes one of node's PFQ credits for the flow.
-func (n *Network) charge(node topology.NodeID, flow wire.FlowID) {
-	if c := n.credit(node, flow); c != nil {
-		c.n++
-	} else {
-		n.credits[node] = append(n.credits[node], pfqCredit{flow: flow, n: 1})
-	}
-}
-
-// release returns k of node's PFQ credits for the flow — its packets there
-// left on the wire, were dropped, or were lost with a failed port — and
-// kicks the node's upstream ports and local senders, which may have been
-// blocked on them. An entry whose count reaches zero leaves the list.
-func (n *Network) release(node topology.NodeID, flow wire.FlowID, k int) {
-	c := n.credit(node, flow)
-	if c.n -= int32(k); c.n == 0 {
-		cs := n.credits[node]
-		*c = cs[len(cs)-1]
-		n.credits[node] = cs[:len(cs)-1]
-	}
-	n.kickUpstream(node, flow)
-}
-
 // Inject places a packet into the output-port queue of the node it starts
 // at (the first link of its path, or the broadcast origin's tree links).
 // It returns false if the packet was dropped at enqueue. In PFQ mode the
-// caller must check HasRoom first; Inject panics otherwise to surface
+// caller must check hasRoom first; Inject panics otherwise to surface
 // transport bugs.
 //
 // Inject consumes pkt: the Network owns it from here on and recycles it at
@@ -377,9 +275,9 @@ func (n *Network) Inject(pkt *Packet) bool {
 		panic("sim: packet path does not start at its source")
 	}
 	pkt.Hop = 1 // Path[0] is consumed here; arrivals consume Path[Hop]
-	if n.credits != nil {
+	if n.pfq != nil {
 		// PFQ: the injected packet is charged to the source node; the
-		// caller must have checked HasRoom.
+		// caller must have checked hasRoom.
 		n.charge(from, pkt.Flow)
 	}
 	return n.enqueue(from, pkt.Path[0], pkt)
@@ -429,22 +327,9 @@ func (n *Network) FailLink(lid topology.LinkID) {
 		n.freePacket(p.fifo.pop())
 		lost++
 	}
-	// PFQ: the flows' queues go in ring order, each flow's credits at this
-	// node with them. A dead port queues nothing, so the kicks the releases
-	// make cannot touch its ring.
-	from := n.G.Link(lid).From
-	for _, ri := range p.rr {
-		q, k := &n.pfq[ri].q, 0
-		for q.head != nil {
-			n.freePacket(q.pop())
-			k++
-		}
-		lost += k
-		n.pfqFree = append(n.pfqFree, ri)
-		n.release(from, n.pfq[ri].id, k)
+	if n.pfq != nil {
+		lost += n.pfqFlush(p)
 	}
-	p.rr = p.rr[:0]
-	p.stats.DroppedPkts += uint64(lost)
 	n.totalDrops += uint64(lost)
 }
 
@@ -458,7 +343,7 @@ func (n *Network) RepairLink(lid topology.LinkID) {
 // SetLinkDropProb installs a random-drop probability p in [0,1] on a
 // directed link — the lossy-cable fault model. p = 0 removes the loss.
 func (n *Network) SetLinkDropProb(lid topology.LinkID, p float64) {
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		panic(fmt.Sprintf("sim: drop probability %v out of [0,1]", p))
 	}
 	if n.lossProb == nil {
@@ -490,20 +375,19 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 	// queue loses the packet, and in PFQ mode the credit it held here —
 	// taken at injection or reserved by the upstream transmission — with it.
 	if p.dead || n.lossProb != nil && n.lossProb[lid] > 0 && n.lossRng[lid].Float64() < n.lossProb[lid] ||
-		!n.Cfg.PerFlowQueues && p.queued+pkt.SizeBytes > n.Cfg.QueueBytes {
-		p.stats.DroppedPkts++
+		n.pfq == nil && p.queued+pkt.SizeBytes > n.Cfg.QueueBytes {
 		n.totalDrops++
 		if n.OnDrop != nil {
 			n.OnDrop(pkt, lid)
 		}
 		flow := pkt.Flow
 		n.freePacket(pkt)
-		if n.Cfg.PerFlowQueues {
+		if n.pfq != nil {
 			n.release(at, flow, 1)
 		}
 		return false
 	}
-	if n.Cfg.PerFlowQueues {
+	if n.pfq != nil {
 		// The buffer charge was taken at injection (source) or reservation
 		// (upstream transmission start).
 		n.pfqPush(p, pkt)
@@ -511,9 +395,8 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 		p.fifo.push(pkt)
 	}
 	p.queued += pkt.SizeBytes
-	p.stats.EnqueuedPkts++
-	if p.queued > p.stats.MaxQueueBytes {
-		p.stats.MaxQueueBytes = p.queued
+	if p.queued > p.maxQueued {
+		p.maxQueued = p.queued
 	}
 	if p.wake {
 		return true
@@ -524,27 +407,6 @@ func (n *Network) enqueue(at topology.NodeID, lid topology.LinkID, pkt *Packet) 
 		n.armWake(p)
 	}
 	return true
-}
-
-// pfqPush queues pkt behind its flow's earlier packets at PFQ port p. A flow
-// with nothing queued there joins the end of the port's ring with a record
-// from the free list.
-func (n *Network) pfqPush(p *port, pkt *Packet) {
-	for _, ri := range p.rr {
-		if n.pfq[ri].id == pkt.Flow {
-			n.pfq[ri].q.push(pkt)
-			return
-		}
-	}
-	if len(n.pfqFree) == 0 {
-		n.pfqFree = append(n.pfqFree, int32(len(n.pfq)))
-		n.pfq = append(n.pfq, pfqFlow{})
-	}
-	ri := n.pfqFree[len(n.pfqFree)-1]
-	n.pfqFree = n.pfqFree[:len(n.pfqFree)-1]
-	n.pfq[ri].id = pkt.Flow
-	n.pfq[ri].q.push(pkt)
-	p.rr = append(p.rr, ri)
 }
 
 // armWake schedules the port's wake-up for the end of the serialisation in
@@ -570,7 +432,7 @@ func (n *Network) armWake(p *port) {
 // it before its epoch begins.
 func (n *Network) transmit(p *port) {
 	var pkt *Packet
-	if n.Cfg.PerFlowQueues {
+	if n.pfq != nil {
 		pkt = n.pfqPick(p)
 	} else if p.fifo.head != nil {
 		pkt = p.fifo.pop()
@@ -582,30 +444,21 @@ func (n *Network) transmit(p *port) {
 		assertInvariant(!pkt.pooled, "transmit of pooled packet: kind %d flow %v seq %d", pkt.Kind, pkt.Flow, pkt.Seq)
 	}
 	p.queued -= pkt.SizeBytes
-	p.stats.SentBytes += uint64(pkt.SizeBytes)
 	n.PktHops++
 	p.txStart = n.Eng.now
 	p.freeAt = p.txStart + simtime.TransmitTime(pkt.SizeBytes, n.Cfg.LinkGbps)
-	p.txFlow = pkt.Flow
-	at := p.freeAt + n.propDelay(p.id)
+	if n.pfq != nil {
+		n.pfq.ports[p.id].txFlow = pkt.Flow
+	}
+	at := p.freeAt + n.Cfg.PropDelay
 	if n.sh != nil && n.sh.shardOf[p.to] != n.sh.self {
 		n.exportPacket(n.sh.shardOf[p.to], at, p, pkt)
 	} else {
 		n.Eng.arm(at, p.freeAt, tieKey(p.id, evArrive), p.to, pkt)
 	}
-	if n.Cfg.PerFlowQueues || p.fifo.head != nil {
+	if n.pfq != nil || p.fifo.head != nil {
 		n.armWake(p)
 	}
-}
-
-// propDelay returns the propagation latency of a directed link: the
-// inter-rack delay on bridge links when one is configured, the fabric-wide
-// delay otherwise.
-func (n *Network) propDelay(lid topology.LinkID) simtime.Time {
-	if n.Cfg.InterRackPropDelay != 0 && n.G.IsInterRack(lid) {
-		return n.Cfg.InterRackPropDelay
-	}
-	return n.Cfg.PropDelay
 }
 
 // txDone is the port's wake-up at the end of a serialisation: in PFQ mode
@@ -614,8 +467,8 @@ func (n *Network) propDelay(lid topology.LinkID) simtime.Time {
 // kick runs, so a sender resumed by it queues behind the round-robin order
 // instead of jumping it.
 func (n *Network) txDone(p *port) {
-	if n.Cfg.PerFlowQueues {
-		n.release(n.G.Link(p.id).From, p.txFlow, 1)
+	if n.pfq != nil {
+		n.release(n.G.Link(p.id).From, n.pfq.ports[p.id].txFlow, 1)
 	}
 	p.wake = false
 	n.transmit(p)
@@ -639,7 +492,6 @@ func (n *Network) exportPacket(dst int32, at simtime.Time, p *port, pkt *Packet)
 	h.dst = pkt.Dst
 	h.seq = pkt.Seq
 	h.payload = pkt.Payload
-	h.retx = pkt.Retx
 	h.retries = pkt.Retries
 	h.flowSize = pkt.flowSize
 	h.flowStart = pkt.flowStart
@@ -665,48 +517,6 @@ func (n *Network) exportReflood(dst int32, at simtime.Time, lid topology.LinkID,
 	h.ctrl = true
 	h.bcast = b
 	h.retries = retries
-}
-
-// pfqPick selects the next flow in round-robin order whose head packet can
-// make progress.
-func (n *Network) pfqPick(p *port) *Packet {
-	for scanned := 0; scanned < len(p.rr); scanned++ {
-		i := (p.rrNext + scanned) % len(p.rr)
-		f := &n.pfq[p.rr[i]]
-		// The next-hop node must have room unless it is the destination;
-		// the credit is reserved NOW, so concurrent upstreams cannot
-		// collectively overshoot the bound.
-		if p.to != f.q.head.Dst {
-			if !n.HasRoom(p.to, f.id) {
-				continue
-			}
-			n.charge(p.to, f.id)
-		}
-		pkt := f.q.pop()
-		if f.q.head == nil {
-			n.pfqFree = append(n.pfqFree, p.rr[i])
-			p.rr = append(p.rr[:i], p.rr[i+1:]...)
-			p.rrNext = i % max(1, len(p.rr))
-		} else {
-			p.rrNext = (i + 1) % len(p.rr)
-		}
-		return pkt
-	}
-	return nil
-}
-
-// kickUpstream restarts idle ports feeding `node` (their head packets may
-// have been blocked on its buffers) and notifies local senders.
-func (n *Network) kickUpstream(node topology.NodeID, flow wire.FlowID) {
-	for _, lid := range n.G.In(node) {
-		p := n.ports[lid]
-		if p.queued > 0 && p.idle(n.Eng.now) {
-			n.transmit(p)
-		}
-	}
-	if n.Kick != nil {
-		n.Kick(node, flow)
-	}
 }
 
 // arrive handles a packet reaching `node`: delivery, broadcast fan-out, or
@@ -745,7 +555,7 @@ func (n *Network) arrive(node topology.NodeID, pkt *Packet) {
 func (n *Network) MaxQueueSample() []float64 {
 	out := make([]float64, len(n.ports))
 	for i, p := range n.ports {
-		out[i] = float64(p.stats.MaxQueueBytes)
+		out[i] = float64(p.maxQueued)
 	}
 	return out
 }

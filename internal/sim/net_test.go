@@ -116,25 +116,23 @@ func TestQueueStatsTracked(t *testing.T) {
 	eng := &Engine{}
 	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 	tab := routing.NewTable(g)
-	net.Deliver = func(topology.NodeID, *Packet) {}
+	delivered := 0
+	net.Deliver = func(_ topology.NodeID, pkt *Packet) { delivered += pkt.SizeBytes }
 	firstLink := tab.Phi(routing.DOR, 0, 1).Links[0]
 	for i := 0; i < 10; i++ {
 		net.Inject(dataPacket(t, tab, 0, 1, 1464))
 	}
 	eng.Run(simtime.Second)
-	st := net.PortStats(firstLink)
-	if st.EnqueuedPkts != 10 {
-		t.Fatalf("enqueued = %d", st.EnqueuedPkts)
-	}
-	if st.SentBytes != 10*1500 {
-		t.Fatalf("sent bytes = %d", st.SentBytes)
+	if net.PktHops != 10 || delivered != 10*1500 {
+		t.Fatalf("%d hops delivered %d bytes, want 10 and %d", net.PktHops, delivered, 10*1500)
 	}
 	// 10 packets arrive instantaneously; at least 9 queue behind the first.
-	if st.MaxQueueBytes < 9*1500 {
-		t.Fatalf("max queue = %d", st.MaxQueueBytes)
-	}
-	if len(net.MaxQueueSample()) != g.NumLinks() {
+	maxq := net.MaxQueueSample()
+	if len(maxq) != g.NumLinks() {
 		t.Fatal("MaxQueueSample size wrong")
+	}
+	if maxq[firstLink] < 9*1500 {
+		t.Fatalf("max queue = %v", maxq[firstLink])
 	}
 }
 
@@ -257,6 +255,3 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 		t.Fatalf("broadcast bytes = %d, want %d", net.BcastBytesOnWire, want)
 	}
 }
-
-// PortStats returns the statistics of one output port.
-func (n *Network) PortStats(lid topology.LinkID) PortStats { return n.ports[lid].stats }

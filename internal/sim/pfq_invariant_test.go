@@ -10,16 +10,16 @@ import (
 	"r2c2/internal/wire"
 )
 
-// The PFQ back-pressure invariant: no node ever buffers more than
-// PFQBufferPackets packets of one flow. Checked continuously via a
+// The PFQ back-pressure invariant: no node ever buffers more than its
+// per-flow buffer of packets of one flow. Checked continuously via a
 // monitoring event while a contended workload runs.
 func TestPFQBufferBound(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng := &Engine{}
 	const bound = 3
-	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true, PFQBufferPackets: bound})
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 	tab := routing.NewTable(g)
-	pfq := NewPFQ(net, tab, 7)
+	pfq := newPFQ(net, tab, 7, bound)
 	var ids []wire.FlowID
 	for s := 1; s <= 6; s++ {
 		ids = append(ids, pfq.StartFlow(topology.NodeID(s), 0, 2<<20))
@@ -53,16 +53,28 @@ func TestPFQBufferBound(t *testing.T) {
 	}
 }
 
-// FIFO-mode networks report unlimited room and zero buffer counts.
+// A FIFO network carries no PFQ state and reports zero buffer counts.
 func TestBufAccountingFIFOMode(t *testing.T) {
 	g := torus(t, 3, 2)
 	net := NewNetwork(g, &Engine{}, NetConfig{})
-	if !net.HasRoom(0, 1) {
-		t.Fatal("FIFO mode should always have room")
+	if net.pfq != nil {
+		t.Fatal("FIFO network allocated per-flow-queue state")
 	}
 	if net.BufCount(0, 1) != 0 {
 		t.Fatal("FIFO mode buf count nonzero")
 	}
+}
+
+// BufCount returns the packets of a flow charged to a node's PFQ buffer:
+// zero on a FIFO network.
+func (n *Network) BufCount(node topology.NodeID, flow wire.FlowID) int {
+	if n.pfq == nil {
+		return 0
+	}
+	if c := n.credit(node, flow); c != nil {
+		return int(c.n)
+	}
+	return 0
 }
 
 // PFQ's per-flow state lives only while the flow has packets queued: three
@@ -75,7 +87,7 @@ func TestBufAccountingFIFOMode(t *testing.T) {
 func TestPFQStateRetires(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng := &Engine{}
-	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true})
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 	tab := routing.NewTable(g)
 	pfq := NewPFQ(net, tab, 11)
 	rng := rand.New(rand.NewSource(4))
@@ -93,8 +105,8 @@ func TestPFQStateRetires(t *testing.T) {
 			}
 			eng.Run(at)
 			open := 0
-			for _, p := range net.ports {
-				open += len(p.rr)
+			for _, pp := range net.pfq.ports {
+				open += len(pp.rr)
 			}
 			seen = max(seen, open)
 		}
@@ -103,19 +115,19 @@ func TestPFQStateRetires(t *testing.T) {
 		}
 	}
 	for lid, p := range net.ports {
-		if len(p.rr) != 0 || p.queued != 0 {
-			t.Errorf("port %d: %d flows on its ring, %d bytes queued", lid, len(p.rr), p.queued)
+		if rr := net.pfq.ports[lid].rr; len(rr) != 0 || p.queued != 0 {
+			t.Errorf("port %d: %d flows on its ring, %d bytes queued", lid, len(rr), p.queued)
 		}
 	}
-	for node, cs := range net.credits {
+	for node, cs := range net.pfq.credits {
 		if len(cs) != 0 {
 			t.Errorf("node %d: credit list still holds %v", node, cs)
 		}
 	}
-	if len(net.pfqFree) != len(net.pfq) {
-		t.Errorf("%d queue records made, %d back on the free list", len(net.pfq), len(net.pfqFree))
+	if len(net.pfq.free) != len(net.pfq.flows) {
+		t.Errorf("%d queue records made, %d back on the free list", len(net.pfq.flows), len(net.pfq.free))
 	}
-	if made := len(net.pfq); made < seen || made > most {
+	if made := len(net.pfq.flows); made < seen || made > most {
 		t.Errorf("%d queue records made for 3000 flows; at most %d queues seen open at once, at most %d possible", made, seen, most)
 	}
 }
@@ -150,7 +162,7 @@ func TestPFQRoundRobin(t *testing.T) {
 	// Each case puts z's packet on the wire first, so every other packet
 	// queues before the port picks again.
 	t.Run("flows take turns", func(t *testing.T) {
-		r := newPortRig(t, 2, NetConfig{PerFlowQueues: true})
+		r := newPortRig(t, 2, pfqBufferPackets)
 		inject(r, z, 0)
 		for _, f := range []int{a, b, c} {
 			inject(r, f, 0)
@@ -160,7 +172,7 @@ func TestPFQRoundRobin(t *testing.T) {
 		order(r, 90, 10, 20, 30, 11, 21, 31)
 	})
 	t.Run("a drained flow passes the turn to its successor", func(t *testing.T) {
-		r := newPortRig(t, 2, NetConfig{PerFlowQueues: true})
+		r := newPortRig(t, 2, pfqBufferPackets)
 		inject(r, z, 0)
 		inject(r, a, 0)
 		inject(r, a, 1)
@@ -173,7 +185,7 @@ func TestPFQRoundRobin(t *testing.T) {
 	t.Run("a blocked flow is passed over until its kick", func(t *testing.T) {
 		// 0 → 1 → 2: port 0→1 reserves node 1's credits. Node 1 already holds
 		// all of b's, until they are released at 50 µs.
-		r := newPortRig(t, 3, NetConfig{PerFlowQueues: true, PFQBufferPackets: 2})
+		r := newPortRig(t, 3, 2)
 		fb := wire.MakeFlowID(0, b)
 		r.net.charge(1, fb)
 		r.net.charge(1, fb)
@@ -188,7 +200,7 @@ func TestPFQRoundRobin(t *testing.T) {
 		if at := r.times[3]; at != kick+2*(rigTx+rigProp) {
 			t.Fatalf("b's packet delivered at %v, want two hops after the kick at %v", at, kick)
 		}
-		for node, cs := range r.net.credits {
+		for node, cs := range r.net.pfq.credits {
 			if len(cs) != 0 {
 				t.Errorf("node %d: credit list still holds %v", node, cs)
 			}

@@ -28,15 +28,19 @@ const (
 	rigTx   = 1200 * simtime.Nanosecond // 1500 bytes at 10 Gbps
 )
 
-func newPortRig(t *testing.T, nodes int, cfg NetConfig) *portRig {
+// newPortRig builds the rig: FIFO ports for pfqBuf 0, per-flow queues with
+// a buffer of pfqBuf packets per flow per node otherwise.
+func newPortRig(t *testing.T, nodes, pfqBuf int) *portRig {
 	t.Helper()
 	g, err := topology.NewMesh(nodes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.LinkGbps, cfg.PropDelay = 10, rigProp
 	r := &portRig{t: t, g: g, eng: &Engine{}}
-	r.net = NewNetwork(g, r.eng, cfg)
+	r.net = NewNetwork(g, r.eng, NetConfig{LinkGbps: 10, PropDelay: rigProp})
+	if pfqBuf > 0 {
+		r.net.installPFQ(pfqBuf)
+	}
 	r.net.Deliver = func(_ topology.NodeID, pkt *Packet) {
 		r.seqs = append(r.seqs, pkt.Seq)
 		r.times = append(r.times, r.eng.Now())
@@ -87,7 +91,7 @@ func (r *portRig) expect(events uint64, seqs []uint32, times []simtime.Time) {
 func TestPortStateMachine(t *testing.T) {
 	t.Run("lone packet costs one event per hop", func(t *testing.T) {
 		for _, hops := range []int{1, 2, 5} {
-			r := newPortRig(t, hops+1, NetConfig{})
+			r := newPortRig(t, hops+1, 0)
 			r.inject(0)
 			r.eng.Run(simtime.Millisecond)
 			r.expect(uint64(hops), []uint32{0}, []simtime.Time{simtime.Time(hops) * (rigTx + rigProp)})
@@ -99,7 +103,7 @@ func TestPortStateMachine(t *testing.T) {
 
 	t.Run("burst costs one wake per queued packet", func(t *testing.T) {
 		const n = 6
-		r := newPortRig(t, 2, NetConfig{})
+		r := newPortRig(t, 2, 0)
 		var seqs []uint32
 		var times []simtime.Time
 		for i := 0; i < n; i++ {
@@ -112,7 +116,7 @@ func TestPortStateMachine(t *testing.T) {
 	})
 
 	t.Run("enqueue at freeAt departs at freeAt", func(t *testing.T) {
-		r := newPortRig(t, 2, NetConfig{})
+		r := newPortRig(t, 2, 0)
 		r.inject(0)
 		r.eng.Schedule(rigTx, func() { r.inject(1) }) // the instant the port falls free
 		r.eng.Run(simtime.Millisecond)
@@ -121,7 +125,7 @@ func TestPortStateMachine(t *testing.T) {
 	})
 
 	t.Run("enqueue at freeAt behind a queued packet keeps FIFO", func(t *testing.T) {
-		r := newPortRig(t, 2, NetConfig{})
+		r := newPortRig(t, 2, 0)
 		r.inject(0)
 		r.inject(1)
 		r.eng.Schedule(rigTx, func() { r.inject(2) })
@@ -130,7 +134,7 @@ func TestPortStateMachine(t *testing.T) {
 	})
 
 	t.Run("failure mid-serialisation loses the queue, not the packet on the wire", func(t *testing.T) {
-		r := newPortRig(t, 2, NetConfig{})
+		r := newPortRig(t, 2, 0)
 		r.inject(0)
 		r.inject(1)
 		r.inject(2)
@@ -148,7 +152,7 @@ func TestPortStateMachine(t *testing.T) {
 	})
 
 	t.Run("PFQ credit returns at freeAt, not at transmit start", func(t *testing.T) {
-		r := newPortRig(t, 3, NetConfig{PerFlowQueues: true})
+		r := newPortRig(t, 3, pfqBufferPackets)
 		flow := wire.MakeFlowID(0, 0)
 		r.inject(0)
 		r.eng.Run(rigTx - 1) // one picosecond before the serialisation ends
@@ -181,6 +185,15 @@ func TestEventRecordSize(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(stagedEntry{}); sz > 32 {
 		t.Fatalf("staging-heap entry is %d bytes, budget 32 (two to a cache line)", sz)
+	}
+}
+
+// TestPortFitsCacheLine holds an output port to one 64-byte cache line: a
+// flood touches a port per hop across the whole fabric (ROADMAP item 4 (c)),
+// so the per-flow-queue discipline keeps its per-port state in Network.pfq.
+func TestPortFitsCacheLine(t *testing.T) {
+	if sz := unsafe.Sizeof(port{}); sz > 64 {
+		t.Fatalf("port is %d bytes, more than a cache line", sz)
 	}
 }
 

@@ -14,11 +14,10 @@ import (
 
 // R2C2Config parameterises the R2C2 transport.
 type R2C2Config struct {
-	Headroom       float64          // bandwidth headroom (paper default 5%)
-	Recompute      simtime.Time     // rate recomputation interval ρ (paper: 500 µs)
-	Protocol       routing.Protocol // routing protocol for new flows (paper: minimal)
-	TreesPerSource int              // broadcast trees per source (default 4)
-	Seed           int64
+	Headroom  float64          // bandwidth headroom (paper default 5%)
+	Recompute simtime.Time     // rate recomputation interval ρ (paper: 500 µs)
+	Protocol  routing.Protocol // routing protocol for new flows (paper: minimal)
+	Seed      int64
 
 	// Reliable enables the end-to-end reliability extension sketched in §6:
 	// receivers return cumulative acknowledgements used *solely* for
@@ -36,13 +35,13 @@ func (c *R2C2Config) defaults() {
 	if c.Recompute == 0 {
 		c.Recompute = simtime.FromSeconds(core.DefaultRho.Seconds())
 	}
-	if c.TreesPerSource == 0 {
-		c.TreesPerSource = 4
-	}
 	if c.RTO == 0 {
 		c.RTO = simtime.Millisecond
 	}
 }
+
+// treesPerSource is how many broadcast trees each source floods over.
+const treesPerSource = 4
 
 // R2C2 is the full R2C2 stack running over the simulated fabric: flow-event
 // broadcasts keep every node's view current; every node periodically
@@ -89,8 +88,6 @@ type R2C2 struct {
 	RecomputeRounds uint64
 	// Retransmissions counts re-sent data chunks (Reliable mode only).
 	Retransmissions uint64
-	// BcastRetransmits counts §3.2 broadcast retransmissions after drops.
-	BcastRetransmits uint64
 
 	// tickCache maps view hashes to allocator runs within one recomputeTick
 	// round. It persists across ticks (cleared, not reallocated) so the
@@ -132,7 +129,6 @@ type senderFlow struct {
 	info      core.FlowInfo
 	remaining int64
 	rate      float64 // bits/s, as allocated
-	demand    float64 // bits/s host-side cap; <= 0 means unlimited
 	armed     bool    // a send event is scheduled
 	seq       uint32
 
@@ -168,15 +164,6 @@ func (sf *senderFlow) chunkPayload(i uint32) int64 {
 		return MaxPayload
 	}
 	return left
-}
-
-// paceRate returns the rate the token bucket enforces: the allocation,
-// additionally capped by the host-side demand.
-func (sf *senderFlow) paceRate() float64 {
-	if sf.demand > 0 && sf.demand < sf.rate {
-		return sf.demand
-	}
-	return sf.rate
 }
 
 type reorderState struct {
@@ -228,7 +215,7 @@ func (c *fabricCache) get(gen uint64, build func() core.Fabric) core.Fabric {
 // broadcast-FIB hooks, so one Network hosts exactly one transport.
 func NewR2C2(net *Network, tab *routing.Table, cfg R2C2Config) *R2C2 {
 	cfg.defaults()
-	return newR2C2(net, core.NewFabric(tab, cfg.TreesPerSource, cfg.Seed), &fabricCache{users: 1}, cfg)
+	return newR2C2(net, core.NewFabric(tab, treesPerSource, cfg.Seed), &fabricCache{users: 1}, cfg)
 }
 
 // newR2C2 is NewR2C2 over a caller-built intact fabric and reroute cache
@@ -250,7 +237,7 @@ func newR2C2(net *Network, fab core.Fabric, fabrics *fabricCache, cfg R2C2Config
 		if r.sh != nil && r.sh.shardOf[i] != r.sh.self {
 			continue // another shard owns this node's state
 		}
-		r.nodes[i] = &r2c2Node{Node: core.NewNode[*senderFlow](topology.NodeID(i), &r.vis, owned, cfg.TreesPerSource)}
+		r.nodes[i] = &r2c2Node{Node: core.NewNode[*senderFlow](topology.NodeID(i), &r.vis, owned, treesPerSource)}
 		owned++
 	}
 	r.vis = core.NewVisibility(owned)
@@ -280,7 +267,6 @@ func (r *R2C2) onDrop(pkt *Packet, at topology.LinkID) {
 	if pkt.Kind != KindBroadcast || pkt.Retries >= maxBcastRetries {
 		return
 	}
-	r.BcastRetransmits++
 	origin := pkt.Src
 	b := *pkt.Bcast
 	retries := pkt.Retries + 1
@@ -441,15 +427,6 @@ func (r *R2C2) View(node topology.NodeID) *core.View {
 // the first recomputation covers the flow, with the headroom absorbing the
 // transient (§3.3.2).
 func (r *R2C2) StartFlow(src, dst topology.NodeID, sizeBytes int64, weight, priority uint8) wire.FlowID {
-	return r.StartHostLimitedFlow(src, dst, sizeBytes, weight, priority, 0)
-}
-
-// StartHostLimitedFlow is StartFlow for a flow whose application cannot
-// exceed demandBits bits/s (§3.3.2, "Host-limited flows"): the demand is
-// carried in the start broadcast, every node allocates min(fair share,
-// demand), and the sender additionally paces at the demand. demandBits <= 0
-// means network-limited.
-func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, weight, priority uint8, demandBits float64) wire.FlowID {
 	if src == dst || sizeBytes <= 0 {
 		panic("sim: degenerate flow")
 	}
@@ -468,23 +445,15 @@ func (r *R2C2) StartHostLimitedFlow(src, dst topology.NodeID, sizeBytes int64, w
 		// workload replays account for it.
 		return id
 	}
-	demand := core.UnlimitedDemand
-	if demandBits > 0 {
-		demand = core.KbpsDemand(demandBits)
-	}
 	info := core.FlowInfo{
 		ID: id, Src: src, Dst: dst,
 		Weight: weight, Priority: priority,
-		DemandKbps: demand,
+		DemandKbps: core.UnlimitedDemand,
 		Protocol:   r.Cfg.Protocol,
-	}
-	initial := r.Net.Cfg.LinkGbps * 1e9
-	if demandBits > 0 && demandBits < initial {
-		initial = demandBits
 	}
 	sf := &senderFlow{
 		node: node,
-		info: info, remaining: sizeBytes, rate: initial, demand: demandBits,
+		info: info, remaining: sizeBytes, rate: r.Net.Cfg.LinkGbps * 1e9,
 		size:      sizeBytes,
 		started:   r.Net.Eng.Now(),
 		totalPkts: uint32((sizeBytes + MaxPayload - 1) / MaxPayload),
@@ -638,7 +607,7 @@ func (r *R2C2) sendNext(sf *senderFlow) {
 		r.finishSender(node, sf)
 		return
 	}
-	gap := simtime.Time(float64(size*8) / sf.paceRate() * float64(simtime.Second))
+	gap := simtime.Time(float64(size*8) / sf.rate * float64(simtime.Second))
 	if gap < 1 {
 		gap = 1
 	}

@@ -117,9 +117,6 @@ func Run(cfg RunConfig) *Results {
 	if len(cfg.Arrivals) == 0 {
 		panic("sim: no arrivals")
 	}
-	if cfg.Transport == TransportPFQ {
-		cfg.Net.PerFlowQueues = true
-	}
 	if cfg.Faults.Len() > 0 && cfg.Transport != TransportR2C2 {
 		panic(fmt.Sprintf("sim: fault schedules require TransportR2C2, got %v", cfg.Transport))
 	}

@@ -53,11 +53,9 @@ type Selector struct {
 	cfg SelectorConfig
 
 	// Runs counts selection rounds; Reassignments counts flows whose
-	// protocol actually changed; LastGain is the relative improvement of
-	// the latest accepted assignment.
+	// protocol actually changed.
 	Runs          uint64
 	Reassignments uint64
-	LastGain      float64
 
 	// seen lists the flows of the latest round's view with the time the
 	// selector first saw each, in the view's order: ascending flow ID.
@@ -140,7 +138,6 @@ func (s *Selector) selectOnce() {
 	if before <= 0 || res.Utility < before*(1+s.cfg.MinGain) {
 		return // not a significant improvement; keep current routing
 	}
-	s.LastGain = res.Utility/before - 1
 
 	// Advertise the changes. The wire format batches up to 299 {flow, rp}
 	// pairs per 1500-byte routing update (§3.4); the simulator applies the

@@ -68,7 +68,6 @@ type handoff struct {
 	src, dst  topology.NodeID
 	seq       uint32
 	payload   int
-	retx      bool
 	retries   uint8
 	bcast     *wire.Broadcast
 	flowSize  int64
@@ -198,7 +197,6 @@ func (st *shardState) ingest(h *handoff) {
 	pkt.Dst = h.dst
 	pkt.Seq = h.seq
 	pkt.Payload = h.payload
-	pkt.Retx = h.retx
 	pkt.Retries = h.retries
 	pkt.flowSize = h.flowSize
 	pkt.flowStart = h.flowStart
@@ -291,31 +289,16 @@ type shardedRun struct {
 // noEvent is nextAt's value for a shard with an empty schedule.
 const noEvent = simtime.Time(math.MaxInt64)
 
-// lookahead computes the conservative window Δ: the minimum boundary-link
-// propagation delay, clamped by the fastest cross-shard drop notification
-// (onDrop schedules the reflood at ≥ 2·Diameter·(prop+transmit) from the
-// drop, since retries start at 1), and by ≥ 1 ps so epochs always advance.
-func lookahead(g *topology.Graph, netCfg NetConfig, part *topology.Partition) simtime.Time {
+// lookahead computes the conservative window Δ: the propagation delay of
+// the boundary links (every link has the fabric-wide one), clamped by the
+// fastest cross-shard drop notification (onDrop schedules the reflood at
+// ≥ 2·Diameter·(prop+transmit) from the drop, since retries start at 1), and
+// by ≥ 1 ps so epochs always advance.
+func lookahead(g *topology.Graph, netCfg NetConfig) simtime.Time {
 	netCfg.defaults()
-	var minProp simtime.Time
-	for i, lid := range part.BoundaryLinks() {
-		d := netCfg.PropDelay
-		if netCfg.InterRackPropDelay != 0 && g.IsInterRack(lid) {
-			d = netCfg.InterRackPropDelay
-		}
-		if i == 0 || d < minProp {
-			minProp = d
-		}
-	}
 	notify := 2 * simtime.Time(g.Diameter()) *
 		(netCfg.PropDelay + simtime.TransmitTime(MTU, netCfg.LinkGbps))
-	if notify < minProp {
-		minProp = notify
-	}
-	if minProp < 1 {
-		minProp = 1
-	}
-	return minProp
+	return max(min(netCfg.PropDelay, notify), 1)
 }
 
 // newShardedRun builds the run's shard set, transports attached and arrivals
@@ -337,9 +320,6 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 		if cfg.Transport != TransportR2C2 {
 			panic(fmt.Sprintf("sim: sharded runs require TransportR2C2, got %v (the PFQ back-pressure fabric and TCP baseline are serial-only)", cfg.Transport))
 		}
-		if cfg.Net.PerFlowQueues {
-			panic("sim: per-flow-queue back-pressure cannot be sharded (hop-by-hop credits cross shards with zero lookahead)")
-		}
 		racks, err := topology.NewPartition(cfg.Graph)
 		if err == nil {
 			sr.part, err = racks.Grouped(cfg.Graph, workers)
@@ -348,7 +328,7 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 			panic(fmt.Sprintf("sim: sharded run needs a rack-partitioned fabric: %v", err))
 		}
 		S, assign = sr.part.Shards(), sr.part.ShardAssignment()
-		sr.delta = lookahead(cfg.Graph, cfg.Net, sr.part)
+		sr.delta = lookahead(cfg.Graph, cfg.Net)
 		sr.seen = make(map[uint64]bool)
 	}
 	sr.nextAt = make([]simtime.Time, S)
@@ -362,7 +342,7 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 	switch cfg.Transport {
 	case TransportR2C2:
 		cfg.R2C2.defaults()
-		intact := core.NewFabric(tab, cfg.R2C2.TreesPerSource, cfg.R2C2.Seed)
+		intact := core.NewFabric(tab, treesPerSource, cfg.R2C2.Seed)
 		fabrics := &fabricCache{users: S}
 		attach = func(st *shardState) func(trafficgen.Arrival) {
 			r2 := newR2C2(st.net, intact, fabrics, cfg.R2C2)

@@ -196,34 +196,6 @@ func TestShardedFaultsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGroupedLookaheadNoShorter: grouping racks only removes boundary
-// links, so Δ cannot shrink. With inter-rack cables ten times slower than
-// the backplane, a grouping that split a rack would put an intra-rack link
-// on the boundary and cut Δ tenfold.
-func TestGroupedLookaheadNoShorter(t *testing.T) {
-	net := NetConfig{LinkGbps: 10, PropDelay: 100 * simtime.Nanosecond, InterRackPropDelay: simtime.Microsecond}
-	clos, err := topology.NewFoldedClos(4, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*topology.Graph{multiRack(t, 4), clos} {
-		racks, err := topology.NewPartition(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := lookahead(g, net, racks)
-		for _, n := range []int{2, 3} {
-			part, err := racks.Grouped(g, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := lookahead(g, net, part); got < want {
-				t.Fatalf("%v fabric, %d groups: lookahead %v, below the rack partition's %v", g.Kind(), n, got, want)
-			}
-		}
-	}
-}
-
 // TestShardedRejectsUnshardableConfigs pins the scope gate: the sharded
 // engine refuses transports whose semantics cannot be partitioned, and
 // fabrics without a rack structure.

@@ -194,7 +194,6 @@ func (t *TCP) sendPacket(s *tcpSender, seq uint32, retx bool) {
 	pkt.Seq = seq
 	pkt.Payload = payload
 	pkt.Path = s.path // per-flow ECMP route, shared by reference
-	pkt.Retx = retx
 	if retx {
 		t.Retransmissions++
 	}

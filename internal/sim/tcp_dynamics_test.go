@@ -72,7 +72,7 @@ func TestTCPFastRetransmit(t *testing.T) {
 	dropped := false
 	orig := net.Deliver
 	net.Deliver = func(at topology.NodeID, pkt *Packet) {
-		if !dropped && pkt.Kind == KindData && pkt.Seq == 20 && !pkt.Retx {
+		if !dropped && pkt.Kind == KindData && pkt.Seq == 20 { // the first transmission
 			dropped = true
 			return // swallowed: simulates a loss
 		}

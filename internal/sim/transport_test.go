@@ -235,7 +235,7 @@ func TestTCPSingleStreamInOrder(t *testing.T) {
 func TestPFQSingleFlowCompletes(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng := &Engine{}
-	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true})
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 	tab := routing.NewTable(g)
 	pfq := NewPFQ(net, tab, 1)
 	id := pfq.StartFlow(0, 5, 1<<20)
@@ -252,7 +252,7 @@ func TestPFQSingleFlowCompletes(t *testing.T) {
 func TestPFQFairnessUnderContention(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng := &Engine{}
-	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true})
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 	tab := routing.NewTable(g)
 	pfq := NewPFQ(net, tab, 1)
 	a := pfq.StartFlow(0, 2, 4<<20)
@@ -269,13 +269,6 @@ func TestPFQFairnessUnderContention(t *testing.T) {
 	if net.TotalDrops() != 0 {
 		t.Fatal("PFQ dropped packets")
 	}
-}
-
-func TestPFQRequiresPerFlowQueues(t *testing.T) {
-	g := torus(t, 4, 2)
-	eng := &Engine{}
-	net := NewNetwork(g, eng, NetConfig{})
-	assertPanics(t, "pfq on fifo net", func() { NewPFQ(net, routing.NewTable(g), 1) })
 }
 
 // --- Runner ---
@@ -429,7 +422,7 @@ func TestSteadyDataPathDoesNotAllocate(t *testing.T) {
 	t.Run("PFQ", func(t *testing.T) {
 		g := torus(t, 4, 3)
 		eng := &Engine{}
-		net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PerFlowQueues: true})
+		net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 		pfq := NewPFQ(net, routing.NewTable(g), 1)
 		startLongFlows(g, func(src, dst topology.NodeID) { pfq.StartFlow(src, dst, 1<<30) })
 		runSteps(eng, 1)

@@ -129,9 +129,6 @@ func (e *EWMA) Update(v float64) float64 {
 	return e.value
 }
 
-// Value returns the current average (zero before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
 // Counts is an exact sample of small non-negative integers — reorder-buffer
 // occupancies, one per data packet — kept as one counter per value instead
 // of one element per observation. Every query answers what a Sample fed the

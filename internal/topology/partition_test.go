@@ -253,3 +253,14 @@ func TestPartitionSurvivesDegradedFabric(t *testing.T) {
 		t.Fatal("degraded fabric lost its rack metadata")
 	}
 }
+
+// IsInterRack reports whether a directed link leaves its endpoint's rack
+// group: an inter-rack bridge cable or a Clos leaf-spine hop. Always false
+// on fabrics without rack structure.
+func (g *Graph) IsInterRack(lid LinkID) bool {
+	if g.rackOf == nil {
+		return false
+	}
+	l := g.links[lid]
+	return g.rackOf[l.From] != g.rackOf[l.To]
+}

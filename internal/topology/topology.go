@@ -90,8 +90,7 @@ type Graph struct {
 	// NewFoldedClos): rackOf[v] is the rack (or Clos leaf group) a vertex
 	// belongs to, -1 for vertices outside any rack (spine switches). nil
 	// when the fabric is a single rack. racks is the number of groups.
-	// Shard partitioning (partition.go) and inter-rack link timing
-	// (sim.NetConfig.InterRackPropDelay) both key off this.
+	// Shard partitioning (partition.go) keys off this.
 	rackOf []int32
 	racks  int
 }
@@ -171,17 +170,6 @@ func (g *Graph) RackOf(v NodeID) int {
 		return -1
 	}
 	return int(g.rackOf[v])
-}
-
-// IsInterRack reports whether a directed link leaves its endpoint's rack
-// group: an inter-rack bridge cable or a Clos leaf-spine hop. Always false
-// on fabrics without rack structure.
-func (g *Graph) IsInterRack(lid LinkID) bool {
-	if g.rackOf == nil {
-		return false
-	}
-	l := g.links[lid]
-	return g.rackOf[l.From] != g.rackOf[l.To]
 }
 
 // Link returns the endpoints of a directed link.

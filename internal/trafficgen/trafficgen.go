@@ -30,26 +30,24 @@ type Arrival struct {
 
 // PoissonConfig parameterises the synthetic datacenter workload of §5.2:
 // Poisson arrivals with the given mean inter-arrival time, flow sizes from
-// a Pareto distribution (shape 1.05, mean 100 KB by default, yielding the
-// heavy tail where ~95% of flows are under 100 KB), and uniformly random
+// a Pareto distribution (shape 1.05, mean 100 KB, yielding the heavy tail
+// where ~95% of flows are under 100 KB), and uniformly random
 // source/destination pairs.
 type PoissonConfig struct {
-	Nodes         int          // rack size
-	MeanInterval  simtime.Time // mean flow inter-arrival time τ
-	MeanFlowBytes float64      // Pareto mean (default 100 KB)
-	ParetoShape   float64      // Pareto shape α (default 1.05)
-	MaxFlowBytes  int64        // tail cap; 0 means 1 GB
-	Count         int          // number of flows to generate
-	Seed          int64
+	Nodes        int          // rack size
+	MeanInterval simtime.Time // mean flow inter-arrival time τ
+	MaxFlowBytes int64        // tail cap; 0 means 1 GB
+	Count        int          // number of flows to generate
+	Seed         int64
 }
 
+// The §5.2 flow-size distribution: Pareto shape α and mean.
+const (
+	paretoShape   = 1.05
+	meanFlowBytes = 100e3
+)
+
 func (c *PoissonConfig) defaults() {
-	if c.MeanFlowBytes == 0 {
-		c.MeanFlowBytes = 100e3
-	}
-	if c.ParetoShape == 0 {
-		c.ParetoShape = 1.05
-	}
 	if c.MaxFlowBytes == 0 {
 		c.MaxFlowBytes = 1 << 30
 	}
@@ -76,7 +74,7 @@ func Poisson(cfg PoissonConfig) []Arrival {
 			At:        t,
 			Src:       src,
 			Dst:       dst,
-			SizeBytes: paretoSize(rng, cfg.ParetoShape, cfg.MeanFlowBytes, cfg.MaxFlowBytes),
+			SizeBytes: paretoSize(rng, paretoShape, meanFlowBytes, cfg.MaxFlowBytes),
 			Weight:    1,
 		}
 	}

@@ -104,11 +104,8 @@ type Incremental struct {
 	inS       []bool
 	newRates  []float64 // restricted-solve output, indexed like flows
 
-	// Solves counts restricted fillRound invocations and Expansions counts
-	// fixpoint iterations beyond the first — the observability hooks the
-	// Figure 8 harness reports against from-scratch cost.
-	Solves     uint64
-	Expansions uint64
+	// Solves counts restricted fillRound invocations.
+	Solves uint64
 }
 
 // NewIncremental returns an empty incremental allocator. The configuration
@@ -245,7 +242,6 @@ func (inc *Incremental) solveRound(p uint8, force int) {
 		if !grew {
 			break
 		}
-		inc.Expansions++
 		// Quadratic-blowup guard: once most of the class is in play, pull in
 		// the stragglers and finish with a single whole-class solve (which is
 		// exact by construction — no background from class p remains).

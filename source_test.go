@@ -1,12 +1,13 @@
 package r2c2
 
 // Source checks over the module's own files: two naming and clock rules
-// read off the syntax tree (go/parser only), and the arm64 assembly scan
-// that keeps floating-point results identical across machines. Map
-// iteration order is not checked statically: TestRunTwiceByteIdentical
-// (internal/sim) catches an order-sensitive map range at runtime, and CI
-// repeats it. There is no suppression comment; a rule's exceptions are the
-// allowlists below.
+// and the two checks that production code carries no function or field
+// only tests use, read off the syntax tree (go/parser only), and the arm64
+// assembly scan that keeps floating-point results identical across
+// machines. Map iteration order is not checked statically:
+// TestRunTwiceByteIdentical (internal/sim) catches an order-sensitive map
+// range at runtime, and CI repeats it. There is no suppression comment; a
+// rule's exceptions are the allowlists below.
 
 import (
 	"fmt"
@@ -261,6 +262,15 @@ var testOnlyAllowed = map[string]string{
 // uses it, delete it with its tests, or add it to testOnlyAllowed. A name
 // match misses dead code whose name collides with live code.
 func TestNoTestOnlyCode(t *testing.T) {
+	fset, files := nonTestFiles(t)
+	for _, msg := range testOnlyFuncs(fset, files) {
+		t.Error(msg)
+	}
+}
+
+// nonTestFiles parses every non-test .go file of the module and of bench/,
+// keyed by slash-separated path.
+func nonTestFiles(t *testing.T) (*token.FileSet, map[string]*ast.File) {
 	files := map[string]*ast.File{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -284,9 +294,7 @@ func TestNoTestOnlyCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, msg := range testOnlyFuncs(fset, files) {
-		t.Error(msg)
-	}
+	return fset, files
 }
 
 // testOnlyFuncs returns the functions and methods under internal/ and cmd/
@@ -385,6 +393,141 @@ func recvType(e ast.Expr) string {
 			return x.Name
 		default:
 			return fmt.Sprintf("%T", x)
+		}
+	}
+}
+
+// testOnlyStateAllowed are the struct fields under internal/ and cmd/ that
+// production writes and only tests read but that stay, each with its test
+// or reason.
+var testOnlyStateAllowed = map[string]string{
+	"emu.MbufPoolStats.Idle":       "emu.TestMbufPoolIdleCapReleases, emu.TestMbufCacheRefillReleaseFlush",
+	"genetic.Result.Generations":   "genetic.TestOptimizeStallStops",
+	"routing.phiKey.p":             "a map key: read by hashing",
+	"sim.Results.Hops":             "sim.TestRunTwiceByteIdentical digests it",
+	"sim.Selector.Reassignments":   "sim.TestSelectorReassignsSparseLoad (§3.4; sim.NewSelector is allowlisted)",
+	"topology.BroadcastTree.Root":  "bench/ calls BroadcastFIB.Tree; topology.TestBroadcastTreeSpanningShortest",
+	"topology.BroadcastTree.Depth": "bench/ calls BroadcastFIB.Tree; topology.TestBroadcastTreeSpanningShortest",
+	"topology.BroadcastTree.kids":  "bench/ calls BroadcastFIB.Tree; topology.TestBroadcastTreeSpanningShortest",
+	"waterfill.Incremental.Solves": "bench/-only until ROADMAP item 2 deletes Incremental; waterfill.TestIncrementalOracle10kEvents",
+}
+
+// TestNoTestOnlyState fails on a named field of a struct declared under
+// internal/ or cmd/ that no non-test file of the module or of bench/ reads:
+// state that production code pays to keep up for tests alone. Writing a
+// field is not reading it: the left side of an assignment, the operand of
+// ++ or --, the receiver of an atomic Add, Store, Swap or CompareAndSwap
+// whose result is discarded and a composite-literal key do not count. Read
+// the value the test wants off something that remains, delete the field,
+// or add it to testOnlyStateAllowed. Fields are matched by name, so a read
+// of a same-named field elsewhere hides one.
+func TestNoTestOnlyState(t *testing.T) {
+	fset, files := nonTestFiles(t)
+	for _, msg := range testOnlyState(fset, files, testOnlyStateAllowed) {
+		t.Error(msg)
+	}
+}
+
+// atomicWrites are the methods of sync/atomic's types that store: called
+// as a statement, they only write their receiver.
+var atomicWrites = map[string]bool{"Add": true, "Store": true, "Swap": true, "CompareAndSwap": true}
+
+// testOnlyState returns the struct fields under internal/ and cmd/ among
+// files (non-test files keyed by slash-separated path) that no file reads,
+// and the allowed entries that name no such field.
+func testOnlyState(fset *token.FileSet, files map[string]*ast.File, allowed map[string]string) []string {
+	read := map[string]bool{}
+	for _, f := range files {
+		writes := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range x.Lhs {
+					writes[ast.Unparen(e)] = true
+				}
+			case *ast.IncDecStmt:
+				writes[ast.Unparen(x.X)] = true
+			case *ast.ExprStmt:
+				if call, ok := ast.Unparen(x.X).(*ast.CallExpr); ok {
+					if fn, ok := call.Fun.(*ast.SelectorExpr); ok && atomicWrites[fn.Sel.Name] {
+						writes[ast.Unparen(fn.X)] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if !writes[x] {
+					read[x.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	var msgs []string
+	flagged := map[string]bool{}
+	for path, f := range files {
+		if !strings.HasPrefix(path, "internal/") && !strings.HasPrefix(path, "cmd/") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					key := f.Name.Name + "." + ts.Name.Name + "." + name.Name
+					if read[name.Name] || name.Name == "_" {
+						continue
+					}
+					flagged[key] = true
+					if allowed[key] == "" {
+						msgs = append(msgs, fmt.Sprintf("%s: %s is read only by tests; delete it or read what the test wants elsewhere",
+							fset.Position(name.Pos()), key))
+					}
+				}
+			}
+			return true
+		})
+	}
+	for key := range allowed {
+		if !flagged[key] {
+			msgs = append(msgs, "testOnlyStateAllowed names "+key+", which is not a field only tests read")
+		}
+	}
+	sort.Strings(msgs)
+	return msgs
+}
+
+// TestNoTestOnlyStateFindsPlants holds the check to a planted field that
+// production writes in every way the rule names and only a test reads, and
+// to a stale allowlist entry, next to the shapes it must pass: a field read
+// in production, one read by bench/ and an allowlisted one.
+func TestNoTestOnlyStateFindsPlants(t *testing.T) {
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{}
+	for path, src := range map[string]string{
+		"internal/sim/x.go": "package sim\nimport \"sync/atomic\"\n" +
+			"type T struct{ hits, live int; n atomic.Int64; Peak, kept int }\n" +
+			"func (t *T) step() int { t.hits++; t.hits += 2; t.n.Add(1); t.Peak = 3; t.kept = 1; _ = T{hits: 1}; return t.live }",
+		"bench/main.go": "package main\nfunc main() { var t struct{ Peak int }; _ = t.Peak }",
+	} {
+		f, err := parser.ParseFile(fset, path, src, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[path] = f
+	}
+	got := testOnlyState(fset, files, map[string]string{"sim.T.kept": "plant", "sim.T.gone": "stale"})
+	want := []string{"sim.T.hits ", "sim.T.n ", "testOnlyStateAllowed names sim.T.gone,"}
+	if len(got) != len(want) {
+		t.Fatalf("findings %q, want %q", got, want)
+	}
+	for i := range want {
+		if !strings.Contains(got[i], want[i]) {
+			t.Fatalf("findings %q, want %q", got, want)
 		}
 	}
 }
