@@ -869,7 +869,7 @@ func BenchmarkTimerWheel(b *testing.B) {
 	)
 	eng := &sim.Engine{}
 	for j := 0; j < timers; j++ {
-		// Periods span level 0 through level 2 of the wheel so the
+		// Periods span level 0 and cross into level 1 of the wheel so the
 		// benchmark exercises placement and cascading, not one slot.
 		period := simtime.Time(j+1) * 37 * simtime.Nanosecond
 		var fn func()
@@ -920,17 +920,59 @@ func BenchmarkTimerWheelSameInstant(b *testing.B) {
 	b.ReportMetric(burst*bursts, "events/op")
 }
 
+// The wheel at the fabric's own delays: 384 self-re-arming timers, one per
+// link of a 4-ary 3-cube, each alternating one hop (112.8 ns: a small
+// packet's serialisation plus propagation at 10 Gbps) with one MTU
+// serialisation (1.2 µs), their phases staggered over one such cycle. Every
+// delay is a whole number of hops rather than a spread of periods
+// (BenchmarkTimerWheel), a lock-step instant (…SameInstant) or one crowded
+// slot (…CrowdedSlot), so this is the shape the level-0 slot width trades
+// on: a slot much narrower than a hop is loaded for one or two events,
+// a much wider one sorts many (DESIGN.md §12's sweep).
+func BenchmarkTimerWheelHops(b *testing.B) {
+	const (
+		timers = 384
+		fires  = 100_000
+		hop    = 112*simtime.Nanosecond + 800
+		mtu    = 1200 * simtime.Nanosecond
+	)
+	eng := &sim.Engine{}
+	for j := 0; j < timers; j++ {
+		short := j%2 == 0
+		var fn func()
+		fn = func() {
+			short = !short
+			if short {
+				eng.After(hop, fn)
+			} else {
+				eng.After(mtu, fn)
+			}
+		}
+		eng.After(simtime.Time(j)*(hop+mtu)/timers, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := eng.Processed()
+	for i := 0; i < b.N; i++ {
+		target := eng.Processed() + fires
+		for eng.Processed() < target {
+			eng.Run(eng.Now() + simtime.Microsecond)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(eng.Processed()-start), "ns/event")
+}
+
 // The wheel on crowded slots: each burst puts 1,024 events at random
-// picoseconds of one level-0 slot (2^14 ps), armed in an order unrelated to
-// their timestamps, then drains the slot. A slot is sorted as a whole when
-// dispatch reaches it, so this is the case a quadratic within-slot order
-// would show up in; ns/event is the per-event cost of filing, ordering and
-// dispatching.
+// picoseconds of one level-0 slot (2^16 ps, internal/sim's wheelShift),
+// armed in an order unrelated to their timestamps, then drains the slot. A
+// slot is sorted as a whole when dispatch reaches it, so this is the case a
+// quadratic within-slot order would show up in; ns/event is the per-event
+// cost of filing, ordering and dispatching.
 func BenchmarkTimerWheelCrowdedSlot(b *testing.B) {
 	const (
 		burst  = 1024
 		bursts = 64
-		slotPs = simtime.Time(1) << 14
+		slotPs = simtime.Time(1) << 16
 	)
 	rng := rand.New(rand.NewSource(1))
 	offsets := make([]simtime.Time, burst)

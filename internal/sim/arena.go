@@ -46,11 +46,6 @@ type pktArena struct {
 	// a new slab holds: the longest path any routing protocol draws on the
 	// intact fabric, so that no pooled packet ever regrows its buffer.
 	pathCap int
-
-	live     int // packets currently allocated
-	slabs    int // slabs currently owned (partial + idle + full)
-	peak     int // high-water mark of slabs
-	released int // fully-free slabs dropped to the GC
 }
 
 // newSlab allocates and initialises one segment: every slot free, every
@@ -65,10 +60,6 @@ func (a *pktArena) newSlab() *pktSlab {
 		s.pkts[i].slabIdx = uint8(i)
 		s.pkts[i].pooled = true
 		s.pkts[i].scratch = scratch[i*a.pathCap : i*a.pathCap : (i+1)*a.pathCap]
-	}
-	a.slabs++
-	if a.slabs > a.peak {
-		a.peak = a.slabs
 	}
 	return s
 }
@@ -94,7 +85,6 @@ func (a *pktArena) alloc() *Packet {
 		// s is the last partial (alloc always takes from the tail): pop.
 		a.partial = a.partial[:len(a.partial)-1]
 	}
-	a.live++
 	return &s.pkts[idx]
 }
 
@@ -107,7 +97,6 @@ func (a *pktArena) free(p *Packet) {
 	}
 	s.freeIdx[s.nfree] = p.slabIdx
 	s.nfree++
-	a.live--
 	switch {
 	case s.nfree == 1:
 		// Was full: back onto the partial list.
@@ -119,9 +108,6 @@ func (a *pktArena) free(p *Packet) {
 		if len(a.idle) < maxIdleSlabs {
 			s.pos = len(a.idle)
 			a.idle = append(a.idle, s)
-		} else {
-			a.slabs--
-			a.released++
 		}
 	}
 }

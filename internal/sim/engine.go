@@ -17,20 +17,21 @@ import (
 )
 
 // eventKind discriminates the typed event records of the hot path. The
-// per-packet events (arrival, port wake-up, pacing, timeouts) carry their
-// receiver in the record itself and are dispatched through a switch, so
-// scheduling them allocates nothing; rare control-plane events
-// (recomputation ticks, failure detection, drop notifications) are evFunc
-// closures.
+// per-packet events (arrival, port wake-up, pacing, timeouts) and the flow
+// arrivals of a run carry their receiver in the record itself and are
+// dispatched through a switch, so scheduling them allocates nothing; rare
+// control-plane events (recomputation ticks, failure detection, drop
+// notifications) are evFunc closures.
 type eventKind uint8
 
 const (
-	evFunc   eventKind = iota // generic callback (cold path)
-	evTxDone                  // a port's serialisation ended with packets queued behind it
-	evArrive                  // a packet reaches node after serialisation + propagation
-	evSend                    // R2C2 token-bucket pacing: transmit the flow's next packet
-	evRTO                     // R2C2 reliability retransmission timeout
-	evTCPRTO                  // TCP retransmission timeout
+	evFunc    eventKind = iota // generic callback (cold path)
+	evTxDone                   // a port's serialisation ended with packets queued behind it
+	evArrive                   // a packet reaches node after serialisation + propagation
+	evSend                     // R2C2 token-bucket pacing: transmit the flow's next packet
+	evRTO                      // R2C2 reliability retransmission timeout
+	evTCPRTO                   // TCP retransmission timeout
+	evArrival                  // a flow arrival: the run's arrival feed starts its next flow
 )
 
 // event is one scheduled typed record, 48 bytes: it is written in place
@@ -61,7 +62,8 @@ type event struct {
 	tk uint32
 
 	// recv is the kind's receiver: *Packet (evArrive), *port (evTxDone),
-	// *senderFlow (evSend, evRTO), *tcpSender (evTCPRTO), func() (evFunc).
+	// *senderFlow (evSend, evRTO), *tcpSender (evTCPRTO), *arrivalFeed
+	// (evArrival), func() (evFunc).
 	// All are pointer-shaped, so the conversion never allocates.
 	recv any
 }
@@ -117,11 +119,17 @@ func (e *Engine) After(delay simtime.Time, fn func()) {
 // written straight into the wheel's arena; nothing is passed or copied by
 // value on the way.
 func (e *Engine) arm(at, emit simtime.Time, tk uint32, node topology.NodeID, recv any) timerHandle {
+	seq := e.nextID
+	e.nextID++
+	return e.armSeq(at, emit, seq, tk, node, recv)
+}
+
+// armSeq files an event under a sequence number taken earlier: arm's own,
+// or one of a block reserved by advancing nextID (arrivalFeed).
+func (e *Engine) armSeq(at, emit simtime.Time, seq uint64, tk uint32, node topology.NodeID, recv any) timerHandle {
 	if at < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	seq := e.nextID
-	e.nextID++
 	return timerHandle{idx: e.wheel.arm(at, emit, seq, tk, node, recv), seq: seq}
 }
 
@@ -162,12 +170,13 @@ func (e *Engine) NextEventAt() (simtime.Time, bool) {
 // the per-packet paths).
 func (e *Engine) Run(until simtime.Time) uint64 {
 	start := e.count
+	w := &e.wheel
 	for {
-		idx := e.wheel.peek()
-		if idx == 0 || e.wheel.nodes[idx-1].ev.at > until {
+		idx := w.peek()
+		if idx == 0 || w.staged[w.top].at > until {
 			break
 		}
-		ev := e.wheel.take(idx)
+		ev := w.take(idx)
 		if invariantsEnabled {
 			assertInvariant(ev.at >= e.now, "stale event pop: event at %v behind clock %v (clock must never go backwards)", ev.at, e.now)
 		}
@@ -186,6 +195,8 @@ func (e *Engine) Run(until simtime.Time) uint64 {
 			e.r2.onRTO(ev.recv.(*senderFlow))
 		case evTCPRTO:
 			e.tcp.onRTO(ev.recv.(*tcpSender))
+		case evArrival:
+			ev.recv.(*arrivalFeed).fire(e)
 		}
 	}
 	if e.now < until {

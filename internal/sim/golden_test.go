@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 	"time"
 
@@ -103,4 +104,88 @@ var golden = map[string]string{
 	"r2c2-faults":         "70f57d72f53021e0558a2b9f1aba85a3f52622403228c8a0e6dc4e7131eae7d1",
 	"racks-shards0":       "3f30b7e644c81bfce0d68db948acdab0d2350769fd444a40ca191e3814f4ff5e",
 	"racks-shards1":       "3f30b7e644c81bfce0d68db948acdab0d2350769fd444a40ca191e3814f4ff5e",
+}
+
+// tiedArrivals is an arrival list built to stress the order in which
+// arrivals are scheduled: two at t = 0, several sharing one picosecond (two
+// of them from the same source, so list order decides their flow IDs), some
+// exactly on recomputation ticks (multiples of rho), some where the first
+// serialisations of the flows started at t = 0 end (an MTU packet's and a
+// broadcast's at 10 Gbps), whose port wake-ups carry emission time 0 like
+// the arrivals, and the whole list out of time order.
+func tiedArrivals(nodes int, rho simtime.Time) []trafficgen.Arrival {
+	var arr []trafficgen.Arrival
+	add := func(at simtime.Time, src, dst int, size int64) {
+		arr = append(arr, trafficgen.Arrival{At: at, Src: topology.NodeID(src % nodes),
+			Dst: topology.NodeID(dst % nodes), SizeBytes: size, Weight: 1})
+	}
+	tie := 37*simtime.Microsecond + 123
+	for i := 0; i < 24; i++ {
+		add(simtime.Time(i)*7*simtime.Microsecond+simtime.Time(i*i), 3*i+1, 5*i+2, int64(8+i%5)<<10)
+	}
+	add(0, 0, nodes-1, 48<<10)
+	add(tie, 2, 7, 16<<10)
+	add(tie, 2, 9, 20<<10)
+	add(tie, 11, 4, 24<<10)
+	add(tie, 5, 2, 12<<10)
+	for k := 1; k <= 3; k++ {
+		add(simtime.Time(k)*rho, k, k+6, 32<<10)
+		add(simtime.Time(k)*rho, k+3, k, 10<<10)
+	}
+	for _, size := range []int{MTU, BroadcastBytes} {
+		at := simtime.TransmitTime(size, 10)
+		add(at, 6, 13, 14<<10)
+		add(at, 9, 3, 18<<10)
+	}
+	// Out of order: reverse the list, then rotate it by a third.
+	slices.Reverse(arr)
+	third := len(arr) / 3
+	return append(arr[third:], arr[:third]...)
+}
+
+// TestArrivalTiesByteIdentical pins the dispatch order of arrivals: a
+// Results digest per configuration over tiedArrivals, on a 4-ary 3-cube
+// under each transport and on the 4-rack ring at one and two shards (which
+// must also agree with each other). The digests were recorded while every
+// arrival was still armed up front as its own event.
+func TestArrivalTiesByteIdentical(t *testing.T) {
+	fanOutEveryPhase(t)
+	const rho = 50 * simtime.Microsecond
+	cube, ring := torus(t, 4, 3), multiRack(t, 4)
+	r2 := R2C2Config{Headroom: 0.05, Protocol: routing.RPS, Recompute: rho, Seed: 3}
+	reliable := r2
+	reliable.Reliable, reliable.RTO = true, 300*simtime.Microsecond
+	cases := []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"cube-r2c2", RunConfig{Graph: cube, R2C2: r2}},
+		{"cube-tcp", RunConfig{Graph: cube, Transport: TransportTCP}},
+		{"cube-pfq", RunConfig{Graph: cube, Transport: TransportPFQ, PFQSeed: 5}},
+		{"ring-shards1", RunConfig{Graph: ring, R2C2: reliable, Shards: 1}},
+		{"ring-shards2", RunConfig{Graph: ring, R2C2: reliable, Shards: 2}},
+	}
+	for _, c := range cases {
+		c.cfg.Arrivals = tiedArrivals(c.cfg.Graph.Nodes(), rho)
+		c.cfg.MaxTime = 50 * simtime.Millisecond
+		res := Run(c.cfg)
+		if res.Completed != len(c.cfg.Arrivals) {
+			t.Errorf("%s: %d of %d flows completed", c.name, res.Completed, len(c.cfg.Arrivals))
+		}
+		res.ShardStats = nil // wall-clock fields
+		sum := sha256.Sum256(dumpResults(res))
+		if got := hex.EncodeToString(sum[:]); got != arrivalGolden[c.name] {
+			t.Errorf("%s: results digest %s, recorded %s (events %d)", c.name, got, arrivalGolden[c.name], res.Events)
+		}
+	}
+}
+
+// arrivalGolden holds TestArrivalTiesByteIdentical's digests, recorded at
+// commit e79d7af.
+var arrivalGolden = map[string]string{
+	"cube-r2c2":    "39f7cb2c7243ff51b43f7f6f8ed6d4d25271dcbb7cd41247f6c0e78130615e9a",
+	"cube-tcp":     "f038c654287ce8a17eab3326fb763bb715172c0d8925b29bfd5f0e3b86e0d18d",
+	"cube-pfq":     "c02767e0d8a8fa3b313ad8cc3b5c0edf765f121b58c9eb7a8bc9556969e118b5",
+	"ring-shards1": "f34f2e1a6b4c9516634767c0314c4fbe7fcf9fc5f578c465226572548726a0a1",
+	"ring-shards2": "f34f2e1a6b4c9516634767c0314c4fbe7fcf9fc5f578c465226572548726a0a1",
 }

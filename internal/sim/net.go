@@ -158,6 +158,10 @@ type Network struct {
 
 	ports []*port
 
+	// txTime[s] is simtime.TransmitTime(s, Cfg.LinkGbps) for every size s up
+	// to MTU: a hop reads its serialisation time instead of dividing.
+	txTime []simtime.Time
+
 	// Deliver is invoked when a packet reaches its destination (data/ack)
 	// or at every node a broadcast visits.
 	Deliver func(at topology.NodeID, pkt *Packet)
@@ -240,6 +244,10 @@ func NewNetwork(g *topology.Graph, eng *Engine, cfg NetConfig) *Network {
 	n.arena.pathCap = 2 * g.Diameter()
 	if g.NumLinks() >= 1<<24 {
 		panic("sim: more links than an event's 24-bit tie key can name")
+	}
+	n.txTime = make([]simtime.Time, MTU+1)
+	for size := range n.txTime {
+		n.txTime[size] = simtime.TransmitTime(size, cfg.LinkGbps)
 	}
 	n.ports = make([]*port, g.NumLinks())
 	backing := make([]port, g.NumLinks()) // one slab for all port structs
@@ -418,9 +426,19 @@ func (n *Network) armWake(p *port) {
 	n.Eng.arm(p.freeAt, p.txStart, uint32(evTxDone), 0, p)
 }
 
+// serialisation returns how long size bytes take on one of the fabric's
+// links: read from txTime up to MTU, computed above it.
+func (n *Network) serialisation(size int) simtime.Time {
+	if uint(size) < uint(len(n.txTime)) {
+		return n.txTime[size]
+	}
+	return simtime.TransmitTime(size, n.Cfg.LinkGbps)
+}
+
 // transmit puts the next eligible packet queued on the port on the wire: the
 // port is taken until freeAt, and the packet's arrival at the far end — after
-// serialisation and propagation — is the one event the hop costs. In PFQ
+// serialisation (the Network's per-size table up to MTU, so no hop divides)
+// and propagation — is the one event the hop costs. In PFQ
 // mode a flow whose next-hop node has no buffer room is skipped
 // (back-pressure); if every queued flow is blocked the port idles until a
 // Kick.
@@ -446,7 +464,7 @@ func (n *Network) transmit(p *port) {
 	p.queued -= pkt.SizeBytes
 	n.PktHops++
 	p.txStart = n.Eng.now
-	p.freeAt = p.txStart + simtime.TransmitTime(pkt.SizeBytes, n.Cfg.LinkGbps)
+	p.freeAt = p.txStart + n.serialisation(pkt.SizeBytes)
 	if n.pfq != nil {
 		n.pfq.ports[p.id].txFlow = pkt.Flow
 	}

@@ -255,3 +255,26 @@ func TestBroadcastReachesAllNodes(t *testing.T) {
 		t.Fatalf("broadcast bytes = %d, want %d", net.BcastBytesOnWire, want)
 	}
 }
+
+// TestTransmitTable holds the Network's serialisation table to
+// simtime.TransmitTime bit for bit at every size from 0 to MTU, at each link
+// speed the experiments use, and the computed fallback above MTU.
+func TestTransmitTable(t *testing.T) {
+	g := torus(t, 2, 2)
+	for _, gbps := range []float64{10, 25, 40, 100} {
+		n := NewNetwork(g, &Engine{}, NetConfig{LinkGbps: gbps})
+		if len(n.txTime) != MTU+1 {
+			t.Fatalf("%v Gbps: table holds %d sizes, want 0..MTU", gbps, len(n.txTime))
+		}
+		for size := 0; size <= MTU; size++ {
+			if got, want := n.serialisation(size), simtime.TransmitTime(size, gbps); got != want {
+				t.Fatalf("%v Gbps, %d bytes: table %d ps, TransmitTime %d ps", gbps, size, got, want)
+			}
+		}
+		for _, size := range []int{-1, MTU + 1, 9000, 1 << 20} {
+			if got, want := n.serialisation(size), simtime.TransmitTime(size, gbps); got != want {
+				t.Fatalf("%v Gbps, %d bytes: fallback %d ps, TransmitTime %d ps", gbps, size, got, want)
+			}
+		}
+	}
+}

@@ -52,9 +52,7 @@ type Selector struct {
 	r   *R2C2
 	cfg SelectorConfig
 
-	// Runs counts selection rounds; Reassignments counts flows whose
-	// protocol actually changed.
-	Runs          uint64
+	// Reassignments counts flows whose protocol actually changed.
 	Reassignments uint64
 
 	// seen lists the flows of the latest round's view with the time the
@@ -81,7 +79,6 @@ func (s *Selector) Start() {
 }
 
 func (s *Selector) tick() {
-	s.Runs++
 	s.selectOnce()
 	s.r.Net.Eng.After(s.cfg.Period, s.tick)
 }

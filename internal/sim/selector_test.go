@@ -40,8 +40,8 @@ func TestSelectorReassignsSparseLoad(t *testing.T) {
 	}
 
 	eng.Run(runFor)
-	if sel.Runs == 0 {
-		t.Fatal("selector never ran")
+	if len(sel.seen) == 0 {
+		t.Fatal("selector never ran: no round has seen the flows")
 	}
 	if sel.Reassignments == 0 {
 		t.Fatal("selector reassigned nothing on a sparse long-flow load")
@@ -90,8 +90,8 @@ func TestSelectorLeavesGoodAssignmentsAlone(t *testing.T) {
 	r.StartFlow(0, 1, 256<<20, 1, 0) // neighbours: single minimal path
 	r.StartFlow(2, 3, 256<<20, 1, 0)
 	eng.Run(25 * simtime.Millisecond)
-	if sel.Runs == 0 {
-		t.Fatal("selector never ran")
+	if len(sel.seen) == 0 {
+		t.Fatal("selector never ran: no round has seen the flows")
 	}
 	if sel.Reassignments != 0 {
 		t.Fatalf("selector churned %d reassignments with nothing to gain", sel.Reassignments)
@@ -117,9 +117,15 @@ func TestSelectorHandlesChurn(t *testing.T) {
 		}
 		r.StartFlow(src, dst, int64(1+i)<<19, 1, 0)
 	}
-	eng.Run(50 * simtime.Millisecond)
-	if sel.Runs < 5 {
-		t.Fatalf("selector ran only %d times", sel.Runs)
+	// Rounds run while the flows do (one must see them) and after they have
+	// all finished.
+	saw := 0
+	for at := 2 * simtime.Millisecond; at <= 50*simtime.Millisecond; at += 2 * simtime.Millisecond {
+		eng.Run(at)
+		saw = max(saw, len(sel.seen))
+	}
+	if saw == 0 {
+		t.Fatal("no selector round saw a flow")
 	}
 	// All flows finished; their ages must not leak.
 	if len(sel.seen) != 0 {

@@ -388,16 +388,78 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 			st.net.sh = ctx // before attach: the transport mirrors it
 		}
 		start := attach(st)
-		for _, arr := range cfg.Arrivals {
-			if S > 1 && assign[arr.Src] != int32(s) {
-				continue // the source's owner starts the flow
+		own := cfg.Arrivals
+		if S > 1 {
+			own = nil // the source's owner starts the flow
+			for _, arr := range cfg.Arrivals {
+				if assign[arr.Src] == int32(s) {
+					own = append(own, arr)
+				}
 			}
-			eng.Schedule(arr.At, func() { start(arr) })
 		}
+		feedArrivals(eng, own, start)
 		sr.shards = append(sr.shards, st)
 	}
 	sr.workers.start(S-1, func(i int) { sr.phaseShard(sr.active[i], wallNs()) })
 	return sr
+}
+
+// arrivalFeed schedules one shard's flow arrivals one at a time: only the
+// earliest arrival not yet started is in the wheel, and firing it arms the
+// next, in stable At order. Each is armed under the sequence number it would
+// have had, had every arrival been scheduled up front in list order — a
+// block reserved when the feed is built — with emit 0 and no tie key, so it
+// dispatches in the same (at, emit, tie, seq) place. Holding back the later
+// ones changes nothing: an arrival is armed before anything that follows it
+// in that order is dispatched, since its predecessor precedes it.
+type arrivalFeed struct {
+	arr   []trafficgen.Arrival // the shard's arrivals, in list order
+	order []int32              // arr's indices in stable At order; nil when arr is sorted
+	base  uint64               // the sequence number of arr[0]
+	next  int                  // position in At order of the armed arrival
+	start func(trafficgen.Arrival)
+}
+
+// feedArrivals reserves eng's next len(arr) sequence numbers for arr and arms
+// its earliest arrival.
+func feedArrivals(eng *Engine, arr []trafficgen.Arrival, start func(trafficgen.Arrival)) {
+	if len(arr) == 0 {
+		return
+	}
+	f := &arrivalFeed{arr: arr, base: eng.nextID, start: start}
+	eng.nextID += uint64(len(arr))
+	byAt := func(a, b trafficgen.Arrival) int { return cmp.Compare(a.At, b.At) }
+	if !slices.IsSortedFunc(arr, byAt) {
+		f.order = make([]int32, len(arr))
+		for i := range f.order {
+			f.order[i] = int32(i)
+		}
+		slices.SortStableFunc(f.order, func(a, b int32) int { return byAt(arr[a], arr[b]) })
+	}
+	f.arm(eng)
+}
+
+// index returns the list index of the arrival at position k in At order.
+func (f *arrivalFeed) index(k int) int {
+	if f.order == nil {
+		return k
+	}
+	return int(f.order[k])
+}
+
+// arm files the arrival at position next under its reserved sequence number.
+func (f *arrivalFeed) arm(eng *Engine) {
+	i := f.index(f.next)
+	eng.armSeq(f.arr[i].At, 0, f.base+uint64(i), uint32(evArrival), 0, f)
+}
+
+// fire starts the armed arrival's flow and arms the next arrival.
+func (f *arrivalFeed) fire(eng *Engine) {
+	arr := f.arr[f.index(f.next)]
+	f.start(arr)
+	if f.next++; f.next < len(f.arr) {
+		f.arm(eng)
+	}
 }
 
 // run steps the shard set through the run and returns the time it stopped

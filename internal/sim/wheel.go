@@ -33,15 +33,19 @@ const (
 	wheelBits  = 8
 	wheelSlots = 1 << wheelBits
 	wheelMask  = wheelSlots - 1
-	// wheelShift sets the level-0 slot width: 2^14 ps ≈ 16.4 ns, finer
-	// than any per-packet delay the fabric produces (propagation is
-	// 100 ns, MTU serialisation ≥ 120 ns at 100 Gbps), so same-slot
-	// staging stays tiny while level 0 still absorbs all near events.
-	wheelShift = 14
-	// wheelLevels covers the full simtime range: slot numbers are
-	// ≤ 2^49 (63-bit picoseconds >> 14), and 7 levels of 8 bits index
-	// 2^56 slots.
-	wheelLevels = 7
+	// wheelShift sets the level-0 slot width: 2^16 ps ≈ 65.5 ns, the scale
+	// of one hop (112.8 ns for a 16-byte packet at 10 Gbps, 1.3 µs for an
+	// MTU one). A loaded slot then holds several events where a 16.4 ns
+	// slot mostly held one or two, and each load's bitmap scan, list walk
+	// and sort is paid once for all of them (the sweep of 2^14–2^18 in
+	// DESIGN.md §12). The slot stays below the 100 ns propagation delay, so
+	// a packet's arrival is never filed into the slot that sent it
+	// (TestWheelGeometry).
+	wheelShift = 16
+	// wheelLevels covers the full simtime range: slot numbers are below
+	// 2^(63-wheelShift), and the levels index wheelLevels·wheelBits bits of
+	// slot number (6 levels of 8 bits at 2^16).
+	wheelLevels = (63 - wheelShift + wheelBits - 1) / wheelBits
 	// stageBlock is the block length sortRun insertion-sorts before merging:
 	// BenchmarkStageSort's sweep over random-order runs (DESIGN.md §12).
 	stageBlock = 12
@@ -114,17 +118,6 @@ type stagedEntry struct {
 	idx      int32
 }
 
-// alloc takes a node off the free list, growing the arena by a chunk when
-// it runs dry.
-func (w *timerWheel) alloc() int32 {
-	if w.freeHead == 0 {
-		w.grow()
-	}
-	idx := w.freeHead
-	w.freeHead = w.nodes[idx-1].next
-	return idx
-}
-
 // grow extends the arena by at least 64 nodes (doubling past that) and
 // threads the new tail onto the free list: arming the first N timers costs
 // O(log N) slice growths instead of one append per node, and a steady-state
@@ -150,11 +143,16 @@ func (w *timerWheel) free(idx int32) {
 	w.freeHead = idx
 }
 
-// arm files an event, writing its record field by field into a free arena
-// node, and returns the node's index.
+// arm files an event, writing its record field by field into a node taken
+// off the free list (the arena grows by a chunk when it runs dry), and
+// returns the node's index.
 func (w *timerWheel) arm(at, emit simtime.Time, seq uint64, tk uint32, node topology.NodeID, recv any) int32 {
-	idx := w.alloc()
+	if w.freeHead == 0 {
+		w.grow()
+	}
+	idx := w.freeHead
 	n := &w.nodes[idx-1]
+	w.freeHead = n.next
 	n.ev.at, n.ev.emit, n.ev.seq = at, emit, seq
 	n.ev.node, n.ev.tk, n.ev.recv = node, tk, recv
 	w.place(idx, n)
@@ -255,7 +253,12 @@ func (w *timerWheel) stage(idx int32, n *timerNode) {
 	if len(w.staged) == cap(w.staged) {
 		w.growRun()
 	}
-	w.staged = append(w.staged, stagedEntry{at: n.ev.at, emit: n.ev.emit, seq: n.ev.seq, tie: n.ev.tie(), idx: idx})
+	// Written field by field in place: a composite literal is built on the
+	// stack and copied with 16-byte loads that cannot be forwarded from the
+	// 8-byte stores that built it, stalling every staged event.
+	w.staged = w.staged[:len(w.staged)+1]
+	e := &w.staged[len(w.staged)-1]
+	e.at, e.emit, e.seq, e.tie, e.idx = n.ev.at, n.ev.emit, n.ev.seq, n.ev.tie(), idx
 }
 
 // growRun makes room in a full run: a run at least half consumed drops its
@@ -338,19 +341,6 @@ func (w *timerWheel) stagePop() {
 	w.top++
 	if w.top == len(w.staged) {
 		w.staged, w.top = w.staged[:0], 0
-	}
-}
-
-// dropDeadStaged frees cancelled tombstones off the head of the run so peek
-// always surfaces a live event.
-func (w *timerWheel) dropDeadStaged() {
-	for w.top < len(w.staged) {
-		idx := w.staged[w.top].idx
-		if w.nodes[idx-1].ev.kind() != evDead {
-			return
-		}
-		w.stagePop()
-		w.free(idx)
 	}
 }
 
@@ -439,12 +429,18 @@ func (w *timerWheel) advance() bool {
 }
 
 // peek returns the next event's node index without dispatching it, loading
-// the next slot into the run if needed. Returns 0 when the wheel is empty.
+// the next slot into the run if needed and freeing the cancelled tombstones
+// it finds at the run's head. Returns 0 when the wheel is empty.
 func (w *timerWheel) peek() int32 {
 	for {
-		w.dropDeadStaged()
 		if w.top < len(w.staged) {
-			return w.staged[w.top].idx
+			idx := w.staged[w.top].idx
+			if w.nodes[idx-1].ev.kind() != evDead {
+				return idx
+			}
+			w.stagePop()
+			w.free(idx)
+			continue
 		}
 		if !w.advance() {
 			return 0

@@ -167,7 +167,8 @@ func TestWheelCancelRecycledNode(t *testing.T) {
 
 func TestWheelFarFutureCascade(t *testing.T) {
 	// Events at the extreme ends of the simtime range must cascade down
-	// without loss. Max slot number is 2^49; exercise every level.
+	// without loss. Slot numbers reach 2^(63-wheelShift); exercise every
+	// level.
 	var w timerWheel
 	ats := []simtime.Time{
 		1,
@@ -195,12 +196,13 @@ func TestWheelLevelPlacementInvariant(t *testing.T) {
 	// The aligned-window level choice must always place a node at a slot
 	// position strictly above the cursor's position at that level — the
 	// invariant advance() relies on to scan only forward.
-	curs := []int64{0, 1, 255, 256, 0x12345, 1 << 40, (1 << 49) - 2}
-	deltas := []int64{1, 2, 255, 256, 257, 1 << 16, 1<<24 + 5, 1 << 48}
+	const slots = int64(1) << (63 - wheelShift) // slot numbers of 63-bit time
+	curs := []int64{0, 1, 255, 256, 0x12345, 1 << 40, slots - 2}
+	deltas := []int64{1, 2, 255, 256, 257, 1 << 16, 1<<24 + 5, slots / 2, slots - 1}
 	for _, cur := range curs {
 		for _, d := range deltas {
 			s0 := cur + d
-			if s0 >= 1<<49 {
+			if s0 >= slots {
 				continue
 			}
 			l := (bits.Len64(uint64(s0^cur)) - 1) / wheelBits
@@ -214,6 +216,24 @@ func TestWheelLevelPlacementInvariant(t *testing.T) {
 					cur, s0, l, slotPos, curPos)
 			}
 		}
+	}
+}
+
+// TestWheelGeometry pins the wheel's shape to the fabric's: a level-0 slot
+// narrower than the default propagation delay, so that an arrival is never
+// filed into the slot its transmission began in, and just enough levels to
+// index every slot number of 63-bit time.
+func TestWheelGeometry(t *testing.T) {
+	var cfg NetConfig
+	cfg.defaults()
+	if slot := simtime.Time(1) << wheelShift; slot >= cfg.PropDelay {
+		t.Errorf("level-0 slot %d ps is not below the default propagation delay %d ps", slot, cfg.PropDelay)
+	}
+	if wheelShift+wheelLevels*wheelBits < 63 {
+		t.Errorf("%d levels of %d bits above a %d-bit slot do not cover 63-bit time", wheelLevels, wheelBits, wheelShift)
+	}
+	if wheelShift+(wheelLevels-1)*wheelBits >= 63 {
+		t.Errorf("%d levels: one fewer would still cover 63-bit time", wheelLevels)
 	}
 }
 
@@ -382,7 +402,7 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 	}
 	d.drain()
 
-	// Crowded slots: thousands of events spread over one slot's 16,384 ps,
+	// Crowded slots: thousands of events spread over one slot's 2^wheelShift ps,
 	// armed in descending key order, so every block reaches sortRun reversed
 	// and every merge width runs, a ragged last block included.
 	for _, n := range []int{3001, 4096} {
@@ -451,16 +471,25 @@ func TestWheelMatchesReferenceHeap(t *testing.T) {
 
 // FuzzWheelOrder decodes arbitrary bytes into wheel operations — two bytes
 // an operation: arm, cancel or pop — and holds the wheel to the reference
-// heap. Arm delays come from a small set (same picosecond, same slot, the
-// next slot, levels 1 and 2) and emit and tie keys from four values each, so
-// slots crowd and ties reach every depth of the comparator.
+// heap. Arm delays come from a small set and emit and tie keys from four
+// values each, so slots crowd and ties reach every depth of the comparator.
+// The delays are relative to the slot (same picosecond, same slot, the next
+// slot, levels 1 and 2) and the fabric's own at 10 Gbps: an ack's
+// serialisation (12.8 ns), propagation (100 ns), both together (112.8 ns)
+// and an MTU serialisation (1.2 µs). Bit 2 of an arm's first byte selects
+// the fabric's delays.
 func FuzzWheelOrder(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 2, 3, 0, 3, 0, 3, 0})                   // three arms on one instant, three pops
 	f.Add([]byte{0, 0x45, 0, 0x46, 0, 0x47, 1, 1, 2, 0, 3, 0, 3, 0})    // one slot, a staged cancel, pops
 	f.Add([]byte{0, 6, 0, 7, 0, 5, 3, 0, 0, 1, 0, 2, 3, 0, 2, 3, 3, 0}) // levels 1 and 2, arms while draining
-	delays := [8]simtime.Time{0, 1, 100, 1<<wheelShift - 1, 1 << wheelShift,
-		1 << (wheelShift + wheelBits), 1<<(wheelShift+wheelBits) + 5<<wheelShift, 1 << (wheelShift + 2*wheelBits)}
+	f.Add([]byte{4, 0, 4, 0x08, 3, 0, 4, 0x20, 4, 0, 3, 0, 3, 0, 3, 0}) // 12.8 ns: acks back to back
+	f.Add([]byte{4, 1, 4, 0x09, 4, 0x21, 3, 0, 4, 1, 3, 0, 3, 0, 3, 0}) // 100 ns: one propagation
+	f.Add([]byte{4, 2, 0, 0, 3, 0, 4, 0x0a, 4, 2, 3, 0, 3, 0, 3, 0})    // 112.8 ns: one hop
+	f.Add([]byte{4, 3, 4, 2, 4, 3, 3, 0, 4, 0x2b, 3, 0, 3, 0, 3, 0})    // 1.2 µs: one MTU serialisation
+	delays := [12]simtime.Time{0, 1, 100, 1<<wheelShift - 1, 1 << wheelShift,
+		1 << (wheelShift + wheelBits), 1<<(wheelShift+wheelBits) + 5<<wheelShift, 1 << (wheelShift + 2*wheelBits),
+		12_800, 100_000, 112_800, 1_200_000}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 2*8192)]
 		d := &wheelVsRef{t: t, name: "fuzz"}
@@ -468,7 +497,8 @@ func FuzzWheelOrder(f *testing.F) {
 			op, v := data[0]%4, data[1]
 			switch {
 			case op <= 1:
-				d.arm(d.now+delays[v&7], simtime.Time(v>>3&3), uint32(v>>5&3))
+				i := (int(data[0]>>2&1)<<3 | int(v&7)) % len(delays)
+				d.arm(d.now+delays[i], simtime.Time(v>>3&3), uint32(v>>5&3))
 			case op == 2 && len(d.handles) > 0:
 				d.cancel(d.handles[int(v)%len(d.handles)])
 			case op == 3 && len(d.ref) > 0:
@@ -480,7 +510,7 @@ func FuzzWheelOrder(f *testing.F) {
 }
 
 // BenchmarkStageSort times sortRun on runs of random-order entries, the shape
-// a crowded level-0 slot has: arm order says little about `at` within 16 ns.
+// a crowded level-0 slot has: arm order says little about `at` within a slot.
 // ns/elem per run length is the sweep stageBlock was chosen on (DESIGN.md
 // §12); the run and spare are sized before the timer starts.
 func BenchmarkStageSort(b *testing.B) {

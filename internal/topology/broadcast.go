@@ -14,7 +14,6 @@ import (
 // i.e. the broadcast time the construction minimises.
 type BroadcastTree struct {
 	Root  NodeID
-	ID    uint8 // tree identifier, carried in the broadcast header
 	Depth int
 
 	kids PortMasks // a window of the mask array all of Root's trees share
@@ -96,7 +95,7 @@ func buildBroadcastTrees(g *Graph, src NodeID, count int, rngSeed int64, sc *tre
 				kids.set(g.links[pick].From, g.Port(pick))
 			}
 		}
-		st.trees[i] = BroadcastTree{Root: src, ID: uint8(i), Depth: depth, kids: kids}
+		st.trees[i] = BroadcastTree{Root: src, Depth: depth, kids: kids}
 	}
 	return st
 }

@@ -17,10 +17,10 @@ func TestBroadcastTreeSpanningShortest(t *testing.T) {
 		ref := refDistances(g)
 		for src := 0; src < g.Nodes(); src += 5 {
 			trees := fibTrees(g, NodeID(src), 4, 42)
-			for _, tree := range trees {
+			for id, tree := range trees {
 				if n := treeEdges(tree); n != g.Vertices()-1 {
 					t.Fatalf("%v src=%d tree=%d: %d edges, want %d",
-						g.Kind(), src, tree.ID, n, g.Vertices()-1)
+						g.Kind(), src, id, n, g.Vertices()-1)
 				}
 				depth := walkTree(t, g, ref[src], tree)
 				if depth != tree.Depth {
@@ -296,7 +296,7 @@ func TestBroadcastTreesMatchPerTreeReference(t *testing.T) {
 			for id := 0; id < trees; id++ {
 				want, depth := refBuildOneTree(g, NodeID(src), ref[src], rng)
 				got, ok := fib.Tree(NodeID(src), uint8(id))
-				if !ok || got.Root != NodeID(src) || got.ID != uint8(id) || got.Depth != depth {
+				if !ok || got.Root != NodeID(src) || got.Depth != depth {
 					t.Fatalf("%s src %d tree %d: got %+v (ok=%v), want depth %d", name, src, id, got, ok, depth)
 				}
 				edges := 0
