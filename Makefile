@@ -7,7 +7,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill fuzz-args vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill fuzz-args fuzz-faults vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
 
 build:
 	$(GO) build ./...
@@ -20,8 +20,8 @@ race:
 
 # The CI race job: the full suite under the race detector with the
 # packet-level sweeps and GA searches at reduced scale. Nothing in
-# internal/sim but the selector sweep shortens under -short, so the port
-# state machine, tie-break, record-size and reference-heap tests all run.
+# internal/sim shortens under -short, so the port state machine, tie-break,
+# record-size and reference-heap tests all run at full size.
 race-short:
 	$(GO) test -race -short ./...
 
@@ -80,6 +80,12 @@ fuzz-fill:
 # lines: an error is one line and nothing runs, whatever the sizes say.
 fuzz-args:
 	$(GO) test -run=^$$ -fuzz FuzzArgs -fuzztime $(FUZZTIME) ./cmd/r2c2/
+
+# The fault-schedule parser on arbitrary text, DSL and JSON: it returns an
+# error or a schedule, every accepted schedule survives its own DSL
+# rendering, and Validate, Waves and Horizon do not panic on it.
+fuzz-faults:
+	$(GO) test -run=^$$ -fuzz FuzzFaultsParse -fuzztime $(FUZZTIME) ./internal/faults/
 
 # One iteration of every benchmark: catches bitrot in the benchmark
 # harnesses (they cover each figure of the paper) without paying for a

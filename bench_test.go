@@ -718,25 +718,6 @@ func BenchmarkControlPlaneTick(b *testing.B) {
 
 // --- Benchmarks of the operational extensions ---
 
-// One §3.4 selection round over a 64-flow view (GA with the paper's
-// population).
-func BenchmarkSelectorRound(b *testing.B) {
-	g, err := topology.NewTorus(4, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab := routing.NewTable(g)
-	protocols := []routing.Protocol{routing.RPS, routing.VLB}
-	rng := rand.New(rand.NewSource(6))
-	flows := trafficgen.PermutationLoad(g, 1.0, rng)
-	fitness := genetic.AggregateFitness(tab, 10e9, 0.05, flows, protocols)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		genetic.Optimize(genetic.Config{Population: 100, MaxGens: 10, Seed: int64(i)},
-			len(flows), len(protocols), genetic.UniformAssignment(len(flows), 0), fitness)
-	}
-}
-
 // Failure reroute cost: degraded-fabric construction plus table/FIB swap.
 func BenchmarkFailureReroute(b *testing.B) {
 	g, err := topology.NewTorus(4, 3)

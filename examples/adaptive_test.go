@@ -10,11 +10,12 @@ import (
 	"r2c2/internal/trafficgen"
 )
 
-// Example_adaptive shows per-flow routing-protocol selection (§3.4).
-// Long-running flows start on minimal routing; the genetic heuristic
-// periodically reassigns protocols to maximise aggregate rack throughput,
-// beating any single network-wide protocol at every load level — the
-// Figure 18 mechanism.
+// Example_adaptive shows per-flow routing-protocol selection (§3.4), scored
+// offline as Figure 18 is. Long-running flows start on minimal routing; the
+// genetic heuristic searches for the protocol assignment that maximises
+// aggregate rack throughput, beating any single network-wide protocol at
+// every load level. Nothing re-routes live flows: §3.4's periodic online
+// loop is not reproduced.
 func Example_adaptive() {
 	g, err := topology.NewTorus(4, 3)
 	if err != nil {

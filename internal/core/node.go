@@ -3,7 +3,6 @@ package core
 import (
 	"slices"
 
-	"r2c2/internal/routing"
 	"r2c2/internal/topology"
 	"r2c2/internal/wire"
 )
@@ -66,22 +65,12 @@ func (n *Node[F]) Finish(f F) (b wire.Broadcast, ok bool) {
 // SetDemand announces f's new demand (§3.3.2); ok is false if f is not
 // live.
 func (n *Node[F]) SetDemand(f F, kbps uint32) (b wire.Broadcast, ok bool) {
-	return n.update(f, wire.EventDemandUpdate, func(info *FlowInfo) { info.DemandKbps = kbps })
-}
-
-// SetProtocol announces f's new routing protocol (§3.4); ok is false if f
-// is not live.
-func (n *Node[F]) SetProtocol(f F, p routing.Protocol) (b wire.Broadcast, ok bool) {
-	return n.update(f, wire.EventRouteChange, func(info *FlowInfo) { info.Protocol = p })
-}
-
-func (n *Node[F]) update(f F, ev wire.EventKind, set func(*FlowInfo)) (b wire.Broadcast, ok bool) {
 	if !slices.Contains(n.flows, f) {
 		return b, false
 	}
-	set(f.Info())
+	f.Info().DemandKbps = kbps
 	n.vis.Hold(n.Col, *f.Info())
-	return f.Info().Broadcast(ev, n.nextTree()), true
+	return f.Info().Broadcast(wire.EventDemandUpdate, n.nextTree()), true
 }
 
 // Retransmit returns the node's dropped broadcast b on its next tree

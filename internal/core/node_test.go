@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"r2c2/internal/routing"
 	"r2c2/internal/topology"
 	"r2c2/internal/wire"
 )
@@ -32,7 +31,7 @@ func TestNodeTreeRotation(t *testing.T) {
 	a, b := newTestFlow(1, 4, 0), newTestFlow(1, 5, 1)
 	first := func(b wire.Broadcast, _ bool) wire.Broadcast { return b }
 	var trees []uint8
-	for _, bc := range []wire.Broadcast{n.Start(a), n.Start(b), first(n.SetDemand(a, 7)), first(n.SetProtocol(b, routing.DOR)),
+	for _, bc := range []wire.Broadcast{n.Start(a), n.Start(b), first(n.SetDemand(a, 7)), first(n.SetDemand(b, 9)),
 		first(n.Finish(a)), n.Retransmit(wire.Broadcast{Tree: 0})} {
 		trees = append(trees, bc.Tree)
 	}
@@ -58,12 +57,6 @@ func TestNodeHoldsBeforeFlood(t *testing.T) {
 	if got, _ := vis.Get(n.Col, f.info.ID); got.DemandKbps != 42 {
 		t.Fatalf("own view holds demand %d, want 42", got.DemandKbps)
 	}
-	if b, ok := n.SetProtocol(f, routing.VLB); !ok || b.Event != wire.EventRouteChange || routing.Protocol(b.RP) != routing.VLB {
-		t.Fatalf("route broadcast %v", b)
-	}
-	if got, _ := vis.Get(n.Col, f.info.ID); got.Protocol != routing.VLB {
-		t.Fatalf("own view holds protocol %v, want VLB", got.Protocol)
-	}
 	if vis.Len(0) != 0 || vis.Len(1) != 0 {
 		t.Fatal("another node's column moved before any flood")
 	}
@@ -75,8 +68,7 @@ func TestNodeHoldsBeforeFlood(t *testing.T) {
 	}
 	_, finished := n.Finish(f)
 	_, demanded := n.SetDemand(f, 1)
-	_, rerouted := n.SetProtocol(f, routing.RPS)
-	if finished || demanded || rerouted {
+	if finished || demanded {
 		t.Fatal("a change to a finished flow announced something")
 	}
 }

@@ -17,6 +17,7 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -352,10 +353,9 @@ func parseEvent(s string) (Event, error) {
 	}
 	if ev.Kind == NodeDown {
 		node, err := strconv.Atoi(target)
-		if err != nil {
+		if ev.Node, ok = nodeID(node); err != nil || !ok {
 			return Event{}, fmt.Errorf("faults: event %q: bad node %q", s, target)
 		}
-		ev.Node = topology.NodeID(node)
 	} else {
 		aStr, bStr, ok := cut(target, "-")
 		if !ok {
@@ -363,10 +363,12 @@ func parseEvent(s string) (Event, error) {
 		}
 		a, err1 := strconv.Atoi(aStr)
 		b, err2 := strconv.Atoi(bStr)
-		if err1 != nil || err2 != nil {
+		var okA, okB bool
+		ev.A, okA = nodeID(a)
+		ev.B, okB = nodeID(b)
+		if err1 != nil || err2 != nil || !okA || !okB {
 			return Event{}, fmt.Errorf("faults: event %q: bad endpoints %q", s, target)
 		}
-		ev.A, ev.B = topology.NodeID(a), topology.NodeID(b)
 	}
 	if ev.Kind == LinkDrop {
 		p, err := strconv.ParseFloat(last, 64)
@@ -382,6 +384,12 @@ func parseEvent(s string) (Event, error) {
 		ev.Detect = d
 	}
 	return ev, nil
+}
+
+// nodeID converts a parsed node number; ok is false for a negative one,
+// which the DSL's a-b form cannot render, and for one a NodeID cannot hold.
+func nodeID(v int) (id topology.NodeID, ok bool) {
+	return topology.NodeID(v), v >= 0 && v <= math.MaxInt32
 }
 
 func cut(s, sep string) (before, after string, found bool) {
@@ -450,12 +458,20 @@ func ParseJSON(b []byte) (Schedule, error) {
 			if je.Node == nil {
 				return Schedule{}, fmt.Errorf("faults: event %d: crash needs node", i)
 			}
-			ev.Node = topology.NodeID(*je.Node)
+			var ok bool
+			if ev.Node, ok = nodeID(*je.Node); !ok {
+				return Schedule{}, fmt.Errorf("faults: event %d: bad node %d", i, *je.Node)
+			}
 		} else {
 			if je.A == nil || je.B == nil {
 				return Schedule{}, fmt.Errorf("faults: event %d: %s needs a and b", i, je.Kind)
 			}
-			ev.A, ev.B = topology.NodeID(*je.A), topology.NodeID(*je.B)
+			var okA, okB bool
+			ev.A, okA = nodeID(*je.A)
+			ev.B, okB = nodeID(*je.B)
+			if !okA || !okB {
+				return Schedule{}, fmt.Errorf("faults: event %d: bad endpoints %d-%d", i, *je.A, *je.B)
+			}
 		}
 		if ev.Kind == LinkDrop {
 			if !(je.Prob >= 0 && je.Prob <= 1) {

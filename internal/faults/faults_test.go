@@ -72,6 +72,8 @@ func TestParseErrors(t *testing.T) {
 		"drop@1ms:0-1/often", "drop@1ms:0-1/1.5", "drop@1ms:0-1/-0.5", "drop@1ms:0-1/NaN",
 		"drop@1ms:0-1/Inf", "drop@1ms:0-1/-Inf", `{"events":[{"kind":"down","at":"1ms"}]}`,
 		`{"events":[]}`, `[{"kind":"drop","at":"0s","a":0,"b":1,"prob":1.5}]`,
+		"down@1ms:3000000000-1/1ms", "crash@1ms:-5/1ms", "crash@1ms:4294967295/1ms",
+		`[{"kind":"down","at":"1ms","a":-1,"b":2}]`, `[{"kind":"crash","at":"1ms","node":2147483648}]`,
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
@@ -213,4 +215,49 @@ func TestGenerateRefusesPartition(t *testing.T) {
 	if s, err := Generate(ring, GenConfig{Seed: 1, Horizon: time.Millisecond, Flaps: 1}); err != nil || len(s.Events) != 2 {
 		t.Fatalf("single flap on a 3-ring should fit: %v %v", s, err)
 	}
+}
+
+// FuzzFaultsParse feeds arbitrary text to Parse. It must return an error or
+// a non-empty schedule; every schedule it accepts, JSON ones included, must
+// come back unchanged from Parse(sched.String()), and Validate on a 4x4
+// torus, Waves and Horizon must not panic on it.
+func FuzzFaultsParse(f *testing.F) {
+	for _, seed := range []string{
+		// Parse's DSL examples, one at a time and together.
+		"down@10ms:0-1/2ms",
+		"up@30ms:0-1/2ms",
+		"crash@20ms:5/2ms",
+		"drop@0s:2-3/0.01",
+		"down@10ms:0-1/2ms; up@30ms:0-1/2ms;crash@20ms:5/2ms;drop@0s:2-3/0.01",
+		// ParseJSON's example, and its bare-array form.
+		`{"events":[{"kind":"down","at":"10ms","a":0,"b":1,"detect":"2ms"},
+		           {"kind":"crash","at":"20ms","node":5,"detect":"2ms"},
+		           {"kind":"drop","at":"0s","a":2,"b":3,"prob":0.01}]}`,
+		`[{"kind":"up","at":"30ms","a":0,"b":1,"detect":"2ms"}]`,
+	} {
+		f.Add(seed)
+	}
+	g, err := topology.NewTorus(4, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sched, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if sched.Len() == 0 {
+			t.Fatalf("Parse(%q) accepted an empty schedule", s)
+		}
+		again, err := Parse(sched.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) = %v, but its rendering %q does not parse: %v", s, sched.Events, sched.String(), err)
+		}
+		if !reflect.DeepEqual(again, sched) {
+			t.Fatalf("Parse(%q) = %+v, but its rendering %q parses to %+v", s, sched.Events, sched.String(), again.Events)
+		}
+		_ = sched.Validate(g)
+		_ = sched.Waves()
+		_ = sched.Horizon()
+	})
 }

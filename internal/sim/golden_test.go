@@ -180,6 +180,19 @@ func TestArrivalTiesByteIdentical(t *testing.T) {
 	}
 }
 
+// TestUnsortedArrivalsAllRun: the default time limit runs from the latest
+// arrival, not the last one listed, so a list whose last entry is the
+// earliest still starts and finishes every flow.
+func TestUnsortedArrivalsAllRun(t *testing.T) {
+	res := Run(RunConfig{Graph: torus(t, 4, 2), Transport: TransportTCP, Arrivals: []trafficgen.Arrival{
+		{At: 500 * simtime.Millisecond, Src: 0, Dst: 5, SizeBytes: 64 << 10, Weight: 1},
+		{At: 0, Src: 3, Dst: 9, SizeBytes: 64 << 10, Weight: 1},
+	}})
+	if len(res.Flows) != 2 || res.Completed != 2 {
+		t.Fatalf("%d flows recorded, %d completed; want 2 and 2", len(res.Flows), res.Completed)
+	}
+}
+
 // arrivalGolden holds TestArrivalTiesByteIdentical's digests, recorded at
 // commit e79d7af.
 var arrivalGolden = map[string]string{

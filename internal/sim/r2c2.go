@@ -465,18 +465,6 @@ func (r *R2C2) StartFlow(src, dst topology.NodeID, sizeBytes int64, weight, prio
 	return id
 }
 
-// SetProtocol re-assigns a live flow's routing protocol (the §3.4 selection
-// mechanism) and broadcasts the change. Unknown flows are ignored.
-func (r *R2C2) SetProtocol(id wire.FlowID, p routing.Protocol) {
-	sf := r.sender(id)
-	if sf == nil {
-		return
-	}
-	if b, ok := sf.node.SetProtocol(sf, p); ok {
-		r.broadcast(sf.node, &b, 0)
-	}
-}
-
 // broadcast floods one of node's broadcasts along its tree, after retries
 // drops of it (§3.2 loss recovery). Every copy of the packet shares b.
 func (r *R2C2) broadcast(node *r2c2Node, b *wire.Broadcast, retries uint8) {

@@ -124,12 +124,18 @@ func Run(cfg RunConfig) *Results {
 	// (wire.FlowID): one more flow and the sequence wraps onto the first
 	// flow's ID, whose ledger record it would overwrite and whose finish
 	// every other node has already seen. The per-source counts also size
-	// the flow-table rows.
+	// the flow-table rows. The list need not be sorted: the default time
+	// limit runs from the latest arrival, wherever it is listed.
 	perSrc := make([]int, cfg.Graph.Nodes())
+	last := cfg.Arrivals[0].At
 	for _, a := range cfg.Arrivals {
 		if perSrc[a.Src]++; perSrc[a.Src] > wire.MaxFlowsPerSource {
 			panic(fmt.Sprintf("sim: more than %d arrivals from node %d: its flow sequence numbers would wrap", wire.MaxFlowsPerSource, a.Src))
 		}
+		last = max(last, a.At)
+	}
+	if cfg.MaxTime == 0 {
+		cfg.MaxTime = last + 100*simtime.Millisecond
 	}
 	sr := newShardedRun(cfg, perSrc)
 	defer sr.workers.stop()

@@ -249,10 +249,9 @@ var fanoutMinEvents uint64 = 256
 // single worker that claimed its index for the phase; the byte-identity
 // oracles run at fanoutMinEvents = 0 under -race to hold that.
 type shardedRun struct {
-	cfg     RunConfig
-	maxTime simtime.Time
-	shards  []*shardState
-	delta   simtime.Time
+	cfg    RunConfig
+	shards []*shardState
+	delta  simtime.Time
 	// The partition, one shard per worker; nil when one shard owns the
 	// whole fabric.
 	part *topology.Partition
@@ -307,15 +306,12 @@ func lookahead(g *topology.Graph, netCfg NetConfig) simtime.Time {
 // workers); every such partition reproduces the one-shard run, so Results are
 // byte-identical at every worker count. Anything else gets one shard owning
 // the whole fabric, its window bounded by nothing but the end of the run
-// (DESIGN.md §14).
+// (DESIGN.md §14), cfg.MaxTime, which Run defaults.
 func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
-	sr := &shardedRun{cfg: cfg, maxTime: cfg.MaxTime}
-	if sr.maxTime == 0 {
-		sr.maxTime = cfg.Arrivals[len(cfg.Arrivals)-1].At + 100*simtime.Millisecond
-	}
+	sr := &shardedRun{cfg: cfg}
 	S, workers := 1, max(cfg.Shards, 1)
 	var assign []int32 // nil: one shard owns every node
-	sr.delta = sr.maxTime
+	sr.delta = cfg.MaxTime
 	if workers > 1 {
 		if cfg.Transport != TransportR2C2 {
 			panic(fmt.Sprintf("sim: sharded runs require TransportR2C2, got %v (the PFQ back-pressure fabric and TCP baseline are serial-only)", cfg.Transport))
@@ -468,13 +464,14 @@ func (f *arrivalFeed) fire(eng *Engine) {
 // the clock stops at the same boundary whatever the partition.
 func (sr *shardedRun) run() simtime.Time {
 	total := len(sr.cfg.Arrivals)
-	slice := sr.maxTime / 64
+	maxTime := sr.cfg.MaxTime
+	slice := maxTime / 64
 	if slice < simtime.Microsecond {
 		slice = simtime.Microsecond
 	}
 	now := simtime.Time(0)
-	for now < sr.maxTime {
-		sliceEnd := min(now+slice, sr.maxTime)
+	for now < maxTime {
+		sliceEnd := min(now+slice, maxTime)
 		for now < sliceEnd {
 			// Idle jump: nothing can execute before the earliest pending
 			// event T*, and events at T* export handoffs at ≥ T*+Δ, so the

@@ -379,7 +379,7 @@ func TestOneShardSeam(t *testing.T) {
 			t.Fatalf("%s: %d shards, %d helpers, net.sh %v, partition %v; want one bare shard",
 				c.name, len(sr.shards), sr.workers.helpers, st.net.sh, sr.part)
 		}
-		slice := sr.maxTime / 64
+		slice := sr.cfg.MaxTime / 64
 		if end%slice != 0 || !c.epochs(sr.epochs) || st.activeEpochs != sr.epochs {
 			t.Errorf("%s: stopped at %v (slice %v) after %d epochs, %d of them active", c.name, end, slice, sr.epochs, st.activeEpochs)
 		}

@@ -121,27 +121,6 @@ func TestR2C2Priority(t *testing.T) {
 	}
 }
 
-func TestR2C2SetProtocol(t *testing.T) {
-	g := torus(t, 4, 2)
-	eng, _, r := newR2C2Net(t, g, R2C2Config{Protocol: routing.RPS})
-	id := r.StartFlow(0, 5, 20<<20, 1, 0)
-	eng.Run(50 * simtime.Microsecond)
-	r.SetProtocol(id, routing.VLB)
-	eng.Run(200 * simtime.Microsecond)
-	for n := 0; n < g.Nodes(); n++ {
-		info, ok := r.View(topology.NodeID(n)).Get(id)
-		if !ok {
-			t.Fatalf("node %d lost the flow", n)
-		}
-		if info.Protocol != routing.VLB {
-			t.Fatalf("node %d sees protocol %v after route change", n, info.Protocol)
-		}
-	}
-	// Re-assigning a finished flow is a no-op.
-	eng.Run(200 * simtime.Millisecond)
-	r.SetProtocol(id, routing.DOR)
-}
-
 func TestR2C2ViewCacheAmortises(t *testing.T) {
 	g := torus(t, 4, 2)
 	eng, _, r := newR2C2Net(t, g, R2C2Config{

@@ -35,12 +35,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add(data)
 
-	upd, err := EncodeRoutingUpdate([]RoutingPair{{Flow: MakeFlowID(1, 2), RP: 3}, {Flow: MakeFlowID(4, 5), RP: 0}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(upd)
-
 	// A packet of the ack class, which no decoder here accepts.
 	ack := bytes.Repeat([]byte{0}, AckSize)
 	ack[0] = byte(TypeAck)
@@ -86,24 +80,6 @@ func FuzzWireRoundTrip(f *testing.F) {
 			enc2, err := EncodeData(nil, &h2, payload2)
 			if err != nil || !bytes.Equal(enc2, enc1) {
 				t.Fatalf("data re-encode not a fixpoint (err=%v)", err)
-			}
-		}
-
-		if pairs, err := DecodeRoutingUpdate(pkt); err == nil {
-			enc1, err := EncodeRoutingUpdate(pairs)
-			if err != nil {
-				t.Fatalf("re-encode routing update: %v", err)
-			}
-			pairs2, err := DecodeRoutingUpdate(enc1)
-			if err != nil {
-				t.Fatalf("re-decode routing update: %v", err)
-			}
-			if !reflect.DeepEqual(pairs2, pairs) {
-				t.Fatalf("routing update round trip: %v != %v", pairs2, pairs)
-			}
-			enc2, err := EncodeRoutingUpdate(pairs2)
-			if err != nil || !bytes.Equal(enc2, enc1) {
-				t.Fatalf("routing update re-encode not a fixpoint (err=%v)", err)
 			}
 		}
 

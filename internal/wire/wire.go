@@ -1,7 +1,6 @@
 // Package wire implements the R2C2 packet formats of Figure 6 in the
 // paper: variable-size source-routed data packets, fixed 16-byte broadcast
-// packets announcing flow events, and the routing-update message that
-// re-assigns routing protocols to long flows (§3.4, §4.2).
+// packets announcing flow events (§4.2).
 //
 // Data packets carry their full network path in the header: 3 bits per hop
 // selecting the outgoing port at each node (at most eight links per node),
@@ -21,10 +20,9 @@ type PacketType uint8
 
 // Packet classes.
 const (
-	TypeData          PacketType = 0x1 // source-routed payload packet
-	TypeBroadcast     PacketType = 0x2 // 16-byte flow event broadcast
-	TypeRoutingUpdate PacketType = 0x3 // flow -> routing protocol reassignment
-	TypeAck           PacketType = 0x4 // transport acknowledgement (reliability; §6)
+	TypeData      PacketType = 0x1 // source-routed payload packet
+	TypeBroadcast PacketType = 0x2 // 16-byte flow event broadcast
+	TypeAck       PacketType = 0x4 // transport acknowledgement (reliability; §6)
 )
 
 // EventKind is the flow event announced by a broadcast packet.
@@ -71,7 +69,6 @@ var (
 	ErrBadEvent     = errors.New("wire: unknown broadcast event kind")
 	ErrRouteTooLong = errors.New("wire: route exceeds 42 hops")
 	ErrBadPort      = errors.New("wire: port index exceeds 3 bits")
-	ErrTooManyPairs = errors.New("wire: routing update exceeds max pairs")
 )
 
 // FlowID identifies a flow rack-wide: the 16-bit source address in the high
@@ -279,38 +276,6 @@ func DecodeBroadcastInto(pkt []byte, b *Broadcast) error {
 		RP:         pkt[14],
 	}
 	return nil
-}
-
-// RoutingPair is one {flow, routing protocol} assignment in a routing
-// update (§3.4: "up to 300 {flow, routing protocol} pairs can be advertised
-// using a single 1,500-byte packet" at 4 bytes of flow ID + 1 byte of
-// protocol per pair).
-type RoutingPair struct {
-	Flow FlowID
-	RP   uint8
-}
-
-// MaxRoutingPairs is the pair capacity of a single 1500-byte MTU update.
-const MaxRoutingPairs = (1500 - routingUpdateHeader) / 5
-
-const routingUpdateHeader = 4 // type + count(2) + checksum
-
-// EncodeRoutingUpdate encodes a routing update message.
-func EncodeRoutingUpdate(pairs []RoutingPair) ([]byte, error) {
-	if len(pairs) > MaxRoutingPairs {
-		return nil, ErrTooManyPairs
-	}
-	out := make([]byte, routingUpdateHeader+5*len(pairs))
-	out[0] = byte(TypeRoutingUpdate)
-	binary.BigEndian.PutUint16(out[1:], uint16(len(pairs)))
-	for i, p := range pairs {
-		off := routingUpdateHeader + 5*i
-		binary.BigEndian.PutUint32(out[off:], uint32(p.Flow))
-		out[off+4] = p.RP
-	}
-	out[3] = 0
-	out[3] = checksum8(out)
-	return out, nil
 }
 
 // checksum8 is a one's-complement-style 8-bit checksum: the returned byte

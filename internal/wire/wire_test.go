@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -289,76 +288,9 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-func TestRoutingUpdateRoundTrip(t *testing.T) {
-	pairs := make([]RoutingPair, MaxRoutingPairs)
-	rng := rand.New(rand.NewSource(3))
-	for i := range pairs {
-		pairs[i] = RoutingPair{Flow: FlowID(rng.Uint32()), RP: uint8(rng.Intn(4))}
-	}
-	pkt, err := EncodeRoutingUpdate(pairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkt) > 1504 {
-		t.Fatalf("300-pair update is %d bytes; paper fits 300 pairs in one 1500-byte packet", len(pkt))
-	}
-	got, err := DecodeRoutingUpdate(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(pairs) {
-		t.Fatalf("decoded %d pairs", len(got))
-	}
-	for i := range got {
-		if got[i] != pairs[i] {
-			t.Fatalf("pair %d: got %+v want %+v", i, got[i], pairs[i])
-		}
-	}
-}
-
-func TestRoutingUpdateCapacity(t *testing.T) {
-	// §3.4: "up to 300 {flow, routing protocol} pairs can be advertised
-	// using a single 1,500-byte packet".
-	if MaxRoutingPairs < 299 {
-		t.Fatalf("MaxRoutingPairs = %d, want ~300", MaxRoutingPairs)
-	}
-	if _, err := EncodeRoutingUpdate(make([]RoutingPair, MaxRoutingPairs+1)); err != ErrTooManyPairs {
-		t.Errorf("overflow: %v", err)
-	}
-}
-
-func TestRoutingUpdateErrors(t *testing.T) {
-	pkt, err := EncodeRoutingUpdate([]RoutingPair{{Flow: 1, RP: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeRoutingUpdate(pkt[:2]); err != ErrShortPacket {
-		t.Errorf("short: %v", err)
-	}
-	bad := make([]byte, len(pkt))
-	copy(bad, pkt)
-	bad[0] = byte(TypeData)
-	if _, err := DecodeRoutingUpdate(bad); err != ErrBadType {
-		t.Errorf("bad type: %v", err)
-	}
-	copy(bad, pkt)
-	bad[5] ^= 0x01 // single-bit flips are always caught by the mod-255 sum
-	if _, err := DecodeRoutingUpdate(bad); err != ErrBadChecksum {
-		t.Errorf("corruption: %v", err)
-	}
-	// Count larger than the packet actually carries.
-	copy(bad, pkt)
-	bad[2] = 200
-	if _, err := DecodeRoutingUpdate(bad); err != ErrShortPacket {
-		t.Errorf("overcount: %v", err)
-	}
-}
-
-// The decoders below are the inverses of PackRoute and EncodeRoutingUpdate.
-// No node reads a packed route back or receives a routing update, so only
-// the round-trip and fuzz tests need them.
-
-// UnpackRoute decodes rlen hops from a packed route field.
+// UnpackRoute decodes rlen hops from a packed route field, the inverse of
+// PackRoute. No node reads a packed route back, so only the round-trip and
+// fuzz tests need it.
 func UnpackRoute(packed [16]byte, rlen int) (Route, error) {
 	if rlen > MaxRouteHops {
 		return nil, ErrRouteTooLong
@@ -373,34 +305,4 @@ func UnpackRoute(packed [16]byte, rlen int) (Route, error) {
 		route[i] = v & 0x7
 	}
 	return route, nil
-}
-
-// DecodeRoutingUpdate parses a routing update message.
-func DecodeRoutingUpdate(pkt []byte) ([]RoutingPair, error) {
-	if len(pkt) < routingUpdateHeader {
-		return nil, ErrShortPacket
-	}
-	if PacketType(pkt[0]) != TypeRoutingUpdate {
-		return nil, ErrBadType
-	}
-	count := int(binary.BigEndian.Uint16(pkt[1:]))
-	if len(pkt) < routingUpdateHeader+5*count {
-		return nil, ErrShortPacket
-	}
-	stored := pkt[3]
-	cp := make([]byte, routingUpdateHeader+5*count)
-	copy(cp, pkt)
-	cp[3] = 0
-	if checksum8(cp) != stored {
-		return nil, ErrBadChecksum
-	}
-	pairs := make([]RoutingPair, count)
-	for i := range pairs {
-		off := routingUpdateHeader + 5*i
-		pairs[i] = RoutingPair{
-			Flow: FlowID(binary.BigEndian.Uint32(pkt[off:])),
-			RP:   pkt[off+4],
-		}
-	}
-	return pairs, nil
 }
