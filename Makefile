@@ -7,7 +7,7 @@ MICROBENCH = ^(BenchmarkSimulatorEventThroughput|BenchmarkBulkDataPath|Benchmark
 
 FAULTS_REPORT ?= faultsweep.csv
 
-.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill fuzz-args fuzz-faults vet bench-smoke microbench bench bench-selftest faults-smoke loc verify
+.PHONY: build test race race-short debug fuzz fuzz-view fuzz-vis fuzz-emu-vis fuzz-reorder fuzz-wheel fuzz-fill fuzz-args fuzz-faults vet bench-smoke microbench bench bench-selftest faults-smoke loc plants verify
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,14 @@ faults-smoke:
 		|| { cat $(FAULTS_REPORT); rm -f $(FAULTS_REPORT); exit 1; }
 	@cat $(FAULTS_REPORT)
 	@echo "faults-smoke: wrote $(FAULTS_REPORT)"
+
+# The plant matrix (plants_test.go, build tag plants): every test, example
+# and fuzz seed corpus of the module against each one-line plant in its
+# table, one process per test. The report — each plant's killers, the
+# plant × test matrix, unique kills, tests that kill nothing — goes to
+# standard output; a plant that no test but a digest kills fails it.
+plants:
+	$(GO) test -tags plants -v -count=1 -timeout 0 -run TestPlants .
 
 # Non-test and test lines of Go per top-level package and in total (the root
 # package included), bench/ — a module of its own — excluded: what

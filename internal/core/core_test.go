@@ -24,73 +24,6 @@ func flowInfo(src, dst topology.NodeID, seq uint16) FlowInfo {
 	}
 }
 
-func TestViewApplyStartFinish(t *testing.T) {
-	v := NewView()
-	f := flowInfo(1, 2, 7)
-	if err := v.Apply(f.StartBroadcast(0)); err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 1 {
-		t.Fatalf("len = %d", v.Len())
-	}
-	got, ok := v.Get(f.ID)
-	if !ok {
-		t.Fatal("flow missing after start")
-	}
-	if got != f {
-		t.Fatalf("round trip through broadcast: got %+v want %+v", got, f)
-	}
-	if err := v.Apply(f.FinishBroadcast(0)); err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 0 {
-		t.Fatal("flow still present after finish")
-	}
-}
-
-func TestViewHashOrderIndependent(t *testing.T) {
-	a, b := NewView(), NewView()
-	f1, f2, f3 := flowInfo(1, 2, 1), flowInfo(3, 4, 2), flowInfo(5, 6, 3)
-	for _, f := range []FlowInfo{f1, f2, f3} {
-		a.AddFlow(f)
-	}
-	for _, f := range []FlowInfo{f3, f1, f2} {
-		b.AddFlow(f)
-	}
-	if a.Hash() != b.Hash() {
-		t.Fatal("hash depends on insertion order")
-	}
-	// Removing and re-adding restores the hash.
-	h := a.Hash()
-	a.RemoveFlow(f2.ID)
-	if a.Hash() == h {
-		t.Fatal("hash unchanged after removal")
-	}
-	a.AddFlow(f2)
-	if a.Hash() != h {
-		t.Fatal("hash not restored after re-add")
-	}
-	// Empty views hash equal.
-	if NewView().Hash() != NewView().Hash() {
-		t.Fatal("empty view hashes differ")
-	}
-}
-
-func TestViewHashTracksMutation(t *testing.T) {
-	v := NewView()
-	f := flowInfo(0, 1, 1)
-	h0 := v.Hash()
-	v.AddFlow(f)
-	if v.Hash() == h0 || v.Len() != 1 {
-		t.Fatal("add left the view's hash or length unchanged")
-	}
-	h1 := v.Hash()
-	v.RemoveFlow(wire.MakeFlowID(9, 9)) // unknown: no-op
-	if v.Hash() != h1 || v.Len() != 1 {
-		t.Fatal("no-op removal changed the view")
-	}
-}
-
 func TestViewDemandAndRouteUpdates(t *testing.T) {
 	v := NewView()
 	f := flowInfo(1, 2, 1)
@@ -129,20 +62,6 @@ func TestViewApplyUnknownEvent(t *testing.T) {
 	b := &wire.Broadcast{Event: wire.EventKind(0xF)}
 	if err := v.Apply(b); err == nil {
 		t.Fatal("unknown event accepted")
-	}
-}
-
-func TestViewFlowsSorted(t *testing.T) {
-	v := NewView()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 50; i++ {
-		v.AddFlow(flowInfo(topology.NodeID(rng.Intn(8)), topology.NodeID(8+rng.Intn(8)), uint16(rng.Intn(1000))))
-	}
-	flows := v.Flows()
-	for i := 1; i < len(flows); i++ {
-		if flows[i].ID <= flows[i-1].ID {
-			t.Fatal("Flows() not sorted by ID")
-		}
 	}
 }
 
@@ -303,18 +222,6 @@ func TestDemandEstimatorPanics(t *testing.T) {
 	NewDemandEstimator(0, 0.5)
 }
 
-func TestKbpsDemand(t *testing.T) {
-	if KbpsDemand(-5) != 0 {
-		t.Error("negative demand")
-	}
-	if KbpsDemand(2e6) != 2000 {
-		t.Errorf("KbpsDemand(2e6) = %d", KbpsDemand(2e6))
-	}
-	if KbpsDemand(1e18) != UnlimitedDemand-1 {
-		t.Error("saturation failed")
-	}
-}
-
 // TestComputeIsHistoryFree churns one view through hundreds of start /
 // finish / demand-update / route-change events and requires, after every
 // event, that one long-lived computer's Compute equal a fresh computer's bit
@@ -455,81 +362,6 @@ func (m *mapView) requireGet(t *testing.T, v *View, step int, id wire.FlowID) {
 func TestViewSlotSize(t *testing.T) {
 	if sz := unsafe.Sizeof(tableSlot[FlowInfo]{}); sz > 28 {
 		t.Fatalf("view slot is %d bytes, budget 28", sz)
-	}
-}
-
-// TestViewMatchesMapReference drives a View and the map reference with one
-// randomised event stream — starts (duplicates included), finishes and
-// demand/route updates (of unknown flows too) — and requires Len, Hash,
-// Get and Flows() to agree after every event. A third of the IDs
-// hash to the table's last slot at every size the run reaches, so clusters
-// wrap the table end and backward-shift deletes pull entries across it; the
-// live-set target swings so the table doubles at least four times.
-func TestViewMatchesMapReference(t *testing.T) {
-	steps := 100_000
-	if testing.Short() {
-		steps = 30_000
-	}
-	rng := rand.New(rand.NewSource(1))
-	atEnd := &View{table: table[FlowInfo]{shift: 32 - 12}} // a 4096-slot table's hash: top bits all set = last slot at every smaller size too
-	var pool, endPool []wire.FlowID
-	for id := wire.FlowID(0); len(endPool) < 300; id++ {
-		if atEnd.home(id) == 1<<12-1 {
-			endPool = append(endPool, id)
-		}
-	}
-	for i := 0; i < 600; i++ {
-		pool = append(pool, wire.MakeFlowID(uint16(rng.Intn(512)), uint16(rng.Intn(8)))) // random, with repeats
-	}
-	pool = append(pool, endPool...)
-
-	v, ref := NewView(), &mapView{flows: map[wire.FlowID]FlowInfo{}}
-	targets := []int{6, 40, 100, 12, 200, 3, 30}
-	wrapped, maxSlots := 0, 0
-	var live []FlowInfo
-	for step := 0; step < steps; step++ {
-		id := pool[rng.Intn(len(pool))]
-		switch r := rng.Intn(6); {
-		case r < 2:
-			id = endPool[rng.Intn(len(endPool))]
-		case r < 4 && len(live) > 0:
-			id = live[rng.Intn(len(live))].ID // so that finishes and updates mostly hit
-		}
-		f := FlowInfo{ID: id, Src: topology.NodeID(id.Src()), Dst: topology.NodeID(rng.Intn(512)), Weight: uint8(1 + rng.Intn(3)),
-			Priority: uint8(rng.Intn(2)), DemandKbps: uint32(rng.Intn(4)), Protocol: routing.Protocol(rng.Intn(4))}
-		var b wire.Broadcast
-		switch r := rng.Intn(20); {
-		case r < 2:
-			b = f.Broadcast(wire.EventDemandUpdate, 0)
-		case r < 4:
-			b = f.Broadcast(wire.EventRouteChange, 0)
-		case (r < 15) == (v.Len() < targets[step*len(targets)/steps]): // 11 in 16 toward the current target size
-			b = f.Broadcast(wire.EventFlowStart, 0)
-		default:
-			b = f.Broadcast(wire.EventFlowFinish, 0)
-			if _, live := ref.flows[id]; live && v.slots[len(v.slots)-1].used && v.slots[0].used && v.home(id) == len(v.slots)-1 {
-				wrapped++
-			}
-		}
-		ref.apply(&b)
-		switch {
-		case b.Event == wire.EventFlowStart && step%2 == 0:
-			v.AddFlow(f) // the sender's own path
-		case b.Event == wire.EventFlowFinish && step%2 == 0:
-			v.RemoveFlow(id)
-		default:
-			if err := v.Apply(&b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		live = ref.requireSame(t, v, step, id, pool[rng.Intn(len(pool))])
-		maxSlots = max(maxSlots, len(v.slots))
-	}
-	if maxSlots < 1<<(tableMinBits+4) {
-		t.Errorf("table peaked at %d slots: fewer than four doublings from %d", maxSlots, 1<<tableMinBits)
-	}
-	if wrapped < 100 {
-		t.Errorf("only %d finishes hit a cluster wrapped around the table end", wrapped)
 	}
 }
 

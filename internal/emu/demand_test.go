@@ -123,3 +123,24 @@ func demand(n *emuNode, f *Flow) uint32 {
 	defer n.mu.Unlock()
 	return f.info.DemandKbps
 }
+
+// TestDemandUpdateThreshold holds when a sender re-announces its Eq. 1
+// estimate: past a 15 % change, or on a move to or from unlimited.
+func TestDemandUpdateThreshold(t *testing.T) {
+	for _, c := range []struct {
+		old, new uint32
+		want     bool
+	}{
+		{1000, 1000, false},
+		{1000, 1150, false},
+		{1000, 1151, true},
+		{1150, 1000, false},
+		{1151, 1000, true},
+		{1000, core.UnlimitedDemand, true},
+		{core.UnlimitedDemand, 1000, true},
+	} {
+		if got := diverges(c.old, c.new); got != c.want {
+			t.Errorf("diverges(%d, %d) = %v, want %v", c.old, c.new, got, c.want)
+		}
+	}
+}

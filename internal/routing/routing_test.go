@@ -352,14 +352,20 @@ func TestSamplePathValidity(t *testing.T) {
 
 // Monte-Carlo agreement: empirical link usage of sampled paths must
 // converge to φ. This ties the data plane to the control plane, the core
-// soundness requirement of R2C2's congestion control.
+// soundness requirement of R2C2's congestion control. The antipode 0→10 has
+// minimal paths in both directions of both rings; for the neighbours 0→1,
+// VLB's φ is far from the single minimal hop, so a sampler that skips the
+// waypoint shows there.
 func TestSamplePathMatchesPhi(t *testing.T) {
 	g := torus(t, 4, 2)
 	tab := NewTable(g)
 	rng := rand.New(rand.NewSource(7))
 	const samples = 60000
-	for _, p := range []Protocol{RPS, VLB, WLB} {
-		src, dst := topology.NodeID(0), topology.NodeID(10)
+	for _, c := range []struct {
+		p        Protocol
+		src, dst topology.NodeID
+	}{{RPS, 0, 10}, {VLB, 0, 10}, {WLB, 0, 10}, {VLB, 0, 1}} {
+		p, src, dst := c.p, c.src, c.dst
 		counts := make([]float64, g.NumLinks())
 		for i := 0; i < samples; i++ {
 			for _, lid := range tab.AppendPath(nil, p, src, dst, rng) {

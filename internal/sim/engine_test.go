@@ -21,21 +21,6 @@ func TestEngineOrdering(t *testing.T) {
 	}
 }
 
-func TestEngineFIFOAtSameTime(t *testing.T) {
-	var eng Engine
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		eng.Schedule(5, func() { order = append(order, i) })
-	}
-	eng.Run(5)
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", order)
-		}
-	}
-}
-
 func TestEngineNestedScheduling(t *testing.T) {
 	var eng Engine
 	hits := 0
@@ -66,21 +51,6 @@ func TestEngineStopsAtHorizon(t *testing.T) {
 	}
 }
 
-func TestEngineClockMonotonic(t *testing.T) {
-	var eng Engine
-	last := simtime.Time(-1)
-	for i := 0; i < 100; i++ {
-		at := simtime.Time((i * 7919) % 1000)
-		eng.Schedule(at, func() {
-			if eng.Now() < last {
-				t.Fatal("clock went backwards")
-			}
-			last = eng.Now()
-		})
-	}
-	eng.Run(1000)
-}
-
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	var eng Engine
 	eng.Schedule(10, func() {
@@ -92,19 +62,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 		eng.Schedule(5, func() {})
 	})
 	eng.Run(10)
-}
-
-func TestEngineEventExactlyAtHorizon(t *testing.T) {
-	var eng Engine
-	ran := false
-	eng.Schedule(50, func() { ran = true })
-	eng.Run(50)
-	if !ran {
-		t.Fatal("event scheduled exactly at `until` must fire")
-	}
-	if eng.Now() != 50 {
-		t.Fatalf("now = %v, want 50", eng.Now())
-	}
 }
 
 // TestEngineHeapStress pushes events with colliding pseudo-random
@@ -137,18 +94,5 @@ func TestEngineHeapStress(t *testing.T) {
 			t.Fatalf("pop %d: FIFO violated at t=%v (seq %d after %d)",
 				i, got[i].at, got[i].seq, got[i-1].seq)
 		}
-	}
-}
-
-func TestEngineProcessedCount(t *testing.T) {
-	var eng Engine
-	for i := 0; i < 7; i++ {
-		eng.Schedule(simtime.Time(i), func() {})
-	}
-	if n := eng.Run(100); n != 7 {
-		t.Fatalf("Run returned %d", n)
-	}
-	if eng.Processed() != 7 {
-		t.Fatalf("Processed = %d", eng.Processed())
 	}
 }

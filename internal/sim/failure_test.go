@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"slices"
 	"testing"
 
 	"r2c2/internal/core"
@@ -24,45 +23,6 @@ func linkMask(g *topology.Graph, failed ...topology.LinkID) []bool {
 		m[lid] = true
 	}
 	return m
-}
-
-func TestWithoutLinks(t *testing.T) {
-	g := torus(t, 4, 2)
-	a, b := g.NodeAt([]int{0, 0}), g.NodeAt([]int{1, 0})
-	ab, _ := g.LinkBetween(a, b)
-	ba, _ := g.LinkBetween(b, a)
-	sub, mapping, err := g.WithoutLinksAndNodes(linkMask(g, ab, ba), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.NumLinks() != g.NumLinks()-2 {
-		t.Fatalf("links = %d", sub.NumLinks())
-	}
-	if !sub.Degraded() {
-		t.Fatal("subgraph not marked degraded")
-	}
-	if _, ok := sub.LinkBetween(a, b); ok {
-		t.Fatal("failed link still present")
-	}
-	// Distances reroute around the failure: a->b now 3 hops on a 4-ring.
-	if d := sub.Dist(a, b); d != 3 {
-		t.Fatalf("degraded dist = %d, want 3", d)
-	}
-	// Mapping points every surviving link back at the same physical pair.
-	for newID, oldID := range mapping {
-		if sub.Link(topology.LinkID(newID)) != g.Link(oldID) {
-			t.Fatalf("mapping broken at %d", newID)
-		}
-	}
-	// Partitioning failures are rejected: cut every link of one node on a
-	// 1D ring of 3 (node 1 has neighbours 0 and 2).
-	ring, err := topology.NewTorus(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ring.WithoutLinksAndNodes(linkMask(ring, slices.Concat(ring.Out(1), ring.In(1))...), nil); err == nil {
-		t.Fatal("partitioning failure accepted")
-	}
 }
 
 // Degraded fabrics must still produce valid φ-vectors and paths for every

@@ -223,3 +223,38 @@ func TestRunRejectsFlowSequenceWrap(t *testing.T) {
 	}()
 	Run(cfg(0))
 }
+
+// TestDropTailAdmitsExactFit holds a FIFO port's drop-tail rule: a packet
+// that brings the queue to exactly QueueBytes is admitted, and one byte more
+// is lost and counted in TotalDrops, which Results.Drops sums.
+func TestDropTailAdmitsExactFit(t *testing.T) {
+	g, err := topology.NewMesh(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 4000
+	eng := &Engine{}
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PropDelay: rigProp, QueueBytes: limit})
+	delivered := 0
+	net.Deliver = func(topology.NodeID, *Packet) { delivered++ }
+	lid, _ := g.LinkBetween(0, 1)
+	send := func(size int) bool {
+		return net.Inject(&Packet{Kind: KindData, SizeBytes: size, Payload: size,
+			Flow: wire.MakeFlowID(0, 0), Src: 0, Dst: 1, Path: []topology.LinkID{lid}})
+	}
+	send(MTU) // on the wire at once; what follows queues behind it
+	room := limit - net.ports[lid].queued
+	if !send(room) {
+		t.Fatalf("a %d-byte packet that fills the queue to exactly %d bytes was dropped", room, limit)
+	}
+	if send(1) {
+		t.Fatalf("a packet past the %d-byte queue was admitted", limit)
+	}
+	if got := net.TotalDrops(); got != 1 {
+		t.Fatalf("TotalDrops = %d, want 1", got)
+	}
+	eng.Run(simtime.Millisecond)
+	if delivered != 2 {
+		t.Fatalf("%d packets delivered, want 2", delivered)
+	}
+}

@@ -94,6 +94,31 @@ func TestTCPFastRetransmit(t *testing.T) {
 	}
 }
 
+// TestTCPFastRetransmitOnThirdDupAck: a loss followed by exactly three
+// packets draws three duplicate acks, and the third retransmits at once,
+// long before the retransmission timeout.
+func TestTCPFastRetransmitOnThirdDupAck(t *testing.T) {
+	g := torus(t, 4, 2)
+	eng := &Engine{}
+	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10, PropDelay: 100 * simtime.Nanosecond})
+	tcp := NewTCP(net, routing.NewTable(g), TCPConfig{InitCwnd: 16, InitSSTh: 16, MinRTO: 10 * simtime.Millisecond})
+	id := tcp.StartFlow(0, 5, 8*MaxPayload) // eight packets, all in the first window
+	dropped := false
+	orig := net.Deliver
+	net.Deliver = func(at topology.NodeID, pkt *Packet) {
+		if !dropped && pkt.Kind == KindData && pkt.Seq == 4 {
+			dropped = true
+			return
+		}
+		orig(at, pkt)
+	}
+	eng.Run(5 * simtime.Millisecond)
+	if rec := tcp.Ledger()[id]; !dropped || tcp.Retransmissions != 1 || !rec.Done {
+		t.Fatalf("dropped %v, %d retransmissions, done %v before the RTO; want true, 1, true",
+			dropped, tcp.Retransmissions, rec.Done)
+	}
+}
+
 // A finished flow's sender (with its two routes and its send-time ring) and
 // receiver are released when the last ack arrives, drops and retransmissions
 // included: what stays per flow is its record. Stale retransmissions and late

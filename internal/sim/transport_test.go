@@ -514,3 +514,18 @@ func (t *TCP) Ledger() map[wire.FlowID]*FlowRecord { return t.flows.ledger() }
 // Ledger returns the flow records by ID, for inspection and results
 // collection. The map is built on every call.
 func (p *PFQ) Ledger() map[wire.FlowID]*FlowRecord { return p.flows.ledger() }
+
+// TestR2C2RecomputesEveryRho holds §3.3.2's batching: rates are recomputed
+// once per ρ, however many flows start and finish in between.
+func TestR2C2RecomputesEveryRho(t *testing.T) {
+	g := torus(t, 4, 2)
+	eng, _, r := newR2C2Net(t, g, R2C2Config{
+		Protocol: routing.RPS, Recompute: 100 * simtime.Microsecond})
+	for s := 0; s < 8; s++ {
+		r.StartFlow(topology.NodeID(s), topology.NodeID(15-s), 64<<10, 1, 0)
+	}
+	eng.Run(20 * simtime.Millisecond)
+	if r.RecomputeRounds != 200 {
+		t.Fatalf("%d recompute rounds in 20 ms at ρ = 100 µs, want 200", r.RecomputeRounds)
+	}
+}

@@ -28,143 +28,6 @@ func drainWheel(w *timerWheel) []event {
 	return out
 }
 
-func TestWheelOrdersLikeHeap(t *testing.T) {
-	// A deterministic LCG stream with deliberate timestamp collisions,
-	// spanning several wheel levels (delays up to ~2^40 ps ≈ 1.1 s).
-	var w timerWheel
-	type key struct {
-		at  simtime.Time
-		seq uint64
-	}
-	var want []key
-	rng := uint64(12345)
-	var seq uint64
-	for i := 0; i < 5000; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		at := simtime.Time(rng % (1 << 40))
-		if i%7 == 0 {
-			at = simtime.Time(rng % 64) // force same-slot collisions
-		}
-		armAt(&w, at, seq)
-		want = append(want, key{at, seq})
-		seq++
-	}
-	// Expected order: ascending (at, seq) — the heap comparator.
-	for i := 1; i < len(want); i++ {
-		for j := i; j > 0 && (want[j].at < want[j-1].at || (want[j].at == want[j-1].at && want[j].seq < want[j-1].seq)); j-- {
-			want[j], want[j-1] = want[j-1], want[j]
-		}
-	}
-	got := drainWheel(&w)
-	if len(got) != len(want) {
-		t.Fatalf("drained %d events, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].at != want[i].at || got[i].seq != want[i].seq {
-			t.Fatalf("event %d: got (at=%d seq=%d), want (at=%d seq=%d)",
-				i, got[i].at, got[i].seq, want[i].at, want[i].seq)
-		}
-	}
-	if w.count != 0 {
-		t.Fatalf("count = %d after drain, want 0", w.count)
-	}
-}
-
-func TestWheelInterleavedScheduleAndPop(t *testing.T) {
-	// Scheduling between pops must keep global (at, seq) order for events
-	// not yet dispatched — including events landing in the current slot.
-	var w timerWheel
-	var seq uint64
-	sched := func(at simtime.Time) {
-		armAt(&w, at, seq)
-		seq++
-	}
-	sched(100 << wheelShift)
-	sched(50 << wheelShift)
-	if ev := w.nodes[w.peek()-1].ev; ev.at != 50<<wheelShift {
-		t.Fatalf("peek at=%d, want %d", ev.at, simtime.Time(50)<<wheelShift)
-	}
-	got := popNext(&w)
-	if got.at != 50<<wheelShift {
-		t.Fatalf("pop at=%d, want %d", got.at, simtime.Time(50)<<wheelShift)
-	}
-	// Now the cursor is at slot 50. Schedule into the same slot (staged
-	// directly) and into a later slot; same-slot event fires first.
-	sched(50<<wheelShift + 1)
-	sched(60 << wheelShift)
-	if got := popNext(&w); got.at != 50<<wheelShift+1 {
-		t.Fatalf("pop at=%d, want same-slot event first", got.at)
-	}
-	if got := popNext(&w); got.at != 60<<wheelShift {
-		t.Fatalf("pop at=%d, want 60<<shift", got.at)
-	}
-	if got := popNext(&w); got.at != 100<<wheelShift {
-		t.Fatalf("pop at=%d, want 100<<shift", got.at)
-	}
-}
-
-func TestWheelCancel(t *testing.T) {
-	var w timerWheel
-	h1 := armAt(&w, 1<<30, 0)
-	h2 := armAt(&w, 2<<30, 1)
-	h3 := armAt(&w, 3<<30, 2)
-	if !w.cancel(h2) {
-		t.Fatal("cancel of live filed timer returned false")
-	}
-	if w.cancel(h2) {
-		t.Fatal("double cancel returned true")
-	}
-	if w.count != 2 {
-		t.Fatalf("count = %d, want 2", w.count)
-	}
-	got := drainWheel(&w)
-	if len(got) != 2 || got[0].seq != 0 || got[1].seq != 2 {
-		t.Fatalf("drained %v, want seqs [0 2]", got)
-	}
-	// Stale handles after firing must be rejected (node was recycled).
-	if w.cancel(h1) || w.cancel(h3) {
-		t.Fatal("cancel of already-fired timer returned true")
-	}
-}
-
-func TestWheelCancelStaged(t *testing.T) {
-	// Cancelling an event that is already staged in the current slot
-	// tombstones it; it must neither fire nor break heap order.
-	var w timerWheel
-	armAt(&w, 10, 0)
-	h := armAt(&w, 11, 1)
-	armAt(&w, 12, 2)
-	if w.peek() == 0 {
-		t.Fatal("peek returned empty wheel")
-	}
-	// All three now staged (same level-0 slot). Cancel the middle one.
-	if !w.cancel(h) {
-		t.Fatal("cancel of staged timer returned false")
-	}
-	if w.count != 2 {
-		t.Fatalf("count = %d, want 2", w.count)
-	}
-	got := drainWheel(&w)
-	if len(got) != 2 || got[0].seq != 0 || got[1].seq != 2 {
-		t.Fatalf("drained seqs %v, want [0 2]", got)
-	}
-}
-
-func TestWheelCancelRecycledNode(t *testing.T) {
-	// A handle whose node was freed and recycled for a new timer must not
-	// cancel the new occupant: the seq check rejects it.
-	var w timerWheel
-	h := armAt(&w, 5, 0)
-	drainWheel(&w)
-	armAt(&w, 7, 1) // reuses the freed node
-	if w.cancel(h) {
-		t.Fatal("stale handle cancelled the node's new occupant")
-	}
-	if w.count != 1 {
-		t.Fatalf("count = %d, want 1", w.count)
-	}
-}
-
 func TestWheelFarFutureCascade(t *testing.T) {
 	// Events at the extreme ends of the simtime range must cascade down
 	// without loss. Slot numbers reach 2^(63-wheelShift); exercise every

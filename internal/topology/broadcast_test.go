@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -335,56 +334,6 @@ func checkMaskRow(t *testing.T, what string, m *PortMasks, v NodeID, want []Link
 	prefix := []LinkID{-1}
 	if got := m.AppendLinks(prefix, v); !slices.Equal(got, append(prefix, want...)) {
 		t.Fatalf("%s: AppendLinks(%d) = %v, want %v after the prefix", what, v, got, want)
-	}
-}
-
-// The out-port masks against lists built without them: every minimal-route
-// DAG row against the successor predicate, and every tree row, read through
-// the tree and through AppendNextHops, against the per-tree reference in
-// port order. The Clos's leaves have 14 ports, so its rows are two bytes wide.
-func TestPortMasksMatchReference(t *testing.T) {
-	wide, err := NewFoldedClos(4, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wide.maskBytes != 2 {
-		t.Fatalf("Clos with 14-port leaves: %d-byte mask rows, want 2", wide.maskBytes)
-	}
-	const trees, seed = 3, 5
-	for _, g := range append(testGraphs(t), wide) {
-		ref := refDistances(g)
-		for dst := 0; dst < g.Vertices(); dst++ {
-			succ := g.MinimalSuccessors(NodeID(dst))
-			for v := 0; v < g.Vertices(); v++ {
-				var want []LinkID
-				if dv := ref[v][dst]; dv > 0 {
-					for _, lid := range g.Out(NodeID(v)) {
-						if ref[g.Link(lid).To][dst] == dv-1 {
-							want = append(want, lid)
-						}
-					}
-				}
-				checkMaskRow(t, fmt.Sprintf("%v DAG to %d", g.Kind(), dst), succ, NodeID(v), want)
-			}
-		}
-		fib := NewBroadcastFIB(g, trees, seed)
-		for src := 0; src < g.Nodes(); src++ {
-			rng := rand.New(rand.NewSource(seed + int64(src)))
-			for id := 0; id < trees; id++ {
-				kidsRef, _ := refBuildOneTree(g, NodeID(src), ref[src], rng)
-				tree, _ := fib.Tree(NodeID(src), uint8(id))
-				for v, kids := range kidsRef {
-					want := slices.Clone(kids)
-					slices.SortFunc(want, func(a, b LinkID) int { return g.Port(a) - g.Port(b) })
-					what := fmt.Sprintf("%v src %d tree %d", g.Kind(), src, id)
-					checkMaskRow(t, what, &tree.kids, NodeID(v), want)
-					hops, ok := fib.AppendNextHops([]LinkID{-1}, NodeID(src), uint8(id), NodeID(v))
-					if !ok || !slices.Equal(hops, append([]LinkID{-1}, want...)) {
-						t.Fatalf("%s: AppendNextHops at %d = %v, %v; want %v after the prefix", what, v, hops, ok, want)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -51,61 +50,6 @@ func TestTorusInvalid(t *testing.T) {
 	}
 }
 
-// Torus distance must match the analytic formula: sum over dimensions of
-// min(delta, k-delta).
-func TestTorusDistanceAnalytic(t *testing.T) {
-	g, err := NewTorus(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < g.Nodes(); a++ {
-		ca := g.Coord(NodeID(a))
-		for b := 0; b < g.Nodes(); b++ {
-			cb := g.Coord(NodeID(b))
-			want := 0
-			for d := 0; d < 3; d++ {
-				delta := (cb[d] - ca[d] + 5) % 5
-				if delta > 5-delta {
-					delta = 5 - delta
-				}
-				want += delta
-			}
-			if got := g.Dist(NodeID(a), NodeID(b)); got != want {
-				t.Fatalf("dist(%d,%d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestMeshDistanceAnalytic(t *testing.T) {
-	g, err := NewMesh(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < g.Nodes(); a++ {
-		ca := g.Coord(NodeID(a))
-		for b := 0; b < g.Nodes(); b++ {
-			cb := g.Coord(NodeID(b))
-			want := abs(ca[0]-cb[0]) + abs(ca[1]-cb[1])
-			if got := g.Dist(NodeID(a), NodeID(b)); got != want {
-				t.Fatalf("mesh dist(%d,%d) = %d, want %d", a, b, got, want)
-			}
-		}
-	}
-}
-
-func TestDistanceSymmetry(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		for a := 0; a < g.Nodes(); a++ {
-			for b := 0; b < g.Nodes(); b++ {
-				if g.Dist(NodeID(a), NodeID(b)) != g.Dist(NodeID(b), NodeID(a)) {
-					t.Fatalf("%v: dist(%d,%d) != dist(%d,%d)", g.Kind(), a, b, b, a)
-				}
-			}
-		}
-	}
-}
-
 func TestCoordRoundTrip(t *testing.T) {
 	g, err := NewTorus(6, 3)
 	if err != nil {
@@ -140,56 +84,6 @@ func TestTorusOffset(t *testing.T) {
 		got := g.TorusOffset(a, g.NodeAt(c.coord))
 		if got[0] != c.want[0] || got[1] != c.want[1] {
 			t.Errorf("offset to %v = %v, want %v", c.coord, got, c.want)
-		}
-	}
-}
-
-// Offset magnitudes must sum to the BFS distance.
-func TestTorusOffsetMatchesDistance(t *testing.T) {
-	g, err := NewTorus(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < g.Nodes(); a++ {
-		for b := 0; b < g.Nodes(); b++ {
-			off := g.TorusOffset(NodeID(a), NodeID(b))
-			sum := 0
-			for _, o := range off {
-				sum += abs(o)
-			}
-			if sum != g.Dist(NodeID(a), NodeID(b)) {
-				t.Fatalf("offset(%d,%d)=%v magnitude %d != dist %d", a, b, off, sum, g.Dist(NodeID(a), NodeID(b)))
-			}
-		}
-	}
-}
-
-func TestMinimalSuccessors(t *testing.T) {
-	for _, g := range testGraphs(t) {
-		ref := refDistances(g)
-		for dst := 0; dst < g.Nodes(); dst += 7 {
-			succ := g.MinimalSuccessors(NodeID(dst))
-			if succ.Count(NodeID(dst)) != 0 {
-				t.Fatalf("%v: destination has successors", g.Kind())
-			}
-			for v := 0; v < g.Vertices(); v++ {
-				if v == dst || ref[v][dst] < 0 {
-					continue
-				}
-				// Exactly the out-links that reduce the distance, in port order.
-				var want []LinkID
-				for _, lid := range g.Out(NodeID(v)) {
-					if ref[g.Link(lid).To][dst] == ref[v][dst]-1 {
-						want = append(want, lid)
-					}
-				}
-				if len(want) == 0 {
-					t.Fatalf("%v: node %d has no minimal successor towards %d", g.Kind(), v, dst)
-				}
-				if got := succ.AppendLinks(nil, NodeID(v)); !slices.Equal(got, want) {
-					t.Fatalf("%v: successors of %d towards %d = %v, want %v", g.Kind(), v, dst, got, want)
-				}
-			}
 		}
 	}
 }
@@ -277,11 +171,4 @@ func testGraphs(t *testing.T) []*Graph {
 		t.Fatal(err)
 	}
 	return []*Graph{torus, mesh, clos}
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
