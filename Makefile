@@ -81,7 +81,7 @@ fuzz-fill:
 fuzz-args:
 	$(GO) test -run=^$$ -fuzz FuzzArgs -fuzztime $(FUZZTIME) ./cmd/r2c2/
 
-# The fault-schedule parser on arbitrary text, DSL and JSON: it returns an
+# The fault-schedule parser on arbitrary text: it returns an
 # error or a schedule, every accepted schedule survives its own DSL
 # rendering, and Validate, Waves and Horizon do not panic on it.
 fuzz-faults:

@@ -67,7 +67,7 @@ func flagSet(mode string, o *options, c *experiments.Config, out io.Writer) *fla
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.StringVar(&o.scale, "scale", "small", "registry configuration: small (seconds) or paper (what results/ records)")
 	all.BoolVar(&o.csv, "csv", false, "emit tables as CSV instead of aligned text")
-	all.StringVar(&o.faults, "faults", "", "fault schedule: gen:<seed>, DSL (down@10ms:0-1/2ms;...) or JSON")
+	all.StringVar(&o.faults, "faults", "", "fault schedule: gen:<seed> or DSL (down@10ms:0-1/2ms;...)")
 	all.BoolVar(&o.cross, "crossvalidate", false, "run the Figure 7 cross-validation (the default)")
 	all.BoolVar(&o.demo, "demo", false, "run a short live workload on the emulated rack")
 	all.Int64Var(&c.Seed, "seed", c.Seed, "random seed")

@@ -94,6 +94,7 @@ func TestRunRejectsHostileFlags(t *testing.T) {
 			{"fig", "fig10", "-tau", "1e300"},
 			{"sim", "-faults", "garbage"},
 			{"sim", "-faults", "drop@1ms:0-1/NaN"},
+			{"sim", "-faults", `{"events":[]}`}, // the DSL is the only grammar
 		}},
 		{"rates", [][]string{
 			{"fig", "fig15", "-k", "0"},

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"r2c2/internal/core"
+	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
@@ -95,11 +96,12 @@ func (c *Config) defaults() {
 type Rack struct {
 	cfg Config
 	clk rackClock
-	// tab is the routing table of the PHYSICAL graph. It never changes:
-	// data packets carry port indices into the physical graph's out-lists,
-	// so route encoding always goes through it. Path *selection* uses the
-	// current fabric's table.
-	tab *routing.Table
+	// intact is the fabric of the PHYSICAL graph. It never changes: data
+	// packets carry port indices into the physical graph's out-lists, so
+	// route encoding always goes through its table. Path *selection* uses
+	// the current fabric's table, and a detection builds that fabric over
+	// this one.
+	intact core.Fabric
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -124,7 +126,7 @@ type Rack struct {
 	// faults is the failure state, under faultMu. Lock order: faultMu
 	// before any emuNode.mu, never the reverse.
 	faultMu   sync.Mutex
-	faults    *core.Faults
+	faults    *faults.State
 	reroutes  atomic.Uint64
 	faultErrs atomic.Uint64
 
@@ -290,11 +292,11 @@ func New(cfg Config) (*Rack, error) {
 	r := &Rack{
 		cfg:     cfg,
 		clk:     newRackClock(),
-		tab:     intact.Tab,
+		intact:  intact,
 		ctx:     ctx,
 		cancel:  cancel,
 		flows:   make(map[wire.FlowID]*Flow),
-		faults:  core.NewFaults(intact),
+		faults:  faults.NewState(cfg.Graph),
 		lossRng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	r.fabric.Store(&intact)
@@ -844,7 +846,7 @@ func (r *Rack) flowSender(n *emuNode, f *Flow) {
 		st.PhysInPlace(path)
 		portBuf = portBuf[:0]
 		var err error
-		portBuf, err = r.tab.AppendPortRoute(portBuf, path)
+		portBuf, err = r.intact.Tab.AppendPortRoute(portBuf, path)
 		if err != nil {
 			panic(err)
 		}

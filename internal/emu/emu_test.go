@@ -308,6 +308,12 @@ func TestRackStopProtocol(t *testing.T) {
 	}{
 		{"full port", slowMbps, func(t *testing.T, r *Rack) {
 			r.Start()
+			// The link takes one packet into its 1.2 s pacing sleep first,
+			// so it takes none while the port fills.
+			sendJunk(r, 0, 1)
+			for len(r.ports[0].ch) > 0 {
+				time.Sleep(time.Millisecond)
+			}
 			if n := fillPort(r, 0); n != queuePackets {
 				t.Errorf("port holds %d packets, want %d", n, queuePackets)
 			}

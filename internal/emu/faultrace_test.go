@@ -103,11 +103,8 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 	for _, ev := range events {
 		switch ev.Kind {
 		case faults.LinkDown, faults.LinkRepair:
-			lids, err := r.faults.Cable(ev.A, ev.B)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, lid := range lids {
+			for _, p := range [][2]topology.NodeID{{ev.A, ev.B}, {ev.B, ev.A}} {
+				lid, _ := g.LinkBetween(p[0], p[1])
 				links[lid] = ev.Kind == faults.LinkDown
 			}
 		case faults.NodeDown:
@@ -134,7 +131,7 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 	settled := func() bool {
 		r.faultMu.Lock()
 		defer r.faultMu.Unlock()
-		l, d := r.faults.State()
+		l, d := r.faults.Failed()
 		fab := r.fabric.Load()
 		return slices.Equal(l, links) && slices.Equal(d, dead) && slices.Equal(fab.Dead, dead) && fab.Tab.Graph().NumLinks() == healthy
 	}
@@ -146,7 +143,7 @@ func TestEmuFaultsUnderTraffic(t *testing.T) {
 
 	if !settled() {
 		r.faultMu.Lock()
-		l, d := r.faults.State()
+		l, d := r.faults.Failed()
 		r.faultMu.Unlock()
 		t.Fatalf("schedule did not settle: failure state links %v nodes %v, want links %v nodes %v, or no swap covered it (%d injection errors)\nschedule:\n%s",
 			l, d, links, dead, r.FaultErrors(), sched)

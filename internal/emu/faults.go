@@ -5,81 +5,53 @@ import (
 	"time"
 
 	"r2c2/internal/faults"
-	"r2c2/internal/topology"
 	"r2c2/internal/wire"
 )
 
 // The emulator's fault injection (DESIGN.md §10): the failure state, its
-// validation and epoch guard are core.Faults, as in the simulator; this
-// file owns the ports, the detection timers and the locks.
+// rules and epoch guard are faults.State, as in the simulator; this file
+// owns the ports, the detection timers and the locks.
 
-// FailLink is sim.R2C2.FailLink on the rack clock: the cable's ports lose
-// everything queued or sent into them at once, and after `detect` every
-// node switches fabric and re-announces its flows.
-func (r *Rack) FailLink(a, b topology.NodeID, detect time.Duration) error {
-	return r.inject(true, detect, func() ([]topology.LinkID, error) { return r.faults.FailCable(a, b) })
-}
-
-// FailNode is sim.R2C2.FailNode on the rack clock: flows to or from the
-// node are abandoned, and Wait on them errors.
-func (r *Rack) FailNode(dead topology.NodeID, detect time.Duration) error {
-	return r.inject(true, detect, func() ([]topology.LinkID, error) {
-		lids, err := r.faults.FailNode(dead)
-		if err == nil {
-			// The crashed node stops sending instantly. Other nodes' views
-			// keep its flows until the detection delay elapses.
-			n := r.nodes[dead]
-			_, deadSet := r.faults.State()
-			n.mu.Lock()
-			for _, f := range n.Abandon(deadSet) {
-				f.abort(abortEndpoint)
-			}
-			n.mu.Unlock()
-		}
-		return lids, err
-	})
-}
-
-// RepairLink is sim.R2C2.RepairLink on the rack clock.
-func (r *Rack) RepairLink(a, b topology.NodeID, detect time.Duration) error {
-	return r.inject(false, detect, func() ([]topology.LinkID, error) { return r.faults.RepairCable(a, b) })
-}
-
-// inject makes one change to the failure state under faultMu and sets the
-// ports it changed dark (or back). After `detect` on the rack clock the
-// fabric is rebuilt and swapped, unless a newer swap already covered it.
-func (r *Rack) inject(dark bool, detect time.Duration, change func() ([]topology.LinkID, error)) error {
+// InjectFault is sim.R2C2.InjectFault on the rack clock: under faultMu the
+// failure state judges e, a crashed node stops sending, and the links e
+// changed go dark, come back or start dropping at random; e.Detect later
+// the fabric is rebuilt and swapped, unless a newer swap already covered
+// it. Flows to or from a crashed node are abandoned, and Wait on them
+// errors.
+func (r *Rack) InjectFault(e faults.Event) error {
 	r.faultMu.Lock()
-	lids, err := change()
+	lids, err := r.faults.Apply(e)
+	if err == nil && e.Kind == faults.NodeDown {
+		// The crashed node stops sending instantly. Other nodes' views
+		// keep its flows until the detection delay elapses.
+		n := r.nodes[e.Node]
+		_, dead := r.faults.Failed()
+		n.mu.Lock()
+		for _, f := range n.Abandon(dead) {
+			f.abort(abortEndpoint)
+		}
+		n.mu.Unlock()
+	}
 	for _, lid := range lids {
-		r.ports[lid].dead.Store(dark)
+		if e.Kind == faults.LinkDrop {
+			r.ports[lid].dropBits.Store(math.Float64bits(e.DropProb))
+		} else {
+			r.ports[lid].dead.Store(e.Kind != faults.LinkRepair)
+		}
 	}
 	r.faultMu.Unlock()
-	if err != nil {
+	if err != nil || e.Kind == faults.LinkDrop {
 		return err
 	}
 	r.wg.Add(1)
 	go func() {
 		defer r.wg.Done()
 		select {
-		case <-r.clk.after(detect):
+		case <-r.clk.after(e.Detect):
 			r.swapFabric()
 		case <-r.ctx.Done():
 		}
 	}()
-	return nil
-}
-
-// SetLinkDropProb installs a random-drop probability p in [0,1] on both
-// directions of the cable between a and b. p = 0 removes the loss.
-func (r *Rack) SetLinkDropProb(a, b topology.NodeID, p float64) error {
-	lids, err := r.faults.LossyCable(a, b, p)
-	if err != nil {
-		return err
-	}
-	for _, lid := range lids {
-		r.ports[lid].dropBits.Store(math.Float64bits(p))
-	}
 	return nil
 }
 
@@ -102,7 +74,7 @@ func (r *Rack) swapFabric() {
 	if !r.faults.Due() {
 		return
 	}
-	st := r.faults.Fabric()
+	st := r.intact.Degrade(r.faults)
 	// No re-announce may route toward an unreachable endpoint and no view
 	// may keep their bandwidth reserved once the swap is live.
 	anns := r.reannounce(st.Dead)
@@ -152,7 +124,7 @@ func (r *Rack) ApplyFaults(sched faults.Schedule) {
 					return
 				}
 			}
-			if err := faults.Inject(r, ev, ev.Detect); err != nil {
+			if err := r.InjectFault(ev); err != nil {
 				r.faultErrs.Add(1)
 			}
 		}

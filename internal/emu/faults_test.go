@@ -36,10 +36,10 @@ func fabricHasCable(r *Rack, a, b topology.NodeID) bool {
 // the fabric re-expands and uses the cable again.
 func TestEmuFailAndRepairLink(t *testing.T) {
 	r := newRack(t, Config{LinkMbps: 200, Recompute: time.Millisecond, Protocol: routing.RPS})
-	if err := r.FailLink(0, 1, 10*time.Millisecond); err != nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkDown, A: 0, B: 1, Detect: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.FailLink(0, 1, time.Millisecond); err == nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkDown, A: 0, B: 1, Detect: time.Millisecond}); err == nil {
 		t.Fatal("re-failing a dead cable should error")
 	}
 	waitReroutes(t, r, 1)
@@ -62,10 +62,10 @@ func TestEmuFailAndRepairLink(t *testing.T) {
 		t.Fatalf("dead cable queued %d bytes", q)
 	}
 
-	if err := r.RepairLink(0, 1, 10*time.Millisecond); err != nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkRepair, A: 0, B: 1, Detect: 10 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RepairLink(0, 1, time.Millisecond); err == nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkRepair, A: 0, B: 1, Detect: time.Millisecond}); err == nil {
 		t.Fatal("repairing a healthy cable should error")
 	}
 	waitReroutes(t, r, 2)
@@ -97,8 +97,8 @@ func TestForwardBroadcastDegradedAllocFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Stop) // joins FailLink's detection timer; the rack never starts
-	if err := r.FailLink(0, 1, time.Hour); err != nil {
+	t.Cleanup(r.Stop) // joins InjectFault's detection timer; the rack never starts
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkDown, A: 0, B: 1, Detect: time.Hour}); err != nil {
 		t.Fatal(err)
 	}
 	r.swapFabric()
@@ -191,11 +191,11 @@ func TestReceiveBroadcastAllocFree(t *testing.T) {
 // guard collapses both injections into one swap.
 func TestEmuOverlappingFailures(t *testing.T) {
 	r := newRack(t, Config{LinkMbps: 200, Recompute: time.Millisecond, Protocol: routing.RPS})
-	if err := r.FailLink(0, 1, 300*time.Millisecond); err != nil { // slow detection
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkDown, A: 0, B: 1, Detect: 300 * time.Millisecond}); err != nil { // slow detection
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond)
-	if err := r.FailLink(2, 3, 20*time.Millisecond); err != nil { // fast detection
+	if err := r.InjectFault(faults.Event{Kind: faults.LinkDown, A: 2, B: 3, Detect: 20 * time.Millisecond}); err != nil { // fast detection
 		t.Fatal(err)
 	}
 	waitReroutes(t, r, 1)
@@ -232,10 +232,10 @@ func TestEmuFailNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(20 * time.Millisecond) // views see all three flows
-	if err := r.FailNode(5, 20*time.Millisecond); err != nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.NodeDown, Node: 5, Detect: 20 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.FailNode(5, time.Millisecond); err == nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.NodeDown, Node: 5, Detect: time.Millisecond}); err == nil {
 		t.Fatal("double crash should error")
 	}
 	waitReroutes(t, r, 1)
@@ -286,7 +286,7 @@ func TestEmuAbandonAtBirth(t *testing.T) {
 
 func testAbandonAtBirth(t *testing.T, p routing.Protocol) {
 	r := newRack(t, Config{LinkMbps: 200, Recompute: time.Millisecond, Protocol: p})
-	if err := r.FailNode(5, 5*time.Millisecond); err != nil {
+	if err := r.InjectFault(faults.Event{Kind: faults.NodeDown, Node: 5, Detect: 5 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	waitReroutes(t, r, 1)

@@ -9,16 +9,15 @@ import (
 	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/sim"
-	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
 )
 
 // TestFaultParity drives one fault script, with events out of range,
 // repeated, partitioning and valid, through the simulator's transport and
-// the emulated rack. Both must accept and reject the same events, as the
-// script says, and end on the same failure state; an event with an endpoint
-// out of range is an error, not a panic, and a valid fault still succeeds
-// after it. Detection is an hour away, so no fabric is swapped meanwhile.
+// the emulated rack, each through its one entry point, InjectFault. Both
+// must accept and reject the same events, as the script says, and end on
+// the same failure state; an event with an endpoint out of range is an
+// error, not a panic, and a valid fault still succeeds after it. Detection is an hour away, so no fabric is swapped meanwhile.
 func TestFaultParity(t *testing.T) {
 	g, err := topology.NewTorus(4, 2) // node 0's cables go to 1, 3, 4 and 12
 	if err != nil {
@@ -58,36 +57,28 @@ func TestFaultParity(t *testing.T) {
 	}
 	t.Cleanup(r.Stop) // joins the detection timers; the rack never starts
 	for i, step := range script {
-		simErr := faults.Inject(s, step.ev, simtime.Time(step.ev.Detect.Nanoseconds())*simtime.Nanosecond)
-		emuErr := faults.Inject(r, step.ev, step.ev.Detect)
+		simErr, emuErr := s.InjectFault(step.ev), r.InjectFault(step.ev)
 		if (simErr == nil) != step.ok || (emuErr == nil) != step.ok {
 			t.Fatalf("step %d, %v: sim error %v, emu error %v; want accepted %v", i, step.ev, simErr, emuErr, step.ok)
 		}
 	}
-	// The backends' own entry points reject a drop probability outside
-	// [0,1], whether or not a schedule sends it, and install nothing.
+	// A rejected drop probability installs nothing.
 	for _, p := range []float64{2, -0.5, math.NaN(), math.Inf(1)} {
-		if err := s.SetLinkDropProb(1, 2, p); err == nil {
-			t.Errorf("sim.R2C2.SetLinkDropProb(1, 2, %v) accepted", p)
-		}
-		if err := r.SetLinkDropProb(1, 2, p); err == nil {
-			t.Errorf("emu.Rack.SetLinkDropProb(1, 2, %v) accepted", p)
+		if s.InjectFault(drop(1, 2, p)) == nil || r.InjectFault(drop(1, 2, p)) == nil {
+			t.Errorf("a drop probability of %v accepted", p)
 		}
 	}
-	cable, err := r.faults.Cable(1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, lid := range cable {
+	for _, pair := range [][2]topology.NodeID{{1, 2}, {2, 1}} {
+		lid, _ := g.LinkBetween(pair[0], pair[1])
 		if p := math.Float64frombits(r.ports[lid].dropBits.Load()); p != 0 {
-			t.Errorf("emulator link %d drops with probability %v after rejected calls", lid, p)
+			t.Errorf("emulator link %d drops with probability %v after rejected events", lid, p)
 		}
 	}
-	if s.SetLinkDropProb(1, 2, 1) != nil || r.SetLinkDropProb(1, 2, 1) != nil {
+	if s.InjectFault(drop(1, 2, 1)) != nil || r.InjectFault(drop(1, 2, 1)) != nil {
 		t.Error("a drop probability of 1 rejected")
 	}
-	simLinks, simDead := s.Faults.State()
-	emuLinks, emuDead := r.faults.State()
+	simLinks, simDead := s.Faults.Failed()
+	emuLinks, emuDead := r.faults.Failed()
 	if !slices.Equal(simLinks, emuLinks) || !slices.Equal(simDead, emuDead) {
 		t.Fatalf("failure states differ: sim links %v nodes %v, emu links %v nodes %v", simLinks, simDead, emuLinks, emuDead)
 	}

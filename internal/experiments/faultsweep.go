@@ -300,8 +300,8 @@ func faultTable(title string, cols []string, runs ...*FaultRunStats) *Table {
 }
 
 // parseScheduleArg reads a -faults flag value without a topology: a
-// generator seed for "gen:<seed>", anything else through faults.Parse (DSL
-// or JSON).
+// generator seed for "gen:<seed>", anything else through faults.Parse (the
+// DSL).
 func parseScheduleArg(arg string) (seed int64, sched faults.Schedule, gen bool, err error) {
 	if rest, ok := strings.CutPrefix(arg, "gen:"); ok {
 		if seed, err = strconv.ParseInt(rest, 10, 64); err != nil {
@@ -322,7 +322,7 @@ func CheckScheduleArg(arg string) error {
 
 // ScheduleArg resolves a -faults flag value: "gen:<seed>" generates a
 // seeded random schedule sized to `horizon` (the workload's arrival
-// window), anything else goes through faults.Parse (DSL or JSON). The
+// window), anything else goes through faults.Parse (the DSL). The
 // schedule is validated against g either way.
 func ScheduleArg(g *topology.Graph, arg string, horizon time.Duration) (faults.Schedule, error) {
 	seed, sched, gen, err := parseScheduleArg(arg)

@@ -7,15 +7,15 @@
 //
 // Schedules are data, not behaviour: the same Schedule drives both the
 // packet-level simulator (sim.R2C2.ApplyFaults, on the virtual clock) and
-// the emulated rack (emu.Rack.ApplyFaults, on the rack clock), each event
-// through Inject, which is what makes the sim-vs-emu fault cross-validation
-// possible. They are parseable
-// from a compact flag DSL or JSON (Parse), generatable from a seeded RNG
-// (Generate), and statically checkable against a topology (Validate).
+// the emulated rack (emu.Rack.ApplyFaults, on the rack clock). State is
+// the one rulebook: its Apply judges every event, for Validate and for
+// each backend's InjectFault, which is what makes the sim-vs-emu fault
+// cross-validation possible. Schedules are parseable from a compact flag
+// DSL (Parse), generatable from a seeded RNG (Generate), and statically
+// checkable against a topology (Validate).
 package faults
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -92,32 +92,6 @@ func (e Event) String() string {
 // (LinkDrop events are local to the link and never reroute).
 func (e Event) fires() bool { return e.Kind != LinkDrop }
 
-// Target is a backend's fault entry points: sim.R2C2 with detection delays
-// in simulated time, emu.Rack in rack-clock time.
-type Target[D any] interface {
-	FailLink(a, b topology.NodeID, detect D) error
-	RepairLink(a, b topology.NodeID, detect D) error
-	FailNode(n topology.NodeID, detect D) error
-	SetLinkDropProb(a, b topology.NodeID, p float64) error
-}
-
-// Inject hands e to the target's entry point for its kind, with e.Detect
-// given in the target's time as detect. The target checks the event
-// (core.Faults does, for both backends).
-func Inject[D any](t Target[D], e Event, detect D) error {
-	switch e.Kind {
-	case LinkDown:
-		return t.FailLink(e.A, e.B, detect)
-	case LinkRepair:
-		return t.RepairLink(e.A, e.B, detect)
-	case NodeDown:
-		return t.FailNode(e.Node, detect)
-	case LinkDrop:
-		return t.SetLinkDropProb(e.A, e.B, e.DropProb)
-	}
-	return fmt.Errorf("faults: unknown event kind %d", e.Kind)
-}
-
 // Schedule is an ordered fault schedule. The zero value is the empty
 // schedule (no faults).
 type Schedule struct {
@@ -145,81 +119,31 @@ func (s Schedule) String() string {
 	return strings.Join(parts, ";")
 }
 
-// Validate statically checks the schedule against a topology: endpoints in
-// range, every down/drop cable exists, repairs match an earlier un-repaired
-// down of the same cable, no double-down, no events on a crashed node's
-// cables after the crash, at most one crash per node — and, critically,
-// that the rack stays connected under the *union* of every downed cable
-// plus every crashed node. Connectivity is monotone in the failed set, so
-// if the union keeps the rack connected every intermediate state does too,
+// Validate statically checks the schedule against a topology: it replays
+// the events in injection order through a fresh State, which refuses any
+// the backends would, and checks that no time is negative and that the
+// rack stays connected under the *union* of every downed cable plus every
+// crashed node. Connectivity is monotone in the failed set, so if the
+// union keeps the rack connected every intermediate state does too,
 // whatever the detection interleaving.
 func (s Schedule) Validate(g *topology.Graph) error {
-	link := func(a, b topology.NodeID) error {
-		if int(a) < 0 || int(a) >= g.Nodes() || int(b) < 0 || int(b) >= g.Nodes() {
-			return fmt.Errorf("faults: endpoint out of range [0,%d)", g.Nodes())
-		}
-		if _, ok := g.LinkBetween(a, b); !ok {
-			return fmt.Errorf("faults: no cable between %d and %d", a, b)
-		}
-		return nil
-	}
-	type cable struct{ a, b topology.NodeID }
-	canon := func(a, b topology.NodeID) cable {
-		if a > b {
-			a, b = b, a
-		}
-		return cable{a, b}
-	}
-	down := map[cable]bool{}
-	dead := make([]bool, g.Nodes())
+	st := NewState(g)
 	union := make([]bool, g.NumLinks())
 	for _, e := range s.Sorted() {
 		if e.At < 0 || e.Detect < 0 {
 			return fmt.Errorf("faults: negative time in %v", e)
 		}
-		switch e.Kind {
-		case LinkDown, LinkRepair, LinkDrop:
-			if err := link(e.A, e.B); err != nil {
-				return fmt.Errorf("%w (event %v)", err, e)
-			}
-			if dead[e.A] || dead[e.B] {
-				return fmt.Errorf("faults: %v touches a cable of a crashed node", e)
-			}
-		case NodeDown:
-			if int(e.Node) < 0 || int(e.Node) >= g.Nodes() {
-				return fmt.Errorf("faults: crash node %d out of range [0,%d)", e.Node, g.Nodes())
-			}
-			if dead[e.Node] {
-				return fmt.Errorf("faults: node %d crashed twice", e.Node)
-			}
-		default:
-			return fmt.Errorf("faults: unknown event kind %d", e.Kind)
+		lids, err := st.Apply(e)
+		if err != nil {
+			return err
 		}
-		switch e.Kind {
-		case LinkDown:
-			c := canon(e.A, e.B)
-			if down[c] {
-				return fmt.Errorf("faults: cable %d-%d downed while already down", e.A, e.B)
-			}
-			down[c] = true
-			ab, _ := g.LinkBetween(e.A, e.B)
-			ba, _ := g.LinkBetween(e.B, e.A)
-			union[ab], union[ba] = true, true
-		case LinkRepair:
-			c := canon(e.A, e.B)
-			if !down[c] {
-				return fmt.Errorf("faults: repair of cable %d-%d that is not down", e.A, e.B)
-			}
-			delete(down, c)
-		case NodeDown:
-			dead[e.Node] = true
-		case LinkDrop:
-			if !(e.DropProb >= 0 && e.DropProb <= 1) { // NaN too
-				return fmt.Errorf("faults: drop probability %g outside [0,1]", e.DropProb)
+		if e.Kind == LinkDown {
+			for _, lid := range lids {
+				union[lid] = true
 			}
 		}
 	}
-	if slices.Contains(union, true) || slices.Contains(dead, true) {
+	if _, dead := st.Failed(); slices.Contains(union, true) || slices.Contains(dead, true) {
 		if _, _, err := g.WithoutLinksAndNodes(union, dead); err != nil {
 			return fmt.Errorf("faults: schedule union partitions the rack: %w", err)
 		}
@@ -287,10 +211,8 @@ func (s Schedule) Horizon() time.Duration {
 	return h
 }
 
-// Parse reads a schedule from either the compact flag DSL or JSON
-// (dispatched on a leading '{' or '[').
-//
-// The DSL is semicolon-separated events, each `kind@at:args/last`:
+// Parse reads a schedule from the compact flag DSL: semicolon-separated
+// events, each `kind@at:args/last`:
 //
 //	down@10ms:0-1/2ms     cable 0-1 fails at 10ms, detected 2ms later
 //	up@30ms:0-1/2ms       cable 0-1 repaired at 30ms, detected 2ms later
@@ -300,9 +222,6 @@ func (s Schedule) Horizon() time.Duration {
 // Durations use Go syntax (`150us`, `2ms`, `1s`).
 func Parse(s string) (Schedule, error) {
 	s = strings.TrimSpace(s)
-	if strings.HasPrefix(s, "{") || strings.HasPrefix(s, "[") {
-		return ParseJSON([]byte(s))
-	}
 	var sched Schedule
 	for _, part := range strings.Split(s, ";") {
 		part = strings.TrimSpace(part)
@@ -398,94 +317,4 @@ func cut(s, sep string) (before, after string, found bool) {
 		return s, "", false
 	}
 	return s[:i], s[i+len(sep):], true
-}
-
-// jsonEvent is the JSON wire form of an Event; times are Go duration
-// strings so schedules stay human-writable.
-type jsonEvent struct {
-	Kind   string  `json:"kind"` // down | up | crash | drop
-	At     string  `json:"at"`
-	A      *int    `json:"a,omitempty"`
-	B      *int    `json:"b,omitempty"`
-	Node   *int    `json:"node,omitempty"`
-	Detect string  `json:"detect,omitempty"`
-	Prob   float64 `json:"prob,omitempty"`
-}
-
-type jsonSchedule struct {
-	Events []jsonEvent `json:"events"`
-}
-
-// ParseJSON reads a schedule from its JSON form:
-//
-//	{"events":[{"kind":"down","at":"10ms","a":0,"b":1,"detect":"2ms"},
-//	           {"kind":"crash","at":"20ms","node":5,"detect":"2ms"},
-//	           {"kind":"drop","at":"0s","a":2,"b":3,"prob":0.01}]}
-//
-// A bare JSON array of events is also accepted.
-func ParseJSON(b []byte) (Schedule, error) {
-	var js jsonSchedule
-	if err := json.Unmarshal(b, &js); err != nil {
-		// Bare array form.
-		if errArr := json.Unmarshal(b, &js.Events); errArr != nil {
-			return Schedule{}, fmt.Errorf("faults: bad JSON schedule: %v", err)
-		}
-	}
-	if len(js.Events) == 0 {
-		return Schedule{}, fmt.Errorf("faults: JSON schedule has no events")
-	}
-	var sched Schedule
-	for i, je := range js.Events {
-		ev := Event{}
-		at, err := time.ParseDuration(je.At)
-		if err != nil {
-			return Schedule{}, fmt.Errorf("faults: event %d: bad at %q", i, je.At)
-		}
-		ev.At = at
-		switch je.Kind {
-		case "down":
-			ev.Kind = LinkDown
-		case "up":
-			ev.Kind = LinkRepair
-		case "crash":
-			ev.Kind = NodeDown
-		case "drop":
-			ev.Kind = LinkDrop
-		default:
-			return Schedule{}, fmt.Errorf("faults: event %d: unknown kind %q", i, je.Kind)
-		}
-		if ev.Kind == NodeDown {
-			if je.Node == nil {
-				return Schedule{}, fmt.Errorf("faults: event %d: crash needs node", i)
-			}
-			var ok bool
-			if ev.Node, ok = nodeID(*je.Node); !ok {
-				return Schedule{}, fmt.Errorf("faults: event %d: bad node %d", i, *je.Node)
-			}
-		} else {
-			if je.A == nil || je.B == nil {
-				return Schedule{}, fmt.Errorf("faults: event %d: %s needs a and b", i, je.Kind)
-			}
-			var okA, okB bool
-			ev.A, okA = nodeID(*je.A)
-			ev.B, okB = nodeID(*je.B)
-			if !okA || !okB {
-				return Schedule{}, fmt.Errorf("faults: event %d: bad endpoints %d-%d", i, *je.A, *je.B)
-			}
-		}
-		if ev.Kind == LinkDrop {
-			if !(je.Prob >= 0 && je.Prob <= 1) {
-				return Schedule{}, fmt.Errorf("faults: event %d: drop probability %g outside [0,1]", i, je.Prob)
-			}
-			ev.DropProb = je.Prob
-		} else if je.Detect != "" {
-			d, err := time.ParseDuration(je.Detect)
-			if err != nil {
-				return Schedule{}, fmt.Errorf("faults: event %d: bad detect %q", i, je.Detect)
-			}
-			ev.Detect = d
-		}
-		sched.Events = append(sched.Events, ev)
-	}
-	return sched, nil
 }

@@ -42,29 +42,6 @@ func TestParseDSL(t *testing.T) {
 	}
 }
 
-func TestParseJSONForms(t *testing.T) {
-	obj := `{"events":[{"kind":"down","at":"10ms","a":0,"b":1,"detect":"2ms"},
-	                   {"kind":"crash","at":"20ms","node":5,"detect":"2ms"},
-	                   {"kind":"drop","at":"0s","a":2,"b":3,"prob":0.01}]}`
-	s1, err := Parse(obj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arr := `[{"kind":"down","at":"10ms","a":0,"b":1,"detect":"2ms"},
-	         {"kind":"crash","at":"20ms","node":5,"detect":"2ms"},
-	         {"kind":"drop","at":"0s","a":2,"b":3,"prob":0.01}]`
-	s2, err := Parse(arr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(s1, s2) {
-		t.Fatalf("object and array forms differ: %v vs %v", s1, s2)
-	}
-	if s1.Events[0].Kind != LinkDown || s1.Events[1].Node != 5 || s1.Events[2].DropProb != 0.01 {
-		t.Fatalf("bad JSON parse: %+v", s1.Events)
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
 		"", "nonsense", "down@10ms", "down@10ms:0-1", "flip@1ms:0-1/1ms",
@@ -97,6 +74,8 @@ func TestValidate(t *testing.T) {
 		"repair not down": "up@1ms:0-1/1ms",
 		"double crash":    "crash@1ms:5/1ms;crash@2ms:5/1ms",
 		"dead node cable": "crash@1ms:5/1ms;down@2ms:5-6/1ms",
+		"dead node up":    "crash@1ms:5/1ms;up@2ms:5-6/1ms",
+		"dead node drop":  "crash@1ms:5/1ms;drop@2ms:5-6/0.5",
 	} {
 		sched, err := Parse(bad)
 		if err != nil {
@@ -218,9 +197,9 @@ func TestGenerateRefusesPartition(t *testing.T) {
 }
 
 // FuzzFaultsParse feeds arbitrary text to Parse. It must return an error or
-// a non-empty schedule; every schedule it accepts, JSON ones included, must
-// come back unchanged from Parse(sched.String()), and Validate on a 4x4
-// torus, Waves and Horizon must not panic on it.
+// a non-empty schedule; every schedule it accepts must come back unchanged
+// from Parse(sched.String()), and Validate on a 4x4 torus, Waves and
+// Horizon must not panic on it.
 func FuzzFaultsParse(f *testing.F) {
 	for _, seed := range []string{
 		// Parse's DSL examples, one at a time and together.
@@ -229,11 +208,11 @@ func FuzzFaultsParse(f *testing.F) {
 		"crash@20ms:5/2ms",
 		"drop@0s:2-3/0.01",
 		"down@10ms:0-1/2ms; up@30ms:0-1/2ms;crash@20ms:5/2ms;drop@0s:2-3/0.01",
-		// ParseJSON's example, and its bare-array form.
-		`{"events":[{"kind":"down","at":"10ms","a":0,"b":1,"detect":"2ms"},
-		           {"kind":"crash","at":"20ms","node":5,"detect":"2ms"},
-		           {"kind":"drop","at":"0s","a":2,"b":3,"prob":0.01}]}`,
-		`[{"kind":"up","at":"30ms","a":0,"b":1,"detect":"2ms"}]`,
+		// Schedules Validate refuses on the 4x4 torus: a drop on a crashed
+		// node's cable, and flaps of node 0's cables that never cut it off
+		// at once but whose union does.
+		"crash@1ms:5/1ms;drop@2ms:5-6/0.5",
+		"down@1ms:0-1/1ms;up@2ms:0-1/1ms;down@3ms:0-3/1ms;down@3ms:0-4/1ms;down@3ms:0-12/1ms",
 	} {
 		f.Add(seed)
 	}

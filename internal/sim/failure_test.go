@@ -2,8 +2,10 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"r2c2/internal/core"
+	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/topology"
@@ -15,6 +17,20 @@ func (n *Network) QueuedBytes(lid topology.LinkID) int { return n.ports[lid].que
 
 // LinkFailed reports whether a directed link has been failed.
 func (n *Network) LinkFailed(lid topology.LinkID) bool { return n.ports[lid].dead }
+
+// linkDown, linkUp and crash are the fault events the tests inject, each
+// detected after detect.
+func linkDown(a, b topology.NodeID, detect time.Duration) faults.Event {
+	return faults.Event{Kind: faults.LinkDown, A: a, B: b, Detect: detect}
+}
+
+func linkUp(a, b topology.NodeID, detect time.Duration) faults.Event {
+	return faults.Event{Kind: faults.LinkRepair, A: a, B: b, Detect: detect}
+}
+
+func crash(v topology.NodeID, detect time.Duration) faults.Event {
+	return faults.Event{Kind: faults.NodeDown, Node: v, Detect: detect}
+}
 
 // linkMask marks the given links of g failed, for WithoutLinksAndNodes.
 func linkMask(g *topology.Graph, failed ...topology.LinkID) []bool {
@@ -62,7 +78,7 @@ func TestR2C2SurvivesLinkFailure(t *testing.T) {
 	// A neighbour flow 0->1: RPS uses exactly the direct link, which dies.
 	id := r.StartFlow(0, 1, 8<<20, 1, 0)
 	eng.Run(simtime.Millisecond) // mid-transfer
-	if err := r.FailLink(0, 1, 200*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(linkDown(0, 1, 200*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(simtime.Second)
@@ -97,7 +113,7 @@ func TestBroadcastAfterFailure(t *testing.T) {
 	net := NewNetwork(g, eng, NetConfig{LinkGbps: 10})
 	r := NewR2C2(net, routing.NewTable(g), R2C2Config{
 		Headroom: 0.05, Protocol: routing.RPS, Recompute: 100 * simtime.Microsecond})
-	if err := r.FailLink(0, 1, 50*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(linkDown(0, 1, 50*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(simtime.Millisecond) // detection done
@@ -108,7 +124,7 @@ func TestBroadcastAfterFailure(t *testing.T) {
 			t.Fatalf("node %d missing post-failure flow", n)
 		}
 	}
-	if err := r.FailLink(0, 1, simtime.Microsecond); err == nil {
+	if err := r.InjectFault(linkDown(0, 1, time.Microsecond)); err == nil {
 		t.Fatal("re-failing the same link should error (no link left)")
 	}
 }
@@ -247,7 +263,7 @@ func TestR2C2SurvivesNodeFailure(t *testing.T) {
 	survivor := r.StartFlow(1, 11, 8<<20, 1, 0)  // unrelated
 
 	eng.Run(simtime.Millisecond) // everyone sees all three flows
-	if err := r.FailNode(5, 200*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(crash(5, 200*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(simtime.Second)
@@ -318,11 +334,11 @@ func TestOverlappingLinkFailures(t *testing.T) {
 	// its packets onto the dead port and the flow starves.
 	id := r.StartFlow(2, 3, 8<<20, 1, 0)
 	eng.Run(simtime.Millisecond)
-	if err := r.FailLink(0, 1, 100*simtime.Microsecond); err != nil { // link A, slow detection
+	if err := r.InjectFault(linkDown(0, 1, 100*time.Microsecond)); err != nil { // link A, slow detection
 		t.Fatal(err)
 	}
 	eng.Schedule(eng.Now()+10*simtime.Microsecond, func() {
-		if err := r.FailLink(2, 3, 20*simtime.Microsecond); err != nil { // link B, fast detection
+		if err := r.InjectFault(linkDown(2, 3, 20*time.Microsecond)); err != nil { // link B, fast detection
 			t.Error(err)
 		}
 	})
@@ -353,12 +369,12 @@ func TestLinkThenNodeFailure(t *testing.T) {
 	})
 	id := r.StartFlow(0, 1, 8<<20, 1, 0) // straddles the link that dies
 	eng.Run(simtime.Millisecond)
-	if err := r.FailLink(0, 1, 50*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(linkDown(0, 1, 50*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(2 * simtime.Millisecond) // first reroute done
 	assertLinkGone(t, r, 0, 1)
-	if err := r.FailNode(5, 50*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(crash(5, 50*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(simtime.Second)
@@ -376,7 +392,7 @@ func TestLinkThenNodeFailure(t *testing.T) {
 	}
 }
 
-// RepairLink (§3.2's recovery half): after the repair's detection window
+// A link repair (§3.2's recovery half): after the repair's detection window
 // the fabric re-expands, the generation bumps, and traffic uses the cable
 // again.
 func TestRepairLinkReexpandsFabric(t *testing.T) {
@@ -388,15 +404,15 @@ func TestRepairLinkReexpandsFabric(t *testing.T) {
 		Recompute: 100 * simtime.Microsecond,
 		Reliable:  true, RTO: 300 * simtime.Microsecond,
 	})
-	if err := r.RepairLink(0, 1, simtime.Microsecond); err == nil {
+	if err := r.InjectFault(linkUp(0, 1, time.Microsecond)); err == nil {
 		t.Fatal("repairing a healthy link should error")
 	}
-	if err := r.FailLink(0, 1, 50*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(linkDown(0, 1, 50*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(simtime.Millisecond)
 	assertLinkGone(t, r, 0, 1)
-	if err := r.RepairLink(0, 1, 50*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(linkUp(0, 1, 50*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(2 * simtime.Millisecond)
@@ -431,10 +447,10 @@ func TestRepairLinkReexpandsFabric(t *testing.T) {
 		t.Fatal("repaired cable carried no traffic")
 	}
 	// A crashed node's cables cannot be repaired while it is down.
-	if err := r.FailNode(10, 50*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(crash(10, 50*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RepairLink(10, 11, simtime.Microsecond); err == nil {
+	if err := r.InjectFault(linkUp(10, 11, time.Microsecond)); err == nil {
 		t.Fatal("repairing a dead node's cable should error")
 	}
 }
@@ -447,7 +463,7 @@ func TestDegradedFloodDoesNotAllocate(t *testing.T) {
 	g := torus(t, 4, 3)
 	// ρ far beyond the test: recomputation ticks stay out of the measurement.
 	eng, net, r := newR2C2Net(t, g, R2C2Config{Protocol: routing.RPS, Recompute: simtime.Second})
-	if err := r.FailLink(0, 1, 10*simtime.Microsecond); err != nil {
+	if err := r.InjectFault(linkDown(0, 1, 10*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run(20 * simtime.Microsecond)

@@ -27,9 +27,48 @@ func (r *R2C2) ApplyFaults(sched faults.Schedule) {
 				// totals subtract the duplicates.
 				r.sh.ctrl++
 			}
-			if err := faults.Inject(r, ev, simAt(ev.Detect)); err != nil {
+			if err := r.InjectFault(ev); err != nil {
 				panic(fmt.Sprintf("sim: fault injection %v failed: %v", ev, err))
 			}
 		})
 	}
+}
+
+// InjectFault injects one fault event now, on the virtual clock (§3.2). A
+// crashed node's senders stop at once; the links the failure state changed
+// lose every queued packet, come back or start dropping at random; and
+// e.Detect later, the topology-discovery delay, every node switches to the
+// fabric of the failure state then current and re-announces its flows,
+// resynchronising views that missed events. A drop probability change is
+// local to its cable and arms no detection. It errors where
+// faults.State.Apply does, and then changes nothing.
+func (r *R2C2) InjectFault(e faults.Event) error {
+	lids, err := r.Faults.Apply(e)
+	if err != nil {
+		return err
+	}
+	port := r.Net.FailLink
+	switch e.Kind {
+	case faults.LinkDrop:
+		for _, lid := range lids {
+			r.Net.SetLinkDropProb(lid, e.DropProb)
+		}
+		return nil
+	case faults.LinkRepair:
+		port = r.Net.RepairLink
+	case faults.NodeDown:
+		// Armed pacing events find the senders gone. In a sharded run only
+		// the node's owner shard holds them.
+		if n := r.nodes[e.Node]; n != nil {
+			_, dead := r.Faults.Failed()
+			for _, sf := range n.Abandon(dead) {
+				r.retire(sf)
+			}
+		}
+	}
+	for _, lid := range lids {
+		port(lid)
+	}
+	r.Net.Eng.After(simAt(e.Detect), r.reroute)
+	return nil
 }

@@ -343,7 +343,7 @@ func (n *Network) FailLink(lid topology.LinkID) {
 
 // RepairLink brings a failed directed link back into service: packets
 // routed onto it flow again. Rebuilding the routing state so traffic
-// actually uses it again is the transport's job (R2C2.RepairLink).
+// actually uses it again is the transport's job (R2C2.InjectFault).
 func (n *Network) RepairLink(lid topology.LinkID) {
 	n.ports[lid].dead = false
 }

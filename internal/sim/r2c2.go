@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"r2c2/internal/core"
+	"r2c2/internal/faults"
 	"r2c2/internal/routing"
 	"r2c2/internal/simtime"
 	"r2c2/internal/stats"
@@ -56,8 +57,8 @@ type R2C2 struct {
 	core.Fabric
 	Cfg R2C2Config
 	// Faults is the failure state (§3.2, "Failures"), changed through
-	// FailLink, FailNode and RepairLink.
-	Faults *core.Faults
+	// InjectFault.
+	Faults *faults.State
 
 	rc    *core.RateComputer
 	nodes []*r2c2Node
@@ -184,9 +185,10 @@ type reorderState struct {
 // fault schedule in lockstep, so the n-th reroute sees the same failure
 // state in every shard.
 type fabricCache struct {
-	mu    sync.Mutex
-	users int // R2C2 instances sharing the cache
-	gens  map[uint64]*cachedFabric
+	mu     sync.Mutex
+	users  int         // R2C2 instances sharing the cache
+	intact core.Fabric // the fabric every degraded one is built over
+	gens   map[uint64]*cachedFabric
 }
 
 type cachedFabric struct {
@@ -194,7 +196,7 @@ type cachedFabric struct {
 	taken int
 }
 
-func (c *fabricCache) get(gen uint64, build func() core.Fabric) core.Fabric {
+func (c *fabricCache) get(gen uint64, st *faults.State) core.Fabric {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.gens[gen]
@@ -202,7 +204,7 @@ func (c *fabricCache) get(gen uint64, build func() core.Fabric) core.Fabric {
 		if c.gens == nil {
 			c.gens = make(map[uint64]*cachedFabric)
 		}
-		e = &cachedFabric{Fabric: build()}
+		e = &cachedFabric{Fabric: c.intact.Degrade(st)}
 		c.gens[gen] = e
 	}
 	if e.taken++; e.taken == c.users {
@@ -215,22 +217,22 @@ func (c *fabricCache) get(gen uint64, build func() core.Fabric) core.Fabric {
 // broadcast-FIB hooks, so one Network hosts exactly one transport.
 func NewR2C2(net *Network, tab *routing.Table, cfg R2C2Config) *R2C2 {
 	cfg.defaults()
-	return newR2C2(net, core.NewFabric(tab, treesPerSource, cfg.Seed), &fabricCache{users: 1}, cfg)
+	return newR2C2(net, &fabricCache{users: 1, intact: core.NewFabric(tab, treesPerSource, cfg.Seed)}, cfg)
 }
 
-// newR2C2 is NewR2C2 over a caller-built intact fabric and reroute cache
-// (the sharded engine passes the same two to every shard's instance); cfg
-// already has its defaults applied.
-func newR2C2(net *Network, fab core.Fabric, fabrics *fabricCache, cfg R2C2Config) *R2C2 {
+// newR2C2 is NewR2C2 over a caller-built reroute cache and the intact
+// fabric it holds (the sharded engine passes the same one to every shard's
+// instance); cfg already has its defaults applied.
+func newR2C2(net *Network, fabrics *fabricCache, cfg R2C2Config) *R2C2 {
 	r := &R2C2{
 		Net:     net,
 		Cfg:     cfg,
-		Faults:  core.NewFaults(fab),
+		Faults:  faults.NewState(fabrics.intact.Tab.Graph()),
 		flows:   newFlowTable[r2c2Flow](net.G.Nodes()),
 		sh:      net.sh,
 		fabrics: fabrics,
 	}
-	r.install(fab)
+	r.install(fabrics.intact)
 	r.nodes = make([]*r2c2Node, net.G.Nodes())
 	owned := 0
 	for i := range r.nodes {
@@ -305,63 +307,6 @@ func (r *R2C2) install(f core.Fabric) {
 	r.rc = core.NewRateComputer(r.Tab, r.Net.Cfg.LinkGbps*1e9, r.Cfg.Headroom)
 }
 
-// FailLink fails the cable between a and b (§3.2): its ports lose every
-// packet at once, and after `detection`, the topology-discovery delay,
-// every node switches to the degraded fabric and re-announces its flows,
-// resynchronising views that missed events. It errors where
-// core.Faults.FailCable does.
-func (r *R2C2) FailLink(a, b topology.NodeID, detection simtime.Time) error {
-	lids, err := r.Faults.FailCable(a, b)
-	return r.inject(lids, err, r.Net.FailLink, detection)
-}
-
-// FailNode kills a node (§3.2): its links go dark and its senders stop at
-// once; after `detection` the survivors switch fabric, purge its flows from
-// their views and re-announce their own. Its flows stay incomplete.
-func (r *R2C2) FailNode(dead topology.NodeID, detection simtime.Time) error {
-	lids, err := r.Faults.FailNode(dead)
-	// Armed pacing events find the senders gone. In a sharded run only the
-	// node's owner shard holds them.
-	if err == nil && r.nodes[dead] != nil {
-		_, deadSet := r.Faults.State()
-		for _, sf := range r.nodes[dead].Abandon(deadSet) {
-			r.retire(sf)
-		}
-	}
-	return r.inject(lids, err, r.Net.FailLink, detection)
-}
-
-// RepairLink brings the cable between a and b back (§3.2's recovery half):
-// after `detection` every node switches to the re-expanded fabric and
-// re-announces its flows. A dead node's cables stay down.
-func (r *R2C2) RepairLink(a, b topology.NodeID, detection simtime.Time) error {
-	lids, err := r.Faults.RepairCable(a, b)
-	return r.inject(lids, err, r.Net.RepairLink, detection)
-}
-
-// SetLinkDropProb installs a random-drop probability p in [0,1] on both
-// directions of the cable between a and b. p = 0 removes the loss.
-func (r *R2C2) SetLinkDropProb(a, b topology.NodeID, p float64) error {
-	lids, err := r.Faults.LossyCable(a, b, p)
-	for _, lid := range lids {
-		r.Net.SetLinkDropProb(lid, p)
-	}
-	return err
-}
-
-// inject applies a change the failure state accepted to its ports and arms
-// its detection.
-func (r *R2C2) inject(lids []topology.LinkID, err error, port func(topology.LinkID), detection simtime.Time) error {
-	if err != nil {
-		return err
-	}
-	for _, lid := range lids {
-		port(lid)
-	}
-	r.Net.Eng.After(detection, r.reroute)
-	return nil
-}
-
 // reroute is the detection-fire callback of every fault injection: unless
 // a later-injected, earlier-firing reroute already covered its injection,
 // it swaps in the fabric of the CURRENT failure state, never a snapshot
@@ -375,7 +320,7 @@ func (r *R2C2) reroute() {
 	if !r.Faults.Due() {
 		return
 	}
-	f := r.fabrics.get(r.FailureReroutes, r.Faults.Fabric)
+	f := r.fabrics.get(r.FailureReroutes, r.Faults)
 	r.FailureReroutes++ // invalidates interned routes computed over the old fabric
 	r.vis.Purge(f.Dead)
 	r.install(f)

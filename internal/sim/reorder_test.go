@@ -109,6 +109,7 @@ func FuzzReorderWindow(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 0, 0, 0, 0})             // 1 ahead twice (a duplicate), then the gap closes
 	f.Add([]byte{0, 64, 0, 63, 0, 65, 0, 0, 0x80, 5}) // across a word boundary; then a late packet
 	f.Add([]byte{0x0f, 0xff, 0, 0, 0x0f, 0xfe})       // the far edge of a 64-word ring
+	f.Add([]byte{0x00, 0x01, 0x01, 0x01})             // 1 ahead, then 257 ahead: span 5 on a four-word ring whose word 0 holds a bit
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = data[:min(len(data), 2*8192)]
 		w, ref := &reorderWindow{}, &mapWindow{oob: map[uint32]bool{}}

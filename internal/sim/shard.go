@@ -338,10 +338,9 @@ func newShardedRun(cfg RunConfig, perSrc []int) *shardedRun {
 	switch cfg.Transport {
 	case TransportR2C2:
 		cfg.R2C2.defaults()
-		intact := core.NewFabric(tab, treesPerSource, cfg.R2C2.Seed)
-		fabrics := &fabricCache{users: S}
+		fabrics := &fabricCache{users: S, intact: core.NewFabric(tab, treesPerSource, cfg.R2C2.Seed)}
 		attach = func(st *shardState) func(trafficgen.Arrival) {
-			r2 := newR2C2(st.net, intact, fabrics, cfg.R2C2)
+			r2 := newR2C2(st.net, fabrics, cfg.R2C2)
 			carveRows(r2.flows.rows, perSrc)
 			if cfg.Faults.Len() > 0 {
 				// Every shard runs the whole schedule: each must observe the

@@ -137,6 +137,14 @@ var plants = []plant{
 		"internal/sim/reorder.go", "for n < span {", "for n < span-1 {"},
 	{"fault-detection", "§3.2 failure detection: the reroute never swaps in the degraded fabric",
 		"internal/sim/r2c2.go", "if !r.Faults.Due() {", "if r.Faults.Due() {"},
+	{"state-repair-dead", "§3.2 failure state: a dead node's cable may be repaired",
+		"internal/faults/state.go", "case s.dead[e.A] || s.dead[e.B]:", "case e.Kind != LinkRepair && (s.dead[e.A] || s.dead[e.B]):"},
+	{"state-no-rollback", "§3.2 failure state: a refused partitioning change keeps its failed links",
+		"internal/faults/state.go", "s.links[lid] = !s.links[lid]", "_ = lid"},
+	{"state-drop-unchecked", "fault rules: a drop probability outside [0,1] is accepted",
+		"internal/faults/state.go", "case e.Kind == LinkDrop && !(e.DropProb >= 0 && e.DropProb <= 1): // NaN too", "case false:"},
+	{"validate-no-union", "fault schedules: Validate leaves the union of downed cables and crashed nodes unchecked",
+		"internal/faults/faults.go", `return fmt.Errorf("faults: schedule union partitions the rack: %w", err)`, "_ = err"},
 	{"shard-lookahead", "§15 sharding: the lookahead window is twice the propagation delay",
 		"internal/sim/shard.go", "return max(min(netCfg.PropDelay, notify), 1)", "return max(min(2*netCfg.PropDelay, notify), 1)"},
 	{"torus-distance", "torus distances: the wrap-around hop count is one too long",
